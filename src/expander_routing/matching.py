@@ -1,16 +1,19 @@
 """Matching routines used by preprocessing.
 
-`maximum_matching` is the classic O(V^3) augmenting search for general
-graphs with blossom contraction tracked through `base` pointers; it is
-deterministic because neighbours are scanned in adjacency order.
+`maximum_matching` is Edmonds' augmenting search for general graphs, one
+BFS per free root, with blossoms contracted through `base` pointers. Each
+blossom base keeps the list of its members for the current root, so a
+contraction costs O(s log s) for the s vertices it relabels plus the
+length of the two tree paths it walks, not a scan of all n vertices; the
+per-root arrays are allocated once per call and only the entries a root
+touched are reset. It is deterministic because neighbours are scanned in
+adjacency order and contracted vertices are enqueued in ascending order.
 `one_factor` extracts a spanning 1-regular subdigraph from a regular
 digraph, treating tails and heads as the two sides of a bipartite graph
 (greedy pass, then BFS augmentation).
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .errors import CallerError, RoutingError
 
@@ -22,57 +25,69 @@ def maximum_matching(n, adj):
     not contain self loops; parallel edges should be collapsed first.
     """
     match = [-1] * n
+    # per-root state, shared by all roots: q holds every vertex enqueued
+    # (= used) in order and linked every vertex whose p was set, so that
+    # only these entries need resetting before the next root
+    used = [False] * n
     p = [-1] * n
     base = list(range(n))
+    q = []
+    linked = []
 
     def lca(a, b):
-        used = [False] * n
+        seen = set()
         while True:
             a = base[a]
-            used[a] = True
+            seen.add(a)
             if match[a] == -1:
                 break
             a = p[match[a]]
         while True:
             b = base[b]
-            if used[b]:
+            if b in seen:
                 return b
             b = p[match[b]]
 
-    def mark_path(v, b, child, blossom):
+    def mark_path(v, b, child, marked):
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            marked.add(base[v])
+            marked.add(base[match[v]])
             p[v] = child
+            linked.append(v)
             child = match[v]
             v = p[match[v]]
 
     def find_path(root):
-        nonlocal p, base
-        used = [False] * n
-        p = [-1] * n
-        base = list(range(n))
+        # members[b] lists the vertices with base b, for bases that
+        # absorbed a blossom; every other base is a singleton
+        members = {}
         used[root] = True
-        q = deque([root])
-        while q:
-            v = q.popleft()
+        q.append(root)
+        for v in q:
             for to in adj[v]:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
                     # odd cycle found; contract the blossom
                     curbase = lca(v, to)
-                    blossom = [False] * n
-                    mark_path(v, curbase, to, blossom)
-                    mark_path(to, curbase, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
+                    marked = set()
+                    mark_path(v, curbase, to, marked)
+                    mark_path(to, curbase, v, marked)
+                    group = []
+                    for b in marked:
+                        group.extend(members.pop(b, (b,)))
+                    group.sort()
+                    for i in group:
+                        base[i] = curbase
+                        if not used[i]:
+                            used[i] = True
+                            q.append(i)
+                    if curbase not in marked:
+                        group.extend(members.get(curbase, (curbase,)))
+                    members[curbase] = group
                 elif p[to] == -1:
                     p[to] = v
+                    linked.append(to)
                     if match[to] == -1:
                         # augmenting path reached a free vertex
                         u = to
@@ -82,14 +97,20 @@ def maximum_matching(n, adj):
                             match[pv] = u
                             match[u] = pv
                             u = w
-                        return True
+                        return
                     used[match[to]] = True
                     q.append(match[to])
-        return False
 
     for v in range(n):
         if match[v] == -1:
             find_path(v)
+            for i in q:
+                used[i] = False
+                base[i] = i
+            for i in linked:
+                p[i] = -1
+            q.clear()
+            linked.clear()
     return match
 
 
@@ -101,20 +122,14 @@ def perfect_matching_edges(g):
     """
     n = g.n
     adj = [[] for _ in range(n)]
-    seen = [set() for _ in range(n)]
     first_edge = {}
-    for e in range(g.m):
-        a, b = g.endpoints(e)
+    for e, (a, b) in enumerate(zip(g.us, g.vs)):
         if a == b:
             continue
         key = (a, b) if a < b else (b, a)
         if key not in first_edge:
             first_edge[key] = e
-        if b not in seen[a]:
-            seen[a].add(b)
             adj[a].append(b)
-        if a not in seen[b]:
-            seen[b].add(a)
             adj[b].append(a)
     match = maximum_matching(n, adj)
     unmatched = [v for v in range(n) if match[v] == -1]
@@ -131,12 +146,13 @@ def perfect_matching_edges(g):
     return sorted(edge_ids)
 
 
-def one_factor(host, alive):
+def one_factor(host, live_out):
     """One live out-edge per tail with pairwise distinct heads.
 
-    `alive` is a per-edge boolean; the live subgraph must be regular with
-    equal positive degree on both sides, which guarantees the factor
-    exists. Returns edge ids indexed by tail.
+    `live_out[t]` lists the live out-edges of tail t in adjacency order;
+    the live subgraph must be regular with equal positive degree on both
+    sides, which guarantees the factor exists. Returns edge ids indexed
+    by tail.
     """
     n = host.n
     heads = host.heads
@@ -144,32 +160,34 @@ def one_factor(host, alive):
     match_of_head = [-1] * n
     match_of_tail = [-1] * n
     for t in range(n):
-        for e in host.out_adj[t]:
-            if alive[e] and match_of_head[heads[e]] == -1:
-                match_of_head[heads[e]] = e
+        for e in live_out[t]:
+            h = heads[e]
+            if match_of_head[h] == -1:
+                match_of_head[h] = e
                 match_of_tail[t] = e
                 break
+    # per-root BFS state, shared by all roots: parent_edge[h] != -1 marks
+    # head h as seen; seen lists those heads so they can be cleared
+    parent_edge = [-1] * n
+    seen = []
     for t0 in range(n):
         if match_of_tail[t0] != -1:
             continue
-        parent_edge = [-1] * n
-        seen_head = [False] * n
-        q = deque([t0])
+        q = [t0]
         found = -1
-        while q and found == -1:
-            t = q.popleft()
-            for e in host.out_adj[t]:
-                if not alive[e]:
-                    continue
+        for t in q:
+            for e in live_out[t]:
                 h = heads[e]
-                if seen_head[h]:
+                if parent_edge[h] != -1:
                     continue
-                seen_head[h] = True
                 parent_edge[h] = e
+                seen.append(h)
                 if match_of_head[h] == -1:
                     found = h
                     break
                 q.append(tails[match_of_head[h]])
+            if found != -1:
+                break
         if found == -1:
             raise RoutingError("internal: regular bipartite layer has no perfect matching")
         h = found
@@ -180,4 +198,7 @@ def one_factor(host, alive):
             match_of_tail[t] = e
             match_of_head[h] = e
             h = heads[prev] if prev != -1 else -1
+        for h in seen:
+            parent_edge[h] = -1
+        seen.clear()
     return match_of_tail

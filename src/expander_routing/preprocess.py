@@ -20,14 +20,17 @@ from .profiles import RouterProfile, derive_profile, oriented_degree
 def is_connected(g: UndirectedGraph) -> bool:
     if g.n == 0:
         return True
+    us, vs, incs = g.us, g.vs, g.inc
     seen = [False] * g.n
     seen[0] = True
     stack = [0]
     count = 1
     while stack:
         v = stack.pop()
-        for e in g.inc[v]:
-            w = g.other_end(e, v)
+        for e in incs[v]:
+            w = us[e]
+            if w == v:
+                w = vs[e]
             if not seen[w]:
                 seen[w] = True
                 count += 1
@@ -49,14 +52,15 @@ def eulerian_orient(g: UndirectedGraph) -> Digraph:
     if not is_connected(g):
         raise CallerError("graph is disconnected; cannot orient along one circuit")
     m = g.m
+    us, vs, incs = g.us, g.vs, g.inc
     used = [False] * m
     orient = [None] * m
     ptr = [0] * g.n
     if m > 0:
-        stack = [g.us[0]]
+        stack = [us[0]]
         while stack:
             v = stack[-1]
-            inc = g.inc[v]
+            inc = incs[v]
             i = ptr[v]
             while i < len(inc) and used[inc[i]]:
                 i += 1
@@ -66,7 +70,9 @@ def eulerian_orient(g: UndirectedGraph) -> Digraph:
                 continue
             e = inc[i]
             used[e] = True
-            w = g.other_end(e, v)
+            w = us[e]
+            if w == v:
+                w = vs[e]
             orient[e] = (v, w)
             stack.append(w)
     if not all(used):
@@ -102,12 +108,12 @@ def split_regular(d: Digraph, k, parts):
         raise CallerError("parts must be positive")
     if total > k:
         raise CallerError("parts sum to %d > regularity %d" % (total, k))
-    alive = [True] * d.m
+    live_out = [list(out) for out in d.out_adj]
     factors = []
     for _ in range(total):
-        f = one_factor(d, alive)
-        for e in f:
-            alive[e] = False
+        f = one_factor(d, live_out)
+        for t, e in enumerate(f):
+            live_out[t].remove(e)
         factors.append(f)
     out = []
     taken = 0
@@ -116,7 +122,7 @@ def split_regular(d: Digraph, k, parts):
         taken += p
         out.append(_subdigraph(d, ids))
     if total < k:
-        ids = [e for e in range(d.m) if alive[e]]
+        ids = sorted(e for out in live_out for e in out)
         out.append(_subdigraph(d, ids))
     return out
 

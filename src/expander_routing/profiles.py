@@ -105,6 +105,14 @@ class RouterProfile:
     oracle_low_threshold: Fraction
     oracle_capacity: int
 
+    def __post_init__(self):
+        # with fanout 0 no tree grows, with endpoint_cap 0 no vertex may
+        # start a path: every request would fail
+        for name in ("fanout", "endpoint_cap"):
+            value = getattr(self, name)
+            if value < 1:
+                raise CallerError("profile field %s must be at least 1, got %d" % (name, value))
+
     def oracle_profile(self) -> OracleProfile:
         """Profile for the two d_prime-regular oracle hosts."""
         return OracleProfile(
@@ -182,7 +190,7 @@ def derive_profile(n, d, beta, gamma, relaxed=False, lam=None, c0=1):
         depth_cap=depth_cap,
         bfs_vertex_cap=frac_ceil(beta * n / 5),
         bfs_edge_cap=bfs_edge_cap,
-        fanout=d_prime // 4,
+        fanout=max(1, d_prime // 4),
         endpoint_cap=frac_ceil(Fraction(d, 200)),
         r=r,
         g3_path_cap=g3_path_cap,
@@ -309,7 +317,10 @@ def parse_profile(text: str) -> RouterProfile:
                 kwargs[name] = int(raw)
         except (ValueError, ZeroDivisionError):
             raise FormatError("profile field %s: bad value %r" % (name, raw)) from None
-    return RouterProfile(**kwargs)
+    try:
+        return RouterProfile(**kwargs)
+    except CallerError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def load_profile(path) -> RouterProfile:

@@ -6,6 +6,7 @@ router churn of criterion 3) are built once and shared by the criteria
 that sample from them.
 """
 
+import hashlib
 import random
 import statistics
 import time
@@ -35,6 +36,19 @@ from expander_routing.router import RoutingEngine
 
 ORACLE_N, ORACLE_D, ORACLE_OPS = 300, 20, 10000
 ROUTER_N, ROUTER_D, ROUTER_OPS = 600, 30, 2000
+
+# sha256 of the preprocessing fingerprint per (d, seed), and of the PATH/FAIL
+# lines of criterion 8's 500-request replay; a change to any of them means
+# the matching, the orientation, the split or the router changed behaviour
+GOLDEN_PREPROCESS = {
+    (20, 2): "977fa4eb4be41d5c686474ceb81b058c1ab3abb8d03f3d0449e5ea1c21a0d1d3",
+    (21, 3): "f56179348ea0c5f0e6c2a88212718e72024f4b14ba655d67ae0413544ec1b4b6",
+}
+GOLDEN_REPLAY = "c3f040de13ad7281d678b3d07731fa101db3c3a57a1c1f16eb11055ca7a6bd64"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def suite1_profile():
@@ -232,6 +246,7 @@ def test_criterion_5_preprocessing():
             assert split.host.in_degree(v) == oriented_deg
         _, _, blob2 = _preprocess_fingerprint(d, seed)
         assert blob == blob2
+        assert _sha256(blob) == GOLDEN_PREPROCESS[(d, seed)]
     print("PASS criterion 5: even and odd degree preprocessing exact and deterministic")
 
 
@@ -324,7 +339,9 @@ def test_criterion_8_determinism(suite3):
         assert report.failures == [] and report.verify_findings == 0
         return "\n".join(lines)
 
-    assert replay() == replay()
+    first = replay()
+    assert first == replay()
+    assert _sha256(first) == GOLDEN_REPLAY
     print("PASS criterion 8: preprocessing and router replays are byte-identical")
 
 

@@ -1,9 +1,10 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
-from expander_routing.errors import CallerError
+from expander_routing.errors import CallerError, FormatError
 from expander_routing.profiles import (
     RouterProfile,
     canonical_oracle_profile,
@@ -138,3 +139,12 @@ def test_router_profile_is_complete():
     text = format_profile(p)
     for field in dataclasses.fields(RouterProfile):
         assert any(line.startswith(field.name + "=") for line in text.splitlines())
+
+
+@pytest.mark.parametrize("field", ["fanout", "endpoint_cap"])
+def test_router_profile_rejects_zero(field):
+    with pytest.raises(CallerError, match=field):
+        desk_profile(600, 30, **{field: 0})
+    text = re.sub(r"(?m)^%s=.*$" % field, field + "=0", format_profile(desk_profile(600, 30)))
+    with pytest.raises(FormatError, match=field):
+        parse_profile(text)
