@@ -19,7 +19,6 @@ from .graph import (
     Digraph,
     EdgeSubset,
     UndirectedGraph,
-    boundary_counts,
     edges_within,
     format_graph,
     load_graph,

@@ -145,6 +145,10 @@ def cmd_profile(args):
         profile = desk_profile(args.n, args.d)
     else:
         profile = derive_profile(args.n, args.d, args.beta, args.gamma, relaxed=args.relaxed)
+        caps = ("r", "oracle_out_cap", "oracle_in_cap", "oracle_capacity", "bfs_edge_cap")
+        zero = [f for f in caps if getattr(profile, f) == 0]
+        if args.relaxed and zero:
+            raise RoutingError("relaxed profile cannot route (%s = 0); use --desk instead" % ", ".join(zero))
     text = format_profile(profile)
     if args.out == "-":
         sys.stdout.write(text)

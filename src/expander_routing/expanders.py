@@ -9,8 +9,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, sqrt
 
-import numpy as np
-
 from .errors import CallerError, GenerationError
 from .graph import Digraph, UndirectedGraph
 
@@ -219,6 +217,8 @@ def estimate_second_eigenvalue(g: UndirectedGraph, max_iters=20000, tol=1e-9):
     with beta*d + lambda <= 2*gamma*d is certified, reported here for the
     reference points gamma = 1/50 and beta = 1/100.
     """
+    import numpy as np  # the package's only numpy user; kept off `import expander_routing`
+
     d = g.regularity()
     if d is None:
         raise CallerError("spectral estimate needs a regular graph")

@@ -28,6 +28,9 @@ was.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import add, ge, gt, ne
+
 from .errors import CallerError, ExpansionViolation, RoutingError
 from .graph import Digraph, EdgeSubset
 from .profiles import OracleProfile
@@ -113,10 +116,6 @@ class EdgeOracle:
         self.h.add(e)
         self._log("h+", e)
 
-    def _h_remove(self, e):
-        self.h.remove(e)
-        self._log("h-", e)
-
     def _b_add(self, e):
         self.b.add(e)
         self._log("b+", e)
@@ -156,8 +155,6 @@ class EdgeOracle:
         for op, arg in reversed(log):
             if op == "h+":
                 self.h.remove(arg)
-            elif op == "h-":
-                self.h.add(arg)
             elif op == "b+":
                 self.b.remove(arg)
             elif op == "b-":
@@ -375,62 +372,68 @@ class EdgeOracle:
     # --- verification ----------------------------------------------------------
 
     def audit(self, quiescent=True):
-        """Recompute all state from memberships and report every violation."""
+        """Recompute all state from memberships and report every violation.
+
+        One C scan of each membership list, then O(|H| + |B|) plus C-level
+        passes over n: per-vertex rules are looped over only at vertices
+        that can break them (Sat, Low, holding B stock, or over a cap).
+        """
         findings = []
-        host = self.host
-        n = host.n
+        n = self.host.n
         prof = self.profile
-        for name, sub in (("H", self.h), ("B", self.b)):
-            out_deg, in_deg, size = sub.recount()
+        h_ids = self.h.members()
+        b_ids = self.b.members()
+        for name, sub, ids in (("H", self.h, h_ids), ("B", self.b, b_ids)):
+            out_deg, in_deg, size = sub.recount(ids)
             if out_deg != sub.out_deg:
                 findings.append("%s out-degree counters disagree with recount" % name)
             if in_deg != sub.in_deg:
                 findings.append("%s in-degree counters disagree with recount" % name)
             if size != len(sub):
                 findings.append("%s size %d != recounted %d" % (name, len(sub), size))
-        both = [e for e in range(host.m) if self.h.member[e] and self.b.member[e]]
+        both = sorted(set(h_ids).intersection(b_ids))
         if both:
             findings.append("H and B overlap on edges %s" % both[:5])
-        in_f = [self.h.in_deg[v] + self.b.in_deg[v] for v in range(n)]
-        out_f = [self.h.out_deg[v] + self.b.out_deg[v] for v in range(n)]
-        sat_expected = [in_f[v] * self._sat_d >= self._sat_n for v in range(n)]
-        sat_out_expected = [0] * n
-        for e in range(host.m):
-            if sat_expected[host.heads[e]]:
-                sat_out_expected[host.tails[e]] += 1
-        low_expected = [
-            sat_out_expected[v] * self._low_d >= self._low_n for v in range(n)
-        ]
+        in_f = list(map(add, self.h.in_deg, self.b.in_deg))
+        out_f = list(map(add, self.h.out_deg, self.b.out_deg))
+        sat_ids = list(compress(range(n), self.sat))
+        low_ids = list(compress(range(n), self.low))
+        sat_out_maintained = self._sat_out_from(sat_ids)
         if quiescent:
-            for v in range(n):
-                if self.sat[v] != sat_expected[v]:
+            # x * den >= num  <=>  x >= ceil(num / den), for integer x and den > 0
+            sat_expected = list(map(ge, in_f, repeat(-(-self._sat_n // self._sat_d))))
+            sat_out_expected = sat_out_maintained
+            if sat_expected != self.sat:
+                for v in compress(range(n), map(ne, self.sat, sat_expected)):
                     findings.append(
                         "Sat mismatch at %d: maintained=%s recomputed=%s (in_F=%d)"
                         % (v, self.sat[v], sat_expected[v], in_f[v])
                     )
-            for v in range(n):
-                if self.low[v] != low_expected[v]:
+                sat_out_expected = self._sat_out_from(compress(range(n), sat_expected))
+            low_expected = list(map(ge, sat_out_expected, repeat(-(-self._low_n // self._low_d))))
+            if low_expected != self.low:
+                for v in compress(range(n), map(ne, self.low, low_expected)):
                     findings.append(
                         "Low mismatch at %d: maintained=%s recomputed=%s (sat_out=%d)"
                         % (v, self.low[v], low_expected[v], sat_out_expected[v])
                     )
-            for v in range(n):
-                if self.low[v] and out_f[v] != prof.out_cap:
+            for v in low_ids:
+                if out_f[v] != prof.out_cap:
                     findings.append(
                         "buffered vertex %d has out_F=%d, expected the cap %d"
                         % (v, out_f[v], prof.out_cap)
                     )
-        sat_out_maintained = [0] * n
-        for e in range(host.m):
-            if self.sat[host.heads[e]]:
-                sat_out_maintained[host.tails[e]] += 1
         if sat_out_maintained != self.sat_out:
-            bad = next(v for v in range(n) if sat_out_maintained[v] != self.sat_out[v])
+            bad = next(compress(range(n), map(ne, sat_out_maintained, self.sat_out)))
             findings.append(
                 "sat_out counter at %d: maintained=%d recomputed=%d"
                 % (bad, self.sat_out[bad], sat_out_maintained[bad])
             )
-        for v in range(n):
+        suspects = set(sat_ids).union(low_ids, compress(range(n), self.b.out_deg))
+        for f, cap in ((out_f, prof.out_cap), (in_f, prof.in_cap)):
+            if max(f, default=cap) > cap:
+                suspects.update(compress(range(n), map(gt, f, repeat(cap))))
+        for v in sorted(suspects):
             if self.sat[v] and not (in_f[v] * self._sat_d >= self._sat_n):
                 findings.append("saturated vertex %d has in_F=%d below threshold" % (v, in_f[v]))
             if self.low[v] and not (self.sat_out[v] * self._low_d >= self._low_n):
@@ -441,7 +444,7 @@ class EdgeOracle:
                 findings.append("out_F(%d)=%d exceeds cap %d" % (v, out_f[v], prof.out_cap))
             if in_f[v] > prof.in_cap:
                 findings.append("in_F(%d)=%d exceeds cap %d" % (v, in_f[v], prof.in_cap))
-        low_count = sum(self.low)
+        low_count = len(low_ids)
         low_claim_ok = low_count * 12 < prof.beta * n
         if not low_claim_ok and not prof.relaxed:
             findings.append(
@@ -450,6 +453,14 @@ class EdgeOracle:
         if len(self.h) > prof.capacity:
             findings.append("|H|=%d exceeds capacity %d" % (len(self.h), prof.capacity))
         return AuditReport(findings, low_claim_ok=low_claim_ok, low_count=low_count)
+
+    def _sat_out_from(self, heads):
+        """sat_out recounted as if exactly `heads` were saturated."""
+        sat_out = [0] * self.host.n
+        for w in heads:
+            for e in self.host.in_adj[w]:
+                sat_out[self.host.tails[e]] += 1
+        return sat_out
 
     def dump(self):
         """Stable text listing of the four state sets, for golden tests."""

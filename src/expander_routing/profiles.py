@@ -25,14 +25,6 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def frac_floor(x: Fraction) -> int:
-    return math.floor(x)
-
-
-def frac_ceil(x: Fraction) -> int:
-    return math.ceil(x)
-
-
 @dataclass(frozen=True)
 class OracleProfile:
     """Thresholds for one edge-oracle instance over a d-regular host."""
@@ -59,7 +51,7 @@ def canonical_oracle_profile(n, d, beta, gamma, relaxed=False, capacity=None):
     beta = Fraction(beta)
     gamma = Fraction(gamma)
     if capacity is None:
-        capacity = frac_floor(beta * d * n / 120)
+        capacity = math.floor(beta * d * n / 120)
     return OracleProfile(
         n=n,
         d=d,
@@ -173,11 +165,11 @@ def derive_profile(n, d, beta, gamma, relaxed=False, lam=None, c0=1):
             raise CallerError("spectral depth budget needs c0*d^2/lam^2 > 1")
         depth_cap = max(1, math.ceil(math.log(n) / math.log(growth)))
     r = min(
-        frac_floor(c * n * k / (2 * depth_cap)),
-        frac_floor(beta * beta * n * k / 15000),
+        math.floor(c * n * k / (2 * depth_cap)),
+        math.floor(beta * beta * n * k / 15000),
     )
-    bfs_edge_cap = frac_floor(c * n * k / 2)
-    g3_path_cap = frac_ceil(Fraction(300, 1) / beta) + 1
+    bfs_edge_cap = math.floor(c * n * k / 2)
+    g3_path_cap = math.ceil(Fraction(300, 1) / beta) + 1
     profile = RouterProfile(
         n=n,
         d=d,
@@ -188,10 +180,10 @@ def derive_profile(n, d, beta, gamma, relaxed=False, lam=None, c0=1):
         d_prime=d_prime,
         c=c,
         depth_cap=depth_cap,
-        bfs_vertex_cap=frac_ceil(beta * n / 5),
+        bfs_vertex_cap=math.ceil(beta * n / 5),
         bfs_edge_cap=bfs_edge_cap,
         fanout=max(1, d_prime // 4),
-        endpoint_cap=frac_ceil(Fraction(d, 200)),
+        endpoint_cap=math.ceil(Fraction(d, 200)),
         r=r,
         g3_path_cap=g3_path_cap,
         path_len_cap=2 * lg + g3_path_cap,
@@ -200,7 +192,7 @@ def derive_profile(n, d, beta, gamma, relaxed=False, lam=None, c0=1):
         oracle_in_cap=d_prime // 5,
         oracle_sat_threshold=Fraction(d_prime, 10),
         oracle_low_threshold=Fraction(d_prime, 4),
-        oracle_capacity=frac_floor(beta * d_prime * n / 120),
+        oracle_capacity=math.floor(beta * d_prime * n / 120),
     )
     if not relaxed and not profile.capacity_chains_hold():
         raise CallerError("derived r violates a capacity chain (internal)")

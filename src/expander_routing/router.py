@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, gt
 
 from .errors import CallerError, ExpansionViolation
 from .graph import EdgeSubset, UndirectedGraph, reverse
@@ -330,35 +331,34 @@ class RoutingEngine:
         return verts
 
     def verify(self) -> VerifyReport:
-        """From-scratch recount of everything the registry implies."""
+        """From-scratch recount of everything the registry implies.
+
+        O(stored path length) plus the two oracle audits; each membership
+        list is read once in C and the per-vertex scan runs only when a
+        C-level check over the counter lists fails.
+        """
         findings = []
         prof = self.profile
         recs = list(self.registry.values())
 
-        for name, seg, oracle in (
-            ("H1", "seg_a", self.out_oracle),
-            ("H2", "seg_b", self.in_oracle),
+        for name, seg, sub, what in (
+            ("H1", "seg_a", self.out_oracle.h, "segments"),
+            ("H2", "seg_b", self.in_oracle.h, "segments"),
+            ("H3", "seg_mid", self.h3, "middle segments"),
         ):
             union = []
             for rec in recs:
                 union.extend(getattr(rec, seg))
             if len(union) != len(set(union)):
                 findings.append("%s: an edge appears in two stored paths" % name)
-            elif sorted(union) != oracle.h.members():
-                findings.append("%s differs from the union of stored segments" % name)
-        union3 = []
-        for rec in recs:
-            union3.extend(rec.seg_mid)
-        if len(union3) != len(set(union3)):
-            findings.append("H3: an edge appears in two stored paths")
-        elif sorted(union3) != self.h3.members():
-            findings.append("H3 differs from the union of stored middle segments")
+            elif sorted(union) != sub.members():
+                findings.append("%s differs from the union of stored %s" % (name, what))
 
         host_ids = []
         for rec in recs:
-            host_ids.extend(self.split.g1_host[e] for e in rec.seg_a)
-            host_ids.extend(self.split.g3_host[e] for e in rec.seg_mid)
-            host_ids.extend(self.split.g2_host[e] for e in rec.seg_b)
+            host_ids.extend(map(self.split.g1_host.__getitem__, rec.seg_a))
+            host_ids.extend(map(self.split.g3_host.__getitem__, rec.seg_mid))
+            host_ids.extend(map(self.split.g2_host.__getitem__, rec.seg_b))
         if len(host_ids) != len(set(host_ids)):
             findings.append("paths are not pairwise edge-disjoint over the host")
 
@@ -385,15 +385,21 @@ class RoutingEngine:
         if len(self.h3) * prof.beta > 300 * count:
             findings.append("H3 size %d exceeds 300|P|/beta" % len(self.h3))
 
-        for v in range(self.n):
-            if self.out_oracle.h.out_deg[v] > self.out_oracle.h.in_deg[v] + self.ps[v]:
-                findings.append("H1 out/in imbalance at vertex %d" % v)
-            if self.in_oracle.h.out_deg[v] > self.in_oracle.h.in_deg[v] + self.pe[v]:
-                findings.append("H2 out/in imbalance at vertex %d" % v)
-            if self.out_oracle.h.in_deg[v] > prof.oracle_in_cap:
-                findings.append("H1 in-degree %d over cap at vertex %d" % (self.out_oracle.h.in_deg[v], v))
-            if self.in_oracle.h.in_deg[v] > prof.oracle_in_cap:
-                findings.append("H2 in-degree %d over cap at vertex %d" % (self.in_oracle.h.in_deg[v], v))
+        h1, h2 = self.out_oracle.h, self.in_oracle.h
+        if (
+            any(map(gt, h1.out_deg, map(add, h1.in_deg, self.ps)))
+            or any(map(gt, h2.out_deg, map(add, h2.in_deg, self.pe)))
+            or max(h1.in_deg + h2.in_deg, default=0) > prof.oracle_in_cap
+        ):
+            for v in range(self.n):
+                if h1.out_deg[v] > h1.in_deg[v] + self.ps[v]:
+                    findings.append("H1 out/in imbalance at vertex %d" % v)
+                if h2.out_deg[v] > h2.in_deg[v] + self.pe[v]:
+                    findings.append("H2 out/in imbalance at vertex %d" % v)
+                if h1.in_deg[v] > prof.oracle_in_cap:
+                    findings.append("H1 in-degree %d over cap at vertex %d" % (h1.in_deg[v], v))
+                if h2.in_deg[v] > prof.oracle_in_cap:
+                    findings.append("H2 in-degree %d over cap at vertex %d" % (h2.in_deg[v], v))
 
         ps_expected = [0] * self.n
         pe_expected = [0] * self.n

@@ -1,0 +1,462 @@
+"""Differential tests: the oracle audit and the engine verify against loop references.
+
+`reference_audit` and `reference_verify` are the straightforward
+implementations that scan every edge and every vertex in Python. The
+shipped `EdgeOracle.audit` and `RoutingEngine.verify` read each membership
+list once and otherwise look only at live edges and suspect vertices; on
+every planted corruption, alone or combined, both must report the same
+findings in the same order.
+"""
+
+import dataclasses
+import random
+from fractions import Fraction
+
+import pytest
+
+from expander_routing.errors import CallerError, ExpansionViolation
+from expander_routing.expanders import gen_random_regular_digraph, gen_random_regular_graph
+from expander_routing.harness import gen_workload, resolve_ref
+from expander_routing.oracle import EdgeOracle
+from expander_routing.profiles import OracleProfile, desk_profile
+from expander_routing.router import RoutingEngine
+
+# --- references: one Python pass over all m edges / all n vertices per rule ---
+
+
+def reference_members(sub):
+    return [e for e, inside in enumerate(sub.member) if inside]
+
+
+def reference_recount(sub):
+    out_deg = [0] * sub.owner.n
+    in_deg = [0] * sub.owner.n
+    size = 0
+    for e, inside in enumerate(sub.member):
+        if inside:
+            out_deg[sub.owner.tails[e]] += 1
+            in_deg[sub.owner.heads[e]] += 1
+            size += 1
+    return out_deg, in_deg, size
+
+
+def reference_audit(orc, quiescent=True):
+    """Returns (findings, low_claim_ok, low_count)."""
+    findings = []
+    host = orc.host
+    n = host.n
+    prof = orc.profile
+    for name, sub in (("H", orc.h), ("B", orc.b)):
+        out_deg, in_deg, size = reference_recount(sub)
+        if out_deg != sub.out_deg:
+            findings.append("%s out-degree counters disagree with recount" % name)
+        if in_deg != sub.in_deg:
+            findings.append("%s in-degree counters disagree with recount" % name)
+        if size != len(sub):
+            findings.append("%s size %d != recounted %d" % (name, len(sub), size))
+    both = [e for e in range(host.m) if orc.h.member[e] and orc.b.member[e]]
+    if both:
+        findings.append("H and B overlap on edges %s" % both[:5])
+    in_f = [orc.h.in_deg[v] + orc.b.in_deg[v] for v in range(n)]
+    out_f = [orc.h.out_deg[v] + orc.b.out_deg[v] for v in range(n)]
+    sat_expected = [in_f[v] * orc._sat_d >= orc._sat_n for v in range(n)]
+    sat_out_expected = [0] * n
+    for e in range(host.m):
+        if sat_expected[host.heads[e]]:
+            sat_out_expected[host.tails[e]] += 1
+    low_expected = [sat_out_expected[v] * orc._low_d >= orc._low_n for v in range(n)]
+    if quiescent:
+        for v in range(n):
+            if orc.sat[v] != sat_expected[v]:
+                findings.append(
+                    "Sat mismatch at %d: maintained=%s recomputed=%s (in_F=%d)"
+                    % (v, orc.sat[v], sat_expected[v], in_f[v])
+                )
+        for v in range(n):
+            if orc.low[v] != low_expected[v]:
+                findings.append(
+                    "Low mismatch at %d: maintained=%s recomputed=%s (sat_out=%d)"
+                    % (v, orc.low[v], low_expected[v], sat_out_expected[v])
+                )
+        for v in range(n):
+            if orc.low[v] and out_f[v] != prof.out_cap:
+                findings.append(
+                    "buffered vertex %d has out_F=%d, expected the cap %d"
+                    % (v, out_f[v], prof.out_cap)
+                )
+    sat_out_maintained = [0] * n
+    for e in range(host.m):
+        if orc.sat[host.heads[e]]:
+            sat_out_maintained[host.tails[e]] += 1
+    if sat_out_maintained != orc.sat_out:
+        bad = next(v for v in range(n) if sat_out_maintained[v] != orc.sat_out[v])
+        findings.append(
+            "sat_out counter at %d: maintained=%d recomputed=%d"
+            % (bad, orc.sat_out[bad], sat_out_maintained[bad])
+        )
+    for v in range(n):
+        if orc.sat[v] and not (in_f[v] * orc._sat_d >= orc._sat_n):
+            findings.append("saturated vertex %d has in_F=%d below threshold" % (v, in_f[v]))
+        if orc.low[v] and not (orc.sat_out[v] * orc._low_d >= orc._low_n):
+            findings.append("buffered vertex %d has sat_out=%d below threshold" % (v, orc.sat_out[v]))
+        if not orc.low[v] and orc.b.out_deg[v] != 0:
+            findings.append("vertex %d holds buffer stock without being buffered" % v)
+        if out_f[v] > prof.out_cap:
+            findings.append("out_F(%d)=%d exceeds cap %d" % (v, out_f[v], prof.out_cap))
+        if in_f[v] > prof.in_cap:
+            findings.append("in_F(%d)=%d exceeds cap %d" % (v, in_f[v], prof.in_cap))
+    low_count = sum(orc.low)
+    low_claim_ok = low_count * 12 < prof.beta * n
+    if not low_claim_ok and not prof.relaxed:
+        findings.append("|Low|=%d is not below beta*n/12=%s" % (low_count, prof.beta * n / 12))
+    if len(orc.h) > prof.capacity:
+        findings.append("|H|=%d exceeds capacity %d" % (len(orc.h), prof.capacity))
+    return findings, low_claim_ok, low_count
+
+
+def reference_verify(eng):
+    findings = []
+    prof = eng.profile
+    recs = list(eng.registry.values())
+    for name, seg, oracle in (("H1", "seg_a", eng.out_oracle), ("H2", "seg_b", eng.in_oracle)):
+        union = []
+        for rec in recs:
+            union.extend(getattr(rec, seg))
+        if len(union) != len(set(union)):
+            findings.append("%s: an edge appears in two stored paths" % name)
+        elif sorted(union) != reference_members(oracle.h):
+            findings.append("%s differs from the union of stored segments" % name)
+    union3 = []
+    for rec in recs:
+        union3.extend(rec.seg_mid)
+    if len(union3) != len(set(union3)):
+        findings.append("H3: an edge appears in two stored paths")
+    elif sorted(union3) != reference_members(eng.h3):
+        findings.append("H3 differs from the union of stored middle segments")
+    host_ids = []
+    for rec in recs:
+        host_ids.extend(eng.split.g1_host[e] for e in rec.seg_a)
+        host_ids.extend(eng.split.g3_host[e] for e in rec.seg_mid)
+        host_ids.extend(eng.split.g2_host[e] for e in rec.seg_b)
+    if len(host_ids) != len(set(host_ids)):
+        findings.append("paths are not pairwise edge-disjoint over the host")
+    for rec in recs:
+        problems = []
+        eng._walk_vertices(rec, problems)
+        findings.extend("path %d: %s" % (rec.id, p) for p in problems)
+        if len(rec.seg_a) > prof.depth_cap:
+            findings.append("path %d: first segment length %d over cap" % (rec.id, len(rec.seg_a)))
+        if len(rec.seg_b) > prof.depth_cap:
+            findings.append("path %d: last segment length %d over cap" % (rec.id, len(rec.seg_b)))
+        if len(rec.seg_mid) > prof.g3_path_cap:
+            findings.append("path %d: middle segment length %d over cap" % (rec.id, len(rec.seg_mid)))
+        if rec.length > prof.path_len_cap:
+            findings.append("path %d: length %d over cap %d" % (rec.id, rec.length, prof.path_len_cap))
+    count = len(recs)
+    for name, oracle in (("H1", eng.out_oracle), ("H2", eng.in_oracle)):
+        size = len(oracle.h)
+        if size > count * prof.depth_cap:
+            findings.append("%s size %d exceeds %d paths x depth budget" % (name, size, count))
+        if size > prof.h_size_cap:
+            findings.append("%s size %d exceeds cap %d" % (name, size, prof.h_size_cap))
+    if len(eng.h3) * prof.beta > 300 * count:
+        findings.append("H3 size %d exceeds 300|P|/beta" % len(eng.h3))
+    for v in range(eng.n):
+        if eng.out_oracle.h.out_deg[v] > eng.out_oracle.h.in_deg[v] + eng.ps[v]:
+            findings.append("H1 out/in imbalance at vertex %d" % v)
+        if eng.in_oracle.h.out_deg[v] > eng.in_oracle.h.in_deg[v] + eng.pe[v]:
+            findings.append("H2 out/in imbalance at vertex %d" % v)
+        if eng.out_oracle.h.in_deg[v] > prof.oracle_in_cap:
+            findings.append("H1 in-degree %d over cap at vertex %d" % (eng.out_oracle.h.in_deg[v], v))
+        if eng.in_oracle.h.in_deg[v] > prof.oracle_in_cap:
+            findings.append("H2 in-degree %d over cap at vertex %d" % (eng.in_oracle.h.in_deg[v], v))
+    ps_expected = [0] * eng.n
+    pe_expected = [0] * eng.n
+    for rec in recs:
+        ps_expected[rec.a] += 1
+        pe_expected[rec.b] += 1
+    if ps_expected != eng.ps:
+        findings.append("start counters disagree with the registry")
+    if pe_expected != eng.pe:
+        findings.append("end counters disagree with the registry")
+    for name, oracle in (("out-oracle", eng.out_oracle), ("in-oracle", eng.in_oracle)):
+        findings.extend("%s: %s" % (name, f) for f in reference_audit(oracle)[0])
+    return findings
+
+
+# --- loaded structures ----------------------------------------------------------
+
+
+def loaded_oracle():
+    """An oracle after 100 seeded requests: H 89, B 17, Sat 17 and Low 5 members."""
+    host = gen_random_regular_digraph(100, 20, seed=19)
+    prof = OracleProfile(
+        n=100, d=20, out_cap=5, in_cap=4, sat_threshold=Fraction(2),
+        low_threshold=Fraction(6), capacity=200, beta=Fraction(1),
+        gamma=Fraction(1, 50), relaxed=True,
+    )
+    orc = EdgeOracle(host, prof)
+    rng = random.Random(23)
+    active = []
+    for _ in range(100):
+        if len(active) < 140 or rng.random() < 0.5:
+            pool = [v for v in range(100) if orc.h.out_deg[v] < prof.out_cap]
+            try:
+                active.append(orc.add_edge(pool[rng.randrange(len(pool))]))
+            except ExpansionViolation:
+                pass
+        else:
+            i = rng.randrange(len(active))
+            active[i], active[-1] = active[-1], active[i]
+            orc.remove_edge(active.pop())
+    assert orc.audit().ok
+    assert orc.b.members() and any(orc.low) and any(orc.sat)
+    return orc
+
+
+def loaded_engine():
+    n, d = 600, 30
+    prof = desk_profile(n, d)
+    eng = RoutingEngine(gen_random_regular_graph(n, d, seed=21), prof)
+    commands = gen_workload("churn", n, {"ops": 300, "live_target": prof.r // 2}, 5,
+                            prof.endpoint_cap, prof.r)
+    for cmd in commands:
+        try:
+            if cmd.kind == "find":
+                eng.find_path(cmd.a, cmd.b)
+            else:
+                eng.remove_path(resolve_ref(eng, cmd.ref))
+        except (CallerError, ExpansionViolation):
+            pass
+    assert eng.verify().ok and eng.registry
+    return eng
+
+
+# --- planted corruptions of one oracle ----------------------------------------------
+
+
+def free_edge(orc, edges=None):
+    """First of `edges` (default: every host edge) in neither H nor B."""
+    if edges is None:
+        edges = range(orc.host.m)
+    return next(e for e in edges if not orc.h.member[e] and not orc.b.member[e])
+
+
+def first(flags, want=True):
+    return next(v for v, x in enumerate(flags) if x == want)
+
+
+def bump_h_out_deg(orc):
+    orc.h.out_deg[orc.host.tails[orc.h.members()[3]]] += 1
+
+
+def drop_b_in_deg(orc):
+    orc.b.in_deg[orc.host.heads[orc.b.members()[0]]] -= 1
+
+
+def bump_low_vertex_out_deg(orc):
+    orc.h.out_deg[first(orc.low)] -= 1
+
+
+def h_bit_without_counters(orc):
+    orc.h.member[free_edge(orc)] = True
+
+
+def b_bit_without_counters(orc):
+    orc.b.member[free_edge(orc, orc.host.out_adj[first(orc.low, False)])] = True
+
+
+def edge_in_h_and_b(orc):
+    orc.b.add(orc.h.members()[0])
+
+
+def six_edges_in_h_and_b(orc):
+    for e in orc.h.members()[:6]:
+        orc.b.member[e] = True
+
+
+def len_off_by_one(orc):
+    orc.b._size += 1
+
+
+def plant_sat(orc):
+    orc.sat[first(orc.sat, False)] = True
+
+
+def drop_sat(orc):
+    orc.sat[first(orc.sat)] = False
+
+
+def plant_low(orc):
+    orc.low[first(orc.low, False)] = True
+
+
+def drop_low(orc):
+    orc.low[first(orc.low)] = False
+
+
+def sat_out_off_by_one(orc):
+    orc.sat_out[57] += 1
+
+
+def stock_on_unbuffered_vertex(orc):
+    orc.b.add(free_edge(orc, orc.host.out_adj[first(orc.low, False)]))
+
+
+def out_f_over_cap(orc):
+    v = first(orc.low, False)
+    while orc.h.out_deg[v] + orc.b.out_deg[v] <= orc.profile.out_cap:
+        orc.h.add(free_edge(orc, orc.host.out_adj[v]))
+
+
+def in_f_over_cap(orc):
+    w = first(orc.sat, False)
+    while orc.h.in_deg[w] + orc.b.in_deg[w] <= orc.profile.in_cap:
+        orc.h.add(free_edge(orc, orc.host.in_adj[w]))
+
+
+def h_over_capacity(orc):
+    orc.profile = dataclasses.replace(orc.profile, capacity=len(orc.h) - 1)
+
+
+def low_claim_broken_under_strict_profile(orc):
+    orc.profile = dataclasses.replace(orc.profile, beta=Fraction(1, 2), relaxed=False)
+
+
+ORACLE_CORRUPTIONS = [
+    bump_h_out_deg,
+    drop_b_in_deg,
+    bump_low_vertex_out_deg,
+    h_bit_without_counters,
+    b_bit_without_counters,
+    edge_in_h_and_b,
+    six_edges_in_h_and_b,
+    len_off_by_one,
+    plant_sat,
+    drop_sat,
+    plant_low,
+    drop_low,
+    sat_out_off_by_one,
+    stock_on_unbuffered_vertex,
+    out_f_over_cap,
+    in_f_over_cap,
+    h_over_capacity,
+    low_claim_broken_under_strict_profile,
+]
+
+ORACLE_COMBINATIONS = [
+    (plant_sat, drop_low),
+    (h_bit_without_counters, sat_out_off_by_one, out_f_over_cap),
+    (drop_sat, stock_on_unbuffered_vertex, in_f_over_cap),
+    (edge_in_h_and_b, plant_low, len_off_by_one),
+]
+
+
+def assert_audit_matches_reference(orc):
+    for quiescent in (True, False):
+        rep = orc.audit(quiescent=quiescent)
+        findings, low_claim_ok, low_count = reference_audit(orc, quiescent=quiescent)
+        assert rep.findings == findings
+        assert (rep.low_claim_ok, rep.low_count) == (low_claim_ok, low_count)
+    return findings
+
+
+def test_audit_matches_reference_when_clean():
+    assert assert_audit_matches_reference(loaded_oracle()) == []
+
+
+@pytest.mark.parametrize("corrupt", ORACLE_CORRUPTIONS, ids=lambda f: f.__name__)
+def test_audit_matches_reference_on_each_corruption(corrupt):
+    orc = loaded_oracle()
+    corrupt(orc)
+    assert reference_audit(orc)[0], "the corruption should be visible"
+    assert_audit_matches_reference(orc)
+
+
+@pytest.mark.parametrize(
+    "corruptions", ORACLE_COMBINATIONS, ids=lambda fs: "+".join(f.__name__ for f in fs)
+)
+def test_audit_matches_reference_on_combined_corruptions(corruptions):
+    orc = loaded_oracle()
+    for corrupt in corruptions:
+        corrupt(orc)
+    assert len(reference_audit(orc)[0]) >= len(corruptions)
+    assert_audit_matches_reference(orc)
+
+
+# --- planted corruptions of the engine --------------------------------------------------
+
+
+def h1_imbalance(eng):
+    eng.out_oracle.h.out_deg[next(iter(eng.registry.values())).a] += 2
+
+
+def h2_imbalance(eng):
+    rec = next(r for r in reversed(list(eng.registry.values())) if r.seg_b)
+    eng.in_oracle.h.in_deg[eng.in_oracle.host.heads[rec.seg_b[0]]] -= 3
+
+
+def h1_in_degree_over_cap(eng):
+    eng.out_oracle.h.in_deg[7] = eng.profile.oracle_in_cap + 1
+
+
+def ps_off_by_one(eng):
+    eng.ps[next(iter(eng.registry.values())).a] -= 1
+
+
+def pe_off_by_one(eng):
+    eng.pe[3] += 1
+
+
+def out_oracle_sat_planted(eng):
+    plant_sat(eng.out_oracle)
+
+
+def in_oracle_h_bit_without_counters(eng):
+    h_bit_without_counters(eng.in_oracle)
+
+
+def h3_edge_dropped(eng):
+    rec = next(r for r in eng.registry.values() if r.seg_mid)
+    eng.h3.member[rec.seg_mid[0]] = False
+
+
+ENGINE_CORRUPTIONS = [
+    h1_imbalance,
+    h2_imbalance,
+    h1_in_degree_over_cap,
+    ps_off_by_one,
+    pe_off_by_one,
+    out_oracle_sat_planted,
+    in_oracle_h_bit_without_counters,
+    h3_edge_dropped,
+]
+
+ENGINE_COMBINATIONS = [
+    (h1_imbalance, pe_off_by_one),
+    (h2_imbalance, h1_in_degree_over_cap, out_oracle_sat_planted),
+    (ps_off_by_one, in_oracle_h_bit_without_counters, h3_edge_dropped),
+]
+
+
+@pytest.fixture(scope="module")
+def engine_state():
+    return loaded_engine()
+
+
+def test_verify_matches_reference_when_clean(engine_state):
+    assert engine_state.verify().findings == reference_verify(engine_state) == []
+
+
+@pytest.mark.parametrize(
+    "corruptions",
+    [(c,) for c in ENGINE_CORRUPTIONS] + ENGINE_COMBINATIONS,
+    ids=lambda fs: "+".join(f.__name__ for f in fs),
+)
+def test_verify_matches_reference_on_corruptions(corruptions):
+    eng = loaded_engine()
+    for corrupt in corruptions:
+        corrupt(eng)
+    findings = reference_verify(eng)
+    assert len(findings) >= len(corruptions)
+    assert eng.verify().findings == findings

@@ -8,7 +8,6 @@ from expander_routing.graph import (
     Digraph,
     EdgeSubset,
     UndirectedGraph,
-    boundary_counts,
     edges_within,
     format_graph,
     parse_graph,
@@ -85,25 +84,6 @@ def test_edges_within_matches_adjacency_scan():
     s = set(range(0, 30, 3))
     by_adjacency = sum(1 for v in s for e in d.out_adj[v] if d.heads[e] in s)
     assert edges_within(d, s) == by_adjacency
-
-
-def test_boundary_counts_triangle(triangle):
-    assert boundary_counts(triangle, {0}, {1}) == (1, 0)
-
-
-def test_boundary_counts_full_vertex_set():
-    d = gen_random_regular_digraph(12, 3, seed=1)
-    full = set(range(12))
-    assert boundary_counts(d, full, full) == (36, 36)
-
-
-def test_boundary_counts_matches_adjacency_scan():
-    d = gen_random_regular_digraph(30, 4, seed=2)
-    s1 = set(range(10))
-    s2 = set(range(5, 20))
-    out_n = sum(1 for v in s1 for e in d.out_adj[v] if d.heads[e] in s2)
-    in_n = sum(1 for v in s2 for e in d.out_adj[v] if d.heads[e] in s1)
-    assert boundary_counts(d, s1, s2) == (out_n, in_n)
 
 
 def test_regular_digraph_recounts(triangle):

@@ -209,6 +209,16 @@ def test_cli_profile_out(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n,d", [(100, 20), (600, 30), (2400, 30), (9600, 31)])
+def test_cli_profile_refuses_relaxed_profile_that_cannot_route(tmp_path, capsys, n, d):
+    out = tmp_path / "prof.txt"
+    assert cli_main(["profile", "--n", str(n), "--d", str(d), "--relaxed", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "(r, oracle_out_cap, oracle_in_cap, oracle_capacity, bfs_edge_cap = 0)" in err
+    assert "--desk" in err
+    assert not out.exists()
+
+
 def test_cli_reports_errors(tmp_path, capsys):
     code = cli_main(["run", "--graph", str(tmp_path / "missing.txt"),
                      "--desk", "--trace", "-"])
