@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import CallerError, ExpansionViolation, FormatError
-from .router import RoutingEngine
+from .router import RoutingEngine, find_violation
 
 
 @dataclass(frozen=True)
@@ -237,13 +237,10 @@ class _RuleTracker:
         self.ends = {}          # id -> (a, b)
         self.next_id = 0
 
-    def can_find(self, a, b):
-        return (
-            a != b
-            and self.ps[a] < self.endpoint_cap
-            and self.pe[b] < self.endpoint_cap
-            and len(self.live) < self.r
-        )
+    def violation(self, a, b):
+        """The rule find(a, b) would break now, or None."""
+        live = len(self.live)
+        return find_violation(self.n, self.endpoint_cap, self.r, self.ps, self.pe, live, a, b)
 
     def find(self, a, b):
         self.ps[a] += 1
@@ -267,10 +264,9 @@ def validate_trace(commands, n, endpoint_cap, r):
     problems = []
     for cmd in commands:
         if cmd.kind == "find":
-            if not (0 <= cmd.a < n and 0 <= cmd.b < n):
-                problems.append("line %d: endpoint out of range" % cmd.line)
-            elif not tracker.can_find(cmd.a, cmd.b):
-                problems.append("line %d: find violates the game rules" % cmd.line)
+            broken = tracker.violation(cmd.a, cmd.b)
+            if broken:
+                problems.append("line %d: %s" % (cmd.line, broken))
             else:
                 tracker.find(cmd.a, cmd.b)
         elif cmd.kind == "remove":
@@ -291,7 +287,7 @@ def _pick_pair(rng, tracker):
     for _ in range(200):
         a = rng.randrange(tracker.n)
         b = rng.randrange(tracker.n)
-        if tracker.can_find(a, b):
+        if not tracker.violation(a, b):
             return a, b
     return None
 
@@ -372,7 +368,7 @@ def gen_workload(kind, n, params, seed, endpoint_cap, r):
                 used = 0
                 continue
             b = rng.randrange(n)
-            if not tracker.can_find(hot, b):
+            if tracker.violation(hot, b):
                 hot = (hot + 1) % n
                 used = 0
                 continue

@@ -20,10 +20,12 @@ final head pays one unit of in-degree. All choices (edge picks, vertex
 scans, walk search order) follow host adjacency order or ascending
 vertex ids, so runs are deterministic.
 
-A request either completes or raises; requests that raise
-ExpansionViolation first rewind every mutation they made (an undo log of
-membership deltas), so a failed add leaves the structure exactly as it
-was.
+Every mutation an add makes goes to an undo log of membership deltas.
+A caller can hold one log open over a whole request (`request_log`); an
+exception inside replays it backwards, which leaves the structure exactly
+as it was when the log opened. A failed add rolls back its own mutations,
+inside an open log or not, and raises ExpansionViolation. Removals are
+not logged.
 """
 
 from __future__ import annotations
@@ -107,22 +109,20 @@ class EdgeOracle:
         return self.sat_out[v] * self._low_d >= self._low_n
 
     # --- logged mutation primitives -----------------------------------------
-
-    def _log(self, op, arg):
-        if self._undo is not None:
-            self._undo.append((op, arg))
+    # Adds always run inside a log. Sat also changes in removals, which are
+    # not logged, so the Sat primitives log only when a log is open.
 
     def _h_add(self, e):
         self.h.add(e)
-        self._log("h+", e)
+        self._undo.append(("h+", e))
 
     def _b_add(self, e):
         self.b.add(e)
-        self._log("b+", e)
+        self._undo.append(("b+", e))
 
     def _b_remove(self, e):
         self.b.remove(e)
-        self._log("b-", e)
+        self._undo.append(("b-", e))
 
     def _sat_add(self, w):
         self.sat[w] = True
@@ -131,7 +131,8 @@ class EdgeOracle:
             self.sat_out[u] += 1
             if not self.low[u] and self._low_reached(u):
                 self._low_pending.add(u)
-        self._log("s+", w)
+        if self._undo is not None:
+            self._undo.append(("s+", w))
 
     def _sat_remove(self, w):
         self.sat[w] = False
@@ -140,19 +141,33 @@ class EdgeOracle:
             self.sat_out[u] -= 1
             if self.low[u] and not self._low_reached(u):
                 self._drop_pending.add(u)
-        self._log("s-", w)
+        if self._undo is not None:
+            self._undo.append(("s-", w))
 
     def _low_add(self, x):
         self.low[x] = True
-        self._log("l+", x)
+        self._undo.append(("l+", x))
 
-    def _low_remove(self, x):
-        self.low[x] = False
+    def request_log(self):
+        """Open an undo log for one request, for use as `with
+        oracle.request_log():`; an exception in the block rolls back every
+        mutation made inside it."""
+        self._undo = []
+        return self
 
-    def _rollback(self):
-        log = self._undo
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            self.rollback()
         self._undo = None
-        for op, arg in reversed(log):
+
+    def rollback(self, mark=0):
+        """Undo every mutation logged after the first `mark` log entries."""
+        log = self._undo
+        self._undo = None  # _sat_add/_sat_remove log too
+        for op, arg in reversed(log[mark:]):
             if op == "h+":
                 self.h.remove(arg)
             elif op == "b+":
@@ -165,6 +180,10 @@ class EdgeOracle:
                 self._sat_add(arg)
             else:  # "l+"
                 self.low[arg] = False
+        del log[mark:]
+        self._undo = log
+        self._low_pending.clear()
+        self._drop_pending.clear()
 
     # --- requests ------------------------------------------------------------
 
@@ -178,16 +197,19 @@ class EdgeOracle:
         if len(self.h) >= prof.capacity:
             raise CallerError("add_edge: active set is at capacity %d" % prof.capacity)
         self.add_calls += 1
-        if self.low[v]:
-            # serve from the buffered stock
-            for e in self.host.out_adj[v]:
-                if self.b.member[e]:
-                    self.b.remove(e)
-                    self.h.add(e)
-                    return e
-            raise ExpansionViolation("add_edge(%d): buffered vertex has no stock" % v)
-        self._undo = []
+        own_log = self._undo is None
+        if own_log:
+            self._undo = []
+        mark = len(self._undo)
         try:
+            if self.low[v]:
+                # serve from the buffered stock
+                for e in self.host.out_adj[v]:
+                    if self.b.member[e]:
+                        self._b_remove(e)
+                        self._h_add(e)
+                        return e
+                raise ExpansionViolation("add_edge(%d): buffered vertex has no stock" % v)
             picked = -1
             for e in self.host.out_adj[v]:
                 if self.h.member[e] or self.b.member[e]:
@@ -203,9 +225,11 @@ class EdgeOracle:
                 self._sat_add(w)
             self._rebalance()
         except ExpansionViolation:
-            self._rollback()
+            self.rollback(mark)
             raise
-        self._undo = None
+        finally:
+            if own_log:
+                self._undo = None
         if self.debug:
             self._debug_audit(quiescent=True)
         return picked
@@ -359,7 +383,7 @@ class EdgeOracle:
                 if self.b.member[e]:
                     self.b.remove(e)
                     touched.add(self.host.heads[e])
-            self._low_remove(x)
+            self.low[x] = False
             for y in sorted(touched):
                 if self.sat[y] and not self._sat_reached(y):
                     self._sat_remove(y)

@@ -9,10 +9,14 @@ a short directed path. The path is assembled from the two tree branches
 plus the connector, every unused tree edge is handed back to its oracle,
 and the registry updated. Removal returns the path's edges the same way.
 
-Failures keep the two-class contract: precondition violations raise
-before any mutation; mid-request failures of steps that expansion
-guarantees (tree growth, the connector search) unwind every oracle edge
-added so far and raise ExpansionViolation.
+Failures keep the two-class contract. A request that breaks the game
+rules (`find_violation`) raises CallerError before any mutation. A request
+whose tree growth or connector search fails, steps that expansion
+guarantees, raises ExpansionViolation: each oracle logs every mutation
+of the request in one undo log, and the failure replays both logs
+backwards, so the engine is left exactly as the request found it. H3,
+the registry and the endpoint counters change only after the last
+failure point.
 """
 
 from __future__ import annotations
@@ -27,6 +31,23 @@ from .graph import EdgeSubset, UndirectedGraph, reverse
 from .oracle import EdgeOracle
 from .preprocess import pre_process
 from .profiles import RouterProfile
+
+
+def find_violation(n, endpoint_cap, r, ps, pe, live, a, b):
+    """The game rule that find(a, b) breaks, or None: endpoints in range and
+    distinct, at most endpoint_cap live paths starting (ps) or ending (pe)
+    at a vertex, fewer than r live paths before this one."""
+    if not (0 <= a < n and 0 <= b < n):
+        return "endpoint out of range"
+    if a == b:
+        return "find_path(%d, %d): endpoints must differ" % (a, b)
+    if ps[a] >= endpoint_cap:
+        return "vertex %d already starts %d paths" % (a, ps[a])
+    if pe[b] >= endpoint_cap:
+        return "vertex %d already ends %d paths" % (b, pe[b])
+    if live >= r:
+        return "live path count is at the volume cap r=%d" % r
+    return None
 
 
 @dataclass(frozen=True)
@@ -80,9 +101,6 @@ class RoutingEngine:
         self.ps = [0] * g.n
         self.pe = [0] * g.n
         self._next_id = 0
-        self.bfs_runs = 0
-        self.finds_served = 0
-        self.removes_served = 0
 
     @property
     def n(self):
@@ -105,24 +123,13 @@ class RoutingEngine:
 
     def find_path(self, a, b) -> PathRecord:
         prof = self.profile
-        n = self.n
-        if not (0 <= a < n and 0 <= b < n):
-            raise CallerError("endpoint out of range")
-        if a == b:
-            raise CallerError("find_path(%d, %d): endpoints must differ" % (a, b))
-        if self.ps[a] >= prof.endpoint_cap:
-            raise CallerError("vertex %d already starts %d paths" % (a, self.ps[a]))
-        if self.pe[b] >= prof.endpoint_cap:
-            raise CallerError("vertex %d already ends %d paths" % (b, self.pe[b]))
-        if len(self.registry) >= prof.r:
-            raise CallerError("live path count is at the volume cap r=%d" % prof.r)
-        edges_a, va, par_a, _ = self._oracle_bfs(self.out_oracle, a)
-        try:
-            edges_b, vb, par_b, _ = self._oracle_bfs(self.in_oracle, b)
-        except ExpansionViolation:
-            self._unwind(self.out_oracle, edges_a)
-            raise
-        try:
+        live = len(self.registry)
+        broken = find_violation(self.n, prof.endpoint_cap, prof.r, self.ps, self.pe, live, a, b)
+        if broken:
+            raise CallerError(broken)
+        with self.out_oracle.request_log(), self.in_oracle.request_log():
+            edges_a, va, par_a = self._oracle_bfs(self.out_oracle, a)
+            edges_b, vb, par_b = self._oracle_bfs(self.in_oracle, b)
             connector = self._g3_connect(va, vb)
             if connector is None:
                 raise ExpansionViolation(
@@ -133,10 +140,6 @@ class RoutingEngine:
                 raise ExpansionViolation(
                     "connector length %d exceeds cap %d" % (len(seg_mid), prof.g3_path_cap)
                 )
-        except ExpansionViolation:
-            self._unwind(self.in_oracle, edges_b)
-            self._unwind(self.out_oracle, edges_a)
-            raise
         seg_a = self._tree_path(par_a, ap)
         seg_b_tree = self._tree_path(par_b, bp)
         keep_a = set(seg_a)
@@ -161,7 +164,6 @@ class RoutingEngine:
         self.registry[rec.id] = rec
         self.ps[a] += 1
         self.pe[b] += 1
-        self.finds_served += 1
         return rec
 
     def remove_path(self, path_id):
@@ -177,7 +179,6 @@ class RoutingEngine:
         del self.registry[path_id]
         self.ps[rec.a] -= 1
         self.pe[rec.b] -= 1
-        self.removes_served += 1
 
     # --- tree growth --------------------------------------------------------
 
@@ -188,51 +189,39 @@ class RoutingEngine:
         skipping requests its remaining out-capacity cannot take (inside
         the proved regime the capacity always suffices, so nothing is
         skipped there). Returns (edges in insertion order, vertex set,
-        parent links, depths); on failure every added edge is handed
-        back before re-raising.
+        parent links). Raises ExpansionViolation with the added
+        edges still in place; the caller's undo log takes them back.
         """
         prof = self.profile
-        self.bfs_runs += 1
         vset = {root}
         parent = {root: None}
         depth = {root: 0}
         edges = []
         q = deque([root])
-        try:
-            while q and len(vset) <= prof.bfs_vertex_cap and len(edges) < prof.bfs_edge_cap:
-                u = q.popleft()
-                for _ in range(prof.fanout):
-                    if oracle.h.out_deg[u] >= oracle.profile.out_cap:
-                        break
-                    if len(oracle.h) >= oracle.profile.capacity:
-                        raise ExpansionViolation("oracle hit capacity during tree growth")
-                    e = oracle.add_edge(u)
-                    edges.append(e)
-                    w = oracle.host.heads[e]
-                    if w not in vset:
-                        vset.add(w)
-                        parent[w] = (u, e)
-                        depth[w] = depth[u] + 1
-                        q.append(w)
-        except ExpansionViolation:
-            self._unwind(oracle, edges)
-            raise
+        while q and len(vset) <= prof.bfs_vertex_cap and len(edges) < prof.bfs_edge_cap:
+            u = q.popleft()
+            for _ in range(prof.fanout):
+                if oracle.h.out_deg[u] >= oracle.profile.out_cap:
+                    break
+                if len(oracle.h) >= oracle.profile.capacity:
+                    raise ExpansionViolation("oracle hit capacity during tree growth")
+                e = oracle.add_edge(u)
+                edges.append(e)
+                w = oracle.host.heads[e]
+                if w not in vset:
+                    vset.add(w)
+                    parent[w] = (u, e)
+                    depth[w] = depth[u] + 1
+                    q.append(w)
         if len(vset) < prof.bfs_vertex_cap:
-            self._unwind(oracle, edges)
             raise ExpansionViolation(
                 "tree growth stalled at %d of %d vertices" % (len(vset), prof.bfs_vertex_cap)
             )
         if max(depth.values()) > prof.depth_cap:
-            self._unwind(oracle, edges)
             raise ExpansionViolation(
                 "tree depth %d exceeds budget %d" % (max(depth.values()), prof.depth_cap)
             )
-        return edges, vset, parent, depth
-
-    @staticmethod
-    def _unwind(oracle, edges):
-        for e in reversed(edges):
-            oracle.remove_edge(e)
+        return edges, vset, parent
 
     @staticmethod
     def _tree_path(parent, target):
@@ -244,20 +233,6 @@ class RoutingEngine:
             v = u
         edges.reverse()
         return edges
-
-    def probe_bfs(self, side, root):
-        """Grow one tree, measure it, hand all edges back. Test instrumentation."""
-        oracle = self.out_oracle if side == "out" else self.in_oracle
-        edges, vset, parent, depth = self._oracle_bfs(oracle, root)
-        result = {
-            "vertices": set(vset),
-            "parent": dict(parent),
-            "depth": dict(depth),
-            "edge_count": len(edges),
-            "edges": list(edges),
-        }
-        self._unwind(oracle, edges)
-        return result
 
     # --- connector search -----------------------------------------------------
 

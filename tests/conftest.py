@@ -16,3 +16,18 @@ def k4():
 @pytest.fixture
 def c8():
     return UndirectedGraph(8, [(i, (i + 1) % 8) for i in range(8)])
+
+
+def _probe_bfs(engine, side, root):
+    """Grow one tree as a find does, inside an undo log that then takes it
+    back; returns the tree's vertex set and edges."""
+    oracle = engine.out_oracle if side == "out" else engine.in_oracle
+    with oracle.request_log():
+        edges, vertices, _ = engine._oracle_bfs(oracle, root)
+        oracle.rollback()
+    return {"vertices": vertices, "edges": edges}
+
+
+@pytest.fixture
+def probe_bfs():
+    return _probe_bfs

@@ -182,7 +182,7 @@ def test_criterion_3_router_end_to_end(suite3):
     )
 
 
-def test_criterion_4_bfs_depth_bound(suite3):
+def test_criterion_4_bfs_depth_bound(suite3, probe_bfs):
     engine = suite3["engine"]
     profile = suite3["profile"]
     depth_bound = ceil_log2(ROUTER_N)
@@ -197,7 +197,7 @@ def test_criterion_4_bfs_depth_bound(suite3):
         root = rng.randrange(ROUTER_N)
         if oracle.h.out_deg[root] >= oracle.profile.out_cap:
             continue
-        probe = engine.probe_bfs(side, root)
+        probe = probe_bfs(engine, side, root)
         assert len(probe["vertices"]) >= profile.bfs_vertex_cap
         adj = {}
         for e in probe["edges"]:

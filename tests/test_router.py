@@ -1,7 +1,11 @@
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
+from hypothesis import Phase, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
@@ -19,6 +23,8 @@ def state_snapshot(engine):
     return (
         engine.out_oracle.dump(),
         engine.in_oracle.dump(),
+        tuple(engine.out_oracle.sat_out),
+        tuple(engine.in_oracle.sat_out),
         tuple(engine.h3.members()),
         tuple(engine.registry),
         tuple(engine.ps),
@@ -128,7 +134,7 @@ def test_churn_keeps_invariants():
         assert verts[0] == rec.a and verts[-1] == rec.b
 
 
-def test_probe_bfs_depth_and_size():
+def test_probe_bfs_depth_and_size(probe_bfs):
     eng = small_engine(n=240, d=30, seed=24)
     prof = eng.profile
     rng = random.Random(5)
@@ -138,7 +144,9 @@ def test_probe_bfs_depth_and_size():
         root = rng.randrange(eng.n)
         if oracle.h.out_deg[root] >= oracle.profile.out_cap:
             continue
-        probe = eng.probe_bfs(side, root)
+        before = state_snapshot(eng)
+        probe = probe_bfs(eng, side, root)
+        assert state_snapshot(eng) == before
         assert len(probe["vertices"]) >= prof.bfs_vertex_cap
         # recompute hop distances over the returned tree edges only
         adj = {}
@@ -158,14 +166,25 @@ def test_probe_bfs_depth_and_size():
 
 
 def test_failed_find_unwinds_everything():
-    # an unreachable tree-size target makes every request fail after real work
-    g = gen_random_regular_graph(150, 30, seed=21)
-    eng = RoutingEngine(g, desk_profile(150, 30, bfs_vertex_cap=151))
-    before = state_snapshot(eng)
-    with pytest.raises(ExpansionViolation):
-        eng.find_path(0, 50)
-    assert state_snapshot(eng) == before
-    assert eng.verify().ok
+    # an unreachable tree-size target makes every request fail after real
+    # work; on the filled engine the failed trees also move B, Sat and Low
+    for n, seed, fill, finds in ((150, 21, 0, 1), (1200, 11, 47, 60)):
+        g = gen_random_regular_graph(n, 30, seed=seed)
+        prof = desk_profile(n, 30)
+        eng = RoutingEngine(g, prof)
+        cmds = gen_workload("fill", n, {"count": fill}, 3, prof.endpoint_cap, prof.r)
+        assert run_trace(eng, cmds).failures == []
+        eng.profile = replace(prof, bfs_vertex_cap=n + 1)
+        rng = random.Random(0)
+        expansion_failures = 0
+        for _ in range(finds):
+            before = state_snapshot(eng)
+            with pytest.raises((CallerError, ExpansionViolation)) as failure:
+                eng.find_path(rng.randrange(n), rng.randrange(n))
+            expansion_failures += failure.type is ExpansionViolation
+            assert state_snapshot(eng) == before
+        assert expansion_failures >= 0.9 * finds
+        assert eng.verify().ok
 
 
 def test_failed_connector_unwinds_everything():
@@ -199,3 +218,62 @@ def test_replay_determinism():
         return lines
 
     assert run() == run()
+
+
+MACHINE_N = 150
+MACHINE_GRAPH = gen_random_regular_graph(MACHINE_N, 30, seed=21)
+MACHINE_VERTICES = st.integers(0, MACHINE_N - 1)
+
+
+class EngineMachine(RuleBasedStateMachine):
+    """Finds, removes and forced failures on one small engine: every step
+    leaves a clean verify, every failed find leaves the state as it was."""
+
+    def __init__(self):
+        super().__init__()
+        # r above the desk value loads the oracles enough to buffer (B, Low)
+        self.eng = RoutingEngine(MACHINE_GRAPH, desk_profile(MACHINE_N, 30, r=30))
+
+    def _find(self, a, b):
+        before = state_snapshot(self.eng)
+        try:
+            self.eng.find_path(a, b)
+        except (CallerError, ExpansionViolation):
+            assert state_snapshot(self.eng) == before
+
+    @rule(a=MACHINE_VERTICES, b=MACHINE_VERTICES)
+    def find(self, a, b):
+        self._find(a, b)
+
+    @precondition(lambda self: self.eng.registry)
+    @rule(data=st.data())
+    def remove(self, data):
+        self.eng.remove_path(data.draw(st.sampled_from(self.eng.live_ids())))
+
+    @rule(a=MACHINE_VERTICES, b=MACHINE_VERTICES, knob=st.sampled_from(
+        [{"bfs_vertex_cap": MACHINE_N + 1}, {"g3_path_cap": 0}]
+    ))
+    def forced_failure(self, a, b, knob):
+        prof = self.eng.profile
+        self.eng.profile = replace(prof, **knob)
+        try:
+            self._find(a, b)
+        finally:
+            self.eng.profile = prof
+
+    @invariant()
+    def verify_clean(self):
+        report = self.eng.verify()
+        assert report.ok, str(report)
+
+
+TestEngineMachine = EngineMachine.TestCase
+# no shrink phase: each replay rebuilds the engine and verifies after every
+# step, so shrinking a failure takes minutes; the unshrunk run is printed
+TestEngineMachine.settings = settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=60,
+    stateful_step_count=40,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
