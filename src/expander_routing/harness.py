@@ -151,7 +151,8 @@ def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None
     """Drive the engine through a command list; returns a RunReport.
 
     `emit` receives one line per served find (`PATH <id> <a> <b> <len> :
-    v0 v1 ...`), per verify and per stats command.
+    v0 v1 ...`), per verify and per stats command. `wall_clock` times each
+    find_path/remove_path call alone, without path reconstruction or emit.
     """
     report = RunReport()
     timings = []
@@ -175,8 +176,14 @@ def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None
             continue
         start = time.perf_counter()
         try:
+            try:
+                if cmd.kind == "find":
+                    rec = engine.find_path(cmd.a, cmd.b)
+                else:
+                    engine.remove_path(resolve_ref(engine, cmd.ref))
+            finally:
+                timings.append(time.perf_counter() - start)
             if cmd.kind == "find":
-                rec = engine.find_path(cmd.a, cmd.b)
                 verts = engine.path_vertices(rec)
                 if emit:
                     emit(
@@ -186,8 +193,6 @@ def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None
                 report.path_length_histogram[rec.length] = (
                     report.path_length_histogram.get(rec.length, 0) + 1
                 )
-            else:
-                engine.remove_path(resolve_ref(engine, cmd.ref))
             report.requests_served += 1
         except (CallerError, ExpansionViolation) as exc:
             cls = "caller-error" if isinstance(exc, CallerError) else "expansion-violation"
@@ -196,8 +201,6 @@ def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None
                 emit("FAIL line %d [%s] %s" % (cmd.line, cls, exc))
             if stop_on_failure:
                 break
-        finally:
-            timings.append(time.perf_counter() - start)
         since_verify += 1
         if verify_every and since_verify >= verify_every:
             since_verify = 0

@@ -26,11 +26,16 @@ exception inside replays it backwards, which leaves the structure exactly
 as it was when the log opened. A failed add rolls back its own mutations,
 inside an open log or not, and raises ExpansionViolation. Removals are
 not logged.
+
+A request makes hundreds of add/remove calls, so the common add and every
+remove update H in place instead of through the helpers; the add writes
+the same ("h+", e) undo entry that `_h_add` does.
 """
 
 from __future__ import annotations
 
 from itertools import compress, repeat
+from math import ceil
 from operator import add, ge, gt, ne
 
 from .errors import CallerError, ExpansionViolation, RoutingError
@@ -76,11 +81,9 @@ class EdgeOracle:
         self.low = [False] * host.n
         # sat_out[v] = number of host out-edges of v whose head is saturated
         self.sat_out = [0] * host.n
-        # integer cross-multiplied thresholds: in_f >= sat_threshold etc.
-        self._sat_n = profile.sat_threshold.numerator
-        self._sat_d = profile.sat_threshold.denominator
-        self._low_n = profile.low_threshold.numerator
-        self._low_d = profile.low_threshold.denominator
+        # integer thresholds: an integer x reaches a Fraction t iff x >= ceil(t)
+        self._sat_min = ceil(profile.sat_threshold)
+        self._low_min = ceil(profile.low_threshold)
         # vertices whose sat_out crossed a threshold and await (de)promotion
         self._low_pending = set()
         self._drop_pending = set()
@@ -103,10 +106,10 @@ class EdgeOracle:
         return self.h.out_deg[v] + self.b.out_deg[v]
 
     def _sat_reached(self, v):
-        return self.in_f(v) * self._sat_d >= self._sat_n
+        return self.in_f(v) >= self._sat_min
 
     def _low_reached(self, v):
-        return self.sat_out[v] * self._low_d >= self._low_n
+        return self.sat_out[v] >= self._low_min
 
     # --- logged mutation primitives -----------------------------------------
     # Adds always run inside a log. Sat also changes in removals, which are
@@ -126,20 +129,22 @@ class EdgeOracle:
 
     def _sat_add(self, w):
         self.sat[w] = True
+        tails, sat_out, low, low_min = self.host.tails, self.sat_out, self.low, self._low_min
         for e in self.host.in_adj[w]:
-            u = self.host.tails[e]
-            self.sat_out[u] += 1
-            if not self.low[u] and self._low_reached(u):
+            u = tails[e]
+            sat_out[u] += 1
+            if sat_out[u] >= low_min and not low[u]:
                 self._low_pending.add(u)
         if self._undo is not None:
             self._undo.append(("s+", w))
 
     def _sat_remove(self, w):
         self.sat[w] = False
+        tails, sat_out, low, low_min = self.host.tails, self.sat_out, self.low, self._low_min
         for e in self.host.in_adj[w]:
-            u = self.host.tails[e]
-            self.sat_out[u] -= 1
-            if self.low[u] and not self._low_reached(u):
+            u = tails[e]
+            sat_out[u] -= 1
+            if low[u] and sat_out[u] < low_min:
                 self._drop_pending.add(u)
         if self._undo is not None:
             self._undo.append(("s-", w))
@@ -190,17 +195,19 @@ class EdgeOracle:
     def add_edge(self, v):
         """Return a fresh out-edge of v with a lightly loaded head; add it to H."""
         prof = self.profile
+        h = self.h
         if not (0 <= v < self.host.n):
             raise CallerError("vertex %d out of range" % v)
-        if self.h.out_deg[v] >= prof.out_cap:
+        if h.out_deg[v] >= prof.out_cap:
             raise CallerError("add_edge(%d): out-degree cap %d reached" % (v, prof.out_cap))
-        if len(self.h) >= prof.capacity:
+        if h._size >= prof.capacity:
             raise CallerError("add_edge: active set is at capacity %d" % prof.capacity)
         self.add_calls += 1
         own_log = self._undo is None
         if own_log:
             self._undo = []
-        mark = len(self._undo)
+        undo = self._undo
+        mark = len(undo)
         try:
             if self.low[v]:
                 # serve from the buffered stock
@@ -210,20 +217,24 @@ class EdgeOracle:
                         self._h_add(e)
                         return e
                 raise ExpansionViolation("add_edge(%d): buffered vertex has no stock" % v)
-            picked = -1
+            h_mem, b_mem, sat, heads = h.member, self.b.member, self.sat, self.host.heads
             for e in self.host.out_adj[v]:
-                if self.h.member[e] or self.b.member[e]:
+                if h_mem[e] or b_mem[e]:
                     continue
-                if not self.sat[self.host.heads[e]]:
-                    picked = e
+                w = heads[e]
+                if not sat[w]:
                     break
-            if picked == -1:
+            else:
                 raise ExpansionViolation("add_edge(%d): all free out-edges saturated" % v)
-            self._h_add(picked)
-            w = self.host.heads[picked]
-            if not self.sat[w] and self._sat_reached(w):
+            h_mem[e] = True
+            h.out_deg[v] += 1
+            h.in_deg[w] += 1
+            h._size += 1
+            undo.append(("h+", e))
+            # w was not in Sat; only a Sat addition can promote anyone to Low
+            if h.in_deg[w] + self.b.in_deg[w] >= self._sat_min:
                 self._sat_add(w)
-            self._rebalance()
+                self._rebalance()
         except ExpansionViolation:
             self.rollback(mark)
             raise
@@ -232,19 +243,24 @@ class EdgeOracle:
                 self._undo = None
         if self.debug:
             self._debug_audit(quiescent=True)
-        return picked
+        return e
 
     def remove_edge(self, e):
         """Remove an active edge; buffered tails keep it as stock."""
-        if not (0 <= e < self.host.m) or not self.h.member[e]:
+        h = self.h
+        h_mem = h.member
+        if not (0 <= e < len(h_mem)) or not h_mem[e]:
             raise CallerError("remove_edge: edge %d is not active" % e)
         self.remove_calls += 1
         v = self.host.tails[e]
         w = self.host.heads[e]
-        self.h.remove(e)
+        h_mem[e] = False
+        h.out_deg[v] -= 1
+        h.in_deg[w] -= 1
+        h._size -= 1
         if self.low[v]:
             self.b.add(e)
-        elif self.sat[w] and not self._sat_reached(w):
+        elif self.sat[w] and h.in_deg[w] + self.b.in_deg[w] < self._sat_min:
             self._sat_remove(w)
             self._cascade()
         if self.debug:
@@ -309,8 +325,7 @@ class EdgeOracle:
         h_mem = self.h.member
         b_mem = self.b.member
         in_cap = self.profile.in_cap
-        sat_n = self._sat_n
-        sat_d = self._sat_d
+        sat_min = self._sat_min
         head_parent = {}
         tail_parent = {}
         seen_tails = {x}
@@ -328,7 +343,7 @@ class EdgeOracle:
                     head_parent[w] = (t, e)
                     in_w = self.in_f(w)
                     if in_w < in_cap:
-                        if (in_w + 1) * sat_d < sat_n:
+                        if in_w + 1 < sat_min:
                             return self._build_walk(x, w, head_parent, tail_parent)
                         if fallback < 0:
                             fallback = w
@@ -424,8 +439,7 @@ class EdgeOracle:
         low_ids = list(compress(range(n), self.low))
         sat_out_maintained = self._sat_out_from(sat_ids)
         if quiescent:
-            # x * den >= num  <=>  x >= ceil(num / den), for integer x and den > 0
-            sat_expected = list(map(ge, in_f, repeat(-(-self._sat_n // self._sat_d))))
+            sat_expected = list(map(ge, in_f, repeat(self._sat_min)))
             sat_out_expected = sat_out_maintained
             if sat_expected != self.sat:
                 for v in compress(range(n), map(ne, self.sat, sat_expected)):
@@ -434,7 +448,7 @@ class EdgeOracle:
                         % (v, self.sat[v], sat_expected[v], in_f[v])
                     )
                 sat_out_expected = self._sat_out_from(compress(range(n), sat_expected))
-            low_expected = list(map(ge, sat_out_expected, repeat(-(-self._low_n // self._low_d))))
+            low_expected = list(map(ge, sat_out_expected, repeat(self._low_min)))
             if low_expected != self.low:
                 for v in compress(range(n), map(ne, self.low, low_expected)):
                     findings.append(
@@ -458,9 +472,9 @@ class EdgeOracle:
             if max(f, default=cap) > cap:
                 suspects.update(compress(range(n), map(gt, f, repeat(cap))))
         for v in sorted(suspects):
-            if self.sat[v] and not (in_f[v] * self._sat_d >= self._sat_n):
+            if self.sat[v] and in_f[v] < self._sat_min:
                 findings.append("saturated vertex %d has in_F=%d below threshold" % (v, in_f[v]))
-            if self.low[v] and not (self.sat_out[v] * self._low_d >= self._low_n):
+            if self.low[v] and self.sat_out[v] < self._low_min:
                 findings.append("buffered vertex %d has sat_out=%d below threshold" % (v, self.sat_out[v]))
             if not self.low[v] and self.b.out_deg[v] != 0:
                 findings.append("vertex %d holds buffer stock without being buffered" % v)

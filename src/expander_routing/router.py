@@ -128,9 +128,9 @@ class RoutingEngine:
         if broken:
             raise CallerError(broken)
         with self.out_oracle.request_log(), self.in_oracle.request_log():
-            edges_a, va, par_a = self._oracle_bfs(self.out_oracle, a)
-            edges_b, vb, par_b = self._oracle_bfs(self.in_oracle, b)
-            connector = self._g3_connect(va, vb)
+            edges_a, par_a = self._oracle_bfs(self.out_oracle, a)
+            edges_b, par_b = self._oracle_bfs(self.in_oracle, b)
+            connector = self._g3_connect(par_a, par_b)
             if connector is None:
                 raise ExpansionViolation(
                     "no connector between the two trees in the third subgraph"
@@ -142,14 +142,14 @@ class RoutingEngine:
                 )
         seg_a = self._tree_path(par_a, ap)
         seg_b_tree = self._tree_path(par_b, bp)
-        keep_a = set(seg_a)
-        keep_b = set(seg_b_tree)
-        for e in edges_a:
-            if e not in keep_a:
-                self.out_oracle.remove_edge(e)
-        for e in edges_b:
-            if e not in keep_b:
-                self.in_oracle.remove_edge(e)
+        for oracle, edges, keep in (
+            (self.out_oracle, edges_a, set(seg_a)),
+            (self.in_oracle, edges_b, set(seg_b_tree)),
+        ):
+            remove = oracle.remove_edge
+            for e in edges:
+                if e not in keep:
+                    remove(e)
         for e in seg_mid:
             self.h3.add(e)
         rec = PathRecord(
@@ -188,40 +188,42 @@ class RoutingEngine:
         Each dequeued vertex asks its oracle for up to `fanout` edges,
         skipping requests its remaining out-capacity cannot take (inside
         the proved regime the capacity always suffices, so nothing is
-        skipped there). Returns (edges in insertion order, vertex set,
-        parent links). Raises ExpansionViolation with the added
-        edges still in place; the caller's undo log takes them back.
+        skipped there). Each add puts one edge into H, so the oracle's
+        capacity is an edge budget taken when the tree starts. Returns
+        (edges in insertion order, parent links); the parent keys are the
+        tree's vertices in discovery order, which BFS makes nondecreasing
+        in depth, so the last one's tree path gives the depth. Raises
+        ExpansionViolation with the added edges still in place; the
+        caller's undo log takes them back.
         """
         prof = self.profile
-        vset = {root}
+        vertex_cap, edge_cap, fanout = prof.bfs_vertex_cap, prof.bfs_edge_cap, range(prof.fanout)
+        out_cap, budget = oracle.profile.out_cap, oracle.profile.capacity - len(oracle.h)
+        out_deg, heads, add_edge = oracle.h.out_deg, oracle.host.heads, oracle.add_edge
         parent = {root: None}
-        depth = {root: 0}
         edges = []
         q = deque([root])
-        while q and len(vset) <= prof.bfs_vertex_cap and len(edges) < prof.bfs_edge_cap:
+        while q and len(parent) <= vertex_cap and len(edges) < edge_cap:
             u = q.popleft()
-            for _ in range(prof.fanout):
-                if oracle.h.out_deg[u] >= oracle.profile.out_cap:
+            for _ in fanout:
+                if out_deg[u] >= out_cap:
                     break
-                if len(oracle.h) >= oracle.profile.capacity:
+                if len(edges) >= budget:
                     raise ExpansionViolation("oracle hit capacity during tree growth")
-                e = oracle.add_edge(u)
+                e = add_edge(u)
                 edges.append(e)
-                w = oracle.host.heads[e]
-                if w not in vset:
-                    vset.add(w)
+                w = heads[e]
+                if w not in parent:
                     parent[w] = (u, e)
-                    depth[w] = depth[u] + 1
                     q.append(w)
-        if len(vset) < prof.bfs_vertex_cap:
+        if len(parent) < vertex_cap:
             raise ExpansionViolation(
-                "tree growth stalled at %d of %d vertices" % (len(vset), prof.bfs_vertex_cap)
+                "tree growth stalled at %d of %d vertices" % (len(parent), vertex_cap)
             )
-        if max(depth.values()) > prof.depth_cap:
-            raise ExpansionViolation(
-                "tree depth %d exceeds budget %d" % (max(depth.values()), prof.depth_cap)
-            )
-        return edges, vset, parent
+        depth = len(self._tree_path(parent, next(reversed(parent))))
+        if depth > prof.depth_cap:
+            raise ExpansionViolation("tree depth %d exceeds budget %d" % (depth, prof.depth_cap))
+        return edges, parent
 
     @staticmethod
     def _tree_path(parent, target):
@@ -236,12 +238,12 @@ class RoutingEngine:
 
     # --- connector search -----------------------------------------------------
 
-    def _g3_connect(self, va, vb):
-        """Shortest directed path from va to vb in the third subgraph minus
-        the middle segments of live paths. Returns (entry, exit, edges)."""
+    def _g3_connect(self, va, targets):
+        """Shortest directed path from va to targets (vertex collections, e.g.
+        tree parent dicts) in the third subgraph minus the middle segments of
+        live paths. Returns (entry, exit, edges)."""
         g3 = self.split.g3
         h3m = self.h3.member
-        targets = vb if isinstance(vb, set) else set(vb)
         sources = sorted(va)
         for s in sources:
             if s in targets:

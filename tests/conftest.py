@@ -23,9 +23,9 @@ def _probe_bfs(engine, side, root):
     back; returns the tree's vertex set and edges."""
     oracle = engine.out_oracle if side == "out" else engine.in_oracle
     with oracle.request_log():
-        edges, vertices, _ = engine._oracle_bfs(oracle, root)
+        edges, parent = engine._oracle_bfs(oracle, root)
         oracle.rollback()
-    return {"vertices": vertices, "edges": edges}
+    return {"vertices": set(parent), "edges": edges}
 
 
 @pytest.fixture

@@ -37,14 +37,17 @@ from expander_routing.router import RoutingEngine
 ORACLE_N, ORACLE_D, ORACLE_OPS = 300, 20, 10000
 ROUTER_N, ROUTER_D, ROUTER_OPS = 600, 30, 2000
 
-# sha256 of the preprocessing fingerprint per (d, seed), and of the PATH/FAIL
-# lines of criterion 8's 500-request replay; a change to any of them means
-# the matching, the orientation, the split or the router changed behaviour
+# sha256 of the preprocessing fingerprint per (d, seed), of the PATH/FAIL
+# lines of criterion 8's 500-request replay, and of the engine state that
+# replay ends in (both oracles' dump and sat_out, H3); a change to any of
+# them means the matching, the orientation, the split, the router or the
+# oracle bookkeeping changed behaviour
 GOLDEN_PREPROCESS = {
     (20, 2): "977fa4eb4be41d5c686474ceb81b058c1ab3abb8d03f3d0449e5ea1c21a0d1d3",
     (21, 3): "f56179348ea0c5f0e6c2a88212718e72024f4b14ba655d67ae0413544ec1b4b6",
 }
 GOLDEN_REPLAY = "c3f040de13ad7281d678b3d07731fa101db3c3a57a1c1f16eb11055ca7a6bd64"
+GOLDEN_REPLAY_STATE = "25f8d7e03e87f2b49390c4b021b8fc5fceba64696bdb31acfedfce1aad5fc72f"
 
 
 def _sha256(text):
@@ -337,11 +340,15 @@ def test_criterion_8_determinism(suite3):
         lines = []
         report = run_trace(engine, prefix, verify_every=1, emit=lines.append)
         assert report.failures == [] and report.verify_findings == 0
-        return "\n".join(lines)
+        state = [engine.h3.members()]
+        for oracle in (engine.out_oracle, engine.in_oracle):
+            state += [oracle.dump(), oracle.sat_out]
+        return "\n".join(lines), repr(state)
 
-    first = replay()
-    assert first == replay()
+    first, first_state = replay()
+    assert (first, first_state) == replay()
     assert _sha256(first) == GOLDEN_REPLAY
+    assert _sha256(first_state) == GOLDEN_REPLAY_STATE
     print("PASS criterion 8: preprocessing and router replays are byte-identical")
 
 

@@ -59,12 +59,12 @@ def reference_audit(orc, quiescent=True):
         findings.append("H and B overlap on edges %s" % both[:5])
     in_f = [orc.h.in_deg[v] + orc.b.in_deg[v] for v in range(n)]
     out_f = [orc.h.out_deg[v] + orc.b.out_deg[v] for v in range(n)]
-    sat_expected = [in_f[v] * orc._sat_d >= orc._sat_n for v in range(n)]
+    sat_expected = [in_f[v] >= prof.sat_threshold for v in range(n)]
     sat_out_expected = [0] * n
     for e in range(host.m):
         if sat_expected[host.heads[e]]:
             sat_out_expected[host.tails[e]] += 1
-    low_expected = [sat_out_expected[v] * orc._low_d >= orc._low_n for v in range(n)]
+    low_expected = [sat_out_expected[v] >= prof.low_threshold for v in range(n)]
     if quiescent:
         for v in range(n):
             if orc.sat[v] != sat_expected[v]:
@@ -95,9 +95,9 @@ def reference_audit(orc, quiescent=True):
             % (bad, orc.sat_out[bad], sat_out_maintained[bad])
         )
     for v in range(n):
-        if orc.sat[v] and not (in_f[v] * orc._sat_d >= orc._sat_n):
+        if orc.sat[v] and in_f[v] < prof.sat_threshold:
             findings.append("saturated vertex %d has in_F=%d below threshold" % (v, in_f[v]))
-        if orc.low[v] and not (orc.sat_out[v] * orc._low_d >= orc._low_n):
+        if orc.low[v] and orc.sat_out[v] < prof.low_threshold:
             findings.append("buffered vertex %d has sat_out=%d below threshold" % (v, orc.sat_out[v]))
         if not orc.low[v] and orc.b.out_deg[v] != 0:
             findings.append("vertex %d holds buffer stock without being buffered" % v)

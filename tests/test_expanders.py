@@ -185,6 +185,22 @@ def test_lambda_random_graphs_match_oracle():
         assert abs(rep.lambda_estimate - dense_lambda_oracle(g)) <= 10 * tol
 
 
+@pytest.mark.parametrize("n, d", [(3000, 10), (4000, 30)])
+def test_lambda_matches_scipy_eigsh(n, d):
+    # sizes where the dense oracle's n x n eigendecomposition is too slow
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import eigsh
+
+    g = gen_random_regular_graph(n, d, seed=5)
+    assert is_bipartite(g) is None  # so only the degree eigenvalue is trivial
+    rep = estimate_second_eigenvalue(g)
+    assert rep.converged
+    a = coo_matrix((np.ones(2 * g.m), (g.us + g.vs, g.vs + g.us)), shape=(n, n)).tocsr()
+    top = sorted(eigsh(a, k=3, which="LM", return_eigenvectors=False), key=abs)
+    assert abs(top[-1] - d) <= 1e-8
+    assert abs(rep.lambda_estimate - abs(top[-2])) <= 1e-7 * d
+
+
 def test_lambda_certification_bounds():
     g = gen_random_regular_graph(100, 12, seed=11)
     rep = estimate_second_eigenvalue(g)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -90,6 +91,19 @@ def test_stats_and_emit_lines():
     assert lines[0].startswith("PATH 0 0 10 ")
     assert lines[0].split(" : ")[1].split()[0] == "0"
     assert lines[1] == "STATS live=1 served=1 failures=0"
+
+
+def test_wall_clock_times_the_engine_only():
+    eng = make_engine()
+    nap = 0.1
+    report = run_trace(
+        eng, parse_trace("find 0 10\nfind 1 11\nfind 2 12\nfind 3 3"),
+        emit=lambda line: time.sleep(nap),
+    )
+    assert report.requests_served == 3 and len(report.failures) == 1
+    # every request emits a PATH or FAIL line, so a clock around emit reads >= nap
+    assert report.wall_clock["p50"] < nap / 10
+    assert report.wall_clock["max"] < nap / 2
 
 
 def test_verify_every_runs_checks():

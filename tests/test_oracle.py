@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_digraph
@@ -374,3 +377,79 @@ def test_dump_is_stable():
     )
     assert orc.dump() == expected
     assert orc.dump() == expected
+
+
+MACHINE_HOST = gen_random_regular_digraph(40, 6, seed=41)
+MACHINE_VERTICES = st.integers(0, 39)
+
+
+class Forced(Exception):
+    """Raised inside a request log to make it roll back."""
+
+
+class OracleMachine(RuleBasedStateMachine):
+    """Adds, removes and rolled-back requests on one small oracle. Every
+    step leaves a clean audit; every raised add, and every request log
+    that ends in an exception, leaves the state as it was. The tight caps
+    make adds fail, vertices buffer and removals demote them again."""
+
+    CAPS = dict(out_cap=3, in_cap=2, sat_threshold=Fraction(2), low_threshold=Fraction(3))
+
+    def __init__(self):
+        super().__init__()
+        self.orc = EdgeOracle(MACHINE_HOST, small_profile(40, 6, **self.CAPS))
+
+    def _state(self):
+        return self.orc.dump(), list(self.orc.sat_out)
+
+    @rule(vs=st.lists(MACHINE_VERTICES, min_size=1, max_size=8))
+    def add_edges(self, vs):
+        for v in vs:
+            before = self._state()
+            try:
+                self.orc.add_edge(v)
+            except (CallerError, ExpansionViolation):
+                assert self._state() == before
+            assert self.orc.audit().ok
+
+    @precondition(lambda self: len(self.orc.h))
+    @rule(data=st.data())
+    def remove_edge(self, data):
+        self.orc.remove_edge(data.draw(st.sampled_from(self.orc.h.members())))
+
+    @rule(w=MACHINE_VERTICES)
+    def release_head(self, w):
+        # can unsaturate w and so demote buffered in-neighbours (a cascade)
+        for e in MACHINE_HOST.in_adj[w]:
+            if self.orc.h.member[e]:
+                self.orc.remove_edge(e)
+
+    @rule(vs=st.lists(MACHINE_VERTICES, min_size=1, max_size=4))
+    def rolled_back_request(self, vs):
+        before = self._state()
+        with pytest.raises((Forced, CallerError, ExpansionViolation)):
+            with self.orc.request_log():
+                for v in vs:
+                    self.orc.add_edge(v)
+                raise Forced
+        assert self._state() == before
+
+    @invariant()
+    def audit_clean(self):
+        report = self.orc.audit()
+        assert report.ok, str(report)
+
+
+class HeldSaturationMachine(OracleMachine):
+    """The same steps where one in-edge saturates a head: walks end at
+    saturated heads, so a head can stay saturated on B edges alone after
+    its H edges are removed."""
+
+    CAPS = dict(out_cap=3, in_cap=3, sat_threshold=Fraction(1), low_threshold=Fraction(3))
+
+
+TestOracleMachine = OracleMachine.TestCase
+TestHeldSaturationMachine = HeldSaturationMachine.TestCase
+TestOracleMachine.settings = TestHeldSaturationMachine.settings = settings(
+    derandomize=True, deadline=None, max_examples=40, stateful_step_count=100
+)
