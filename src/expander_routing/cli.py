@@ -149,6 +149,11 @@ def cmd_profile(args):
         zero = [f for f in caps if getattr(profile, f) == 0]
         if args.relaxed and zero:
             raise RoutingError("relaxed profile cannot route (%s = 0); use --desk instead" % ", ".join(zero))
+        if zero:
+            # strict constants are written as derived, routable or not
+            hit = "; every find will hit the volume cap r=0" if profile.r == 0 else ""
+            print("warning: strict profile cannot route (%s = 0)%s; use --desk for one that can"
+                  % (", ".join(zero), hit), file=sys.stderr)
     text = format_profile(profile)
     if args.out == "-":
         sys.stdout.write(text)

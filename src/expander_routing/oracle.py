@@ -27,9 +27,13 @@ as it was when the log opened. A failed add rolls back its own mutations,
 inside an open log or not, and raises ExpansionViolation. Removals are
 not logged.
 
-A request makes hundreds of add/remove calls, so the common add and every
-remove update H in place instead of through the helpers; the add writes
-the same ("h+", e) undo entry that `_h_add` does.
+A router request grows a tree of a few hundred edges and keeps one
+branch of it, so the traffic comes in batches: `grow_tree` makes every
+pick of a whole tree in one call and `release` hands a list of edges
+back, with lookups hoisted out of the per-edge loop. The pick rule and
+the removal rule live only there; `add_edge` and `remove_edge` are their
+one-edge forms. The common pick updates H in place instead of through
+`_h_add`, and writes the same ("h+", e) undo entry.
 """
 
 from __future__ import annotations
@@ -81,6 +85,8 @@ class EdgeOracle:
         self.low = [False] * host.n
         # sat_out[v] = number of host out-edges of v whose head is saturated
         self.sat_out = [0] * host.n
+        # in_tails[w] = the tails of w's in-edges, the sat_out entries w moves
+        self._in_tails = [[host.tails[e] for e in in_adj] for in_adj in host.in_adj]
         # integer thresholds: an integer x reaches a Fraction t iff x >= ceil(t)
         self._sat_min = ceil(profile.sat_threshold)
         self._low_min = ceil(profile.low_threshold)
@@ -129,9 +135,8 @@ class EdgeOracle:
 
     def _sat_add(self, w):
         self.sat[w] = True
-        tails, sat_out, low, low_min = self.host.tails, self.sat_out, self.low, self._low_min
-        for e in self.host.in_adj[w]:
-            u = tails[e]
+        sat_out, low, low_min = self.sat_out, self.low, self._low_min
+        for u in self._in_tails[w]:
             sat_out[u] += 1
             if sat_out[u] >= low_min and not low[u]:
                 self._low_pending.add(u)
@@ -140,9 +145,8 @@ class EdgeOracle:
 
     def _sat_remove(self, w):
         self.sat[w] = False
-        tails, sat_out, low, low_min = self.host.tails, self.sat_out, self.low, self._low_min
-        for e in self.host.in_adj[w]:
-            u = tails[e]
+        sat_out, low, low_min = self.sat_out, self.low, self._low_min
+        for u in self._in_tails[w]:
             sat_out[u] -= 1
             if low[u] and sat_out[u] < low_min:
                 self._drop_pending.add(u)
@@ -195,76 +199,145 @@ class EdgeOracle:
     def add_edge(self, v):
         """Return a fresh out-edge of v with a lightly loaded head; add it to H."""
         prof = self.profile
-        h = self.h
         if not (0 <= v < self.host.n):
             raise CallerError("vertex %d out of range" % v)
-        if h.out_deg[v] >= prof.out_cap:
+        if self.h.out_deg[v] >= prof.out_cap:
             raise CallerError("add_edge(%d): out-degree cap %d reached" % (v, prof.out_cap))
-        if h._size >= prof.capacity:
+        if self.h._size >= prof.capacity:
             raise CallerError("add_edge: active set is at capacity %d" % prof.capacity)
-        self.add_calls += 1
         own_log = self._undo is None
         if own_log:
             self._undo = []
-        undo = self._undo
-        mark = len(undo)
+        mark = len(self._undo)
         try:
-            if self.low[v]:
-                # serve from the buffered stock
-                for e in self.host.out_adj[v]:
-                    if self.b.member[e]:
-                        self._b_remove(e)
-                        self._h_add(e)
-                        return e
-                raise ExpansionViolation("add_edge(%d): buffered vertex has no stock" % v)
-            h_mem, b_mem, sat, heads = h.member, self.b.member, self.sat, self.host.heads
-            for e in self.host.out_adj[v]:
-                if h_mem[e] or b_mem[e]:
-                    continue
-                w = heads[e]
-                if not sat[w]:
-                    break
-            else:
-                raise ExpansionViolation("add_edge(%d): all free out-edges saturated" % v)
-            h_mem[e] = True
-            h.out_deg[v] += 1
-            h.in_deg[w] += 1
-            h._size += 1
-            undo.append(("h+", e))
-            # w was not in Sat; only a Sat addition can promote anyone to Low
-            if h.in_deg[w] + self.b.in_deg[w] >= self._sat_min:
-                self._sat_add(w)
-                self._rebalance()
+            return self.grow_tree(v, 1, 1, 1)[0][0]
         except ExpansionViolation:
             self.rollback(mark)
             raise
         finally:
             if own_log:
                 self._undo = None
-        if self.debug:
-            self._debug_audit(quiescent=True)
-        return e
+
+    def grow_tree(self, root, vertex_cap, edge_cap, fanout):
+        """Grow a breadth-first tree of fresh edges out of root.
+
+        While fewer than `edge_cap` edges were added and at most
+        `vertex_cap` vertices were reached, the next dequeued vertex asks
+        for up to `fanout` edges, stopping early at its out-degree cap.
+        Each edge is picked as `add_edge` picks: a Low vertex takes its
+        first B-stock edge, any other its first free out-edge whose head
+        is not in Sat. The capacity left when the tree starts is its edge
+        budget. Returns (edges in insertion order, parent links), the
+        parent keys being the tree's vertices in discovery order.
+
+        Must run inside an open log. Raises ExpansionViolation with the
+        added edges still in place; the log takes them back.
+        """
+        undo = self._undo
+        if undo is None:
+            raise CallerError("grow_tree: no open log")
+        prof = self.profile
+        out_cap, budget = prof.out_cap, prof.capacity - self.h._size
+        h = self.h
+        h_mem, out_deg, in_deg = h.member, h.out_deg, h.in_deg
+        b_mem, b_in = self.b.member, self.b.in_deg
+        sat, low, sat_min, debug = self.sat, self.low, self._sat_min, self.debug
+        heads, out_adj = self.host.heads, self.host.out_adj
+        parent = {root: None}
+        edges = []
+        # the BFS queue: a for loop over a list visits what is appended to it
+        order = [root]
+        picks, log, enqueue, keep = range(fanout), undo.append, order.append, edges.append
+        try:
+            for u in order:
+                if len(parent) > vertex_cap or len(edges) >= edge_cap:
+                    break
+                for _ in picks:
+                    if out_deg[u] >= out_cap:
+                        break
+                    if len(edges) >= budget:
+                        raise ExpansionViolation("oracle hit capacity during tree growth")
+                    if low[u]:
+                        # serve from the buffered stock
+                        for e in out_adj[u]:
+                            if b_mem[e]:
+                                break
+                        else:
+                            raise ExpansionViolation("add_edge(%d): buffered vertex has no stock" % u)
+                        self._b_remove(e)
+                        self._h_add(e)
+                        w = heads[e]
+                    else:
+                        for e in out_adj[u]:
+                            if h_mem[e] or b_mem[e]:
+                                continue
+                            w = heads[e]
+                            if not sat[w]:
+                                break
+                        else:
+                            raise ExpansionViolation("add_edge(%d): all free out-edges saturated" % u)
+                        h_mem[e] = True
+                        out_deg[u] += 1
+                        in_deg[w] += 1
+                        h._size += 1
+                        log(("h+", e))
+                        # w was not in Sat; only a Sat addition can promote anyone to Low
+                        if in_deg[w] + b_in[w] >= sat_min:
+                            self._sat_add(w)
+                            if self._low_pending:
+                                self._rebalance()
+                    keep(e)
+                    if debug:
+                        self._debug_audit(quiescent=True)
+                    if w not in parent:
+                        parent[w] = (u, e)
+                        enqueue(w)
+        except ExpansionViolation:
+            # a pick that failed was a call too; running out of budget is not
+            self.add_calls += len(edges) < budget
+            raise
+        finally:
+            self.add_calls += len(edges)
+        return edges, parent
 
     def remove_edge(self, e):
         """Remove an active edge; buffered tails keep it as stock."""
+        self.release((e,))
+
+    def release(self, edges):
+        """Remove active edges in order, each as `remove_edge` would.
+
+        Raises CallerError before any change unless every edge is active
+        and none is repeated.
+        """
         h = self.h
         h_mem = h.member
-        if not (0 <= e < len(h_mem)) or not h_mem[e]:
-            raise CallerError("remove_edge: edge %d is not active" % e)
-        self.remove_calls += 1
-        v = self.host.tails[e]
-        w = self.host.heads[e]
-        h_mem[e] = False
-        h.out_deg[v] -= 1
-        h.in_deg[w] -= 1
-        h._size -= 1
-        if self.low[v]:
-            self.b.add(e)
-        elif self.sat[w] and h.in_deg[w] + self.b.in_deg[w] < self._sat_min:
-            self._sat_remove(w)
-            self._cascade()
-        if self.debug:
-            self._debug_audit(quiescent=True)
+        if edges and (
+            min(edges) < 0 or max(edges) >= len(h_mem) or not all(map(h_mem.__getitem__, edges))
+        ):
+            bad = next(e for e in edges if not (0 <= e < len(h_mem)) or not h_mem[e])
+            raise CallerError("release: edge %d is not active" % bad)
+        if len(set(edges)) != len(edges):
+            raise CallerError("release: an edge is listed twice")
+        self.remove_calls += len(edges)
+        out_deg, in_deg, b, b_in = h.out_deg, h.in_deg, self.b, self.b.in_deg
+        sat, low, sat_min, debug = self.sat, self.low, self._sat_min, self.debug
+        tails, heads = self.host.tails, self.host.heads
+        for e in edges:
+            v = tails[e]
+            w = heads[e]
+            h_mem[e] = False
+            out_deg[v] -= 1
+            in_deg[w] -= 1
+            h._size -= 1
+            if low[v]:
+                b.add(e)
+            elif sat[w] and in_deg[w] + b_in[w] < sat_min:
+                self._sat_remove(w)
+                if self._drop_pending:
+                    self._cascade()
+            if debug:
+                self._debug_audit(quiescent=True)
 
     # --- rebalancing ---------------------------------------------------------
 
@@ -410,17 +483,20 @@ class EdgeOracle:
 
     # --- verification ----------------------------------------------------------
 
-    def audit(self, quiescent=True):
+    def audit(self, quiescent=True, h_ids=None):
         """Recompute all state from memberships and report every violation.
 
         One C scan of each membership list, then O(|H| + |B|) plus C-level
         passes over n: per-vertex rules are looped over only at vertices
         that can break them (Sat, Low, holding B stock, or over a cap).
+        A caller that already holds `h.members()` passes it as h_ids, so
+        H's bits are not copied again.
         """
         findings = []
         n = self.host.n
         prof = self.profile
-        h_ids = self.h.members()
+        if h_ids is None:
+            h_ids = self.h.members()
         b_ids = self.b.members()
         for name, sub, ids in (("H", self.h, h_ids), ("B", self.b, b_ids)):
             out_deg, in_deg, size = sub.recount(ids)

@@ -146,10 +146,7 @@ class RoutingEngine:
             (self.out_oracle, edges_a, set(seg_a)),
             (self.in_oracle, edges_b, set(seg_b_tree)),
         ):
-            remove = oracle.remove_edge
-            for e in edges:
-                if e not in keep:
-                    remove(e)
+            oracle.release([e for e in edges if e not in keep])
         for e in seg_mid:
             self.h3.add(e)
         rec = PathRecord(
@@ -170,10 +167,8 @@ class RoutingEngine:
         rec = self.registry.get(path_id)
         if rec is None:
             raise CallerError("unknown path id %s" % path_id)
-        for e in rec.seg_a:
-            self.out_oracle.remove_edge(e)
-        for e in rec.seg_b:
-            self.in_oracle.remove_edge(e)
+        self.out_oracle.release(rec.seg_a)
+        self.in_oracle.release(rec.seg_b)
         for e in rec.seg_mid:
             self.h3.remove(e)
         del self.registry[path_id]
@@ -183,42 +178,22 @@ class RoutingEngine:
     # --- tree growth --------------------------------------------------------
 
     def _oracle_bfs(self, oracle, root):
-        """Grow a tree of oracle edges out of root; see module docstring.
+        """Grow a tree of oracle edges out of root (`EdgeOracle.grow_tree`)
+        and check it against the profile's vertex and depth budgets.
 
-        Each dequeued vertex asks its oracle for up to `fanout` edges,
-        skipping requests its remaining out-capacity cannot take (inside
-        the proved regime the capacity always suffices, so nothing is
-        skipped there). Each add puts one edge into H, so the oracle's
-        capacity is an edge budget taken when the tree starts. Returns
-        (edges in insertion order, parent links); the parent keys are the
-        tree's vertices in discovery order, which BFS makes nondecreasing
-        in depth, so the last one's tree path gives the depth. Raises
-        ExpansionViolation with the added edges still in place; the
-        caller's undo log takes them back.
+        Inside the proved regime the out-capacity always suffices, so no
+        vertex stops short of `fanout` edges. Returns (edges in insertion
+        order, parent links). The parent keys are the tree's vertices in
+        discovery order, which BFS makes nondecreasing in depth, so the
+        last one's tree path gives the depth. Raises ExpansionViolation
+        with the added edges still in place; the caller's undo log takes
+        them back.
         """
         prof = self.profile
-        vertex_cap, edge_cap, fanout = prof.bfs_vertex_cap, prof.bfs_edge_cap, range(prof.fanout)
-        out_cap, budget = oracle.profile.out_cap, oracle.profile.capacity - len(oracle.h)
-        out_deg, heads, add_edge = oracle.h.out_deg, oracle.host.heads, oracle.add_edge
-        parent = {root: None}
-        edges = []
-        q = deque([root])
-        while q and len(parent) <= vertex_cap and len(edges) < edge_cap:
-            u = q.popleft()
-            for _ in fanout:
-                if out_deg[u] >= out_cap:
-                    break
-                if len(edges) >= budget:
-                    raise ExpansionViolation("oracle hit capacity during tree growth")
-                e = add_edge(u)
-                edges.append(e)
-                w = heads[e]
-                if w not in parent:
-                    parent[w] = (u, e)
-                    q.append(w)
-        if len(parent) < vertex_cap:
+        edges, parent = oracle.grow_tree(root, prof.bfs_vertex_cap, prof.bfs_edge_cap, prof.fanout)
+        if len(parent) < prof.bfs_vertex_cap:
             raise ExpansionViolation(
-                "tree growth stalled at %d of %d vertices" % (len(parent), vertex_cap)
+                "tree growth stalled at %d of %d vertices" % (len(parent), prof.bfs_vertex_cap)
             )
         depth = len(self._tree_path(parent, next(reversed(parent))))
         if depth > prof.depth_cap:
@@ -318,17 +293,20 @@ class RoutingEngine:
         prof = self.profile
         recs = list(self.registry.values())
 
+        member_ids = []
         for name, seg, sub, what in (
             ("H1", "seg_a", self.out_oracle.h, "segments"),
             ("H2", "seg_b", self.in_oracle.h, "segments"),
             ("H3", "seg_mid", self.h3, "middle segments"),
         ):
+            ids = sub.members()
+            member_ids.append(ids)
             union = []
             for rec in recs:
                 union.extend(getattr(rec, seg))
             if len(union) != len(set(union)):
                 findings.append("%s: an edge appears in two stored paths" % name)
-            elif sorted(union) != sub.members():
+            elif sorted(union) != ids:
                 findings.append("%s differs from the union of stored %s" % (name, what))
 
         host_ids = []
@@ -388,6 +366,10 @@ class RoutingEngine:
         if pe_expected != self.pe:
             findings.append("end counters disagree with the registry")
 
-        for name, oracle in (("out-oracle", self.out_oracle), ("in-oracle", self.in_oracle)):
-            findings.extend("%s: %s" % (name, f) for f in oracle.audit().findings)
+        for name, oracle, h_ids in (
+            ("out-oracle", self.out_oracle, member_ids[0]),
+            ("in-oracle", self.in_oracle, member_ids[1]),
+        ):
+            # positional: perfbench/tracing.py wraps audit as audit(*args)
+            findings.extend("%s: %s" % (name, f) for f in oracle.audit(True, h_ids).findings)
         return VerifyReport(findings)

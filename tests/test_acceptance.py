@@ -48,6 +48,12 @@ GOLDEN_PREPROCESS = {
 }
 GOLDEN_REPLAY = "c3f040de13ad7281d678b3d07731fa101db3c3a57a1c1f16eb11055ca7a6bd64"
 GOLDEN_REPLAY_STATE = "25f8d7e03e87f2b49390c4b021b8fc5fceba64696bdb31acfedfce1aad5fc72f"
+# the oracle work that replay does: per-edge add and remove calls, walk
+# searches, and Low promotions per oracle (out, in)
+GOLDEN_REPLAY_CALLS = {
+    "out_add": 3146, "out_remove": 3112, "in_add": 3132, "in_remove": 3103, "walk_searches": 7,
+}
+GOLDEN_REPLAY_LOW_ADDITIONS = (3, 0)
 
 
 def _sha256(text):
@@ -343,12 +349,17 @@ def test_criterion_8_determinism(suite3):
         state = [engine.h3.members()]
         for oracle in (engine.out_oracle, engine.in_oracle):
             state += [oracle.dump(), oracle.sat_out]
-        return "\n".join(lines), repr(state)
+        work = (
+            engine.oracle_call_counts(),
+            (engine.out_oracle.low_additions, engine.in_oracle.low_additions),
+        )
+        return "\n".join(lines), repr(state), work
 
-    first, first_state = replay()
-    assert (first, first_state) == replay()
+    first, first_state, work = replay()
+    assert (first, first_state, work) == replay()
     assert _sha256(first) == GOLDEN_REPLAY
     assert _sha256(first_state) == GOLDEN_REPLAY_STATE
+    assert work == (GOLDEN_REPLAY_CALLS, GOLDEN_REPLAY_LOW_ADDITIONS)
     print("PASS criterion 8: preprocessing and router replays are byte-identical")
 
 

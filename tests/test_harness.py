@@ -220,7 +220,12 @@ def test_cli_profile_out(tmp_path, capsys):
                      "--gamma", "1/2000", "--out", str(out)]) == 0
     text = out.read_text()
     assert "d_prime=20" in text
-    capsys.readouterr()
+    # strict constants at this size cannot route; they are written, with a warning
+    assert "r=0" in text.splitlines()
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: strict profile cannot route (r, bfs_edge_cap = 0); every find "
+        "will hit the volume cap r=0; use --desk for one that can"
+    ]
 
 
 @pytest.mark.parametrize("n,d", [(100, 20), (600, 30), (2400, 30), (9600, 31)])

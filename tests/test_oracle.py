@@ -1,4 +1,6 @@
+import copy
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -118,6 +120,51 @@ def test_remove_unknown_edge():
     orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1, "1/50", relaxed=True))
     with pytest.raises(CallerError):
         orc.remove_edge(3)
+
+
+def test_grow_tree_needs_an_open_log():
+    host = gen_random_regular_digraph(30, 10, seed=6)
+    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1, "1/50", relaxed=True))
+    with pytest.raises(CallerError):
+        orc.grow_tree(0, 4, 8, 2)
+    assert len(orc.h) == 0 and orc.add_calls == 0
+
+
+def test_grow_tree_budget_is_the_capacity_left():
+    host = gen_random_regular_digraph(30, 10, seed=8)
+    orc = EdgeOracle(host, small_profile(30, 10, capacity=5, low_threshold=Fraction(9)))
+    orc.add_edge(0)
+    before = orc.dump()
+    with pytest.raises(ExpansionViolation, match="capacity"):
+        with orc.request_log():
+            orc.grow_tree(1, 20, 20, 2)
+    # four picks fill the capacity; the fifth is refused before it is made
+    assert orc.dump() == before and orc.add_calls == 1 + 4
+
+
+def _counters(orc):
+    return orc.add_calls, orc.remove_calls, orc.walk_searches, orc.low_additions
+
+
+def test_release_checks_the_whole_batch_first():
+    host = gen_random_regular_digraph(30, 10, seed=7)
+    orc = EdgeOracle(host, small_profile(30, 10, low_threshold=Fraction(9)))
+    active = [orc.add_edge(v) for v in range(6)]
+    assert any(orc.sat)
+    inactive = next(e for e in range(host.m) if not orc.h.member[e])
+    before = (orc.dump(), list(orc.sat_out), _counters(orc))
+    for batch in (
+        active[:3] + [inactive] + active[3:],
+        active[:3] + [active[1]],
+        active + [host.m],
+        [-1] + active,
+    ):
+        with pytest.raises(CallerError):
+            orc.release(batch)
+        assert (orc.dump(), list(orc.sat_out), _counters(orc)) == before
+    orc.release(active)
+    assert len(orc.h) == 0 and orc.remove_calls == len(active)
+    assert orc.audit().ok
 
 
 # --- alternating walks -------------------------------------------------------
@@ -387,6 +434,28 @@ class Forced(Exception):
     """Raised inside a request log to make it roll back."""
 
 
+def tree_by_single_adds(orc, root, vertex_cap, edge_cap, fanout):
+    """`grow_tree` spelled out with one `add_edge` call per edge."""
+    budget = orc.profile.capacity - len(orc.h)
+    parent = {root: None}
+    edges = []
+    q = deque([root])
+    while q and len(parent) <= vertex_cap and len(edges) < edge_cap:
+        u = q.popleft()
+        for _ in range(fanout):
+            if orc.h.out_deg[u] >= orc.profile.out_cap:
+                break
+            if len(edges) >= budget:
+                raise ExpansionViolation("oracle hit capacity during tree growth")
+            e = orc.add_edge(u)
+            edges.append(e)
+            w = orc.host.heads[e]
+            if w not in parent:
+                parent[w] = (u, e)
+                q.append(w)
+    return edges, parent
+
+
 class OracleMachine(RuleBasedStateMachine):
     """Adds, removes and rolled-back requests on one small oracle. Every
     step leaves a clean audit; every raised add, and every request log
@@ -406,10 +475,15 @@ class OracleMachine(RuleBasedStateMachine):
     def add_edges(self, vs):
         for v in vs:
             before = self._state()
+            calls = self.orc.add_calls
             try:
                 self.orc.add_edge(v)
-            except (CallerError, ExpansionViolation):
-                assert self._state() == before
+            except CallerError:
+                assert (self._state(), self.orc.add_calls) == (before, calls)
+            except ExpansionViolation:
+                assert (self._state(), self.orc.add_calls) == (before, calls + 1)
+            else:
+                assert self.orc.add_calls == calls + 1
             assert self.orc.audit().ok
 
     @precondition(lambda self: len(self.orc.h))
@@ -433,6 +507,37 @@ class OracleMachine(RuleBasedStateMachine):
                     self.orc.add_edge(v)
                 raise Forced
         assert self._state() == before
+
+    @rule(
+        root=MACHINE_VERTICES,
+        vertex_cap=st.integers(1, 12),
+        edge_cap=st.integers(1, 16),
+        fanout=st.integers(1, 3),
+        data=st.data(),
+    )
+    def grow_and_hand_back(self, root, vertex_cap, edge_cap, fanout, data):
+        # a find's tree: grown inside a log, then all but a kept subset
+        # released after the log closes; the same tree grown one add_edge
+        # call at a time on a copy must match it edge for edge
+        ref = copy.deepcopy(self.orc)
+        before = self._state()
+        try:
+            with self.orc.request_log():
+                edges, parent = self.orc.grow_tree(root, vertex_cap, edge_cap, fanout)
+        except ExpansionViolation:
+            assert self._state() == before
+            with pytest.raises(ExpansionViolation):
+                with ref.request_log():
+                    tree_by_single_adds(ref, root, vertex_cap, edge_cap, fanout)
+            assert _counters(ref) == _counters(self.orc)
+            return
+        with ref.request_log():
+            assert tree_by_single_adds(ref, root, vertex_cap, edge_cap, fanout) == (edges, parent)
+        assert (ref.dump(), ref.sat_out, _counters(ref)) == (*self._state(), _counters(self.orc))
+        kept = data.draw(st.sets(st.sampled_from(edges))) if edges else set()
+        self.orc.release([e for e in edges if e not in kept])
+        report = self.orc.audit()
+        assert report.ok, str(report)
 
     @invariant()
     def audit_clean(self):
