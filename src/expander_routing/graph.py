@@ -251,11 +251,17 @@ def parse_graph(text: str):
         if len(parts) != 2:
             raise FormatError("line %d: expected '<tail> <head>'" % i)
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise FormatError("line %d: bad endpoint" % i) from None
+        if not (0 <= a < n and 0 <= b < n):
+            raise FormatError("line %d: edge (%d, %d) out of range for n=%d" % (i, a, b, n))
+        edges.append((a, b))
     if len(edges) != m:
         raise FormatError("expected %d edge lines, found %d" % (m, len(edges)))
+    for i, line in enumerate(lines[m + 1 :], start=m + 2):
+        if line.strip():
+            raise FormatError("line %d: more than the %d edge lines the header declares" % (i, m))
     try:
         if head[2] == "directed":
             return Digraph(n, edges)

@@ -34,6 +34,11 @@ back, with lookups hoisted out of the per-edge loop. The pick rule and
 the removal rule live only there; `add_edge` and `remove_edge` are their
 one-edge forms. The common pick updates H in place instead of through
 `_h_add`, and writes the same ("h+", e) undo entry.
+
+There is no test-only mode, audit switch or walk log. Tests and the
+bench watch the oracle from outside: they wrap `add_edge`, `remove_edge`
+or `find_alternating_walk` on the instance (`_rebalance` calls the
+search through the instance) and run `audit` in between.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from itertools import compress, repeat
 from math import ceil
 from operator import add, ge, gt, ne
 
-from .errors import CallerError, ExpansionViolation, RoutingError
+from .errors import CallerError, ExpansionViolation
 from .graph import Digraph, EdgeSubset
 from .profiles import OracleProfile
 
@@ -98,24 +103,6 @@ class EdgeOracle:
         self.remove_calls = 0
         self.walk_searches = 0
         self.low_additions = 0
-        self.record_walks = False
-        self.walk_records = []
-        # debug mode re-audits mid-request (the continuous invariants only)
-        self.debug = False
-
-    # --- degree helpers ----------------------------------------------------
-
-    def in_f(self, v):
-        return self.h.in_deg[v] + self.b.in_deg[v]
-
-    def out_f(self, v):
-        return self.h.out_deg[v] + self.b.out_deg[v]
-
-    def _sat_reached(self, v):
-        return self.in_f(v) >= self._sat_min
-
-    def _low_reached(self, v):
-        return self.sat_out[v] >= self._low_min
 
     # --- logged mutation primitives -----------------------------------------
     # Adds always run inside a log. Sat also changes in removals, which are
@@ -241,7 +228,7 @@ class EdgeOracle:
         h = self.h
         h_mem, out_deg, in_deg = h.member, h.out_deg, h.in_deg
         b_mem, b_in = self.b.member, self.b.in_deg
-        sat, low, sat_min, debug = self.sat, self.low, self._sat_min, self.debug
+        sat, low, sat_min = self.sat, self.low, self._sat_min
         heads, out_adj = self.host.heads, self.host.out_adj
         parent = {root: None}
         edges = []
@@ -287,8 +274,6 @@ class EdgeOracle:
                             if self._low_pending:
                                 self._rebalance()
                     keep(e)
-                    if debug:
-                        self._debug_audit(quiescent=True)
                     if w not in parent:
                         parent[w] = (u, e)
                         enqueue(w)
@@ -321,7 +306,7 @@ class EdgeOracle:
             raise CallerError("release: an edge is listed twice")
         self.remove_calls += len(edges)
         out_deg, in_deg, b, b_in = h.out_deg, h.in_deg, self.b, self.b.in_deg
-        sat, low, sat_min, debug = self.sat, self.low, self._sat_min, self.debug
+        sat, low, sat_min = self.sat, self.low, self._sat_min
         tails, heads = self.host.tails, self.host.heads
         for e in edges:
             v = tails[e]
@@ -336,16 +321,15 @@ class EdgeOracle:
                 self._sat_remove(w)
                 if self._drop_pending:
                     self._cascade()
-            if debug:
-                self._debug_audit(quiescent=True)
 
     # --- rebalancing ---------------------------------------------------------
 
     def _rebalance(self):
         """Promote every vertex that ran out of safe choices and top up its stock."""
         out_cap = self.profile.out_cap
+        h, b, low, sat_out, low_min = self.h, self.b, self.low, self.sat_out, self._low_min
         while self._low_pending:
-            ready = [u for u in self._low_pending if not self.low[u] and self._low_reached(u)]
+            ready = [u for u in self._low_pending if not low[u] and sat_out[u] >= low_min]
             if not ready:
                 self._low_pending.clear()
                 return
@@ -353,34 +337,21 @@ class EdgeOracle:
             self._low_pending.discard(x)
             self._low_add(x)
             self.low_additions += 1
-            while self.out_f(x) < out_cap:
+            while h.out_deg[x] + b.out_deg[x] < out_cap:
                 found = self.find_alternating_walk(x)
                 if found is None:
                     raise ExpansionViolation(
                         "rebalance(%d): no alternating walk to a free head" % x
                     )
                 self.walk_searches += 1
-                edges, y, verts = found
-                record = None
-                if self.record_walks:
-                    record = {
-                        "x": x,
-                        "y": y,
-                        "vertices": list(verts),
-                        "before": {u: (self.out_f(u), self.in_f(u)) for u in set(verts)},
-                    }
+                edges, y, _ = found
                 for e, forward in edges:
                     if forward:
                         self._b_add(e)
                     else:
                         self._b_remove(e)
-                if record is not None:
-                    record["after"] = {u: (self.out_f(u), self.in_f(u)) for u in set(verts)}
-                    self.walk_records.append(record)
-                if not self.sat[y] and self._sat_reached(y):
+                if not self.sat[y] and h.in_deg[y] + b.in_deg[y] >= self._sat_min:
                     self._sat_add(y)
-                if self.debug:
-                    self._debug_audit()
 
     def find_alternating_walk(self, x):
         """Layered search for a walk from x to a head below the in-cap.
@@ -395,8 +366,8 @@ class EdgeOracle:
         when no such walk exists.
         """
         host = self.host
-        h_mem = self.h.member
-        b_mem = self.b.member
+        h_mem, h_in = self.h.member, self.h.in_deg
+        b_mem, b_in = self.b.member, self.b.in_deg
         in_cap = self.profile.in_cap
         sat_min = self._sat_min
         head_parent = {}
@@ -414,7 +385,7 @@ class EdgeOracle:
                     if w in head_parent:
                         continue
                     head_parent[w] = (t, e)
-                    in_w = self.in_f(w)
+                    in_w = h_in[w] + b_in[w]
                     if in_w < in_cap:
                         if in_w + 1 < sat_min:
                             return self._build_walk(x, w, head_parent, tail_parent)
@@ -459,8 +430,9 @@ class EdgeOracle:
 
     def _cascade(self):
         """Demote buffered vertices whose saturated out-neighbourhood shrank."""
+        h_in, b_in, sat_out, low_min = self.h.in_deg, self.b.in_deg, self.sat_out, self._low_min
         while self._drop_pending:
-            ready = [u for u in self._drop_pending if self.low[u] and not self._low_reached(u)]
+            ready = [u for u in self._drop_pending if self.low[u] and sat_out[u] < low_min]
             if not ready:
                 self._drop_pending.clear()
                 return
@@ -473,13 +445,8 @@ class EdgeOracle:
                     touched.add(self.host.heads[e])
             self.low[x] = False
             for y in sorted(touched):
-                if self.sat[y] and not self._sat_reached(y):
+                if self.sat[y] and h_in[y] + b_in[y] < self._sat_min:
                     self._sat_remove(y)
-
-    def _debug_audit(self, quiescent=False):
-        report = self.audit(quiescent=quiescent)
-        if not report.ok:
-            raise RoutingError("debug audit failed: %s" % report.findings[0])
 
     # --- verification ----------------------------------------------------------
 

@@ -170,6 +170,7 @@ def derive_profile(n, d, beta, gamma, relaxed=False, lam=None, c0=1):
     )
     bfs_edge_cap = math.floor(c * n * k / 2)
     g3_path_cap = math.ceil(Fraction(300, 1) / beta) + 1
+    oracle = canonical_oracle_profile(n, d_prime, beta, gamma, relaxed)
     profile = RouterProfile(
         n=n,
         d=d,
@@ -188,11 +189,11 @@ def derive_profile(n, d, beta, gamma, relaxed=False, lam=None, c0=1):
         g3_path_cap=g3_path_cap,
         path_len_cap=2 * lg + g3_path_cap,
         h_size_cap=bfs_edge_cap,
-        oracle_out_cap=d_prime // 2,
-        oracle_in_cap=d_prime // 5,
-        oracle_sat_threshold=Fraction(d_prime, 10),
-        oracle_low_threshold=Fraction(d_prime, 4),
-        oracle_capacity=math.floor(beta * d_prime * n / 120),
+        oracle_out_cap=oracle.out_cap,
+        oracle_in_cap=oracle.in_cap,
+        oracle_sat_threshold=oracle.sat_threshold,
+        oracle_low_threshold=oracle.low_threshold,
+        oracle_capacity=oracle.capacity,
     )
     if not relaxed and not profile.capacity_chains_hold():
         raise CallerError("derived r violates a capacity chain (internal)")
@@ -288,7 +289,12 @@ def parse_profile(text: str) -> RouterProfile:
         if "=" not in line:
             raise FormatError("profile line %d: expected key=value" % lineno)
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key in values:
+            raise FormatError(
+                "profile line %d: field %s repeats line %d" % (lineno, key, values[key][0])
+            )
+        values[key] = (lineno, val.strip())
     field_names = {f.name for f in dataclasses.fields(RouterProfile)}
     missing = field_names - values.keys()
     if missing:
@@ -297,7 +303,7 @@ def parse_profile(text: str) -> RouterProfile:
     if unknown:
         raise FormatError("profile has unknown fields: %s" % ", ".join(sorted(unknown)))
     kwargs = {}
-    for name, raw in values.items():
+    for name, (lineno, raw) in values.items():
         try:
             if name in _BOOL_FIELDS:
                 if raw not in ("true", "false"):
@@ -308,7 +314,7 @@ def parse_profile(text: str) -> RouterProfile:
             else:
                 kwargs[name] = int(raw)
         except (ValueError, ZeroDivisionError):
-            raise FormatError("profile field %s: bad value %r" % (name, raw)) from None
+            raise FormatError("profile line %d: field %s: bad value %r" % (lineno, name, raw)) from None
     try:
         return RouterProfile(**kwargs)
     except CallerError as exc:

@@ -1,5 +1,6 @@
 import pytest
 
+from expander_routing.errors import ExpansionViolation
 from expander_routing.graph import Digraph, UndirectedGraph
 
 
@@ -31,3 +32,51 @@ def _probe_bfs(engine, side, root):
 @pytest.fixture
 def probe_bfs():
     return _probe_bfs
+
+
+def _watch_walks(oracle):
+    """Record each alternating walk the oracle applies, from outside.
+
+    Wraps `find_alternating_walk` and `add_edge` on the instance. A walk's
+    vertices get their (out_F, in_F) when the search returns and again at
+    the next search or when the add returns, after the toggle. Returns the
+    list the records go to: dicts with x, y, vertices, before and after.
+    """
+    h, b = oracle.h, oracle.b
+    search, add_edge = oracle.find_alternating_walk, oracle.add_edge
+    records, pending = [], []
+
+    def degrees(verts):
+        return {v: (h.out_deg[v] + b.out_deg[v], h.in_deg[v] + b.in_deg[v]) for v in set(verts)}
+
+    def settle():
+        for rec in pending:
+            rec["after"] = degrees(rec["vertices"])
+            records.append(rec)
+        pending.clear()
+
+    def watched_search(x):
+        settle()
+        found = search(x)
+        if found is not None:
+            _, y, verts = found
+            pending.append({"x": x, "y": y, "vertices": list(verts), "before": degrees(verts)})
+        return found
+
+    def watched_add(v):
+        try:
+            e = add_edge(v)
+        except ExpansionViolation:
+            pending.clear()  # rolled back with the add
+            raise
+        settle()
+        return e
+
+    oracle.find_alternating_walk = watched_search
+    oracle.add_edge = watched_add
+    return records
+
+
+@pytest.fixture(scope="session")
+def watch_walks():
+    return _watch_walks

@@ -78,11 +78,11 @@ def suite1_profile():
 
 
 @pytest.fixture(scope="module")
-def suite1():
+def suite1(watch_walks):
     host = gen_random_regular_digraph(ORACLE_N, ORACLE_D, seed=5)
     prof = suite1_profile()
     oracle = EdgeOracle(host, prof)
-    oracle.record_walks = True
+    walks = watch_walks(oracle)
     rng = random.Random(99)
     active = []
     walk_failures = 0
@@ -112,7 +112,7 @@ def suite1():
             dirty_audits += 1
     elapsed = time.perf_counter() - start
     return {
-        "oracle": oracle,
+        "walks": walks,
         "walk_failures": walk_failures,
         "contract_violations": contract_violations,
         "dirty_audits": dirty_audits,
@@ -132,7 +132,7 @@ def test_criterion_1_oracle_invariant_suite(suite1):
 
 
 def test_criterion_2_walk_toggle_semantics(suite1):
-    records = suite1["oracle"].walk_records
+    records = suite1["walks"]
     assert len(records) >= 200, "suite 1 produced too few rebalancing events"
     for rec in records[:200]:
         x, y = rec["x"], rec["y"]

@@ -163,3 +163,19 @@ def test_text_round_trip_random(args):
 def test_text_parse_errors(text):
     with pytest.raises(FormatError):
         parse_graph(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 2 directed\n0 1\n1 2\n2 0\n", "line 4: more than the 2 edge lines"),
+        ("3 2 undirected\n0 1\n0 5\n", r"line 3: edge \(0, 5\) out of range for n=3"),
+    ],
+)
+def test_text_parse_errors_name_the_line(text, message):
+    with pytest.raises(FormatError, match=message):
+        parse_graph(text)
+
+
+def test_text_parse_allows_trailing_blank_lines():
+    assert parse_graph("3 2 directed\n0 1\n1 2\n\n  \n").m == 2

@@ -234,13 +234,13 @@ def test_walk_three_edges_through_buffer():
     # free head, and the returned walk is among the enumerated 3-edge ones
     walks = enumerate_walks(orc, 0)
     qualifying = [
-        (we, vs) for we, vs in walks if orc.in_f(vs[-1]) < prof.in_cap
+        (we, vs) for we, vs in walks if orc.h.in_deg[vs[-1]] + orc.b.in_deg[vs[-1]] < prof.in_cap
     ]
     assert min(len(we) for we, _ in qualifying) == 3
     assert (edges, verts) in qualifying
 
 
-def test_walk_toggle_degree_deltas():
+def test_walk_toggle_degree_deltas(watch_walks):
     host = gen_random_regular_digraph(80, 12, seed=21)
     prof = OracleProfile(
         n=80, d=12, out_cap=3, in_cap=2, sat_threshold=Fraction(2),
@@ -248,7 +248,7 @@ def test_walk_toggle_degree_deltas():
         gamma=Fraction(1, 50), relaxed=True,
     )
     orc = EdgeOracle(host, prof)
-    orc.record_walks = True
+    records = watch_walks(orc)
     rng = random.Random(3)
     active = []
     for _ in range(3000):
@@ -265,8 +265,8 @@ def test_walk_toggle_degree_deltas():
             i = rng.randrange(len(active))
             active[i], active[-1] = active[-1], active[i]
             orc.remove_edge(active.pop())
-    assert orc.walk_records, "expected at least one rebalancing event"
-    for rec in orc.walk_records:
+    assert records, "expected at least one rebalancing event"
+    for rec in records:
         x, y = rec["x"], rec["y"]
         for v in set(rec["vertices"]):
             out_before, in_before = rec["before"][v]
@@ -332,6 +332,34 @@ def test_failed_add_rolls_back_bit_exactly():
     assert saw_failure, "expected the dense regime to force a walk failure"
 
 
+def test_failed_add_inside_an_open_log_keeps_the_earlier_adds():
+    # the set-up of test_failed_add_rolls_back_bit_exactly, all in one log:
+    # the failed add rolls back to its own mark, not to the log's start
+    host = gen_random_regular_digraph(40, 10, seed=33)
+    prof = canonical_oracle_profile(40, 10, 1, "1/50", relaxed=True, capacity=400)
+    orc = EdgeOracle(host, prof)
+    rng = random.Random(2)
+    made = 0
+    failed = False
+    with orc.request_log():
+        for _ in range(4000):
+            pool = [v for v in range(40) if orc.h.out_deg[v] < prof.out_cap]
+            if not pool:
+                break
+            v = pool[rng.randrange(len(pool))]
+            before = (orc.dump(), list(orc.sat_out))
+            try:
+                orc.add_edge(v)
+            except ExpansionViolation:
+                failed = True
+                assert (orc.dump(), list(orc.sat_out)) == before
+                break
+            made += 1
+    assert failed and made > 0
+    assert (orc.dump(), list(orc.sat_out)) == before
+    assert orc.audit().ok
+
+
 def test_buffered_vertex_served_from_stock():
     host = gen_random_regular_digraph(100, 20, seed=12)
     prof = OracleProfile(
@@ -365,7 +393,7 @@ def test_buffered_vertex_served_from_stock():
     assert served_from_stock, "seeded run never promoted a vertex"
 
 
-def test_debug_mode_audits_every_request():
+def test_audit_holds_around_every_request_and_walk():
     host = gen_random_regular_digraph(60, 12, seed=19)
     prof = OracleProfile(
         n=60, d=12, out_cap=3, in_cap=2, sat_threshold=Fraction(2),
@@ -373,7 +401,28 @@ def test_debug_mode_audits_every_request():
         gamma=Fraction(1, 50), relaxed=True,
     )
     orc = EdgeOracle(host, prof)
-    orc.debug = True
+    search, add_edge, remove_edge = orc.find_alternating_walk, orc.add_edge, orc.remove_edge
+    searches = []
+
+    def audited_search(x):
+        # mid-request: Low vertices may still be below their stock
+        report = orc.audit(quiescent=False)
+        assert report.ok, report
+        searches.append(x)
+        return search(x)
+
+    def audited(request):
+        def call(arg):
+            try:
+                return request(arg)
+            finally:
+                report = orc.audit()
+                assert report.ok, report
+        return call
+
+    orc.find_alternating_walk = audited_search
+    orc.add_edge = audited(add_edge)
+    orc.remove_edge = audited(remove_edge)
     rng = random.Random(23)
     active = []
     for _ in range(400):
@@ -390,6 +439,7 @@ def test_debug_mode_audits_every_request():
             i = rng.randrange(len(active))
             active[i], active[-1] = active[-1], active[i]
             orc.remove_edge(active.pop())
+    assert searches, "expected walk searches to audit before"
     assert orc.audit().ok
 
 

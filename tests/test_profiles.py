@@ -52,6 +52,17 @@ def test_strict_profile_worked_example():
     assert p.capacity_chains_hold()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(2048, 400, "1/100", "1/2000", False), (600, 30, "1/10", "1/50", True)],
+    ids=["strict", "relaxed"],
+)
+def test_oracle_fields_are_the_canonical_oracle_profile(args):
+    n, d, beta, gamma, relaxed = args
+    p = derive_profile(n, d, beta, gamma, relaxed=relaxed)
+    assert p.oracle_profile() == canonical_oracle_profile(n, p.d_prime, beta, gamma, relaxed)
+
+
 def test_strict_profile_rejects_large_gamma():
     with pytest.raises(CallerError):
         derive_profile(1024, 400, "1/100", "1/500")
@@ -92,6 +103,21 @@ def test_profile_file_rejects_missing_field():
     broken = "\n".join(text.splitlines()[1:])
     with pytest.raises(Exception):
         parse_profile(broken)
+
+
+def test_profile_file_bad_value_names_the_line():
+    text = re.sub(r"(?m)^fanout=.*$", "fanout=x", format_profile(desk_profile(600, 30)))
+    lineno = text.splitlines().index("fanout=x") + 1
+    with pytest.raises(FormatError, match=r"line %d: field fanout: bad value 'x'" % lineno):
+        parse_profile(text)
+
+
+def test_profile_file_rejects_a_repeated_field():
+    text = format_profile(desk_profile(600, 30))
+    first = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith("r="))
+    last = len(text.splitlines()) + 1
+    with pytest.raises(FormatError, match=r"line %d: field r repeats line %d" % (last, first)):
+        parse_profile(text + "r=3\n")
 
 
 def test_desk_profile_structure():
