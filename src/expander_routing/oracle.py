@@ -24,16 +24,17 @@ Every mutation an add makes goes to an undo log of membership deltas.
 A caller can hold one log open over a whole request (`request_log`); an
 exception inside replays it backwards, which leaves the structure exactly
 as it was when the log opened. A failed add rolls back its own mutations,
-inside an open log or not, and raises ExpansionViolation. Removals are
-not logged.
+inside an open log or not, and raises ExpansionViolation. The log holds
+additions only: `release` (and so `remove_edge`) raises CallerError while
+a log is open, so a request hands its unused edges back after its log
+closes.
 
 A router request grows a tree of a few hundred edges and keeps one
 branch of it, so the traffic comes in batches: `grow_tree` makes every
 pick of a whole tree in one call and `release` hands a list of edges
 back, with lookups hoisted out of the per-edge loop. The pick rule and
 the removal rule live only there; `add_edge` and `remove_edge` are their
-one-edge forms. The common pick updates H in place instead of through
-`_h_add`, and writes the same ("h+", e) undo entry.
+one-edge forms.
 
 There is no test-only mode, audit switch or walk log. Tests and the
 bench watch the oracle from outside: they wrap `add_edge`, `remove_edge`
@@ -105,12 +106,8 @@ class EdgeOracle:
         self.low_additions = 0
 
     # --- logged mutation primitives -----------------------------------------
-    # Adds always run inside a log. Sat also changes in removals, which are
-    # not logged, so the Sat primitives log only when a log is open.
-
-    def _h_add(self, e):
-        self.h.add(e)
-        self._undo.append(("h+", e))
+    # Adds always run inside a log and removals never do, so the add-side
+    # primitives always log and `_sat_remove` never does.
 
     def _b_add(self, e):
         self.b.add(e)
@@ -127,8 +124,7 @@ class EdgeOracle:
             sat_out[u] += 1
             if sat_out[u] >= low_min and not low[u]:
                 self._low_pending.add(u)
-        if self._undo is not None:
-            self._undo.append(("s+", w))
+        self._undo.append(("s+", w))
 
     def _sat_remove(self, w):
         self.sat[w] = False
@@ -137,12 +133,6 @@ class EdgeOracle:
             sat_out[u] -= 1
             if low[u] and sat_out[u] < low_min:
                 self._drop_pending.add(u)
-        if self._undo is not None:
-            self._undo.append(("s-", w))
-
-    def _low_add(self, x):
-        self.low[x] = True
-        self._undo.append(("l+", x))
 
     def request_log(self):
         """Open an undo log for one request, for use as `with
@@ -162,7 +152,6 @@ class EdgeOracle:
     def rollback(self, mark=0):
         """Undo every mutation logged after the first `mark` log entries."""
         log = self._undo
-        self._undo = None  # _sat_add/_sat_remove log too
         for op, arg in reversed(log[mark:]):
             if op == "h+":
                 self.h.remove(arg)
@@ -172,12 +161,9 @@ class EdgeOracle:
                 self.b.add(arg)
             elif op == "s+":
                 self._sat_remove(arg)
-            elif op == "s-":
-                self._sat_add(arg)
             else:  # "l+"
                 self.low[arg] = False
         del log[mark:]
-        self._undo = log
         self._low_pending.clear()
         self._drop_pending.clear()
 
@@ -252,7 +238,8 @@ class EdgeOracle:
                         else:
                             raise ExpansionViolation("add_edge(%d): buffered vertex has no stock" % u)
                         self._b_remove(e)
-                        self._h_add(e)
+                        h.add(e)
+                        log(("h+", e))
                         w = heads[e]
                     else:
                         for e in out_adj[u]:
@@ -293,8 +280,11 @@ class EdgeOracle:
         """Remove active edges in order, each as `remove_edge` would.
 
         Raises CallerError before any change unless every edge is active
-        and none is repeated.
+        and none is repeated, and while a request log is open (the log
+        holds additions only).
         """
+        if self._undo is not None:
+            raise CallerError("release: a request log is open")
         h = self.h
         h_mem = h.member
         if edges and (
@@ -327,15 +317,13 @@ class EdgeOracle:
     def _rebalance(self):
         """Promote every vertex that ran out of safe choices and top up its stock."""
         out_cap = self.profile.out_cap
-        h, b, low, sat_out, low_min = self.h, self.b, self.low, self.sat_out, self._low_min
-        while self._low_pending:
-            ready = [u for u in self._low_pending if not low[u] and sat_out[u] >= low_min]
-            if not ready:
-                self._low_pending.clear()
-                return
-            x = min(ready)
-            self._low_pending.discard(x)
-            self._low_add(x)
+        h, b, pending = self.h, self.b, self._low_pending
+        while pending:
+            # pending stays eligible: in an add sat_out only rises, only here sets Low
+            x = min(pending)
+            pending.remove(x)
+            self.low[x] = True
+            self._undo.append(("l+", x))
             self.low_additions += 1
             while h.out_deg[x] + b.out_deg[x] < out_cap:
                 found = self.find_alternating_walk(x)
@@ -430,14 +418,11 @@ class EdgeOracle:
 
     def _cascade(self):
         """Demote buffered vertices whose saturated out-neighbourhood shrank."""
-        h_in, b_in, sat_out, low_min = self.h.in_deg, self.b.in_deg, self.sat_out, self._low_min
-        while self._drop_pending:
-            ready = [u for u in self._drop_pending if self.low[u] and sat_out[u] < low_min]
-            if not ready:
-                self._drop_pending.clear()
-                return
-            x = min(ready)
-            self._drop_pending.discard(x)
+        h_in, b_in, pending = self.h.in_deg, self.b.in_deg, self._drop_pending
+        while pending:
+            # pending stays eligible: in a removal sat_out only falls, only here clears Low
+            x = min(pending)
+            pending.remove(x)
             touched = set()
             for e in self.host.out_adj[x]:
                 if self.b.member[e]:

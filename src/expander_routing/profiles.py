@@ -98,12 +98,22 @@ class RouterProfile:
     oracle_capacity: int
 
     def __post_init__(self):
-        # with fanout 0 no tree grows, with endpoint_cap 0 no vertex may
-        # start a path: every request would fail
-        for name in ("fanout", "endpoint_cap"):
+        # zero is legal for most counts (strict profiles have r=0), but with
+        # fanout 0 no tree grows and with endpoint_cap 0 no vertex may start
+        # a path: every request would fail
+        for field in dataclasses.fields(self):
+            least = 1 if field.name in ("fanout", "endpoint_cap") else 0
+            value = getattr(self, field.name)
+            if field.type == "int" and value < least:
+                raise CallerError(
+                    "profile field %s must be at least %d, got %d" % (field.name, least, value)
+                )
+        for name in ("oracle_sat_threshold", "oracle_low_threshold"):
             value = getattr(self, name)
-            if value < 1:
-                raise CallerError("profile field %s must be at least 1, got %d" % (name, value))
+            if value <= 0:
+                raise CallerError("profile field %s must be positive, got %s" % (name, value))
+        if not self.relaxed and 20 * self.gamma > Fraction(1, 50):
+            raise CallerError("profile field gamma: 20*gamma must be at most 1/50 unless relaxed")
 
     def oracle_profile(self) -> OracleProfile:
         """Profile for the two d_prime-regular oracle hosts."""

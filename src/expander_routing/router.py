@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, gt
 
 from .errors import CallerError, ExpansionViolation
@@ -88,8 +87,6 @@ class VerifyReport:
 
 class RoutingEngine:
     def __init__(self, g: UndirectedGraph, profile: RouterProfile):
-        if not profile.relaxed and 20 * profile.gamma > Fraction(1, 50):
-            raise CallerError("20*gamma must be at most 1/50 unless the profile is relaxed")
         self.profile = profile
         self.split = pre_process(g, profile)
         oprof = profile.oracle_profile()
@@ -223,8 +220,7 @@ class RoutingEngine:
         for s in sources:
             if s in targets:
                 return s, s, []
-        parent = {}
-        seen = set(sources)
+        parent = dict.fromkeys(sources)
         q = deque(sources)
         while q:
             u = q.popleft()
@@ -232,19 +228,12 @@ class RoutingEngine:
                 if h3m[e]:
                     continue
                 w = g3.heads[e]
-                if w in seen:
+                if w in parent:
                     continue
-                seen.add(w)
                 parent[w] = (u, e)
                 if w in targets:
-                    edges = []
-                    v = w
-                    while v in parent:
-                        pu, pe = parent[v]
-                        edges.append(pe)
-                        v = pu
-                    edges.reverse()
-                    return v, w, edges
+                    edges = self._tree_path(parent, w)
+                    return g3.tails[edges[0]], w, edges
                 q.append(w)
         return None
 

@@ -167,6 +167,24 @@ def test_release_checks_the_whole_batch_first():
     assert orc.audit().ok
 
 
+def test_removal_is_refused_while_a_log_is_open():
+    # the log holds additions only; a request hands edges back after it closes
+    host = gen_random_regular_digraph(30, 10, seed=7)
+    orc = EdgeOracle(host, small_profile(30, 10, low_threshold=Fraction(9)))
+    held = [orc.add_edge(v) for v in range(4)]
+    with orc.request_log():
+        e = orc.add_edge(5)
+        before = (orc.dump(), list(orc.sat_out), _counters(orc))
+        for remove, arg in ((orc.remove_edge, e), (orc.release, [e]), (orc.release, held)):
+            with pytest.raises(CallerError, match="log is open"):
+                remove(arg)
+            assert (orc.dump(), list(orc.sat_out), _counters(orc)) == before
+    assert orc._undo is None and orc.h.member[e]
+    assert orc.audit().ok
+    orc.release(held + [e])
+    assert len(orc.h) == 0 and orc.audit().ok
+
+
 # --- alternating walks -------------------------------------------------------
 
 

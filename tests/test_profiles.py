@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -92,10 +93,15 @@ def test_spectral_variant_shrinks_depth_budget():
 
 
 def test_profile_file_round_trip():
-    p = derive_profile(2048, 400, "1/100", "1/2000")
-    assert parse_profile(format_profile(p)) == p
-    q = desk_profile(600, 30)
-    assert parse_profile(format_profile(q)) == q
+    # every shipped profile passes the range checks; zeros stay legal (strict r=0)
+    for p in (
+        derive_profile(2048, 400, "1/100", "1/2000"),
+        derive_profile(600, 30, "1/10", "1/50", relaxed=True),
+        desk_profile(600, 30),
+        desk_profile(9600, 31),
+    ):
+        assert parse_profile(format_profile(p)) == p
+    assert derive_profile(2048, 400, "1/100", "1/2000").r == 0
 
 
 def test_profile_file_rejects_missing_field():
@@ -159,8 +165,6 @@ def test_endpoint_cap_reading():
 
 
 def test_router_profile_is_complete():
-    import dataclasses
-
     p = desk_profile(600, 30)
     text = format_profile(p)
     for field in dataclasses.fields(RouterProfile):
@@ -174,3 +178,23 @@ def test_router_profile_rejects_zero(field):
     text = re.sub(r"(?m)^%s=.*$" % field, field + "=0", format_profile(desk_profile(600, 30)))
     with pytest.raises(FormatError, match=field):
         parse_profile(text)
+
+
+def _desk_file_with(field, value):
+    text = format_profile(desk_profile(600, 30))
+    return re.sub(r"(?m)^%s=.*$" % field, "%s=%s" % (field, value), text)
+
+
+INT_FIELDS = [f.name for f in dataclasses.fields(RouterProfile) if f.type == "int"]
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [(name, -1) for name in INT_FIELDS]
+    + [("oracle_sat_threshold", 0), ("oracle_low_threshold", 0), ("relaxed", "false")],
+)
+def test_profile_file_rejects_out_of_range_values(field, value):
+    # relaxed=false on a desk file fails on its gamma of 1/50
+    name = "gamma" if field == "relaxed" else field
+    with pytest.raises(FormatError, match=r"\b%s\b" % name):
+        parse_profile(_desk_file_with(field, value))
