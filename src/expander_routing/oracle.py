@@ -16,9 +16,17 @@ alternating walks: chains that alternate free host edges (traversed
 forward) with buffered edges (traversed against their direction).
 Toggling the buffer membership of every walk edge re-routes reservations
 so that the walk's start gains one reserved out-edge and only the walk's
-final head pays one unit of in-degree. All choices (edge picks, vertex
-scans, walk search order) follow host adjacency order or ascending
-vertex ids, so runs are deterministic.
+final head pays one unit of in-degree.
+
+Edge picks and the forward steps of a walk search scan a vertex's
+out-edges in a fixed pick order: host adjacency order rotated by
+`v mod out-degree` at vertex v. Host rows are sorted by head id, so an
+unrotated scan would send every vertex to the same low-id heads first,
+which saturates them together and feeds Low and B (the paper allows any
+free out-edge whose head is not saturated; the order is only a
+tie-break). Every other choice (vertex scans, backward walk steps)
+follows host adjacency order or ascending vertex ids, so runs are
+deterministic.
 
 Every mutation an add makes goes to an undo log of membership deltas.
 A caller can hold one log open over a whole request (`request_log`); an
@@ -93,6 +101,11 @@ class EdgeOracle:
         self.sat_out = [0] * host.n
         # in_tails[w] = the tails of w's in-edges, the sat_out entries w moves
         self._in_tails = [[host.tails[e] for e in in_adj] for in_adj in host.in_adj]
+        # pick_order[v] = v's out-edges in the order picks and walks scan them
+        self._pick_order = [
+            row[v % len(row):] + row[:v % len(row)] if row else row
+            for v, row in enumerate(host.out_adj)
+        ]
         # integer thresholds: an integer x reaches a Fraction t iff x >= ceil(t)
         self._sat_min = ceil(profile.sat_threshold)
         self._low_min = ceil(profile.low_threshold)
@@ -191,17 +204,23 @@ class EdgeOracle:
             if own_log:
                 self._undo = None
 
-    def grow_tree(self, root, vertex_cap, edge_cap, fanout):
+    def grow_tree(self, root, vertex_cap, edge_cap, fanout, stop=()):
         """Grow a breadth-first tree of fresh edges out of root.
 
         While fewer than `edge_cap` edges were added and at most
         `vertex_cap` vertices were reached, the next dequeued vertex asks
         for up to `fanout` edges, stopping early at its out-degree cap.
         Each edge is picked as `add_edge` picks: a Low vertex takes its
-        first B-stock edge, any other its first free out-edge whose head
-        is not in Sat. The capacity left when the tree starts is its edge
-        budget. Returns (edges in insertion order, parent links), the
-        parent keys being the tree's vertices in discovery order.
+        first B-stock edge in pick order, any other its first free
+        out-edge in pick order whose head is not in Sat. The capacity
+        left when the tree starts is its edge budget. Returns (edges in
+        insertion order, parent links), the parent keys being the tree's
+        vertices in discovery order.
+
+        The tree also ends as soon as it discovers a vertex of `stop`
+        (the root counts), which is then its last parent key: the result
+        is the prefix of the unstopped tree up to and including that
+        edge, with the same picks and log entries.
 
         Must run inside an open log. Raises ExpansionViolation with the
         added edges still in place; the log takes them back.
@@ -215,9 +234,11 @@ class EdgeOracle:
         h_mem, out_deg, in_deg = h.member, h.out_deg, h.in_deg
         b_mem, b_in = self.b.member, self.b.in_deg
         sat, low, sat_min = self.sat, self.low, self._sat_min
-        heads, out_adj = self.host.heads, self.host.out_adj
+        heads, pick_order = self.host.heads, self._pick_order
         parent = {root: None}
         edges = []
+        if root in stop:
+            return edges, parent
         # the BFS queue: a for loop over a list visits what is appended to it
         order = [root]
         picks, log, enqueue, keep = range(fanout), undo.append, order.append, edges.append
@@ -232,7 +253,7 @@ class EdgeOracle:
                         raise ExpansionViolation("oracle hit capacity during tree growth")
                     if low[u]:
                         # serve from the buffered stock
-                        for e in out_adj[u]:
+                        for e in pick_order[u]:
                             if b_mem[e]:
                                 break
                         else:
@@ -242,7 +263,7 @@ class EdgeOracle:
                         log(("h+", e))
                         w = heads[e]
                     else:
-                        for e in out_adj[u]:
+                        for e in pick_order[u]:
                             if h_mem[e] or b_mem[e]:
                                 continue
                             w = heads[e]
@@ -263,6 +284,8 @@ class EdgeOracle:
                     keep(e)
                     if w not in parent:
                         parent[w] = (u, e)
+                        if w in stop:
+                            return edges, parent
                         enqueue(w)
         except ExpansionViolation:
             # a pick that failed was a call too; running out of budget is not
@@ -344,16 +367,17 @@ class EdgeOracle:
     def find_alternating_walk(self, x):
         """Layered search for a walk from x to a head below the in-cap.
 
-        Forward steps use free host edges (not in H u B), backward steps
-        use buffered edges against their direction. Within a layer,
-        endpoints whose in-degree stays below the saturation threshold
-        after the toggle are preferred (any qualifying head is valid;
-        picking a non-saturating one stops buffering from feeding the
-        saturation it is trying to escape). Returns (edges as
-        (id, forward) in walk order, endpoint, vertex sequence) or None
-        when no such walk exists.
+        Forward steps use free host edges (not in H u B) in pick order,
+        backward steps use buffered edges against their direction in host
+        order. Within a layer, endpoints whose in-degree stays below the
+        saturation threshold after the toggle are preferred (any
+        qualifying head is valid; picking a non-saturating one stops
+        buffering from feeding the saturation it is trying to escape).
+        Returns (edges as (id, forward) in walk order, endpoint, vertex
+        sequence) or None when no such walk exists.
         """
         host = self.host
+        pick_order = self._pick_order
         h_mem, h_in = self.h.member, self.h.in_deg
         b_mem, b_in = self.b.member, self.b.in_deg
         in_cap = self.profile.in_cap
@@ -366,7 +390,7 @@ class EdgeOracle:
             new_heads = []
             fallback = -1
             for t in tails:
-                for e in host.out_adj[t]:
+                for e in pick_order[t]:
                     if h_mem[e] or b_mem[e]:
                         continue
                     w = host.heads[e]

@@ -3,11 +3,14 @@
 A request for a path from a to b grows two trees with oracle-supplied
 edges: one out of a inside the first split subgraph, one out of b inside
 the reversed second subgraph (so its arcs point towards b in the
-original orientation). The trees are large enough that the third
-subgraph, minus the middle segments already spoken for, connects them by
-a short directed path. The path is assembled from the two tree branches
-plus the connector, every unused tree edge is handed back to its oracle,
-and the registry updated. Removal returns the path's edges the same way.
+original orientation). The in-tree stops growing at the first out-tree
+vertex it reaches, where the connector is empty; the rest of a full
+in-tree would only be handed back. An in-tree that meets nothing is
+grown to full size, large enough that the third subgraph, minus the
+middle segments already spoken for, connects the two trees by a short
+directed path. The path is assembled from the two tree branches plus the
+connector, every unused tree edge is handed back to its oracle, and the
+registry updated. Removal returns the path's edges the same way.
 
 Failures keep the two-class contract. A request that breaks the game
 rules (`find_violation`) raises CallerError before any mutation. A request
@@ -126,7 +129,7 @@ class RoutingEngine:
             raise CallerError(broken)
         with self.out_oracle.request_log(), self.in_oracle.request_log():
             edges_a, par_a = self._oracle_bfs(self.out_oracle, a)
-            edges_b, par_b = self._oracle_bfs(self.in_oracle, b)
+            edges_b, par_b = self._oracle_bfs(self.in_oracle, b, par_a)
             connector = self._g3_connect(par_a, par_b)
             if connector is None:
                 raise ExpansionViolation(
@@ -174,25 +177,31 @@ class RoutingEngine:
 
     # --- tree growth --------------------------------------------------------
 
-    def _oracle_bfs(self, oracle, root):
+    def _oracle_bfs(self, oracle, root, stop=()):
         """Grow a tree of oracle edges out of root (`EdgeOracle.grow_tree`)
         and check it against the profile's vertex and depth budgets.
 
         Inside the proved regime the out-capacity always suffices, so no
-        vertex stops short of `fanout` edges. Returns (edges in insertion
-        order, parent links). The parent keys are the tree's vertices in
-        discovery order, which BFS makes nondecreasing in depth, so the
-        last one's tree path gives the depth. Raises ExpansionViolation
-        with the added edges still in place; the caller's undo log takes
-        them back.
+        vertex stops short of `fanout` edges. A tree that reaches a vertex
+        of `stop` ends there and is complete, whatever its size: the
+        connector through that vertex is empty. Returns (edges in
+        insertion order, parent links). The parent keys are the tree's
+        vertices in discovery order, which BFS makes nondecreasing in
+        depth, so the last one's tree path gives the depth (a met tree's
+        last key is the meeting vertex). Raises ExpansionViolation with
+        the added edges still in place; the caller's undo log takes them
+        back.
         """
         prof = self.profile
-        edges, parent = oracle.grow_tree(root, prof.bfs_vertex_cap, prof.bfs_edge_cap, prof.fanout)
-        if len(parent) < prof.bfs_vertex_cap:
+        edges, parent = oracle.grow_tree(
+            root, prof.bfs_vertex_cap, prof.bfs_edge_cap, prof.fanout, stop
+        )
+        last = next(reversed(parent))
+        if len(parent) < prof.bfs_vertex_cap and last not in stop:
             raise ExpansionViolation(
                 "tree growth stalled at %d of %d vertices" % (len(parent), prof.bfs_vertex_cap)
             )
-        depth = len(self._tree_path(parent, next(reversed(parent))))
+        depth = len(self._tree_path(parent, last))
         if depth > prof.depth_cap:
             raise ExpansionViolation("tree depth %d exceeds budget %d" % (depth, prof.depth_cap))
         return edges, parent

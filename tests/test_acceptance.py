@@ -47,14 +47,14 @@ GOLDEN_PREPROCESS = {
     (20, 2): "977fa4eb4be41d5c686474ceb81b058c1ab3abb8d03f3d0449e5ea1c21a0d1d3",
     (21, 3): "f56179348ea0c5f0e6c2a88212718e72024f4b14ba655d67ae0413544ec1b4b6",
 }
-GOLDEN_REPLAY = "c3f040de13ad7281d678b3d07731fa101db3c3a57a1c1f16eb11055ca7a6bd64"
-GOLDEN_REPLAY_STATE = "25f8d7e03e87f2b49390c4b021b8fc5fceba64696bdb31acfedfce1aad5fc72f"
+GOLDEN_REPLAY = "9e1901802fcb4d0a8ee3277fdacd6d2de378de0483e1593907fcafa9bf0ac25b"
+GOLDEN_REPLAY_STATE = "998f6fa12cdf99b96915585299919e80ce407fba719e43e4329e0ca757d33f4d"
 # the oracle work that replay does: per-edge add and remove calls, walk
 # searches, and Low promotions per oracle (out, in)
 GOLDEN_REPLAY_CALLS = {
-    "out_add": 3146, "out_remove": 3112, "in_add": 3132, "in_remove": 3103, "walk_searches": 7,
+    "out_add": 3138, "out_remove": 3109, "in_add": 2678, "in_remove": 2644, "walk_searches": 0,
 }
-GOLDEN_REPLAY_LOW_ADDITIONS = (3, 0)
+GOLDEN_REPLAY_LOW_ADDITIONS = (0, 0)
 
 
 def _sha256(text):

@@ -76,11 +76,15 @@ def test_host_regularity_must_match_profile():
 
 
 def test_first_add_returns_first_out_edge():
+    # first in pick order: v's host row rotated by v mod out-degree
     host = gen_random_regular_digraph(30, 10, seed=2)
     orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1, "1/50", relaxed=True))
     e = orc.add_edge(0)
     assert e == host.out_adj[0][0]
     assert orc.h.in_deg[host.heads[e]] == 1
+    for v in (7, 13, 29):
+        orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1, "1/50", relaxed=True))
+        assert orc.add_edge(v) == host.out_adj[v][v % 10]
 
 
 def test_out_cap_precondition():
@@ -502,11 +506,13 @@ class Forced(Exception):
     """Raised inside a request log to make it roll back."""
 
 
-def tree_by_single_adds(orc, root, vertex_cap, edge_cap, fanout):
+def tree_by_single_adds(orc, root, vertex_cap, edge_cap, fanout, stop=()):
     """`grow_tree` spelled out with one `add_edge` call per edge."""
     budget = orc.profile.capacity - len(orc.h)
     parent = {root: None}
     edges = []
+    if root in stop:
+        return edges, parent
     q = deque([root])
     while q and len(parent) <= vertex_cap and len(edges) < edge_cap:
         u = q.popleft()
@@ -520,8 +526,50 @@ def tree_by_single_adds(orc, root, vertex_cap, edge_cap, fanout):
             w = orc.host.heads[e]
             if w not in parent:
                 parent[w] = (u, e)
+                if w in stop:
+                    return edges, parent
                 q.append(w)
     return edges, parent
+
+
+def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
+    # after 40 seeded adds the tree meets Low vertices (B-stock picks),
+    # saturates heads and rebalances, so every kind of log entry occurs
+    host = gen_random_regular_digraph(60, 8, seed=12)
+    caps = dict(out_cap=3, in_cap=3, sat_threshold=Fraction(2), low_threshold=Fraction(3))
+    base = EdgeOracle(host, small_profile(60, 8, **caps))
+    rng = random.Random(4)
+    for _ in range(40):
+        try:
+            base.add_edge(rng.randrange(60))
+        except (CallerError, ExpansionViolation):
+            pass
+    root = next(v for v in range(60) if base.h.out_deg[v] == 0)
+    full = copy.deepcopy(base)
+    with full.request_log():
+        edges, parent = full.grow_tree(root, 40, 80, 2)
+        full_log = list(full._undo)
+    assert {op for op, _ in full_log} == {"h+", "b+", "b-", "s+", "l+"}
+    verts = list(parent)
+    assert len(verts) > 20
+    for k, w in enumerate(verts):
+        # the stop set holds w and everything discovered after it; the
+        # tree must end at w, its first vertex in discovery order
+        stopped, single = copy.deepcopy(base), copy.deepcopy(base)
+        stop = set(verts[k:])
+        with stopped.request_log():
+            got = stopped.grow_tree(root, 40, 80, 2, stop)
+            log = list(stopped._undo)
+        kept = edges.index(parent[w][1]) + 1 if k else 0
+        assert got == (edges[:kept], dict(zip(verts[: k + 1], parent.values())))
+        assert log == full_log[: len(log)]
+        with single.request_log():
+            assert tree_by_single_adds(single, root, 40, 80, 2, stop) == got
+            assert single._undo == log
+        assert stopped.add_calls - base.add_calls == kept
+        assert (stopped.dump(), stopped.sat_out, _counters(stopped)) == (
+            single.dump(), single.sat_out, _counters(single)
+        )
 
 
 class OracleMachine(RuleBasedStateMachine):
@@ -581,26 +629,31 @@ class OracleMachine(RuleBasedStateMachine):
         vertex_cap=st.integers(1, 12),
         edge_cap=st.integers(1, 16),
         fanout=st.integers(1, 3),
+        stop=st.sets(MACHINE_VERTICES, max_size=6),
         data=st.data(),
     )
-    def grow_and_hand_back(self, root, vertex_cap, edge_cap, fanout, data):
+    def grow_and_hand_back(self, root, vertex_cap, edge_cap, fanout, stop, data):
         # a find's tree: grown inside a log, then all but a kept subset
         # released after the log closes; the same tree grown one add_edge
-        # call at a time on a copy must match it edge for edge
+        # call at a time on a copy must match it edge for edge, and a tree
+        # that reached `stop` ends at its first vertex of `stop`
         ref = copy.deepcopy(self.orc)
         before = self._state()
         try:
             with self.orc.request_log():
-                edges, parent = self.orc.grow_tree(root, vertex_cap, edge_cap, fanout)
+                edges, parent = self.orc.grow_tree(root, vertex_cap, edge_cap, fanout, stop)
         except ExpansionViolation:
             assert self._state() == before
             with pytest.raises(ExpansionViolation):
                 with ref.request_log():
-                    tree_by_single_adds(ref, root, vertex_cap, edge_cap, fanout)
+                    tree_by_single_adds(ref, root, vertex_cap, edge_cap, fanout, stop)
             assert _counters(ref) == _counters(self.orc)
             return
+        assert [v for v in parent if v in stop] in ([], [next(reversed(parent))])
         with ref.request_log():
-            assert tree_by_single_adds(ref, root, vertex_cap, edge_cap, fanout) == (edges, parent)
+            assert tree_by_single_adds(ref, root, vertex_cap, edge_cap, fanout, stop) == (
+                edges, parent
+            )
         assert (ref.dump(), ref.sat_out, _counters(ref)) == (*self._state(), _counters(self.orc))
         kept = data.draw(st.sets(st.sampled_from(edges))) if edges else set()
         self.orc.release([e for e in edges if e not in kept])

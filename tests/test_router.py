@@ -165,6 +165,73 @@ def test_probe_bfs_depth_and_size(probe_bfs):
         assert max(dist[v] for v in probe["vertices"]) <= prof.depth_cap
 
 
+def test_met_tree_skips_the_stall_check_but_not_the_depth_check():
+    eng = small_engine(n=240, d=30, seed=24)
+    prof = eng.profile
+    oracle, root = eng.in_oracle, 5
+    with oracle.request_log():
+        _, parent = eng._oracle_bfs(oracle, root)
+        oracle.rollback()
+    verts = list(parent)
+    meet = verts[len(verts) // 2]
+    depth = len(eng._tree_path(parent, meet))
+    before = state_snapshot(eng)
+    with oracle.request_log():
+        edges, met = eng._oracle_bfs(oracle, root, {meet})
+        oracle.rollback()
+    # far below bfs_vertex_cap, yet not a stall: the tree reached `stop`
+    assert list(met) == verts[: len(verts) // 2 + 1]
+    assert len(met) < prof.bfs_vertex_cap and len(edges) < len(verts)
+    eng.profile = replace(prof, depth_cap=depth - 1)
+    with pytest.raises(ExpansionViolation, match="depth"):
+        with oracle.request_log():
+            eng._oracle_bfs(oracle, root, {meet})
+    assert state_snapshot(eng) == before
+
+
+def test_meeting_trees_share_one_vertex_and_need_no_connector():
+    # the in-tree grows as find_path grows it, with the out-tree as `stop`
+    eng = small_engine(n=600, d=30, seed=11)
+    rng = random.Random(2)
+    met = 0
+    for _ in range(40):
+        a, b = rng.sample(range(eng.n), 2)
+        with eng.out_oracle.request_log(), eng.in_oracle.request_log():
+            _, par_a = eng._oracle_bfs(eng.out_oracle, a)
+            _, par_b = eng._oracle_bfs(eng.in_oracle, b, par_a)
+            eng.out_oracle.rollback()
+            eng.in_oracle.rollback()
+        shared = set(par_a).intersection(par_b)
+        if shared:
+            meet = next(reversed(par_b))
+            assert shared == {meet}
+            assert eng._g3_connect(par_a, par_b) == (meet, meet, [])
+            met += 1
+        else:
+            assert len(par_b) >= eng.profile.bfs_vertex_cap
+    # both outcomes occur at this size
+    assert 5 <= met < 40
+    assert eng.verify().ok and len(eng.out_oracle.h) == len(eng.in_oracle.h) == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_overload_churn_serves_every_find(seed):
+    # churn at r - 6 on n=4800 collapses if every oracle row is scanned in
+    # head-id order: all trees crowd onto the same low-id heads, and B,
+    # Sat and Low feed each other until no alternating walk is left (on
+    # these seeds the first find fails between op 360 and op 470)
+    n, d = 4800, 30
+    prof = desk_profile(n, d)
+    cmds = gen_workload(
+        "churn", n, {"ops": 1000, "live_target": prof.r - 6}, seed, prof.endpoint_cap, prof.r
+    )
+    eng = RoutingEngine(gen_random_regular_graph(n, d, seed=seed), prof)
+    report = run_trace(eng, cmds, verify_every=25, stop_on_failure=True)
+    assert report.failures == []
+    assert report.requests_served == len(cmds)
+    assert report.verify_findings == 0 and eng.verify().ok
+
+
 def test_failed_find_unwinds_everything():
     # an unreachable tree-size target makes every request fail after real
     # work; on the filled engine the failed trees also move B, Sat and Low
