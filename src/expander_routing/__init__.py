@@ -51,6 +51,6 @@ from .profiles import (
     load_profile,
     save_profile,
 )
-from .router import PathRecord, RoutingEngine, VerifyReport
+from .router import Ledger, PathRecord, RoutingEngine, VerifyReport
 
 __version__ = "0.1.0"

@@ -6,6 +6,10 @@ path id, or a negative index counting back through the currently live
 paths (-1 = most recent). Commands run strictly in order; find/remove
 failures are recorded per command with their class (caller-error vs
 expansion-violation) and the run keeps going unless asked to stop.
+
+The generator and the validator replay the game rules on a
+`router.Ledger` of endpoint-only records, the same ledger the engine
+keeps, so a trace is refused exactly where the engine would refuse it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import CallerError, ExpansionViolation, FormatError
-from .router import RoutingEngine, find_violation
+from .router import Ledger, RoutingEngine
 
 
 @dataclass(frozen=True)
@@ -139,12 +143,7 @@ def _percentile(sorted_values, q):
 
 def resolve_ref(engine: RoutingEngine, ref):
     """Path id, or negative index from the most recent live path."""
-    if ref >= 0:
-        return ref
-    live = engine.live_ids()
-    if len(live) + ref < 0:
-        raise CallerError("negative ref %d with only %d live paths" % (ref, len(live)))
-    return live[ref]
+    return engine.ledger.resolve(ref)
 
 
 def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None):
@@ -171,7 +170,7 @@ def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None
             if emit:
                 emit(
                     "STATS live=%d served=%d failures=%d"
-                    % (len(engine.registry), report.requests_served, len(report.failures))
+                    % (len(engine.ledger.paths), report.requests_served, len(report.failures))
                 )
             continue
         start = time.perf_counter()
@@ -227,70 +226,30 @@ def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None
 # --- workload generation --------------------------------------------------------
 
 
-class _RuleTracker:
-    """Replays the game rules so generators never emit a forbidden request."""
-
-    def __init__(self, n, endpoint_cap, r):
-        self.n = n
-        self.endpoint_cap = endpoint_cap
-        self.r = r
-        self.ps = [0] * n
-        self.pe = [0] * n
-        self.live = []          # ids in creation order
-        self.ends = {}          # id -> (a, b)
-        self.next_id = 0
-
-    def violation(self, a, b):
-        """The rule find(a, b) would break now, or None."""
-        live = len(self.live)
-        return find_violation(self.n, self.endpoint_cap, self.r, self.ps, self.pe, live, a, b)
-
-    def find(self, a, b):
-        self.ps[a] += 1
-        self.pe[b] += 1
-        pid = self.next_id
-        self.next_id += 1
-        self.live.append(pid)
-        self.ends[pid] = (a, b)
-        return pid
-
-    def remove(self, pid):
-        a, b = self.ends.pop(pid)
-        self.ps[a] -= 1
-        self.pe[b] -= 1
-        self.live.remove(pid)
-
-
 def validate_trace(commands, n, endpoint_cap, r):
     """Check every prefix against the game rules; returns violations."""
-    tracker = _RuleTracker(n, endpoint_cap, r)
+    ledger = Ledger(n, endpoint_cap, r)
     problems = []
     for cmd in commands:
         if cmd.kind == "find":
-            broken = tracker.violation(cmd.a, cmd.b)
+            broken = ledger.violation(cmd.a, cmd.b)
             if broken:
                 problems.append("line %d: %s" % (cmd.line, broken))
             else:
-                tracker.find(cmd.a, cmd.b)
+                ledger.add(cmd.a, cmd.b)
         elif cmd.kind == "remove":
-            ref = cmd.ref
-            if ref < 0:
-                if len(tracker.live) + ref < 0:
-                    problems.append("line %d: negative ref beyond live paths" % cmd.line)
-                    continue
-                ref = tracker.live[ref]
-            if ref not in tracker.ends:
-                problems.append("line %d: remove of a dead path" % cmd.line)
-            else:
-                tracker.remove(ref)
+            try:
+                ledger.remove(ledger.resolve(cmd.ref))
+            except CallerError as exc:
+                problems.append("line %d: %s" % (cmd.line, exc))
     return problems
 
 
-def _pick_pair(rng, tracker):
+def _pick_pair(rng, ledger):
     for _ in range(200):
-        a = rng.randrange(tracker.n)
-        b = rng.randrange(tracker.n)
-        if not tracker.violation(a, b):
+        a = rng.randrange(ledger.n)
+        b = rng.randrange(ledger.n)
+        if not ledger.violation(a, b):
             return a, b
     return None
 
@@ -304,7 +263,7 @@ def gen_workload(kind, n, params, seed, endpoint_cap, r):
              each used up to endpoint_cap - 1 times in a row.
     """
     rng = random.Random(seed)
-    tracker = _RuleTracker(n, endpoint_cap, r)
+    ledger = Ledger(n, endpoint_cap, r)
     out = []
     line = 0
 
@@ -312,20 +271,20 @@ def gen_workload(kind, n, params, seed, endpoint_cap, r):
         nonlocal line
         line += 1
         out.append(TraceCommand("find", a=a, b=b, line=line))
-        return tracker.find(a, b)
+        ledger.add(a, b)
 
     def emit_remove(pid):
         nonlocal line
         line += 1
-        tracker.remove(pid)
+        ledger.remove(pid)
         out.append(TraceCommand("remove", ref=pid, line=line))
 
     if kind == "fill":
         count = int(params.get("count", 0))
         if count >= r:
             raise CallerError("fill of %d paths needs count < r=%d" % (count, r))
-        while tracker.next_id < count:
-            pair = _pick_pair(rng, tracker)
+        while ledger.next_id < count:
+            pair = _pick_pair(rng, ledger)
             if pair is None:
                 raise CallerError("fill target unreachable under the endpoint caps")
             emit_find(*pair)
@@ -339,19 +298,18 @@ def gen_workload(kind, n, params, seed, endpoint_cap, r):
             attempts += 1
             if attempts > 20 * ops + 100:
                 raise CallerError("churn parameters starve the generator")
-            want_find = len(tracker.live) < live_target or (
-                len(tracker.live) < r - 1 and rng.random() < 0.5
-            )
+            live = len(ledger.paths)
+            want_find = live < live_target or (live < r - 1 and rng.random() < 0.5)
             if want_find:
-                pair = _pick_pair(rng, tracker)
+                pair = _pick_pair(rng, ledger)
                 if pair is None:
                     want_find = False
                 else:
                     emit_find(*pair)
             if not want_find:
-                if not tracker.live:
+                if not ledger.paths:
                     continue
-                emit_remove(tracker.live[rng.randrange(len(tracker.live))])
+                emit_remove(list(ledger.paths)[rng.randrange(len(ledger.paths))])
     elif kind == "hotspot":
         ops = int(params.get("ops", 0))
         live_cap = int(params.get("live_target", max(1, r // 2)))
@@ -363,15 +321,15 @@ def gen_workload(kind, n, params, seed, endpoint_cap, r):
             attempts += 1
             if attempts > 20 * ops + 10 * n + 100:
                 raise CallerError("hotspot parameters starve the generator")
-            if len(tracker.live) >= min(live_cap, r - 1):
-                emit_remove(tracker.live[0])
+            if len(ledger.paths) >= min(live_cap, r - 1):
+                emit_remove(next(iter(ledger.paths)))
                 continue
-            if used >= burst or tracker.ps[hot] >= endpoint_cap:
+            if used >= burst or ledger.ps[hot] >= endpoint_cap:
                 hot = (hot + 1) % n
                 used = 0
                 continue
             b = rng.randrange(n)
-            if tracker.violation(hot, b):
+            if ledger.violation(hot, b):
                 hot = (hot + 1) % n
                 used = 0
                 continue

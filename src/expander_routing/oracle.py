@@ -355,7 +355,7 @@ class EdgeOracle:
                         "rebalance(%d): no alternating walk to a free head" % x
                     )
                 self.walk_searches += 1
-                edges, y, _ = found
+                edges, y = found
                 for e, forward in edges:
                     if forward:
                         self._b_add(e)
@@ -373,8 +373,8 @@ class EdgeOracle:
         saturation threshold after the toggle are preferred (any
         qualifying head is valid; picking a non-saturating one stops
         buffering from feeding the saturation it is trying to escape).
-        Returns (edges as (id, forward) in walk order, endpoint, vertex
-        sequence) or None when no such walk exists.
+        Returns (edges as (id, forward) in walk order, endpoint) or None
+        when no such walk exists.
         """
         host = self.host
         pick_order = self._pick_order
@@ -422,21 +422,17 @@ class EdgeOracle:
     @staticmethod
     def _build_walk(x, y, head_parent, tail_parent):
         rev = []
-        verts = [y]
         cur = y
         while True:
             t, e = head_parent[cur]
             rev.append((e, True))
-            verts.append(t)
             if t == x:
                 break
             hd, eb = tail_parent[t]
             rev.append((eb, False))
-            verts.append(hd)
             cur = hd
         rev.reverse()
-        verts.reverse()
-        return rev, y, verts
+        return rev, y
 
     # --- cascading cleanup after removals -------------------------------------
 

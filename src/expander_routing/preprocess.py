@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import CallerError
 from .graph import Digraph, UndirectedGraph
 from .matching import one_factor, perfect_matching_edges
-from .profiles import RouterProfile, derive_profile, oriented_degree
+from .profiles import RouterProfile, derive_profile
 
 
 def is_connected(g: UndirectedGraph) -> bool:
@@ -170,7 +170,7 @@ def pre_process(g: UndirectedGraph, profile: RouterProfile = None) -> SplitResul
             "profile is for (n=%d, d=%d), graph has (n=%d, d=%d)"
             % (profile.n, profile.d, g.n, d)
         )
-    k = oriented_degree(d)
+    k = profile.k
     d_prime = profile.d_prime
     if d_prime < 1:
         raise CallerError("d=%d gives d_prime=0; need k >= 10" % d)

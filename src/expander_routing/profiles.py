@@ -71,7 +71,8 @@ class RouterProfile:
     """Full constants set for the routing engine.
 
     `d` is the degree of the undirected input, `k` the degree of its
-    orientation, `d_prime` the degree of the two oracle hosts.
+    orientation, `d_prime` the degree of the two oracle hosts. `k` and
+    `c` follow from d and beta, so they are properties, not fields.
     """
 
     n: int
@@ -79,9 +80,7 @@ class RouterProfile:
     beta: Fraction
     gamma: Fraction
     relaxed: bool
-    k: int
     d_prime: int
-    c: Fraction               # beta / 1200
     depth_cap: int            # BFS tree depth budget, ceil(log2 n) by default
     bfs_vertex_cap: int       # tree growth stops past this many vertices
     bfs_edge_cap: int         # tree growth stops at this many edges
@@ -114,6 +113,14 @@ class RouterProfile:
                 raise CallerError("profile field %s must be positive, got %s" % (name, value))
         if not self.relaxed and 20 * self.gamma > Fraction(1, 50):
             raise CallerError("profile field gamma: 20*gamma must be at most 1/50 unless relaxed")
+
+    @property
+    def k(self) -> int:
+        return oriented_degree(self.d)
+
+    @property
+    def c(self) -> Fraction:
+        return self.beta / 1200
 
     def oracle_profile(self) -> OracleProfile:
         """Profile for the two d_prime-regular oracle hosts."""
@@ -187,9 +194,7 @@ def derive_profile(n, d, beta, gamma, relaxed=False, lam=None, c0=1):
         beta=beta,
         gamma=gamma,
         relaxed=relaxed,
-        k=k,
         d_prime=d_prime,
-        c=c,
         depth_cap=depth_cap,
         bfs_vertex_cap=math.ceil(beta * n / 5),
         bfs_edge_cap=bfs_edge_cap,
@@ -244,9 +249,7 @@ def desk_profile(n, d, **overrides):
         beta=beta,
         gamma=Fraction(1, 50),
         relaxed=True,
-        k=k,
         d_prime=d_prime,
-        c=beta / 1200,
         depth_cap=depth_cap,
         bfs_vertex_cap=bfs_vertex_cap,
         bfs_edge_cap=6 * bfs_vertex_cap,
@@ -272,8 +275,10 @@ def desk_profile(n, d, **overrides):
 
 # --- profile files (key=value, one field per line) --------------------------
 
-_FRACTION_FIELDS = ("beta", "gamma", "c", "oracle_sat_threshold", "oracle_low_threshold")
+_FRACTION_FIELDS = ("beta", "gamma", "oracle_sat_threshold", "oracle_low_threshold")
 _BOOL_FIELDS = ("relaxed",)
+# older files also carry these derived values; they load if they agree
+_DERIVED_FIELDS = ("k", "c")
 
 
 def format_profile(profile: RouterProfile) -> str:
@@ -305,6 +310,7 @@ def parse_profile(text: str) -> RouterProfile:
                 "profile line %d: field %s repeats line %d" % (lineno, key, values[key][0])
             )
         values[key] = (lineno, val.strip())
+    derived = {name: values.pop(name) for name in _DERIVED_FIELDS if name in values}
     field_names = {f.name for f in dataclasses.fields(RouterProfile)}
     missing = field_names - values.keys()
     if missing:
@@ -326,9 +332,20 @@ def parse_profile(text: str) -> RouterProfile:
         except (ValueError, ZeroDivisionError):
             raise FormatError("profile line %d: field %s: bad value %r" % (lineno, name, raw)) from None
     try:
-        return RouterProfile(**kwargs)
+        profile = RouterProfile(**kwargs)
     except CallerError as exc:
         raise FormatError(str(exc)) from None
+    for name, (lineno, raw) in derived.items():
+        value = getattr(profile, name)
+        try:
+            agrees = type(value)(raw) == value
+        except (ValueError, ZeroDivisionError):
+            agrees = False
+        if not agrees:
+            raise FormatError(
+                "profile line %d: field %s: %r is not the derived value %s" % (lineno, name, raw, value)
+            )
+    return profile
 
 
 def load_profile(path) -> RouterProfile:

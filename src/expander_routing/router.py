@@ -10,16 +10,17 @@ grown to full size, large enough that the third subgraph, minus the
 middle segments already spoken for, connects the two trees by a short
 directed path. The path is assembled from the two tree branches plus the
 connector, every unused tree edge is handed back to its oracle, and the
-registry updated. Removal returns the path's edges the same way.
+path recorded in the `Ledger`, the one home of the game rules, which the
+workload generator and the trace validator replay too. Removal returns
+the path's edges the same way.
 
 Failures keep the two-class contract. A request that breaks the game
-rules (`find_violation`) raises CallerError before any mutation. A request
-whose tree growth or connector search fails, steps that expansion
-guarantees, raises ExpansionViolation: each oracle logs every mutation
-of the request in one undo log, and the failure replays both logs
-backwards, so the engine is left exactly as the request found it. H3,
-the registry and the endpoint counters change only after the last
-failure point.
+rules raises CallerError before any mutation. A request whose tree
+growth or connector search fails, steps that expansion guarantees,
+raises ExpansionViolation: each oracle logs every mutation of the
+request in one undo log, and the failure replays both logs backwards, so
+the engine is left exactly as the request found it. H3 and the ledger
+change only after the last failure point.
 """
 
 from __future__ import annotations
@@ -35,23 +36,6 @@ from .preprocess import pre_process
 from .profiles import RouterProfile
 
 
-def find_violation(n, endpoint_cap, r, ps, pe, live, a, b):
-    """The game rule that find(a, b) breaks, or None: endpoints in range and
-    distinct, at most endpoint_cap live paths starting (ps) or ending (pe)
-    at a vertex, fewer than r live paths before this one."""
-    if not (0 <= a < n and 0 <= b < n):
-        return "endpoint out of range"
-    if a == b:
-        return "find_path(%d, %d): endpoints must differ" % (a, b)
-    if ps[a] >= endpoint_cap:
-        return "vertex %d already starts %d paths" % (a, ps[a])
-    if pe[b] >= endpoint_cap:
-        return "vertex %d already ends %d paths" % (b, pe[b])
-    if live >= r:
-        return "live path count is at the volume cap r=%d" % r
-    return None
-
-
 @dataclass(frozen=True)
 class PathRecord:
     """One routed path: tree segment, connector segment, reversed tree segment.
@@ -59,7 +43,8 @@ class PathRecord:
     seg_a holds edge ids of the first subgraph (directed a -> a'),
     seg_mid of the third (a' -> b'), seg_b of the second in original
     orientation (b' -> b); seg_b ids equally index the reversed host the
-    in-oracle runs on.
+    in-oracle runs on. A ledger that only replays the game rules, as the
+    workload generator and the trace validator do, stores empty segments.
     """
 
     id: int
@@ -72,6 +57,67 @@ class PathRecord:
     @property
     def length(self):
         return len(self.seg_a) + len(self.seg_mid) + len(self.seg_b)
+
+
+class Ledger:
+    """The game's rules and the live paths they are checked against.
+
+    `paths` maps id -> PathRecord in creation order; `ps[v]` (`pe[v]`)
+    counts the live paths that start (end) at v. Ids count the finds
+    added here, so they number served finds only.
+    """
+
+    def __init__(self, n, endpoint_cap, r):
+        self.n = n
+        self.endpoint_cap = endpoint_cap
+        self.r = r
+        self.paths = {}
+        self.ps = [0] * n
+        self.pe = [0] * n
+        self.next_id = 0
+
+    def violation(self, a, b):
+        """The rule find(a, b) breaks now, or None: endpoints in range and
+        distinct, each in fewer than endpoint_cap live paths starting (ps)
+        or ending (pe) there, fewer than r live paths before this one."""
+        if not (0 <= a < self.n and 0 <= b < self.n):
+            return "endpoint out of range"
+        if a == b:
+            return "find_path(%d, %d): endpoints must differ" % (a, b)
+        if self.ps[a] >= self.endpoint_cap:
+            return "vertex %d already starts %d paths" % (a, self.ps[a])
+        if self.pe[b] >= self.endpoint_cap:
+            return "vertex %d already ends %d paths" % (b, self.pe[b])
+        if len(self.paths) >= self.r:
+            return "live path count is at the volume cap r=%d" % self.r
+        return None
+
+    def add(self, a, b, seg_a=(), seg_mid=(), seg_b=()):
+        """Record a served find under the next id; returns its record."""
+        rec = PathRecord(self.next_id, a, b, seg_a, seg_mid, seg_b)
+        self.next_id += 1
+        self.paths[rec.id] = rec
+        self.ps[a] += 1
+        self.pe[b] += 1
+        return rec
+
+    def remove(self, path_id):
+        """Drop a live path; returns its record. CallerError if it is not live."""
+        rec = self.paths.pop(path_id, None)
+        if rec is None:
+            raise CallerError("unknown path id %s" % path_id)
+        self.ps[rec.a] -= 1
+        self.pe[rec.b] -= 1
+        return rec
+
+    def resolve(self, ref):
+        """Path id of a remove ref: the id itself, or a negative index
+        counting back through the live paths (-1 = most recent)."""
+        if ref >= 0:
+            return ref
+        if len(self.paths) + ref < 0:
+            raise CallerError("negative ref %d with only %d live paths" % (ref, len(self.paths)))
+        return list(self.paths)[ref]
 
 
 class VerifyReport:
@@ -97,18 +143,11 @@ class RoutingEngine:
         self.g2_rev = reverse(self.split.g2)
         self.in_oracle = EdgeOracle(self.g2_rev, oprof)
         self.h3 = EdgeSubset(self.split.g3)
-        self.registry = {}
-        self.ps = [0] * g.n
-        self.pe = [0] * g.n
-        self._next_id = 0
+        self.ledger = Ledger(g.n, profile.endpoint_cap, profile.r)
 
     @property
     def n(self):
         return self.split.host.n
-
-    def live_ids(self):
-        """Live path ids in creation order."""
-        return list(self.registry)
 
     def oracle_call_counts(self):
         return {
@@ -123,8 +162,7 @@ class RoutingEngine:
 
     def find_path(self, a, b) -> PathRecord:
         prof = self.profile
-        live = len(self.registry)
-        broken = find_violation(self.n, prof.endpoint_cap, prof.r, self.ps, self.pe, live, a, b)
+        broken = self.ledger.violation(a, b)
         if broken:
             raise CallerError(broken)
         with self.out_oracle.request_log(), self.in_oracle.request_log():
@@ -149,31 +187,14 @@ class RoutingEngine:
             oracle.release([e for e in edges if e not in keep])
         for e in seg_mid:
             self.h3.add(e)
-        rec = PathRecord(
-            id=self._next_id,
-            a=a,
-            b=b,
-            seg_a=tuple(seg_a),
-            seg_mid=tuple(seg_mid),
-            seg_b=tuple(reversed(seg_b_tree)),
-        )
-        self._next_id += 1
-        self.registry[rec.id] = rec
-        self.ps[a] += 1
-        self.pe[b] += 1
-        return rec
+        return self.ledger.add(a, b, tuple(seg_a), tuple(seg_mid), tuple(reversed(seg_b_tree)))
 
     def remove_path(self, path_id):
-        rec = self.registry.get(path_id)
-        if rec is None:
-            raise CallerError("unknown path id %s" % path_id)
+        rec = self.ledger.remove(path_id)
         self.out_oracle.release(rec.seg_a)
         self.in_oracle.release(rec.seg_b)
         for e in rec.seg_mid:
             self.h3.remove(e)
-        del self.registry[path_id]
-        self.ps[rec.a] -= 1
-        self.pe[rec.b] -= 1
 
     # --- tree growth --------------------------------------------------------
 
@@ -281,7 +302,7 @@ class RoutingEngine:
         return verts
 
     def verify(self) -> VerifyReport:
-        """From-scratch recount of everything the registry implies.
+        """From-scratch recount of everything the ledger implies.
 
         O(stored path length) plus the two oracle audits; each membership
         list is read once in C and the per-vertex scan runs only when a
@@ -289,7 +310,8 @@ class RoutingEngine:
         """
         findings = []
         prof = self.profile
-        recs = list(self.registry.values())
+        ledger = self.ledger
+        recs = list(ledger.paths.values())
 
         member_ids = []
         for name, seg, sub, what in (
@@ -340,14 +362,14 @@ class RoutingEngine:
 
         h1, h2 = self.out_oracle.h, self.in_oracle.h
         if (
-            any(map(gt, h1.out_deg, map(add, h1.in_deg, self.ps)))
-            or any(map(gt, h2.out_deg, map(add, h2.in_deg, self.pe)))
+            any(map(gt, h1.out_deg, map(add, h1.in_deg, ledger.ps)))
+            or any(map(gt, h2.out_deg, map(add, h2.in_deg, ledger.pe)))
             or max(h1.in_deg + h2.in_deg, default=0) > prof.oracle_in_cap
         ):
             for v in range(self.n):
-                if h1.out_deg[v] > h1.in_deg[v] + self.ps[v]:
+                if h1.out_deg[v] > h1.in_deg[v] + ledger.ps[v]:
                     findings.append("H1 out/in imbalance at vertex %d" % v)
-                if h2.out_deg[v] > h2.in_deg[v] + self.pe[v]:
+                if h2.out_deg[v] > h2.in_deg[v] + ledger.pe[v]:
                     findings.append("H2 out/in imbalance at vertex %d" % v)
                 if h1.in_deg[v] > prof.oracle_in_cap:
                     findings.append("H1 in-degree %d over cap at vertex %d" % (h1.in_deg[v], v))
@@ -359,10 +381,10 @@ class RoutingEngine:
         for rec in recs:
             ps_expected[rec.a] += 1
             pe_expected[rec.b] += 1
-        if ps_expected != self.ps:
-            findings.append("start counters disagree with the registry")
-        if pe_expected != self.pe:
-            findings.append("end counters disagree with the registry")
+        if ps_expected != ledger.ps:
+            findings.append("start counters disagree with the ledger")
+        if pe_expected != ledger.pe:
+            findings.append("end counters disagree with the ledger")
 
         for name, oracle, h_ids in (
             ("out-oracle", self.out_oracle, member_ids[0]),

@@ -34,6 +34,18 @@ def probe_bfs():
     return _probe_bfs
 
 
+def _walk_vertices(oracle, x, edges):
+    """Vertex sequence of an alternating walk from x: after a forward edge
+    comes its head, after a backward edge its tail."""
+    host = oracle.host
+    return [x] + [host.heads[e] if forward else host.tails[e] for e, forward in edges]
+
+
+@pytest.fixture(scope="session")
+def walk_vertices():
+    return _walk_vertices
+
+
 def _watch_walks(oracle):
     """Record each alternating walk the oracle applies, from outside.
 
@@ -59,7 +71,8 @@ def _watch_walks(oracle):
         settle()
         found = search(x)
         if found is not None:
-            _, y, verts = found
+            edges, y = found
+            verts = _walk_vertices(oracle, x, edges)
             pending.append({"x": x, "y": y, "vertices": list(verts), "before": degrees(verts)})
         return found
 

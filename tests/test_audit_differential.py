@@ -117,7 +117,7 @@ def reference_audit(orc, quiescent=True):
 def reference_verify(eng):
     findings = []
     prof = eng.profile
-    recs = list(eng.registry.values())
+    recs = list(eng.ledger.paths.values())
     for name, seg, oracle in (("H1", "seg_a", eng.out_oracle), ("H2", "seg_b", eng.in_oracle)):
         union = []
         for rec in recs:
@@ -162,9 +162,9 @@ def reference_verify(eng):
     if len(eng.h3) * prof.beta > 300 * count:
         findings.append("H3 size %d exceeds 300|P|/beta" % len(eng.h3))
     for v in range(eng.n):
-        if eng.out_oracle.h.out_deg[v] > eng.out_oracle.h.in_deg[v] + eng.ps[v]:
+        if eng.out_oracle.h.out_deg[v] > eng.out_oracle.h.in_deg[v] + eng.ledger.ps[v]:
             findings.append("H1 out/in imbalance at vertex %d" % v)
-        if eng.in_oracle.h.out_deg[v] > eng.in_oracle.h.in_deg[v] + eng.pe[v]:
+        if eng.in_oracle.h.out_deg[v] > eng.in_oracle.h.in_deg[v] + eng.ledger.pe[v]:
             findings.append("H2 out/in imbalance at vertex %d" % v)
         if eng.out_oracle.h.in_deg[v] > prof.oracle_in_cap:
             findings.append("H1 in-degree %d over cap at vertex %d" % (eng.out_oracle.h.in_deg[v], v))
@@ -175,10 +175,10 @@ def reference_verify(eng):
     for rec in recs:
         ps_expected[rec.a] += 1
         pe_expected[rec.b] += 1
-    if ps_expected != eng.ps:
-        findings.append("start counters disagree with the registry")
-    if pe_expected != eng.pe:
-        findings.append("end counters disagree with the registry")
+    if ps_expected != eng.ledger.ps:
+        findings.append("start counters disagree with the ledger")
+    if pe_expected != eng.ledger.pe:
+        findings.append("end counters disagree with the ledger")
     for name, oracle in (("out-oracle", eng.out_oracle), ("in-oracle", eng.in_oracle)):
         findings.extend("%s: %s" % (name, f) for f in reference_audit(oracle)[0])
     return findings
@@ -228,7 +228,7 @@ def loaded_engine():
                 eng.remove_path(resolve_ref(eng, cmd.ref))
         except (CallerError, ExpansionViolation):
             pass
-    assert eng.verify().ok and eng.registry
+    assert eng.verify().ok and eng.ledger.paths
     return eng
 
 
@@ -388,11 +388,11 @@ def test_audit_matches_reference_on_combined_corruptions(corruptions):
 
 
 def h1_imbalance(eng):
-    eng.out_oracle.h.out_deg[next(iter(eng.registry.values())).a] += 2
+    eng.out_oracle.h.out_deg[next(iter(eng.ledger.paths.values())).a] += 2
 
 
 def h2_imbalance(eng):
-    rec = next(r for r in reversed(list(eng.registry.values())) if r.seg_b)
+    rec = next(r for r in reversed(list(eng.ledger.paths.values())) if r.seg_b)
     eng.in_oracle.h.in_deg[eng.in_oracle.host.heads[rec.seg_b[0]]] -= 3
 
 
@@ -401,11 +401,11 @@ def h1_in_degree_over_cap(eng):
 
 
 def ps_off_by_one(eng):
-    eng.ps[next(iter(eng.registry.values())).a] -= 1
+    eng.ledger.ps[next(iter(eng.ledger.paths.values())).a] -= 1
 
 
 def pe_off_by_one(eng):
-    eng.pe[3] += 1
+    eng.ledger.pe[3] += 1
 
 
 def out_oracle_sat_planted(eng):
@@ -417,7 +417,7 @@ def in_oracle_h_bit_without_counters(eng):
 
 
 def h3_edge_dropped(eng):
-    rec = next(r for r in eng.registry.values() if r.seg_mid)
+    rec = next(r for r in eng.ledger.paths.values() if r.seg_mid)
     eng.h3.member[rec.seg_mid[0]] = False
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -81,7 +83,7 @@ def test_remove_by_negative_ref():
     cmds = parse_trace("find 0 10\nfind 1 11\nremove -2\nverify")
     report = run_trace(eng, cmds)
     assert report.clean
-    assert list(eng.registry) == [1]  # -2 removed the older of the two
+    assert list(eng.ledger.paths) == [1]  # -2 removed the older of the two
 
 
 def test_stats_and_emit_lines():
@@ -144,6 +146,56 @@ def test_hotspot_rotates_before_the_cap():
         if c.kind == "find":
             streak[c.a] = streak.get(c.a, 0) + 1
     assert max(streak.values()) <= cap - 1
+
+
+# sha256 of format_trace(gen_workload(kind, 80, GEN_PARAMS, seed, 3, 12)) as
+# recorded before the generator replayed the rules on router.Ledger; a
+# change means the generator emits different requests
+GEN_PARAMS = {"ops": 300, "live_target": 8, "count": 11}
+GOLDEN_TRACES = {
+    ("churn", 3): "22ea3068935b27fc45f0f62717366aa5c2793327af19f509c97032cd989f7c17",
+    ("churn", 8): "e947aa89d80bf614bec20f8e96ba2f18f7de975dae3ff7957194e908955f2d32",
+    ("fill", 3): "c4cbea9af50ad93c57c169cdac66d1556010451ab3c78fd7c5cea4b4d9c0ce63",
+    ("fill", 8): "77ccfd1fb00025d6ba8cae29bb54bda9d5d3f330d63593aa609db68ceeb982a1",
+    ("hotspot", 3): "bd71d97e8d7c059a8881b2454c87c0c500d24dc7da8787752084b6f0474420a1",
+    ("hotspot", 8): "9a4118bd5cf8a30810c8a9e8d12f0b8354e1fa10d4b3c9dcb9cbea2a1597d9ec",
+}
+
+
+@pytest.mark.parametrize("kind,seed", sorted(GOLDEN_TRACES))
+def test_generated_trace_matches_golden(kind, seed):
+    text = format_trace(gen_workload(kind, 80, GEN_PARAMS, seed, 3, 12))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == GOLDEN_TRACES[kind, seed]
+
+
+def rule_breaking_trace(rng, n, ops):
+    """Finds and removes that often break the rules: endpoints out of range
+    or equal, endpoints piled on four vertices, dead ids, negative refs
+    past the live set."""
+    lines = []
+    finds = 0
+    for _ in range(ops):
+        if rng.random() < 0.6:
+            a = rng.choice([rng.randrange(n), rng.randrange(4), -1, n])
+            b = rng.choice([rng.randrange(n), rng.randrange(4), a])
+            lines.append("find %d %d" % (a, b))
+            finds += 1
+        else:
+            lines.append("remove %d" % rng.randrange(-8, finds + 2))
+    return parse_trace("\n".join(lines))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_engine_and_validator_refuse_the_same_requests(seed):
+    n = 150
+    eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=61), desk_profile(n, 30, r=6))
+    cmds = rule_breaking_trace(random.Random(seed), n, 300)
+    report = run_trace(eng, cmds)
+    assert {cls for _, cls, _ in report.failures} == {"caller-error"}
+    refused = [line for line, _, _ in report.failures]
+    problems = validate_trace(cmds, n, eng.profile.endpoint_cap, eng.profile.r)
+    assert refused == [int(p.split(":")[0].split()[1]) for p in problems]
+    assert report.requests_served > 0
 
 
 def test_workload_rejects_unknown_kind():

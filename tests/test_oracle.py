@@ -228,19 +228,19 @@ def enumerate_walks(orc, x, limit=6):
     return [w for w in found if unique_edges(w)]
 
 
-def test_walk_single_forward_edge():
+def test_walk_single_forward_edge(walk_vertices):
     host = host_5()
     prof = small_profile(5, 2, out_cap=2, in_cap=1, sat_threshold=Fraction(1))
     orc = EdgeOracle(host, prof)
     walk = orc.find_alternating_walk(0)
     assert walk is not None
-    edges, y, verts = walk
+    edges, y = walk
     assert edges == [(0, True)]
-    assert verts == [0, 1]
+    assert walk_vertices(orc, 0, edges) == [0, 1]
     assert y == 1
 
 
-def test_walk_three_edges_through_buffer():
+def test_walk_three_edges_through_buffer(walk_vertices):
     host = host_5()
     prof = small_profile(5, 2, out_cap=2, in_cap=1, sat_threshold=Fraction(1))
     orc = EdgeOracle(host, prof)
@@ -248,7 +248,8 @@ def test_walk_three_edges_through_buffer():
     orc.b.add(4)   # (2,1): buffered edge into head 1
     walk = orc.find_alternating_walk(0)
     assert walk is not None
-    edges, y, verts = walk
+    edges, y = walk
+    verts = walk_vertices(orc, 0, edges)
     assert verts == [0, 1, 2, 3]
     assert y == 3
     assert edges == [(0, True), (4, False), (5, True)]

@@ -104,6 +104,78 @@ def test_profile_file_round_trip():
     assert derive_profile(2048, 400, "1/100", "1/2000").r == 0
 
 
+# desk_profile(150, 30) and the strict derive_profile(1024, 400, 1/100,
+# 1/2000) as format_profile wrote them while k and c were stored fields
+OLDER_FILES = {
+    "desk": """n=150
+d=30
+beta=1/5
+gamma=1/50
+relaxed=true
+k=15
+d_prime=6
+c=1/6000
+depth_cap=8
+bfs_vertex_cap=6
+bfs_edge_cap=36
+fanout=2
+endpoint_cap=1
+r=8
+g3_path_cap=50
+path_len_cap=66
+h_size_cap=64
+oracle_out_cap=3
+oracle_in_cap=2
+oracle_sat_threshold=2/1
+oracle_low_threshold=3/1
+oracle_capacity=300
+""",
+    "strict": """n=1024
+d=400
+beta=1/100
+gamma=1/2000
+relaxed=false
+k=200
+d_prime=20
+c=1/120000
+depth_cap=10
+bfs_vertex_cap=3
+bfs_edge_cap=0
+fanout=5
+endpoint_cap=2
+r=0
+g3_path_cap=30001
+path_len_cap=30021
+h_size_cap=0
+oracle_out_cap=10
+oracle_in_cap=4
+oracle_sat_threshold=2/1
+oracle_low_threshold=5/1
+oracle_capacity=1
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OLDER_FILES))
+def test_older_profile_file_with_k_and_c_loads(kind):
+    expected = {
+        "desk": desk_profile(150, 30),
+        "strict": derive_profile(1024, 400, "1/100", "1/2000"),
+    }[kind]
+    assert parse_profile(OLDER_FILES[kind]) == expected
+    written = format_profile(expected).splitlines()
+    assert not [line for line in written if line.startswith(("k=", "c="))]
+
+
+@pytest.mark.parametrize("field,value", [("k", "99"), ("k", "-1"), ("k", "x"), ("c", "7/3")])
+def test_older_profile_file_with_a_wrong_k_or_c_fails(field, value):
+    line = "%s=%s" % (field, value)
+    text = re.sub(r"(?m)^%s=.*$" % field, line, OLDER_FILES["desk"])
+    lineno = text.splitlines().index(line) + 1
+    with pytest.raises(FormatError, match=r"line %d: field %s: " % (lineno, field)):
+        parse_profile(text)
+
+
 def test_profile_file_rejects_missing_field():
     text = format_profile(desk_profile(600, 30))
     broken = "\n".join(text.splitlines()[1:])

@@ -26,15 +26,16 @@ def state_snapshot(engine):
         tuple(engine.out_oracle.sat_out),
         tuple(engine.in_oracle.sat_out),
         tuple(engine.h3.members()),
-        tuple(engine.registry),
-        tuple(engine.ps),
-        tuple(engine.pe),
+        tuple(engine.ledger.paths),
+        tuple(engine.ledger.ps),
+        tuple(engine.ledger.pe),
+        engine.ledger.next_id,
     )
 
 
 def test_fresh_engine_is_clean():
     eng = small_engine()
-    assert len(eng.registry) == 0
+    assert len(eng.ledger.paths) == 0
     assert eng.verify().ok
     assert eng.split.g1.regularity() == eng.profile.d_prime
     assert eng.split.g2.regularity() == eng.profile.d_prime
@@ -103,11 +104,11 @@ def test_find_remove_round_trip():
     eng = small_engine()
     rec = eng.find_path(2, 60)
     eng.remove_path(rec.id)
-    assert len(eng.registry) == 0
+    assert len(eng.ledger.paths) == 0
     assert len(eng.out_oracle.h) == 0
     assert len(eng.in_oracle.h) == 0
     assert len(eng.h3) == 0
-    assert eng.ps == [0] * eng.n and eng.pe == [0] * eng.n
+    assert eng.ledger.ps == [0] * eng.n and eng.ledger.pe == [0] * eng.n
     assert eng.verify().ok
 
 
@@ -123,13 +124,13 @@ def test_churn_keeps_invariants():
     assert report.verify_findings == 0
     # independent disjointness recount over the host digraph
     used = []
-    for rec in eng.registry.values():
+    for rec in eng.ledger.paths.values():
         used += [eng.split.g1_host[e] for e in rec.seg_a]
         used += [eng.split.g3_host[e] for e in rec.seg_mid]
         used += [eng.split.g2_host[e] for e in rec.seg_b]
     assert len(used) == len(set(used))
     # every stored path is a directed walk with the right endpoints
-    for rec in eng.registry.values():
+    for rec in eng.ledger.paths.values():
         verts = eng.path_vertices(rec)
         assert verts[0] == rec.a and verts[-1] == rec.b
 
@@ -268,7 +269,7 @@ def test_failed_connector_unwinds_everything():
             assert state_snapshot(eng) == before
             assert eng.verify().ok
             break
-        eng.remove_path(eng.live_ids()[-1])
+        eng.remove_path(eng.ledger.resolve(-1))
     assert saw_failure, "every tree pair overlapped; widen the sample"
 
 
@@ -312,10 +313,10 @@ class EngineMachine(RuleBasedStateMachine):
     def find(self, a, b):
         self._find(a, b)
 
-    @precondition(lambda self: self.eng.registry)
+    @precondition(lambda self: self.eng.ledger.paths)
     @rule(data=st.data())
     def remove(self, data):
-        self.eng.remove_path(data.draw(st.sampled_from(self.eng.live_ids())))
+        self.eng.remove_path(data.draw(st.sampled_from(list(self.eng.ledger.paths))))
 
     @rule(a=MACHINE_VERTICES, b=MACHINE_VERTICES, knob=st.sampled_from(
         [{"bfs_vertex_cap": MACHINE_N + 1}, {"g3_path_cap": 0}]
