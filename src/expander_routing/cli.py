@@ -16,8 +16,25 @@ from .expanders import (
 from .graph import UndirectedGraph, format_graph, load_graph, save_graph
 from .harness import format_trace, gen_workload, load_trace, parse_trace, run_trace
 from .preprocess import pre_process
-from .profiles import derive_profile, desk_profile, format_profile, load_profile
+from .profiles import derive_profile, desk_profile, format_profile, load_profile, profile_items
 from .router import RoutingEngine
+
+
+def _write_out(path, text):
+    """Write text to the --out file, or to stdout for -."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+
+
+def _write_json(path, payload):
+    """Write a report to the --json file, if one was given."""
+    if path:
+        with open(path, "w", encoding="ascii") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _load_router_profile(args, g=None):
@@ -51,10 +68,7 @@ def cmd_run(args):
         stop_on_failure=args.stop_on_failure,
         emit=emit,
     )
-    if args.json:
-        with open(args.json, "w", encoding="ascii") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_json(args.json, report.to_dict())
     print(report.format_text(), end="")
     return 0 if report.clean else 1
 
@@ -72,12 +86,7 @@ def cmd_gen_workload(args):
     commands = gen_workload(
         args.kind, g.n, params, args.seed, profile.endpoint_cap, profile.r
     )
-    text = format_trace(commands)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _write_out(args.out, format_trace(commands))
     return 0
 
 
@@ -90,10 +99,8 @@ def cmd_preprocess(args):
         profile = _load_router_profile(args, g)
     split = pre_process(g, profile)
     prefix = args.outprefix
-    save_graph(prefix + ".host", split.host)
-    save_graph(prefix + ".g1", split.g1)
-    save_graph(prefix + ".g2", split.g2)
-    save_graph(prefix + ".g3", split.g3)
+    for part in ("host", "g1", "g2", "g3"):
+        save_graph("%s.%s" % (prefix, part), getattr(split, part))
     with open(prefix + ".header", "w", encoding="ascii") as fh:
         fh.write(
             "n=%d\nd=%d\nk=%d\nd_prime=%d\n" % (g.n, g.regularity(), split.k, split.d_prime)
@@ -107,10 +114,7 @@ def cmd_gen(args):
         g = gen_random_regular_graph(args.n, args.d, args.seed)
     else:
         g = gen_random_regular_digraph(args.n, args.d, args.seed)
-    if args.out == "-":
-        sys.stdout.write(format_graph(g))
-    else:
-        save_graph(args.out, g)
+    _write_out(args.out, format_graph(g))
     return 0
 
 
@@ -118,10 +122,7 @@ def cmd_check_expansion(args):
     g = load_graph(args.graph)
     report = check_expansion_exhaustive(g, args.beta, args.gamma, args.max_subset_size)
     payload = report.to_dict()
-    if args.json:
-        with open(args.json, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_json(args.json, payload)
     print(json.dumps(payload, sort_keys=True))
     return 0 if report.holds else 1
 
@@ -132,10 +133,7 @@ def cmd_spectrum(args):
         raise RoutingError("spectrum expects an undirected graph file")
     report = estimate_second_eigenvalue(g, max_iters=args.max_iters, tol=args.tol)
     payload = report.to_dict()
-    if args.json:
-        with open(args.json, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_json(args.json, payload)
     print(json.dumps(payload, sort_keys=True))
     return 0 if report.converged else 1
 
@@ -145,8 +143,9 @@ def cmd_profile(args):
         profile = desk_profile(args.n, args.d)
     else:
         profile = derive_profile(args.n, args.d, args.beta, args.gamma, relaxed=args.relaxed)
+        values = dict(profile_items(profile))
         caps = ("r", "oracle_out_cap", "oracle_in_cap", "oracle_capacity", "bfs_edge_cap")
-        zero = [f for f in caps if getattr(profile, f) == 0]
+        zero = [key for key in caps if values[key] == 0]
         if args.relaxed and zero:
             raise RoutingError("relaxed profile cannot route (%s = 0); use --desk instead" % ", ".join(zero))
         if zero:
@@ -154,12 +153,7 @@ def cmd_profile(args):
             hit = "; every find will hit the volume cap r=0" if profile.r == 0 else ""
             print("warning: strict profile cannot route (%s = 0)%s; use --desk for one that can"
                   % (", ".join(zero), hit), file=sys.stderr)
-    text = format_profile(profile)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _write_out(args.out, format_profile(profile))
     return 0
 
 

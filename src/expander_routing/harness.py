@@ -3,8 +3,10 @@
 Traces are line oriented: `find <a> <b>`, `remove <ref>`, `verify`,
 `stats`; blank lines and `#` comments are skipped. A remove ref is a
 path id, or a negative index counting back through the currently live
-paths (-1 = most recent). Commands run strictly in order; find/remove
-failures are recorded per command with their class (caller-error vs
+paths (-1 = most recent). Path ids number the trace's finds that pass
+the game rules from 0, served or not: removing a failed find's id is a
+caller-error. Commands run strictly in order; find/remove failures are
+recorded per command with their class (caller-error vs
 expansion-violation) and the run keeps going unless asked to stop.
 
 The generator and the validator replay the game rules on a
@@ -146,16 +148,30 @@ def resolve_ref(engine: RoutingEngine, ref):
     return engine.ledger.resolve(ref)
 
 
+def _engine_id(engine, served, ref):
+    """Engine id of a remove ref; served[i] is trace id i's engine id, None if its find failed."""
+    if ref < 0:
+        return resolve_ref(engine, ref)
+    path_id = served[ref] if ref < len(served) else -1
+    if path_id is None:
+        raise CallerError("path id %d was never served: its find failed" % ref)
+    if path_id not in engine.ledger.paths:
+        raise CallerError("unknown path id %d" % ref)
+    return path_id
+
+
 def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None):
-    """Drive the engine through a command list; returns a RunReport.
+    """Drive a fresh engine through a command list; returns a RunReport.
 
     `emit` receives one line per served find (`PATH <id> <a> <b> <len> :
-    v0 v1 ...`), per verify and per stats command. `wall_clock` times each
-    find_path/remove_path call alone, without path reconstruction or emit.
+    v0 v1 ...`, with the trace's path id), per verify and per stats
+    command. `wall_clock` times each find_path/remove_path call alone,
+    without path reconstruction or emit.
     """
     report = RunReport()
     timings = []
     since_verify = 0
+    served = []
     for cmd in commands:
         if cmd.kind == "verify":
             rep = engine.verify()
@@ -173,21 +189,24 @@ def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None
                     % (len(engine.ledger.paths), report.requests_served, len(report.failures))
                 )
             continue
+        if cmd.kind == "find" and not engine.ledger.violation(cmd.a, cmd.b):
+            served.append(None)  # the find takes the next trace id
         start = time.perf_counter()
         try:
             try:
                 if cmd.kind == "find":
                     rec = engine.find_path(cmd.a, cmd.b)
                 else:
-                    engine.remove_path(resolve_ref(engine, cmd.ref))
+                    engine.remove_path(_engine_id(engine, served, cmd.ref))
             finally:
                 timings.append(time.perf_counter() - start)
             if cmd.kind == "find":
+                served[-1] = rec.id
                 verts = engine.path_vertices(rec)
                 if emit:
                     emit(
                         "PATH %d %d %d %d : %s"
-                        % (rec.id, rec.a, rec.b, rec.length, " ".join(map(str, verts)))
+                        % (len(served) - 1, rec.a, rec.b, rec.length, " ".join(map(str, verts)))
                     )
                 report.path_length_histogram[rec.length] = (
                     report.path_length_histogram.get(rec.length, 0) + 1

@@ -64,15 +64,12 @@ from .profiles import OracleProfile
 class AuditReport:
     """Findings from a from-scratch recount; empty means clean.
 
-    `low_claim_ok` tracks the buffered-set size bound |Low| < beta*n/12
-    separately: it is a consequence of the host's promised edge-density
-    hypothesis, so it counts as a finding only under strict profiles
-    (relaxed profiles run hosts that do not meet the hypothesis).
+    `low_count` is |Low|, which `RoutingEngine.verify` checks against
+    beta*n/12 under strict profiles.
     """
 
-    def __init__(self, findings, low_claim_ok=True, low_count=0):
+    def __init__(self, findings, low_count):
         self.findings = list(findings)
-        self.low_claim_ok = low_claim_ok
         self.low_count = low_count
 
     @property
@@ -87,10 +84,8 @@ class AuditReport:
 
 class EdgeOracle:
     def __init__(self, host: Digraph, profile: OracleProfile):
-        if host.n != profile.n:
-            raise CallerError("host has n=%d, profile says n=%d" % (host.n, profile.n))
-        if host.regularity() != profile.d:
-            raise CallerError("host is not %d-regular" % profile.d)
+        if host.regularity() is None:
+            raise CallerError("host is not regular")
         self.host = host
         self.profile = profile
         self.h = EdgeSubset(host)
@@ -530,15 +525,9 @@ class EdgeOracle:
                 findings.append("out_F(%d)=%d exceeds cap %d" % (v, out_f[v], prof.out_cap))
             if in_f[v] > prof.in_cap:
                 findings.append("in_F(%d)=%d exceeds cap %d" % (v, in_f[v], prof.in_cap))
-        low_count = len(low_ids)
-        low_claim_ok = low_count * 12 < prof.beta * n
-        if not low_claim_ok and not prof.relaxed:
-            findings.append(
-                "|Low|=%d is not below beta*n/12=%s" % (low_count, prof.beta * n / 12)
-            )
         if len(self.h) > prof.capacity:
             findings.append("|H|=%d exceeds capacity %d" % (len(self.h), prof.capacity))
-        return AuditReport(findings, low_claim_ok=low_claim_ok, low_count=low_count)
+        return AuditReport(findings, low_count=len(low_ids))
 
     def _sat_out_from(self, heads):
         """sat_out recounted as if exactly `heads` were saturated."""

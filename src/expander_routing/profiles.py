@@ -27,42 +27,23 @@ def ceil_log2(n: int) -> int:
 
 @dataclass(frozen=True)
 class OracleProfile:
-    """Thresholds for one edge-oracle instance over a d-regular host."""
+    """The five thresholds an edge oracle runs on; `canonical_oracle_profile` sets them from d'."""
 
-    n: int
-    d: int
-    out_cap: int            # hard out-degree cap in H u B; canonical floor(d/2)
-    in_cap: int             # hard in-degree cap in H u B; canonical floor(d/5)
-    sat_threshold: Fraction  # in-degree at which a head saturates; canonical d/10
-    low_threshold: Fraction  # saturated out-neighbourhood that triggers buffering; canonical d/4
-    capacity: int           # adds are refused once |H| reaches this
-    beta: Fraction
-    gamma: Fraction
-    relaxed: bool = False
-
-    def __post_init__(self):
-        if self.d < 10 and not self.relaxed:
-            raise CallerError("oracle host degree %d < 10 requires a relaxed profile" % self.d)
-        if self.gamma > Fraction(1, 50) and not self.relaxed:
-            raise CallerError("oracle gamma > 1/50 requires a relaxed profile")
+    out_cap: int             # hard out-degree cap in H u B; canonical floor(d'/2)
+    in_cap: int              # hard in-degree cap in H u B; canonical floor(d'/5)
+    sat_threshold: Fraction  # in-degree at which a head saturates; canonical d'/10
+    low_threshold: Fraction  # saturated out-neighbourhood that triggers buffering; canonical d'/4
+    capacity: int            # adds are refused once |H| reaches this
 
 
-def canonical_oracle_profile(n, d, beta, gamma, relaxed=False, capacity=None):
-    beta = Fraction(beta)
-    gamma = Fraction(gamma)
-    if capacity is None:
-        capacity = math.floor(beta * d * n / 120)
+def canonical_oracle_profile(n, d, beta):
+    """The canonical thresholds for an oracle over a d-regular host on n vertices."""
     return OracleProfile(
-        n=n,
-        d=d,
         out_cap=d // 2,
         in_cap=d // 5,
         sat_threshold=Fraction(d, 10),
         low_threshold=Fraction(d, 4),
-        capacity=capacity,
-        beta=beta,
-        gamma=gamma,
-        relaxed=relaxed,
+        capacity=math.floor(Fraction(beta) * d * n / 120),
     )
 
 
@@ -71,8 +52,9 @@ class RouterProfile:
     """Full constants set for the routing engine.
 
     `d` is the degree of the undirected input, `k` the degree of its
-    orientation, `d_prime` the degree of the two oracle hosts. `k` and
-    `c` follow from d and beta, so they are properties, not fields.
+    orientation, `d_prime` the degree of the two oracle hosts, which both
+    run on `oracle`. `k`, `c` and `path_len_cap` follow from the fields,
+    so they are properties. `profile_items` lists it as its file does.
     """
 
     n: int
@@ -88,31 +70,25 @@ class RouterProfile:
     endpoint_cap: int         # a vertex may start (end) strictly fewer paths
     r: int                    # live-path volume cap
     g3_path_cap: int          # max accepted length of the middle segment
-    path_len_cap: int         # max accepted total path length
     h_size_cap: int           # upper bound verified on |H1|, |H2|
-    oracle_out_cap: int
-    oracle_in_cap: int
-    oracle_sat_threshold: Fraction
-    oracle_low_threshold: Fraction
-    oracle_capacity: int
+    oracle: OracleProfile     # thresholds of both oracles
 
     def __post_init__(self):
-        # zero is legal for most counts (strict profiles have r=0), but with
-        # fanout 0 no tree grows and with endpoint_cap 0 no vertex may start
-        # a path: every request would fail
-        for field in dataclasses.fields(self):
-            least = 1 if field.name in ("fanout", "endpoint_cap") else 0
-            value = getattr(self, field.name)
-            if field.type == "int" and value < least:
-                raise CallerError(
-                    "profile field %s must be at least %d, got %d" % (field.name, least, value)
-                )
-        for name in ("oracle_sat_threshold", "oracle_low_threshold"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise CallerError("profile field %s must be positive, got %s" % (name, value))
+        # every ratio is positive; zero is legal for most counts (strict
+        # profiles have r=0), but with fanout 0 no tree grows and with
+        # endpoint_cap 0 no vertex may start a path: every request would fail
+        for key, value in profile_items(self):
+            if isinstance(value, bool):
+                continue
+            least = 1 if key in ("fanout", "endpoint_cap") else 0
+            if isinstance(value, int) and value < least:
+                raise CallerError("profile field %s must be at least %d, got %d" % (key, least, value))
+            if isinstance(value, Fraction) and value <= 0:
+                raise CallerError("profile field %s must be positive, got %s" % (key, value))
         if not self.relaxed and 20 * self.gamma > Fraction(1, 50):
             raise CallerError("profile field gamma: 20*gamma must be at most 1/50 unless relaxed")
+        if not self.relaxed and self.d_prime < 10:
+            raise CallerError("profile field d_prime: host degree below 10 needs a relaxed profile")
 
     @property
     def k(self) -> int:
@@ -122,20 +98,10 @@ class RouterProfile:
     def c(self) -> Fraction:
         return self.beta / 1200
 
-    def oracle_profile(self) -> OracleProfile:
-        """Profile for the two d_prime-regular oracle hosts."""
-        return OracleProfile(
-            n=self.n,
-            d=self.d_prime,
-            out_cap=self.oracle_out_cap,
-            in_cap=self.oracle_in_cap,
-            sat_threshold=self.oracle_sat_threshold,
-            low_threshold=self.oracle_low_threshold,
-            capacity=self.oracle_capacity,
-            beta=self.beta,
-            gamma=self.gamma,
-            relaxed=self.relaxed,
-        )
+    @property
+    def path_len_cap(self) -> int:
+        """Max accepted total path length: two tree segments and the connector."""
+        return 2 * ceil_log2(self.n) + self.g3_path_cap
 
     def capacity_chains_hold(self) -> bool:
         """The two inequalities a strict profile must satisfy."""
@@ -171,11 +137,8 @@ def derive_profile(n, d, beta, gamma, relaxed=False, lam=None, c0=1):
         raise CallerError("need d >= 20 so that d_prime >= 1 (got d=%d)" % d)
     k = oriented_degree(d)
     d_prime = k // 10
-    if d_prime < 1:
-        raise CallerError("d_prime would be 0 for d=%d" % d)
     c = beta / 1200
-    lg = ceil_log2(n)
-    depth_cap = lg
+    depth_cap = ceil_log2(n)
     if lam is not None:
         growth = c0 * d * d / (lam * lam)
         if growth <= 1:
@@ -187,7 +150,6 @@ def derive_profile(n, d, beta, gamma, relaxed=False, lam=None, c0=1):
     )
     bfs_edge_cap = math.floor(c * n * k / 2)
     g3_path_cap = math.ceil(Fraction(300, 1) / beta) + 1
-    oracle = canonical_oracle_profile(n, d_prime, beta, gamma, relaxed)
     profile = RouterProfile(
         n=n,
         d=d,
@@ -202,13 +164,8 @@ def derive_profile(n, d, beta, gamma, relaxed=False, lam=None, c0=1):
         endpoint_cap=math.ceil(Fraction(d, 200)),
         r=r,
         g3_path_cap=g3_path_cap,
-        path_len_cap=2 * lg + g3_path_cap,
         h_size_cap=bfs_edge_cap,
-        oracle_out_cap=oracle.out_cap,
-        oracle_in_cap=oracle.in_cap,
-        oracle_sat_threshold=oracle.sat_threshold,
-        oracle_low_threshold=oracle.low_threshold,
-        oracle_capacity=oracle.capacity,
+        oracle=canonical_oracle_profile(n, d_prime, beta),
     )
     if not relaxed and not profile.capacity_chains_hold():
         raise CallerError("derived r violates a capacity chain (internal)")
@@ -240,7 +197,6 @@ def desk_profile(n, d, **overrides):
     endpoint_cap = max(1, min(3, out_cap - in_cap - 1))
     bfs_vertex_cap = max(6, -(-n // 50))
     depth_cap = ceil_log2(n)
-    g3_path_cap = 50
     r = max(8, n // 25)
     beta = Fraction(5 * bfs_vertex_cap, n)
     profile = RouterProfile(
@@ -256,42 +212,52 @@ def desk_profile(n, d, **overrides):
         fanout=2,
         endpoint_cap=endpoint_cap,
         r=r,
-        g3_path_cap=g3_path_cap,
-        path_len_cap=2 * depth_cap + g3_path_cap,
+        g3_path_cap=50,
         h_size_cap=r * depth_cap,
-        oracle_out_cap=out_cap,
-        oracle_in_cap=in_cap,
-        oracle_sat_threshold=Fraction(max(2, d_prime // 10)),
-        # trigger buffering exactly when free unsaturated out-edges could
-        # run out; earlier triggering (the canonical d'/4) over-buffers at
-        # desk load and the buffer growth feeds back into saturation
-        oracle_low_threshold=Fraction(d_prime - out_cap),
-        oracle_capacity=n * in_cap,
+        oracle=OracleProfile(
+            out_cap=out_cap,
+            in_cap=in_cap,
+            sat_threshold=Fraction(max(2, d_prime // 10)),
+            # trigger buffering exactly when free unsaturated out-edges could
+            # run out; earlier triggering (the canonical d'/4) over-buffers at
+            # desk load and the buffer growth feeds back into saturation
+            low_threshold=Fraction(d_prime - out_cap),
+            capacity=n * in_cap,
+        ),
     )
-    if overrides:
-        profile = dataclasses.replace(profile, **overrides)
-    return profile
+    return dataclasses.replace(profile, **overrides)
 
 
 # --- profile files (key=value, one field per line) --------------------------
 
-_FRACTION_FIELDS = ("beta", "gamma", "oracle_sat_threshold", "oracle_low_threshold")
-_BOOL_FIELDS = ("relaxed",)
 # older files also carry these derived values; they load if they agree
-_DERIVED_FIELDS = ("k", "c")
+_DERIVED_FIELDS = ("k", "c", "path_len_cap")
+
+
+def _file_fields():
+    """(file key, field) pairs in file order: RouterProfile's, then oracle_<OracleProfile's>."""
+    own = [(f.name, f) for f in dataclasses.fields(RouterProfile) if f.name != "oracle"]
+    return own + [("oracle_" + f.name, f) for f in dataclasses.fields(OracleProfile)]
+
+
+def profile_items(profile: RouterProfile):
+    """The profile as (file key, value) pairs, in file order."""
+    return [
+        (key, getattr(profile.oracle if key.startswith("oracle_") else profile, field.name))
+        for key, field in _file_fields()
+    ]
 
 
 def format_profile(profile: RouterProfile) -> str:
     lines = []
-    for field in dataclasses.fields(profile):
-        value = getattr(profile, field.name)
+    for key, value in profile_items(profile):
         if isinstance(value, bool):
             text = "true" if value else "false"
         elif isinstance(value, Fraction):
             text = "%d/%d" % (value.numerator, value.denominator)
         else:
             text = str(value)
-        lines.append("%s=%s" % (field.name, text))
+        lines.append("%s=%s" % (key, text))
     return "\n".join(lines) + "\n"
 
 
@@ -311,28 +277,30 @@ def parse_profile(text: str) -> RouterProfile:
             )
         values[key] = (lineno, val.strip())
     derived = {name: values.pop(name) for name in _DERIVED_FIELDS if name in values}
-    field_names = {f.name for f in dataclasses.fields(RouterProfile)}
-    missing = field_names - values.keys()
+    fields = dict(_file_fields())
+    missing = fields.keys() - values.keys()
     if missing:
         raise FormatError("profile missing fields: %s" % ", ".join(sorted(missing)))
-    unknown = values.keys() - field_names
+    unknown = values.keys() - fields.keys()
     if unknown:
         raise FormatError("profile has unknown fields: %s" % ", ".join(sorted(unknown)))
     kwargs = {}
-    for name, (lineno, raw) in values.items():
+    for key, (lineno, raw) in values.items():
+        kind = fields[key].type
         try:
-            if name in _BOOL_FIELDS:
+            if kind == "bool":
                 if raw not in ("true", "false"):
                     raise ValueError(raw)
-                kwargs[name] = raw == "true"
-            elif name in _FRACTION_FIELDS:
-                kwargs[name] = Fraction(raw)
+                kwargs[key] = raw == "true"
+            elif kind == "Fraction":
+                kwargs[key] = Fraction(raw)
             else:
-                kwargs[name] = int(raw)
+                kwargs[key] = int(raw)
         except (ValueError, ZeroDivisionError):
-            raise FormatError("profile line %d: field %s: bad value %r" % (lineno, name, raw)) from None
+            raise FormatError("profile line %d: field %s: bad value %r" % (lineno, key, raw)) from None
+    oracle = {fields[key].name: kwargs.pop(key) for key in fields if key.startswith("oracle_")}
     try:
-        profile = RouterProfile(**kwargs)
+        profile = RouterProfile(oracle=OracleProfile(**oracle), **kwargs)
     except CallerError as exc:
         raise FormatError(str(exc)) from None
     for name, (lineno, raw) in derived.items():

@@ -138,10 +138,9 @@ class RoutingEngine:
     def __init__(self, g: UndirectedGraph, profile: RouterProfile):
         self.profile = profile
         self.split = pre_process(g, profile)
-        oprof = profile.oracle_profile()
-        self.out_oracle = EdgeOracle(self.split.g1, oprof)
+        self.out_oracle = EdgeOracle(self.split.g1, profile.oracle)
         self.g2_rev = reverse(self.split.g2)
-        self.in_oracle = EdgeOracle(self.g2_rev, oprof)
+        self.in_oracle = EdgeOracle(self.g2_rev, profile.oracle)
         self.h3 = EdgeSubset(self.split.g3)
         self.ledger = Ledger(g.n, profile.endpoint_cap, profile.r)
 
@@ -364,16 +363,16 @@ class RoutingEngine:
         if (
             any(map(gt, h1.out_deg, map(add, h1.in_deg, ledger.ps)))
             or any(map(gt, h2.out_deg, map(add, h2.in_deg, ledger.pe)))
-            or max(h1.in_deg + h2.in_deg, default=0) > prof.oracle_in_cap
+            or max(h1.in_deg + h2.in_deg, default=0) > prof.oracle.in_cap
         ):
             for v in range(self.n):
                 if h1.out_deg[v] > h1.in_deg[v] + ledger.ps[v]:
                     findings.append("H1 out/in imbalance at vertex %d" % v)
                 if h2.out_deg[v] > h2.in_deg[v] + ledger.pe[v]:
                     findings.append("H2 out/in imbalance at vertex %d" % v)
-                if h1.in_deg[v] > prof.oracle_in_cap:
+                if h1.in_deg[v] > prof.oracle.in_cap:
                     findings.append("H1 in-degree %d over cap at vertex %d" % (h1.in_deg[v], v))
-                if h2.in_deg[v] > prof.oracle_in_cap:
+                if h2.in_deg[v] > prof.oracle.in_cap:
                     findings.append("H2 in-degree %d over cap at vertex %d" % (h2.in_deg[v], v))
 
         ps_expected = [0] * self.n
@@ -391,5 +390,10 @@ class RoutingEngine:
             ("in-oracle", self.in_oracle, member_ids[1]),
         ):
             # positional: perfbench/tracing.py wraps audit as audit(*args)
-            findings.extend("%s: %s" % (name, f) for f in oracle.audit(True, h_ids).findings)
+            audit = oracle.audit(True, h_ids)
+            findings.extend("%s: %s" % (name, f) for f in audit.findings)
+            # the host edge density that bounds |Low| is promised by strict profiles only
+            low, bound = audit.low_count, prof.beta * self.n / 12
+            if not prof.relaxed and low >= bound:
+                findings.append("%s: |Low|=%d is not below beta*n/12=%s" % (name, low, bound))
         return VerifyReport(findings)

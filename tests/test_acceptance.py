@@ -62,19 +62,14 @@ def _sha256(text):
 
 
 def suite1_profile():
-    # relaxed: capacity, out cap and the buffering trigger are desk values;
-    # the in cap and saturation threshold are the canonical floor(d/5), d/10
+    # capacity, out cap and the buffering trigger are desk values; the in
+    # cap and saturation threshold are the canonical floor(d/5), d/10
     return OracleProfile(
-        n=ORACLE_N,
-        d=ORACLE_D,
         out_cap=4,
         in_cap=4,
         sat_threshold=Fraction(2),
         low_threshold=Fraction(11),
         capacity=300,
-        beta=Fraction(1),
-        gamma=Fraction(1, 50),
-        relaxed=True,
     )
 
 
@@ -109,7 +104,8 @@ def _oracle_churn(prof, ops, watch_walks, audit_each):
             oracle.remove_edge(active.pop())
         if audit_each:
             audit = oracle.audit()
-            if not audit.ok or not audit.low_claim_ok:
+            # |Low| < beta*n/12 with the suite's beta of 1
+            if not audit.ok or audit.low_count * 12 >= ORACLE_N:
                 dirty_audits += 1
     elapsed = time.perf_counter() - start
     return {
@@ -130,7 +126,7 @@ def suite1(watch_walks):
 def suite1_long_walks(watch_walks):
     # suite 1's walks all have one edge; a lower buffering trigger and more
     # capacity force walks that reverse buffered edges. No per-op audit:
-    # at these caps |Low| outgrows beta*n/12, which relaxed profiles allow
+    # at these caps |Low| outgrows the beta*n/12 that criterion 1 checks
     prof = dataclasses.replace(suite1_profile(), low_threshold=Fraction(10), capacity=450)
     return _oracle_churn(prof, 3000, watch_walks, audit_each=False)
 

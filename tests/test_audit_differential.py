@@ -41,7 +41,7 @@ def reference_recount(sub):
 
 
 def reference_audit(orc, quiescent=True):
-    """Returns (findings, low_claim_ok, low_count)."""
+    """Returns (findings, low_count)."""
     findings = []
     host = orc.host
     n = host.n
@@ -105,13 +105,9 @@ def reference_audit(orc, quiescent=True):
             findings.append("out_F(%d)=%d exceeds cap %d" % (v, out_f[v], prof.out_cap))
         if in_f[v] > prof.in_cap:
             findings.append("in_F(%d)=%d exceeds cap %d" % (v, in_f[v], prof.in_cap))
-    low_count = sum(orc.low)
-    low_claim_ok = low_count * 12 < prof.beta * n
-    if not low_claim_ok and not prof.relaxed:
-        findings.append("|Low|=%d is not below beta*n/12=%s" % (low_count, prof.beta * n / 12))
     if len(orc.h) > prof.capacity:
         findings.append("|H|=%d exceeds capacity %d" % (len(orc.h), prof.capacity))
-    return findings, low_claim_ok, low_count
+    return findings, sum(orc.low)
 
 
 def reference_verify(eng):
@@ -166,9 +162,9 @@ def reference_verify(eng):
             findings.append("H1 out/in imbalance at vertex %d" % v)
         if eng.in_oracle.h.out_deg[v] > eng.in_oracle.h.in_deg[v] + eng.ledger.pe[v]:
             findings.append("H2 out/in imbalance at vertex %d" % v)
-        if eng.out_oracle.h.in_deg[v] > prof.oracle_in_cap:
+        if eng.out_oracle.h.in_deg[v] > prof.oracle.in_cap:
             findings.append("H1 in-degree %d over cap at vertex %d" % (eng.out_oracle.h.in_deg[v], v))
-        if eng.in_oracle.h.in_deg[v] > prof.oracle_in_cap:
+        if eng.in_oracle.h.in_deg[v] > prof.oracle.in_cap:
             findings.append("H2 in-degree %d over cap at vertex %d" % (eng.in_oracle.h.in_deg[v], v))
     ps_expected = [0] * eng.n
     pe_expected = [0] * eng.n
@@ -180,7 +176,12 @@ def reference_verify(eng):
     if pe_expected != eng.ledger.pe:
         findings.append("end counters disagree with the ledger")
     for name, oracle in (("out-oracle", eng.out_oracle), ("in-oracle", eng.in_oracle)):
-        findings.extend("%s: %s" % (name, f) for f in reference_audit(oracle)[0])
+        oracle_findings, low_count = reference_audit(oracle)
+        findings.extend("%s: %s" % (name, f) for f in oracle_findings)
+        if not prof.relaxed and low_count * 12 >= prof.beta * eng.n:
+            findings.append(
+                "%s: |Low|=%d is not below beta*n/12=%s" % (name, low_count, prof.beta * eng.n / 12)
+            )
     return findings
 
 
@@ -191,9 +192,7 @@ def loaded_oracle():
     """An oracle after 100 seeded requests: H 89, B 17, Sat 17 and Low 5 members."""
     host = gen_random_regular_digraph(100, 20, seed=19)
     prof = OracleProfile(
-        n=100, d=20, out_cap=5, in_cap=4, sat_threshold=Fraction(2),
-        low_threshold=Fraction(6), capacity=200, beta=Fraction(1),
-        gamma=Fraction(1, 50), relaxed=True,
+        out_cap=5, in_cap=4, sat_threshold=Fraction(2), low_threshold=Fraction(6), capacity=200
     )
     orc = EdgeOracle(host, prof)
     rng = random.Random(23)
@@ -215,7 +214,8 @@ def loaded_oracle():
 
 
 def loaded_engine():
-    n, d = 600, 30
+    # d=52 gives oracle hosts of degree d' = 10, the least a strict profile allows
+    n, d = 600, 52
     prof = desk_profile(n, d)
     eng = RoutingEngine(gen_random_regular_graph(n, d, seed=21), prof)
     commands = gen_workload("churn", n, {"ops": 300, "live_target": prof.r // 2}, 5,
@@ -319,10 +319,6 @@ def h_over_capacity(orc):
     orc.profile = dataclasses.replace(orc.profile, capacity=len(orc.h) - 1)
 
 
-def low_claim_broken_under_strict_profile(orc):
-    orc.profile = dataclasses.replace(orc.profile, beta=Fraction(1, 2), relaxed=False)
-
-
 ORACLE_CORRUPTIONS = [
     bump_h_out_deg,
     drop_b_in_deg,
@@ -341,7 +337,6 @@ ORACLE_CORRUPTIONS = [
     out_f_over_cap,
     in_f_over_cap,
     h_over_capacity,
-    low_claim_broken_under_strict_profile,
 ]
 
 ORACLE_COMBINATIONS = [
@@ -355,9 +350,9 @@ ORACLE_COMBINATIONS = [
 def assert_audit_matches_reference(orc):
     for quiescent in (True, False):
         rep = orc.audit(quiescent=quiescent)
-        findings, low_claim_ok, low_count = reference_audit(orc, quiescent=quiescent)
+        findings, low_count = reference_audit(orc, quiescent=quiescent)
         assert rep.findings == findings
-        assert (rep.low_claim_ok, rep.low_count) == (low_claim_ok, low_count)
+        assert rep.low_count == low_count
     return findings
 
 
@@ -397,7 +392,7 @@ def h2_imbalance(eng):
 
 
 def h1_in_degree_over_cap(eng):
-    eng.out_oracle.h.in_deg[7] = eng.profile.oracle_in_cap + 1
+    eng.out_oracle.h.in_deg[7] = eng.profile.oracle.in_cap + 1
 
 
 def ps_off_by_one(eng):
@@ -421,6 +416,13 @@ def h3_edge_dropped(eng):
     eng.h3.member[rec.seg_mid[0]] = False
 
 
+def low_claim_broken_under_strict_profile(eng):
+    # a strict profile promises |Low| < beta*n/12, here 5 at beta 1/10
+    eng.profile = dataclasses.replace(eng.profile, gamma=Fraction(1, 1000), relaxed=False)
+    for _ in range(5):
+        plant_low(eng.out_oracle)
+
+
 ENGINE_CORRUPTIONS = [
     h1_imbalance,
     h2_imbalance,
@@ -430,6 +432,7 @@ ENGINE_CORRUPTIONS = [
     out_oracle_sat_planted,
     in_oracle_h_bit_without_counters,
     h3_edge_dropped,
+    low_claim_broken_under_strict_profile,
 ]
 
 ENGINE_COMBINATIONS = [
@@ -460,3 +463,5 @@ def test_verify_matches_reference_on_corruptions(corruptions):
     findings = reference_verify(eng)
     assert len(findings) >= len(corruptions)
     assert eng.verify().findings == findings
+    if low_claim_broken_under_strict_profile in corruptions:
+        assert "out-oracle: |Low|=5 is not below beta*n/12=5" in findings

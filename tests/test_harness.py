@@ -198,6 +198,36 @@ def test_engine_and_validator_refuse_the_same_requests(seed):
     assert report.requests_served > 0
 
 
+def test_removes_after_a_failed_find_reach_the_paths_they_name():
+    # a one-edge connector budget makes some rule-abiding finds fail with an
+    # expansion violation; they still take their trace id
+    n = 150
+    prof = desk_profile(n, 30, g3_path_cap=1)
+    eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=21), prof)
+    cmds = gen_workload("churn", n, {"ops": 200, "live_target": 4}, 3, prof.endpoint_cap, prof.r)
+    lines = []
+    report = run_trace(eng, cmds, emit=lines.append)
+    finds = [c for c in cmds if c.kind == "find"]  # trace id = index here
+    failed = {line for line, cls, _ in report.failures if cls == "expansion-violation"}
+    failed_ids = {i for i, c in enumerate(finds) if c.line in failed}
+    assert failed_ids
+    by_line = {c.line: c for c in cmds}
+    refused = [(line, msg) for line, cls, msg in report.failures if cls == "caller-error"]
+    assert refused == [
+        (c.line, "path id %d was never served: its find failed" % c.ref)
+        for c in cmds if c.kind == "remove" and c.ref in failed_ids
+    ]
+    assert all(by_line[line].kind == "remove" for line, _ in refused)
+    # PATH lines carry the trace id, and the paths left live are the ones
+    # the trace left live, minus the failed finds
+    served = {int(line.split()[1]) for line in lines if line.startswith("PATH")}
+    assert served == set(range(len(finds))) - failed_ids
+    removed = {c.ref for c in cmds if c.kind == "remove"}
+    live = [(finds[i].a, finds[i].b) for i in sorted(served - removed)]
+    assert [(rec.a, rec.b) for rec in eng.ledger.paths.values()] == live
+    assert eng.verify().ok
+
+
 def test_workload_rejects_unknown_kind():
     with pytest.raises(CallerError):
         gen_workload("stampede", 10, {}, 1, 2, 5)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import random
 from collections import deque
 from fractions import Fraction
@@ -12,21 +13,16 @@ from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_digraph
 from expander_routing.graph import Digraph
 from expander_routing.oracle import EdgeOracle
-from expander_routing.profiles import OracleProfile, canonical_oracle_profile
+from expander_routing.profiles import OracleProfile, canonical_oracle_profile, derive_profile
 
 
 def small_profile(n, d, **kw):
     base = dict(
-        n=n,
-        d=d,
         out_cap=d // 2,
         in_cap=max(1, d // 5),
         sat_threshold=Fraction(max(1, d // 10)),
         low_threshold=Fraction(d, 4),
         capacity=n * d,
-        beta=Fraction(1),
-        gamma=Fraction(1, 50),
-        relaxed=True,
     )
     base.update(kw)
     return OracleProfile(**base)
@@ -54,36 +50,40 @@ def scratch_state(orc):
 
 def test_fresh_oracle_is_empty():
     host = gen_random_regular_digraph(30, 10, seed=1)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1, "1/50", relaxed=True))
+    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
     assert len(orc.h) == 0 and len(orc.b) == 0
     assert not any(orc.sat) and not any(orc.low)
     assert orc.audit().ok
 
 
 def test_nine_regular_host_rejected_when_strict():
-    host = gen_random_regular_digraph(30, 9, seed=1)
-    with pytest.raises(CallerError):
-        canonical_oracle_profile(30, 9, 1, "1/50")
+    # a strict profile refuses oracle hosts of degree d' < 10
+    strict = derive_profile(1024, 400, "1/100", "1/2000")
+    with pytest.raises(CallerError, match="d_prime"):
+        dataclasses.replace(strict, d_prime=9, oracle=canonical_oracle_profile(1024, 9, "1/100"))
     # relaxed profiles may waive the minimum-degree hypothesis
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 9, 1, "1/50", relaxed=True))
+    assert dataclasses.replace(strict, d_prime=9, relaxed=True).d_prime == 9
+    host = gen_random_regular_digraph(30, 9, seed=1)
+    orc = EdgeOracle(host, canonical_oracle_profile(30, 9, 1))
     assert orc.audit().ok
 
 
 def test_host_regularity_must_match_profile():
-    host = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(CallerError):
+    # thresholds are set by a regular host's degree; an irregular host has none
+    host = Digraph(3, [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(CallerError, match="not regular"):
         EdgeOracle(host, small_profile(3, 2))
 
 
 def test_first_add_returns_first_out_edge():
     # first in pick order: v's host row rotated by v mod out-degree
     host = gen_random_regular_digraph(30, 10, seed=2)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1, "1/50", relaxed=True))
+    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
     e = orc.add_edge(0)
     assert e == host.out_adj[0][0]
     assert orc.h.in_deg[host.heads[e]] == 1
     for v in (7, 13, 29):
-        orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1, "1/50", relaxed=True))
+        orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
         assert orc.add_edge(v) == host.out_adj[v][v % 10]
 
 
@@ -101,7 +101,7 @@ def test_out_cap_precondition():
 
 def test_capacity_precondition():
     host = gen_random_regular_digraph(30, 10, seed=4)
-    prof = canonical_oracle_profile(30, 10, 1, "1/50", relaxed=True, capacity=2)
+    prof = dataclasses.replace(canonical_oracle_profile(30, 10, 1), capacity=2)
     orc = EdgeOracle(host, prof)
     orc.add_edge(0)
     orc.add_edge(1)
@@ -111,7 +111,7 @@ def test_capacity_precondition():
 
 def test_add_remove_round_trip_restores_empty():
     host = gen_random_regular_digraph(30, 10, seed=5)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1, "1/50", relaxed=True))
+    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
     e = orc.add_edge(7)
     orc.remove_edge(e)
     assert len(orc.h) == 0 and len(orc.b) == 0
@@ -121,14 +121,14 @@ def test_add_remove_round_trip_restores_empty():
 
 def test_remove_unknown_edge():
     host = gen_random_regular_digraph(30, 10, seed=6)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1, "1/50", relaxed=True))
+    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
     with pytest.raises(CallerError):
         orc.remove_edge(3)
 
 
 def test_grow_tree_needs_an_open_log():
     host = gen_random_regular_digraph(30, 10, seed=6)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1, "1/50", relaxed=True))
+    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
     with pytest.raises(CallerError):
         orc.grow_tree(0, 4, 8, 2)
     assert len(orc.h) == 0 and orc.add_calls == 0
@@ -266,9 +266,7 @@ def test_walk_three_edges_through_buffer(walk_vertices):
 def test_walk_toggle_degree_deltas(watch_walks):
     host = gen_random_regular_digraph(80, 12, seed=21)
     prof = OracleProfile(
-        n=80, d=12, out_cap=3, in_cap=2, sat_threshold=Fraction(2),
-        low_threshold=Fraction(5), capacity=500, beta=Fraction(1),
-        gamma=Fraction(1, 50), relaxed=True,
+        out_cap=3, in_cap=2, sat_threshold=Fraction(2), low_threshold=Fraction(5), capacity=500
     )
     orc = EdgeOracle(host, prof)
     records = watch_walks(orc)
@@ -304,9 +302,7 @@ def test_walk_toggle_degree_deltas(watch_walks):
 def test_scratch_recompute_matches_under_churn():
     host = gen_random_regular_digraph(100, 20, seed=12)
     prof = OracleProfile(
-        n=100, d=20, out_cap=4, in_cap=4, sat_threshold=Fraction(2),
-        low_threshold=Fraction(10), capacity=90, beta=Fraction(1),
-        gamma=Fraction(1, 50), relaxed=True,
+        out_cap=4, in_cap=4, sat_threshold=Fraction(2), low_threshold=Fraction(10), capacity=90
     )
     orc = EdgeOracle(host, prof)
     rng = random.Random(17)
@@ -333,7 +329,7 @@ def test_failed_add_rolls_back_bit_exactly():
     # canonical thresholds on a small dense host ignite buffering storms,
     # which is exactly the walk-failure path we want to observe
     host = gen_random_regular_digraph(40, 10, seed=33)
-    prof = canonical_oracle_profile(40, 10, 1, "1/50", relaxed=True, capacity=400)
+    prof = dataclasses.replace(canonical_oracle_profile(40, 10, 1), capacity=400)
     orc = EdgeOracle(host, prof)
     rng = random.Random(2)
     saw_failure = False
@@ -359,7 +355,7 @@ def test_failed_add_inside_an_open_log_keeps_the_earlier_adds():
     # the set-up of test_failed_add_rolls_back_bit_exactly, all in one log:
     # the failed add rolls back to its own mark, not to the log's start
     host = gen_random_regular_digraph(40, 10, seed=33)
-    prof = canonical_oracle_profile(40, 10, 1, "1/50", relaxed=True, capacity=400)
+    prof = dataclasses.replace(canonical_oracle_profile(40, 10, 1), capacity=400)
     orc = EdgeOracle(host, prof)
     rng = random.Random(2)
     made = 0
@@ -386,9 +382,7 @@ def test_failed_add_inside_an_open_log_keeps_the_earlier_adds():
 def test_buffered_vertex_served_from_stock():
     host = gen_random_regular_digraph(100, 20, seed=12)
     prof = OracleProfile(
-        n=100, d=20, out_cap=4, in_cap=4, sat_threshold=Fraction(2),
-        low_threshold=Fraction(10), capacity=90, beta=Fraction(1),
-        gamma=Fraction(1, 50), relaxed=True,
+        out_cap=4, in_cap=4, sat_threshold=Fraction(2), low_threshold=Fraction(10), capacity=90
     )
     orc = EdgeOracle(host, prof)
     rng = random.Random(17)
@@ -419,9 +413,7 @@ def test_buffered_vertex_served_from_stock():
 def test_audit_holds_around_every_request_and_walk():
     host = gen_random_regular_digraph(60, 12, seed=19)
     prof = OracleProfile(
-        n=60, d=12, out_cap=3, in_cap=2, sat_threshold=Fraction(2),
-        low_threshold=Fraction(5), capacity=120, beta=Fraction(1),
-        gamma=Fraction(1, 50), relaxed=True,
+        out_cap=3, in_cap=2, sat_threshold=Fraction(2), low_threshold=Fraction(5), capacity=120
     )
     orc = EdgeOracle(host, prof)
     search, add_edge, remove_edge = orc.find_alternating_walk, orc.add_edge, orc.remove_edge
@@ -468,7 +460,7 @@ def test_audit_holds_around_every_request_and_walk():
 
 def test_audit_flags_corrupted_counter():
     host = gen_random_regular_digraph(30, 10, seed=13)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1, "1/50", relaxed=True))
+    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
     orc.add_edge(0)
     orc.h.out_deg[0] += 1
     rep = orc.audit()
@@ -480,7 +472,7 @@ def test_audit_flags_corrupted_counter():
 
 def test_audit_flags_planted_sat_member():
     host = gen_random_regular_digraph(30, 10, seed=14)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1, "1/50", relaxed=True))
+    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
     orc.sat[5] = True
     rep = orc.audit()
     assert any("Sat mismatch at 5" in f for f in rep.findings)
@@ -488,7 +480,7 @@ def test_audit_flags_planted_sat_member():
 
 def test_dump_is_stable():
     host = gen_random_regular_digraph(30, 10, seed=15)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1, "1/50", relaxed=True))
+    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
     e1 = orc.add_edge(0)
     e2 = orc.add_edge(1)
     expected = "H: %d %d\nB:\nSat: %d %d\nLow:\n" % (

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 from expander_routing.errors import CallerError, FormatError
 from expander_routing.profiles import (
+    OracleProfile,
     RouterProfile,
     canonical_oracle_profile,
     ceil_log2,
@@ -45,11 +47,11 @@ def test_strict_profile_worked_example():
     assert p.endpoint_cap == 2  # strictly fewer than 400/200 paths per endpoint
     assert p.g3_path_cap == math.ceil(300 / beta) + 1
     assert p.path_len_cap == 2 * lg + p.g3_path_cap
-    assert p.oracle_out_cap == 10
-    assert p.oracle_in_cap == 4
-    assert p.oracle_sat_threshold == Fraction(2)
-    assert p.oracle_low_threshold == Fraction(5)
-    assert p.oracle_capacity == math.floor(beta * 20 * n / 120)
+    assert p.oracle.out_cap == 10
+    assert p.oracle.in_cap == 4
+    assert p.oracle.sat_threshold == Fraction(2)
+    assert p.oracle.low_threshold == Fraction(5)
+    assert p.oracle.capacity == math.floor(beta * 20 * n / 120)
     assert p.capacity_chains_hold()
 
 
@@ -61,7 +63,7 @@ def test_strict_profile_worked_example():
 def test_oracle_fields_are_the_canonical_oracle_profile(args):
     n, d, beta, gamma, relaxed = args
     p = derive_profile(n, d, beta, gamma, relaxed=relaxed)
-    assert p.oracle_profile() == canonical_oracle_profile(n, p.d_prime, beta, gamma, relaxed)
+    assert p.oracle == canonical_oracle_profile(n, p.d_prime, beta)
 
 
 def test_strict_profile_rejects_large_gamma():
@@ -102,6 +104,29 @@ def test_profile_file_round_trip():
     ):
         assert parse_profile(format_profile(p)) == p
     assert derive_profile(2048, 400, "1/100", "1/2000").r == 0
+
+
+# sha256 of each profile's file as written while path_len_cap was a stored
+# field, with its path_len_cap line taken out
+PROFILE_FILE_GOLDEN = {
+    "desk-600-30": "697c27770c2e123c031bf4e5d6f438a8af18ea77764f1051807ab1855e52b81a",
+    "desk-9600-31": "16de8fa1bfeee446b2d5afff090af3ff212feb4675bc1fc534789bd7b2cc0cc2",
+    "strict-2048-400": "bfb72f343dfb84ced344630652068af8f3666b8e31a904e43c91167049c60461",
+    "relaxed-600-30": "b292d276d5152138366827408100a21e67cbfc8cb659b66908f3a8b307146171",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_FILE_GOLDEN))
+def test_profile_file_text_is_unchanged(name):
+    p = {
+        "desk-600-30": lambda: desk_profile(600, 30),
+        "desk-9600-31": lambda: desk_profile(9600, 31),
+        "strict-2048-400": lambda: derive_profile(2048, 400, "1/100", "1/2000"),
+        "relaxed-600-30": lambda: derive_profile(600, 30, "1/10", "1/50", relaxed=True),
+    }[name]()
+    text = format_profile(p)
+    assert len(text.splitlines()) == 19
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == PROFILE_FILE_GOLDEN[name]
 
 
 # desk_profile(150, 30) and the strict derive_profile(1024, 400, 1/100,
@@ -164,10 +189,14 @@ def test_older_profile_file_with_k_and_c_loads(kind):
     }[kind]
     assert parse_profile(OLDER_FILES[kind]) == expected
     written = format_profile(expected).splitlines()
-    assert not [line for line in written if line.startswith(("k=", "c="))]
+    assert not [line for line in written if line.startswith(("k=", "c=", "path_len_cap="))]
 
 
-@pytest.mark.parametrize("field,value", [("k", "99"), ("k", "-1"), ("k", "x"), ("c", "7/3")])
+@pytest.mark.parametrize(
+    "field,value",
+    [("k", "99"), ("k", "-1"), ("k", "x"), ("c", "7/3"), ("path_len_cap", "67"),
+     ("path_len_cap", "-1")],
+)
 def test_older_profile_file_with_a_wrong_k_or_c_fails(field, value):
     line = "%s=%s" % (field, value)
     text = re.sub(r"(?m)^%s=.*$" % field, line, OLDER_FILES["desk"])
@@ -205,17 +234,16 @@ def test_desk_profile_structure():
     assert p.k - 2 * p.d_prime >= 2
     assert p.fanout >= 2
     # endpoints must always be able to start growing a tree
-    assert p.oracle_out_cap >= p.oracle_in_cap + p.endpoint_cap
+    assert p.oracle.out_cap >= p.oracle.in_cap + p.endpoint_cap
     assert p.bfs_vertex_cap == math.ceil(p.beta * p.n / 5)
-    op = p.oracle_profile()
-    assert op.d == p.d_prime
-    assert op.out_cap == p.oracle_out_cap
 
 
 def test_desk_profile_overrides():
     p = desk_profile(600, 30, r=5, g3_path_cap=99)
     assert p.r == 5
     assert p.g3_path_cap == 99
+    # derived, so it follows the override
+    assert desk_profile(600, 30, g3_path_cap=99).path_len_cap == 2 * ceil_log2(600) + 99
 
 
 def test_desk_profile_needs_room():
@@ -223,10 +251,22 @@ def test_desk_profile_needs_room():
         desk_profile(600, 20)
 
 
-def test_oracle_profile_gamma_guard():
-    with pytest.raises(CallerError):
-        canonical_oracle_profile(300, 20, 1, Fraction(1, 10))
-    assert canonical_oracle_profile(300, 20, 1, Fraction(1, 10), relaxed=True)
+def test_router_profile_gamma_guard():
+    # 20*gamma <= 1/50 unless relaxed, which also keeps the oracles' gamma <= 1/50
+    strict = derive_profile(1024, 400, "1/100", "1/2000")
+    assert dataclasses.replace(strict, gamma=Fraction(1, 1000))
+    with pytest.raises(CallerError, match="gamma"):
+        dataclasses.replace(strict, gamma=Fraction(1, 999))
+    assert dataclasses.replace(strict, gamma=Fraction(1, 10), relaxed=True)
+
+
+def test_strict_profile_file_needs_oracle_hosts_of_degree_10():
+    text = format_profile(derive_profile(1024, 400, "1/100", "1/2000"))
+    assert "d_prime=20" in text.splitlines()
+    with pytest.raises(FormatError, match=r"\bd_prime\b"):
+        parse_profile(text.replace("d_prime=20", "d_prime=9"))
+    relaxed = derive_profile(600, 30, "1/10", "1/50", relaxed=True)
+    assert relaxed.d_prime < 10 and parse_profile(format_profile(relaxed)) == relaxed
 
 
 def test_endpoint_cap_reading():
@@ -237,10 +277,13 @@ def test_endpoint_cap_reading():
 
 
 def test_router_profile_is_complete():
-    p = desk_profile(600, 30)
-    text = format_profile(p)
-    for field in dataclasses.fields(RouterProfile):
-        assert any(line.startswith(field.name + "=") for line in text.splitlines())
+    # the file has one key per value: the router's own fields, then the
+    # oracle's five thresholds keyed oracle_<field>, and no derived value
+    keys = list(DESK_FILE_VALUES)
+    own = [f.name for f in dataclasses.fields(RouterProfile) if f.name != "oracle"]
+    assert keys == own + ["oracle_" + f.name for f in dataclasses.fields(OracleProfile)]
+    assert len(keys) == 19 and len(dataclasses.fields(OracleProfile)) == 5
+    assert not {"k", "c", "path_len_cap"} & set(keys)
 
 
 @pytest.mark.parametrize("field", ["fanout", "endpoint_cap"])
@@ -257,13 +300,16 @@ def _desk_file_with(field, value):
     return re.sub(r"(?m)^%s=.*$" % field, "%s=%s" % (field, value), text)
 
 
-INT_FIELDS = [f.name for f in dataclasses.fields(RouterProfile) if f.type == "int"]
+DESK_FILE_VALUES = dict(
+    line.split("=", 1) for line in format_profile(desk_profile(600, 30)).splitlines()
+)
+INT_KEYS = [key for key, value in DESK_FILE_VALUES.items() if value.isdigit()]
+RATIO_KEYS = [key for key, value in DESK_FILE_VALUES.items() if "/" in value]
 
 
 @pytest.mark.parametrize(
     "field,value",
-    [(name, -1) for name in INT_FIELDS]
-    + [("oracle_sat_threshold", 0), ("oracle_low_threshold", 0), ("relaxed", "false")],
+    [(key, -1) for key in INT_KEYS] + [(key, 0) for key in RATIO_KEYS] + [("relaxed", "false")],
 )
 def test_profile_file_rejects_out_of_range_values(field, value):
     # relaxed=false on a desk file fails on its gamma of 1/50
