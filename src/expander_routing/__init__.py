@@ -19,7 +19,6 @@ from .graph import (
     Digraph,
     EdgeSubset,
     UndirectedGraph,
-    edges_within,
     format_graph,
     load_graph,
     parse_graph,
@@ -34,7 +33,7 @@ from .harness import (
     run_trace,
     validate_trace,
 )
-from .oracle import AuditReport, EdgeOracle
+from .oracle import EdgeOracle, Findings
 from .preprocess import (
     SplitResult,
     eulerian_orient,
@@ -51,6 +50,6 @@ from .profiles import (
     load_profile,
     save_profile,
 )
-from .router import Ledger, PathRecord, RoutingEngine, VerifyReport
+from .router import Ledger, PathRecord, RoutingEngine
 
 __version__ = "0.1.0"

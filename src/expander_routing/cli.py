@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import RoutingError
 from .expanders import (
@@ -29,12 +30,14 @@ def _write_out(path, text):
             fh.write(text)
 
 
-def _write_json(path, payload):
-    """Write a report to the --json file, if one was given."""
+def _write_json(path, report):
+    """Write a report dataclass to the --json file, if one was given; returns it as a dict."""
+    payload = asdict(report)
     if path:
         with open(path, "w", encoding="ascii") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    return payload
 
 
 def _load_router_profile(args, g=None):
@@ -68,7 +71,7 @@ def cmd_run(args):
         stop_on_failure=args.stop_on_failure,
         emit=emit,
     )
-    _write_json(args.json, report.to_dict())
+    _write_json(args.json, report)
     print(report.format_text(), end="")
     return 0 if report.clean else 1
 
@@ -121,9 +124,7 @@ def cmd_gen(args):
 def cmd_check_expansion(args):
     g = load_graph(args.graph)
     report = check_expansion_exhaustive(g, args.beta, args.gamma, args.max_subset_size)
-    payload = report.to_dict()
-    _write_json(args.json, payload)
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(_write_json(args.json, report), sort_keys=True))
     return 0 if report.holds else 1
 
 
@@ -132,9 +133,7 @@ def cmd_spectrum(args):
     if not isinstance(g, UndirectedGraph):
         raise RoutingError("spectrum expects an undirected graph file")
     report = estimate_second_eigenvalue(g, max_iters=args.max_iters, tol=args.tol)
-    payload = report.to_dict()
-    _write_json(args.json, payload)
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(_write_json(args.json, report), sort_keys=True))
     return 0 if report.converged else 1
 
 

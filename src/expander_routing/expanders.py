@@ -112,15 +112,6 @@ class ExpansionReport:
     max_subset_checked: int
     mode: str
 
-    def to_dict(self):
-        return {
-            "holds": self.holds,
-            "witness": list(self.witness),
-            "witness_edges": self.witness_edges,
-            "max_subset_checked": self.max_subset_checked,
-            "mode": self.mode,
-        }
-
 
 def _edge_pairs(g):
     """Edge endpoint pairs and the degree entering the density bounds."""
@@ -194,16 +185,6 @@ class SpectralReport:
     converged: bool
     certified_beta: float   # largest beta certified for gamma = 1/50; None if none
     certified_gamma: float  # smallest gamma certified for beta = 1/100; None if none
-
-    def to_dict(self):
-        return {
-            "lambda_estimate": self.lambda_estimate,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-            "certified_beta": self.certified_beta,
-            "certified_gamma": self.certified_gamma,
-        }
 
 
 def estimate_second_eigenvalue(g: UndirectedGraph, max_iters=20000, tol=1e-9):

@@ -44,19 +44,6 @@ class Digraph:
     def m(self):
         return len(self.tails)
 
-    def endpoints(self, e):
-        return self.tails[e], self.heads[e]
-
-    def out_degree(self, v):
-        return len(self.out_adj[v])
-
-    def in_degree(self, v):
-        return len(self.in_adj[v])
-
-    def edges(self):
-        """Edge list in id order."""
-        return list(zip(self.tails, self.heads))
-
     def regularity(self):
         """Return k if the graph is k-regular in both directions, else None."""
         if self.n == 0:
@@ -82,14 +69,6 @@ class Digraph:
 def reverse(d: Digraph) -> Digraph:
     """Reverse every edge, keeping edge ids; an involution."""
     return Digraph(d.n, list(zip(d.heads, d.tails)))
-
-
-def edges_within(d: Digraph, s) -> int:
-    """Number of edges with both endpoints in s (parallels counted)."""
-    inside = set(s)
-    tails = d.tails
-    heads = d.heads
-    return sum(1 for e in range(len(tails)) if tails[e] in inside and heads[e] in inside)
 
 
 class UndirectedGraph:
@@ -120,18 +99,12 @@ class UndirectedGraph:
     def m(self):
         return len(self.us)
 
-    def endpoints(self, e):
-        return self.us[e], self.vs[e]
-
     def other_end(self, e, v):
         u = self.us[e]
         return self.vs[e] if u == v else u
 
     def degree(self, v):
         return len(self.inc[v])
-
-    def edges(self):
-        return list(zip(self.us, self.vs))
 
     def regularity(self):
         if self.n == 0:
@@ -188,9 +161,6 @@ class EdgeSubset:
         self.in_deg[self.owner.heads[e]] -= 1
         self._size -= 1
 
-    def __contains__(self, e):
-        return self.member[e]
-
     def __len__(self):
         return self._size
 
@@ -203,10 +173,8 @@ class EdgeSubset:
             ids.append(e)
         return ids
 
-    def recount(self, ids=None):
-        """Recompute (out_deg, in_deg, size) from the member ids (default: `members()`)."""
-        if ids is None:
-            ids = self.members()
+    def recount(self, ids):
+        """Recompute (out_deg, in_deg, size) from the member ids (`members()`)."""
         out_deg = [0] * self.owner.n
         in_deg = [0] * self.owner.n
         for e in ids:

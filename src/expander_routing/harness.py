@@ -98,17 +98,6 @@ class RunReport:
     def clean(self):
         return not self.failures and self.verify_findings == 0
 
-    def to_dict(self):
-        return {
-            "requests_served": self.requests_served,
-            "failures": [list(f) for f in self.failures],
-            "path_length_histogram": {str(k): v for k, v in sorted(self.path_length_histogram.items())},
-            "oracle_call_counts": self.oracle_call_counts,
-            "wall_clock": self.wall_clock,
-            "verify_findings": self.verify_findings,
-            "verifies_run": self.verifies_run,
-        }
-
     def format_text(self):
         lines = [
             "requests served: %d" % self.requests_served,
@@ -136,11 +125,9 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _percentile(sorted_values, q):
-    if not sorted_values:
-        return 0.0
-    idx = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[idx]
+def _percentile(sorted_values, p):
+    """Nearest-rank p-th percentile (p in percent) of a non-empty sorted list."""
+    return sorted_values[max(0, (p * len(sorted_values) + 99) // 100 - 1)]
 
 
 def resolve_ref(engine: RoutingEngine, ref):
@@ -233,9 +220,9 @@ def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None
     timings.sort()
     if timings:
         report.wall_clock = {
-            "p50": _percentile(timings, 0.50),
-            "p90": _percentile(timings, 0.90),
-            "p99": _percentile(timings, 0.99),
+            "p50": _percentile(timings, 50),
+            "p90": _percentile(timings, 90),
+            "p99": _percentile(timings, 99),
             "max": timings[-1],
         }
     report.oracle_call_counts = engine.oracle_call_counts()
@@ -331,7 +318,9 @@ def gen_workload(kind, n, params, seed, endpoint_cap, r):
                 emit_remove(list(ledger.paths)[rng.randrange(len(ledger.paths))])
     elif kind == "hotspot":
         ops = int(params.get("ops", 0))
-        live_cap = int(params.get("live_target", max(1, r // 2)))
+        live_cap = min(int(params.get("live_target", max(1, r // 2))), r - 1)
+        if live_cap < 1:
+            raise CallerError("hotspot needs a live target of at least 1 below r=%d" % r)
         burst = max(1, endpoint_cap - 1)
         hot = 0
         used = 0
@@ -340,7 +329,7 @@ def gen_workload(kind, n, params, seed, endpoint_cap, r):
             attempts += 1
             if attempts > 20 * ops + 10 * n + 100:
                 raise CallerError("hotspot parameters starve the generator")
-            if len(ledger.paths) >= min(live_cap, r - 1):
+            if len(ledger.paths) >= live_cap:
                 emit_remove(next(iter(ledger.paths)))
                 continue
             if used >= burst or ledger.ps[hot] >= endpoint_cap:

@@ -52,6 +52,7 @@ search through the instance) and run `audit` in between.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import compress, repeat
 from math import ceil
 from operator import add, ge, gt, ne
@@ -61,25 +62,20 @@ from .graph import Digraph, EdgeSubset
 from .profiles import OracleProfile
 
 
-class AuditReport:
-    """Findings from a from-scratch recount; empty means clean.
+@dataclass
+class Findings:
+    """What an audit or a verify found; no findings means clean.
 
-    `low_count` is |Low|, which `RoutingEngine.verify` checks against
-    beta*n/12 under strict profiles.
+    An oracle audit also reports |Low| as `low_count`, which
+    `RoutingEngine.verify` checks against beta*n/12 under strict profiles.
     """
 
-    def __init__(self, findings, low_count):
-        self.findings = list(findings)
-        self.low_count = low_count
+    findings: list
+    low_count: int | None = None
 
     @property
     def ok(self):
         return not self.findings
-
-    def __str__(self):
-        if self.ok:
-            return "audit: clean"
-        return "audit: %d finding(s)\n  " % len(self.findings) + "\n  ".join(self.findings)
 
 
 class EdgeOracle:
@@ -345,11 +341,11 @@ class EdgeOracle:
             self.low_additions += 1
             while h.out_deg[x] + b.out_deg[x] < out_cap:
                 found = self.find_alternating_walk(x)
+                self.walk_searches += 1
                 if found is None:
                     raise ExpansionViolation(
                         "rebalance(%d): no alternating walk to a free head" % x
                     )
-                self.walk_searches += 1
                 edges, y = found
                 for e, forward in edges:
                     if forward:
@@ -450,7 +446,7 @@ class EdgeOracle:
 
     # --- verification ----------------------------------------------------------
 
-    def audit(self, quiescent=True, h_ids=None):
+    def audit(self, h_ids=None):
         """Recompute all state from memberships and report every violation.
 
         One C scan of each membership list, then O(|H| + |B|) plus C-level
@@ -481,29 +477,28 @@ class EdgeOracle:
         sat_ids = list(compress(range(n), self.sat))
         low_ids = list(compress(range(n), self.low))
         sat_out_maintained = self._sat_out_from(sat_ids)
-        if quiescent:
-            sat_expected = list(map(ge, in_f, repeat(self._sat_min)))
-            sat_out_expected = sat_out_maintained
-            if sat_expected != self.sat:
-                for v in compress(range(n), map(ne, self.sat, sat_expected)):
-                    findings.append(
-                        "Sat mismatch at %d: maintained=%s recomputed=%s (in_F=%d)"
-                        % (v, self.sat[v], sat_expected[v], in_f[v])
-                    )
-                sat_out_expected = self._sat_out_from(compress(range(n), sat_expected))
-            low_expected = list(map(ge, sat_out_expected, repeat(self._low_min)))
-            if low_expected != self.low:
-                for v in compress(range(n), map(ne, self.low, low_expected)):
-                    findings.append(
-                        "Low mismatch at %d: maintained=%s recomputed=%s (sat_out=%d)"
-                        % (v, self.low[v], low_expected[v], sat_out_expected[v])
-                    )
-            for v in low_ids:
-                if out_f[v] != prof.out_cap:
-                    findings.append(
-                        "buffered vertex %d has out_F=%d, expected the cap %d"
-                        % (v, out_f[v], prof.out_cap)
-                    )
+        sat_expected = list(map(ge, in_f, repeat(self._sat_min)))
+        sat_out_expected = sat_out_maintained
+        if sat_expected != self.sat:
+            for v in compress(range(n), map(ne, self.sat, sat_expected)):
+                findings.append(
+                    "Sat mismatch at %d: maintained=%s recomputed=%s (in_F=%d)"
+                    % (v, self.sat[v], sat_expected[v], in_f[v])
+                )
+            sat_out_expected = self._sat_out_from(compress(range(n), sat_expected))
+        low_expected = list(map(ge, sat_out_expected, repeat(self._low_min)))
+        if low_expected != self.low:
+            for v in compress(range(n), map(ne, self.low, low_expected)):
+                findings.append(
+                    "Low mismatch at %d: maintained=%s recomputed=%s (sat_out=%d)"
+                    % (v, self.low[v], low_expected[v], sat_out_expected[v])
+                )
+        for v in low_ids:
+            if out_f[v] != prof.out_cap:
+                findings.append(
+                    "buffered vertex %d has out_F=%d, expected the cap %d"
+                    % (v, out_f[v], prof.out_cap)
+                )
         if sat_out_maintained != self.sat_out:
             bad = next(compress(range(n), map(ne, sat_out_maintained, self.sat_out)))
             findings.append(
@@ -527,7 +522,7 @@ class EdgeOracle:
                 findings.append("in_F(%d)=%d exceeds cap %d" % (v, in_f[v], prof.in_cap))
         if len(self.h) > prof.capacity:
             findings.append("|H|=%d exceeds capacity %d" % (len(self.h), prof.capacity))
-        return AuditReport(findings, low_count=len(low_ids))
+        return Findings(findings, low_count=len(low_ids))
 
     def _sat_out_from(self, heads):
         """sat_out recounted as if exactly `heads` were saturated."""
@@ -536,16 +531,3 @@ class EdgeOracle:
             for e in self.host.in_adj[w]:
                 sat_out[self.host.tails[e]] += 1
         return sat_out
-
-    def dump(self):
-        """Stable text listing of the four state sets, for golden tests."""
-        sets = [
-            ("H", self.h.members()),
-            ("B", self.b.members()),
-            ("Sat", [v for v in range(self.host.n) if self.sat[v]]),
-            ("Low", [v for v in range(self.host.n) if self.low[v]]),
-        ]
-        lines = []
-        for name, ids in sets:
-            lines.append("%s:%s" % (name, "".join(" %d" % i for i in ids)))
-        return "\n".join(lines) + "\n"

@@ -17,27 +17,6 @@ from .matching import one_factor, perfect_matching_edges
 from .profiles import RouterProfile, derive_profile
 
 
-def is_connected(g: UndirectedGraph) -> bool:
-    if g.n == 0:
-        return True
-    us, vs, incs = g.us, g.vs, g.inc
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for e in incs[v]:
-            w = us[e]
-            if w == v:
-                w = vs[e]
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == g.n
-
-
 def eulerian_orient(g: UndirectedGraph) -> Digraph:
     """Orient every edge along an Eulerian circuit.
 
@@ -49,8 +28,6 @@ def eulerian_orient(g: UndirectedGraph) -> Digraph:
     for v in range(g.n):
         if g.degree(v) % 2 != 0:
             raise CallerError("vertex %d has odd degree %d" % (v, g.degree(v)))
-    if not is_connected(g):
-        raise CallerError("graph is disconnected; cannot orient along one circuit")
     m = g.m
     us, vs, incs = g.us, g.vs, g.inc
     used = [False] * m
@@ -75,8 +52,9 @@ def eulerian_orient(g: UndirectedGraph) -> Digraph:
                 w = vs[e]
             orient[e] = (v, w)
             stack.append(w)
-    if not all(used):
-        raise CallerError("graph is disconnected; Eulerian circuit left edges unused")
+    # one circuit took every edge and no vertex is isolated: the graph is connected
+    if not all(used) or (g.n > 1 and not all(incs)):
+        raise CallerError("graph is disconnected; cannot orient along one circuit")
     return Digraph(g.n, orient)
 
 

@@ -31,7 +31,7 @@ from operator import add, gt
 
 from .errors import CallerError, ExpansionViolation
 from .graph import EdgeSubset, UndirectedGraph, reverse
-from .oracle import EdgeOracle
+from .oracle import EdgeOracle, Findings
 from .preprocess import pre_process
 from .profiles import RouterProfile
 
@@ -118,20 +118,6 @@ class Ledger:
         if len(self.paths) + ref < 0:
             raise CallerError("negative ref %d with only %d live paths" % (ref, len(self.paths)))
         return list(self.paths)[ref]
-
-
-class VerifyReport:
-    def __init__(self, findings):
-        self.findings = list(findings)
-
-    @property
-    def ok(self):
-        return not self.findings
-
-    def __str__(self):
-        if self.ok:
-            return "verify: clean"
-        return "verify: %d finding(s)\n  " % len(self.findings) + "\n  ".join(self.findings)
 
 
 class RoutingEngine:
@@ -300,7 +286,7 @@ class RoutingEngine:
             problems.append("walk ends at %d, not at b=%d" % (verts[-1], rec.b))
         return verts
 
-    def verify(self) -> VerifyReport:
+    def verify(self) -> Findings:
         """From-scratch recount of everything the ledger implies.
 
         O(stored path length) plus the two oracle audits; each membership
@@ -390,10 +376,10 @@ class RoutingEngine:
             ("in-oracle", self.in_oracle, member_ids[1]),
         ):
             # positional: perfbench/tracing.py wraps audit as audit(*args)
-            audit = oracle.audit(True, h_ids)
+            audit = oracle.audit(h_ids)
             findings.extend("%s: %s" % (name, f) for f in audit.findings)
             # the host edge density that bounds |Low| is promised by strict profiles only
             low, bound = audit.low_count, prof.beta * self.n / 12
             if not prof.relaxed and low >= bound:
                 findings.append("%s: |Low|=%d is not below beta*n/12=%s" % (name, low, bound))
-        return VerifyReport(findings)
+        return Findings(findings)

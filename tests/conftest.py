@@ -4,6 +4,27 @@ from expander_routing.errors import ExpansionViolation
 from expander_routing.graph import Digraph, UndirectedGraph
 
 
+def edge_pairs(g):
+    """A graph's edges as endpoint pairs, in id order."""
+    if isinstance(g, Digraph):
+        return list(zip(g.tails, g.heads))
+    return list(zip(g.us, g.vs))
+
+
+def dump(oracle):
+    """Stable text listing of an oracle's four state sets, for golden tests."""
+    sets = [
+        ("H", oracle.h.members()),
+        ("B", oracle.b.members()),
+        ("Sat", [v for v in range(oracle.host.n) if oracle.sat[v]]),
+        ("Low", [v for v in range(oracle.host.n) if oracle.low[v]]),
+    ]
+    lines = []
+    for name, ids in sets:
+        lines.append("%s:%s" % (name, "".join(" %d" % i for i in ids)))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def triangle():
     return Digraph(3, [(0, 1), (1, 2), (2, 0)])

@@ -11,6 +11,7 @@ from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.graph import save_graph
 from expander_routing.harness import (
     TraceCommand,
+    _percentile,
     format_trace,
     gen_workload,
     parse_trace,
@@ -106,6 +107,14 @@ def test_wall_clock_times_the_engine_only():
     # every request emits a PATH or FAIL line, so a clock around emit reads >= nap
     assert report.wall_clock["p50"] < nap / 10
     assert report.wall_clock["max"] < nap / 2
+
+
+@pytest.mark.parametrize(
+    "values,p,expected",
+    [(range(1, 101), 99, 99), (range(1, 101), 50, 50), ([1, 2], 50, 1), (range(1, 11), 90, 9)],
+)
+def test_percentile_is_nearest_rank(values, p, expected):
+    assert _percentile(list(values), p) == expected
 
 
 def test_verify_every_runs_checks():
@@ -255,7 +264,30 @@ def test_cli_pipeline(tmp_path, capsys):
     payload = json.loads(json_path.read_text())
     assert payload["failures"] == []
     assert payload["requests_served"] == 60
+    assert payload["path_length_histogram"] == {
+        "1": 1, "2": 4, "3": 7, "4": 9, "5": 8, "6": 2, "7": 1
+    }
+    assert payload["oracle_call_counts"] == {
+        "out_add": 200, "out_remove": 196, "in_add": 155, "in_remove": 149, "walk_searches": 0
+    }
+    assert sorted(payload["wall_clock"]) == ["max", "p50", "p90", "p99"]
+    assert (payload["verifies_run"], payload["verify_findings"]) == (6, 0)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_hotspot_without_room_for_a_live_path_is_refused(tmp_path, capsys, r):
+    with pytest.raises(CallerError, match="hotspot needs a live target"):
+        gen_workload("hotspot", 150, {"ops": 50}, 1, 2, r)
+    graph_path = tmp_path / "g.txt"
+    profile_path = tmp_path / "p.txt"
+    save_graph(graph_path, gen_random_regular_graph(150, 30, seed=3))
+    save_profile(profile_path, desk_profile(150, 30, r=r))
+    code = cli_main(["gen-workload", "--graph", str(graph_path), "--profile",
+                     str(profile_path), "--kind", "hotspot", "--seed", "1",
+                     "--ops", "50", "--out", str(tmp_path / "t.txt")])
+    assert code == 2
+    assert "hotspot needs a live target" in capsys.readouterr().err
 
 
 def test_cli_run_flags_failures(tmp_path, capsys):

@@ -7,6 +7,7 @@ from collections import deque
 import networkx as nx
 import pytest
 
+from conftest import edge_pairs
 from expander_routing.expanders import gen_random_regular_digraph, gen_random_regular_graph
 from expander_routing.matching import maximum_matching, one_factor
 
@@ -138,7 +139,7 @@ def test_maximum_matching_sparse_graphs(seed):
 @pytest.mark.parametrize("n, d, seed", [(40, 3, 1), (60, 5, 2), (100, 7, 3), (200, 21, 4), (300, 31, 5)])
 def test_maximum_matching_odd_regular_graphs(n, d, seed):
     g = gen_random_regular_graph(n, d, seed=seed)
-    match_adj = _adjacency(n, g.edges())
+    match_adj = _adjacency(n, edge_pairs(g))
     _check_matching(n, match_adj)
     assert -1 not in maximum_matching(n, match_adj)
 

@@ -9,11 +9,13 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from conftest import dump
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_digraph
 from expander_routing.graph import Digraph
 from expander_routing.oracle import EdgeOracle
 from expander_routing.profiles import OracleProfile, canonical_oracle_profile, derive_profile
+from test_audit_differential import reference_audit
 
 
 def small_profile(n, d, **kw):
@@ -138,12 +140,12 @@ def test_grow_tree_budget_is_the_capacity_left():
     host = gen_random_regular_digraph(30, 10, seed=8)
     orc = EdgeOracle(host, small_profile(30, 10, capacity=5, low_threshold=Fraction(9)))
     orc.add_edge(0)
-    before = orc.dump()
+    before = dump(orc)
     with pytest.raises(ExpansionViolation, match="capacity"):
         with orc.request_log():
             orc.grow_tree(1, 20, 20, 2)
     # four picks fill the capacity; the fifth is refused before it is made
-    assert orc.dump() == before and orc.add_calls == 1 + 4
+    assert dump(orc) == before and orc.add_calls == 1 + 4
 
 
 def _counters(orc):
@@ -156,7 +158,7 @@ def test_release_checks_the_whole_batch_first():
     active = [orc.add_edge(v) for v in range(6)]
     assert any(orc.sat)
     inactive = next(e for e in range(host.m) if not orc.h.member[e])
-    before = (orc.dump(), list(orc.sat_out), _counters(orc))
+    before = (dump(orc), list(orc.sat_out), _counters(orc))
     for batch in (
         active[:3] + [inactive] + active[3:],
         active[:3] + [active[1]],
@@ -165,7 +167,7 @@ def test_release_checks_the_whole_batch_first():
     ):
         with pytest.raises(CallerError):
             orc.release(batch)
-        assert (orc.dump(), list(orc.sat_out), _counters(orc)) == before
+        assert (dump(orc), list(orc.sat_out), _counters(orc)) == before
     orc.release(active)
     assert len(orc.h) == 0 and orc.remove_calls == len(active)
     assert orc.audit().ok
@@ -178,11 +180,11 @@ def test_removal_is_refused_while_a_log_is_open():
     held = [orc.add_edge(v) for v in range(4)]
     with orc.request_log():
         e = orc.add_edge(5)
-        before = (orc.dump(), list(orc.sat_out), _counters(orc))
+        before = (dump(orc), list(orc.sat_out), _counters(orc))
         for remove, arg in ((orc.remove_edge, e), (orc.release, [e]), (orc.release, held)):
             with pytest.raises(CallerError, match="log is open"):
                 remove(arg)
-            assert (orc.dump(), list(orc.sat_out), _counters(orc)) == before
+            assert (dump(orc), list(orc.sat_out), _counters(orc)) == before
     assert orc._undo is None and orc.h.member[e]
     assert orc.audit().ok
     orc.release(held + [e])
@@ -331,6 +333,13 @@ def test_failed_add_rolls_back_bit_exactly():
     host = gen_random_regular_digraph(40, 10, seed=33)
     prof = dataclasses.replace(canonical_oracle_profile(40, 10, 1), capacity=400)
     orc = EdgeOracle(host, prof)
+    search, results = orc.find_alternating_walk, []
+
+    def counted_search(x):
+        results.append(search(x))
+        return results[-1]
+
+    orc.find_alternating_walk = counted_search
     rng = random.Random(2)
     saw_failure = False
     for _ in range(4000):
@@ -338,15 +347,17 @@ def test_failed_add_rolls_back_bit_exactly():
         if not pool:
             break
         v = pool[rng.randrange(len(pool))]
-        before = orc.dump()
+        before = dump(orc)
         h_members = orc.h.members()
         try:
             orc.add_edge(v)
         except ExpansionViolation:
             saw_failure = True
-            assert orc.dump() == before
+            assert dump(orc) == before
             assert orc.h.members() == h_members
             assert orc.audit().ok
+            # the failing search counts too
+            assert results[-1] is None and orc.walk_searches == len(results)
             break
     assert saw_failure, "expected the dense regime to force a walk failure"
 
@@ -366,16 +377,16 @@ def test_failed_add_inside_an_open_log_keeps_the_earlier_adds():
             if not pool:
                 break
             v = pool[rng.randrange(len(pool))]
-            before = (orc.dump(), list(orc.sat_out))
+            before = (dump(orc), list(orc.sat_out))
             try:
                 orc.add_edge(v)
             except ExpansionViolation:
                 failed = True
-                assert (orc.dump(), list(orc.sat_out)) == before
+                assert (dump(orc), list(orc.sat_out)) == before
                 break
             made += 1
     assert failed and made > 0
-    assert (orc.dump(), list(orc.sat_out)) == before
+    assert (dump(orc), list(orc.sat_out)) == before
     assert orc.audit().ok
 
 
@@ -420,9 +431,10 @@ def test_audit_holds_around_every_request_and_walk():
     searches = []
 
     def audited_search(x):
-        # mid-request: Low vertices may still be below their stock
-        report = orc.audit(quiescent=False)
-        assert report.ok, report
+        # mid-request: Low vertices may still be below their stock, which
+        # only the reference audit's non-quiescent mode allows
+        findings, _ = reference_audit(orc, quiescent=False)
+        assert not findings, findings
         searches.append(x)
         return search(x)
 
@@ -487,8 +499,8 @@ def test_dump_is_stable():
         *sorted((e1, e2)),
         *sorted((host.heads[e1], host.heads[e2])),
     )
-    assert orc.dump() == expected
-    assert orc.dump() == expected
+    assert dump(orc) == expected
+    assert dump(orc) == expected
 
 
 MACHINE_HOST = gen_random_regular_digraph(40, 6, seed=41)
@@ -560,8 +572,8 @@ def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
             assert tree_by_single_adds(single, root, 40, 80, 2, stop) == got
             assert single._undo == log
         assert stopped.add_calls - base.add_calls == kept
-        assert (stopped.dump(), stopped.sat_out, _counters(stopped)) == (
-            single.dump(), single.sat_out, _counters(single)
+        assert (dump(stopped), stopped.sat_out, _counters(stopped)) == (
+            dump(single), single.sat_out, _counters(single)
         )
 
 
@@ -578,7 +590,7 @@ class OracleMachine(RuleBasedStateMachine):
         self.orc = EdgeOracle(MACHINE_HOST, small_profile(40, 6, **self.CAPS))
 
     def _state(self):
-        return self.orc.dump(), list(self.orc.sat_out)
+        return dump(self.orc), list(self.orc.sat_out)
 
     @rule(vs=st.lists(MACHINE_VERTICES, min_size=1, max_size=8))
     def add_edges(self, vs):
@@ -647,7 +659,7 @@ class OracleMachine(RuleBasedStateMachine):
             assert tree_by_single_adds(ref, root, vertex_cap, edge_cap, fanout, stop) == (
                 edges, parent
             )
-        assert (ref.dump(), ref.sat_out, _counters(ref)) == (*self._state(), _counters(self.orc))
+        assert (dump(ref), ref.sat_out, _counters(ref)) == (*self._state(), _counters(self.orc))
         kept = data.draw(st.sets(st.sampled_from(edges))) if edges else set()
         self.orc.release([e for e in edges if e not in kept])
         report = self.orc.audit()

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import edge_pairs
 from expander_routing.errors import CallerError
 from expander_routing.expanders import gen_random_regular_digraph, gen_random_regular_graph
 from expander_routing.graph import Digraph, UndirectedGraph, format_graph
@@ -24,7 +25,7 @@ def test_orient_four_cycle():
     g = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     d = eulerian_orient(g)
     assert d.regularity() == 1
-    assert sorted(abs(t - h) % 2 for t, h in d.edges()) == [1, 1, 1, 1]
+    assert sorted(abs(t - h) % 2 for t, h in edge_pairs(d)) == [1, 1, 1, 1]
 
 
 def test_orient_k5_balances():
@@ -43,8 +44,12 @@ def test_orient_rejects_disconnected():
     two_triangles = UndirectedGraph(
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     )
-    with pytest.raises(CallerError):
+    with pytest.raises(CallerError, match="disconnected"):
         eulerian_orient(two_triangles)
+    # the triangle's circuit takes every edge; the isolated vertex 3 is left out
+    triangle_and_isolated_vertex = UndirectedGraph(4, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(CallerError, match="disconnected"):
+        eulerian_orient(triangle_and_isolated_vertex)
 
 
 def test_orient_preserves_edge_ids():
@@ -52,7 +57,7 @@ def test_orient_preserves_edge_ids():
     d = eulerian_orient(g)
     assert d.m == g.m
     for e in range(g.m):
-        assert set(d.endpoints(e)) == set(g.endpoints(e))
+        assert {d.tails[e], d.heads[e]} == {g.us[e], g.vs[e]}
     assert d.regularity() == 3
 
 
@@ -86,7 +91,7 @@ def test_matching_blossom_structure():
     g = UndirectedGraph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
     matched = perfect_matching_edges(g)
     assert len(matched) == 2
-    covered = sorted(v for e in matched for v in g.endpoints(e))
+    covered = sorted(v for e in matched for v in (g.us[e], g.vs[e]))
     assert covered == [0, 1, 2, 3]
 
 
@@ -94,7 +99,7 @@ def test_matching_random_regular():
     g = gen_random_regular_graph(50, 5, seed=7)
     matched, rest = extract_perfect_matching(g)
     assert len(matched) == 25
-    covered = sorted(v for e in matched for v in g.endpoints(e))
+    covered = sorted(v for e in matched for v in (g.us[e], g.vs[e]))
     assert covered == list(range(50))
     assert rest.regularity() == 4
 
@@ -104,7 +109,7 @@ def test_matching_random_regular():
 
 def test_split_triangle_identity(triangle):
     ((sub, ids),) = split_regular(triangle, 1, [1])
-    assert sub.edges() == triangle.edges()
+    assert edge_pairs(sub) == edge_pairs(triangle)
     assert ids == (0, 1, 2)
 
 

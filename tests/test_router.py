@@ -7,6 +7,7 @@ from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from conftest import dump
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.harness import gen_workload, run_trace
@@ -21,8 +22,8 @@ def small_engine(n=150, d=30, seed=21):
 
 def state_snapshot(engine):
     return (
-        engine.out_oracle.dump(),
-        engine.in_oracle.dump(),
+        dump(engine.out_oracle),
+        dump(engine.in_oracle),
         tuple(engine.out_oracle.sat_out),
         tuple(engine.in_oracle.sat_out),
         tuple(engine.h3.members()),
@@ -152,8 +153,7 @@ def test_probe_bfs_depth_and_size(probe_bfs):
         # recompute hop distances over the returned tree edges only
         adj = {}
         for e in probe["edges"]:
-            t, h = oracle.host.endpoints(e)
-            adj.setdefault(t, []).append(h)
+            adj.setdefault(oracle.host.tails[e], []).append(oracle.host.heads[e])
         dist = {root: 0}
         q = deque([root])
         while q:
