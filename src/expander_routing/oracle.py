@@ -37,12 +37,11 @@ additions only: `release` (and so `remove_edge`) raises CallerError while
 a log is open, so a request hands its unused edges back after its log
 closes.
 
-A router request grows a tree of a few hundred edges and keeps one
-branch of it, so the traffic comes in batches: `grow_tree` makes every
-pick of a whole tree in one call and `release` hands a list of edges
-back, with lookups hoisted out of the per-edge loop. The pick rule and
-the removal rule live only there; `add_edge` and `remove_edge` are their
-one-edge forms.
+A router request grows two trees and keeps one branch of each, so the
+traffic comes in batches: `grow_tree` is a generator that makes a tree's
+picks one dequeued vertex per resume, so two trees can grow in turn, and
+`release` hands a list of edges back. The pick rule and the removal rule
+live only there; `add_edge` and `remove_edge` are their one-edge forms.
 
 There is no test-only mode, audit switch or walk log. Tests and the
 bench watch the oracle from outside: they wrap `add_edge`, `remove_edge`
@@ -186,8 +185,11 @@ class EdgeOracle:
         if own_log:
             self._undo = []
         mark = len(self._undo)
+        edges = []
         try:
-            return self.grow_tree(v, 1, 1, 1)[0][0]
+            for _ in self.grow_tree({v: None}, edges, (), 1, 1, 1):
+                pass
+            return edges[0]
         except ExpansionViolation:
             self.rollback(mark)
             raise
@@ -195,26 +197,22 @@ class EdgeOracle:
             if own_log:
                 self._undo = None
 
-    def grow_tree(self, root, vertex_cap, edge_cap, fanout, stop=()):
-        """Grow a breadth-first tree of fresh edges out of root.
+    def grow_tree(self, parent, edges, meet, vertex_cap, edge_cap, fanout):
+        """Generator that grows a breadth-first tree of fresh edges out of
+        the one key of `parent`, yielding after each dequeued vertex.
 
-        While fewer than `edge_cap` edges were added and at most
-        `vertex_cap` vertices were reached, the next dequeued vertex asks
-        for up to `fanout` edges, stopping early at its out-degree cap.
-        Each edge is picked as `add_edge` picks: a Low vertex takes its
-        first B-stock edge in pick order, any other its first free
-        out-edge in pick order whose head is not in Sat. The capacity
-        left when the tree starts is its edge budget. Returns (edges in
-        insertion order, parent links), the parent keys being the tree's
-        vertices in discovery order.
-
-        The tree also ends as soon as it discovers a vertex of `stop`
-        (the root counts), which is then its last parent key: the result
-        is the prefix of the unstopped tree up to and including that
-        edge, with the same picks and log entries.
-
-        Must run inside an open log. Raises ExpansionViolation with the
-        added edges still in place; the log takes them back.
+        It adds parent links to `parent` (keys in discovery order) and
+        edges to the empty list `edges`. While fewer than `edge_cap` edges
+        and at most `vertex_cap` vertices were reached, the next dequeued
+        vertex asks for up to `fanout` edges, stopping at its out-degree
+        cap. A Low vertex takes its first B-stock edge in pick order, any
+        other its first free out-edge in pick order whose head is not in
+        Sat. The edge budget is the capacity left at the first resume. The
+        tree ends when it discovers a vertex in `meet` (read live), its
+        last key then. Stopped there or closed early, it is a prefix of the
+        full tree, with the same picks and log entries; `add_calls` counts
+        its edges when it ends or is closed. It needs an open log (checked
+        at the first resume), which takes the edges back on ExpansionViolation.
         """
         undo = self._undo
         if undo is None:
@@ -226,12 +224,8 @@ class EdgeOracle:
         b_mem, b_in = self.b.member, self.b.in_deg
         sat, low, sat_min = self.sat, self.low, self._sat_min
         heads, pick_order = self.host.heads, self._pick_order
-        parent = {root: None}
-        edges = []
-        if root in stop:
-            return edges, parent
         # the BFS queue: a for loop over a list visits what is appended to it
-        order = [root]
+        order = list(parent)
         picks, log, enqueue, keep = range(fanout), undo.append, order.append, edges.append
         try:
             for u in order:
@@ -275,16 +269,16 @@ class EdgeOracle:
                     keep(e)
                     if w not in parent:
                         parent[w] = (u, e)
-                        if w in stop:
-                            return edges, parent
+                        if w in meet:
+                            return
                         enqueue(w)
+                yield
         except ExpansionViolation:
             # a pick that failed was a call too; running out of budget is not
             self.add_calls += len(edges) < budget
             raise
         finally:
             self.add_calls += len(edges)
-        return edges, parent
 
     def remove_edge(self, e):
         """Remove an active edge; buffered tails keep it as stock."""

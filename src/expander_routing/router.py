@@ -3,16 +3,15 @@
 A request for a path from a to b grows two trees with oracle-supplied
 edges: one out of a inside the first split subgraph, one out of b inside
 the reversed second subgraph (so its arcs point towards b in the
-original orientation). The in-tree stops growing at the first out-tree
-vertex it reaches, where the connector is empty; the rest of a full
-in-tree would only be handed back. An in-tree that meets nothing is
-grown to full size, large enough that the third subgraph, minus the
-middle segments already spoken for, connects the two trees by a short
-directed path. The path is assembled from the two tree branches plus the
-connector, every unused tree edge is handed back to its oracle, and the
-path recorded in the `Ledger`, the one home of the game rules, which the
-workload generator and the trace validator replay too. Removal returns
-the path's edges the same way.
+original orientation). They grow in lockstep and both stop where one
+discovers a vertex of the other, which joins them with an empty
+connector. Trees that meet nothing grow to full size, large enough that
+the third subgraph, minus the middle segments already spoken for,
+connects them by a short directed path. The path is assembled from the
+two tree branches plus the connector, every unused tree edge is handed
+back to its oracle, and the path recorded in the `Ledger`, the one home
+of the game rules, which the workload generator and the trace validator
+replay too. Removal returns the path's edges the same way.
 
 Failures keep the two-class contract. A request that breaks the game
 rules raises CallerError before any mutation. A request whose tree
@@ -27,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from operator import add, gt
 
 from .errors import CallerError, ExpansionViolation
@@ -151,13 +151,10 @@ class RoutingEngine:
         if broken:
             raise CallerError(broken)
         with self.out_oracle.request_log(), self.in_oracle.request_log():
-            edges_a, par_a = self._oracle_bfs(self.out_oracle, a)
-            edges_b, par_b = self._oracle_bfs(self.in_oracle, b, par_a)
-            connector = self._g3_connect(par_a, par_b)
+            edges_a, par_a, edges_b, par_b, meet = self._grow_trees(a, b)
+            connector = (meet, meet, []) if meet is not None else self._g3_connect(par_a, par_b)
             if connector is None:
-                raise ExpansionViolation(
-                    "no connector between the two trees in the third subgraph"
-                )
+                raise ExpansionViolation("no connector between the two trees in the third subgraph")
             ap, bp, seg_mid = connector
             if len(seg_mid) > prof.g3_path_cap:
                 raise ExpansionViolation(
@@ -183,58 +180,67 @@ class RoutingEngine:
 
     # --- tree growth --------------------------------------------------------
 
-    def _oracle_bfs(self, oracle, root, stop=()):
-        """Grow a tree of oracle edges out of root (`EdgeOracle.grow_tree`)
-        and check it against the profile's vertex and depth budgets.
+    def _grow_trees(self, a, b):
+        """Grow the out-tree from a and the in-tree into b in lockstep, one
+        dequeued vertex each in turn, and check their vertex and depth budgets.
 
-        Inside the proved regime the out-capacity always suffices, so no
-        vertex stops short of `fanout` edges. A tree that reaches a vertex
-        of `stop` ends there and is complete, whatever its size: the
-        connector through that vertex is empty. Returns (edges in
-        insertion order, parent links). The parent keys are the tree's
-        vertices in discovery order, which BFS makes nondecreasing in
-        depth, so the last one's tree path gives the depth (a met tree's
-        last key is the meeting vertex). Raises ExpansionViolation with
-        the added edges still in place; the caller's undo log takes them
-        back.
+        A tree that discovers a vertex of the other ends there, and so does
+        the other: they share only that meeting vertex. A tree that ends
+        unmet leaves the other to grow alone, and must reach
+        `bfs_vertex_cap` vertices. BFS makes a tree's last key its deepest.
+        Returns (edges_a, par_a, edges_b, par_b, meeting vertex or None);
+        an ExpansionViolation leaves the edges for the undo logs to take back.
         """
         prof = self.profile
-        edges, parent = oracle.grow_tree(
-            root, prof.bfs_vertex_cap, prof.bfs_edge_cap, prof.fanout, stop
-        )
-        last = next(reversed(parent))
-        if len(parent) < prof.bfs_vertex_cap and last not in stop:
-            raise ExpansionViolation(
-                "tree growth stalled at %d of %d vertices" % (len(parent), prof.bfs_vertex_cap)
-            )
-        depth = len(self._tree_path(parent, last))
-        if depth > prof.depth_cap:
-            raise ExpansionViolation("tree depth %d exceeds budget %d" % (depth, prof.depth_cap))
-        return edges, parent
+        caps = prof.bfs_vertex_cap, prof.bfs_edge_cap, prof.fanout
+        edges_a, par_a, edges_b, par_b = [], {a: None}, [], {b: None}
+        grow_a = self.out_oracle.grow_tree(par_a, edges_a, par_b, *caps)
+        grow_b = self.in_oracle.grow_tree(par_b, edges_b, par_a, *caps)
+        try:
+            # zip stops when the first tree ends; if it ended unmet, the other goes on alone
+            for _ in zip(grow_a, grow_b):
+                pass
+            if self._meeting(par_a, par_b) is None:
+                for _ in chain(grow_a, grow_b):
+                    pass
+        finally:
+            # a suspended tree counts its adds in add_calls only when closed
+            grow_a.close()
+            grow_b.close()
+        meet = self._meeting(par_a, par_b)
+        for parent in (par_a, par_b):
+            if meet is None and len(parent) < prof.bfs_vertex_cap:
+                raise ExpansionViolation(
+                    "tree growth stalled at %d of %d vertices" % (len(parent), prof.bfs_vertex_cap)
+                )
+            depth = len(self._tree_path(parent, next(reversed(parent))))
+            if depth > prof.depth_cap:
+                raise ExpansionViolation("tree depth %d exceeds budget %d" % (depth, prof.depth_cap))
+        return edges_a, par_a, edges_b, par_b, meet
+
+    @staticmethod
+    def _meeting(par_a, par_b):
+        """The one vertex the trees share, or None: a tree that met ends there."""
+        last_a, last_b = next(reversed(par_a)), next(reversed(par_b))
+        return last_a if last_a in par_b else last_b if last_b in par_a else None
 
     @staticmethod
     def _tree_path(parent, target):
         edges = []
-        v = target
-        while parent[v] is not None:
-            u, e = parent[v]
+        while parent[target] is not None:
+            target, e = parent[target]
             edges.append(e)
-            v = u
-        edges.reverse()
-        return edges
+        return edges[::-1]
 
     # --- connector search -----------------------------------------------------
 
     def _g3_connect(self, va, targets):
-        """Shortest directed path from va to targets (vertex collections, e.g.
-        tree parent dicts) in the third subgraph minus the middle segments of
-        live paths. Returns (entry, exit, edges)."""
+        """Shortest directed path from va to targets (disjoint vertex
+        collections, e.g. tree parent dicts) in the third subgraph minus the
+        middle segments of live paths. Returns (entry, exit, edges)."""
         g3 = self.split.g3
         h3m = self.h3.member
         sources = sorted(va)
-        for s in sources:
-            if s in targets:
-                return s, s, []
         parent = dict.fromkeys(sources)
         q = deque(sources)
         while q:

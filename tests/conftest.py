@@ -1,3 +1,6 @@
+from collections import deque
+from itertools import islice
+
 import pytest
 
 from expander_routing.errors import ExpansionViolation
@@ -40,19 +43,79 @@ def c8():
     return UndirectedGraph(8, [(i, (i + 1) % 8) for i in range(8)])
 
 
-def _probe_bfs(engine, side, root):
-    """Grow one tree as a find does, inside an undo log that then takes it
-    back; returns the tree's vertex set and edges."""
-    oracle = engine.out_oracle if side == "out" else engine.in_oracle
-    with oracle.request_log():
-        edges, parent = engine._oracle_bfs(oracle, root)
-        oracle.rollback()
-    return {"vertices": set(parent), "edges": edges}
+def tree_by_single_adds(orc, root, vertex_cap, edge_cap, fanout, meet=(), steps=None):
+    """`EdgeOracle.grow_tree` spelled out with one `add_edge` call per edge,
+    over at most `steps` dequeued vertices (the resumes before a close)."""
+    budget = orc.profile.capacity - len(orc.h)
+    parent = {root: None}
+    edges = []
+    q = deque([root])
+    served = 0
+    while q and len(parent) <= vertex_cap and len(edges) < edge_cap and served != steps:
+        u = q.popleft()
+        served += 1
+        for _ in range(fanout):
+            if orc.h.out_deg[u] >= orc.profile.out_cap:
+                break
+            if len(edges) >= budget:
+                raise ExpansionViolation("oracle hit capacity during tree growth")
+            e = orc.add_edge(u)
+            edges.append(e)
+            w = orc.host.heads[e]
+            if w not in parent:
+                parent[w] = (u, e)
+                if w in meet:
+                    return edges, parent
+                q.append(w)
+    return edges, parent
+
+
+def drive(tree, steps=None):
+    """Resume a `grow_tree` generator `steps` times, or to its end when
+    None, then close it."""
+    try:
+        for _ in islice(tree, steps):
+            pass
+    finally:
+        tree.close()
+
+
+def _probe_trees(engine, a, b):
+    """Grow the two trees of find(a, b) as the find does, inside undo logs
+    that then take them back. Returns {"out": (edges, parent), "in":
+    (edges, parent), "meet": meeting vertex or None}."""
+    out, inn = engine.out_oracle, engine.in_oracle
+    with out.request_log(), inn.request_log():
+        edges_a, par_a, edges_b, par_b, meet = engine._grow_trees(a, b)
+        out.rollback()
+        inn.rollback()
+    return {"out": (edges_a, par_a), "in": (edges_b, par_b), "meet": meet}
+
+
+def _tree_depths(oracle, root, edges):
+    """Hop distance from root of every vertex reached over `edges` alone."""
+    adj = {}
+    for e in edges:
+        adj.setdefault(oracle.host.tails[e], []).append(oracle.host.heads[e])
+    dist = {root: 0}
+    q = deque([root])
+    while q:
+        u = q.popleft()
+        for w in adj.get(u, ()):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                q.append(w)
+    return dist
 
 
 @pytest.fixture
-def probe_bfs():
-    return _probe_bfs
+def probe_trees():
+    return _probe_trees
+
+
+@pytest.fixture(scope="session")
+def tree_depths():
+    return _tree_depths
 
 
 def _walk_vertices(oracle, x, edges):

@@ -268,7 +268,7 @@ def test_cli_pipeline(tmp_path, capsys):
         "1": 1, "2": 4, "3": 7, "4": 9, "5": 8, "6": 2, "7": 1
     }
     assert payload["oracle_call_counts"] == {
-        "out_add": 200, "out_remove": 196, "in_add": 155, "in_remove": 149, "walk_searches": 0
+        "out_add": 181, "out_remove": 177, "in_add": 167, "in_remove": 161, "walk_searches": 0
     }
     assert sorted(payload["wall_clock"]) == ["max", "p50", "p90", "p99"]
     assert (payload["verifies_run"], payload["verify_findings"]) == (6, 0)

@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import random
-from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import dump
+from conftest import drive, dump, tree_by_single_adds
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_digraph
 from expander_routing.graph import Digraph
@@ -131,8 +130,10 @@ def test_remove_unknown_edge():
 def test_grow_tree_needs_an_open_log():
     host = gen_random_regular_digraph(30, 10, seed=6)
     orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
+    # the check runs at the first resume of the generator
+    tree = orc.grow_tree({0: None}, [], (), 4, 8, 2)
     with pytest.raises(CallerError):
-        orc.grow_tree(0, 4, 8, 2)
+        next(tree)
     assert len(orc.h) == 0 and orc.add_calls == 0
 
 
@@ -143,7 +144,7 @@ def test_grow_tree_budget_is_the_capacity_left():
     before = dump(orc)
     with pytest.raises(ExpansionViolation, match="capacity"):
         with orc.request_log():
-            orc.grow_tree(1, 20, 20, 2)
+            drive(orc.grow_tree({1: None}, [], (), 20, 20, 2))
     # four picks fill the capacity; the fifth is refused before it is made
     assert dump(orc) == before and orc.add_calls == 1 + 4
 
@@ -511,30 +512,13 @@ class Forced(Exception):
     """Raised inside a request log to make it roll back."""
 
 
-def tree_by_single_adds(orc, root, vertex_cap, edge_cap, fanout, stop=()):
-    """`grow_tree` spelled out with one `add_edge` call per edge."""
-    budget = orc.profile.capacity - len(orc.h)
-    parent = {root: None}
-    edges = []
-    if root in stop:
-        return edges, parent
-    q = deque([root])
-    while q and len(parent) <= vertex_cap and len(edges) < edge_cap:
-        u = q.popleft()
-        for _ in range(fanout):
-            if orc.h.out_deg[u] >= orc.profile.out_cap:
-                break
-            if len(edges) >= budget:
-                raise ExpansionViolation("oracle hit capacity during tree growth")
-            e = orc.add_edge(u)
-            edges.append(e)
-            w = orc.host.heads[e]
-            if w not in parent:
-                parent[w] = (u, e)
-                if w in stop:
-                    return edges, parent
-                q.append(w)
-    return edges, parent
+def _grown(orc, root, vertex_cap, edge_cap, fanout, meet=(), steps=None):
+    """(edges, parent, log) of a tree grown by `grow_tree` in a fresh log,
+    resumed `steps` times (to its end when None) and then closed."""
+    edges, parent = [], {root: None}
+    with orc.request_log():
+        drive(orc.grow_tree(parent, edges, meet, vertex_cap, edge_cap, fanout), steps)
+        return edges, parent, list(orc._undo)
 
 
 def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
@@ -550,31 +534,36 @@ def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
         except (CallerError, ExpansionViolation):
             pass
     root = next(v for v in range(60) if base.h.out_deg[v] == 0)
-    full = copy.deepcopy(base)
-    with full.request_log():
-        edges, parent = full.grow_tree(root, 40, 80, 2)
-        full_log = list(full._undo)
+    edges, parent, full_log = _grown(copy.deepcopy(base), root, 40, 80, 2)
     assert {op for op, _ in full_log} == {"h+", "b+", "b-", "s+", "l+"}
     verts = list(parent)
     assert len(verts) > 20
     for k, w in enumerate(verts):
-        # the stop set holds w and everything discovered after it; the
-        # tree must end at w, its first vertex in discovery order
-        stopped, single = copy.deepcopy(base), copy.deepcopy(base)
-        stop = set(verts[k:])
-        with stopped.request_log():
-            got = stopped.grow_tree(root, 40, 80, 2, stop)
-            log = list(stopped._undo)
-        kept = edges.index(parent[w][1]) + 1 if k else 0
-        assert got == (edges[:kept], dict(zip(verts[: k + 1], parent.values())))
-        assert log == full_log[: len(log)]
-        with single.request_log():
-            assert tree_by_single_adds(single, root, 40, 80, 2, stop) == got
-            assert single._undo == log
-        assert stopped.add_calls - base.add_calls == kept
-        assert (dump(stopped), stopped.sat_out, _counters(stopped)) == (
-            dump(single), single.sat_out, _counters(single)
-        )
+        # a tree that meets w and everything discovered after it must end
+        # at w, its first vertex in discovery order (the root is never
+        # discovered); a tree closed after k resumes has served verts[:k]
+        cases = [((), k)]
+        if k:
+            cases.append((set(verts[k:]), None))
+        for meet, steps in cases:
+            stopped, single = copy.deepcopy(base), copy.deepcopy(base)
+            got_edges, got_parent, log = _grown(stopped, root, 40, 80, 2, meet, steps)
+            if meet:
+                kept = edges.index(parent[w][1]) + 1
+                assert (got_edges, got_parent) == (edges[:kept], dict(zip(verts[: k + 1], parent.values())))
+            else:
+                served = set(verts[:k])
+                kept = len(got_edges)
+                assert got_edges == [e for e in edges if host.tails[e] in served]
+                assert list(got_parent.items()) == list(parent.items())[: len(got_parent)]
+            assert log == full_log[: len(log)]
+            with single.request_log():
+                assert tree_by_single_adds(single, root, 40, 80, 2, meet, steps) == (got_edges, got_parent)
+                assert single._undo == log
+            assert stopped.add_calls - base.add_calls == kept
+            assert (dump(stopped), stopped.sat_out, _counters(stopped)) == (
+                dump(single), single.sat_out, _counters(single)
+            )
 
 
 class OracleMachine(RuleBasedStateMachine):
@@ -634,29 +623,30 @@ class OracleMachine(RuleBasedStateMachine):
         vertex_cap=st.integers(1, 12),
         edge_cap=st.integers(1, 16),
         fanout=st.integers(1, 3),
-        stop=st.sets(MACHINE_VERTICES, max_size=6),
+        meet=st.sets(MACHINE_VERTICES, max_size=6),
+        steps=st.none() | st.integers(0, 8),
         data=st.data(),
     )
-    def grow_and_hand_back(self, root, vertex_cap, edge_cap, fanout, stop, data):
-        # a find's tree: grown inside a log, then all but a kept subset
-        # released after the log closes; the same tree grown one add_edge
-        # call at a time on a copy must match it edge for edge, and a tree
-        # that reached `stop` ends at its first vertex of `stop`
+    def grow_and_hand_back(self, root, vertex_cap, edge_cap, fanout, meet, steps, data):
+        # a find's tree: grown inside a log, resumed `steps` times (to its
+        # end when None) and closed, then all but a kept subset released
+        # after the log closes; the same tree grown one add_edge call at a
+        # time on a copy must match it edge for edge, and a tree that
+        # discovered a vertex of `meet` ends there
         ref = copy.deepcopy(self.orc)
         before = self._state()
         try:
-            with self.orc.request_log():
-                edges, parent = self.orc.grow_tree(root, vertex_cap, edge_cap, fanout, stop)
+            edges, parent, _ = _grown(self.orc, root, vertex_cap, edge_cap, fanout, meet, steps)
         except ExpansionViolation:
             assert self._state() == before
             with pytest.raises(ExpansionViolation):
                 with ref.request_log():
-                    tree_by_single_adds(ref, root, vertex_cap, edge_cap, fanout, stop)
+                    tree_by_single_adds(ref, root, vertex_cap, edge_cap, fanout, meet, steps)
             assert _counters(ref) == _counters(self.orc)
             return
-        assert [v for v in parent if v in stop] in ([], [next(reversed(parent))])
+        assert [v for v in parent if v in meet and v != root] in ([], [next(reversed(parent))])
         with ref.request_log():
-            assert tree_by_single_adds(ref, root, vertex_cap, edge_cap, fanout, stop) == (
+            assert tree_by_single_adds(ref, root, vertex_cap, edge_cap, fanout, meet, steps) == (
                 edges, parent
             )
         assert (dump(ref), ref.sat_out, _counters(ref)) == (*self._state(), _counters(self.orc))

@@ -1,5 +1,5 @@
+import copy
 import random
-from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import dump
+from conftest import dump, tree_by_single_adds
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.harness import gen_workload, run_trace
@@ -136,83 +136,126 @@ def test_churn_keeps_invariants():
         assert verts[0] == rec.a and verts[-1] == rec.b
 
 
-def test_probe_bfs_depth_and_size(probe_bfs):
+def test_probe_bfs_depth_and_size(probe_trees, tree_depths):
     eng = small_engine(n=240, d=30, seed=24)
     prof = eng.profile
+    out_cap = prof.oracle.out_cap
     rng = random.Random(5)
     for _ in range(10):
-        side = rng.choice(["out", "in"])
-        oracle = eng.out_oracle if side == "out" else eng.in_oracle
-        root = rng.randrange(eng.n)
-        if oracle.h.out_deg[root] >= oracle.profile.out_cap:
+        a, b = rng.sample(range(eng.n), 2)
+        if eng.out_oracle.h.out_deg[a] >= out_cap or eng.in_oracle.h.out_deg[b] >= out_cap:
             continue
         before = state_snapshot(eng)
-        probe = probe_bfs(eng, side, root)
+        probe = probe_trees(eng, a, b)
         assert state_snapshot(eng) == before
-        assert len(probe["vertices"]) >= prof.bfs_vertex_cap
-        # recompute hop distances over the returned tree edges only
-        adj = {}
-        for e in probe["edges"]:
-            adj.setdefault(oracle.host.tails[e], []).append(oracle.host.heads[e])
-        dist = {root: 0}
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            for w in adj.get(u, ()):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        assert set(dist) >= probe["vertices"]
-        assert max(dist[v] for v in probe["vertices"]) <= prof.depth_cap
+        for oracle, root, (edges, parent) in (
+            (eng.out_oracle, a, probe["out"]),
+            (eng.in_oracle, b, probe["in"]),
+        ):
+            # only trees that did not meet must reach the vertex target
+            if probe["meet"] is None:
+                assert len(parent) >= prof.bfs_vertex_cap
+            # hop distances over the returned tree edges only
+            dist = tree_depths(oracle, root, edges)
+            assert set(dist) >= set(parent)
+            assert max(dist[v] for v in parent) <= prof.depth_cap
 
 
-def test_met_tree_skips_the_stall_check_but_not_the_depth_check():
+def _meeting_pair(eng, rng, probe_trees):
+    """A pair (a, b) whose trees meet, with its probe."""
+    for _ in range(50):
+        a, b = rng.sample(range(eng.n), 2)
+        try:
+            probe = probe_trees(eng, a, b)
+        except ExpansionViolation:
+            continue
+        if probe["meet"] is not None:
+            return a, b, probe
+    raise AssertionError("no meeting pair in 50 samples")
+
+
+def test_met_tree_skips_the_stall_check_but_not_the_depth_check(probe_trees):
+    # no tree reaches n + 1 vertices, yet a find whose trees meet is served
     eng = small_engine(n=240, d=30, seed=24)
     prof = eng.profile
-    oracle, root = eng.in_oracle, 5
-    with oracle.request_log():
-        _, parent = eng._oracle_bfs(oracle, root)
-        oracle.rollback()
-    verts = list(parent)
-    meet = verts[len(verts) // 2]
-    depth = len(eng._tree_path(parent, meet))
+    eng.profile = replace(prof, bfs_vertex_cap=eng.n + 1)
+    a, b, probe = _meeting_pair(eng, random.Random(3), probe_trees)
+    depth = max(
+        len(eng._tree_path(parent, next(reversed(parent))))
+        for _, parent in (probe["out"], probe["in"])
+    )
     before = state_snapshot(eng)
-    with oracle.request_log():
-        edges, met = eng._oracle_bfs(oracle, root, {meet})
-        oracle.rollback()
-    # far below bfs_vertex_cap, yet not a stall: the tree reached `stop`
-    assert list(met) == verts[: len(verts) // 2 + 1]
-    assert len(met) < prof.bfs_vertex_cap and len(edges) < len(verts)
-    eng.profile = replace(prof, depth_cap=depth - 1)
+    eng.profile = replace(eng.profile, depth_cap=depth - 1)
     with pytest.raises(ExpansionViolation, match="depth"):
-        with oracle.request_log():
-            eng._oracle_bfs(oracle, root, {meet})
+        eng.find_path(a, b)
     assert state_snapshot(eng) == before
+    eng.profile = replace(eng.profile, depth_cap=depth)
+    rec = eng.find_path(a, b)
+    assert rec.seg_mid == () and eng.path_vertices(rec)[len(rec.seg_a)] == probe["meet"]
+    assert eng.verify().ok
 
 
-def test_meeting_trees_share_one_vertex_and_need_no_connector():
-    # the in-tree grows as find_path grows it, with the out-tree as `stop`
-    eng = small_engine(n=600, d=30, seed=11)
+def _alone(oracle, root, caps, meet=(), steps=None):
+    """The tree `oracle` grows alone by single adds, on a copy."""
+    with copy.deepcopy(oracle).request_log() as orc:
+        return tree_by_single_adds(orc, root, *caps, meet, steps)
+
+
+def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
+    # on a filled engine, each lockstep tree is a prefix of the tree its
+    # oracle grows alone. Trees that meet share only the meeting vertex:
+    # the tree that discovered it is the lone tree stopped there, and the
+    # other has had the turns lockstep gives it, as many dequeued vertices
+    # as the meeting tree when the out-tree met, one fewer when it was the
+    # in-tree (the out-tree moves first)
+    n = 600
+    eng = small_engine(n=n, d=30, seed=11)
+    prof = eng.profile
+    cmds = gen_workload("fill", n, {"count": prof.r - 4}, 5, prof.endpoint_cap, prof.r)
+    assert run_trace(eng, cmds).failures == []
+    caps = prof.bfs_vertex_cap, prof.bfs_edge_cap, prof.fanout
     rng = random.Random(2)
     met = 0
-    for _ in range(40):
-        a, b = rng.sample(range(eng.n), 2)
-        with eng.out_oracle.request_log(), eng.in_oracle.request_log():
-            _, par_a = eng._oracle_bfs(eng.out_oracle, a)
-            _, par_b = eng._oracle_bfs(eng.in_oracle, b, par_a)
-            eng.out_oracle.rollback()
-            eng.in_oracle.rollback()
-        shared = set(par_a).intersection(par_b)
-        if shared:
-            meet = next(reversed(par_b))
-            assert shared == {meet}
-            assert eng._g3_connect(par_a, par_b) == (meet, meet, [])
-            met += 1
-        else:
-            assert len(par_b) >= eng.profile.bfs_vertex_cap
+    for _ in range(60):
+        a, b = rng.sample(range(n), 2)
+        if eng.ledger.violation(a, b):
+            continue
+        probe = probe_trees(eng, a, b)
+        meet = probe["meet"]
+        sides = ((eng.out_oracle, a, probe["out"]), (eng.in_oracle, b, probe["in"]))
+        for oracle, root, (edges, parent) in sides:
+            full_edges, full_parent = _alone(oracle, root, caps)
+            assert edges == full_edges[: len(edges)]
+            assert list(parent.items()) == list(full_parent.items())[: len(parent)]
+            if meet is None:
+                assert (edges, parent) == (full_edges, full_parent)
+                assert len(parent) >= prof.bfs_vertex_cap
+        shared = set(probe["out"][1]).intersection(probe["in"][1])
+        if meet is None:
+            assert not shared
+            continue
+        assert shared == {meet}
+        schedules = []
+        for (m_orc, m_root, m_tree), (o_orc, o_root, o_tree), lag in (
+            (sides[0], sides[1], 1),
+            (sides[1], sides[0], 0),
+        ):
+            m_parent = m_tree[1]
+            if m_parent[meet] is None:
+                continue  # a root is never discovered
+            turns = list(m_parent).index(m_parent[meet][0]) + 1
+            schedules.append(
+                _alone(m_orc, m_root, caps, set(o_tree[1])) == m_tree
+                and _alone(o_orc, o_root, caps, steps=turns - lag) == o_tree
+            )
+        assert any(schedules)
+        met += 1
+        rec = eng.find_path(a, b)
+        assert rec.seg_mid == ()
+        eng.remove_path(rec.id)
     # both outcomes occur at this size
     assert 5 <= met < 40
-    assert eng.verify().ok and len(eng.out_oracle.h) == len(eng.in_oracle.h) == 0
+    assert eng.verify().ok
 
 
 @pytest.mark.parametrize("seed", [1, 2, 7])
@@ -234,15 +277,20 @@ def test_overload_churn_serves_every_find(seed):
 
 
 def test_failed_find_unwinds_everything():
-    # an unreachable tree-size target makes every request fail after real
-    # work; on the filled engine the failed trees also move B, Sat and Low
-    for n, seed, fill, finds in ((150, 21, 0, 1), (1200, 11, 47, 60)):
+    # a depth budget of one hop makes nearly every request fail after both
+    # trees grew; on the filled engine the failed trees also move B, Sat
+    # or Low, which a wrapper around each oracle's rollback sees in its log
+    for n, seed, fill, finds in ((150, 21, 0, 20), (1200, 11, 47, 60)):
         g = gen_random_regular_graph(n, 30, seed=seed)
         prof = desk_profile(n, 30)
         eng = RoutingEngine(g, prof)
         cmds = gen_workload("fill", n, {"count": fill}, 3, prof.endpoint_cap, prof.r)
         assert run_trace(eng, cmds).failures == []
-        eng.profile = replace(prof, bfs_vertex_cap=n + 1)
+        assert len(eng.ledger.paths) == fill
+        eng.profile = replace(prof, depth_cap=1)
+        rolled_back = []
+        for oracle in (eng.out_oracle, eng.in_oracle):
+            oracle.rollback = _watch_rollback(oracle, rolled_back)
         rng = random.Random(0)
         expansion_failures = 0
         for _ in range(finds):
@@ -252,7 +300,58 @@ def test_failed_find_unwinds_everything():
             expansion_failures += failure.type is ExpansionViolation
             assert state_snapshot(eng) == before
         assert expansion_failures >= 0.9 * finds
+        if fill:
+            assert any(op != "h+" for op in rolled_back)
+        eng.profile = prof
         assert eng.verify().ok
+
+
+def _watch_rollback(oracle, ops):
+    """Wrap oracle.rollback to collect the ops of each log it undoes."""
+    rollback = oracle.rollback
+
+    def watched(mark=0):
+        ops.extend(op for op, _ in oracle._undo[mark:])
+        return rollback(mark)
+
+    return watched
+
+
+def test_oracle_counters_count_every_tree_edge():
+    # the generators are closed on every exit, so a find's add_calls
+    # deltas are its trees' sizes: met, unmet and failed alike (the
+    # wrapper holds each generator, so only a close runs its count)
+    eng = small_engine(n=600, d=30, seed=11)
+    grown = {}
+    for side, oracle in (("out", eng.out_oracle), ("in", eng.in_oracle)):
+        grow_tree = oracle.grow_tree
+
+        def watched(parent, edges, *rest, side=side, grow_tree=grow_tree):
+            grown[side] = edges, grow_tree(parent, edges, *rest)
+            return grown[side][1]
+
+        oracle.grow_tree = watched
+
+    def find(a, b):
+        calls = eng.oracle_call_counts()
+        try:
+            rec = eng.find_path(a, b)
+        except ExpansionViolation:
+            rec = None
+        after = eng.oracle_call_counts()
+        assert after["out_add"] - calls["out_add"] == len(grown["out"][0])
+        assert after["in_add"] - calls["in_add"] == len(grown["in"][0])
+        return rec
+
+    rng = random.Random(2)
+    met = set()
+    while len(met) < 2:
+        rec = find(*rng.sample(range(eng.n), 2))
+        met.add(rec.seg_mid == ())
+        eng.remove_path(rec.id)
+    # a depth budget of one hop fails a find after both trees grew
+    eng.profile = replace(eng.profile, depth_cap=1)
+    assert find(*rng.sample(range(eng.n), 2)) is None
 
 
 def test_failed_connector_unwinds_everything():
@@ -319,7 +418,7 @@ class EngineMachine(RuleBasedStateMachine):
         self.eng.remove_path(data.draw(st.sampled_from(list(self.eng.ledger.paths))))
 
     @rule(a=MACHINE_VERTICES, b=MACHINE_VERTICES, knob=st.sampled_from(
-        [{"bfs_vertex_cap": MACHINE_N + 1}, {"g3_path_cap": 0}]
+        [{"depth_cap": 1}, {"g3_path_cap": 0}]
     ))
     def forced_failure(self, a, b, knob):
         prof = self.eng.profile
