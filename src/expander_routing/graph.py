@@ -54,14 +54,6 @@ class Digraph:
                 return None
         return k
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Digraph)
-            and self.n == other.n
-            and self.tails == other.tails
-            and self.heads == other.heads
-        )
-
     def __repr__(self):
         return "Digraph(n=%d, m=%d)" % (self.n, self.m)
 
@@ -114,14 +106,6 @@ class UndirectedGraph:
             if len(self.inc[v]) != k:
                 return None
         return k
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UndirectedGraph)
-            and self.n == other.n
-            and self.us == other.us
-            and self.vs == other.vs
-        )
 
     def __repr__(self):
         return "UndirectedGraph(n=%d, m=%d)" % (self.n, self.m)

@@ -28,14 +28,16 @@ tie-break). Every other choice (vertex scans, backward walk steps)
 follows host adjacency order or ascending vertex ids, so runs are
 deterministic.
 
-Every mutation an add makes goes to an undo log of membership deltas.
-A caller can hold one log open over a whole request (`request_log`); an
-exception inside replays it backwards, which leaves the structure exactly
-as it was when the log opened. A failed add rolls back its own mutations,
-inside an open log or not, and raises ExpansionViolation. The log holds
-additions only: `release` (and so `remove_edge`) raises CallerError while
-a log is open, so a request hands its unused edges back after its log
-closes.
+Every mutation an add makes goes to an undo log of membership deltas,
+one log per request (`request_log`; `add_edge` opens its own when none
+is open). An exception inside replays it backwards, which leaves the
+structure exactly as it was when the log opened. A failed add rolls back
+its own mutations, inside an open log or not, and raises
+ExpansionViolation. The log holds additions only: `release` (and so
+`remove_edge`) raises CallerError while a log is open, so a request
+hands its unused edges back after its log closes. The log is also where
+`add_calls` counts: each edge that entered H counts once, when the log
+closes over it or a rollback undoes it.
 
 A router request grows two trees and keeps one branch of each, so the
 traffic comes in batches: `grow_tree` is a generator that makes a tree's
@@ -51,6 +53,7 @@ search through the instance) and run `audit` in between.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import compress, repeat
 from math import ceil
@@ -103,6 +106,7 @@ class EdgeOracle:
         self._low_pending = set()
         self._drop_pending = set()
         self._undo = None
+        self._h_opened = 0  # |H| when the open log opened
         self.add_calls = 0
         self.remove_calls = 0
         self.walk_searches = 0
@@ -140,8 +144,11 @@ class EdgeOracle:
     def request_log(self):
         """Open an undo log for one request, for use as `with
         oracle.request_log():`; an exception in the block rolls back every
-        mutation made inside it."""
+        mutation made inside it. `add_calls` counts an edge that entered H
+        when it leaves the log: at close if kept (|H| grows only while a
+        log is open), in `rollback` if undone."""
         self._undo = []
+        self._h_opened = self.h._size
         return self
 
     def __enter__(self):
@@ -150,6 +157,7 @@ class EdgeOracle:
     def __exit__(self, exc_type, exc, tb):
         if exc_type is not None:
             self.rollback()
+        self.add_calls += self.h._size - self._h_opened
         self._undo = None
 
     def rollback(self, mark=0):
@@ -158,6 +166,7 @@ class EdgeOracle:
         for op, arg in reversed(log[mark:]):
             if op == "h+":
                 self.h.remove(arg)
+                self.add_calls += 1
             elif op == "b+":
                 self.b.remove(arg)
             elif op == "b-":
@@ -181,21 +190,16 @@ class EdgeOracle:
             raise CallerError("add_edge(%d): out-degree cap %d reached" % (v, prof.out_cap))
         if self.h._size >= prof.capacity:
             raise CallerError("add_edge: active set is at capacity %d" % prof.capacity)
-        own_log = self._undo is None
-        if own_log:
-            self._undo = []
-        mark = len(self._undo)
         edges = []
-        try:
-            for _ in self.grow_tree({v: None}, edges, (), 1, 1, 1):
-                pass
-            return edges[0]
-        except ExpansionViolation:
-            self.rollback(mark)
-            raise
-        finally:
-            if own_log:
-                self._undo = None
+        with self.request_log() if self._undo is None else nullcontext():
+            mark = len(self._undo)
+            try:
+                for _ in self.grow_tree({v: None}, edges, (), 1, 1, 1):
+                    pass
+            except ExpansionViolation:
+                self.rollback(mark)
+                raise
+        return edges[0]
 
     def grow_tree(self, parent, edges, meet, vertex_cap, edge_cap, fanout):
         """Generator that grows a breadth-first tree of fresh edges out of
@@ -209,10 +213,10 @@ class EdgeOracle:
         other its first free out-edge in pick order whose head is not in
         Sat. The edge budget is the capacity left at the first resume. The
         tree ends when it discovers a vertex in `meet` (read live), its
-        last key then. Stopped there or closed early, it is a prefix of the
-        full tree, with the same picks and log entries; `add_calls` counts
-        its edges when it ends or is closed. It needs an open log (checked
-        at the first resume), which takes the edges back on ExpansionViolation.
+        last key then. Stopped there or dropped early, it is a prefix of
+        the full tree, with the same picks and log entries. It needs an
+        open log (checked at the first resume), which counts its edges and
+        takes them back on ExpansionViolation.
         """
         undo = self._undo
         if undo is None:
@@ -227,58 +231,51 @@ class EdgeOracle:
         # the BFS queue: a for loop over a list visits what is appended to it
         order = list(parent)
         picks, log, enqueue, keep = range(fanout), undo.append, order.append, edges.append
-        try:
-            for u in order:
-                if len(parent) > vertex_cap or len(edges) >= edge_cap:
+        for u in order:
+            if len(parent) > vertex_cap or len(edges) >= edge_cap:
+                break
+            for _ in picks:
+                if out_deg[u] >= out_cap:
                     break
-                for _ in picks:
-                    if out_deg[u] >= out_cap:
-                        break
-                    if len(edges) >= budget:
-                        raise ExpansionViolation("oracle hit capacity during tree growth")
-                    if low[u]:
-                        # serve from the buffered stock
-                        for e in pick_order[u]:
-                            if b_mem[e]:
-                                break
-                        else:
-                            raise ExpansionViolation("add_edge(%d): buffered vertex has no stock" % u)
-                        self._b_remove(e)
-                        h.add(e)
-                        log(("h+", e))
-                        w = heads[e]
+                if len(edges) >= budget:
+                    raise ExpansionViolation("oracle hit capacity during tree growth")
+                if low[u]:
+                    # serve from the buffered stock
+                    for e in pick_order[u]:
+                        if b_mem[e]:
+                            break
                     else:
-                        for e in pick_order[u]:
-                            if h_mem[e] or b_mem[e]:
-                                continue
-                            w = heads[e]
-                            if not sat[w]:
-                                break
-                        else:
-                            raise ExpansionViolation("add_edge(%d): all free out-edges saturated" % u)
-                        h_mem[e] = True
-                        out_deg[u] += 1
-                        in_deg[w] += 1
-                        h._size += 1
-                        log(("h+", e))
-                        # w was not in Sat; only a Sat addition can promote anyone to Low
-                        if in_deg[w] + b_in[w] >= sat_min:
-                            self._sat_add(w)
-                            if self._low_pending:
-                                self._rebalance()
-                    keep(e)
-                    if w not in parent:
-                        parent[w] = (u, e)
-                        if w in meet:
-                            return
-                        enqueue(w)
-                yield
-        except ExpansionViolation:
-            # a pick that failed was a call too; running out of budget is not
-            self.add_calls += len(edges) < budget
-            raise
-        finally:
-            self.add_calls += len(edges)
+                        raise ExpansionViolation("add_edge(%d): buffered vertex has no stock" % u)
+                    self._b_remove(e)
+                    h.add(e)
+                    log(("h+", e))
+                    w = heads[e]
+                else:
+                    for e in pick_order[u]:
+                        if h_mem[e] or b_mem[e]:
+                            continue
+                        w = heads[e]
+                        if not sat[w]:
+                            break
+                    else:
+                        raise ExpansionViolation("add_edge(%d): all free out-edges saturated" % u)
+                    h_mem[e] = True
+                    out_deg[u] += 1
+                    in_deg[w] += 1
+                    h._size += 1
+                    log(("h+", e))
+                    # w was not in Sat; only a Sat addition can promote anyone to Low
+                    if in_deg[w] + b_in[w] >= sat_min:
+                        self._sat_add(w)
+                        if self._low_pending:
+                            self._rebalance()
+                keep(e)
+                if w not in parent:
+                    parent[w] = (u, e)
+                    if w in meet:
+                        return
+                    enqueue(w)
+            yield
 
     def remove_edge(self, e):
         """Remove an active edge; buffered tails keep it as stock."""

@@ -115,12 +115,10 @@ def oriented_degree(d: int) -> int:
     return d // 2 if d % 2 == 0 else (d - 1) // 2
 
 
-def derive_profile(n, d, beta, gamma, relaxed=False, lam=None, c0=1):
+def derive_profile(n, d, beta, gamma, relaxed=False):
     """Compute every derived constant from (n, d, beta, gamma).
 
     Strict mode (relaxed=False) enforces gamma < 1/1000 and d > 200.
-    Passing `lam` switches the depth budget to the spectral variant
-    ceil(log n / log(c0 * d^2 / lam^2)) and rescales r with it.
     """
     beta = Fraction(beta)
     gamma = Fraction(gamma)
@@ -139,11 +137,6 @@ def derive_profile(n, d, beta, gamma, relaxed=False, lam=None, c0=1):
     d_prime = k // 10
     c = beta / 1200
     depth_cap = ceil_log2(n)
-    if lam is not None:
-        growth = c0 * d * d / (lam * lam)
-        if growth <= 1:
-            raise CallerError("spectral depth budget needs c0*d^2/lam^2 > 1")
-        depth_cap = max(1, math.ceil(math.log(n) / math.log(growth)))
     r = min(
         math.floor(c * n * k / (2 * depth_cap)),
         math.floor(beta * beta * n * k / 15000),
@@ -184,7 +177,9 @@ def desk_profile(n, d, **overrides):
     free forward edges for their walks), absolute saturation and in caps
     of 2, and out_cap >= in_cap + endpoint_cap so a request's endpoints
     always have tree-growing headroom. Load caps were tuned on seeded
-    runs; any field can be overridden by keyword.
+    runs; any field can be overridden by keyword. h_size_cap, the bound
+    r * depth_cap on each oracle's |H|, follows overridden r and depth_cap
+    unless it is overridden itself.
     """
     if d < 26:
         raise CallerError("desk routing profiles need d >= 26 (got %d)" % d)
@@ -196,8 +191,8 @@ def desk_profile(n, d, **overrides):
     in_cap = max(2, d_prime // 5)
     endpoint_cap = max(1, min(3, out_cap - in_cap - 1))
     bfs_vertex_cap = max(6, -(-n // 50))
-    depth_cap = ceil_log2(n)
-    r = max(8, n // 25)
+    depth_cap = overrides.get("depth_cap", ceil_log2(n))
+    r = overrides.get("r", max(8, n // 25))
     beta = Fraction(5 * bfs_vertex_cap, n)
     profile = RouterProfile(
         n=n,

@@ -188,25 +188,21 @@ class RoutingEngine:
         the other: they share only that meeting vertex. A tree that ends
         unmet leaves the other to grow alone, and must reach
         `bfs_vertex_cap` vertices. BFS makes a tree's last key its deepest.
-        Returns (edges_a, par_a, edges_b, par_b, meeting vertex or None);
-        an ExpansionViolation leaves the edges for the undo logs to take back.
+        A tree stopped at the meeting is dropped suspended. Returns (edges_a,
+        par_a, edges_b, par_b, meeting vertex or None); the open undo logs
+        count the edges and take them back on an ExpansionViolation.
         """
         prof = self.profile
         caps = prof.bfs_vertex_cap, prof.bfs_edge_cap, prof.fanout
         edges_a, par_a, edges_b, par_b = [], {a: None}, [], {b: None}
         grow_a = self.out_oracle.grow_tree(par_a, edges_a, par_b, *caps)
         grow_b = self.in_oracle.grow_tree(par_b, edges_b, par_a, *caps)
-        try:
-            # zip stops when the first tree ends; if it ended unmet, the other goes on alone
-            for _ in zip(grow_a, grow_b):
+        # zip stops when the first tree ends; if it ended unmet, the other goes on alone
+        for _ in zip(grow_a, grow_b):
+            pass
+        if self._meeting(par_a, par_b) is None:
+            for _ in chain(grow_a, grow_b):
                 pass
-            if self._meeting(par_a, par_b) is None:
-                for _ in chain(grow_a, grow_b):
-                    pass
-        finally:
-            # a suspended tree counts its adds in add_calls only when closed
-            grow_a.close()
-            grow_b.close()
         meet = self._meeting(par_a, par_b)
         for parent in (par_a, par_b):
             if meet is None and len(parent) < prof.bfs_vertex_cap:
@@ -269,25 +265,18 @@ class RoutingEngine:
         return verts
 
     def _walk_vertices(self, rec, problems):
-        g1 = self.split.g1
-        g2 = self.split.g2
-        g3 = self.split.g3
+        split = self.split
         verts = [rec.a]
-        for e in rec.seg_a:
-            if g1.tails[e] != verts[-1]:
-                problems.append("first segment breaks at edge %d" % e)
-                return verts
-            verts.append(g1.heads[e])
-        for e in rec.seg_mid:
-            if g3.tails[e] != verts[-1]:
-                problems.append("middle segment breaks at edge %d" % e)
-                return verts
-            verts.append(g3.heads[e])
-        for e in rec.seg_b:
-            if g2.tails[e] != verts[-1]:
-                problems.append("last segment breaks at edge %d" % e)
-                return verts
-            verts.append(g2.heads[e])
+        for seg, g, label in (
+            (rec.seg_a, split.g1, "first"),
+            (rec.seg_mid, split.g3, "middle"),
+            (rec.seg_b, split.g2, "last"),
+        ):
+            for e in seg:
+                if g.tails[e] != verts[-1]:
+                    problems.append("%s segment breaks at edge %d" % (label, e))
+                    return verts
+                verts.append(g.heads[e])
         if verts[-1] != rec.b:
             problems.append("walk ends at %d, not at b=%d" % (verts[-1], rec.b))
         return verts

@@ -45,7 +45,7 @@ def c8():
 
 def tree_by_single_adds(orc, root, vertex_cap, edge_cap, fanout, meet=(), steps=None):
     """`EdgeOracle.grow_tree` spelled out with one `add_edge` call per edge,
-    over at most `steps` dequeued vertices (the resumes before a close)."""
+    over at most `steps` dequeued vertices (the resumes before it is dropped)."""
     budget = orc.profile.capacity - len(orc.h)
     parent = {root: None}
     edges = []
@@ -71,13 +71,9 @@ def tree_by_single_adds(orc, root, vertex_cap, edge_cap, fanout, meet=(), steps=
 
 
 def drive(tree, steps=None):
-    """Resume a `grow_tree` generator `steps` times, or to its end when
-    None, then close it."""
-    try:
-        for _ in islice(tree, steps):
-            pass
-    finally:
-        tree.close()
+    """Resume a `grow_tree` generator `steps` times, or to its end when None."""
+    for _ in islice(tree, steps):
+        pass
 
 
 def _probe_trees(engine, a, b):

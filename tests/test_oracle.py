@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -391,6 +392,39 @@ def test_failed_add_inside_an_open_log_keeps_the_earlier_adds():
     assert orc.audit().ok
 
 
+@pytest.mark.parametrize(
+    "low_threshold, message, added",
+    [
+        # no vertex can join Low, so the pick itself fails: nothing entered H
+        (Fraction(11), "all free out-edges saturated", 0),
+        # the pick saturates its head and the rebalance after it fails
+        (Fraction(10, 4), "no alternating walk", 1),
+    ],
+)
+def test_failed_add_counts_the_edges_it_put_in_h(low_threshold, message, added):
+    # every head saturates at its first in-edge; add_calls counts each
+    # edge that entered H once, kept or rolled back, in a log of its own
+    # or inside an open one
+    host = gen_random_regular_digraph(30, 10, seed=1)
+    prof = small_profile(30, 10, sat_threshold=Fraction(1), low_threshold=low_threshold)
+    for open_log in (False, True):
+        orc = EdgeOracle(host, prof)
+        with orc.request_log() if open_log else nullcontext():
+            for v in list(range(30)) * 3:
+                calls = orc.add_calls
+                try:
+                    orc.add_edge(v)
+                except CallerError:
+                    continue
+                except ExpansionViolation as exc:
+                    assert message in str(exc)
+                    break
+            else:
+                pytest.fail("no add failed")
+            assert orc.add_calls - calls == added
+        assert orc.add_calls == len(orc.h) + added
+
+
 def test_buffered_vertex_served_from_stock():
     host = gen_random_regular_digraph(100, 20, seed=12)
     prof = OracleProfile(
@@ -514,7 +548,7 @@ class Forced(Exception):
 
 def _grown(orc, root, vertex_cap, edge_cap, fanout, meet=(), steps=None):
     """(edges, parent, log) of a tree grown by `grow_tree` in a fresh log,
-    resumed `steps` times (to its end when None) and then closed."""
+    resumed `steps` times (to its end when None) and then dropped."""
     edges, parent = [], {root: None}
     with orc.request_log():
         drive(orc.grow_tree(parent, edges, meet, vertex_cap, edge_cap, fanout), steps)
@@ -541,7 +575,7 @@ def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
     for k, w in enumerate(verts):
         # a tree that meets w and everything discovered after it must end
         # at w, its first vertex in discovery order (the root is never
-        # discovered); a tree closed after k resumes has served verts[:k]
+        # discovered); a tree dropped after k resumes has served verts[:k]
         cases = [((), k)]
         if k:
             cases.append((set(verts[k:]), None))
@@ -566,6 +600,17 @@ def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
             )
 
 
+class UndoTally(EdgeOracle):
+    """An oracle that tallies the H additions its rollbacks undo; a
+    subclass, so a deep copy keeps rolling back itself."""
+
+    undone = 0
+
+    def rollback(self, mark=0):
+        self.undone += sum(op == "h+" for op, _ in self._undo[mark:])
+        super().rollback(mark)
+
+
 class OracleMachine(RuleBasedStateMachine):
     """Adds, removes and rolled-back requests on one small oracle. Every
     step leaves a clean audit; every raised add, and every request log
@@ -576,7 +621,7 @@ class OracleMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.orc = EdgeOracle(MACHINE_HOST, small_profile(40, 6, **self.CAPS))
+        self.orc = UndoTally(MACHINE_HOST, small_profile(40, 6, **self.CAPS))
 
     def _state(self):
         return dump(self.orc), list(self.orc.sat_out)
@@ -585,13 +630,15 @@ class OracleMachine(RuleBasedStateMachine):
     def add_edges(self, vs):
         for v in vs:
             before = self._state()
-            calls = self.orc.add_calls
+            calls, undone = self.orc.add_calls, self.orc.undone
             try:
                 self.orc.add_edge(v)
             except CallerError:
                 assert (self._state(), self.orc.add_calls) == (before, calls)
             except ExpansionViolation:
-                assert (self._state(), self.orc.add_calls) == (before, calls + 1)
+                # it counts the one edge its pick put in H, or none if the pick failed
+                assert self._state() == before
+                assert self.orc.add_calls - calls == self.orc.undone - undone <= 1
             else:
                 assert self.orc.add_calls == calls + 1
             assert self.orc.audit().ok
@@ -629,7 +676,7 @@ class OracleMachine(RuleBasedStateMachine):
     )
     def grow_and_hand_back(self, root, vertex_cap, edge_cap, fanout, meet, steps, data):
         # a find's tree: grown inside a log, resumed `steps` times (to its
-        # end when None) and closed, then all but a kept subset released
+        # end when None) and dropped, then all but a kept subset released
         # after the log closes; the same tree grown one add_edge call at a
         # time on a copy must match it edge for edge, and a tree that
         # discovered a vertex of `meet` ends there
@@ -659,6 +706,12 @@ class OracleMachine(RuleBasedStateMachine):
     def audit_clean(self):
         report = self.orc.audit()
         assert report.ok, str(report)
+
+    @invariant()
+    def every_add_counted_once(self):
+        # each edge that entered H is still there, was removed or was undone
+        orc = self.orc
+        assert orc.add_calls == len(orc.h) + orc.remove_calls + orc.undone
 
 
 class HeldSaturationMachine(OracleMachine):

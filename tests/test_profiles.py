@@ -85,15 +85,6 @@ def test_relaxed_profile_allows_small_degree():
     assert p.relaxed
 
 
-def test_spectral_variant_shrinks_depth_budget():
-    base = derive_profile(10**6, 400, "1/100", "1/2000")
-    spectral = derive_profile(10**6, 400, "1/100", "1/2000", lam=20.0)
-    assert spectral.depth_cap < base.depth_cap
-    growth = 400 * 400 / (20.0 * 20.0)
-    assert spectral.depth_cap == math.ceil(math.log(10**6) / math.log(growth))
-    assert spectral.r >= base.r
-
-
 def test_profile_file_round_trip():
     # every shipped profile passes the range checks; zeros stay legal (strict r=0)
     for p in (
@@ -244,6 +235,15 @@ def test_desk_profile_overrides():
     assert p.g3_path_cap == 99
     # derived, so it follows the override
     assert desk_profile(600, 30, g3_path_cap=99).path_len_cap == 2 * ceil_log2(600) + 99
+
+
+def test_desk_h_size_cap_follows_r_and_depth_cap():
+    # |H| of each oracle is at most r paths of depth_cap tree edges
+    assert desk_profile(600, 30).h_size_cap == 24 * 10
+    assert desk_profile(1200, 30, r=192).h_size_cap == 192 * 11
+    assert desk_profile(1200, 30, r=192, depth_cap=4).h_size_cap == 192 * 4
+    # an explicit h_size_cap still wins
+    assert desk_profile(1200, 30, r=192, h_size_cap=7).h_size_cap == 7
 
 
 def test_desk_profile_needs_room():

@@ -317,30 +317,24 @@ def _watch_rollback(oracle, ops):
     return watched
 
 
-def test_oracle_counters_count_every_tree_edge():
-    # the generators are closed on every exit, so a find's add_calls
-    # deltas are its trees' sizes: met, unmet and failed alike (the
-    # wrapper holds each generator, so only a close runs its count)
+def test_oracle_counters_count_every_tree_edge(probe_trees):
+    # the undo logs count each edge a find put in H once, kept or rolled
+    # back, so a find's add_calls deltas are its trees' sizes: met, unmet
+    # and failed alike; a probe grows the same trees the find then grows
     eng = small_engine(n=600, d=30, seed=11)
-    grown = {}
-    for side, oracle in (("out", eng.out_oracle), ("in", eng.in_oracle)):
-        grow_tree = oracle.grow_tree
 
-        def watched(parent, edges, *rest, side=side, grow_tree=grow_tree):
-            grown[side] = edges, grow_tree(parent, edges, *rest)
-            return grown[side][1]
-
-        oracle.grow_tree = watched
-
-    def find(a, b):
+    def find(a, b, profile=None):
+        probe = probe_trees(eng, a, b)
         calls = eng.oracle_call_counts()
+        if profile:
+            eng.profile = profile
         try:
             rec = eng.find_path(a, b)
         except ExpansionViolation:
             rec = None
         after = eng.oracle_call_counts()
-        assert after["out_add"] - calls["out_add"] == len(grown["out"][0])
-        assert after["in_add"] - calls["in_add"] == len(grown["in"][0])
+        assert after["out_add"] - calls["out_add"] == len(probe["out"][0])
+        assert after["in_add"] - calls["in_add"] == len(probe["in"][0])
         return rec
 
     rng = random.Random(2)
@@ -349,9 +343,25 @@ def test_oracle_counters_count_every_tree_edge():
         rec = find(*rng.sample(range(eng.n), 2))
         met.add(rec.seg_mid == ())
         eng.remove_path(rec.id)
-    # a depth budget of one hop fails a find after both trees grew
-    eng.profile = replace(eng.profile, depth_cap=1)
-    assert find(*rng.sample(range(eng.n), 2)) is None
+    # a depth budget of one hop fails a find after both trees grew; it is
+    # checked after growth, so the probe under the old budget sees the trees
+    assert find(*rng.sample(range(eng.n), 2), replace(eng.profile, depth_cap=1)) is None
+
+
+def test_raised_volume_cap_verifies_clean_when_full():
+    # with r raised past the default 8, the live paths hold more tree
+    # edges than the default r * depth_cap; verify must still pass
+    n, r = 150, 60
+    eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=21), desk_profile(n, 30, r=r))
+    rng = random.Random(1)
+    while len(eng.ledger.paths) < r:
+        try:
+            eng.find_path(*rng.sample(range(n), 2))
+        except CallerError:
+            pass
+    assert len(eng.out_oracle.h) > desk_profile(n, 30).h_size_cap
+    report = eng.verify()
+    assert report.ok, report.findings
 
 
 def test_failed_connector_unwinds_everything():
