@@ -146,7 +146,10 @@ class EdgeOracle:
         oracle.request_log():`; an exception in the block rolls back every
         mutation made inside it. `add_calls` counts an edge that entered H
         when it leaves the log: at close if kept (|H| grows only while a
-        log is open), in `rollback` if undone."""
+        log is open), in `rollback` if undone. A second open while one is
+        open is refused: it would empty the open log."""
+        if self._undo is not None:
+            raise CallerError("request_log: a log is already open")
         self._undo = []
         self._h_opened = self.h._size
         return self

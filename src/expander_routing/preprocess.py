@@ -2,19 +2,61 @@
 
 Pipeline: strip a perfect matching when the degree is odd, orient the
 remaining (even) graph along an Eulerian circuit so in- and out-degrees
-balance, then peel off two d_prime-regular spanning subdigraphs by
-repeated one-factor extraction. The leftover edges form the third
-subgraph, used only for short connecting segments.
+balance, then cut out two d_prime-regular spanning subdigraphs. The cut
+halves the live subgraph along Euler circuits of its tail/head cover
+while its degree is even and the wanted degrees fit in a half, and
+peels one factor otherwise (Gabow 1976; Alon 2003): for k=15, d_prime=6
+that is a peel, a halving into 7 + 7, and one peel per half, so 3
+one-factor extractions. The leftover edges form the third subgraph,
+used only for short connecting segments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import CallerError
 from .graph import Digraph, UndirectedGraph
 from .matching import one_factor, perfect_matching_edges
 from .profiles import RouterProfile, derive_profile
+
+
+def _walk_circuits(inc, us, vs, starts):
+    """Walk closed trails from each vertex of `starts` in turn.
+
+    Vertex v has incident edges inc[v]; edge e joins us[e] and vs[e]. The
+    walk always leaves along the first unused incident edge, so it is
+    deterministic. Returns a bytearray over edge ids: 1 for an edge walked
+    from us[e] to vs[e], 2 for one walked back, 0 for one never reached.
+    When every degree is even each trail closes, so every vertex is left
+    as often as it is entered.
+    """
+    used = bytearray(len(us))
+    ptr = [0] * len(inc)
+    for start in starts:
+        stack = [start]
+        while stack:
+            v = stack[-1]
+            inc_v = inc[v]
+            i = ptr[v]
+            end = len(inc_v)
+            while i < end and used[inc_v[i]]:
+                i += 1
+            if i == end:
+                ptr[v] = i
+                stack.pop()
+                continue
+            ptr[v] = i + 1
+            e = inc_v[i]
+            w = us[e]
+            if w == v:
+                used[e] = 1
+                w = vs[e]
+            else:
+                used[e] = 2
+            stack.append(w)
+    return used
 
 
 def eulerian_orient(g: UndirectedGraph) -> Digraph:
@@ -28,34 +70,12 @@ def eulerian_orient(g: UndirectedGraph) -> Digraph:
     for v in range(g.n):
         if g.degree(v) % 2 != 0:
             raise CallerError("vertex %d has odd degree %d" % (v, g.degree(v)))
-    m = g.m
-    us, vs, incs = g.us, g.vs, g.inc
-    used = [False] * m
-    orient = [None] * m
-    ptr = [0] * g.n
-    if m > 0:
-        stack = [us[0]]
-        while stack:
-            v = stack[-1]
-            inc = incs[v]
-            i = ptr[v]
-            while i < len(inc) and used[inc[i]]:
-                i += 1
-            ptr[v] = i
-            if i == len(inc):
-                stack.pop()
-                continue
-            e = inc[i]
-            used[e] = True
-            w = us[e]
-            if w == v:
-                w = vs[e]
-            orient[e] = (v, w)
-            stack.append(w)
+    us, vs = g.us, g.vs
+    walked = _walk_circuits(g.inc, us, vs, us[:1])  # one start: the first edge's end
     # one circuit took every edge and no vertex is isolated: the graph is connected
-    if not all(used) or (g.n > 1 and not all(incs)):
+    if not all(walked) or (g.n > 1 and not all(g.inc)):
         raise CallerError("graph is disconnected; cannot orient along one circuit")
-    return Digraph(g.n, orient)
+    return Digraph(g.n, [(u, v) if w == 1 else (v, u) for u, v, w in zip(us, vs, walked)])
 
 
 def extract_perfect_matching(g: UndirectedGraph):
@@ -74,10 +94,12 @@ def extract_perfect_matching(g: UndirectedGraph):
 def split_regular(d: Digraph, k, parts):
     """Split a k-regular digraph into regular spanning subdigraphs.
 
-    Extracts sum(parts) one-factors, groups them per `parts`, and returns
-    the remaining edges as a final (k - sum)-regular subgraph when any
+    Returns one p-regular subdigraph per entry p of `parts`, then the
+    remaining edges as a final (k - sum)-regular subgraph when any
     remain. Each result is (subdigraph, host edge ids): the subdigraph's
-    edge i corresponds to host edge ids[i].
+    edge i corresponds to host edge ids[i]. The cuts are Euler halvings
+    where they fit and one-factor peels elsewhere (see `_carve`); for
+    k=15 and parts [6, 6] that is 3 one-factors.
     """
     if d.regularity() != k:
         raise CallerError("digraph is not %d-regular" % k)
@@ -86,23 +108,63 @@ def split_regular(d: Digraph, k, parts):
         raise CallerError("parts must be positive")
     if total > k:
         raise CallerError("parts sum to %d > regularity %d" % (total, k))
-    live_out = [list(out) for out in d.out_adj]
-    factors = []
-    for _ in range(total):
-        f = one_factor(d, live_out)
-        for t, e in enumerate(f):
-            live_out[t].remove(e)
-        factors.append(f)
-    out = []
-    taken = 0
-    for p in parts:
-        ids = sorted(e for f in factors[taken : taken + p] for e in f)
-        taken += p
-        out.append(_subdigraph(d, ids))
+    pieces, rest = _carve(d, [list(out) for out in d.out_adj], k, parts)
+    out = [_subdigraph(d, sorted(ids)) for ids in pieces]
     if total < k:
-        ids = sorted(e for out in live_out for e in out)
-        out.append(_subdigraph(d, ids))
+        out.append(_subdigraph(d, sorted(rest)))
     return out
+
+
+def _carve(d, live_out, deg, parts):
+    """Cut the deg-regular live subgraph into one edge list per part p,
+    p-regular, and the rest; sum(parts) <= deg.
+
+    While deg is even and the parts fit in two halves of degree deg/2
+    (the longest prefix that fits in one, the others in the other),
+    halve and carve each half; otherwise peel one factor into the rest.
+    """
+    if not parts:
+        return [], [e for out in live_out for e in out]
+    if sum(parts) == deg:
+        # the parts take every edge: the last part is what the others leave
+        pieces, rest = _carve(d, live_out, deg, parts[:-1])
+        return pieces + [rest], []
+    if deg % 2 == 0:
+        half = deg // 2
+        cut = sum(s <= half for s in accumulate(parts))
+        if sum(parts[cut:]) <= half:
+            live_a, live_b = _halve(d, live_out)
+            a, rest_a = _carve(d, live_a, half, parts[:cut])
+            b, rest_b = _carve(d, live_b, half, parts[cut:])
+            return a + b, rest_a + rest_b
+    factor = one_factor(d, live_out)
+    for t, e in enumerate(factor):
+        live_out[t].remove(e)
+    pieces, rest = _carve(d, live_out, deg - 1, parts)
+    return pieces, rest + factor
+
+
+def _halve(d, live_out):
+    """Cut an even-degree regular live subgraph in two regular halves.
+
+    The walk runs over the bipartite cover (tail t, head n + h) of the
+    live edges, every component of it: edges walked tail to head form
+    one half, edges walked head to tail the other. Each cover vertex is
+    left as often as entered, so each half has half the degree.
+    """
+    n, heads = d.n, d.heads
+    live_in = [[] for _ in range(n)]
+    for out in live_out:
+        for e in out:
+            live_in[heads[e]].append(e)
+    # one int per cover head, shared by every edge into it
+    shifted = list(range(n, 2 * n))
+    cover_heads = [shifted[h] for h in heads]
+    walked = _walk_circuits(live_out + live_in, d.tails, cover_heads, range(n))
+    return (
+        [[e for e in out if walked[e] == 1] for out in live_out],
+        [[e for e in out if walked[e] == 2] for out in live_out],
+    )
 
 
 def _subdigraph(d: Digraph, ids):

@@ -45,15 +45,15 @@ ROUTER_N, ROUTER_D, ROUTER_OPS = 600, 30, 2000
 # them means the matching, the orientation, the split, the router or the
 # oracle bookkeeping changed behaviour
 GOLDEN_PREPROCESS = {
-    (20, 2): "977fa4eb4be41d5c686474ceb81b058c1ab3abb8d03f3d0449e5ea1c21a0d1d3",
-    (21, 3): "f56179348ea0c5f0e6c2a88212718e72024f4b14ba655d67ae0413544ec1b4b6",
+    (20, 2): "296558d1fdc3491c54ee078c45de6b9ee729d525194c3a0183117af96d01713e",
+    (21, 3): "6ed5b5f4cf98a3a71f9334153b83ceb9882958799b5da265cc96bf2477379c7a",
 }
-GOLDEN_REPLAY = "207403865b3de805b89346399b40aab8f0e93a1ad77199e147374a0a567918fa"
-GOLDEN_REPLAY_STATE = "998f6fa12cdf99b96915585299919e80ce407fba719e43e4329e0ca757d33f4d"
+GOLDEN_REPLAY = "f5cdf5d1d4bfe6f119a03c2eedf1948e74c69a065c80d086d2b30ed2e937c706"
+GOLDEN_REPLAY_STATE = "ae3d21a4d5c8982662e383cf21ae1c6bf8f2cd53151f22f1ee0de32da032aeac"
 # the oracle work that replay does: per-edge add and remove calls, walk
 # searches, and Low promotions per oracle (out, in)
 GOLDEN_REPLAY_CALLS = {
-    "out_add": 2859, "out_remove": 2830, "in_add": 2788, "in_remove": 2754, "walk_searches": 0,
+    "out_add": 2910, "out_remove": 2882, "in_add": 2850, "in_remove": 2825, "walk_searches": 0,
 }
 GOLDEN_REPLAY_LOW_ADDITIONS = (0, 0)
 

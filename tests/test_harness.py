@@ -265,10 +265,10 @@ def test_cli_pipeline(tmp_path, capsys):
     assert payload["failures"] == []
     assert payload["requests_served"] == 60
     assert payload["path_length_histogram"] == {
-        "1": 1, "2": 4, "3": 7, "4": 9, "5": 8, "6": 2, "7": 1
+        "1": 2, "2": 1, "3": 5, "4": 12, "5": 6, "6": 6
     }
     assert payload["oracle_call_counts"] == {
-        "out_add": 181, "out_remove": 177, "in_add": 167, "in_remove": 161, "walk_searches": 0
+        "out_add": 187, "out_remove": 181, "in_add": 187, "in_remove": 179, "walk_searches": 0
     }
     assert sorted(payload["wall_clock"]) == ["max", "p50", "p90", "p99"]
     assert (payload["verifies_run"], payload["verify_findings"]) == (6, 0)

@@ -193,6 +193,25 @@ def test_removal_is_refused_while_a_log_is_open():
     assert len(orc.h) == 0 and orc.audit().ok
 
 
+def test_nested_request_log_is_refused():
+    # a nested open would empty the outer log and close it on its way out,
+    # so the outer rollback could not undo the outer request's adds
+    host = gen_random_regular_digraph(30, 10, seed=7)
+    orc = EdgeOracle(host, small_profile(30, 10, low_threshold=Fraction(9)))
+    empty = (dump(orc), list(orc.sat_out))
+    with pytest.raises(RuntimeError, match="outer"):
+        with orc.request_log():
+            orc.add_edge(3)
+            before = (dump(orc), list(orc.sat_out), _counters(orc), list(orc._undo))
+            with pytest.raises(CallerError, match="already open"):
+                orc.request_log()
+            assert (dump(orc), list(orc.sat_out), _counters(orc), list(orc._undo)) == before
+            orc.add_edge(5)
+            raise RuntimeError("outer request fails")
+    assert orc._undo is None and (dump(orc), list(orc.sat_out)) == empty
+    assert orc.add_calls == 2 and orc.audit().ok
+
+
 # --- alternating walks -------------------------------------------------------
 
 

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import edge_pairs
+from expander_routing import preprocess
 from expander_routing.errors import CallerError
 from expander_routing.expanders import gen_random_regular_digraph, gen_random_regular_graph
 from expander_routing.graph import Digraph, UndirectedGraph, format_graph
@@ -11,7 +14,7 @@ from expander_routing.preprocess import (
     pre_process,
     split_regular,
 )
-from expander_routing.profiles import derive_profile
+from expander_routing.profiles import derive_profile, desk_profile
 
 
 def relaxed_profile(n, d):
@@ -130,6 +133,70 @@ def test_split_ten_regular_with_remainder():
     assert s2.regularity() == 1
     assert rest.regularity() == 8
     assert sorted(ids1 + ids2 + ids3) == list(range(d.m))
+
+
+@st.composite
+def regular_digraphs_with_parts(draw):
+    """A k-regular multidigraph (a union of k permutations, so loops and
+    parallel edges occur) and parts summing to at most k."""
+    n = draw(st.integers(1, 40))
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=12))
+    parts = []
+    room = len(perms)
+    while room and draw(st.booleans()):
+        parts.append(draw(st.integers(1, room)))
+        room -= parts[-1]
+    return Digraph(n, [(t, perm[t]) for perm in perms for t in range(n)]), len(perms), parts
+
+
+def _check_split(d, k, parts, out):
+    rest = k - sum(parts)
+    assert len(out) == len(parts) + (rest > 0)
+    for (sub, ids), p in zip(out, parts + [rest]):
+        assert sub.regularity() == p
+        assert list(ids) == sorted(ids)
+        assert edge_pairs(sub) == [(d.tails[e], d.heads[e]) for e in ids]
+    assert sorted(e for _, ids in out for e in ids) == list(range(d.m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(regular_digraphs_with_parts())
+def test_split_random_regular_digraphs(case):
+    d, k, parts = case
+    _check_split(d, k, parts, split_regular(d, k, parts))
+
+
+def _counting_one_factor(monkeypatch):
+    calls = []
+    one_factor = preprocess.one_factor
+
+    def counted(*args):
+        calls.append(args)
+        return one_factor(*args)
+
+    monkeypatch.setattr(preprocess, "one_factor", counted)
+    return calls
+
+
+def test_halving_walks_every_component_of_the_cover(monkeypatch):
+    # the disjoint union of two 4-regular digraphs: its tail/head cover is
+    # disconnected, and one halving must still cut both components
+    a = gen_random_regular_digraph(10, 4, seed=1)
+    b = gen_random_regular_digraph(12, 4, seed=2)
+    d = Digraph(22, edge_pairs(a) + [(t + 10, h + 10) for t, h in edge_pairs(b)])
+    calls = _counting_one_factor(monkeypatch)
+    out = split_regular(d, 4, [2])
+    _check_split(d, 4, [2], out)
+    assert calls == []
+
+
+def test_preprocess_extracts_three_one_factors(monkeypatch):
+    # k=15, d_prime=6: peel (14), halve (7 + 7), one peel per half (6 + 1)
+    calls = _counting_one_factor(monkeypatch)
+    split = pre_process(gen_random_regular_graph(60, 31, seed=4), desk_profile(60, 31))
+    assert (split.k, split.d_prime) == (15, 6)
+    assert len(calls) == 3
+    assert (split.g1.regularity(), split.g2.regularity(), split.g3.regularity()) == (6, 6, 3)
 
 
 def test_split_rejects_oversubscription(triangle):

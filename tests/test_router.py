@@ -350,16 +350,19 @@ def test_oracle_counters_count_every_tree_edge(probe_trees):
 
 def test_raised_volume_cap_verifies_clean_when_full():
     # with r raised past the default 8, the live paths hold more tree
-    # edges than the default r * depth_cap; verify must still pass
+    # edges than the default r * depth_cap; verify must still pass. The
+    # fill stops once |H1| passes that cap (or at r): well before r the
+    # random fill reaches the load frontier, past which finds fail
     n, r = 150, 60
+    default_cap = desk_profile(n, 30).h_size_cap
     eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=21), desk_profile(n, 30, r=r))
     rng = random.Random(1)
-    while len(eng.ledger.paths) < r:
+    while len(eng.ledger.paths) < r and len(eng.out_oracle.h) <= default_cap:
         try:
             eng.find_path(*rng.sample(range(n), 2))
         except CallerError:
             pass
-    assert len(eng.out_oracle.h) > desk_profile(n, 30).h_size_cap
+    assert len(eng.out_oracle.h) > default_cap
     report = eng.verify()
     assert report.ok, report.findings
 
