@@ -31,7 +31,6 @@ from .harness import (
     gen_workload,
     parse_trace,
     run_trace,
-    validate_trace,
 )
 from .oracle import EdgeOracle, Findings
 from .preprocess import (
@@ -48,7 +47,6 @@ from .profiles import (
     derive_profile,
     desk_profile,
     load_profile,
-    save_profile,
 )
 from .router import Ledger, PathRecord, RoutingEngine
 

@@ -15,7 +15,7 @@ from .expanders import (
     gen_random_regular_graph,
 )
 from .graph import UndirectedGraph, format_graph, load_graph, save_graph
-from .harness import format_trace, gen_workload, load_trace, parse_trace, run_trace
+from .harness import format_trace, gen_workload, load_trace, run_trace
 from .preprocess import pre_process
 from .profiles import derive_profile, desk_profile, format_profile, load_profile, profile_items
 from .router import RoutingEngine
@@ -58,10 +58,7 @@ def cmd_run(args):
     if not isinstance(g, UndirectedGraph):
         raise RoutingError("run expects an undirected graph file")
     profile = _load_router_profile(args, g)
-    if args.trace == "-":
-        commands = parse_trace(sys.stdin.read())
-    else:
-        commands = load_trace(args.trace)
+    commands = load_trace(args.trace)
     engine = RoutingEngine(g, profile)
     emit = None if args.quiet else lambda line: print(line)
     report = run_trace(

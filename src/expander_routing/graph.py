@@ -9,6 +9,8 @@ overlays keyed by edge id.
 
 from __future__ import annotations
 
+import sys
+
 from .errors import CallerError, FormatError
 
 
@@ -116,31 +118,36 @@ class EdgeSubset:
 
     O(1) membership plus per-vertex in/out counters that stay consistent
     with the member set; `recount` rebuilds them from scratch for audits.
-    Double insert and absent removal raise, which catches bookkeeping bugs
-    early instead of corrupting counters.
+    `member[e]` is the subset's `tag` when e is in it and 0 when e is in
+    no subset. Subsets that share one `member` list with distinct tags are
+    disjoint by construction: `add` refuses an edge any of them holds, and
+    `remove` one that does not carry this subset's tag, which catches
+    bookkeeping bugs early instead of corrupting counters. With
+    `member=None` the subset keeps a list of its own.
     """
 
-    __slots__ = ("owner", "member", "out_deg", "in_deg", "_size")
+    __slots__ = ("owner", "member", "tag", "out_deg", "in_deg", "_size")
 
-    def __init__(self, owner: Digraph):
+    def __init__(self, owner: Digraph, member=None, tag=1):
         self.owner = owner
-        self.member = [False] * owner.m
+        self.member = [0] * owner.m if member is None else member
+        self.tag = tag
         self.out_deg = [0] * owner.n
         self.in_deg = [0] * owner.n
         self._size = 0
 
     def add(self, e):
         if self.member[e]:
-            raise CallerError("edge %d already in subset" % e)
-        self.member[e] = True
+            raise CallerError("edge %d already in a subset" % e)
+        self.member[e] = self.tag
         self.out_deg[self.owner.tails[e]] += 1
         self.in_deg[self.owner.heads[e]] += 1
         self._size += 1
 
     def remove(self, e):
-        if not self.member[e]:
+        if self.member[e] != self.tag:
             raise CallerError("edge %d not in subset" % e)
-        self.member[e] = False
+        self.member[e] = 0
         self.out_deg[self.owner.tails[e]] -= 1
         self.in_deg[self.owner.heads[e]] -= 1
         self._size -= 1
@@ -149,11 +156,13 @@ class EdgeSubset:
         return self._size
 
     def members(self):
-        """Member edge ids in ascending order: one C scan of a copy of the bits, then O(|members|)."""
-        bits = bytearray(self.member)
+        """Member edge ids in ascending order: one C scan of a copy of the
+        member list for this subset's tag, then O(|members|)."""
+        tags = bytearray(self.member)
+        tag = self.tag
         ids = []
         e = -1
-        while (e := bits.find(1, e + 1)) >= 0:
+        while (e := tags.find(tag, e + 1)) >= 0:
             ids.append(e)
         return ids
 
@@ -222,9 +231,25 @@ def parse_graph(text: str):
         raise FormatError(str(exc)) from None
 
 
+def read_ascii(path, kind):
+    """The text of an ASCII `kind` file (graph, trace, profile); `-` reads
+    standard input. A non-ASCII byte raises FormatError naming its line."""
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(
+            "%s line %d: non-ASCII byte 0x%02x" % (kind, line, data[exc.start])
+        ) from None
+
+
 def load_graph(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(read_ascii(path, "graph"))
 
 
 def save_graph(path, g):

@@ -9,9 +9,9 @@ caller-error. Commands run strictly in order; find/remove failures are
 recorded per command with their class (caller-error vs
 expansion-violation) and the run keeps going unless asked to stop.
 
-The generator and the validator replay the game rules on a
-`router.Ledger` of endpoint-only records, the same ledger the engine
-keeps, so a trace is refused exactly where the engine would refuse it.
+The generator replays the game rules on a `router.Ledger` of
+endpoint-only records, the same ledger the engine keeps, so it emits only
+requests the engine would accept.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import CallerError, ExpansionViolation, FormatError
+from .graph import read_ascii
 from .router import Ledger, RoutingEngine
 
 
@@ -75,8 +76,7 @@ def format_trace(commands):
 
 
 def load_trace(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_trace(fh.read())
+    return parse_trace(read_ascii(path, "trace"))
 
 
 def save_trace(path, commands):
@@ -230,25 +230,6 @@ def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None
 
 
 # --- workload generation --------------------------------------------------------
-
-
-def validate_trace(commands, n, endpoint_cap, r):
-    """Check every prefix against the game rules; returns violations."""
-    ledger = Ledger(n, endpoint_cap, r)
-    problems = []
-    for cmd in commands:
-        if cmd.kind == "find":
-            broken = ledger.violation(cmd.a, cmd.b)
-            if broken:
-                problems.append("line %d: %s" % (cmd.line, broken))
-            else:
-                ledger.add(cmd.a, cmd.b)
-        elif cmd.kind == "remove":
-            try:
-                ledger.remove(ledger.resolve(cmd.ref))
-            except CallerError as exc:
-                problems.append("line %d: %s" % (cmd.line, exc))
-    return problems
 
 
 def _pick_pair(rng, ledger):

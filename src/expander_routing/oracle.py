@@ -11,6 +11,11 @@ removals. It maintains:
   Low  vertices most of whose out-neighbourhood saturated; their future
        requests are served from B stock.
 
+Each host edge is in exactly one of three states, kept in one list,
+`state`: 0 free, 1 in H, 2 in B. `h` and `b` are EdgeSubsets that share
+it as their member list with tags 1 and 2, so H and B are disjoint by
+construction and every membership test is one read of `state[e]`.
+
 When a vertex joins Low its buffer is topped up to the out-degree cap by
 alternating walks: chains that alternate free host edges (traversed
 forward) with buffered edges (traversed against their direction).
@@ -86,8 +91,10 @@ class EdgeOracle:
             raise CallerError("host is not regular")
         self.host = host
         self.profile = profile
-        self.h = EdgeSubset(host)
-        self.b = EdgeSubset(host)
+        # state[e]: 0 free, 1 in H, 2 in B (the member list of both subsets)
+        self.state = [0] * host.m
+        self.h = EdgeSubset(host, self.state, 1)
+        self.b = EdgeSubset(host, self.state, 2)
         self.sat = [False] * host.n
         self.low = [False] * host.n
         # sat_out[v] = number of host out-edges of v whose head is saturated
@@ -226,9 +233,8 @@ class EdgeOracle:
             raise CallerError("grow_tree: no open log")
         prof = self.profile
         out_cap, budget = prof.out_cap, prof.capacity - self.h._size
-        h = self.h
-        h_mem, out_deg, in_deg = h.member, h.out_deg, h.in_deg
-        b_mem, b_in = self.b.member, self.b.in_deg
+        h, state = self.h, self.state
+        out_deg, in_deg, b_in = h.out_deg, h.in_deg, self.b.in_deg
         sat, low, sat_min = self.sat, self.low, self._sat_min
         heads, pick_order = self.host.heads, self._pick_order
         # the BFS queue: a for loop over a list visits what is appended to it
@@ -245,7 +251,7 @@ class EdgeOracle:
                 if low[u]:
                     # serve from the buffered stock
                     for e in pick_order[u]:
-                        if b_mem[e]:
+                        if state[e] == 2:
                             break
                     else:
                         raise ExpansionViolation("add_edge(%d): buffered vertex has no stock" % u)
@@ -255,14 +261,14 @@ class EdgeOracle:
                     w = heads[e]
                 else:
                     for e in pick_order[u]:
-                        if h_mem[e] or b_mem[e]:
+                        if state[e]:
                             continue
                         w = heads[e]
                         if not sat[w]:
                             break
                     else:
                         raise ExpansionViolation("add_edge(%d): all free out-edges saturated" % u)
-                    h_mem[e] = True
+                    state[e] = 1
                     out_deg[u] += 1
                     in_deg[w] += 1
                     h._size += 1
@@ -293,12 +299,13 @@ class EdgeOracle:
         """
         if self._undo is not None:
             raise CallerError("release: a request log is open")
-        h = self.h
-        h_mem = h.member
+        h, state = self.h, self.state
         if edges and (
-            min(edges) < 0 or max(edges) >= len(h_mem) or not all(map(h_mem.__getitem__, edges))
+            min(edges) < 0
+            or max(edges) >= len(state)
+            or any(map(ne, map(state.__getitem__, edges), repeat(1)))
         ):
-            bad = next(e for e in edges if not (0 <= e < len(h_mem)) or not h_mem[e])
+            bad = next(e for e in edges if not (0 <= e < len(state)) or state[e] != 1)
             raise CallerError("release: edge %d is not active" % bad)
         if len(set(edges)) != len(edges):
             raise CallerError("release: an edge is listed twice")
@@ -309,7 +316,7 @@ class EdgeOracle:
         for e in edges:
             v = tails[e]
             w = heads[e]
-            h_mem[e] = False
+            state[e] = 0
             out_deg[v] -= 1
             in_deg[w] -= 1
             h._size -= 1
@@ -363,8 +370,7 @@ class EdgeOracle:
         """
         host = self.host
         pick_order = self._pick_order
-        h_mem, h_in = self.h.member, self.h.in_deg
-        b_mem, b_in = self.b.member, self.b.in_deg
+        state, h_in, b_in = self.state, self.h.in_deg, self.b.in_deg
         in_cap = self.profile.in_cap
         sat_min = self._sat_min
         head_parent = {}
@@ -376,7 +382,7 @@ class EdgeOracle:
             fallback = -1
             for t in tails:
                 for e in pick_order[t]:
-                    if h_mem[e] or b_mem[e]:
+                    if state[e]:
                         continue
                     w = host.heads[e]
                     if w in head_parent:
@@ -394,7 +400,7 @@ class EdgeOracle:
             tails = []
             for hd in new_heads:
                 for e in host.in_adj[hd]:
-                    if not b_mem[e]:
+                    if state[e] != 2:
                         continue
                     u = host.tails[e]
                     if u in seen_tails:
@@ -423,14 +429,14 @@ class EdgeOracle:
 
     def _cascade(self):
         """Demote buffered vertices whose saturated out-neighbourhood shrank."""
-        h_in, b_in, pending = self.h.in_deg, self.b.in_deg, self._drop_pending
+        state, h_in, b_in, pending = self.state, self.h.in_deg, self.b.in_deg, self._drop_pending
         while pending:
             # pending stays eligible: in a removal sat_out only falls, only here clears Low
             x = min(pending)
             pending.remove(x)
             touched = set()
             for e in self.host.out_adj[x]:
-                if self.b.member[e]:
+                if state[e] == 2:
                     self.b.remove(e)
                     touched.add(self.host.heads[e])
             self.low[x] = False
@@ -441,13 +447,14 @@ class EdgeOracle:
     # --- verification ----------------------------------------------------------
 
     def audit(self, h_ids=None):
-        """Recompute all state from memberships and report every violation.
+        """Recompute all state from the edge states and report every violation.
 
-        One C scan of each membership list, then O(|H| + |B|) plus C-level
+        One C scan of `state` per subset, then O(|H| + |B|) plus C-level
         passes over n: per-vertex rules are looped over only at vertices
         that can break them (Sat, Low, holding B stock, or over a cap).
         A caller that already holds `h.members()` passes it as h_ids, so
-        H's bits are not copied again.
+        `state` is not scanned for H again. H and B cannot overlap: an
+        edge has one state.
         """
         findings = []
         n = self.host.n
@@ -463,9 +470,6 @@ class EdgeOracle:
                 findings.append("%s in-degree counters disagree with recount" % name)
             if size != len(sub):
                 findings.append("%s size %d != recounted %d" % (name, len(sub), size))
-        both = sorted(set(h_ids).intersection(b_ids))
-        if both:
-            findings.append("H and B overlap on edges %s" % both[:5])
         in_f = list(map(add, self.h.in_deg, self.b.in_deg))
         out_f = list(map(add, self.h.out_deg, self.b.out_deg))
         sat_ids = list(compress(range(n), self.sat))

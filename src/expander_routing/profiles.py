@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CallerError, FormatError
+from .graph import read_ascii
 
 
 def ceil_log2(n: int) -> int:
@@ -312,10 +313,4 @@ def parse_profile(text: str) -> RouterProfile:
 
 
 def load_profile(path) -> RouterProfile:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_profile(fh.read())
-
-
-def save_profile(path, profile: RouterProfile):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_profile(profile))
+    return parse_profile(read_ascii(path, "profile"))

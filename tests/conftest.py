@@ -3,8 +3,10 @@ from itertools import islice
 
 import pytest
 
-from expander_routing.errors import ExpansionViolation
+from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.graph import Digraph, UndirectedGraph
+from expander_routing.profiles import format_profile
+from expander_routing.router import Ledger
 
 
 def edge_pairs(g):
@@ -26,6 +28,32 @@ def dump(oracle):
     for name, ids in sets:
         lines.append("%s:%s" % (name, "".join(" %d" % i for i in ids)))
     return "\n".join(lines) + "\n"
+
+
+def validate_trace(commands, n, endpoint_cap, r):
+    """Check every prefix of a trace against the game rules, replayed on a
+    `router.Ledger` as the engine keeps it; returns the violations."""
+    ledger = Ledger(n, endpoint_cap, r)
+    problems = []
+    for cmd in commands:
+        if cmd.kind == "find":
+            broken = ledger.violation(cmd.a, cmd.b)
+            if broken:
+                problems.append("line %d: %s" % (cmd.line, broken))
+            else:
+                ledger.add(cmd.a, cmd.b)
+        elif cmd.kind == "remove":
+            try:
+                ledger.remove(ledger.resolve(cmd.ref))
+            except CallerError as exc:
+                problems.append("line %d: %s" % (cmd.line, exc))
+    return problems
+
+
+def save_profile(path, profile):
+    """Write a profile file that `load_profile` reads back."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(format_profile(profile))
 
 
 @pytest.fixture

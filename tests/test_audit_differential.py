@@ -2,10 +2,10 @@
 
 `reference_audit` and `reference_verify` are the straightforward
 implementations that scan every edge and every vertex in Python. The
-shipped `EdgeOracle.audit` and `RoutingEngine.verify` read each membership
-list once and otherwise look only at live edges and suspect vertices; on
-every planted corruption, alone or combined, both must report the same
-findings in the same order.
+shipped `EdgeOracle.audit` and `RoutingEngine.verify` scan each member
+list once per subset and otherwise look only at live edges and suspect
+vertices; on every planted corruption, alone or combined, both must
+report the same findings in the same order.
 """
 
 import dataclasses
@@ -25,15 +25,15 @@ from expander_routing.router import RoutingEngine
 
 
 def reference_members(sub):
-    return [e for e, inside in enumerate(sub.member) if inside]
+    return [e for e, tag in enumerate(sub.member) if tag == sub.tag]
 
 
 def reference_recount(sub):
     out_deg = [0] * sub.owner.n
     in_deg = [0] * sub.owner.n
     size = 0
-    for e, inside in enumerate(sub.member):
-        if inside:
+    for e, tag in enumerate(sub.member):
+        if tag == sub.tag:
             out_deg[sub.owner.tails[e]] += 1
             in_deg[sub.owner.heads[e]] += 1
             size += 1
@@ -56,9 +56,6 @@ def reference_audit(orc, quiescent=True):
             findings.append("%s in-degree counters disagree with recount" % name)
         if size != len(sub):
             findings.append("%s size %d != recounted %d" % (name, len(sub), size))
-    both = [e for e in range(host.m) if orc.h.member[e] and orc.b.member[e]]
-    if both:
-        findings.append("H and B overlap on edges %s" % both[:5])
     in_f = [orc.h.in_deg[v] + orc.b.in_deg[v] for v in range(n)]
     out_f = [orc.h.out_deg[v] + orc.b.out_deg[v] for v in range(n)]
     sat_expected = [in_f[v] >= prof.sat_threshold for v in range(n)]
@@ -241,7 +238,7 @@ def free_edge(orc, edges=None):
     """First of `edges` (default: every host edge) in neither H nor B."""
     if edges is None:
         edges = range(orc.host.m)
-    return next(e for e in edges if not orc.h.member[e] and not orc.b.member[e])
+    return next(e for e in edges if orc.state[e] == 0)
 
 
 def first(flags, want=True):
@@ -261,20 +258,17 @@ def bump_low_vertex_out_deg(orc):
 
 
 def h_bit_without_counters(orc):
-    orc.h.member[free_edge(orc)] = True
+    orc.state[free_edge(orc)] = 1
 
 
 def b_bit_without_counters(orc):
-    orc.b.member[free_edge(orc, orc.host.out_adj[first(orc.low, False)])] = True
+    orc.state[free_edge(orc, orc.host.out_adj[first(orc.low, False)])] = 2
 
 
-def edge_in_h_and_b(orc):
-    orc.b.add(orc.h.members()[0])
-
-
-def six_edges_in_h_and_b(orc):
-    for e in orc.h.members()[:6]:
-        orc.b.member[e] = True
+def h_edge_rewritten_to_b(orc):
+    # H and B share one state list, so an edge cannot be in both; the
+    # nearest corruption moves an H edge to B without its counters
+    orc.state[orc.h.members()[0]] = 2
 
 
 def len_off_by_one(orc):
@@ -327,8 +321,7 @@ ORACLE_CORRUPTIONS = [
     bump_low_vertex_out_deg,
     h_bit_without_counters,
     b_bit_without_counters,
-    edge_in_h_and_b,
-    six_edges_in_h_and_b,
+    h_edge_rewritten_to_b,
     len_off_by_one,
     plant_sat,
     drop_sat,
@@ -345,7 +338,7 @@ ORACLE_COMBINATIONS = [
     (plant_sat, drop_low),
     (h_bit_without_counters, sat_out_off_by_one, out_f_over_cap),
     (drop_sat, stock_on_unbuffered_vertex, in_f_over_cap),
-    (edge_in_h_and_b, plant_low, len_off_by_one),
+    (h_edge_rewritten_to_b, plant_low, len_off_by_one),
 ]
 
 
@@ -378,6 +371,18 @@ def test_audit_matches_reference_on_combined_corruptions(corruptions):
         corrupt(orc)
     assert len(reference_audit(orc)[0]) >= len(corruptions)
     assert_audit_matches_reference(orc)
+
+
+def test_h_edge_rewritten_to_b_fails_both_recounts():
+    orc = loaded_oracle()
+    h_size, b_size = len(orc.h), len(orc.b)
+    h_edge_rewritten_to_b(orc)
+    findings = assert_audit_matches_reference(orc)
+    for name, size in (("H", h_size), ("B", b_size)):
+        assert "%s out-degree counters disagree with recount" % name in findings
+        assert "%s in-degree counters disagree with recount" % name in findings
+    assert "H size %d != recounted %d" % (h_size, h_size - 1) in findings
+    assert "B size %d != recounted %d" % (b_size, b_size + 1) in findings
 
 
 # --- planted corruptions of the engine --------------------------------------------------
@@ -414,7 +419,7 @@ def in_oracle_h_bit_without_counters(eng):
 
 def h3_edge_dropped(eng):
     rec = next(r for r in eng.ledger.paths.values() if r.seg_mid)
-    eng.h3.member[rec.seg_mid[0]] = False
+    eng.h3.member[rec.seg_mid[0]] = 0
 
 
 def low_claim_broken_under_strict_profile(eng):

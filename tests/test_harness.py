@@ -1,24 +1,26 @@
 import hashlib
+import io
 import json
 import random
 import time
 
 import pytest
 
+from conftest import save_profile, validate_trace
 from expander_routing.cli import main as cli_main
 from expander_routing.errors import CallerError, FormatError
 from expander_routing.expanders import gen_random_regular_graph
-from expander_routing.graph import save_graph
+from expander_routing.graph import load_graph, save_graph
 from expander_routing.harness import (
     TraceCommand,
     _percentile,
     format_trace,
     gen_workload,
+    load_trace,
     parse_trace,
     run_trace,
-    validate_trace,
 )
-from expander_routing.profiles import desk_profile, save_profile
+from expander_routing.profiles import desk_profile, load_profile
 from expander_routing.router import RoutingEngine
 
 
@@ -357,3 +359,56 @@ def test_cli_reports_errors(tmp_path, capsys):
                      "--desk", "--trace", "-"])
     assert code == 2
     capsys.readouterr()
+
+
+def _edit_line_2(path, edit):
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = edit(lines[1])
+    path.write_bytes(b"\n".join(lines))
+
+
+# one non-ASCII byte on line 2 of each input file: a BOM before an edge line,
+# a UTF-8 comment in a trace, a UTF-8 value in a profile
+NON_ASCII_EDITS = {
+    "graph": (lambda line: b"\xef\xbb\xbf" + line, 0xEF),
+    "trace": (lambda line: line + " # café".encode("utf-8"), 0xC3),
+    "profile": (lambda line: line.split(b"=")[0] + "=é".encode("utf-8"), 0xC3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_ASCII_EDITS))
+def test_non_ascii_byte_fails_naming_its_line(tmp_path, capsys, kind):
+    paths = {name: tmp_path / (name + ".txt") for name in NON_ASCII_EDITS}
+    save_graph(paths["graph"], gen_random_regular_graph(150, 30, seed=3))
+    save_profile(paths["profile"], desk_profile(150, 30))
+    paths["trace"].write_text("find 0 5\nfind 1 6\n")
+    edit, byte = NON_ASCII_EDITS[kind]
+    _edit_line_2(paths[kind], edit)
+    message = "%s line 2: non-ASCII byte 0x%02x" % (kind, byte)
+    loader = {"graph": load_graph, "trace": load_trace, "profile": load_profile}[kind]
+    with pytest.raises(FormatError) as info:
+        loader(paths[kind])
+    assert str(info.value) == message
+    code = cli_main(["run", "--graph", str(paths["graph"]), "--profile", str(paths["profile"]),
+                     "--trace", str(paths["trace"]), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_non_ascii_trace_on_stdin_fails_naming_its_line(tmp_path, capsys, monkeypatch):
+    graph_path = tmp_path / "g.txt"
+    save_graph(graph_path, gen_random_regular_graph(150, 30, seed=3))
+    stdin = io.TextIOWrapper(io.BytesIO("find 0 5\n# café\nfind 1 6\n".encode("utf-8")))
+    monkeypatch.setattr("sys.stdin", stdin)
+    code = cli_main(["run", "--graph", str(graph_path), "--desk", "--trace", "-", "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: trace line 2: non-ASCII byte 0xc3\n"
+
+
+def test_ascii_trace_on_stdin_runs(tmp_path, capsys, monkeypatch):
+    graph_path = tmp_path / "g.txt"
+    save_graph(graph_path, gen_random_regular_graph(150, 30, seed=3))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"find 0 5\nfind 1 6\n")))
+    code = cli_main(["run", "--graph", str(graph_path), "--desk", "--trace", "-", "--quiet"])
+    assert code == 0
+    assert "requests served: 2" in capsys.readouterr().out

@@ -15,7 +15,7 @@ from expander_routing.expanders import gen_random_regular_digraph
 from expander_routing.graph import Digraph
 from expander_routing.oracle import EdgeOracle
 from expander_routing.profiles import OracleProfile, canonical_oracle_profile, derive_profile
-from test_audit_differential import reference_audit
+from test_audit_differential import loaded_oracle, reference_audit
 
 
 def small_profile(n, d, **kw):
@@ -37,7 +37,7 @@ def scratch_state(orc):
     in_f = [0] * n
     out_f = [0] * n
     for e in range(host.m):
-        if orc.h.member[e] or orc.b.member[e]:
+        if orc.state[e]:
             out_f[host.tails[e]] += 1
             in_f[host.heads[e]] += 1
     prof = orc.profile
@@ -159,7 +159,7 @@ def test_release_checks_the_whole_batch_first():
     orc = EdgeOracle(host, small_profile(30, 10, low_threshold=Fraction(9)))
     active = [orc.add_edge(v) for v in range(6)]
     assert any(orc.sat)
-    inactive = next(e for e in range(host.m) if not orc.h.member[e])
+    inactive = next(e for e in range(host.m) if orc.state[e] != 1)
     before = (dump(orc), list(orc.sat_out), _counters(orc))
     for batch in (
         active[:3] + [inactive] + active[3:],
@@ -187,7 +187,7 @@ def test_removal_is_refused_while_a_log_is_open():
             with pytest.raises(CallerError, match="log is open"):
                 remove(arg)
             assert (dump(orc), list(orc.sat_out), _counters(orc)) == before
-    assert orc._undo is None and orc.h.member[e]
+    assert orc._undo is None and orc.state[e] == 1
     assert orc.audit().ok
     orc.release(held + [e])
     assert len(orc.h) == 0 and orc.audit().ok
@@ -232,14 +232,14 @@ def enumerate_walks(orc, x, limit=6):
 
     def extend(tail, edges, verts):
         for e in host.out_adj[tail]:
-            if orc.h.member[e] or orc.b.member[e] or e in edges:
+            if orc.state[e] or e in edges:
                 continue
             w = host.heads[e]
             walk_edges = edges + [(e, True)]
             found.append((walk_edges, verts + [w]))
             if len(walk_edges) < limit:
                 for eb in host.in_adj[w]:
-                    if not orc.b.member[eb] or eb in {ed for ed, _ in walk_edges}:
+                    if orc.state[eb] != 2 or eb in {ed for ed, _ in walk_edges}:
                         continue
                     extend(host.tails[eb], walk_edges + [(eb, False)], verts + [w, host.tails[eb]])
 
@@ -457,10 +457,10 @@ def test_buffered_vertex_served_from_stock():
         lows = [x for x in range(100) if orc.low[x] and orc.h.out_deg[x] < prof.out_cap]
         if lows:
             x = lows[0]
-            stock_before = [e for e in host.out_adj[x] if orc.b.member[e]]
+            stock_before = [e for e in host.out_adj[x] if orc.state[e] == 2]
             e = orc.add_edge(x)
             assert e == stock_before[0]
-            assert not orc.b.member[e] and orc.h.member[e]
+            assert orc.state[e] == 1
             assert orc.audit().ok
             served_from_stock = True
             break
@@ -473,6 +473,28 @@ def test_buffered_vertex_served_from_stock():
             active[i], active[-1] = active[-1], active[i]
             orc.remove_edge(active.pop())
     assert served_from_stock, "seeded run never promoted a vertex"
+
+
+def test_h_and_b_refuse_each_others_edges():
+    # H and B share one state list, so an edge held by one is refused by the other
+    orc = loaded_oracle()
+    h_edge, b_edge = orc.h.members()[0], orc.b.members()[0]
+
+    def snapshot():
+        subsets = [(list(s.out_deg), list(s.in_deg), len(s)) for s in (orc.h, orc.b)]
+        return list(orc.state), subsets, list(orc.sat_out), _counters(orc)
+
+    before = snapshot()
+    for sub, e in ((orc.b, h_edge), (orc.h, b_edge)):
+        with pytest.raises(CallerError, match="already in a subset"):
+            sub.add(e)
+        assert snapshot() == before
+    for sub, e in ((orc.h, b_edge), (orc.b, h_edge)):
+        with pytest.raises(CallerError, match="not in subset"):
+            sub.remove(e)
+        assert snapshot() == before
+    assert orc.state[h_edge] == 1 and orc.state[b_edge] == 2
+    assert orc.audit().ok
 
 
 def test_audit_holds_around_every_request_and_walk():
@@ -671,7 +693,7 @@ class OracleMachine(RuleBasedStateMachine):
     def release_head(self, w):
         # can unsaturate w and so demote buffered in-neighbours (a cascade)
         for e in MACHINE_HOST.in_adj[w]:
-            if self.orc.h.member[e]:
+            if self.orc.state[e] == 1:
                 self.orc.remove_edge(e)
 
     @rule(vs=st.lists(MACHINE_VERTICES, min_size=1, max_size=4))
