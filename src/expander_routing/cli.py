@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 
 from .errors import RoutingError
 from .expanders import (
@@ -38,6 +39,14 @@ def _write_json(path, report):
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return payload
+
+
+def _ratio(text):
+    """argparse type of --beta and --gamma: a bad value is a usage error (exit 2)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("not a ratio: %r" % text) from None
 
 
 def _load_router_profile(args, g=None):
@@ -140,7 +149,7 @@ def cmd_profile(args):
     else:
         profile = derive_profile(args.n, args.d, args.beta, args.gamma, relaxed=args.relaxed)
         values = dict(profile_items(profile))
-        caps = ("r", "oracle_out_cap", "oracle_in_cap", "oracle_capacity", "bfs_edge_cap")
+        caps = ("r", "oracle_out_cap", "oracle_in_cap", "oracle_capacity")
         zero = [key for key in caps if values[key] == 0]
         if args.relaxed and zero:
             raise RoutingError("relaxed profile cannot route (%s = 0); use --desk instead" % ", ".join(zero))
@@ -197,8 +206,8 @@ def build_parser():
 
     p = sub.add_parser("check-expansion", help="exhaustive small-subset density check")
     p.add_argument("--graph", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--gamma", required=True)
+    p.add_argument("--beta", type=_ratio, required=True)
+    p.add_argument("--gamma", type=_ratio, required=True)
     p.add_argument("--max-subset-size", type=int, required=True)
     p.add_argument("--json")
     p.set_defaults(func=cmd_check_expansion)
@@ -213,8 +222,8 @@ def build_parser():
     p = sub.add_parser("profile", help="derive a constants profile")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--beta", default="1/100")
-    p.add_argument("--gamma", default="1/2000")
+    p.add_argument("--beta", type=_ratio, default="1/100")
+    p.add_argument("--gamma", type=_ratio, default="1/2000")
     p.add_argument("--relaxed", action="store_true")
     p.add_argument("--desk", action="store_true")
     p.add_argument("--out", required=True, help="output file or -")

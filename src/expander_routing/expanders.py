@@ -129,8 +129,11 @@ def check_expansion_exhaustive(g, beta, gamma, max_subset_size, budget=500_000):
     Small sets (at most beta*n vertices) may span at most gamma*d*|S|
     edges, larger sets up to half the graph at most d*|S|/3. Directions
     are ignored for digraphs (each arc counts once, degree doubles).
-    Returns the first violating subset as a witness.
+    Returns the first violating subset as a witness. A max_subset_size
+    below 1 would check nothing, so it is refused.
     """
+    if max_subset_size < 1:
+        raise CallerError("max_subset_size must be at least 1, got %d" % max_subset_size)
     beta = Fraction(beta)
     gamma = Fraction(gamma)
     pairs, deg = _edge_pairs(g)

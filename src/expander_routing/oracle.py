@@ -204,29 +204,30 @@ class EdgeOracle:
         with self.request_log() if self._undo is None else nullcontext():
             mark = len(self._undo)
             try:
-                for _ in self.grow_tree({v: None}, edges, (), 1, 1, 1):
+                for _ in self.grow_tree({v: None}, edges, (), 1, 1):
                     pass
             except ExpansionViolation:
                 self.rollback(mark)
                 raise
         return edges[0]
 
-    def grow_tree(self, parent, edges, meet, vertex_cap, edge_cap, fanout):
+    def grow_tree(self, parent, edges, meet, vertex_cap, fanout):
         """Generator that grows a breadth-first tree of fresh edges out of
         the one key of `parent`, yielding after each dequeued vertex.
 
         It adds parent links to `parent` (keys in discovery order) and
-        edges to the empty list `edges`. While fewer than `edge_cap` edges
-        and at most `vertex_cap` vertices were reached, the next dequeued
-        vertex asks for up to `fanout` edges, stopping at its out-degree
-        cap. A Low vertex takes its first B-stock edge in pick order, any
-        other its first free out-edge in pick order whose head is not in
-        Sat. The edge budget is the capacity left at the first resume. The
-        tree ends when it discovers a vertex in `meet` (read live), its
-        last key then. Stopped there or dropped early, it is a prefix of
-        the full tree, with the same picks and log entries. It needs an
-        open log (checked at the first resume), which counts its edges and
-        takes them back on ExpansionViolation.
+        edges to the empty list `edges`. While at most `vertex_cap`
+        vertices were reached, the next dequeued vertex asks for up to
+        `fanout` edges, stopping at its out-degree cap, so the tree holds
+        at most `fanout` * `vertex_cap` edges. A Low vertex takes its first
+        B-stock edge in pick order, any other its first free out-edge in
+        pick order whose head is not in Sat. The edge budget is the
+        capacity left at the first resume. The tree ends when it discovers
+        a vertex in `meet` (read live), its last key then. Stopped there
+        or dropped early, it is a prefix of the full tree, with the same
+        picks and log entries. It needs an open log (checked at the first
+        resume), which counts its edges and takes them back on
+        ExpansionViolation.
         """
         undo = self._undo
         if undo is None:
@@ -241,7 +242,7 @@ class EdgeOracle:
         order = list(parent)
         picks, log, enqueue, keep = range(fanout), undo.append, order.append, edges.append
         for u in order:
-            if len(parent) > vertex_cap or len(edges) >= edge_cap:
+            if len(parent) > vertex_cap:
                 break
             for _ in picks:
                 if out_deg[u] >= out_cap:
@@ -446,21 +447,18 @@ class EdgeOracle:
 
     # --- verification ----------------------------------------------------------
 
-    def audit(self, h_ids=None):
+    def audit(self, h_ids):
         """Recompute all state from the edge states and report every violation.
 
-        One C scan of `state` per subset, then O(|H| + |B|) plus C-level
-        passes over n: per-vertex rules are looped over only at vertices
-        that can break them (Sat, Low, holding B stock, or over a cap).
-        A caller that already holds `h.members()` passes it as h_ids, so
-        `state` is not scanned for H again. H and B cannot overlap: an
-        edge has one state.
+        `h_ids` is `h.members()`, which the caller (`RoutingEngine.verify`)
+        already holds, so `state` is scanned once per subset. Then O(|H| +
+        |B|) plus C-level passes over n: per-vertex rules are looped over
+        only at vertices that can break them (Sat, Low, holding B stock,
+        or over a cap). H and B cannot overlap: an edge has one state.
         """
         findings = []
         n = self.host.n
         prof = self.profile
-        if h_ids is None:
-            h_ids = self.h.members()
         b_ids = self.b.members()
         for name, sub, ids in (("H", self.h, h_ids), ("B", self.b, b_ids)):
             out_deg, in_deg, size = sub.recount(ids)

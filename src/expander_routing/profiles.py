@@ -66,12 +66,10 @@ class RouterProfile:
     d_prime: int
     depth_cap: int            # BFS tree depth budget, ceil(log2 n) by default
     bfs_vertex_cap: int       # tree growth stops past this many vertices
-    bfs_edge_cap: int         # tree growth stops at this many edges
     fanout: int               # oracle requests per dequeued vertex
     endpoint_cap: int         # a vertex may start (end) strictly fewer paths
-    r: int                    # live-path volume cap
+    r: int                    # live-path volume cap; |H1|, |H2| <= r * depth_cap
     g3_path_cap: int          # max accepted length of the middle segment
-    h_size_cap: int           # upper bound verified on |H1|, |H2|
     oracle: OracleProfile     # thresholds of both oracles
 
     def __post_init__(self):
@@ -142,7 +140,6 @@ def derive_profile(n, d, beta, gamma, relaxed=False):
         math.floor(c * n * k / (2 * depth_cap)),
         math.floor(beta * beta * n * k / 15000),
     )
-    bfs_edge_cap = math.floor(c * n * k / 2)
     g3_path_cap = math.ceil(Fraction(300, 1) / beta) + 1
     profile = RouterProfile(
         n=n,
@@ -153,12 +150,10 @@ def derive_profile(n, d, beta, gamma, relaxed=False):
         d_prime=d_prime,
         depth_cap=depth_cap,
         bfs_vertex_cap=math.ceil(beta * n / 5),
-        bfs_edge_cap=bfs_edge_cap,
         fanout=max(1, d_prime // 4),
         endpoint_cap=math.ceil(Fraction(d, 200)),
         r=r,
         g3_path_cap=g3_path_cap,
-        h_size_cap=bfs_edge_cap,
         oracle=canonical_oracle_profile(n, d_prime, beta),
     )
     if not relaxed and not profile.capacity_chains_hold():
@@ -178,9 +173,7 @@ def desk_profile(n, d, **overrides):
     free forward edges for their walks), absolute saturation and in caps
     of 2, and out_cap >= in_cap + endpoint_cap so a request's endpoints
     always have tree-growing headroom. Load caps were tuned on seeded
-    runs; any field can be overridden by keyword. h_size_cap, the bound
-    r * depth_cap on each oracle's |H|, follows overridden r and depth_cap
-    unless it is overridden itself.
+    runs; any field can be overridden by keyword.
     """
     if d < 26:
         raise CallerError("desk routing profiles need d >= 26 (got %d)" % d)
@@ -192,8 +185,6 @@ def desk_profile(n, d, **overrides):
     in_cap = max(2, d_prime // 5)
     endpoint_cap = max(1, min(3, out_cap - in_cap - 1))
     bfs_vertex_cap = max(6, -(-n // 50))
-    depth_cap = overrides.get("depth_cap", ceil_log2(n))
-    r = overrides.get("r", max(8, n // 25))
     beta = Fraction(5 * bfs_vertex_cap, n)
     profile = RouterProfile(
         n=n,
@@ -202,14 +193,12 @@ def desk_profile(n, d, **overrides):
         gamma=Fraction(1, 50),
         relaxed=True,
         d_prime=d_prime,
-        depth_cap=depth_cap,
+        depth_cap=ceil_log2(n),
         bfs_vertex_cap=bfs_vertex_cap,
-        bfs_edge_cap=6 * bfs_vertex_cap,
         fanout=2,
         endpoint_cap=endpoint_cap,
-        r=r,
+        r=max(8, n // 25),
         g3_path_cap=50,
-        h_size_cap=r * depth_cap,
         oracle=OracleProfile(
             out_cap=out_cap,
             in_cap=in_cap,
@@ -225,9 +214,6 @@ def desk_profile(n, d, **overrides):
 
 
 # --- profile files (key=value, one field per line) --------------------------
-
-# older files also carry these derived values; they load if they agree
-_DERIVED_FIELDS = ("k", "c", "path_len_cap")
 
 
 def _file_fields():
@@ -272,7 +258,6 @@ def parse_profile(text: str) -> RouterProfile:
                 "profile line %d: field %s repeats line %d" % (lineno, key, values[key][0])
             )
         values[key] = (lineno, val.strip())
-    derived = {name: values.pop(name) for name in _DERIVED_FIELDS if name in values}
     fields = dict(_file_fields())
     missing = fields.keys() - values.keys()
     if missing:
@@ -296,20 +281,9 @@ def parse_profile(text: str) -> RouterProfile:
             raise FormatError("profile line %d: field %s: bad value %r" % (lineno, key, raw)) from None
     oracle = {fields[key].name: kwargs.pop(key) for key in fields if key.startswith("oracle_")}
     try:
-        profile = RouterProfile(oracle=OracleProfile(**oracle), **kwargs)
+        return RouterProfile(oracle=OracleProfile(**oracle), **kwargs)
     except CallerError as exc:
         raise FormatError(str(exc)) from None
-    for name, (lineno, raw) in derived.items():
-        value = getattr(profile, name)
-        try:
-            agrees = type(value)(raw) == value
-        except (ValueError, ZeroDivisionError):
-            agrees = False
-        if not agrees:
-            raise FormatError(
-                "profile line %d: field %s: %r is not the derived value %s" % (lineno, name, raw, value)
-            )
-    return profile
 
 
 def load_profile(path) -> RouterProfile:

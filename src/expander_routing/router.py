@@ -193,7 +193,7 @@ class RoutingEngine:
         count the edges and take them back on an ExpansionViolation.
         """
         prof = self.profile
-        caps = prof.bfs_vertex_cap, prof.bfs_edge_cap, prof.fanout
+        caps = prof.bfs_vertex_cap, prof.fanout
         edges_a, par_a, edges_b, par_b = [], {a: None}, [], {b: None}
         grow_a = self.out_oracle.grow_tree(par_a, edges_a, par_b, *caps)
         grow_b = self.in_oracle.grow_tree(par_b, edges_b, par_a, *caps)
@@ -331,12 +331,12 @@ class RoutingEngine:
                 findings.append("path %d: length %d over cap %d" % (rec.id, rec.length, prof.path_len_cap))
 
         count = len(recs)
+        if count > prof.r:
+            findings.append("live path count %d exceeds the volume cap r=%d" % (count, prof.r))
         for name, oracle in (("H1", self.out_oracle), ("H2", self.in_oracle)):
             size = len(oracle.h)
             if size > count * prof.depth_cap:
                 findings.append("%s size %d exceeds %d paths x depth budget" % (name, size, count))
-            if size > prof.h_size_cap:
-                findings.append("%s size %d exceeds cap %d" % (name, size, prof.h_size_cap))
         if len(self.h3) * prof.beta > 300 * count:
             findings.append("H3 size %d exceeds 300|P|/beta" % len(self.h3))
 

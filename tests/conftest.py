@@ -71,7 +71,7 @@ def c8():
     return UndirectedGraph(8, [(i, (i + 1) % 8) for i in range(8)])
 
 
-def tree_by_single_adds(orc, root, vertex_cap, edge_cap, fanout, meet=(), steps=None):
+def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None):
     """`EdgeOracle.grow_tree` spelled out with one `add_edge` call per edge,
     over at most `steps` dequeued vertices (the resumes before it is dropped)."""
     budget = orc.profile.capacity - len(orc.h)
@@ -79,7 +79,7 @@ def tree_by_single_adds(orc, root, vertex_cap, edge_cap, fanout, meet=(), steps=
     edges = []
     q = deque([root])
     served = 0
-    while q and len(parent) <= vertex_cap and len(edges) < edge_cap and served != steps:
+    while q and len(parent) <= vertex_cap and served != steps:
         u = q.popleft()
         served += 1
         for _ in range(fanout):

@@ -104,7 +104,7 @@ def _oracle_churn(prof, ops, watch_walks, audit_each):
             active[i], active[-1] = active[-1], active[i]
             oracle.remove_edge(active.pop())
         if audit_each:
-            audit = oracle.audit()
+            audit = oracle.audit(oracle.h.members())
             # |Low| < beta*n/12 with the suite's beta of 1
             if not audit.ok or audit.low_count * 12 >= ORACLE_N:
                 dirty_audits += 1

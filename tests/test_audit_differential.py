@@ -148,12 +148,12 @@ def reference_verify(eng):
         if rec.length > prof.path_len_cap:
             findings.append("path %d: length %d over cap %d" % (rec.id, rec.length, prof.path_len_cap))
     count = len(recs)
+    if count > prof.r:
+        findings.append("live path count %d exceeds the volume cap r=%d" % (count, prof.r))
     for name, oracle in (("H1", eng.out_oracle), ("H2", eng.in_oracle)):
         size = len(oracle.h)
         if size > count * prof.depth_cap:
             findings.append("%s size %d exceeds %d paths x depth budget" % (name, size, count))
-        if size > prof.h_size_cap:
-            findings.append("%s size %d exceeds cap %d" % (name, size, prof.h_size_cap))
     if len(eng.h3) * prof.beta > 300 * count:
         findings.append("H3 size %d exceeds 300|P|/beta" % len(eng.h3))
     for v in range(eng.n):
@@ -207,7 +207,7 @@ def loaded_oracle():
             i = rng.randrange(len(active))
             active[i], active[-1] = active[-1], active[i]
             orc.remove_edge(active.pop())
-    assert orc.audit().ok
+    assert orc.audit(orc.h.members()).ok
     assert orc.b.members() and any(orc.low) and any(orc.sat)
     return orc
 
@@ -343,7 +343,7 @@ ORACLE_COMBINATIONS = [
 
 
 def assert_audit_matches_reference(orc):
-    rep = orc.audit()
+    rep = orc.audit(orc.h.members())
     findings, low_count = reference_audit(orc)
     assert rep.findings == findings
     assert rep.low_count == low_count
@@ -422,6 +422,10 @@ def h3_edge_dropped(eng):
     eng.h3.member[rec.seg_mid[0]] = 0
 
 
+def r_below_live_count(eng):
+    eng.profile = dataclasses.replace(eng.profile, r=len(eng.ledger.paths) - 1)
+
+
 def low_claim_broken_under_strict_profile(eng):
     # a strict profile promises |Low| < beta*n/12, here 5 at beta 1/10
     eng.profile = dataclasses.replace(eng.profile, gamma=Fraction(1, 1000), relaxed=False)
@@ -438,6 +442,7 @@ ENGINE_CORRUPTIONS = [
     out_oracle_sat_planted,
     in_oracle_h_bit_without_counters,
     h3_edge_dropped,
+    r_below_live_count,
     low_claim_broken_under_strict_profile,
 ]
 
@@ -471,3 +476,6 @@ def test_verify_matches_reference_on_corruptions(corruptions):
     assert eng.verify().findings == findings
     if low_claim_broken_under_strict_profile in corruptions:
         assert "out-oracle: |Low|=5 is not below beta*n/12=5" in findings
+    if r_below_live_count in corruptions:
+        count = len(eng.ledger.paths)
+        assert "live path count %d exceeds the volume cap r=%d" % (count, count - 1) in findings

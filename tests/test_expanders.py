@@ -116,9 +116,13 @@ def test_expansion_two_triangles_witness():
 
 
 def test_expansion_vacuous_at_size_zero(k4):
-    rep = check_expansion_exhaustive(k4, Fraction(1, 2), 1, 0)
-    assert rep.holds
-    assert rep.max_subset_checked == 0
+    # a check of no subset would pass vacuously; it is refused instead, here
+    # on a graph where size 3 finds a witness
+    g = gen_random_regular_graph(12, 3, seed=0)
+    assert not check_expansion_exhaustive(g, Fraction(1, 2), Fraction(1, 10), 3).holds
+    for graph, size in ((k4, 0), (g, 0), (g, -1)):
+        with pytest.raises(CallerError, match="max_subset_size must be at least 1"):
+            check_expansion_exhaustive(graph, Fraction(1, 2), Fraction(1, 10), size)
 
 
 def test_expansion_budget_guard():

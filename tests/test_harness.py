@@ -330,6 +330,37 @@ def test_cli_spectrum_and_expansion(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _check_expansion_argv(tmp_path, beta="1/2", gamma="1/10"):
+    # a 12-vertex cubic graph on which subsets of size 3 find a witness
+    graph_path = tmp_path / "g12.txt"
+    save_graph(graph_path, gen_random_regular_graph(12, 3, seed=0))
+    return ["check-expansion", "--graph", str(graph_path), "--beta", beta, "--gamma", gamma]
+
+
+@pytest.mark.parametrize("value", ["x", "1/0"])
+@pytest.mark.parametrize("option", ["--beta", "--gamma"])
+def test_cli_bad_ratio_is_a_usage_error(tmp_path, capsys, option, value):
+    # exit 2 with argparse's message, not a traceback and exit 1, which
+    # check-expansion uses for "expansion does not hold"
+    ratios = {"beta": "1/2", "gamma": "1/10", option[2:]: value}
+    for argv in (
+        ["profile", "--n", "600", "--d", "30", option, value, "--out", "-"],
+        _check_expansion_argv(tmp_path, **ratios) + ["--max-subset-size", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "argument %s: not a ratio: %r" % (option, value) in capsys.readouterr().err
+
+
+def test_cli_check_expansion_refuses_size_zero(tmp_path, capsys):
+    argv = _check_expansion_argv(tmp_path)
+    assert cli_main(argv + ["--max-subset-size", "3"]) == 1
+    assert not json.loads(capsys.readouterr().out)["holds"]
+    assert cli_main(argv + ["--max-subset-size", "0"]) == 2
+    assert capsys.readouterr().err == "error: max_subset_size must be at least 1, got 0\n"
+
+
 def test_cli_profile_out(tmp_path, capsys):
     out = tmp_path / "prof.txt"
     assert cli_main(["profile", "--n", "1024", "--d", "400", "--beta", "1/100",
@@ -339,7 +370,7 @@ def test_cli_profile_out(tmp_path, capsys):
     # strict constants at this size cannot route; they are written, with a warning
     assert "r=0" in text.splitlines()
     assert capsys.readouterr().err.splitlines() == [
-        "warning: strict profile cannot route (r, bfs_edge_cap = 0); every find "
+        "warning: strict profile cannot route (r = 0); every find "
         "will hit the volume cap r=0; use --desk for one that can"
     ]
 
@@ -349,7 +380,7 @@ def test_cli_profile_refuses_relaxed_profile_that_cannot_route(tmp_path, capsys,
     out = tmp_path / "prof.txt"
     assert cli_main(["profile", "--n", str(n), "--d", str(d), "--relaxed", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "(r, oracle_out_cap, oracle_in_cap, oracle_capacity, bfs_edge_cap = 0)" in err
+    assert "(r, oracle_out_cap, oracle_in_cap, oracle_capacity = 0)" in err
     assert "--desk" in err
     assert not out.exists()
 

@@ -55,7 +55,7 @@ def test_fresh_oracle_is_empty():
     orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
     assert len(orc.h) == 0 and len(orc.b) == 0
     assert not any(orc.sat) and not any(orc.low)
-    assert orc.audit().ok
+    assert orc.audit(orc.h.members()).ok
 
 
 def test_nine_regular_host_rejected_when_strict():
@@ -67,7 +67,7 @@ def test_nine_regular_host_rejected_when_strict():
     assert dataclasses.replace(strict, d_prime=9, relaxed=True).d_prime == 9
     host = gen_random_regular_digraph(30, 9, seed=1)
     orc = EdgeOracle(host, canonical_oracle_profile(30, 9, 1))
-    assert orc.audit().ok
+    assert orc.audit(orc.h.members()).ok
 
 
 def test_host_regularity_must_match_profile():
@@ -118,7 +118,7 @@ def test_add_remove_round_trip_restores_empty():
     orc.remove_edge(e)
     assert len(orc.h) == 0 and len(orc.b) == 0
     assert not any(orc.sat) and not any(orc.low)
-    assert orc.audit().ok
+    assert orc.audit(orc.h.members()).ok
 
 
 def test_remove_unknown_edge():
@@ -132,7 +132,7 @@ def test_grow_tree_needs_an_open_log():
     host = gen_random_regular_digraph(30, 10, seed=6)
     orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
     # the check runs at the first resume of the generator
-    tree = orc.grow_tree({0: None}, [], (), 4, 8, 2)
+    tree = orc.grow_tree({0: None}, [], (), 4, 2)
     with pytest.raises(CallerError):
         next(tree)
     assert len(orc.h) == 0 and orc.add_calls == 0
@@ -145,7 +145,7 @@ def test_grow_tree_budget_is_the_capacity_left():
     before = dump(orc)
     with pytest.raises(ExpansionViolation, match="capacity"):
         with orc.request_log():
-            drive(orc.grow_tree({1: None}, [], (), 20, 20, 2))
+            drive(orc.grow_tree({1: None}, [], (), 20, 2))
     # four picks fill the capacity; the fifth is refused before it is made
     assert dump(orc) == before and orc.add_calls == 1 + 4
 
@@ -172,7 +172,7 @@ def test_release_checks_the_whole_batch_first():
         assert (dump(orc), list(orc.sat_out), _counters(orc)) == before
     orc.release(active)
     assert len(orc.h) == 0 and orc.remove_calls == len(active)
-    assert orc.audit().ok
+    assert orc.audit(orc.h.members()).ok
 
 
 def test_removal_is_refused_while_a_log_is_open():
@@ -188,9 +188,9 @@ def test_removal_is_refused_while_a_log_is_open():
                 remove(arg)
             assert (dump(orc), list(orc.sat_out), _counters(orc)) == before
     assert orc._undo is None and orc.state[e] == 1
-    assert orc.audit().ok
+    assert orc.audit(orc.h.members()).ok
     orc.release(held + [e])
-    assert len(orc.h) == 0 and orc.audit().ok
+    assert len(orc.h) == 0 and orc.audit(orc.h.members()).ok
 
 
 def test_nested_request_log_is_refused():
@@ -209,7 +209,7 @@ def test_nested_request_log_is_refused():
             orc.add_edge(5)
             raise RuntimeError("outer request fails")
     assert orc._undo is None and (dump(orc), list(orc.sat_out)) == empty
-    assert orc.add_calls == 2 and orc.audit().ok
+    assert orc.add_calls == 2 and orc.audit(orc.h.members()).ok
 
 
 # --- alternating walks -------------------------------------------------------
@@ -345,7 +345,7 @@ def test_scratch_recompute_matches_under_churn():
             sat, low, in_f, out_f = scratch_state(orc)
             assert sat == {v for v in range(100) if orc.sat[v]}
             assert low == {v for v in range(100) if orc.low[v]}
-            assert orc.audit().ok
+            assert orc.audit(orc.h.members()).ok
 
 
 def test_failed_add_rolls_back_bit_exactly():
@@ -376,7 +376,7 @@ def test_failed_add_rolls_back_bit_exactly():
             saw_failure = True
             assert dump(orc) == before
             assert orc.h.members() == h_members
-            assert orc.audit().ok
+            assert orc.audit(orc.h.members()).ok
             # the failing search counts too
             assert results[-1] is None and orc.walk_searches == len(results)
             break
@@ -408,7 +408,7 @@ def test_failed_add_inside_an_open_log_keeps_the_earlier_adds():
             made += 1
     assert failed and made > 0
     assert (dump(orc), list(orc.sat_out)) == before
-    assert orc.audit().ok
+    assert orc.audit(orc.h.members()).ok
 
 
 @pytest.mark.parametrize(
@@ -461,7 +461,7 @@ def test_buffered_vertex_served_from_stock():
             e = orc.add_edge(x)
             assert e == stock_before[0]
             assert orc.state[e] == 1
-            assert orc.audit().ok
+            assert orc.audit(orc.h.members()).ok
             served_from_stock = True
             break
         if len(active) < prof.capacity and (len(active) < 30 or rng.random() < 0.55):
@@ -494,7 +494,7 @@ def test_h_and_b_refuse_each_others_edges():
             sub.remove(e)
         assert snapshot() == before
     assert orc.state[h_edge] == 1 and orc.state[b_edge] == 2
-    assert orc.audit().ok
+    assert orc.audit(orc.h.members()).ok
 
 
 def test_audit_holds_around_every_request_and_walk():
@@ -519,7 +519,7 @@ def test_audit_holds_around_every_request_and_walk():
             try:
                 return request(arg)
             finally:
-                report = orc.audit()
+                report = orc.audit(orc.h.members())
                 assert report.ok, report
         return call
 
@@ -543,7 +543,7 @@ def test_audit_holds_around_every_request_and_walk():
             active[i], active[-1] = active[-1], active[i]
             orc.remove_edge(active.pop())
     assert searches, "expected walk searches to audit before"
-    assert orc.audit().ok
+    assert orc.audit(orc.h.members()).ok
 
 
 def test_audit_flags_corrupted_counter():
@@ -551,18 +551,18 @@ def test_audit_flags_corrupted_counter():
     orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
     orc.add_edge(0)
     orc.h.out_deg[0] += 1
-    rep = orc.audit()
+    rep = orc.audit(orc.h.members())
     assert not rep.ok
     assert any("H out-degree counters" in f for f in rep.findings)
     orc.h.out_deg[0] -= 1
-    assert orc.audit().ok
+    assert orc.audit(orc.h.members()).ok
 
 
 def test_audit_flags_planted_sat_member():
     host = gen_random_regular_digraph(30, 10, seed=14)
     orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
     orc.sat[5] = True
-    rep = orc.audit()
+    rep = orc.audit(orc.h.members())
     assert any("Sat mismatch at 5" in f for f in rep.findings)
 
 
@@ -587,12 +587,12 @@ class Forced(Exception):
     """Raised inside a request log to make it roll back."""
 
 
-def _grown(orc, root, vertex_cap, edge_cap, fanout, meet=(), steps=None):
+def _grown(orc, root, vertex_cap, fanout, meet=(), steps=None):
     """(edges, parent, log) of a tree grown by `grow_tree` in a fresh log,
     resumed `steps` times (to its end when None) and then dropped."""
     edges, parent = [], {root: None}
     with orc.request_log():
-        drive(orc.grow_tree(parent, edges, meet, vertex_cap, edge_cap, fanout), steps)
+        drive(orc.grow_tree(parent, edges, meet, vertex_cap, fanout), steps)
         return edges, parent, list(orc._undo)
 
 
@@ -609,7 +609,7 @@ def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
         except (CallerError, ExpansionViolation):
             pass
     root = next(v for v in range(60) if base.h.out_deg[v] == 0)
-    edges, parent, full_log = _grown(copy.deepcopy(base), root, 40, 80, 2)
+    edges, parent, full_log = _grown(copy.deepcopy(base), root, 40, 2)
     assert {op for op, _ in full_log} == {"h+", "b+", "b-", "s+", "l+"}
     verts = list(parent)
     assert len(verts) > 20
@@ -622,7 +622,7 @@ def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
             cases.append((set(verts[k:]), None))
         for meet, steps in cases:
             stopped, single = copy.deepcopy(base), copy.deepcopy(base)
-            got_edges, got_parent, log = _grown(stopped, root, 40, 80, 2, meet, steps)
+            got_edges, got_parent, log = _grown(stopped, root, 40, 2, meet, steps)
             if meet:
                 kept = edges.index(parent[w][1]) + 1
                 assert (got_edges, got_parent) == (edges[:kept], dict(zip(verts[: k + 1], parent.values())))
@@ -633,12 +633,27 @@ def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
                 assert list(got_parent.items()) == list(parent.items())[: len(got_parent)]
             assert log == full_log[: len(log)]
             with single.request_log():
-                assert tree_by_single_adds(single, root, 40, 80, 2, meet, steps) == (got_edges, got_parent)
+                assert tree_by_single_adds(single, root, 40, 2, meet, steps) == (got_edges, got_parent)
                 assert single._undo == log
             assert stopped.add_calls - base.add_calls == kept
             assert (dump(stopped), stopped.sat_out, _counters(stopped)) == (
                 dump(single), single.sat_out, _counters(single)
             )
+
+
+def test_grown_tree_holds_at_most_fanout_times_vertex_cap_edges():
+    # at most vertex_cap dequeued vertices ask, each for at most fanout
+    # edges, so trees need no edge cap of their own
+    host = gen_random_regular_digraph(60, 20, seed=12)
+    prof = small_profile(60, 20, in_cap=4, sat_threshold=Fraction(4), low_threshold=Fraction(21))
+    for root in range(0, 60, 7):
+        for vertex_cap in (1, 2, 5, 12, 40):
+            for fanout in (1, 2, 4):
+                edges, _, _ = _grown(EdgeOracle(host, prof), root, vertex_cap, fanout)
+                assert len(edges) <= fanout * vertex_cap
+                if vertex_cap == 1:
+                    # the root alone asks, fanout times: the bound is met
+                    assert len(edges) == fanout
 
 
 class UndoTally(EdgeOracle):
@@ -682,7 +697,7 @@ class OracleMachine(RuleBasedStateMachine):
                 assert self.orc.add_calls - calls == self.orc.undone - undone <= 1
             else:
                 assert self.orc.add_calls == calls + 1
-            assert self.orc.audit().ok
+            assert self.orc.audit(self.orc.h.members()).ok
 
     @precondition(lambda self: len(self.orc.h))
     @rule(data=st.data())
@@ -709,13 +724,12 @@ class OracleMachine(RuleBasedStateMachine):
     @rule(
         root=MACHINE_VERTICES,
         vertex_cap=st.integers(1, 12),
-        edge_cap=st.integers(1, 16),
         fanout=st.integers(1, 3),
         meet=st.sets(MACHINE_VERTICES, max_size=6),
         steps=st.none() | st.integers(0, 8),
         data=st.data(),
     )
-    def grow_and_hand_back(self, root, vertex_cap, edge_cap, fanout, meet, steps, data):
+    def grow_and_hand_back(self, root, vertex_cap, fanout, meet, steps, data):
         # a find's tree: grown inside a log, resumed `steps` times (to its
         # end when None) and dropped, then all but a kept subset released
         # after the log closes; the same tree grown one add_edge call at a
@@ -724,28 +738,29 @@ class OracleMachine(RuleBasedStateMachine):
         ref = copy.deepcopy(self.orc)
         before = self._state()
         try:
-            edges, parent, _ = _grown(self.orc, root, vertex_cap, edge_cap, fanout, meet, steps)
+            edges, parent, _ = _grown(self.orc, root, vertex_cap, fanout, meet, steps)
         except ExpansionViolation:
             assert self._state() == before
             with pytest.raises(ExpansionViolation):
                 with ref.request_log():
-                    tree_by_single_adds(ref, root, vertex_cap, edge_cap, fanout, meet, steps)
+                    tree_by_single_adds(ref, root, vertex_cap, fanout, meet, steps)
             assert _counters(ref) == _counters(self.orc)
             return
         assert [v for v in parent if v in meet and v != root] in ([], [next(reversed(parent))])
+        assert len(edges) <= fanout * vertex_cap
         with ref.request_log():
-            assert tree_by_single_adds(ref, root, vertex_cap, edge_cap, fanout, meet, steps) == (
+            assert tree_by_single_adds(ref, root, vertex_cap, fanout, meet, steps) == (
                 edges, parent
             )
         assert (dump(ref), ref.sat_out, _counters(ref)) == (*self._state(), _counters(self.orc))
         kept = data.draw(st.sets(st.sampled_from(edges))) if edges else set()
         self.orc.release([e for e in edges if e not in kept])
-        report = self.orc.audit()
+        report = self.orc.audit(self.orc.h.members())
         assert report.ok, str(report)
 
     @invariant()
     def audit_clean(self):
-        report = self.orc.audit()
+        report = self.orc.audit(self.orc.h.members())
         assert report.ok, str(report)
 
     @invariant()

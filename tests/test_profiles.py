@@ -42,7 +42,6 @@ def test_strict_profile_worked_example():
     second = math.floor(beta * beta * n * k / 15000)
     assert p.r == min(first, second)
     assert p.bfs_vertex_cap == math.ceil(beta * n / 5)
-    assert p.bfs_edge_cap == math.floor((beta / 1200) * n * k / 2)
     assert p.fanout == 5
     assert p.endpoint_cap == 2  # strictly fewer than 400/200 paths per endpoint
     assert p.g3_path_cap == math.ceil(300 / beta) + 1
@@ -97,13 +96,13 @@ def test_profile_file_round_trip():
     assert derive_profile(2048, 400, "1/100", "1/2000").r == 0
 
 
-# sha256 of each profile's file as written while path_len_cap was a stored
-# field, with its path_len_cap line taken out
+# sha256 of each profile's file as written while path_len_cap, then
+# bfs_edge_cap and h_size_cap were stored fields, with those lines taken out
 PROFILE_FILE_GOLDEN = {
-    "desk-600-30": "697c27770c2e123c031bf4e5d6f438a8af18ea77764f1051807ab1855e52b81a",
-    "desk-9600-31": "16de8fa1bfeee446b2d5afff090af3ff212feb4675bc1fc534789bd7b2cc0cc2",
-    "strict-2048-400": "bfb72f343dfb84ced344630652068af8f3666b8e31a904e43c91167049c60461",
-    "relaxed-600-30": "b292d276d5152138366827408100a21e67cbfc8cb659b66908f3a8b307146171",
+    "desk-600-30": "a5a87042af2fbfe83a86a21a41c72dfb8863199668890f1dc842d6e7198399ba",
+    "desk-9600-31": "69ec2997a2d035399664320c826f8909badc5931c65c87945bdfaeff600c6115",
+    "strict-2048-400": "da3844b80fe3ddb527175b21ea8f14a61abed1e9bdaa6460b9d50509ea09fcdd",
+    "relaxed-600-30": "cfcd49f3889e39476e2ca29f9ae8e01e7a29239bbf00b06758044dbe433df146",
 }
 
 
@@ -116,12 +115,56 @@ def test_profile_file_text_is_unchanged(name):
         "relaxed-600-30": lambda: derive_profile(600, 30, "1/10", "1/50", relaxed=True),
     }[name]()
     text = format_profile(p)
-    assert len(text.splitlines()) == 19
+    assert len(text.splitlines()) == 17
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == PROFILE_FILE_GOLDEN[name]
 
 
 # desk_profile(150, 30) and the strict derive_profile(1024, 400, 1/100,
-# 1/2000) as format_profile wrote them while k and c were stored fields
+# 1/2000) as format_profile wrote them while bfs_edge_cap (a per-tree
+# edge cap) and h_size_cap (a verified bound on |H1|, |H2|) were stored
+# fields, and, in OLDER_FILES, while k, c and path_len_cap were too
+NINETEEN_KEY_FILES = {
+    "desk": """n=150
+d=30
+beta=1/5
+gamma=1/50
+relaxed=true
+d_prime=6
+depth_cap=8
+bfs_vertex_cap=6
+bfs_edge_cap=36
+fanout=2
+endpoint_cap=1
+r=8
+g3_path_cap=50
+h_size_cap=64
+oracle_out_cap=3
+oracle_in_cap=2
+oracle_sat_threshold=2/1
+oracle_low_threshold=3/1
+oracle_capacity=300
+""",
+    "strict": """n=1024
+d=400
+beta=1/100
+gamma=1/2000
+relaxed=false
+d_prime=20
+depth_cap=10
+bfs_vertex_cap=3
+bfs_edge_cap=0
+fanout=5
+endpoint_cap=2
+r=0
+g3_path_cap=30001
+h_size_cap=0
+oracle_out_cap=10
+oracle_in_cap=4
+oracle_sat_threshold=2/1
+oracle_low_threshold=5/1
+oracle_capacity=1
+""",
+}
 OLDER_FILES = {
     "desk": """n=150
 d=30
@@ -170,30 +213,30 @@ oracle_low_threshold=5/1
 oracle_capacity=1
 """,
 }
+RETIRED_KEYS = {"bfs_edge_cap", "h_size_cap"}
 
 
-@pytest.mark.parametrize("kind", sorted(OLDER_FILES))
-def test_older_profile_file_with_k_and_c_loads(kind):
+@pytest.mark.parametrize("kind", sorted(NINETEEN_KEY_FILES))
+def test_19_key_profile_file_fails_naming_the_retired_keys(kind):
+    # a retired cap is refused, not ignored: a tight one set on purpose
+    # would otherwise be dropped without a word
+    text = NINETEEN_KEY_FILES[kind]
+    with pytest.raises(FormatError, match=r"unknown fields: bfs_edge_cap, h_size_cap$"):
+        parse_profile(text)
     expected = {
         "desk": desk_profile(150, 30),
         "strict": derive_profile(1024, 400, "1/100", "1/2000"),
     }[kind]
-    assert parse_profile(OLDER_FILES[kind]) == expected
-    written = format_profile(expected).splitlines()
-    assert not [line for line in written if line.startswith(("k=", "c=", "path_len_cap="))]
+    kept = [line for line in text.splitlines() if line.split("=")[0] not in RETIRED_KEYS]
+    assert format_profile(expected).splitlines() == kept
 
 
-@pytest.mark.parametrize(
-    "field,value",
-    [("k", "99"), ("k", "-1"), ("k", "x"), ("c", "7/3"), ("path_len_cap", "67"),
-     ("path_len_cap", "-1")],
-)
-def test_older_profile_file_with_a_wrong_k_or_c_fails(field, value):
-    line = "%s=%s" % (field, value)
-    text = re.sub(r"(?m)^%s=.*$" % field, line, OLDER_FILES["desk"])
-    lineno = text.splitlines().index(line) + 1
-    with pytest.raises(FormatError, match=r"line %d: field %s: " % (lineno, field)):
-        parse_profile(text)
+@pytest.mark.parametrize("kind", sorted(OLDER_FILES))
+def test_older_profile_file_with_k_and_c_fails(kind):
+    with pytest.raises(
+        FormatError, match=r"unknown fields: bfs_edge_cap, c, h_size_cap, k, path_len_cap$"
+    ):
+        parse_profile(OLDER_FILES[kind])
 
 
 def test_profile_file_rejects_missing_field():
@@ -237,15 +280,6 @@ def test_desk_profile_overrides():
     assert desk_profile(600, 30, g3_path_cap=99).path_len_cap == 2 * ceil_log2(600) + 99
 
 
-def test_desk_h_size_cap_follows_r_and_depth_cap():
-    # |H| of each oracle is at most r paths of depth_cap tree edges
-    assert desk_profile(600, 30).h_size_cap == 24 * 10
-    assert desk_profile(1200, 30, r=192).h_size_cap == 192 * 11
-    assert desk_profile(1200, 30, r=192, depth_cap=4).h_size_cap == 192 * 4
-    # an explicit h_size_cap still wins
-    assert desk_profile(1200, 30, r=192, h_size_cap=7).h_size_cap == 7
-
-
 def test_desk_profile_needs_room():
     with pytest.raises(CallerError):
         desk_profile(600, 20)
@@ -282,7 +316,7 @@ def test_router_profile_is_complete():
     keys = list(DESK_FILE_VALUES)
     own = [f.name for f in dataclasses.fields(RouterProfile) if f.name != "oracle"]
     assert keys == own + ["oracle_" + f.name for f in dataclasses.fields(OracleProfile)]
-    assert len(keys) == 19 and len(dataclasses.fields(OracleProfile)) == 5
+    assert len(keys) == 17 and len(dataclasses.fields(OracleProfile)) == 5
     assert not {"k", "c", "path_len_cap"} & set(keys)
 
 

@@ -213,7 +213,7 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
     prof = eng.profile
     cmds = gen_workload("fill", n, {"count": prof.r - 4}, 5, prof.endpoint_cap, prof.r)
     assert run_trace(eng, cmds).failures == []
-    caps = prof.bfs_vertex_cap, prof.bfs_edge_cap, prof.fanout
+    caps = prof.bfs_vertex_cap, prof.fanout
     rng = random.Random(2)
     met = 0
     for _ in range(60):
@@ -351,10 +351,11 @@ def test_oracle_counters_count_every_tree_edge(probe_trees):
 def test_raised_volume_cap_verifies_clean_when_full():
     # with r raised past the default 8, the live paths hold more tree
     # edges than the default r * depth_cap; verify must still pass. The
-    # fill stops once |H1| passes that cap (or at r): well before r the
+    # fill stops once |H1| passes that bound (or at r): well before r the
     # random fill reaches the load frontier, past which finds fail
     n, r = 150, 60
-    default_cap = desk_profile(n, 30).h_size_cap
+    default = desk_profile(n, 30)
+    default_cap = default.r * default.depth_cap
     eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=21), desk_profile(n, 30, r=r))
     rng = random.Random(1)
     while len(eng.ledger.paths) < r and len(eng.out_oracle.h) <= default_cap:
