@@ -63,6 +63,8 @@ def _load_router_profile(args, g=None):
 
 
 def cmd_run(args):
+    if args.verify_every < 0:
+        raise RoutingError("--verify-every must be at least 0, got %d" % args.verify_every)
     g = load_graph(args.graph)
     if not isinstance(g, UndirectedGraph):
         raise RoutingError("run expects an undirected graph file")
@@ -144,14 +146,20 @@ def cmd_spectrum(args):
 
 
 def cmd_profile(args):
+    # --beta, --gamma and --relaxed are attributes only when given
+    given = [opt for opt in ("beta", "gamma", "relaxed") if opt in vars(args)]
     if args.desk:
+        if given:
+            raise RoutingError("--desk takes no %s" % ", ".join("--" + opt for opt in given))
         profile = desk_profile(args.n, args.d)
     else:
-        profile = derive_profile(args.n, args.d, args.beta, args.gamma, relaxed=args.relaxed)
+        relaxed = "relaxed" in given
+        beta, gamma = getattr(args, "beta", "1/100"), getattr(args, "gamma", "1/2000")
+        profile = derive_profile(args.n, args.d, beta, gamma, relaxed=relaxed)
         values = dict(profile_items(profile))
-        caps = ("r", "oracle_out_cap", "oracle_in_cap", "oracle_capacity")
+        caps = ("r", "oracle_out_cap", "oracle_in_cap")
         zero = [key for key in caps if values[key] == 0]
-        if args.relaxed and zero:
+        if relaxed and zero:
             raise RoutingError("relaxed profile cannot route (%s = 0); use --desk instead" % ", ".join(zero))
         if zero:
             # strict constants are written as derived, routable or not
@@ -222,9 +230,9 @@ def build_parser():
     p = sub.add_parser("profile", help="derive a constants profile")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--beta", type=_ratio, default="1/100")
-    p.add_argument("--gamma", type=_ratio, default="1/2000")
-    p.add_argument("--relaxed", action="store_true")
+    p.add_argument("--beta", type=_ratio, default=argparse.SUPPRESS, help="default 1/100")
+    p.add_argument("--gamma", type=_ratio, default=argparse.SUPPRESS, help="default 1/2000")
+    p.add_argument("--relaxed", action="store_true", default=argparse.SUPPRESS)
     p.add_argument("--desk", action="store_true")
     p.add_argument("--out", required=True, help="output file or -")
     p.set_defaults(func=cmd_profile)

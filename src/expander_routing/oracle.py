@@ -198,8 +198,6 @@ class EdgeOracle:
             raise CallerError("vertex %d out of range" % v)
         if self.h.out_deg[v] >= prof.out_cap:
             raise CallerError("add_edge(%d): out-degree cap %d reached" % (v, prof.out_cap))
-        if self.h._size >= prof.capacity:
-            raise CallerError("add_edge: active set is at capacity %d" % prof.capacity)
         edges = []
         with self.request_log() if self._undo is None else nullcontext():
             mark = len(self._undo)
@@ -221,8 +219,7 @@ class EdgeOracle:
         `fanout` edges, stopping at its out-degree cap, so the tree holds
         at most `fanout` * `vertex_cap` edges. A Low vertex takes its first
         B-stock edge in pick order, any other its first free out-edge in
-        pick order whose head is not in Sat. The edge budget is the
-        capacity left at the first resume. The tree ends when it discovers
+        pick order whose head is not in Sat. The tree ends when it discovers
         a vertex in `meet` (read live), its last key then. Stopped there
         or dropped early, it is a prefix of the full tree, with the same
         picks and log entries. It needs an open log (checked at the first
@@ -232,8 +229,7 @@ class EdgeOracle:
         undo = self._undo
         if undo is None:
             raise CallerError("grow_tree: no open log")
-        prof = self.profile
-        out_cap, budget = prof.out_cap, prof.capacity - self.h._size
+        out_cap = self.profile.out_cap
         h, state = self.h, self.state
         out_deg, in_deg, b_in = h.out_deg, h.in_deg, self.b.in_deg
         sat, low, sat_min = self.sat, self.low, self._sat_min
@@ -247,8 +243,6 @@ class EdgeOracle:
             for _ in picks:
                 if out_deg[u] >= out_cap:
                     break
-                if len(edges) >= budget:
-                    raise ExpansionViolation("oracle hit capacity during tree growth")
                 if low[u]:
                     # serve from the buffered stock
                     for e in pick_order[u]:
@@ -455,6 +449,8 @@ class EdgeOracle:
         |B|) plus C-level passes over n: per-vertex rules are looped over
         only at vertices that can break them (Sat, Low, holding B stock,
         or over a cap). H and B cannot overlap: an edge has one state.
+        |H| needs no rule of its own: by pigeonhole, |H| > n * in_cap
+        puts some in_F over in_cap, which the per-vertex rule reports.
         """
         findings = []
         n = self.host.n
@@ -516,8 +512,6 @@ class EdgeOracle:
                 findings.append("out_F(%d)=%d exceeds cap %d" % (v, out_f[v], prof.out_cap))
             if in_f[v] > prof.in_cap:
                 findings.append("in_F(%d)=%d exceeds cap %d" % (v, in_f[v], prof.in_cap))
-        if len(self.h) > prof.capacity:
-            findings.append("|H|=%d exceeds capacity %d" % (len(self.h), prof.capacity))
         return Findings(findings, low_count=len(low_ids))
 
     def _sat_out_from(self, heads):

@@ -28,23 +28,21 @@ def ceil_log2(n: int) -> int:
 
 @dataclass(frozen=True)
 class OracleProfile:
-    """The five thresholds an edge oracle runs on; `canonical_oracle_profile` sets them from d'."""
+    """The four thresholds an edge oracle runs on; `canonical_oracle_profile` sets them from d'."""
 
     out_cap: int             # hard out-degree cap in H u B; canonical floor(d'/2)
-    in_cap: int              # hard in-degree cap in H u B; canonical floor(d'/5)
+    in_cap: int              # hard in-degree cap in H u B, so |H| <= n*in_cap; canonical floor(d'/5)
     sat_threshold: Fraction  # in-degree at which a head saturates; canonical d'/10
     low_threshold: Fraction  # saturated out-neighbourhood that triggers buffering; canonical d'/4
-    capacity: int            # adds are refused once |H| reaches this
 
 
-def canonical_oracle_profile(n, d, beta):
-    """The canonical thresholds for an oracle over a d-regular host on n vertices."""
+def canonical_oracle_profile(d):
+    """The canonical thresholds for an oracle over a d-regular host."""
     return OracleProfile(
         out_cap=d // 2,
         in_cap=d // 5,
         sat_threshold=Fraction(d, 10),
         low_threshold=Fraction(d, 4),
-        capacity=math.floor(Fraction(beta) * d * n / 120),
     )
 
 
@@ -61,7 +59,6 @@ class RouterProfile:
     n: int
     d: int
     beta: Fraction
-    gamma: Fraction
     relaxed: bool
     d_prime: int
     depth_cap: int            # BFS tree depth budget, ceil(log2 n) by default
@@ -84,8 +81,6 @@ class RouterProfile:
                 raise CallerError("profile field %s must be at least %d, got %d" % (key, least, value))
             if isinstance(value, Fraction) and value <= 0:
                 raise CallerError("profile field %s must be positive, got %s" % (key, value))
-        if not self.relaxed and 20 * self.gamma > Fraction(1, 50):
-            raise CallerError("profile field gamma: 20*gamma must be at most 1/50 unless relaxed")
         if not self.relaxed and self.d_prime < 10:
             raise CallerError("profile field d_prime: host degree below 10 needs a relaxed profile")
 
@@ -115,9 +110,10 @@ def oriented_degree(d: int) -> int:
 
 
 def derive_profile(n, d, beta, gamma, relaxed=False):
-    """Compute every derived constant from (n, d, beta, gamma).
+    """Compute every derived constant from (n, d, beta).
 
-    Strict mode (relaxed=False) enforces gamma < 1/1000 and d > 200.
+    Strict mode (relaxed=False) enforces gamma < 1/1000 and d > 200;
+    gamma is checked here and not stored, since no constant depends on it.
     """
     beta = Fraction(beta)
     gamma = Fraction(gamma)
@@ -145,7 +141,6 @@ def derive_profile(n, d, beta, gamma, relaxed=False):
         n=n,
         d=d,
         beta=beta,
-        gamma=gamma,
         relaxed=relaxed,
         d_prime=d_prime,
         depth_cap=depth_cap,
@@ -154,7 +149,7 @@ def derive_profile(n, d, beta, gamma, relaxed=False):
         endpoint_cap=math.ceil(Fraction(d, 200)),
         r=r,
         g3_path_cap=g3_path_cap,
-        oracle=canonical_oracle_profile(n, d_prime, beta),
+        oracle=canonical_oracle_profile(d_prime),
     )
     if not relaxed and not profile.capacity_chains_hold():
         raise CallerError("derived r violates a capacity chain (internal)")
@@ -190,7 +185,6 @@ def desk_profile(n, d, **overrides):
         n=n,
         d=d,
         beta=beta,
-        gamma=Fraction(1, 50),
         relaxed=True,
         d_prime=d_prime,
         depth_cap=ceil_log2(n),
@@ -207,7 +201,6 @@ def desk_profile(n, d, **overrides):
             # run out; earlier triggering (the canonical d'/4) over-buffers at
             # desk load and the buffer growth feeds back into saturation
             low_threshold=Fraction(d_prime - out_cap),
-            capacity=n * in_cap,
         ),
     )
     return dataclasses.replace(profile, **overrides)
@@ -259,12 +252,12 @@ def parse_profile(text: str) -> RouterProfile:
             )
         values[key] = (lineno, val.strip())
     fields = dict(_file_fields())
+    unknown = ["%s at line %d" % (key, lineno) for key, (lineno, _) in values.items() if key not in fields]
+    if unknown:
+        raise FormatError("profile has unknown fields: %s" % ", ".join(unknown))
     missing = fields.keys() - values.keys()
     if missing:
         raise FormatError("profile missing fields: %s" % ", ".join(sorted(missing)))
-    unknown = values.keys() - fields.keys()
-    if unknown:
-        raise FormatError("profile has unknown fields: %s" % ", ".join(sorted(unknown)))
     kwargs = {}
     for key, (lineno, raw) in values.items():
         kind = fields[key].type

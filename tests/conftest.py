@@ -74,7 +74,6 @@ def c8():
 def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None):
     """`EdgeOracle.grow_tree` spelled out with one `add_edge` call per edge,
     over at most `steps` dequeued vertices (the resumes before it is dropped)."""
-    budget = orc.profile.capacity - len(orc.h)
     parent = {root: None}
     edges = []
     q = deque([root])
@@ -85,8 +84,6 @@ def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None):
         for _ in range(fanout):
             if orc.h.out_deg[u] >= orc.profile.out_cap:
                 break
-            if len(edges) >= budget:
-                raise ExpansionViolation("oracle hit capacity during tree growth")
             e = orc.add_edge(u)
             edges.append(e)
             w = orc.host.heads[e]

@@ -63,19 +63,19 @@ def _sha256(text):
 
 
 def suite1_profile():
-    # capacity, out cap and the buffering trigger are desk values; the in
-    # cap and saturation threshold are the canonical floor(d/5), d/10
+    # out cap and the buffering trigger are desk values; the in cap and
+    # saturation threshold are the canonical floor(d/5), d/10
     return OracleProfile(
         out_cap=4,
         in_cap=4,
         sat_threshold=Fraction(2),
         low_threshold=Fraction(11),
-        capacity=300,
     )
 
 
-def _oracle_churn(prof, ops, watch_walks, audit_each):
-    """Random add/remove churn on the seed-5 host (rng seed 99)."""
+def _oracle_churn(prof, ops, watch_walks, audit_each, live_cap):
+    """Random add/remove churn on the seed-5 host (rng seed 99), keeping
+    at most `live_cap` active edges."""
     host = gen_random_regular_digraph(ORACLE_N, ORACLE_D, seed=5)
     oracle = EdgeOracle(host, prof)
     walks = watch_walks(oracle)
@@ -86,8 +86,8 @@ def _oracle_churn(prof, ops, watch_walks, audit_each):
     dirty_audits = 0
     start = time.perf_counter()
     for _ in range(ops):
-        do_add = len(active) < prof.capacity and (
-            len(active) < prof.capacity // 3 or rng.random() < 0.55
+        do_add = len(active) < live_cap and (
+            len(active) < live_cap // 3 or rng.random() < 0.55
         )
         if do_add:
             pool = [v for v in range(ORACLE_N) if oracle.h.out_deg[v] < prof.out_cap]
@@ -103,6 +103,8 @@ def _oracle_churn(prof, ops, watch_walks, audit_each):
             i = rng.randrange(len(active))
             active[i], active[-1] = active[-1], active[i]
             oracle.remove_edge(active.pop())
+        # every in_F stays within in_cap, so |F| = |H| + |B| <= n * in_cap
+        assert len(oracle.h) + len(oracle.b) <= ORACLE_N * prof.in_cap
         if audit_each:
             audit = oracle.audit(oracle.h.members())
             # |Low| < beta*n/12 with the suite's beta of 1
@@ -120,16 +122,16 @@ def _oracle_churn(prof, ops, watch_walks, audit_each):
 
 @pytest.fixture(scope="module")
 def suite1(watch_walks):
-    return _oracle_churn(suite1_profile(), ORACLE_OPS, watch_walks, audit_each=True)
+    return _oracle_churn(suite1_profile(), ORACLE_OPS, watch_walks, audit_each=True, live_cap=300)
 
 
 @pytest.fixture(scope="module")
 def suite1_long_walks(watch_walks):
     # suite 1's walks all have one edge; a lower buffering trigger and more
-    # capacity force walks that reverse buffered edges. No per-op audit:
+    # live edges force walks that reverse buffered edges. No per-op audit:
     # at these caps |Low| outgrows the beta*n/12 that criterion 1 checks
-    prof = dataclasses.replace(suite1_profile(), low_threshold=Fraction(10), capacity=450)
-    return _oracle_churn(prof, 3000, watch_walks, audit_each=False)
+    prof = dataclasses.replace(suite1_profile(), low_threshold=Fraction(10))
+    return _oracle_churn(prof, 3000, watch_walks, audit_each=False, live_cap=450)
 
 
 def test_criterion_1_oracle_invariant_suite(suite1):

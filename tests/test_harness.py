@@ -20,7 +20,7 @@ from expander_routing.harness import (
     parse_trace,
     run_trace,
 )
-from expander_routing.profiles import desk_profile, load_profile
+from expander_routing.profiles import desk_profile, format_profile, load_profile
 from expander_routing.router import RoutingEngine
 
 
@@ -380,9 +380,46 @@ def test_cli_profile_refuses_relaxed_profile_that_cannot_route(tmp_path, capsys,
     out = tmp_path / "prof.txt"
     assert cli_main(["profile", "--n", str(n), "--d", str(d), "--relaxed", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "(r, oracle_out_cap, oracle_in_cap, oracle_capacity = 0)" in err
+    assert "(r, oracle_out_cap, oracle_in_cap = 0)" in err
     assert "--desk" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "options,named",
+    [
+        (["--beta", "1/3"], "--beta"),
+        (["--gamma", "1/7"], "--gamma"),
+        (["--relaxed"], "--relaxed"),
+        (["--beta", "0"], "--beta"),
+        (["--beta", "1/3", "--gamma", "1/7", "--relaxed"], "--beta, --gamma, --relaxed"),
+    ],
+    ids=["beta", "gamma", "relaxed", "beta-zero", "all"],
+)
+def test_cli_desk_profile_refuses_derive_options(tmp_path, capsys, options, named):
+    # the desk profile sets its own constants; a derive option with --desk
+    # is refused, not dropped without a word
+    out = tmp_path / "prof.txt"
+    argv = ["profile", "--n", "600", "--d", "30", "--desk", "--out", str(out)]
+    assert cli_main(argv + options) == 2
+    assert capsys.readouterr().err == "error: --desk takes no %s\n" % named
+    assert not out.exists()
+    assert cli_main(argv) == 0
+    assert out.read_text() == format_profile(desk_profile(600, 30))
+
+
+def test_cli_negative_verify_every_is_a_usage_error(tmp_path, capsys):
+    graph_path = tmp_path / "g.txt"
+    save_graph(graph_path, gen_random_regular_graph(150, 30, seed=3))
+    trace_path = tmp_path / "t.txt"
+    trace_path.write_text("".join("find %d %d\n" % (v, v + 1) for v in range(0, 10, 2)))
+    argv = ["run", "--graph", str(graph_path), "--desk", "--trace", str(trace_path), "--quiet"]
+    # refused before any work: no request runs, no report is printed
+    assert cli_main(argv + ["--verify-every", "-3"]) == 2
+    assert capsys.readouterr() == ("", "error: --verify-every must be at least 0, got -3\n")
+    json_path = tmp_path / "report.json"
+    assert cli_main(argv + ["--verify-every", "0", "--json", str(json_path)]) == 0
+    assert json.loads(json_path.read_text())["verifies_run"] == 0
 
 
 def test_cli_reports_errors(tmp_path, capsys):

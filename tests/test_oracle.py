@@ -18,13 +18,12 @@ from expander_routing.profiles import OracleProfile, canonical_oracle_profile, d
 from test_audit_differential import loaded_oracle, reference_audit
 
 
-def small_profile(n, d, **kw):
+def small_profile(d, **kw):
     base = dict(
         out_cap=d // 2,
         in_cap=max(1, d // 5),
         sat_threshold=Fraction(max(1, d // 10)),
         low_threshold=Fraction(d, 4),
-        capacity=n * d,
     )
     base.update(kw)
     return OracleProfile(**base)
@@ -52,7 +51,7 @@ def scratch_state(orc):
 
 def test_fresh_oracle_is_empty():
     host = gen_random_regular_digraph(30, 10, seed=1)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
+    orc = EdgeOracle(host, canonical_oracle_profile(10))
     assert len(orc.h) == 0 and len(orc.b) == 0
     assert not any(orc.sat) and not any(orc.low)
     assert orc.audit(orc.h.members()).ok
@@ -62,11 +61,11 @@ def test_nine_regular_host_rejected_when_strict():
     # a strict profile refuses oracle hosts of degree d' < 10
     strict = derive_profile(1024, 400, "1/100", "1/2000")
     with pytest.raises(CallerError, match="d_prime"):
-        dataclasses.replace(strict, d_prime=9, oracle=canonical_oracle_profile(1024, 9, "1/100"))
+        dataclasses.replace(strict, d_prime=9, oracle=canonical_oracle_profile(9))
     # relaxed profiles may waive the minimum-degree hypothesis
     assert dataclasses.replace(strict, d_prime=9, relaxed=True).d_prime == 9
     host = gen_random_regular_digraph(30, 9, seed=1)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 9, 1))
+    orc = EdgeOracle(host, canonical_oracle_profile(9))
     assert orc.audit(orc.h.members()).ok
 
 
@@ -74,25 +73,25 @@ def test_host_regularity_must_match_profile():
     # thresholds are set by a regular host's degree; an irregular host has none
     host = Digraph(3, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(CallerError, match="not regular"):
-        EdgeOracle(host, small_profile(3, 2))
+        EdgeOracle(host, small_profile(2))
 
 
 def test_first_add_returns_first_out_edge():
     # first in pick order: v's host row rotated by v mod out-degree
     host = gen_random_regular_digraph(30, 10, seed=2)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
+    orc = EdgeOracle(host, canonical_oracle_profile(10))
     e = orc.add_edge(0)
     assert e == host.out_adj[0][0]
     assert orc.h.in_deg[host.heads[e]] == 1
     for v in (7, 13, 29):
-        orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
+        orc = EdgeOracle(host, canonical_oracle_profile(10))
         assert orc.add_edge(v) == host.out_adj[v][v % 10]
 
 
 def test_out_cap_precondition():
     host = gen_random_regular_digraph(30, 10, seed=3)
     prof = small_profile(
-        30, 10, out_cap=5, in_cap=2, sat_threshold=Fraction(2), low_threshold=Fraction(9)
+        10, out_cap=5, in_cap=2, sat_threshold=Fraction(2), low_threshold=Fraction(9)
     )
     orc = EdgeOracle(host, prof)
     for _ in range(5):
@@ -101,19 +100,9 @@ def test_out_cap_precondition():
         orc.add_edge(4)
 
 
-def test_capacity_precondition():
-    host = gen_random_regular_digraph(30, 10, seed=4)
-    prof = dataclasses.replace(canonical_oracle_profile(30, 10, 1), capacity=2)
-    orc = EdgeOracle(host, prof)
-    orc.add_edge(0)
-    orc.add_edge(1)
-    with pytest.raises(CallerError):
-        orc.add_edge(2)
-
-
 def test_add_remove_round_trip_restores_empty():
     host = gen_random_regular_digraph(30, 10, seed=5)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
+    orc = EdgeOracle(host, canonical_oracle_profile(10))
     e = orc.add_edge(7)
     orc.remove_edge(e)
     assert len(orc.h) == 0 and len(orc.b) == 0
@@ -123,31 +112,19 @@ def test_add_remove_round_trip_restores_empty():
 
 def test_remove_unknown_edge():
     host = gen_random_regular_digraph(30, 10, seed=6)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
+    orc = EdgeOracle(host, canonical_oracle_profile(10))
     with pytest.raises(CallerError):
         orc.remove_edge(3)
 
 
 def test_grow_tree_needs_an_open_log():
     host = gen_random_regular_digraph(30, 10, seed=6)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
+    orc = EdgeOracle(host, canonical_oracle_profile(10))
     # the check runs at the first resume of the generator
     tree = orc.grow_tree({0: None}, [], (), 4, 2)
     with pytest.raises(CallerError):
         next(tree)
     assert len(orc.h) == 0 and orc.add_calls == 0
-
-
-def test_grow_tree_budget_is_the_capacity_left():
-    host = gen_random_regular_digraph(30, 10, seed=8)
-    orc = EdgeOracle(host, small_profile(30, 10, capacity=5, low_threshold=Fraction(9)))
-    orc.add_edge(0)
-    before = dump(orc)
-    with pytest.raises(ExpansionViolation, match="capacity"):
-        with orc.request_log():
-            drive(orc.grow_tree({1: None}, [], (), 20, 2))
-    # four picks fill the capacity; the fifth is refused before it is made
-    assert dump(orc) == before and orc.add_calls == 1 + 4
 
 
 def _counters(orc):
@@ -156,7 +133,7 @@ def _counters(orc):
 
 def test_release_checks_the_whole_batch_first():
     host = gen_random_regular_digraph(30, 10, seed=7)
-    orc = EdgeOracle(host, small_profile(30, 10, low_threshold=Fraction(9)))
+    orc = EdgeOracle(host, small_profile(10, low_threshold=Fraction(9)))
     active = [orc.add_edge(v) for v in range(6)]
     assert any(orc.sat)
     inactive = next(e for e in range(host.m) if orc.state[e] != 1)
@@ -178,7 +155,7 @@ def test_release_checks_the_whole_batch_first():
 def test_removal_is_refused_while_a_log_is_open():
     # the log holds additions only; a request hands edges back after it closes
     host = gen_random_regular_digraph(30, 10, seed=7)
-    orc = EdgeOracle(host, small_profile(30, 10, low_threshold=Fraction(9)))
+    orc = EdgeOracle(host, small_profile(10, low_threshold=Fraction(9)))
     held = [orc.add_edge(v) for v in range(4)]
     with orc.request_log():
         e = orc.add_edge(5)
@@ -197,7 +174,7 @@ def test_nested_request_log_is_refused():
     # a nested open would empty the outer log and close it on its way out,
     # so the outer rollback could not undo the outer request's adds
     host = gen_random_regular_digraph(30, 10, seed=7)
-    orc = EdgeOracle(host, small_profile(30, 10, low_threshold=Fraction(9)))
+    orc = EdgeOracle(host, small_profile(10, low_threshold=Fraction(9)))
     empty = (dump(orc), list(orc.sat_out))
     with pytest.raises(RuntimeError, match="outer"):
         with orc.request_log():
@@ -253,7 +230,7 @@ def enumerate_walks(orc, x, limit=6):
 
 def test_walk_single_forward_edge(walk_vertices):
     host = host_5()
-    prof = small_profile(5, 2, out_cap=2, in_cap=1, sat_threshold=Fraction(1))
+    prof = small_profile(2, out_cap=2, in_cap=1, sat_threshold=Fraction(1))
     orc = EdgeOracle(host, prof)
     walk = orc.find_alternating_walk(0)
     assert walk is not None
@@ -265,7 +242,7 @@ def test_walk_single_forward_edge(walk_vertices):
 
 def test_walk_three_edges_through_buffer(walk_vertices):
     host = host_5()
-    prof = small_profile(5, 2, out_cap=2, in_cap=1, sat_threshold=Fraction(1))
+    prof = small_profile(2, out_cap=2, in_cap=1, sat_threshold=Fraction(1))
     orc = EdgeOracle(host, prof)
     orc.h.add(7)   # (3,4): head 4 carries an active in-edge
     orc.b.add(4)   # (2,1): buffered edge into head 1
@@ -289,7 +266,7 @@ def test_walk_three_edges_through_buffer(walk_vertices):
 def test_walk_toggle_degree_deltas(watch_walks):
     host = gen_random_regular_digraph(80, 12, seed=21)
     prof = OracleProfile(
-        out_cap=3, in_cap=2, sat_threshold=Fraction(2), low_threshold=Fraction(5), capacity=500
+        out_cap=3, in_cap=2, sat_threshold=Fraction(2), low_threshold=Fraction(5)
     )
     orc = EdgeOracle(host, prof)
     records = watch_walks(orc)
@@ -325,13 +302,13 @@ def test_walk_toggle_degree_deltas(watch_walks):
 def test_scratch_recompute_matches_under_churn():
     host = gen_random_regular_digraph(100, 20, seed=12)
     prof = OracleProfile(
-        out_cap=4, in_cap=4, sat_threshold=Fraction(2), low_threshold=Fraction(10), capacity=90
+        out_cap=4, in_cap=4, sat_threshold=Fraction(2), low_threshold=Fraction(10)
     )
     orc = EdgeOracle(host, prof)
     rng = random.Random(17)
     active = []
     for step in range(1500):
-        if len(active) < prof.capacity and (len(active) < 40 or rng.random() < 0.55):
+        if len(active) < 90 and (len(active) < 40 or rng.random() < 0.55):
             pool = [v for v in range(100) if orc.h.out_deg[v] < prof.out_cap]
             v = pool[rng.randrange(len(pool))]
             e = orc.add_edge(v)
@@ -352,7 +329,7 @@ def test_failed_add_rolls_back_bit_exactly():
     # canonical thresholds on a small dense host ignite buffering storms,
     # which is exactly the walk-failure path we want to observe
     host = gen_random_regular_digraph(40, 10, seed=33)
-    prof = dataclasses.replace(canonical_oracle_profile(40, 10, 1), capacity=400)
+    prof = canonical_oracle_profile(10)
     orc = EdgeOracle(host, prof)
     search, results = orc.find_alternating_walk, []
 
@@ -387,7 +364,7 @@ def test_failed_add_inside_an_open_log_keeps_the_earlier_adds():
     # the set-up of test_failed_add_rolls_back_bit_exactly, all in one log:
     # the failed add rolls back to its own mark, not to the log's start
     host = gen_random_regular_digraph(40, 10, seed=33)
-    prof = dataclasses.replace(canonical_oracle_profile(40, 10, 1), capacity=400)
+    prof = canonical_oracle_profile(10)
     orc = EdgeOracle(host, prof)
     rng = random.Random(2)
     made = 0
@@ -425,7 +402,7 @@ def test_failed_add_counts_the_edges_it_put_in_h(low_threshold, message, added):
     # edge that entered H once, kept or rolled back, in a log of its own
     # or inside an open one
     host = gen_random_regular_digraph(30, 10, seed=1)
-    prof = small_profile(30, 10, sat_threshold=Fraction(1), low_threshold=low_threshold)
+    prof = small_profile(10, sat_threshold=Fraction(1), low_threshold=low_threshold)
     for open_log in (False, True):
         orc = EdgeOracle(host, prof)
         with orc.request_log() if open_log else nullcontext():
@@ -447,7 +424,7 @@ def test_failed_add_counts_the_edges_it_put_in_h(low_threshold, message, added):
 def test_buffered_vertex_served_from_stock():
     host = gen_random_regular_digraph(100, 20, seed=12)
     prof = OracleProfile(
-        out_cap=4, in_cap=4, sat_threshold=Fraction(2), low_threshold=Fraction(10), capacity=90
+        out_cap=4, in_cap=4, sat_threshold=Fraction(2), low_threshold=Fraction(10)
     )
     orc = EdgeOracle(host, prof)
     rng = random.Random(17)
@@ -464,7 +441,7 @@ def test_buffered_vertex_served_from_stock():
             assert orc.audit(orc.h.members()).ok
             served_from_stock = True
             break
-        if len(active) < prof.capacity and (len(active) < 30 or rng.random() < 0.55):
+        if len(active) < 90 and (len(active) < 30 or rng.random() < 0.55):
             pool = [v for v in range(100) if orc.h.out_deg[v] < prof.out_cap]
             v = pool[rng.randrange(len(pool))]
             active.append(orc.add_edge(v))
@@ -500,7 +477,7 @@ def test_h_and_b_refuse_each_others_edges():
 def test_audit_holds_around_every_request_and_walk():
     host = gen_random_regular_digraph(60, 12, seed=19)
     prof = OracleProfile(
-        out_cap=3, in_cap=2, sat_threshold=Fraction(2), low_threshold=Fraction(5), capacity=120
+        out_cap=3, in_cap=2, sat_threshold=Fraction(2), low_threshold=Fraction(5)
     )
     orc = EdgeOracle(host, prof)
     search, add_edge, remove_edge = orc.find_alternating_walk, orc.add_edge, orc.remove_edge
@@ -548,7 +525,7 @@ def test_audit_holds_around_every_request_and_walk():
 
 def test_audit_flags_corrupted_counter():
     host = gen_random_regular_digraph(30, 10, seed=13)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
+    orc = EdgeOracle(host, canonical_oracle_profile(10))
     orc.add_edge(0)
     orc.h.out_deg[0] += 1
     rep = orc.audit(orc.h.members())
@@ -560,7 +537,7 @@ def test_audit_flags_corrupted_counter():
 
 def test_audit_flags_planted_sat_member():
     host = gen_random_regular_digraph(30, 10, seed=14)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
+    orc = EdgeOracle(host, canonical_oracle_profile(10))
     orc.sat[5] = True
     rep = orc.audit(orc.h.members())
     assert any("Sat mismatch at 5" in f for f in rep.findings)
@@ -568,7 +545,7 @@ def test_audit_flags_planted_sat_member():
 
 def test_dump_is_stable():
     host = gen_random_regular_digraph(30, 10, seed=15)
-    orc = EdgeOracle(host, canonical_oracle_profile(30, 10, 1))
+    orc = EdgeOracle(host, canonical_oracle_profile(10))
     e1 = orc.add_edge(0)
     e2 = orc.add_edge(1)
     expected = "H: %d %d\nB:\nSat: %d %d\nLow:\n" % (
@@ -601,7 +578,7 @@ def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
     # saturates heads and rebalances, so every kind of log entry occurs
     host = gen_random_regular_digraph(60, 8, seed=12)
     caps = dict(out_cap=3, in_cap=3, sat_threshold=Fraction(2), low_threshold=Fraction(3))
-    base = EdgeOracle(host, small_profile(60, 8, **caps))
+    base = EdgeOracle(host, small_profile(8, **caps))
     rng = random.Random(4)
     for _ in range(40):
         try:
@@ -645,7 +622,7 @@ def test_grown_tree_holds_at_most_fanout_times_vertex_cap_edges():
     # at most vertex_cap dequeued vertices ask, each for at most fanout
     # edges, so trees need no edge cap of their own
     host = gen_random_regular_digraph(60, 20, seed=12)
-    prof = small_profile(60, 20, in_cap=4, sat_threshold=Fraction(4), low_threshold=Fraction(21))
+    prof = small_profile(20, in_cap=4, sat_threshold=Fraction(4), low_threshold=Fraction(21))
     for root in range(0, 60, 7):
         for vertex_cap in (1, 2, 5, 12, 40):
             for fanout in (1, 2, 4):
@@ -677,7 +654,7 @@ class OracleMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.orc = UndoTally(MACHINE_HOST, small_profile(40, 6, **self.CAPS))
+        self.orc = UndoTally(MACHINE_HOST, small_profile(6, **self.CAPS))
 
     def _state(self):
         return dump(self.orc), list(self.orc.sat_out)

@@ -50,7 +50,6 @@ def test_strict_profile_worked_example():
     assert p.oracle.in_cap == 4
     assert p.oracle.sat_threshold == Fraction(2)
     assert p.oracle.low_threshold == Fraction(5)
-    assert p.oracle.capacity == math.floor(beta * 20 * n / 120)
     assert p.capacity_chains_hold()
 
 
@@ -62,12 +61,16 @@ def test_strict_profile_worked_example():
 def test_oracle_fields_are_the_canonical_oracle_profile(args):
     n, d, beta, gamma, relaxed = args
     p = derive_profile(n, d, beta, gamma, relaxed=relaxed)
-    assert p.oracle == canonical_oracle_profile(n, p.d_prime, beta)
+    assert p.oracle == canonical_oracle_profile(p.d_prime)
 
 
 def test_strict_profile_rejects_large_gamma():
-    with pytest.raises(CallerError):
-        derive_profile(1024, 400, "1/100", "1/500")
+    # gamma is checked on derivation and not stored: strict needs gamma < 1/1000
+    for gamma in ("1/500", "1/1000"):
+        with pytest.raises(CallerError, match="gamma"):
+            derive_profile(1024, 400, "1/100", gamma)
+    assert derive_profile(1024, 400, "1/100", "1/1001") == derive_profile(1024, 400, "1/100", "1/2000")
+    assert derive_profile(1024, 400, "1/100", "1/10", relaxed=True).relaxed
 
 
 def test_strict_profile_rejects_small_degree():
@@ -97,12 +100,13 @@ def test_profile_file_round_trip():
 
 
 # sha256 of each profile's file as written while path_len_cap, then
-# bfs_edge_cap and h_size_cap were stored fields, with those lines taken out
+# bfs_edge_cap and h_size_cap, then gamma and oracle_capacity were stored
+# fields, with those lines taken out
 PROFILE_FILE_GOLDEN = {
-    "desk-600-30": "a5a87042af2fbfe83a86a21a41c72dfb8863199668890f1dc842d6e7198399ba",
-    "desk-9600-31": "69ec2997a2d035399664320c826f8909badc5931c65c87945bdfaeff600c6115",
-    "strict-2048-400": "da3844b80fe3ddb527175b21ea8f14a61abed1e9bdaa6460b9d50509ea09fcdd",
-    "relaxed-600-30": "cfcd49f3889e39476e2ca29f9ae8e01e7a29239bbf00b06758044dbe433df146",
+    "desk-600-30": "44f05517740416a61f670a53988aed02326a8a46c3901cdccd1de2d49fd04782",
+    "desk-9600-31": "bc4f09dfe86111f540be1732ac204fb9c08c435f052a55f5432cda74e93db0c8",
+    "strict-2048-400": "6de4d3aa45e9f961d8a725d0a823865ee0ab7fd29dbaf1c65d31b26d68bdb6b1",
+    "relaxed-600-30": "c97a6c8d41427be94e6db675696d6caa7737402c0e0b51785261f5efcebaef2e",
 }
 
 
@@ -115,14 +119,55 @@ def test_profile_file_text_is_unchanged(name):
         "relaxed-600-30": lambda: derive_profile(600, 30, "1/10", "1/50", relaxed=True),
     }[name]()
     text = format_profile(p)
-    assert len(text.splitlines()) == 17
+    assert len(text.splitlines()) == 15
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == PROFILE_FILE_GOLDEN[name]
 
 
 # desk_profile(150, 30) and the strict derive_profile(1024, 400, 1/100,
-# 1/2000) as format_profile wrote them while bfs_edge_cap (a per-tree
-# edge cap) and h_size_cap (a verified bound on |H1|, |H2|) were stored
-# fields, and, in OLDER_FILES, while k, c and path_len_cap were too
+# 1/2000) as format_profile wrote them while gamma (a checked input no
+# constant depends on) and oracle_capacity (a cap on |H| that in_cap
+# already implies) were stored fields, in NINETEEN_KEY_FILES while
+# bfs_edge_cap (a per-tree edge cap) and h_size_cap (a verified bound on
+# |H1|, |H2|) were too, and, in OLDER_FILES, while k, c and path_len_cap
+# were as well
+SEVENTEEN_KEY_FILES = {
+    "desk": """n=150
+d=30
+beta=1/5
+gamma=1/50
+relaxed=true
+d_prime=6
+depth_cap=8
+bfs_vertex_cap=6
+fanout=2
+endpoint_cap=1
+r=8
+g3_path_cap=50
+oracle_out_cap=3
+oracle_in_cap=2
+oracle_sat_threshold=2/1
+oracle_low_threshold=3/1
+oracle_capacity=300
+""",
+    "strict": """n=1024
+d=400
+beta=1/100
+gamma=1/2000
+relaxed=false
+d_prime=20
+depth_cap=10
+bfs_vertex_cap=3
+fanout=5
+endpoint_cap=2
+r=0
+g3_path_cap=30001
+oracle_out_cap=10
+oracle_in_cap=4
+oracle_sat_threshold=2/1
+oracle_low_threshold=5/1
+oracle_capacity=1
+""",
+}
 NINETEEN_KEY_FILES = {
     "desk": """n=150
 d=30
@@ -213,16 +258,10 @@ oracle_low_threshold=5/1
 oracle_capacity=1
 """,
 }
-RETIRED_KEYS = {"bfs_edge_cap", "h_size_cap"}
+RETIRED_KEYS = {"gamma", "bfs_edge_cap", "h_size_cap", "oracle_capacity"}
 
 
-@pytest.mark.parametrize("kind", sorted(NINETEEN_KEY_FILES))
-def test_19_key_profile_file_fails_naming_the_retired_keys(kind):
-    # a retired cap is refused, not ignored: a tight one set on purpose
-    # would otherwise be dropped without a word
-    text = NINETEEN_KEY_FILES[kind]
-    with pytest.raises(FormatError, match=r"unknown fields: bfs_edge_cap, h_size_cap$"):
-        parse_profile(text)
+def _kept_lines_are_the_profile(kind, text):
     expected = {
         "desk": desk_profile(150, 30),
         "strict": derive_profile(1024, 400, "1/100", "1/2000"),
@@ -231,12 +270,46 @@ def test_19_key_profile_file_fails_naming_the_retired_keys(kind):
     assert format_profile(expected).splitlines() == kept
 
 
+@pytest.mark.parametrize("kind", sorted(SEVENTEEN_KEY_FILES))
+def test_17_key_profile_file_fails_naming_gamma_and_oracle_capacity(kind):
+    text = SEVENTEEN_KEY_FILES[kind]
+    with pytest.raises(
+        FormatError, match=r"unknown fields: gamma at line 4, oracle_capacity at line 17$"
+    ):
+        parse_profile(text)
+    _kept_lines_are_the_profile(kind, text)
+
+
+@pytest.mark.parametrize("kind", sorted(NINETEEN_KEY_FILES))
+def test_19_key_profile_file_fails_naming_the_retired_keys(kind):
+    # a retired cap is refused, not ignored: a tight one set on purpose
+    # would otherwise be dropped without a word
+    text = NINETEEN_KEY_FILES[kind]
+    with pytest.raises(
+        FormatError,
+        match=r"unknown fields: gamma at line 4, bfs_edge_cap at line 9, "
+        r"h_size_cap at line 14, oracle_capacity at line 19$",
+    ):
+        parse_profile(text)
+    _kept_lines_are_the_profile(kind, text)
+
+
 @pytest.mark.parametrize("kind", sorted(OLDER_FILES))
 def test_older_profile_file_with_k_and_c_fails(kind):
     with pytest.raises(
-        FormatError, match=r"unknown fields: bfs_edge_cap, c, h_size_cap, k, path_len_cap$"
+        FormatError,
+        match=r"unknown fields: gamma at line 4, k at line 6, c at line 8, "
+        r"bfs_edge_cap at line 11, path_len_cap at line 16, h_size_cap at line 17, "
+        r"oracle_capacity at line 22$",
     ):
         parse_profile(OLDER_FILES[kind])
+
+
+def test_misspelt_key_is_named_with_its_line_before_the_missing_one():
+    text = format_profile(desk_profile(600, 30))
+    lineno = text.splitlines().index("r=24") + 1
+    with pytest.raises(FormatError, match=r"unknown fields: rr at line %d$" % lineno):
+        parse_profile(text.replace("\nr=24\n", "\nrr=24\n"))
 
 
 def test_profile_file_rejects_missing_field():
@@ -285,15 +358,6 @@ def test_desk_profile_needs_room():
         desk_profile(600, 20)
 
 
-def test_router_profile_gamma_guard():
-    # 20*gamma <= 1/50 unless relaxed, which also keeps the oracles' gamma <= 1/50
-    strict = derive_profile(1024, 400, "1/100", "1/2000")
-    assert dataclasses.replace(strict, gamma=Fraction(1, 1000))
-    with pytest.raises(CallerError, match="gamma"):
-        dataclasses.replace(strict, gamma=Fraction(1, 999))
-    assert dataclasses.replace(strict, gamma=Fraction(1, 10), relaxed=True)
-
-
 def test_strict_profile_file_needs_oracle_hosts_of_degree_10():
     text = format_profile(derive_profile(1024, 400, "1/100", "1/2000"))
     assert "d_prime=20" in text.splitlines()
@@ -312,12 +376,12 @@ def test_endpoint_cap_reading():
 
 def test_router_profile_is_complete():
     # the file has one key per value: the router's own fields, then the
-    # oracle's five thresholds keyed oracle_<field>, and no derived value
+    # oracle's four thresholds keyed oracle_<field>, and no derived value
     keys = list(DESK_FILE_VALUES)
     own = [f.name for f in dataclasses.fields(RouterProfile) if f.name != "oracle"]
     assert keys == own + ["oracle_" + f.name for f in dataclasses.fields(OracleProfile)]
-    assert len(keys) == 17 and len(dataclasses.fields(OracleProfile)) == 5
-    assert not {"k", "c", "path_len_cap"} & set(keys)
+    assert len(keys) == 15 and len(dataclasses.fields(OracleProfile)) == 4
+    assert not {"k", "c", "path_len_cap", "gamma", "oracle_capacity"} & set(keys)
 
 
 @pytest.mark.parametrize("field", ["fanout", "endpoint_cap"])
@@ -346,7 +410,7 @@ RATIO_KEYS = [key for key, value in DESK_FILE_VALUES.items() if "/" in value]
     [(key, -1) for key in INT_KEYS] + [(key, 0) for key in RATIO_KEYS] + [("relaxed", "false")],
 )
 def test_profile_file_rejects_out_of_range_values(field, value):
-    # relaxed=false on a desk file fails on its gamma of 1/50
-    name = "gamma" if field == "relaxed" else field
+    # relaxed=false on a desk file fails on its d_prime of 6
+    name = "d_prime" if field == "relaxed" else field
     with pytest.raises(FormatError, match=r"\b%s\b" % name):
         parse_profile(_desk_file_with(field, value))
