@@ -12,7 +12,6 @@ from .expanders import (
     SpectralReport,
     check_expansion_exhaustive,
     estimate_second_eigenvalue,
-    gen_random_regular_digraph,
     gen_random_regular_graph,
 )
 from .graph import (

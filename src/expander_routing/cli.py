@@ -12,7 +12,6 @@ from .errors import RoutingError
 from .expanders import (
     check_expansion_exhaustive,
     estimate_second_eigenvalue,
-    gen_random_regular_digraph,
     gen_random_regular_graph,
 )
 from .graph import UndirectedGraph, format_graph, load_graph, save_graph
@@ -49,12 +48,18 @@ def _ratio(text):
         raise argparse.ArgumentTypeError("not a ratio: %r" % text) from None
 
 
-def _load_router_profile(args, g=None):
-    if getattr(args, "profile", None):
+def _count(text):
+    """argparse type of gen-workload's sizes: a negative value is a usage error (exit 2)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %d" % value)
+    return value
+
+
+def _load_router_profile(args, g):
+    if args.profile:
         return load_profile(args.profile)
-    if getattr(args, "desk", False):
-        if g is None:
-            raise RoutingError("--desk needs a graph to derive n and d from")
+    if args.desk:
         d = g.regularity()
         if d is None:
             raise RoutingError("--desk needs a regular graph")
@@ -85,15 +90,17 @@ def cmd_run(args):
 
 
 def cmd_gen_workload(args):
+    # fill is sized by --count, churn and hotspot by --ops
+    need, refused = ("count", ("ops", "live_target")) if args.kind == "fill" else ("ops", ("count",))
+    if getattr(args, need) is None:
+        raise RoutingError("--kind %s needs --%s" % (args.kind, need))
+    given = ["--" + key.replace("_", "-") for key in refused if getattr(args, key) is not None]
+    if given:
+        raise RoutingError("--kind %s takes no %s" % (args.kind, ", ".join(given)))
     g = load_graph(args.graph)
     profile = _load_router_profile(args, g)
-    params = {}
-    if args.ops is not None:
-        params["ops"] = args.ops
-    if args.count is not None:
-        params["count"] = args.count
-    if args.live_target is not None:
-        params["live_target"] = args.live_target
+    sizes = ("ops", "count", "live_target")
+    params = {key: getattr(args, key) for key in sizes if getattr(args, key) is not None}
     commands = gen_workload(
         args.kind, g.n, params, args.seed, profile.endpoint_cap, profile.r
     )
@@ -121,10 +128,7 @@ def cmd_preprocess(args):
 
 
 def cmd_gen(args):
-    if args.kind == "graph":
-        g = gen_random_regular_graph(args.n, args.d, args.seed)
-    else:
-        g = gen_random_regular_digraph(args.n, args.d, args.seed)
+    g = gen_random_regular_graph(args.n, args.d, args.seed)
     _write_out(args.out, format_graph(g))
     return 0
 
@@ -191,9 +195,9 @@ def build_parser():
     p.add_argument("--desk", action="store_true")
     p.add_argument("--kind", required=True, choices=["churn", "fill", "hotspot"])
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--ops", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--live-target", type=int)
+    p.add_argument("--ops", type=_count, help="churn and hotspot: commands to write")
+    p.add_argument("--count", type=_count, help="fill: finds to write")
+    p.add_argument("--live-target", type=_count, help="churn and hotspot: live paths to hold")
     p.add_argument("--out", required=True, help="output file or -")
     p.set_defaults(func=cmd_gen_workload)
 
@@ -204,8 +208,7 @@ def build_parser():
     p.add_argument("--desk", action="store_true")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("gen", help="generate a random regular (di)graph")
-    p.add_argument("--kind", choices=["graph", "digraph"], default="graph")
+    p = sub.add_parser("gen", help="generate a random regular graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)

@@ -1,4 +1,8 @@
-"""Test-graph generators, expansion checks and a spectral gap estimator."""
+"""Random regular graphs, expansion checks and a spectral gap estimator.
+
+The only generator is the undirected one: every directed graph the router
+runs on is an Eulerian orientation of it (`preprocess.eulerian_orient`).
+"""
 
 from __future__ import annotations
 
@@ -61,44 +65,6 @@ def _pairing_can_continue(edges, conflicted):
             if (a, b) not in edges:
                 return True
     return False
-
-
-def gen_random_regular_digraph(n, d, seed, max_tries=100):
-    """Loop-free simple d-regular digraph as a union of d permutations."""
-    if not 0 < d < n:
-        raise CallerError("need 0 < d < n")
-    rng = random.Random(seed)
-    used = set()
-    edges = []
-    for _ in range(d):
-        perm = _permutation_round(n, rng, used, max_tries)
-        for i in range(n):
-            used.add((i, perm[i]))
-            edges.append((i, perm[i]))
-    return Digraph(n, edges)
-
-
-def _permutation_round(n, rng, used, max_tries):
-    for _ in range(max_tries):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        if _repair_permutation(perm, n, rng, used):
-            return perm
-    raise GenerationError("permutation round failed %d times for n=%d" % (max_tries, n))
-
-
-def _repair_permutation(perm, n, rng, used, passes=60):
-    def bad(i):
-        return perm[i] == i or (i, perm[i]) in used
-
-    for _ in range(passes):
-        bad_list = [i for i in range(n) if bad(i)]
-        if not bad_list:
-            return True
-        for i in bad_list:
-            j = rng.randrange(n)
-            perm[i], perm[j] = perm[j], perm[i]
-    return not any(bad(i) for i in range(n))
 
 
 # --- expansion checking -------------------------------------------------------

@@ -86,7 +86,7 @@ class RouterProfile:
 
     @property
     def k(self) -> int:
-        return oriented_degree(self.d)
+        return self.d // 2
 
     @property
     def c(self) -> Fraction:
@@ -103,10 +103,6 @@ class RouterProfile:
         first = self.r * lg <= self.c * self.n * self.k / 2
         second = Fraction(300, 1) / self.beta * self.r <= self.beta * self.n * self.k / 50
         return bool(first and second)
-
-
-def oriented_degree(d: int) -> int:
-    return d // 2 if d % 2 == 0 else (d - 1) // 2
 
 
 def derive_profile(n, d, beta, gamma, relaxed=False):
@@ -128,7 +124,7 @@ def derive_profile(n, d, beta, gamma, relaxed=False):
             raise CallerError("strict profiles need d > 200")
     if d < 20:
         raise CallerError("need d >= 20 so that d_prime >= 1 (got d=%d)" % d)
-    k = oriented_degree(d)
+    k = d // 2
     d_prime = k // 10
     c = beta / 1200
     depth_cap = ceil_log2(n)
@@ -137,7 +133,7 @@ def derive_profile(n, d, beta, gamma, relaxed=False):
         math.floor(beta * beta * n * k / 15000),
     )
     g3_path_cap = math.ceil(Fraction(300, 1) / beta) + 1
-    profile = RouterProfile(
+    return RouterProfile(
         n=n,
         d=d,
         beta=beta,
@@ -151,9 +147,6 @@ def derive_profile(n, d, beta, gamma, relaxed=False):
         g3_path_cap=g3_path_cap,
         oracle=canonical_oracle_profile(d_prime),
     )
-    if not relaxed and not profile.capacity_chains_hold():
-        raise CallerError("derived r violates a capacity chain (internal)")
-    return profile
 
 
 def desk_profile(n, d, **overrides):
@@ -172,7 +165,7 @@ def desk_profile(n, d, **overrides):
     """
     if d < 26:
         raise CallerError("desk routing profiles need d >= 26 (got %d)" % d)
-    k = oriented_degree(d)
+    k = d // 2
     d_prime = max(6, (2 * k) // 5)
     if k - 2 * d_prime < 2:
         d_prime = (k - 2) // 2
@@ -274,9 +267,13 @@ def parse_profile(text: str) -> RouterProfile:
             raise FormatError("profile line %d: field %s: bad value %r" % (lineno, key, raw)) from None
     oracle = {fields[key].name: kwargs.pop(key) for key in fields if key.startswith("oracle_")}
     try:
-        return RouterProfile(oracle=OracleProfile(**oracle), **kwargs)
+        profile = RouterProfile(oracle=OracleProfile(**oracle), **kwargs)
     except CallerError as exc:
         raise FormatError(str(exc)) from None
+    if not profile.relaxed and not profile.capacity_chains_hold():
+        lineno = values["r"][0]
+        raise FormatError("profile line %d: field r: %d breaks a strict capacity chain" % (lineno, profile.r))
+    return profile
 
 
 def load_profile(path) -> RouterProfile:

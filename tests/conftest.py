@@ -4,7 +4,9 @@ from itertools import islice
 import pytest
 
 from expander_routing.errors import CallerError, ExpansionViolation
+from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.graph import Digraph, UndirectedGraph
+from expander_routing.preprocess import eulerian_orient
 from expander_routing.profiles import format_profile
 from expander_routing.router import Ledger
 
@@ -14,6 +16,12 @@ def edge_pairs(g):
     if isinstance(g, Digraph):
         return list(zip(g.tails, g.heads))
     return list(zip(g.us, g.vs))
+
+
+def oriented_host(n, d, seed):
+    """A d-regular digraph built as the router builds its host: the Eulerian
+    orientation of a random 2d-regular graph (so 2d < n, and it must be connected)."""
+    return eulerian_orient(gen_random_regular_graph(n, 2 * d, seed))
 
 
 def dump(oracle):

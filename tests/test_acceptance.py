@@ -17,11 +17,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import dump, edge_pairs
+from conftest import dump, edge_pairs, oriented_host
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import (
     estimate_second_eigenvalue,
-    gen_random_regular_digraph,
     gen_random_regular_graph,
 )
 from expander_routing.graph import UndirectedGraph, format_graph
@@ -76,7 +75,7 @@ def suite1_profile():
 def _oracle_churn(prof, ops, watch_walks, audit_each, live_cap):
     """Random add/remove churn on the seed-5 host (rng seed 99), keeping
     at most `live_cap` active edges."""
-    host = gen_random_regular_digraph(ORACLE_N, ORACLE_D, seed=5)
+    host = oriented_host(ORACLE_N, ORACLE_D, seed=5)
     oracle = EdgeOracle(host, prof)
     walks = watch_walks(oracle)
     rng = random.Random(99)

@@ -14,8 +14,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import oriented_host
 from expander_routing.errors import CallerError, ExpansionViolation
-from expander_routing.expanders import gen_random_regular_digraph, gen_random_regular_graph
+from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.harness import gen_workload, resolve_ref
 from expander_routing.oracle import EdgeOracle
 from expander_routing.profiles import OracleProfile, desk_profile
@@ -187,7 +188,7 @@ def reference_verify(eng):
 
 def loaded_oracle():
     """An oracle after 100 seeded requests: H 89, B 17, Sat 17 and Low 5 members."""
-    host = gen_random_regular_digraph(100, 20, seed=19)
+    host = oriented_host(100, 20, seed=19)
     prof = OracleProfile(
         out_cap=5, in_cap=4, sat_threshold=Fraction(2), low_threshold=Fraction(6)
     )

@@ -4,12 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import edge_pairs
+from conftest import edge_pairs, oriented_host
 from expander_routing.errors import CallerError
 from expander_routing.expanders import (
     check_expansion_exhaustive,
     estimate_second_eigenvalue,
-    gen_random_regular_digraph,
     gen_random_regular_graph,
     is_bipartite,
 )
@@ -79,25 +78,6 @@ def test_gen_graph_parity_check():
         gen_random_regular_graph(5, 3, seed=0)
 
 
-def test_gen_digraph_permutation():
-    d = gen_random_regular_digraph(5, 1, seed=0)
-    assert d.regularity() == 1
-    assert all(t != h for t, h in edge_pairs(d))
-
-
-def test_gen_digraph_degrees():
-    d = gen_random_regular_digraph(200, 20, seed=7)
-    assert d.regularity() == 20
-    assert len(set(edge_pairs(d))) == d.m
-    assert all(t != h for t, h in edge_pairs(d))
-
-
-def test_gen_digraph_deterministic():
-    a = gen_random_regular_digraph(60, 6, seed=3)
-    b = gen_random_regular_digraph(60, 6, seed=3)
-    assert edge_pairs(a) == edge_pairs(b)
-
-
 # --- expansion checks --------------------------------------------------------
 
 
@@ -149,7 +129,7 @@ def test_expansion_witness_revalidates():
 
 
 def test_expansion_digraph_counts_arcs():
-    d = gen_random_regular_digraph(10, 2, seed=5)
+    d = oriented_host(10, 2, seed=5)
     rep = check_expansion_exhaustive(d, Fraction(1, 2), Fraction(1, 100), 2)
     if not rep.holds:
         s = set(rep.witness)

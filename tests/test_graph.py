@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_pairs
+from conftest import edge_pairs, oriented_host
 from expander_routing.errors import CallerError, FormatError
-from expander_routing.expanders import gen_random_regular_digraph
 from expander_routing.graph import (
     Digraph,
     EdgeSubset,
@@ -58,7 +57,7 @@ def test_reverse_triangle(triangle):
 
 
 def test_reverse_swaps_degree_sequences():
-    d = gen_random_regular_digraph(20, 3, seed=4)
+    d = oriented_host(20, 3, seed=4)
     r = reverse(d)
     assert r.in_adj == d.out_adj
     assert r.out_adj == d.in_adj
@@ -72,7 +71,7 @@ def test_reverse_is_involution(args):
 
 
 def test_regular_digraph_recounts(triangle):
-    d = gen_random_regular_digraph(40, 5, seed=3)
+    d = oriented_host(40, 5, seed=3)
     assert d.regularity() == 5
     for v in range(40):
         assert len(d.out_adj[v]) == 5
@@ -105,7 +104,7 @@ def test_subset_double_add_raises(triangle):
 @settings(max_examples=60)
 @given(st.lists(st.integers(0, 59), min_size=0, max_size=120))
 def test_subset_counters_match_recount(ops):
-    host = gen_random_regular_digraph(12, 5, seed=8)
+    host = oriented_host(12, 5, seed=8)
     sub = EdgeSubset(host)
     for op in ops:
         if sub.member[op]:

@@ -292,6 +292,45 @@ def test_hotspot_without_room_for_a_live_path_is_refused(tmp_path, capsys, r):
     assert "hotspot needs a live target" in capsys.readouterr().err
 
 
+def _gen_workload_argv(tmp_path, kind):
+    graph_path = tmp_path / "g.txt"
+    save_graph(graph_path, gen_random_regular_graph(150, 30, seed=3))
+    return ["gen-workload", "--graph", str(graph_path), "--desk", "--kind", kind,
+            "--seed", "1", "--out", str(tmp_path / "t.txt")]
+
+
+@pytest.mark.parametrize(
+    "kind,sizes,message",
+    [
+        ("churn", [], "--kind churn needs --ops"),
+        ("hotspot", ["--live-target", "3"], "--kind hotspot needs --ops"),
+        ("fill", ["--ops", "5"], "--kind fill needs --count"),
+        ("churn", ["--ops", "10", "--count", "5"], "--kind churn takes no --count"),
+        ("hotspot", ["--ops", "10", "--count", "5"], "--kind hotspot takes no --count"),
+        ("fill", ["--count", "5", "--ops", "5", "--live-target", "3"],
+         "--kind fill takes no --ops, --live-target"),
+    ],
+    ids=["churn-no-ops", "hotspot-no-ops", "fill-no-count", "churn-count", "hotspot-count",
+         "fill-ops-live-target"],
+)
+def test_cli_gen_workload_needs_the_size_of_its_kind(tmp_path, capsys, kind, sizes, message):
+    # without its size a kind writes an empty trace, and an option the kind
+    # does not read would be dropped without a word: both are refused
+    argv = _gen_workload_argv(tmp_path, kind)
+    assert cli_main(argv + sizes) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    assert not (tmp_path / "t.txt").exists()
+
+
+@pytest.mark.parametrize("option", ["--ops", "--count", "--live-target"])
+def test_cli_gen_workload_refuses_a_negative_size(tmp_path, capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(_gen_workload_argv(tmp_path, "churn") + [option, "-5"])
+    assert exc.value.code == 2
+    assert "argument %s: must be at least 0, got -5" % option in capsys.readouterr().err
+    assert not (tmp_path / "t.txt").exists()
+
+
 def test_cli_run_flags_failures(tmp_path, capsys):
     graph_path = tmp_path / "g.txt"
     save_graph(graph_path, gen_random_regular_graph(150, 30, seed=3))

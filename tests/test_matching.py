@@ -7,8 +7,8 @@ from collections import deque
 import networkx as nx
 import pytest
 
-from conftest import edge_pairs
-from expander_routing.expanders import gen_random_regular_digraph, gen_random_regular_graph
+from conftest import edge_pairs, oriented_host
+from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.matching import maximum_matching, one_factor
 
 
@@ -156,7 +156,7 @@ def test_maximum_matching_disjoint_odd_cycles():
 
 @pytest.mark.parametrize("n, k, seed", [(30, 3, 1), (100, 8, 2), (257, 15, 3)])
 def test_one_factor_peels_regular_digraphs(n, k, seed):
-    d = gen_random_regular_digraph(n, k, seed=seed)
+    d = oriented_host(n, k, seed=seed)
     live_out = [list(out) for out in d.out_adj]
     for _ in range(k):
         factor = one_factor(d, live_out)

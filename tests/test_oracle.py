@@ -9,9 +9,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import drive, dump, tree_by_single_adds
+from conftest import drive, dump, oriented_host, tree_by_single_adds
 from expander_routing.errors import CallerError, ExpansionViolation
-from expander_routing.expanders import gen_random_regular_digraph
 from expander_routing.graph import Digraph
 from expander_routing.oracle import EdgeOracle
 from expander_routing.profiles import OracleProfile, canonical_oracle_profile, derive_profile
@@ -50,7 +49,7 @@ def scratch_state(orc):
 
 
 def test_fresh_oracle_is_empty():
-    host = gen_random_regular_digraph(30, 10, seed=1)
+    host = oriented_host(30, 10, seed=1)
     orc = EdgeOracle(host, canonical_oracle_profile(10))
     assert len(orc.h) == 0 and len(orc.b) == 0
     assert not any(orc.sat) and not any(orc.low)
@@ -64,7 +63,7 @@ def test_nine_regular_host_rejected_when_strict():
         dataclasses.replace(strict, d_prime=9, oracle=canonical_oracle_profile(9))
     # relaxed profiles may waive the minimum-degree hypothesis
     assert dataclasses.replace(strict, d_prime=9, relaxed=True).d_prime == 9
-    host = gen_random_regular_digraph(30, 9, seed=1)
+    host = oriented_host(30, 9, seed=1)
     orc = EdgeOracle(host, canonical_oracle_profile(9))
     assert orc.audit(orc.h.members()).ok
 
@@ -78,7 +77,7 @@ def test_host_regularity_must_match_profile():
 
 def test_first_add_returns_first_out_edge():
     # first in pick order: v's host row rotated by v mod out-degree
-    host = gen_random_regular_digraph(30, 10, seed=2)
+    host = oriented_host(30, 10, seed=2)
     orc = EdgeOracle(host, canonical_oracle_profile(10))
     e = orc.add_edge(0)
     assert e == host.out_adj[0][0]
@@ -89,7 +88,7 @@ def test_first_add_returns_first_out_edge():
 
 
 def test_out_cap_precondition():
-    host = gen_random_regular_digraph(30, 10, seed=3)
+    host = oriented_host(30, 10, seed=3)
     prof = small_profile(
         10, out_cap=5, in_cap=2, sat_threshold=Fraction(2), low_threshold=Fraction(9)
     )
@@ -101,7 +100,7 @@ def test_out_cap_precondition():
 
 
 def test_add_remove_round_trip_restores_empty():
-    host = gen_random_regular_digraph(30, 10, seed=5)
+    host = oriented_host(30, 10, seed=5)
     orc = EdgeOracle(host, canonical_oracle_profile(10))
     e = orc.add_edge(7)
     orc.remove_edge(e)
@@ -111,14 +110,14 @@ def test_add_remove_round_trip_restores_empty():
 
 
 def test_remove_unknown_edge():
-    host = gen_random_regular_digraph(30, 10, seed=6)
+    host = oriented_host(30, 10, seed=6)
     orc = EdgeOracle(host, canonical_oracle_profile(10))
     with pytest.raises(CallerError):
         orc.remove_edge(3)
 
 
 def test_grow_tree_needs_an_open_log():
-    host = gen_random_regular_digraph(30, 10, seed=6)
+    host = oriented_host(30, 10, seed=6)
     orc = EdgeOracle(host, canonical_oracle_profile(10))
     # the check runs at the first resume of the generator
     tree = orc.grow_tree({0: None}, [], (), 4, 2)
@@ -132,7 +131,7 @@ def _counters(orc):
 
 
 def test_release_checks_the_whole_batch_first():
-    host = gen_random_regular_digraph(30, 10, seed=7)
+    host = oriented_host(30, 10, seed=7)
     orc = EdgeOracle(host, small_profile(10, low_threshold=Fraction(9)))
     active = [orc.add_edge(v) for v in range(6)]
     assert any(orc.sat)
@@ -154,7 +153,7 @@ def test_release_checks_the_whole_batch_first():
 
 def test_removal_is_refused_while_a_log_is_open():
     # the log holds additions only; a request hands edges back after it closes
-    host = gen_random_regular_digraph(30, 10, seed=7)
+    host = oriented_host(30, 10, seed=7)
     orc = EdgeOracle(host, small_profile(10, low_threshold=Fraction(9)))
     held = [orc.add_edge(v) for v in range(4)]
     with orc.request_log():
@@ -173,7 +172,7 @@ def test_removal_is_refused_while_a_log_is_open():
 def test_nested_request_log_is_refused():
     # a nested open would empty the outer log and close it on its way out,
     # so the outer rollback could not undo the outer request's adds
-    host = gen_random_regular_digraph(30, 10, seed=7)
+    host = oriented_host(30, 10, seed=7)
     orc = EdgeOracle(host, small_profile(10, low_threshold=Fraction(9)))
     empty = (dump(orc), list(orc.sat_out))
     with pytest.raises(RuntimeError, match="outer"):
@@ -264,7 +263,7 @@ def test_walk_three_edges_through_buffer(walk_vertices):
 
 
 def test_walk_toggle_degree_deltas(watch_walks):
-    host = gen_random_regular_digraph(80, 12, seed=21)
+    host = oriented_host(80, 12, seed=21)
     prof = OracleProfile(
         out_cap=3, in_cap=2, sat_threshold=Fraction(2), low_threshold=Fraction(5)
     )
@@ -300,7 +299,7 @@ def test_walk_toggle_degree_deltas(watch_walks):
 
 
 def test_scratch_recompute_matches_under_churn():
-    host = gen_random_regular_digraph(100, 20, seed=12)
+    host = oriented_host(100, 20, seed=12)
     prof = OracleProfile(
         out_cap=4, in_cap=4, sat_threshold=Fraction(2), low_threshold=Fraction(10)
     )
@@ -328,7 +327,7 @@ def test_scratch_recompute_matches_under_churn():
 def test_failed_add_rolls_back_bit_exactly():
     # canonical thresholds on a small dense host ignite buffering storms,
     # which is exactly the walk-failure path we want to observe
-    host = gen_random_regular_digraph(40, 10, seed=33)
+    host = oriented_host(40, 10, seed=33)
     prof = canonical_oracle_profile(10)
     orc = EdgeOracle(host, prof)
     search, results = orc.find_alternating_walk, []
@@ -363,7 +362,7 @@ def test_failed_add_rolls_back_bit_exactly():
 def test_failed_add_inside_an_open_log_keeps_the_earlier_adds():
     # the set-up of test_failed_add_rolls_back_bit_exactly, all in one log:
     # the failed add rolls back to its own mark, not to the log's start
-    host = gen_random_regular_digraph(40, 10, seed=33)
+    host = oriented_host(40, 10, seed=33)
     prof = canonical_oracle_profile(10)
     orc = EdgeOracle(host, prof)
     rng = random.Random(2)
@@ -401,7 +400,7 @@ def test_failed_add_counts_the_edges_it_put_in_h(low_threshold, message, added):
     # every head saturates at its first in-edge; add_calls counts each
     # edge that entered H once, kept or rolled back, in a log of its own
     # or inside an open one
-    host = gen_random_regular_digraph(30, 10, seed=1)
+    host = oriented_host(30, 10, seed=1)
     prof = small_profile(10, sat_threshold=Fraction(1), low_threshold=low_threshold)
     for open_log in (False, True):
         orc = EdgeOracle(host, prof)
@@ -422,7 +421,7 @@ def test_failed_add_counts_the_edges_it_put_in_h(low_threshold, message, added):
 
 
 def test_buffered_vertex_served_from_stock():
-    host = gen_random_regular_digraph(100, 20, seed=12)
+    host = oriented_host(100, 20, seed=12)
     prof = OracleProfile(
         out_cap=4, in_cap=4, sat_threshold=Fraction(2), low_threshold=Fraction(10)
     )
@@ -475,7 +474,7 @@ def test_h_and_b_refuse_each_others_edges():
 
 
 def test_audit_holds_around_every_request_and_walk():
-    host = gen_random_regular_digraph(60, 12, seed=19)
+    host = oriented_host(60, 12, seed=19)
     prof = OracleProfile(
         out_cap=3, in_cap=2, sat_threshold=Fraction(2), low_threshold=Fraction(5)
     )
@@ -524,7 +523,7 @@ def test_audit_holds_around_every_request_and_walk():
 
 
 def test_audit_flags_corrupted_counter():
-    host = gen_random_regular_digraph(30, 10, seed=13)
+    host = oriented_host(30, 10, seed=13)
     orc = EdgeOracle(host, canonical_oracle_profile(10))
     orc.add_edge(0)
     orc.h.out_deg[0] += 1
@@ -536,7 +535,7 @@ def test_audit_flags_corrupted_counter():
 
 
 def test_audit_flags_planted_sat_member():
-    host = gen_random_regular_digraph(30, 10, seed=14)
+    host = oriented_host(30, 10, seed=14)
     orc = EdgeOracle(host, canonical_oracle_profile(10))
     orc.sat[5] = True
     rep = orc.audit(orc.h.members())
@@ -544,7 +543,7 @@ def test_audit_flags_planted_sat_member():
 
 
 def test_dump_is_stable():
-    host = gen_random_regular_digraph(30, 10, seed=15)
+    host = oriented_host(30, 10, seed=15)
     orc = EdgeOracle(host, canonical_oracle_profile(10))
     e1 = orc.add_edge(0)
     e2 = orc.add_edge(1)
@@ -556,7 +555,7 @@ def test_dump_is_stable():
     assert dump(orc) == expected
 
 
-MACHINE_HOST = gen_random_regular_digraph(40, 6, seed=41)
+MACHINE_HOST = oriented_host(40, 6, seed=41)
 MACHINE_VERTICES = st.integers(0, 39)
 
 
@@ -576,7 +575,7 @@ def _grown(orc, root, vertex_cap, fanout, meet=(), steps=None):
 def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
     # after 40 seeded adds the tree meets Low vertices (B-stock picks),
     # saturates heads and rebalances, so every kind of log entry occurs
-    host = gen_random_regular_digraph(60, 8, seed=12)
+    host = oriented_host(60, 8, seed=12)
     caps = dict(out_cap=3, in_cap=3, sat_threshold=Fraction(2), low_threshold=Fraction(3))
     base = EdgeOracle(host, small_profile(8, **caps))
     rng = random.Random(4)
@@ -621,7 +620,7 @@ def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
 def test_grown_tree_holds_at_most_fanout_times_vertex_cap_edges():
     # at most vertex_cap dequeued vertices ask, each for at most fanout
     # edges, so trees need no edge cap of their own
-    host = gen_random_regular_digraph(60, 20, seed=12)
+    host = oriented_host(60, 20, seed=12)
     prof = small_profile(20, in_cap=4, sat_threshold=Fraction(4), low_threshold=Fraction(21))
     for root in range(0, 60, 7):
         for vertex_cap in (1, 2, 5, 12, 40):

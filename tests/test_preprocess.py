@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_pairs
+from conftest import edge_pairs, oriented_host
 from expander_routing import preprocess
 from expander_routing.errors import CallerError
-from expander_routing.expanders import gen_random_regular_digraph, gen_random_regular_graph
+from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.graph import Digraph, UndirectedGraph, format_graph
 from expander_routing.matching import maximum_matching, perfect_matching_edges
 from expander_routing.preprocess import (
@@ -127,7 +127,7 @@ def test_split_two_hamilton_cycles():
 
 
 def test_split_ten_regular_with_remainder():
-    d = gen_random_regular_digraph(40, 10, seed=11)
+    d = oriented_host(40, 10, seed=11)
     (s1, ids1), (s2, ids2), (rest, ids3) = split_regular(d, 10, [1, 1])
     assert s1.regularity() == 1
     assert s2.regularity() == 1
@@ -181,8 +181,8 @@ def _counting_one_factor(monkeypatch):
 def test_halving_walks_every_component_of_the_cover(monkeypatch):
     # the disjoint union of two 4-regular digraphs: its tail/head cover is
     # disconnected, and one halving must still cut both components
-    a = gen_random_regular_digraph(10, 4, seed=1)
-    b = gen_random_regular_digraph(12, 4, seed=2)
+    a = oriented_host(10, 4, seed=1)
+    b = oriented_host(12, 4, seed=2)
     d = Digraph(22, edge_pairs(a) + [(t + 10, h + 10) for t, h in edge_pairs(b)])
     calls = _counting_one_factor(monkeypatch)
     out = split_regular(d, 4, [2])

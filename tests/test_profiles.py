@@ -367,6 +367,19 @@ def test_strict_profile_file_needs_oracle_hosts_of_degree_10():
     assert relaxed.d_prime < 10 and parse_profile(format_profile(relaxed)) == relaxed
 
 
+def test_strict_profile_file_must_hold_the_capacity_chains():
+    # derive_profile writes r=1 here; r=2 breaks the second chain,
+    # 300/beta * r <= beta * n * k / 50, and is refused at load
+    text = format_profile(derive_profile(10**6, 400, "1/100", "1/2000"))
+    lines = text.splitlines()
+    assert lines[9] == "r=1" and parse_profile(text).capacity_chains_hold()
+    with pytest.raises(FormatError, match=r"^profile line 10: field r: 2 breaks a strict capacity chain$"):
+        parse_profile(text.replace("\nr=1\n", "\nr=2\n"))
+    # a relaxed file is not held to the strict regime
+    relaxed = text.replace("relaxed=false", "relaxed=true").replace("\nr=1\n", "\nr=2\n")
+    assert parse_profile(relaxed).r == 2
+
+
 def test_endpoint_cap_reading():
     # strictly fewer than d/200 path starts, rounding up the rational cap
     assert derive_profile(10**6, 400, "1/100", "1/2000").endpoint_cap == 2
