@@ -48,12 +48,16 @@ def _ratio(text):
         raise argparse.ArgumentTypeError("not a ratio: %r" % text) from None
 
 
-def _count(text):
-    """argparse type of gen-workload's sizes: a negative value is a usage error (exit 2)."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be at least 0, got %d" % value)
-    return value
+def _at_least(least):
+    """argparse type of an int option: a value below `least` is a usage error (exit 2)."""
+
+    def integer(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (least, value))
+        return value
+
+    return integer
 
 
 def _load_router_profile(args, g):
@@ -112,17 +116,13 @@ def cmd_preprocess(args):
     g = load_graph(args.graph)
     if not isinstance(g, UndirectedGraph):
         raise RoutingError("preprocess expects an undirected graph file")
-    profile = None
-    if args.profile or args.desk:
-        profile = _load_router_profile(args, g)
+    profile = _load_router_profile(args, g)
     split = pre_process(g, profile)
     prefix = args.outprefix
     for part in ("host", "g1", "g2", "g3"):
         save_graph("%s.%s" % (prefix, part), getattr(split, part))
     with open(prefix + ".header", "w", encoding="ascii") as fh:
-        fh.write(
-            "n=%d\nd=%d\nk=%d\nd_prime=%d\n" % (g.n, g.regularity(), split.k, split.d_prime)
-        )
+        fh.write("n=%d\nd=%d\nk=%d\nd_prime=%d\n" % (profile.n, profile.d, profile.k, profile.d_prime))
     print("wrote %s.{host,g1,g2,g3,header}" % prefix)
     return 0
 
@@ -195,9 +195,9 @@ def build_parser():
     p.add_argument("--desk", action="store_true")
     p.add_argument("--kind", required=True, choices=["churn", "fill", "hotspot"])
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--ops", type=_count, help="churn and hotspot: commands to write")
-    p.add_argument("--count", type=_count, help="fill: finds to write")
-    p.add_argument("--live-target", type=_count, help="churn and hotspot: live paths to hold")
+    p.add_argument("--ops", type=_at_least(0), help="churn and hotspot: commands to write")
+    p.add_argument("--count", type=_at_least(0), help="fill: finds to write")
+    p.add_argument("--live-target", type=_at_least(0), help="churn and hotspot: live paths to hold")
     p.add_argument("--out", required=True, help="output file or -")
     p.set_defaults(func=cmd_gen_workload)
 
@@ -225,7 +225,7 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="estimate the second adjacency eigenvalue")
     p.add_argument("--graph", required=True)
-    p.add_argument("--max-iters", type=int, default=20000)
+    p.add_argument("--max-iters", type=_at_least(1), default=20000)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--json")
     p.set_defaults(func=cmd_spectrum)

@@ -206,6 +206,9 @@ def parse_graph(text: str):
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise FormatError("line 1: bad vertex/edge count") from None
+    for name, count in (("vertex", n), ("edge", m)):
+        if count < 0:
+            raise FormatError("line 1: %s count must be at least 0, got %d" % (name, count))
     edges = []
     for i, line in enumerate(lines[1 : m + 1], start=2):
         parts = line.split()

@@ -34,15 +34,15 @@ follows host adjacency order or ascending vertex ids, so runs are
 deterministic.
 
 Every mutation an add makes goes to an undo log of membership deltas,
-one log per request (`request_log`; `add_edge` opens its own when none
-is open). An exception inside replays it backwards, which leaves the
-structure exactly as it was when the log opened. A failed add rolls back
-its own mutations, inside an open log or not, and raises
-ExpansionViolation. The log holds additions only: `release` (and so
-`remove_edge`) raises CallerError while a log is open, so a request
-hands its unused edges back after its log closes. The log is also where
-`add_calls` counts: each edge that entered H counts once, when the log
-closes over it or a rollback undoes it.
+one log per request (`request_log`). An exception inside replays the
+whole log backwards, which leaves the structure exactly as it was when
+the log opened. `add_edge` is a request of its own: it opens its own
+log, so it is refused while one is open, and a failed add leaves no
+trace and raises ExpansionViolation. The log holds additions only:
+`release` (and so `remove_edge`) raises CallerError while a log is
+open, so a request hands its unused edges back after its log closes.
+The log is also where `add_calls` counts: each edge that entered H
+counts once, when the log closes over it or a rollback undoes it.
 
 A router request grows two trees and keeps one branch of each, so the
 traffic comes in batches: `grow_tree` is a generator that makes a tree's
@@ -58,7 +58,6 @@ search through the instance) and run `audit` in between.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import compress, repeat
 from math import ceil
@@ -170,10 +169,10 @@ class EdgeOracle:
         self.add_calls += self.h._size - self._h_opened
         self._undo = None
 
-    def rollback(self, mark=0):
-        """Undo every mutation logged after the first `mark` log entries."""
+    def rollback(self):
+        """Undo every mutation in the open log."""
         log = self._undo
-        for op, arg in reversed(log[mark:]):
+        for op, arg in reversed(log):
             if op == "h+":
                 self.h.remove(arg)
                 self.add_calls += 1
@@ -185,28 +184,24 @@ class EdgeOracle:
                 self._sat_remove(arg)
             else:  # "l+"
                 self.low[arg] = False
-        del log[mark:]
+        log.clear()
         self._low_pending.clear()
         self._drop_pending.clear()
 
     # --- requests ------------------------------------------------------------
 
     def add_edge(self, v):
-        """Return a fresh out-edge of v with a lightly loaded head; add it to H."""
+        """Return a fresh out-edge of v with a lightly loaded head; add it to H.
+        A request of its own: it opens a log, so none may be open."""
         prof = self.profile
         if not (0 <= v < self.host.n):
             raise CallerError("vertex %d out of range" % v)
         if self.h.out_deg[v] >= prof.out_cap:
             raise CallerError("add_edge(%d): out-degree cap %d reached" % (v, prof.out_cap))
         edges = []
-        with self.request_log() if self._undo is None else nullcontext():
-            mark = len(self._undo)
-            try:
-                for _ in self.grow_tree({v: None}, edges, (), 1, 1):
-                    pass
-            except ExpansionViolation:
-                self.rollback(mark)
-                raise
+        with self.request_log():
+            for _ in self.grow_tree({v: None}, edges, (), 1, 1):
+                pass
         return edges[0]
 
     def grow_tree(self, parent, edges, meet, vertex_cap, fanout):

@@ -19,7 +19,7 @@ from itertools import accumulate
 from .errors import CallerError
 from .graph import Digraph, UndirectedGraph
 from .matching import one_factor, perfect_matching_edges
-from .profiles import RouterProfile, derive_profile
+from .profiles import RouterProfile
 
 
 def _walk_circuits(inc, us, vs, starts):
@@ -186,36 +186,24 @@ class SplitResult:
     g1: Digraph
     g2: Digraph
     g3: Digraph
-    k: int
-    d_prime: int
     g1_host: tuple
     g2_host: tuple
     g3_host: tuple
 
 
-def pre_process(g: UndirectedGraph, profile: RouterProfile = None) -> SplitResult:
-    """Full preprocessing of an undirected regular expander.
-
-    Without a profile, a relaxed one with the canonical d_prime is
-    derived just to drive the split. Profiles carrying a desk-scale
-    d_prime override are honoured.
-    """
+def pre_process(g: UndirectedGraph, profile: RouterProfile) -> SplitResult:
+    """Full preprocessing of an undirected regular expander, split with the
+    `k` and `d_prime` of the profile the router runs on (which checks that
+    they leave g3 an edge per vertex)."""
     d = g.regularity()
     if d is None:
         raise CallerError("input graph is not regular")
-    if profile is None:
-        profile = derive_profile(g.n, d, "1/10", "1/50", relaxed=True)
     if profile.n != g.n or profile.d != d:
         raise CallerError(
             "profile is for (n=%d, d=%d), graph has (n=%d, d=%d)"
             % (profile.n, profile.d, g.n, d)
         )
     k = profile.k
-    d_prime = profile.d_prime
-    if d_prime < 1:
-        raise CallerError("d=%d gives d_prime=0; need k >= 10" % d)
-    if k - 2 * d_prime < 1:
-        raise CallerError("k=%d leaves no edges for the connecting subgraph" % k)
     if d % 2 == 1:
         _, even_part = extract_perfect_matching(g)
         host = eulerian_orient(even_part)
@@ -223,14 +211,12 @@ def pre_process(g: UndirectedGraph, profile: RouterProfile = None) -> SplitResul
         host = eulerian_orient(g)
     if host.regularity() != k:
         raise CallerError("internal: orientation produced a non-%d-regular digraph" % k)
-    (g1, ids1), (g2, ids2), (g3, ids3) = split_regular(host, k, [d_prime, d_prime])
+    (g1, ids1), (g2, ids2), (g3, ids3) = split_regular(host, k, [profile.d_prime] * 2)
     return SplitResult(
         host=host,
         g1=g1,
         g2=g2,
         g3=g3,
-        k=k,
-        d_prime=d_prime,
         g1_host=ids1,
         g2_host=ids2,
         g3_host=ids3,

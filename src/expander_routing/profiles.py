@@ -52,8 +52,9 @@ class RouterProfile:
 
     `d` is the degree of the undirected input, `k` the degree of its
     orientation, `d_prime` the degree of the two oracle hosts, which both
-    run on `oracle`. `k`, `c` and `path_len_cap` follow from the fields,
-    so they are properties. `profile_items` lists it as its file does.
+    run on `oracle`. `k`, `c`, `bfs_vertex_cap` and `path_len_cap` follow
+    from the fields, so they are properties. `profile_items` lists it as
+    its file does.
     """
 
     n: int
@@ -62,7 +63,6 @@ class RouterProfile:
     relaxed: bool
     d_prime: int
     depth_cap: int            # BFS tree depth budget, ceil(log2 n) by default
-    bfs_vertex_cap: int       # tree growth stops past this many vertices
     fanout: int               # oracle requests per dequeued vertex
     endpoint_cap: int         # a vertex may start (end) strictly fewer paths
     r: int                    # live-path volume cap; |H1|, |H2| <= r * depth_cap
@@ -71,16 +71,19 @@ class RouterProfile:
 
     def __post_init__(self):
         # every ratio is positive; zero is legal for most counts (strict
-        # profiles have r=0), but with fanout 0 no tree grows and with
-        # endpoint_cap 0 no vertex may start a path: every request would fail
+        # profiles have r=0), but there is no graph with n=0, the split needs
+        # d_prime >= 1, with fanout 0 no tree grows and with endpoint_cap 0
+        # no vertex may start a path: every request would fail
         for key, value in profile_items(self):
             if isinstance(value, bool):
                 continue
-            least = 1 if key in ("fanout", "endpoint_cap") else 0
+            least = 1 if key in ("n", "d_prime", "fanout", "endpoint_cap") else 0
             if isinstance(value, int) and value < least:
                 raise CallerError("profile field %s must be at least %d, got %d" % (key, least, value))
             if isinstance(value, Fraction) and value <= 0:
                 raise CallerError("profile field %s must be positive, got %s" % (key, value))
+        if self.k - 2 * self.d_prime < 1:
+            raise CallerError("profile field d_prime: k=%d leaves no edges for the connecting subgraph" % self.k)
         if not self.relaxed and self.d_prime < 10:
             raise CallerError("profile field d_prime: host degree below 10 needs a relaxed profile")
 
@@ -91,6 +94,11 @@ class RouterProfile:
     @property
     def c(self) -> Fraction:
         return self.beta / 1200
+
+    @property
+    def bfs_vertex_cap(self) -> int:
+        """Tree growth stops past this many vertices: ceil(beta*n/5), in integers."""
+        return -(-self.beta.numerator * self.n // (5 * self.beta.denominator))
 
     @property
     def path_len_cap(self) -> int:
@@ -140,7 +148,6 @@ def derive_profile(n, d, beta, gamma, relaxed=False):
         relaxed=relaxed,
         d_prime=d_prime,
         depth_cap=depth_cap,
-        bfs_vertex_cap=math.ceil(beta * n / 5),
         fanout=max(1, d_prime // 4),
         endpoint_cap=math.ceil(Fraction(d, 200)),
         r=r,
@@ -172,8 +179,8 @@ def desk_profile(n, d, **overrides):
     out_cap = max(3, d_prime // 2)
     in_cap = max(2, d_prime // 5)
     endpoint_cap = max(1, min(3, out_cap - in_cap - 1))
-    bfs_vertex_cap = max(6, -(-n // 50))
-    beta = Fraction(5 * bfs_vertex_cap, n)
+    vertex_cap = max(6, -(-n // 50))  # sets beta: bfs_vertex_cap = ceil(beta*n/5) is this cap
+    beta = Fraction(5 * vertex_cap, n)
     profile = RouterProfile(
         n=n,
         d=d,
@@ -181,7 +188,6 @@ def desk_profile(n, d, **overrides):
         relaxed=True,
         d_prime=d_prime,
         depth_cap=ceil_log2(n),
-        bfs_vertex_cap=bfs_vertex_cap,
         fanout=2,
         endpoint_cap=endpoint_cap,
         r=max(8, n // 25),

@@ -193,10 +193,10 @@ class RoutingEngine:
         count the edges and take them back on an ExpansionViolation.
         """
         prof = self.profile
-        caps = prof.bfs_vertex_cap, prof.fanout
+        cap = prof.bfs_vertex_cap  # a derived property: read it once
         edges_a, par_a, edges_b, par_b = [], {a: None}, [], {b: None}
-        grow_a = self.out_oracle.grow_tree(par_a, edges_a, par_b, *caps)
-        grow_b = self.in_oracle.grow_tree(par_b, edges_b, par_a, *caps)
+        grow_a = self.out_oracle.grow_tree(par_a, edges_a, par_b, cap, prof.fanout)
+        grow_b = self.in_oracle.grow_tree(par_b, edges_b, par_a, cap, prof.fanout)
         # zip stops when the first tree ends; if it ended unmet, the other goes on alone
         for _ in zip(grow_a, grow_b):
             pass
@@ -205,10 +205,8 @@ class RoutingEngine:
                 pass
         meet = self._meeting(par_a, par_b)
         for parent in (par_a, par_b):
-            if meet is None and len(parent) < prof.bfs_vertex_cap:
-                raise ExpansionViolation(
-                    "tree growth stalled at %d of %d vertices" % (len(parent), prof.bfs_vertex_cap)
-                )
+            if meet is None and len(parent) < cap:
+                raise ExpansionViolation("tree growth stalled at %d of %d vertices" % (len(parent), cap))
             depth = len(self._tree_path(parent, next(reversed(parent))))
             if depth > prof.depth_cap:
                 raise ExpansionViolation("tree depth %d exceeds budget %d" % (depth, prof.depth_cap))

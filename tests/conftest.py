@@ -79,9 +79,18 @@ def c8():
     return UndirectedGraph(8, [(i, (i + 1) % 8) for i in range(8)])
 
 
+def one_vertex_tree(orc, v):
+    """The edges of a one-vertex tree grown from v in the open log: the
+    picks `add_edge(v)` makes as a request of its own."""
+    edges = []
+    drive(orc.grow_tree({v: None}, edges, (), 1, 1))
+    return edges
+
+
 def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None):
-    """`EdgeOracle.grow_tree` spelled out with one `add_edge` call per edge,
-    over at most `steps` dequeued vertices (the resumes before it is dropped)."""
+    """`EdgeOracle.grow_tree` spelled out with one one-vertex tree per edge,
+    inside the caller's request log, over at most `steps` dequeued vertices
+    (the resumes before it is dropped)."""
     parent = {root: None}
     edges = []
     q = deque([root])
@@ -92,7 +101,7 @@ def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None):
         for _ in range(fanout):
             if orc.h.out_deg[u] >= orc.profile.out_cap:
                 break
-            e = orc.add_edge(u)
+            [e] = one_vertex_tree(orc, u)
             edges.append(e)
             w = orc.host.heads[e]
             if w not in parent:

@@ -154,6 +154,8 @@ def test_text_parse_errors(text):
     [
         ("3 2 directed\n0 1\n1 2\n2 0\n", "line 4: more than the 2 edge lines"),
         ("3 2 undirected\n0 1\n0 5\n", r"line 3: edge \(0, 5\) out of range for n=3"),
+        ("-1 0 undirected\n", "^line 1: vertex count must be at least 0, got -1$"),
+        ("3 -1 undirected\n", "^line 1: edge count must be at least 0, got -1$"),
     ],
 )
 def test_text_parse_errors_name_the_line(text, message):

@@ -10,7 +10,7 @@ from conftest import save_profile, validate_trace
 from expander_routing.cli import main as cli_main
 from expander_routing.errors import CallerError, FormatError
 from expander_routing.expanders import gen_random_regular_graph
-from expander_routing.graph import load_graph, save_graph
+from expander_routing.graph import format_graph, load_graph, save_graph
 from expander_routing.harness import (
     TraceCommand,
     _percentile,
@@ -20,7 +20,7 @@ from expander_routing.harness import (
     parse_trace,
     run_trace,
 )
-from expander_routing.profiles import desk_profile, format_profile, load_profile
+from expander_routing.profiles import derive_profile, desk_profile, format_profile, load_profile
 from expander_routing.router import RoutingEngine
 
 
@@ -345,13 +345,49 @@ def test_cli_run_flags_failures(tmp_path, capsys):
 def test_cli_preprocess(tmp_path, capsys):
     graph_path = tmp_path / "g.txt"
     save_graph(graph_path, gen_random_regular_graph(100, 20, seed=2))
+    profile_path = tmp_path / "prof.txt"
+    save_profile(profile_path, derive_profile(100, 20, "1/10", "1/50", relaxed=True))
     prefix = str(tmp_path / "out")
-    assert cli_main(["preprocess", str(graph_path), prefix]) == 0
+    assert cli_main(["preprocess", str(graph_path), prefix, "--profile", str(profile_path)]) == 0
     for suffix in (".host", ".g1", ".g2", ".g3", ".header"):
         assert (tmp_path / ("out" + suffix)).exists()
-    header = (tmp_path / "out.header").read_text()
-    assert "k=10" in header and "d_prime=1" in header
+    assert (tmp_path / "out.header").read_text() == "n=100\nd=20\nk=10\nd_prime=1\n"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("d", [30, 31])
+def test_cli_preprocess_writes_the_split_the_router_runs_on(tmp_path, capsys, d):
+    g = gen_random_regular_graph(120, d, seed=3)
+    graph_path = tmp_path / "g.txt"
+    save_graph(graph_path, g)
+    prefix = str(tmp_path / "out")
+    assert cli_main(["preprocess", str(graph_path), prefix, "--desk"]) == 0
+    split = RoutingEngine(g, desk_profile(120, d)).split
+    for part in ("host", "g1", "g2", "g3"):
+        assert (tmp_path / ("out." + part)).read_text() == format_graph(getattr(split, part))
+    assert (tmp_path / "out.header").read_text() == "n=120\nd=%d\nk=15\nd_prime=6\n" % d
+    capsys.readouterr()
+
+
+def test_cli_preprocess_needs_a_profile(tmp_path, capsys):
+    graph_path = tmp_path / "g.txt"
+    save_graph(graph_path, gen_random_regular_graph(100, 20, seed=2))
+    assert cli_main(["preprocess", str(graph_path), str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", "error: pass --profile FILE or --desk\n")
+    assert list(tmp_path.iterdir()) == [graph_path]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_spectrum_needs_an_iteration(tmp_path, capsys, value):
+    # with no iteration the report would read "residual": Infinity, which is not JSON
+    graph_path = tmp_path / "g.txt"
+    save_graph(graph_path, gen_random_regular_graph(12, 3, seed=0))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["spectrum", "--graph", str(graph_path), "--max-iters", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --max-iters: must be at least 1, got %s" % value in captured.err
 
 
 def test_cli_spectrum_and_expansion(tmp_path, capsys):

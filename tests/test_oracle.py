@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import random
-from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import drive, dump, oriented_host, tree_by_single_adds
+from conftest import drive, dump, one_vertex_tree, oriented_host, tree_by_single_adds
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.graph import Digraph
 from expander_routing.oracle import EdgeOracle
@@ -157,7 +156,7 @@ def test_removal_is_refused_while_a_log_is_open():
     orc = EdgeOracle(host, small_profile(10, low_threshold=Fraction(9)))
     held = [orc.add_edge(v) for v in range(4)]
     with orc.request_log():
-        e = orc.add_edge(5)
+        [e] = one_vertex_tree(orc, 5)
         before = (dump(orc), list(orc.sat_out), _counters(orc))
         for remove, arg in ((orc.remove_edge, e), (orc.release, [e]), (orc.release, held)):
             with pytest.raises(CallerError, match="log is open"):
@@ -177,15 +176,32 @@ def test_nested_request_log_is_refused():
     empty = (dump(orc), list(orc.sat_out))
     with pytest.raises(RuntimeError, match="outer"):
         with orc.request_log():
-            orc.add_edge(3)
+            one_vertex_tree(orc, 3)
             before = (dump(orc), list(orc.sat_out), _counters(orc), list(orc._undo))
             with pytest.raises(CallerError, match="already open"):
                 orc.request_log()
             assert (dump(orc), list(orc.sat_out), _counters(orc), list(orc._undo)) == before
-            orc.add_edge(5)
+            one_vertex_tree(orc, 5)
             raise RuntimeError("outer request fails")
     assert orc._undo is None and (dump(orc), list(orc.sat_out)) == empty
     assert orc.add_calls == 2 and orc.audit(orc.h.members()).ok
+
+
+def test_add_edge_inside_an_open_log_is_refused():
+    # add_edge is a request of its own, so it opens a log: inside an open
+    # one it is refused like any nested open, and changes nothing
+    host = oriented_host(30, 10, seed=7)
+    orc = EdgeOracle(host, small_profile(10, low_threshold=Fraction(9)))
+    held = orc.add_edge(2)
+    with orc.request_log():
+        one_vertex_tree(orc, 3)
+        before = (dump(orc), list(orc.sat_out), _counters(orc), list(orc._undo))
+        for v in (3, 4):
+            with pytest.raises(CallerError, match="already open"):
+                orc.add_edge(v)
+            assert (dump(orc), list(orc.sat_out), _counters(orc), list(orc._undo)) == before
+    assert orc.add_calls == 2 and len(orc.h) == 2 and orc.state[held] == 1
+    assert orc.audit(orc.h.members()).ok
 
 
 # --- alternating walks -------------------------------------------------------
@@ -359,34 +375,6 @@ def test_failed_add_rolls_back_bit_exactly():
     assert saw_failure, "expected the dense regime to force a walk failure"
 
 
-def test_failed_add_inside_an_open_log_keeps_the_earlier_adds():
-    # the set-up of test_failed_add_rolls_back_bit_exactly, all in one log:
-    # the failed add rolls back to its own mark, not to the log's start
-    host = oriented_host(40, 10, seed=33)
-    prof = canonical_oracle_profile(10)
-    orc = EdgeOracle(host, prof)
-    rng = random.Random(2)
-    made = 0
-    failed = False
-    with orc.request_log():
-        for _ in range(4000):
-            pool = [v for v in range(40) if orc.h.out_deg[v] < prof.out_cap]
-            if not pool:
-                break
-            v = pool[rng.randrange(len(pool))]
-            before = (dump(orc), list(orc.sat_out))
-            try:
-                orc.add_edge(v)
-            except ExpansionViolation:
-                failed = True
-                assert (dump(orc), list(orc.sat_out)) == before
-                break
-            made += 1
-    assert failed and made > 0
-    assert (dump(orc), list(orc.sat_out)) == before
-    assert orc.audit(orc.h.members()).ok
-
-
 @pytest.mark.parametrize(
     "low_threshold, message, added",
     [
@@ -398,26 +386,33 @@ def test_failed_add_inside_an_open_log_keeps_the_earlier_adds():
 )
 def test_failed_add_counts_the_edges_it_put_in_h(low_threshold, message, added):
     # every head saturates at its first in-edge; add_calls counts each
-    # edge that entered H once, kept or rolled back, in a log of its own
-    # or inside an open one
+    # edge that entered H once, kept or rolled back
     host = oriented_host(30, 10, seed=1)
     prof = small_profile(10, sat_threshold=Fraction(1), low_threshold=low_threshold)
-    for open_log in (False, True):
-        orc = EdgeOracle(host, prof)
-        with orc.request_log() if open_log else nullcontext():
+    orc = EdgeOracle(host, prof)
+    for v in list(range(30)) * 3:
+        calls = orc.add_calls
+        try:
+            orc.add_edge(v)
+        except CallerError:
+            continue
+        except ExpansionViolation as exc:
+            assert message in str(exc)
+            break
+    else:
+        pytest.fail("no add failed")
+    assert orc.add_calls - calls == added
+    assert orc.add_calls == len(orc.h) + added
+    # inside an open log, the same picks as one-vertex trees (one at its
+    # cap asks for nothing): the failure rolls the whole log back, and
+    # counts every edge that entered H, the kept ones too
+    one = EdgeOracle(host, prof)
+    with pytest.raises(ExpansionViolation, match=message):
+        with one.request_log():
             for v in list(range(30)) * 3:
-                calls = orc.add_calls
-                try:
-                    orc.add_edge(v)
-                except CallerError:
-                    continue
-                except ExpansionViolation as exc:
-                    assert message in str(exc)
-                    break
-            else:
-                pytest.fail("no add failed")
-            assert orc.add_calls - calls == added
-        assert orc.add_calls == len(orc.h) + added
+                one_vertex_tree(one, v)
+    assert len(one.h) == 0 and dump(one) == dump(EdgeOracle(host, prof))
+    assert one.add_calls == orc.add_calls
 
 
 def test_buffered_vertex_served_from_stock():
@@ -638,9 +633,9 @@ class UndoTally(EdgeOracle):
 
     undone = 0
 
-    def rollback(self, mark=0):
-        self.undone += sum(op == "h+" for op, _ in self._undo[mark:])
-        super().rollback(mark)
+    def rollback(self):
+        self.undone += sum(op == "h+" for op, _ in self._undo)
+        super().rollback()
 
 
 class OracleMachine(RuleBasedStateMachine):
@@ -693,7 +688,7 @@ class OracleMachine(RuleBasedStateMachine):
         with pytest.raises((Forced, CallerError, ExpansionViolation)):
             with self.orc.request_log():
                 for v in vs:
-                    self.orc.add_edge(v)
+                    one_vertex_tree(self.orc, v)
                 raise Forced
         assert self._state() == before
 
@@ -708,8 +703,8 @@ class OracleMachine(RuleBasedStateMachine):
     def grow_and_hand_back(self, root, vertex_cap, fanout, meet, steps, data):
         # a find's tree: grown inside a log, resumed `steps` times (to its
         # end when None) and dropped, then all but a kept subset released
-        # after the log closes; the same tree grown one add_edge call at a
-        # time on a copy must match it edge for edge, and a tree that
+        # after the log closes; the same tree grown one one-vertex tree per
+        # edge on a copy must match it edge for edge, and a tree that
         # discovered a vertex of `meet` ends there
         ref = copy.deepcopy(self.orc)
         before = self._state()

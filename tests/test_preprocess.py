@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,8 +196,8 @@ def test_preprocess_extracts_three_one_factors(monkeypatch):
     # k=15, d_prime=6: peel (14), halve (7 + 7), one peel per half (6 + 1)
     calls = _counting_one_factor(monkeypatch)
     split = pre_process(gen_random_regular_graph(60, 31, seed=4), desk_profile(60, 31))
-    assert (split.k, split.d_prime) == (15, 6)
     assert len(calls) == 3
+    assert split.host.regularity() == 15
     assert (split.g1.regularity(), split.g2.regularity(), split.g3.regularity()) == (6, 6, 3)
 
 
@@ -210,8 +212,6 @@ def test_split_rejects_oversubscription(triangle):
 def test_preprocess_even_degree():
     g = gen_random_regular_graph(100, 20, seed=2)
     split = pre_process(g, relaxed_profile(100, 20))
-    assert split.k == 10
-    assert split.d_prime == 1
     assert split.g1.regularity() == 1
     assert split.g2.regularity() == 1
     assert split.g3.regularity() == 8
@@ -221,7 +221,7 @@ def test_preprocess_even_degree():
 def test_preprocess_odd_degree():
     g = gen_random_regular_graph(100, 21, seed=3)
     split = pre_process(g, relaxed_profile(100, 21))
-    assert split.k == 10
+    assert split.host.regularity() == 10
     assert split.g1.regularity() == 1
     assert split.g3.regularity() == 8
 
@@ -234,9 +234,12 @@ def test_preprocess_edge_conservation():
 
 
 def test_preprocess_rejects_small_degree():
-    g = gen_random_regular_graph(20, 8, seed=1)
-    with pytest.raises(CallerError):
-        pre_process(g)
+    # below d=20 the canonical d_prime = floor(k/10) is 0: no profile for
+    # it exists, so no split of such a graph is tried
+    with pytest.raises(CallerError, match="d >= 20"):
+        relaxed_profile(20, 8)
+    with pytest.raises(CallerError, match=r"^profile field d_prime must be at least 1, got 0$"):
+        dataclasses.replace(relaxed_profile(100, 20), n=20, d=8, d_prime=0)
 
 
 def test_preprocess_deterministic():

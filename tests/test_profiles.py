@@ -100,13 +100,13 @@ def test_profile_file_round_trip():
 
 
 # sha256 of each profile's file as written while path_len_cap, then
-# bfs_edge_cap and h_size_cap, then gamma and oracle_capacity were stored
-# fields, with those lines taken out
+# bfs_edge_cap and h_size_cap, then gamma and oracle_capacity, then
+# bfs_vertex_cap were stored fields, with those lines taken out
 PROFILE_FILE_GOLDEN = {
-    "desk-600-30": "44f05517740416a61f670a53988aed02326a8a46c3901cdccd1de2d49fd04782",
-    "desk-9600-31": "bc4f09dfe86111f540be1732ac204fb9c08c435f052a55f5432cda74e93db0c8",
-    "strict-2048-400": "6de4d3aa45e9f961d8a725d0a823865ee0ab7fd29dbaf1c65d31b26d68bdb6b1",
-    "relaxed-600-30": "c97a6c8d41427be94e6db675696d6caa7737402c0e0b51785261f5efcebaef2e",
+    "desk-600-30": "b2cc7c185d2afc8b25a17b03133a1780fd30140e098d66cce93e7ebfb93eed54",
+    "desk-9600-31": "370ea43cece69037ff5aefc15db687c274120ceafc9cdfa07717551bfbd81dd0",
+    "strict-2048-400": "ad067b25529b685af993e1fca3e57f908bc3f433a5bb9fa9fccbd1513ddfec67",
+    "relaxed-600-30": "fade7414a3621122a1bd31032fd22fb3a3a7cd93ce3a7e6d7425aa76cbf027ed",
 }
 
 
@@ -119,17 +119,52 @@ def test_profile_file_text_is_unchanged(name):
         "relaxed-600-30": lambda: derive_profile(600, 30, "1/10", "1/50", relaxed=True),
     }[name]()
     text = format_profile(p)
-    assert len(text.splitlines()) == 15
+    assert len(text.splitlines()) == 14
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == PROFILE_FILE_GOLDEN[name]
 
 
 # desk_profile(150, 30) and the strict derive_profile(1024, 400, 1/100,
-# 1/2000) as format_profile wrote them while gamma (a checked input no
-# constant depends on) and oracle_capacity (a cap on |H| that in_cap
-# already implies) were stored fields, in NINETEEN_KEY_FILES while
+# 1/2000) as format_profile wrote them while bfs_vertex_cap (now derived
+# from beta) was a stored field, in SEVENTEEN_KEY_FILES while gamma (a
+# checked input no constant depends on) and oracle_capacity (a cap on |H|
+# that in_cap already implies) were too, in NINETEEN_KEY_FILES while
 # bfs_edge_cap (a per-tree edge cap) and h_size_cap (a verified bound on
-# |H1|, |H2|) were too, and, in OLDER_FILES, while k, c and path_len_cap
-# were as well
+# |H1|, |H2|) were as well, and, in OLDER_FILES, while k, c and
+# path_len_cap were as well
+FIFTEEN_KEY_FILES = {
+    "desk": """n=150
+d=30
+beta=1/5
+relaxed=true
+d_prime=6
+depth_cap=8
+bfs_vertex_cap=6
+fanout=2
+endpoint_cap=1
+r=8
+g3_path_cap=50
+oracle_out_cap=3
+oracle_in_cap=2
+oracle_sat_threshold=2/1
+oracle_low_threshold=3/1
+""",
+    "strict": """n=1024
+d=400
+beta=1/100
+relaxed=false
+d_prime=20
+depth_cap=10
+bfs_vertex_cap=3
+fanout=5
+endpoint_cap=2
+r=0
+g3_path_cap=30001
+oracle_out_cap=10
+oracle_in_cap=4
+oracle_sat_threshold=2/1
+oracle_low_threshold=5/1
+""",
+}
 SEVENTEEN_KEY_FILES = {
     "desk": """n=150
 d=30
@@ -258,7 +293,7 @@ oracle_low_threshold=5/1
 oracle_capacity=1
 """,
 }
-RETIRED_KEYS = {"gamma", "bfs_edge_cap", "h_size_cap", "oracle_capacity"}
+RETIRED_KEYS = {"gamma", "bfs_vertex_cap", "bfs_edge_cap", "h_size_cap", "oracle_capacity"}
 
 
 def _kept_lines_are_the_profile(kind, text):
@@ -270,11 +305,21 @@ def _kept_lines_are_the_profile(kind, text):
     assert format_profile(expected).splitlines() == kept
 
 
+@pytest.mark.parametrize("kind", sorted(FIFTEEN_KEY_FILES))
+def test_15_key_profile_file_fails_naming_bfs_vertex_cap(kind):
+    # a stored cap is refused, not ignored: beta sets it now
+    text = FIFTEEN_KEY_FILES[kind]
+    with pytest.raises(FormatError, match=r"unknown fields: bfs_vertex_cap at line 7$"):
+        parse_profile(text)
+    _kept_lines_are_the_profile(kind, text)
+
+
 @pytest.mark.parametrize("kind", sorted(SEVENTEEN_KEY_FILES))
 def test_17_key_profile_file_fails_naming_gamma_and_oracle_capacity(kind):
     text = SEVENTEEN_KEY_FILES[kind]
     with pytest.raises(
-        FormatError, match=r"unknown fields: gamma at line 4, oracle_capacity at line 17$"
+        FormatError,
+        match=r"unknown fields: gamma at line 4, bfs_vertex_cap at line 8, oracle_capacity at line 17$",
     ):
         parse_profile(text)
     _kept_lines_are_the_profile(kind, text)
@@ -287,7 +332,7 @@ def test_19_key_profile_file_fails_naming_the_retired_keys(kind):
     text = NINETEEN_KEY_FILES[kind]
     with pytest.raises(
         FormatError,
-        match=r"unknown fields: gamma at line 4, bfs_edge_cap at line 9, "
+        match=r"unknown fields: gamma at line 4, bfs_vertex_cap at line 8, bfs_edge_cap at line 9, "
         r"h_size_cap at line 14, oracle_capacity at line 19$",
     ):
         parse_profile(text)
@@ -299,7 +344,7 @@ def test_older_profile_file_with_k_and_c_fails(kind):
     with pytest.raises(
         FormatError,
         match=r"unknown fields: gamma at line 4, k at line 6, c at line 8, "
-        r"bfs_edge_cap at line 11, path_len_cap at line 16, h_size_cap at line 17, "
+        r"bfs_vertex_cap at line 10, bfs_edge_cap at line 11, path_len_cap at line 16, h_size_cap at line 17, "
         r"oracle_capacity at line 22$",
     ):
         parse_profile(OLDER_FILES[kind])
@@ -345,6 +390,14 @@ def test_desk_profile_structure():
     assert p.bfs_vertex_cap == math.ceil(p.beta * p.n / 5)
 
 
+def test_desk_vertex_cap_is_the_cap_it_stored():
+    # desk_profile sets beta from the cap max(6, ceil(n/50)); the cap
+    # derived from that beta is that number
+    for n in list(range(28, 3000, 7)) + [4800, 9600, 19200]:
+        for d in (26, 27, 30, 31, 40):
+            assert desk_profile(n, d).bfs_vertex_cap == max(6, math.ceil(n / 50))
+
+
 def test_desk_profile_overrides():
     p = desk_profile(600, 30, r=5, g3_path_cap=99)
     assert p.r == 5
@@ -372,8 +425,8 @@ def test_strict_profile_file_must_hold_the_capacity_chains():
     # 300/beta * r <= beta * n * k / 50, and is refused at load
     text = format_profile(derive_profile(10**6, 400, "1/100", "1/2000"))
     lines = text.splitlines()
-    assert lines[9] == "r=1" and parse_profile(text).capacity_chains_hold()
-    with pytest.raises(FormatError, match=r"^profile line 10: field r: 2 breaks a strict capacity chain$"):
+    assert lines[8] == "r=1" and parse_profile(text).capacity_chains_hold()
+    with pytest.raises(FormatError, match=r"^profile line 9: field r: 2 breaks a strict capacity chain$"):
         parse_profile(text.replace("\nr=1\n", "\nr=2\n"))
     # a relaxed file is not held to the strict regime
     relaxed = text.replace("relaxed=false", "relaxed=true").replace("\nr=1\n", "\nr=2\n")
@@ -393,8 +446,10 @@ def test_router_profile_is_complete():
     keys = list(DESK_FILE_VALUES)
     own = [f.name for f in dataclasses.fields(RouterProfile) if f.name != "oracle"]
     assert keys == own + ["oracle_" + f.name for f in dataclasses.fields(OracleProfile)]
-    assert len(keys) == 15 and len(dataclasses.fields(OracleProfile)) == 4
-    assert not {"k", "c", "path_len_cap", "gamma", "oracle_capacity"} & set(keys)
+    assert len(keys) == 14 and len(dataclasses.fields(OracleProfile)) == 4
+    derived = {"k", "c", "bfs_vertex_cap", "path_len_cap"}
+    assert not (derived | {"gamma", "oracle_capacity"}) & set(keys)
+    assert all(isinstance(getattr(RouterProfile, name), property) for name in derived)
 
 
 @pytest.mark.parametrize("field", ["fanout", "endpoint_cap"])
@@ -404,6 +459,32 @@ def test_router_profile_rejects_zero(field):
     text = re.sub(r"(?m)^%s=.*$" % field, field + "=0", format_profile(desk_profile(600, 30)))
     with pytest.raises(FormatError, match=field):
         parse_profile(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        format_profile(desk_profile(600, 30)),
+        format_profile(derive_profile(2048, 400, "1/100", "1/2000")),
+    ],
+    ids=["desk", "strict"],
+)
+def test_profile_file_with_no_vertices_fails_naming_n(text):
+    # checked first, before the strict capacity chains take ceil_log2(n)
+    with pytest.raises(FormatError, match=r"^profile field n must be at least 1, got 0$"):
+        parse_profile(re.sub(r"(?m)^n=.*$", "n=0", text))
+
+
+@pytest.mark.parametrize(
+    "d_prime, message",
+    [(0, "must be at least 1, got 0"), (8, "k=15 leaves no edges for the connecting subgraph")],
+)
+def test_profile_file_refuses_a_split_it_cannot_make(d_prime, message):
+    # the split needs d_prime >= 1 and k - 2*d_prime >= 1; the file fails
+    # at load, before any engine is built
+    with pytest.raises(FormatError, match=r"\bd_prime\b.*" + message):
+        parse_profile(_desk_file_with("d_prime", d_prime))
+    assert parse_profile(_desk_file_with("d_prime", 7)).d_prime == 7
 
 
 def _desk_file_with(field, value):

@@ -1,6 +1,7 @@
 import copy
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, settings
@@ -178,7 +179,9 @@ def test_met_tree_skips_the_stall_check_but_not_the_depth_check(probe_trees):
     # no tree reaches n + 1 vertices, yet a find whose trees meet is served
     eng = small_engine(n=240, d=30, seed=24)
     prof = eng.profile
-    eng.profile = replace(prof, bfs_vertex_cap=eng.n + 1)
+    # beta sets the cap: ceil(beta * n / 5) = n + 1
+    eng.profile = replace(prof, beta=Fraction(5 * (eng.n + 1), eng.n))
+    assert eng.profile.bfs_vertex_cap == eng.n + 1
     a, b, probe = _meeting_pair(eng, random.Random(3), probe_trees)
     depth = max(
         len(eng._tree_path(parent, next(reversed(parent))))
@@ -310,9 +313,9 @@ def _watch_rollback(oracle, ops):
     """Wrap oracle.rollback to collect the ops of each log it undoes."""
     rollback = oracle.rollback
 
-    def watched(mark=0):
-        ops.extend(op for op, _ in oracle._undo[mark:])
-        return rollback(mark)
+    def watched():
+        ops.extend(op for op, _ in oracle._undo)
+        return rollback()
 
     return watched
 
