@@ -231,7 +231,7 @@ def build_parser():
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("profile", help="derive a constants profile")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--beta", type=_ratio, default=argparse.SUPPRESS, help="default 1/100")
     p.add_argument("--gamma", type=_ratio, default=argparse.SUPPRESS, help="default 1/2000")

@@ -169,6 +169,9 @@ def estimate_second_eigenvalue(g: UndirectedGraph, max_iters=20000, tol=1e-9):
     """
     import numpy as np  # the package's only numpy user; kept off `import expander_routing`
 
+    if max_iters < 1:
+        # with no iteration the residual would stay inf, which is not JSON
+        raise CallerError("spectral estimate needs max_iters >= 1, got %d" % max_iters)
     d = g.regularity()
     if d is None:
         raise CallerError("spectral estimate needs a regular graph")

@@ -200,11 +200,11 @@ class EdgeOracle:
             raise CallerError("add_edge(%d): out-degree cap %d reached" % (v, prof.out_cap))
         edges = []
         with self.request_log():
-            for _ in self.grow_tree({v: None}, edges, (), 1, 1):
+            for _ in self.grow_tree({v: None}, edges, {}, 1, 1):
                 pass
         return edges[0]
 
-    def grow_tree(self, parent, edges, meet, vertex_cap, fanout):
+    def grow_tree(self, parent, edges, meet, vertex_cap, fanout, near=None):
         """Generator that grows a breadth-first tree of fresh edges out of
         the one key of `parent`, yielding after each dequeued vertex.
 
@@ -215,11 +215,12 @@ class EdgeOracle:
         at most `fanout` * `vertex_cap` edges. A Low vertex takes its first
         B-stock edge in pick order, any other its first free out-edge in
         pick order whose head is not in Sat. The tree ends when it discovers
-        a vertex in `meet` (read live), its last key then. Stopped there
-        or dropped early, it is a prefix of the full tree, with the same
-        picks and log entries. It needs an open log (checked at the first
-        resume), which counts its edges and takes them back on
-        ExpansionViolation.
+        a vertex w that is a key of the dict `meet` (read live) or has
+        `near[w]` share one (no `near`: no vertex has), its last key then.
+        Each discovery is one such C-level test. Stopped there or dropped
+        early, it is a prefix of the full tree, with the same picks and log
+        entries. It needs an open log (checked at the first resume), which
+        counts its edges and takes them back on ExpansionViolation.
         """
         undo = self._undo
         if undo is None:
@@ -229,6 +230,9 @@ class EdgeOracle:
         out_deg, in_deg, b_in = h.out_deg, h.in_deg, self.b.in_deg
         sat, low, sat_min = self.sat, self.low, self._sat_min
         heads, pick_order = self.host.heads, self._pick_order
+        disjoint = meet.keys().isdisjoint
+        if near is None:
+            near = ((),) * self.host.n
         # the BFS queue: a for loop over a list visits what is appended to it
         order = list(parent)
         picks, log, enqueue, keep = range(fanout), undo.append, order.append, edges.append
@@ -271,7 +275,7 @@ class EdgeOracle:
                 keep(e)
                 if w not in parent:
                     parent[w] = (u, e)
-                    if w in meet:
+                    if w in meet or not disjoint(near[w]):
                         return
                     enqueue(w)
             yield

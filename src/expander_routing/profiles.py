@@ -172,6 +172,8 @@ def desk_profile(n, d, **overrides):
     """
     if d < 26:
         raise CallerError("desk routing profiles need d >= 26 (got %d)" % d)
+    if n < 1:
+        raise CallerError("desk routing profiles need n >= 1 (got %d)" % n)
     k = d // 2
     d_prime = max(6, (2 * k) // 5)
     if k - 2 * d_prime < 2:

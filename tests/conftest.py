@@ -83,14 +83,15 @@ def one_vertex_tree(orc, v):
     """The edges of a one-vertex tree grown from v in the open log: the
     picks `add_edge(v)` makes as a request of its own."""
     edges = []
-    drive(orc.grow_tree({v: None}, edges, (), 1, 1))
+    drive(orc.grow_tree({v: None}, edges, {}, 1, 1))
     return edges
 
 
-def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None):
+def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None, near=None):
     """`EdgeOracle.grow_tree` spelled out with one one-vertex tree per edge,
     inside the caller's request log, over at most `steps` dequeued vertices
-    (the resumes before it is dropped)."""
+    (the resumes before it is dropped). A discovered vertex w meets when
+    it is in `meet` or `near[w]` holds one of `meet`."""
     parent = {root: None}
     edges = []
     q = deque([root])
@@ -106,7 +107,7 @@ def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None):
             w = orc.host.heads[e]
             if w not in parent:
                 parent[w] = (u, e)
-                if w in meet:
+                if w in meet or (near is not None and any(x in meet for x in near[w])):
                     return edges, parent
                 q.append(w)
     return edges, parent
@@ -121,7 +122,8 @@ def drive(tree, steps=None):
 def _probe_trees(engine, a, b):
     """Grow the two trees of find(a, b) as the find does, inside undo logs
     that then take them back. Returns {"out": (edges, parent), "in":
-    (edges, parent), "meet": meeting vertex or None}."""
+    (edges, parent), "meet": `_meeting`'s (entry, exit, connector edges)
+    or None}."""
     out, inn = engine.out_oracle, engine.in_oracle
     with out.request_log(), inn.request_log():
         edges_a, par_a, edges_b, par_b, meet = engine._grow_trees(a, b)

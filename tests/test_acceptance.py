@@ -47,12 +47,12 @@ GOLDEN_PREPROCESS = {
     (20, 2): "296558d1fdc3491c54ee078c45de6b9ee729d525194c3a0183117af96d01713e",
     (21, 3): "6ed5b5f4cf98a3a71f9334153b83ceb9882958799b5da265cc96bf2477379c7a",
 }
-GOLDEN_REPLAY = "f5cdf5d1d4bfe6f119a03c2eedf1948e74c69a065c80d086d2b30ed2e937c706"
-GOLDEN_REPLAY_STATE = "ae3d21a4d5c8982662e383cf21ae1c6bf8f2cd53151f22f1ee0de32da032aeac"
+GOLDEN_REPLAY = "43d6d401ecb7263e6dc976e6d8c2f1d167c8c1145a7cb5d5d9a1323cf97b4453"
+GOLDEN_REPLAY_STATE = "36d28193a7db1dc23f31f2c112390f6b74384f065b1430a88a1b1cc9fd3fce13"
 # the oracle work that replay does: per-edge add and remove calls, walk
 # searches, and Low promotions per oracle (out, in)
 GOLDEN_REPLAY_CALLS = {
-    "out_add": 2910, "out_remove": 2882, "in_add": 2850, "in_remove": 2825, "walk_searches": 0,
+    "out_add": 2379, "out_remove": 2351, "in_add": 2217, "in_remove": 2193, "walk_searches": 0,
 }
 GOLDEN_REPLAY_LOW_ADDITIONS = (0, 0)
 

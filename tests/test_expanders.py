@@ -154,6 +154,13 @@ def test_lambda_c8_matches_dense_oracle(c8):
     assert abs(rep.lambda_estimate - 2 ** 0.5) < 1e-6
 
 
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_lambda_needs_an_iteration(k4, max_iters):
+    # with no iteration the report's residual would stay inf, which is not JSON
+    with pytest.raises(CallerError, match="max_iters >= 1, got %d" % max_iters):
+        estimate_second_eigenvalue(k4, max_iters=max_iters)
+
+
 def test_lambda_bipartite_deflation():
     k33 = UndirectedGraph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
     assert is_bipartite(k33) is not None

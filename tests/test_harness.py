@@ -267,10 +267,10 @@ def test_cli_pipeline(tmp_path, capsys):
     assert payload["failures"] == []
     assert payload["requests_served"] == 60
     assert payload["path_length_histogram"] == {
-        "1": 2, "2": 1, "3": 5, "4": 12, "5": 6, "6": 6
+        "2": 3, "3": 5, "4": 11, "5": 7, "6": 6
     }
     assert payload["oracle_call_counts"] == {
-        "out_add": 187, "out_remove": 181, "in_add": 187, "in_remove": 179, "walk_searches": 0
+        "out_add": 153, "out_remove": 146, "in_add": 134, "in_remove": 126, "walk_searches": 0
     }
     assert sorted(payload["wall_clock"]) == ["max", "p50", "p90", "p99"]
     assert (payload["verifies_run"], payload["verify_findings"]) == (6, 0)
@@ -388,6 +388,18 @@ def test_cli_spectrum_needs_an_iteration(tmp_path, capsys, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --max-iters: must be at least 1, got %s" % value in captured.err
+
+
+@pytest.mark.parametrize("desk", [["--desk"], []])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_cli_profile_needs_a_vertex(capsys, value, desk):
+    # --desk used to divide by n = 0 (a ZeroDivisionError traceback, exit 1)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["profile", "--n", value, "--d", "30", *desk, "--out", "-"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --n: must be at least 1, got %s" % value in captured.err
 
 
 def test_cli_spectrum_and_expansion(tmp_path, capsys):

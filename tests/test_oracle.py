@@ -119,7 +119,7 @@ def test_grow_tree_needs_an_open_log():
     host = oriented_host(30, 10, seed=6)
     orc = EdgeOracle(host, canonical_oracle_profile(10))
     # the check runs at the first resume of the generator
-    tree = orc.grow_tree({0: None}, [], (), 4, 2)
+    tree = orc.grow_tree({0: None}, [], {}, 4, 2)
     with pytest.raises(CallerError):
         next(tree)
     assert len(orc.h) == 0 and orc.add_calls == 0
@@ -558,12 +558,12 @@ class Forced(Exception):
     """Raised inside a request log to make it roll back."""
 
 
-def _grown(orc, root, vertex_cap, fanout, meet=(), steps=None):
+def _grown(orc, root, vertex_cap, fanout, meet=(), steps=None, near=None):
     """(edges, parent, log) of a tree grown by `grow_tree` in a fresh log,
     resumed `steps` times (to its end when None) and then dropped."""
     edges, parent = [], {root: None}
     with orc.request_log():
-        drive(orc.grow_tree(parent, edges, meet, vertex_cap, fanout), steps)
+        drive(orc.grow_tree(parent, edges, dict.fromkeys(meet), vertex_cap, fanout, near), steps)
         return edges, parent, list(orc._undo)
 
 
@@ -697,32 +697,39 @@ class OracleMachine(RuleBasedStateMachine):
         vertex_cap=st.integers(1, 12),
         fanout=st.integers(1, 3),
         meet=st.sets(MACHINE_VERTICES, max_size=6),
+        near=st.none() | st.lists(
+            st.lists(MACHINE_VERTICES, max_size=3).map(tuple), min_size=40, max_size=40
+        ),
         steps=st.none() | st.integers(0, 8),
         data=st.data(),
     )
-    def grow_and_hand_back(self, root, vertex_cap, fanout, meet, steps, data):
+    def grow_and_hand_back(self, root, vertex_cap, fanout, meet, near, steps, data):
         # a find's tree: grown inside a log, resumed `steps` times (to its
         # end when None) and dropped, then all but a kept subset released
         # after the log closes; the same tree grown one one-vertex tree per
         # edge on a copy must match it edge for edge, and a tree that
-        # discovered a vertex of `meet` ends there
+        # discovered a vertex of `meet`, or one whose `near` row holds one,
+        # ends there
         ref = copy.deepcopy(self.orc)
         before = self._state()
+        args = root, vertex_cap, fanout, meet, steps, near
         try:
-            edges, parent, _ = _grown(self.orc, root, vertex_cap, fanout, meet, steps)
+            edges, parent, _ = _grown(self.orc, *args)
         except ExpansionViolation:
             assert self._state() == before
             with pytest.raises(ExpansionViolation):
                 with ref.request_log():
-                    tree_by_single_adds(ref, root, vertex_cap, fanout, meet, steps)
+                    tree_by_single_adds(ref, *args)
             assert _counters(ref) == _counters(self.orc)
             return
-        assert [v for v in parent if v in meet and v != root] in ([], [next(reversed(parent))])
+        met = [
+            v for v in parent
+            if v != root and (v in meet or (near is not None and not meet.isdisjoint(near[v])))
+        ]
+        assert met in ([], [next(reversed(parent))])
         assert len(edges) <= fanout * vertex_cap
         with ref.request_log():
-            assert tree_by_single_adds(ref, root, vertex_cap, fanout, meet, steps) == (
-                edges, parent
-            )
+            assert tree_by_single_adds(ref, *args) == (edges, parent)
         assert (dump(ref), ref.sat_out, _counters(ref)) == (*self._state(), _counters(self.orc))
         kept = data.draw(st.sets(st.sampled_from(edges))) if edges else set()
         self.orc.release([e for e in edges if e not in kept])

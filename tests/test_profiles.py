@@ -406,6 +406,13 @@ def test_desk_profile_overrides():
     assert desk_profile(600, 30, g3_path_cap=99).path_len_cap == 2 * ceil_log2(600) + 99
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_desk_profile_needs_a_vertex(n):
+    # n = 0 used to raise a bare ZeroDivisionError from the beta it derives
+    with pytest.raises(CallerError, match="need n >= 1 \\(got %d\\)" % n):
+        desk_profile(n, 30)
+
+
 def test_desk_profile_needs_room():
     with pytest.raises(CallerError):
         desk_profile(600, 20)

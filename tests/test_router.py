@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -194,70 +195,138 @@ def test_met_tree_skips_the_stall_check_but_not_the_depth_check(probe_trees):
     assert state_snapshot(eng) == before
     eng.profile = replace(eng.profile, depth_cap=depth)
     rec = eng.find_path(a, b)
-    assert rec.seg_mid == () and eng.path_vertices(rec)[len(rec.seg_a)] == probe["meet"]
+    # met through a shared vertex (no connector) or one free G3 edge
+    entry, _, seg_mid = probe["meet"]
+    assert len(rec.seg_mid) <= 1 and rec.seg_mid == tuple(seg_mid)
+    assert eng.path_vertices(rec)[len(rec.seg_a)] == entry
     assert eng.verify().ok
 
 
-def _alone(oracle, root, caps, meet=(), steps=None):
+def _alone(oracle, root, caps, meet=(), steps=None, near=None):
     """The tree `oracle` grows alone by single adds, on a copy."""
     with copy.deepcopy(oracle).request_log() as orc:
-        return tree_by_single_adds(orc, root, *caps, meet, steps)
+        return tree_by_single_adds(orc, root, *caps, meet, steps, near)
 
 
 def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
     # on a filled engine, each lockstep tree is a prefix of the tree its
-    # oracle grows alone. Trees that meet share only the meeting vertex:
-    # the tree that discovered it is the lone tree stopped there, and the
+    # oracle grows alone. Trees share at most one vertex. Trees that meet
+    # share it and need no connector, or share none and are joined by one
+    # G3 edge, free before the find, from the out-tree to the in-tree. The
+    # tree that met is the lone tree stopped at its last key, and the
     # other has had the turns lockstep gives it, as many dequeued vertices
     # as the meeting tree when the out-tree met, one fewer when it was the
     # in-tree (the out-tree moves first)
     n = 600
     eng = small_engine(n=n, d=30, seed=11)
     prof = eng.profile
+    g3 = eng.split.g3
     cmds = gen_workload("fill", n, {"count": prof.r - 4}, 5, prof.endpoint_cap, prof.r)
     assert run_trace(eng, cmds).failures == []
     caps = prof.bfs_vertex_cap, prof.fanout
     rng = random.Random(2)
-    met = 0
+    kinds = Counter()
     for _ in range(60):
         a, b = rng.sample(range(n), 2)
         if eng.ledger.violation(a, b):
             continue
         probe = probe_trees(eng, a, b)
         meet = probe["meet"]
-        sides = ((eng.out_oracle, a, probe["out"]), (eng.in_oracle, b, probe["in"]))
-        for oracle, root, (edges, parent) in sides:
+        sides = (
+            (eng.out_oracle, a, probe["out"], eng.near_out),
+            (eng.in_oracle, b, probe["in"], eng.near_in),
+        )
+        for oracle, root, (edges, parent), _ in sides:
             full_edges, full_parent = _alone(oracle, root, caps)
             assert edges == full_edges[: len(edges)]
             assert list(parent.items()) == list(full_parent.items())[: len(parent)]
             if meet is None:
                 assert (edges, parent) == (full_edges, full_parent)
                 assert len(parent) >= prof.bfs_vertex_cap
-        shared = set(probe["out"][1]).intersection(probe["in"][1])
+        par_a, par_b = probe["out"][1], probe["in"][1]
+        shared = set(par_a).intersection(par_b)
+        assert len(shared) <= 1
         if meet is None:
             assert not shared
+            kinds["unmet"] += 1
             continue
-        assert shared == {meet}
+        entry, exit_, seg_mid = meet
+        if shared:
+            assert shared == {entry} and entry == exit_ and seg_mid == []
+        else:
+            [e] = seg_mid
+            assert not eng.h3.member[e]
+            assert (g3.tails[e], g3.heads[e]) == (entry, exit_)
+            assert entry in par_a and exit_ in par_b
         schedules = []
-        for (m_orc, m_root, m_tree), (o_orc, o_root, o_tree), lag in (
+        for (m_orc, m_root, m_tree, m_near), (o_orc, o_root, o_tree, _), lag in (
             (sides[0], sides[1], 1),
             (sides[1], sides[0], 0),
         ):
             m_parent = m_tree[1]
-            if m_parent[meet] is None:
+            last = next(reversed(m_parent))
+            if m_parent[last] is None:
                 continue  # a root is never discovered
-            turns = list(m_parent).index(m_parent[meet][0]) + 1
+            turns = list(m_parent).index(m_parent[last][0]) + 1
             schedules.append(
-                _alone(m_orc, m_root, caps, set(o_tree[1])) == m_tree
+                _alone(m_orc, m_root, caps, set(o_tree[1]), near=m_near) == m_tree
                 and _alone(o_orc, o_root, caps, steps=turns - lag) == o_tree
             )
         assert any(schedules)
-        met += 1
+        kinds["shared" if shared else "one edge"] += 1
         rec = eng.find_path(a, b)
-        assert rec.seg_mid == ()
+        assert rec.seg_mid == tuple(seg_mid)
         eng.remove_path(rec.id)
-    # both outcomes occur at this size
-    assert 5 <= met < 40
+    # all three outcomes occur at this size
+    assert min(kinds[k] for k in ("shared", "one edge", "unmet")) >= 5, kinds
+    assert eng.verify().ok
+
+
+def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
+    # trees that met through G3 edge e grow past that point once H3 holds
+    # e, as a live path's middle segment would: e leaves the near tuples
+    # of both its endpoints, and neither tree nor `_meeting` takes it
+    eng = small_engine(n=600, d=30, seed=11)
+    g3 = eng.split.g3
+    rng = random.Random(4)
+    for _ in range(100):
+        a, b = rng.sample(range(eng.n), 2)
+        probe = probe_trees(eng, a, b)
+        if probe["meet"] is not None and probe["meet"][2]:
+            break
+    else:
+        raise AssertionError("no pair met through a G3 edge in 100 samples")
+    [e] = probe["meet"][2]
+    t, w = g3.tails[e], g3.heads[e]
+    parallel = [f for f in g3.out_adj[t] if g3.heads[f] == w and f != e]
+    eng.h3.add(e)
+    eng._renear([e], eng.near_out, eng.near_in)
+    assert eng.near_out[t].count(w) == len(parallel) == eng.near_in[w].count(t)
+    par_a, par_b = probe["out"][1], probe["in"][1]
+    assert eng._meeting(par_a, par_b) in (None, (t, w, parallel[:1]))
+    again = probe_trees(eng, a, b)
+    assert again["meet"] is None or e not in again["meet"][2]
+    if not parallel:
+        assert len(again["out"][1]) + len(again["in"][1]) > len(par_a) + len(par_b)
+    eng.h3.remove(e)
+    eng._renear([e], eng.near_out, eng.near_in)
+    assert probe_trees(eng, a, b) == probe
+    assert eng.verify().ok
+
+
+def test_near_tuples_return_to_the_full_rows_when_every_path_is_gone():
+    eng = small_engine(n=240, d=30, seed=23)
+    prof = eng.profile
+    fresh = list(eng.near_out), list(eng.near_in)
+    cmds = gen_workload(
+        "churn", eng.n, {"ops": 300, "live_target": prof.r // 2}, 5,
+        prof.endpoint_cap, prof.r,
+    )
+    assert run_trace(eng, cmds, verify_every=1).failures == []
+    assert len(eng.h3) and (eng.near_out, eng.near_in) != fresh
+    for path_id in list(eng.ledger.paths):
+        eng.remove_path(path_id)
+    assert (eng.near_out, eng.near_in) == fresh
     assert eng.verify().ok
 
 
@@ -280,9 +349,11 @@ def test_overload_churn_serves_every_find(seed):
 
 
 def test_failed_find_unwinds_everything():
-    # a depth budget of one hop makes nearly every request fail after both
-    # trees grew; on the filled engine the failed trees also move B, Sat
-    # or Low, which a wrapper around each oracle's rollback sees in its log
+    # a depth budget of zero hops makes nearly every request fail after
+    # both trees grew (with one hop, depth-1 trees can meet through a G3
+    # edge and be served); on the filled engine the failed trees also move
+    # B, Sat or Low, which a wrapper around each oracle's rollback sees in
+    # its log
     for n, seed, fill, finds in ((150, 21, 0, 20), (1200, 11, 47, 60)):
         g = gen_random_regular_graph(n, 30, seed=seed)
         prof = desk_profile(n, 30)
@@ -290,7 +361,7 @@ def test_failed_find_unwinds_everything():
         cmds = gen_workload("fill", n, {"count": fill}, 3, prof.endpoint_cap, prof.r)
         assert run_trace(eng, cmds).failures == []
         assert len(eng.ledger.paths) == fill
-        eng.profile = replace(prof, depth_cap=1)
+        eng.profile = replace(prof, depth_cap=0)
         rolled_back = []
         for oracle in (eng.out_oracle, eng.in_oracle):
             oracle.rollback = _watch_rollback(oracle, rolled_back)
@@ -322,8 +393,9 @@ def _watch_rollback(oracle, ops):
 
 def test_oracle_counters_count_every_tree_edge(probe_trees):
     # the undo logs count each edge a find put in H once, kept or rolled
-    # back, so a find's add_calls deltas are its trees' sizes: met, unmet
-    # and failed alike; a probe grows the same trees the find then grows
+    # back, so a find's add_calls deltas are its trees' sizes: met at a
+    # shared vertex or through one G3 edge, unmet and failed alike; a probe
+    # grows the same trees the find then grows
     eng = small_engine(n=600, d=30, seed=11)
 
     def find(a, b, profile=None):
@@ -341,14 +413,14 @@ def test_oracle_counters_count_every_tree_edge(probe_trees):
         return rec
 
     rng = random.Random(2)
-    met = set()
-    while len(met) < 2:
+    connectors = set()
+    while len(connectors) < 3:
         rec = find(*rng.sample(range(eng.n), 2))
-        met.add(rec.seg_mid == ())
+        connectors.add(min(len(rec.seg_mid), 2))
         eng.remove_path(rec.id)
-    # a depth budget of one hop fails a find after both trees grew; it is
+    # a depth budget of zero hops fails a find after both trees grew; it is
     # checked after growth, so the probe under the old budget sees the trees
-    assert find(*rng.sample(range(eng.n), 2), replace(eng.profile, depth_cap=1)) is None
+    assert find(*rng.sample(range(eng.n), 2), replace(eng.profile, depth_cap=0)) is None
 
 
 def test_raised_volume_cap_verifies_clean_when_full():
