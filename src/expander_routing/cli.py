@@ -16,7 +16,7 @@ from .expanders import (
 )
 from .graph import UndirectedGraph, format_graph, load_graph, save_graph
 from .harness import format_trace, gen_workload, load_trace, run_trace
-from .preprocess import pre_process
+from .preprocess import check_profile, pre_process
 from .profiles import derive_profile, desk_profile, format_profile, load_profile, profile_items
 from .router import RoutingEngine
 
@@ -41,7 +41,7 @@ def _write_json(path, report):
 
 
 def _ratio(text):
-    """argparse type of --beta and --gamma: a bad value is a usage error (exit 2)."""
+    """argparse type of a ratio option: a bad value is a usage error (exit 2)."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -60,24 +60,37 @@ def _at_least(least):
     return integer
 
 
-def _load_router_profile(args, g):
+def _open_unit(text):
+    """argparse type of --tol: a ratio outside (0, 1) is a usage error (exit 2)."""
+    value = _ratio(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError("must lie in (0, 1), got %s" % text)
+    return float(value)
+
+
+def _graph_and_profile(args):
+    """The undirected graph at --graph and its router profile from --profile or
+    --desk; a directed graph or a profile for another (n, d) is a usage error."""
+    g = load_graph(args.graph)
+    if not isinstance(g, UndirectedGraph):
+        raise RoutingError("%s expects an undirected graph file" % args.command)
     if args.profile:
-        return load_profile(args.profile)
-    if args.desk:
+        profile = load_profile(args.profile)
+    elif args.desk:
         d = g.regularity()
         if d is None:
             raise RoutingError("--desk needs a regular graph")
-        return desk_profile(g.n, d)
-    raise RoutingError("pass --profile FILE or --desk")
+        profile = desk_profile(g.n, d)
+    else:
+        raise RoutingError("pass --profile FILE or --desk")
+    check_profile(g, profile)
+    return g, profile
 
 
 def cmd_run(args):
     if args.verify_every < 0:
         raise RoutingError("--verify-every must be at least 0, got %d" % args.verify_every)
-    g = load_graph(args.graph)
-    if not isinstance(g, UndirectedGraph):
-        raise RoutingError("run expects an undirected graph file")
-    profile = _load_router_profile(args, g)
+    g, profile = _graph_and_profile(args)
     commands = load_trace(args.trace)
     engine = RoutingEngine(g, profile)
     emit = None if args.quiet else lambda line: print(line)
@@ -101,8 +114,7 @@ def cmd_gen_workload(args):
     given = ["--" + key.replace("_", "-") for key in refused if getattr(args, key) is not None]
     if given:
         raise RoutingError("--kind %s takes no %s" % (args.kind, ", ".join(given)))
-    g = load_graph(args.graph)
-    profile = _load_router_profile(args, g)
+    g, profile = _graph_and_profile(args)
     sizes = ("ops", "count", "live_target")
     params = {key: getattr(args, key) for key in sizes if getattr(args, key) is not None}
     commands = gen_workload(
@@ -113,10 +125,7 @@ def cmd_gen_workload(args):
 
 
 def cmd_preprocess(args):
-    g = load_graph(args.graph)
-    if not isinstance(g, UndirectedGraph):
-        raise RoutingError("preprocess expects an undirected graph file")
-    profile = _load_router_profile(args, g)
+    g, profile = _graph_and_profile(args)
     split = pre_process(g, profile)
     prefix = args.outprefix
     for part in ("host", "g1", "g2", "g3"):
@@ -226,7 +235,7 @@ def build_parser():
     p = sub.add_parser("spectrum", help="estimate the second adjacency eigenvalue")
     p.add_argument("--graph", required=True)
     p.add_argument("--max-iters", type=_at_least(1), default=20000)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_open_unit, default=1e-9)
     p.add_argument("--json")
     p.set_defaults(func=cmd_spectrum)
 

@@ -172,6 +172,9 @@ def estimate_second_eigenvalue(g: UndirectedGraph, max_iters=20000, tol=1e-9):
     if max_iters < 1:
         # with no iteration the residual would stay inf, which is not JSON
         raise CallerError("spectral estimate needs max_iters >= 1, got %d" % max_iters)
+    if not 0 < tol < 1:
+        # tol >= 1 stops at an iterate far from the eigenvector; tol <= 0 or nan is never met
+        raise CallerError("spectral estimate needs 0 < tol < 1, got %r" % tol)
     d = g.regularity()
     if d is None:
         raise CallerError("spectral estimate needs a regular graph")

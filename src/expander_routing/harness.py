@@ -112,13 +112,8 @@ class RunReport:
             lines.append("path lengths: %s" % hist)
         if self.wall_clock:
             lines.append(
-                "per-request seconds: p50=%.6f p90=%.6f p99=%.6f max=%.6f"
-                % (
-                    self.wall_clock["p50"],
-                    self.wall_clock["p90"],
-                    self.wall_clock["p99"],
-                    self.wall_clock["max"],
-                )
+                "per-request seconds: p50=%(p50).6f p90=%(p90).6f p99=%(p99).6f max=%(max).6f"
+                % self.wall_clock
             )
         lines.append("oracle calls: %s" % self.oracle_call_counts)
         lines.append("verifies: %d run, %d findings" % (self.verifies_run, self.verify_findings))
@@ -279,7 +274,7 @@ def gen_workload(kind, n, params, seed, endpoint_cap, r):
         ops = int(params.get("ops", 0))
         live_target = int(params.get("live_target", max(1, r // 2)))
         if live_target >= r:
-            raise CallerError("churn live_target must stay below r=%d" % r)
+            raise CallerError("%s live_target must stay below r=%d" % (kind, r))
         attempts = 0
         while len(out) < ops:
             attempts += 1
@@ -299,9 +294,11 @@ def gen_workload(kind, n, params, seed, endpoint_cap, r):
                 emit_remove(list(ledger.paths)[rng.randrange(len(ledger.paths))])
     elif kind == "hotspot":
         ops = int(params.get("ops", 0))
-        live_cap = min(int(params.get("live_target", max(1, r // 2))), r - 1)
-        if live_cap < 1:
+        live_cap = int(params.get("live_target", max(1, r // 2)))
+        if live_cap < 1 or r < 2:
             raise CallerError("hotspot needs a live target of at least 1 below r=%d" % r)
+        if live_cap >= r:
+            raise CallerError("%s live_target must stay below r=%d" % (kind, r))
         burst = max(1, endpoint_cap - 1)
         hot = 0
         used = 0

@@ -204,7 +204,7 @@ class EdgeOracle:
                 pass
         return edges[0]
 
-    def grow_tree(self, parent, edges, meet, vertex_cap, fanout, near=None):
+    def grow_tree(self, parent, edges, meet, vertex_cap, fanout, near=None, link=None):
         """Generator that grows a breadth-first tree of fresh edges out of
         the one key of `parent`, yielding after each dequeued vertex.
 
@@ -215,12 +215,14 @@ class EdgeOracle:
         at most `fanout` * `vertex_cap` edges. A Low vertex takes its first
         B-stock edge in pick order, any other its first free out-edge in
         pick order whose head is not in Sat. The tree ends when it discovers
-        a vertex w that is a key of the dict `meet` (read live) or has
-        `near[w]` share one (no `near`: no vertex has), its last key then.
-        Each discovery is one such C-level test. Stopped there or dropped
-        early, it is a prefix of the full tree, with the same picks and log
-        entries. It needs an open log (checked at the first resume), which
-        counts its edges and takes them back on ExpansionViolation.
+        a vertex w that is a key of the dict `meet` (read live), or whose
+        row `near[w]` shares one and `link(w, meet)` confirms the hit with
+        a value that is not None (no `near`: no vertex does), its last key
+        then. Each discovery is one C-level test; only a row hit calls
+        `link`. Stopped there or dropped early, it is a prefix of the full
+        tree, with the same picks and log entries. It needs an open log
+        (checked at the first resume), which counts its edges and takes
+        them back on ExpansionViolation.
         """
         undo = self._undo
         if undo is None:
@@ -275,7 +277,7 @@ class EdgeOracle:
                 keep(e)
                 if w not in parent:
                     parent[w] = (u, e)
-                    if w in meet or not disjoint(near[w]):
+                    if w in meet or (not disjoint(near[w]) and link(w, meet) is not None):
                         return
                     enqueue(w)
             yield

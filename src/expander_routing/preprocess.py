@@ -191,10 +191,8 @@ class SplitResult:
     g3_host: tuple
 
 
-def pre_process(g: UndirectedGraph, profile: RouterProfile) -> SplitResult:
-    """Full preprocessing of an undirected regular expander, split with the
-    `k` and `d_prime` of the profile the router runs on (which checks that
-    they leave g3 an edge per vertex)."""
+def check_profile(g: UndirectedGraph, profile: RouterProfile) -> int:
+    """The degree of g, which must be regular with the profile's (n, d)."""
     d = g.regularity()
     if d is None:
         raise CallerError("input graph is not regular")
@@ -203,6 +201,14 @@ def pre_process(g: UndirectedGraph, profile: RouterProfile) -> SplitResult:
             "profile is for (n=%d, d=%d), graph has (n=%d, d=%d)"
             % (profile.n, profile.d, g.n, d)
         )
+    return d
+
+
+def pre_process(g: UndirectedGraph, profile: RouterProfile) -> SplitResult:
+    """Full preprocessing of an undirected regular expander, split with the
+    `k` and `d_prime` of the profile the router runs on (which checks that
+    they leave g3 an edge per vertex)."""
+    d = check_profile(g, profile)
     k = profile.k
     if d % 2 == 1:
         _, even_part = extract_perfect_matching(g)

@@ -6,10 +6,12 @@ the reversed second subgraph (so its arcs point towards b in the
 original orientation). They grow in lockstep, and both stop where one
 discovers a vertex of the other, or a vertex joined to the other by one
 free edge of the third subgraph (an edge no live path's middle segment
-holds). The connector is then empty or that one edge. Trees that meet
-nothing grow to full size, large enough that the third subgraph, minus
-the middle segments already spoken for, connects them by a short
-directed path. The path is assembled from the two tree branches plus
+holds). A tree tests each discovery against the vertex's fixed G3 row
+and confirms a hit against H3, which holds few G3 edges, so no state
+follows H3 per vertex. The connector is then empty or that one edge.
+Trees that meet nothing grow to full size, large enough that the third
+subgraph, minus the middle segments already spoken for, connects them
+by a short directed path. The path is assembled from the two tree branches plus
 the connector, every unused tree edge is handed back to its oracle, and
 the path recorded in the `Ledger`, the one home of the game rules, which
 the workload generator and the trace validator replay too. Removal
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from operator import add, gt
 
@@ -131,15 +134,14 @@ class RoutingEngine:
         self.in_oracle = EdgeOracle(self.g2_rev, profile.oracle)
         self.h3 = EdgeSubset(self.split.g3)
         self.ledger = Ledger(g.n, profile.endpoint_cap, profile.r)
-        # near_out[v] (near_in[v]): the heads (tails) of v's free G3 out-edges
-        # (in-edges) in G3 adjacency order, which the trees meet through.
-        # The full rows never change; `_renear` rebuilds an entry when H3
-        # gains or loses an edge there
+        # g3_out[v] (g3_in[v]): the heads (tails) of v's G3 out-edges (in-edges)
+        # in adjacency order; fixed rows a tree tests in C, confirming a hit
+        # with link_out (link_in) against H3
         g3 = self.split.g3
-        self._g3_out = [tuple(map(g3.heads.__getitem__, row)) for row in g3.out_adj]
-        self._g3_in = [tuple(map(g3.tails.__getitem__, row)) for row in g3.in_adj]
-        self.near_out = list(self._g3_out)
-        self.near_in = list(self._g3_in)
+        self.g3_out = [tuple(map(g3.heads.__getitem__, row)) for row in g3.out_adj]
+        self.g3_in = [tuple(map(g3.tails.__getitem__, row)) for row in g3.in_adj]
+        self.link_out = partial(self._free_g3_edge, self.g3_out, g3.out_adj, g3.heads)
+        self.link_in = partial(self._free_g3_edge, self.g3_in, g3.in_adj, g3.tails)
 
     @property
     def n(self):
@@ -180,7 +182,6 @@ class RoutingEngine:
             oracle.release([e for e in edges if e not in keep])
         for e in seg_mid:
             self.h3.add(e)
-        self._renear(seg_mid, self.near_out, self.near_in)
         return self.ledger.add(a, b, tuple(seg_a), tuple(seg_mid), tuple(reversed(seg_b_tree)))
 
     def remove_path(self, path_id):
@@ -189,21 +190,6 @@ class RoutingEngine:
         self.in_oracle.release(rec.seg_b)
         for e in rec.seg_mid:
             self.h3.remove(e)
-        self._renear(rec.seg_mid, self.near_out, self.near_in)
-
-    def _renear(self, edges, near_out, near_in):
-        """Rebuild, in the given lists, the near_out entry at the tail and
-        the near_in entry at the head of each G3 edge in `edges`, from H3
-        as it stands. A row H3 holds nothing of is the shared full row, so
-        `verify` compares it by identity."""
-        g3, h3m = self.split.g3, self.h3.member
-        tails, heads, out_adj, in_adj = g3.tails, g3.heads, g3.out_adj, g3.in_adj
-        for e in edges:
-            t, w = tails[e], heads[e]
-            row = tuple([heads[f] for f in out_adj[t] if not h3m[f]])
-            near_out[t] = row if len(row) < len(out_adj[t]) else self._g3_out[t]
-            row = tuple([tails[f] for f in in_adj[w] if not h3m[f]])
-            near_in[w] = row if len(row) < len(in_adj[w]) else self._g3_in[w]
 
     # --- tree growth --------------------------------------------------------
 
@@ -212,7 +198,8 @@ class RoutingEngine:
         dequeued vertex each in turn, and check their vertex and depth budgets.
 
         A tree that discovers a vertex of the other, or a vertex with a free
-        G3 edge to (out-tree) or from (in-tree) the other, ends there, and
+        G3 edge to (out-tree) or from (in-tree) the other (its fixed G3 row
+        hits a key, and `link_out` or `link_in` confirms), ends there, and
         so does the other. A tree that ends unmet leaves the other to grow
         alone, and must reach `bfs_vertex_cap` vertices. BFS makes a tree's
         last key its deepest. A tree stopped at the meeting is dropped
@@ -222,24 +209,18 @@ class RoutingEngine:
         """
         prof = self.profile
         cap = prof.bfs_vertex_cap  # a derived property: read it once
-        near_out, near_in = self.near_out, self.near_in
         edges_a, par_a, edges_b, par_b = [], {a: None}, [], {b: None}
-        grow_a = self.out_oracle.grow_tree(par_a, edges_a, par_b, cap, prof.fanout, near_out)
-        grow_b = self.in_oracle.grow_tree(par_b, edges_b, par_a, cap, prof.fanout, near_in)
+        grow_a = self.out_oracle.grow_tree(par_a, edges_a, par_b, cap, prof.fanout, self.g3_out, self.link_out)
+        grow_b = self.in_oracle.grow_tree(par_b, edges_b, par_a, cap, prof.fanout, self.g3_in, self.link_in)
         # zip stops when the first tree ends; a tree that met ended at its
         # last key, else the other goes on alone
         for _ in zip(grow_a, grow_b):
             pass
-        last_a, last_b = next(reversed(par_a)), next(reversed(par_b))
-        if (
-            last_a not in par_b
-            and last_b not in par_a
-            and par_b.keys().isdisjoint(near_out[last_a])
-            and par_a.keys().isdisjoint(near_in[last_b])
-        ):
+        meet = self._meeting(par_a, par_b)
+        if meet is None:
             for _ in chain(grow_a, grow_b):
                 pass
-        meet = self._meeting(par_a, par_b)
+            meet = self._meeting(par_a, par_b)
         for parent in (par_a, par_b):
             if meet is None and len(parent) < cap:
                 raise ExpansionViolation("tree growth stalled at %d of %d vertices" % (len(parent), cap))
@@ -252,22 +233,34 @@ class RoutingEngine:
         """Where the trees met, as (entry, exit, connector edges), or None.
 
         A tree that met ends at its last key. A shared vertex wins, with
-        no connector; else the first free G3 edge in adjacency order out
-        of the out-tree's last key into the in-tree, then out of the
-        out-tree into the in-tree's last key.
+        no connector; else `link_out`'s free G3 edge out of the out-tree's
+        last key into the in-tree, then `link_in`'s out of the out-tree
+        into the in-tree's last key.
         """
         last_a, last_b = next(reversed(par_a)), next(reversed(par_b))
         if last_a in par_b:
             return last_a, last_a, []
         if last_b in par_a:
             return last_b, last_b, []
-        g3, h3m = self.split.g3, self.h3.member
-        for e in g3.out_adj[last_a]:
-            if not h3m[e] and g3.heads[e] in par_b:
-                return last_a, g3.heads[e], [e]
-        for e in g3.in_adj[last_b]:
-            if not h3m[e] and g3.tails[e] in par_a:
-                return g3.tails[e], last_b, [e]
+        e = self.link_out(last_a, par_b)
+        if e is not None:
+            return last_a, self.split.g3.heads[e], [e]
+        e = self.link_in(last_b, par_a)
+        if e is not None:
+            return self.split.g3.tails[e], last_b, [e]
+        return None
+
+    def _free_g3_edge(self, rows, adj, ends, w, keys):
+        """The first G3 edge in adjacency order of `adj[w]` that H3 does not
+        hold and whose end in `ends` (listed in `rows[w]`, tested first in
+        C) is a key of the dict `keys`, or None. The one home of the rule
+        by which the trees meet through G3."""
+        if keys.keys().isdisjoint(rows[w]):
+            return None
+        h3m = self.h3.member
+        for e in adj[w]:
+            if not h3m[e] and ends[e] in keys:
+                return e
         return None
 
     @staticmethod
@@ -336,9 +329,7 @@ class RoutingEngine:
 
         O(stored path length) plus the two oracle audits; each membership
         list is read once in C and the per-vertex scan runs only when a
-        C-level check over the counter lists fails. The near tuples are
-        rebuilt at the ends of each H3 edge and compared whole, in C,
-        with the rest of the full G3 rows.
+        C-level check over the counter lists fails.
         """
         findings = []
         prof = self.profile
@@ -360,16 +351,6 @@ class RoutingEngine:
                 findings.append("%s: an edge appears in two stored paths" % name)
             elif sorted(union) != ids:
                 findings.append("%s differs from the union of stored %s" % (name, what))
-
-        near_out, near_in = list(self._g3_out), list(self._g3_in)
-        self._renear(member_ids[2], near_out, near_in)
-        for name, expected, kept in (
-            ("near_out", near_out, self.near_out),
-            ("near_in", near_in, self.near_in),
-        ):
-            if expected != kept:
-                v = next(v for v in range(self.n) if expected[v] != kept[v])
-                findings.append("%s at vertex %d is not its free G3 row" % (name, v))
 
         host_ids = []
         for rec in recs:

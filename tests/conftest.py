@@ -87,11 +87,12 @@ def one_vertex_tree(orc, v):
     return edges
 
 
-def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None, near=None):
+def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None, near=None, link=None):
     """`EdgeOracle.grow_tree` spelled out with one one-vertex tree per edge,
     inside the caller's request log, over at most `steps` dequeued vertices
     (the resumes before it is dropped). A discovered vertex w meets when
-    it is in `meet` or `near[w]` holds one of `meet`."""
+    it is in `meet`, or `near[w]` holds one of `meet` and `link(w, meet)`
+    is not None."""
     parent = {root: None}
     edges = []
     q = deque([root])
@@ -107,7 +108,11 @@ def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None, near
             w = orc.host.heads[e]
             if w not in parent:
                 parent[w] = (u, e)
-                if w in meet or (near is not None and any(x in meet for x in near[w])):
+                if w in meet or (
+                    near is not None
+                    and any(x in meet for x in near[w])
+                    and link(w, meet) is not None
+                ):
                     return edges, parent
                 q.append(w)
     return edges, parent

@@ -127,15 +127,6 @@ def reference_verify(eng):
         findings.append("H3: an edge appears in two stored paths")
     elif sorted(union3) != reference_members(eng.h3):
         findings.append("H3 differs from the union of stored middle segments")
-    g3 = eng.split.g3
-    for name, rows, ends, kept in (
-        ("near_out", g3.out_adj, g3.heads, eng.near_out),
-        ("near_in", g3.in_adj, g3.tails, eng.near_in),
-    ):
-        for v in range(eng.n):
-            if kept[v] != tuple(ends[e] for e in rows[v] if not eng.h3.member[e]):
-                findings.append("%s at vertex %d is not its free G3 row" % (name, v))
-                break
     host_ids = []
     for rec in recs:
         host_ids.extend(eng.split.g1_host[e] for e in rec.seg_a)
@@ -425,14 +416,6 @@ def h3_edge_dropped(eng):
     eng.h3.member[rec.seg_mid[0]] = 0
 
 
-def stale_near_out(eng):
-    # the entry at a middle segment's tail as it was before H3 took the edge
-    g3 = eng.split.g3
-    rec = next(r for r in eng.ledger.paths.values() if r.seg_mid)
-    t = g3.tails[rec.seg_mid[0]]
-    eng.near_out[t] = tuple(g3.heads[e] for e in g3.out_adj[t])
-
-
 def r_below_live_count(eng):
     eng.profile = dataclasses.replace(eng.profile, r=len(eng.ledger.paths) - 1)
 
@@ -453,7 +436,6 @@ ENGINE_CORRUPTIONS = [
     out_oracle_sat_planted,
     in_oracle_h_bit_without_counters,
     h3_edge_dropped,
-    stale_near_out,
     r_below_live_count,
     low_claim_broken_under_strict_profile,
 ]
@@ -462,7 +444,6 @@ ENGINE_COMBINATIONS = [
     (h1_imbalance, pe_off_by_one),
     (h2_imbalance, h1_in_degree_over_cap, out_oracle_sat_planted),
     (ps_off_by_one, in_oracle_h_bit_without_counters, h3_edge_dropped),
-    (h1_imbalance, stale_near_out),
 ]
 
 
@@ -489,8 +470,6 @@ def test_verify_matches_reference_on_corruptions(corruptions):
     assert eng.verify().findings == findings
     if low_claim_broken_under_strict_profile in corruptions:
         assert "out-oracle: |Low|=5 is not below beta*n/12=5" in findings
-    if stale_near_out in corruptions:
-        assert any(f.startswith("near_out at vertex") for f in findings)
     if r_below_live_count in corruptions:
         count = len(eng.ledger.paths)
         assert "live path count %d exceeds the volume cap r=%d" % (count, count - 1) in findings

@@ -161,6 +161,14 @@ def test_lambda_needs_an_iteration(k4, max_iters):
         estimate_second_eigenvalue(k4, max_iters=max_iters)
 
 
+@pytest.mark.parametrize("tol", [float("inf"), 1.0, 0.0, -1.0, float("nan")])
+def test_lambda_needs_a_tolerance_in_the_open_unit_interval(k4, tol):
+    # tol >= 1 reported convergence after one iteration far from lambda
+    # and certified from it; tol <= 0 or nan ran every iteration unmet
+    with pytest.raises(CallerError, match="0 < tol < 1"):
+        estimate_second_eigenvalue(k4, tol=tol)
+
+
 def test_lambda_bipartite_deflation():
     k33 = UndirectedGraph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
     assert is_bipartite(k33) is not None

@@ -20,6 +20,7 @@ from expander_routing.harness import (
     parse_trace,
     run_trace,
 )
+from expander_routing.preprocess import eulerian_orient
 from expander_routing.profiles import derive_profile, desk_profile, format_profile, load_profile
 from expander_routing.router import RoutingEngine
 
@@ -146,6 +147,14 @@ def test_fill_of_zero_is_empty():
 def test_fill_must_stay_below_volume_cap():
     with pytest.raises(CallerError):
         gen_workload("fill", 50, {"count": 10}, 1, 2, 10)
+
+
+@pytest.mark.parametrize("kind", ["churn", "hotspot"])
+@pytest.mark.parametrize("live_target", [12, 1000])
+def test_live_target_at_or_over_r_is_refused(kind, live_target):
+    # hotspot used to clamp such a target to r - 1 without a word
+    with pytest.raises(CallerError, match="^%s live_target must stay below r=12$" % kind):
+        gen_workload(kind, 80, {"ops": 50, "live_target": live_target}, 1, 3, 12)
 
 
 def test_hotspot_rotates_before_the_cap():
@@ -331,6 +340,38 @@ def test_cli_gen_workload_refuses_a_negative_size(tmp_path, capsys, option):
     assert not (tmp_path / "t.txt").exists()
 
 
+@pytest.mark.parametrize("graph,source", [
+    ("directed", ["--desk"]),
+    ("undirected", ["--profile", "p31.txt"]),
+    ("undirected", ["--profile", "p600.txt"]),
+], ids=["directed-desk", "other-d", "other-n"])
+def test_cli_gen_workload_refuses_what_run_refuses(tmp_path, capsys, graph, source):
+    # a trace for a graph and profile that `route run` refuses would be
+    # written and exit 0: here it is the same usage error, exit 2
+    g = gen_random_regular_graph(300, 30, seed=3)
+    save_graph(tmp_path / "undirected.txt", g)
+    save_graph(tmp_path / "directed.txt", eulerian_orient(g))
+    save_profile(tmp_path / "p31.txt", desk_profile(300, 31))
+    save_profile(tmp_path / "p600.txt", desk_profile(600, 30))
+    source = [str(tmp_path / a) if a.endswith(".txt") else a for a in source]
+    graph_args = ["--graph", str(tmp_path / (graph + ".txt"))]
+    for argv in (
+        ["gen-workload", *graph_args, *source, "--kind", "churn", "--seed", "1",
+         "--ops", "20", "--out", str(tmp_path / "t.txt")],
+        ["run", *graph_args, *source, "--trace", str(tmp_path / "none.txt")],
+        ["preprocess", graph_args[1], str(tmp_path / "s"), *source],
+    ):
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        expected = (
+            "error: %s expects an undirected graph file\n" % argv[0] if graph == "directed"
+            else "error: profile is for"
+        )
+        assert err.startswith(expected)
+    assert not (tmp_path / "t.txt").exists() and not (tmp_path / "s.header").exists()
+
+
 def test_cli_run_flags_failures(tmp_path, capsys):
     graph_path = tmp_path / "g.txt"
     save_graph(graph_path, gen_random_regular_graph(150, 30, seed=3))
@@ -388,6 +429,26 @@ def test_cli_spectrum_needs_an_iteration(tmp_path, capsys, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --max-iters: must be at least 1, got %s" % value in captured.err
+
+
+@pytest.mark.parametrize("value,message", [
+    ("inf", "not a ratio: 'inf'"),
+    ("nan", "not a ratio: 'nan'"),
+    ("1", "must lie in (0, 1), got 1"),
+    ("0", "must lie in (0, 1), got 0"),
+    ("-1", "must lie in (0, 1), got -1"),
+])
+def test_cli_spectrum_needs_a_tolerance_below_one_and_above_zero(tmp_path, capsys, value, message):
+    # --tol inf reported "converged" after one iteration, with lambda near
+    # 1.89 on a graph whose lambda is 4.28, and certified gamma from it
+    graph_path = tmp_path / "g.txt"
+    save_graph(graph_path, gen_random_regular_graph(12, 3, seed=0))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["spectrum", "--graph", str(graph_path), "--tol", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --tol: %s" % message in captured.err
 
 
 @pytest.mark.parametrize("desk", [["--desk"], []])

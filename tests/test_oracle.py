@@ -558,12 +558,18 @@ class Forced(Exception):
     """Raised inside a request log to make it roll back."""
 
 
-def _grown(orc, root, vertex_cap, fanout, meet=(), steps=None, near=None):
+def _confirmer(confirmed):
+    """A `grow_tree` link that confirms a row hit at the vertices of
+    `confirmed` only, as a router confirms one against H3."""
+    return lambda w, keys: 0 if w in confirmed else None
+
+
+def _grown(orc, root, vertex_cap, fanout, meet=(), steps=None, near=None, link=None):
     """(edges, parent, log) of a tree grown by `grow_tree` in a fresh log,
     resumed `steps` times (to its end when None) and then dropped."""
     edges, parent = [], {root: None}
     with orc.request_log():
-        drive(orc.grow_tree(parent, edges, dict.fromkeys(meet), vertex_cap, fanout, near), steps)
+        drive(orc.grow_tree(parent, edges, dict.fromkeys(meet), vertex_cap, fanout, near, link), steps)
         return edges, parent, list(orc._undo)
 
 
@@ -700,19 +706,20 @@ class OracleMachine(RuleBasedStateMachine):
         near=st.none() | st.lists(
             st.lists(MACHINE_VERTICES, max_size=3).map(tuple), min_size=40, max_size=40
         ),
+        link=st.sets(MACHINE_VERTICES).map(_confirmer),
         steps=st.none() | st.integers(0, 8),
         data=st.data(),
     )
-    def grow_and_hand_back(self, root, vertex_cap, fanout, meet, near, steps, data):
+    def grow_and_hand_back(self, root, vertex_cap, fanout, meet, near, link, steps, data):
         # a find's tree: grown inside a log, resumed `steps` times (to its
         # end when None) and dropped, then all but a kept subset released
         # after the log closes; the same tree grown one one-vertex tree per
         # edge on a copy must match it edge for edge, and a tree that
-        # discovered a vertex of `meet`, or one whose `near` row holds one,
-        # ends there
+        # discovered a vertex of `meet`, or one whose `near` row holds one
+        # and `link` confirms, ends there
         ref = copy.deepcopy(self.orc)
         before = self._state()
-        args = root, vertex_cap, fanout, meet, steps, near
+        args = root, vertex_cap, fanout, meet, steps, near, link
         try:
             edges, parent, _ = _grown(self.orc, *args)
         except ExpansionViolation:
@@ -724,7 +731,10 @@ class OracleMachine(RuleBasedStateMachine):
             return
         met = [
             v for v in parent
-            if v != root and (v in meet or (near is not None and not meet.isdisjoint(near[v])))
+            if v != root and (
+                v in meet
+                or (near is not None and not meet.isdisjoint(near[v]) and link(v, meet) is not None)
+            )
         ]
         assert met in ([], [next(reversed(parent))])
         assert len(edges) <= fanout * vertex_cap

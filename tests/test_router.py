@@ -202,10 +202,10 @@ def test_met_tree_skips_the_stall_check_but_not_the_depth_check(probe_trees):
     assert eng.verify().ok
 
 
-def _alone(oracle, root, caps, meet=(), steps=None, near=None):
+def _alone(oracle, root, caps, meet=(), steps=None, near=None, link=None):
     """The tree `oracle` grows alone by single adds, on a copy."""
     with copy.deepcopy(oracle).request_log() as orc:
-        return tree_by_single_adds(orc, root, *caps, meet, steps, near)
+        return tree_by_single_adds(orc, root, *caps, meet, steps, near, link)
 
 
 def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
@@ -233,8 +233,8 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
         probe = probe_trees(eng, a, b)
         meet = probe["meet"]
         sides = (
-            (eng.out_oracle, a, probe["out"], eng.near_out),
-            (eng.in_oracle, b, probe["in"], eng.near_in),
+            (eng.out_oracle, a, probe["out"], (eng.g3_out, eng.link_out)),
+            (eng.in_oracle, b, probe["in"], (eng.g3_in, eng.link_in)),
         )
         for oracle, root, (edges, parent), _ in sides:
             full_edges, full_parent = _alone(oracle, root, caps)
@@ -259,7 +259,7 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
             assert (g3.tails[e], g3.heads[e]) == (entry, exit_)
             assert entry in par_a and exit_ in par_b
         schedules = []
-        for (m_orc, m_root, m_tree, m_near), (o_orc, o_root, o_tree, _), lag in (
+        for (m_orc, m_root, m_tree, m_rows), (o_orc, o_root, o_tree, _), lag in (
             (sides[0], sides[1], 1),
             (sides[1], sides[0], 0),
         ):
@@ -269,7 +269,7 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
                 continue  # a root is never discovered
             turns = list(m_parent).index(m_parent[last][0]) + 1
             schedules.append(
-                _alone(m_orc, m_root, caps, set(o_tree[1]), near=m_near) == m_tree
+                _alone(m_orc, m_root, caps, dict.fromkeys(o_tree[1]), None, *m_rows) == m_tree
                 and _alone(o_orc, o_root, caps, steps=turns - lag) == o_tree
             )
         assert any(schedules)
@@ -284,8 +284,8 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
 
 def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
     # trees that met through G3 edge e grow past that point once H3 holds
-    # e, as a live path's middle segment would: e leaves the near tuples
-    # of both its endpoints, and neither tree nor `_meeting` takes it
+    # e, as a live path's middle segment would: e's ends stay in the fixed
+    # G3 rows, but neither confirmation nor `_meeting` takes e
     eng = small_engine(n=600, d=30, seed=11)
     g3 = eng.split.g3
     rng = random.Random(4)
@@ -299,9 +299,12 @@ def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
     [e] = probe["meet"][2]
     t, w = g3.tails[e], g3.heads[e]
     parallel = [f for f in g3.out_adj[t] if g3.heads[f] == w and f != e]
+    assert e in (eng.link_out(t, {w: None}), eng.link_in(w, {t: None}))
     eng.h3.add(e)
-    eng._renear([e], eng.near_out, eng.near_in)
-    assert eng.near_out[t].count(w) == len(parallel) == eng.near_in[w].count(t)
+    assert w in eng.g3_out[t] and t in eng.g3_in[w]
+    for link, v, u in ((eng.link_out, t, w), (eng.link_in, w, t)):
+        found = link(v, {u: None})
+        assert found != e and (found is None) == (not parallel)
     par_a, par_b = probe["out"][1], probe["in"][1]
     assert eng._meeting(par_a, par_b) in (None, (t, w, parallel[:1]))
     again = probe_trees(eng, a, b)
@@ -309,24 +312,7 @@ def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
     if not parallel:
         assert len(again["out"][1]) + len(again["in"][1]) > len(par_a) + len(par_b)
     eng.h3.remove(e)
-    eng._renear([e], eng.near_out, eng.near_in)
     assert probe_trees(eng, a, b) == probe
-    assert eng.verify().ok
-
-
-def test_near_tuples_return_to_the_full_rows_when_every_path_is_gone():
-    eng = small_engine(n=240, d=30, seed=23)
-    prof = eng.profile
-    fresh = list(eng.near_out), list(eng.near_in)
-    cmds = gen_workload(
-        "churn", eng.n, {"ops": 300, "live_target": prof.r // 2}, 5,
-        prof.endpoint_cap, prof.r,
-    )
-    assert run_trace(eng, cmds, verify_every=1).failures == []
-    assert len(eng.h3) and (eng.near_out, eng.near_in) != fresh
-    for path_id in list(eng.ledger.paths):
-        eng.remove_path(path_id)
-    assert (eng.near_out, eng.near_in) == fresh
     assert eng.verify().ok
 
 
