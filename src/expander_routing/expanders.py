@@ -96,12 +96,14 @@ def check_expansion_exhaustive(g, beta, gamma, max_subset_size, budget=500_000):
     edges, larger sets up to half the graph at most d*|S|/3. Directions
     are ignored for digraphs (each arc counts once, degree doubles).
     Returns the first violating subset as a witness. A max_subset_size
-    below 1 would check nothing, so it is refused.
+    below 1 or a beta <= 0 checks no small set, a gamma < 0 no bound: refused.
     """
     if max_subset_size < 1:
         raise CallerError("max_subset_size must be at least 1, got %d" % max_subset_size)
     beta = Fraction(beta)
     gamma = Fraction(gamma)
+    if beta <= 0 or gamma < 0:
+        raise CallerError("need beta > 0 and gamma >= 0, got beta=%s, gamma=%s" % (beta, gamma))
     pairs, deg = _edge_pairs(g)
     n = g.n
     limit = min(max_subset_size, n // 2)

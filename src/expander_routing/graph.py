@@ -113,24 +113,33 @@ class UndirectedGraph:
         return "UndirectedGraph(n=%d, m=%d)" % (self.n, self.m)
 
 
+def positions(flags, value=1):
+    """Ascending indices of `value` in the bytearray `flags`, one C `find` each."""
+    found = []
+    i = -1
+    while (i := flags.find(value, i + 1)) >= 0:
+        found.append(i)
+    return found
+
+
 class EdgeSubset:
     """Dynamic subset of a fixed digraph's edges.
 
     O(1) membership plus per-vertex in/out counters that stay consistent
     with the member set; `recount` rebuilds them from scratch for audits.
-    `member[e]` is the subset's `tag` when e is in it and 0 when e is in
-    no subset. Subsets that share one `member` list with distinct tags are
-    disjoint by construction: `add` refuses an edge any of them holds, and
-    `remove` one that does not carry this subset's tag, which catches
-    bookkeeping bugs early instead of corrupting counters. With
-    `member=None` the subset keeps a list of its own.
+    `member` is a bytearray: `member[e]` is the subset's `tag` when e is
+    in it and 0 when e is in no subset. Subsets that share one `member`
+    array with distinct tags are disjoint by construction: `add` refuses
+    an edge any of them holds, and `remove` one that does not carry this
+    subset's tag, which catches bookkeeping bugs early instead of
+    corrupting counters. With `member=None` the subset keeps its own.
     """
 
     __slots__ = ("owner", "member", "tag", "out_deg", "in_deg", "_size")
 
     def __init__(self, owner: Digraph, member=None, tag=1):
         self.owner = owner
-        self.member = [0] * owner.m if member is None else member
+        self.member = bytearray(owner.m) if member is None else member
         self.tag = tag
         self.out_deg = [0] * owner.n
         self.in_deg = [0] * owner.n
@@ -156,15 +165,8 @@ class EdgeSubset:
         return self._size
 
     def members(self):
-        """Member edge ids in ascending order: one C scan of a copy of the
-        member list for this subset's tag, then O(|members|)."""
-        tags = bytearray(self.member)
-        tag = self.tag
-        ids = []
-        e = -1
-        while (e := tags.find(tag, e + 1)) >= 0:
-            ids.append(e)
-        return ids
+        """Member edge ids in ascending order: `positions` of the tag."""
+        return positions(self.member, self.tag)
 
     def recount(self, ids):
         """Recompute (out_deg, in_deg, size) from the member ids (`members()`)."""

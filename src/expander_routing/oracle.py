@@ -11,10 +11,11 @@ removals. It maintains:
   Low  vertices most of whose out-neighbourhood saturated; their future
        requests are served from B stock.
 
-Each host edge is in exactly one of three states, kept in one list,
+Each host edge is in exactly one of three states, kept in one bytearray,
 `state`: 0 free, 1 in H, 2 in B. `h` and `b` are EdgeSubsets that share
-it as their member list with tags 1 and 2, so H and B are disjoint by
-construction and every membership test is one read of `state[e]`.
+it as their member array with tags 1 and 2, so H and B are disjoint by
+construction and every membership test is one read of `state[e]`. Sat
+and Low are bytearrays too, so `audit` pays for the live state, not n.
 
 When a vertex joins Low its buffer is topped up to the out-degree cap by
 alternating walks: chains that alternate free host edges (traversed
@@ -61,10 +62,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 from math import ceil
-from operator import add, ge, gt, ne
+from operator import ne
 
 from .errors import CallerError, ExpansionViolation
-from .graph import Digraph, EdgeSubset
+from .graph import Digraph, EdgeSubset, positions
 from .profiles import OracleProfile
 
 
@@ -73,11 +74,13 @@ class Findings:
     """What an audit or a verify found; no findings means clean.
 
     An oracle audit also reports |Low| as `low_count`, which
-    `RoutingEngine.verify` checks against beta*n/12 under strict profiles.
+    `RoutingEngine.verify` checks against beta*n/12 under strict profiles,
+    and the vertices its per-vertex rules looped over as `vertices`.
     """
 
     findings: list
     low_count: int | None = None
+    vertices: range | list | None = None
 
     @property
     def ok(self):
@@ -90,12 +93,12 @@ class EdgeOracle:
             raise CallerError("host is not regular")
         self.host = host
         self.profile = profile
-        # state[e]: 0 free, 1 in H, 2 in B (the member list of both subsets)
-        self.state = [0] * host.m
+        # state[e]: 0 free, 1 in H, 2 in B (the member array of both subsets)
+        self.state = bytearray(host.m)
         self.h = EdgeSubset(host, self.state, 1)
         self.b = EdgeSubset(host, self.state, 2)
-        self.sat = [False] * host.n
-        self.low = [False] * host.n
+        self.sat = bytearray(host.n)
+        self.low = bytearray(host.n)
         # sat_out[v] = number of host out-edges of v whose head is saturated
         self.sat_out = [0] * host.n
         # in_tails[w] = the tails of w's in-edges, the sat_out entries w moves
@@ -108,6 +111,9 @@ class EdgeOracle:
         # integer thresholds: an integer x reaches a Fraction t iff x >= ceil(t)
         self._sat_min = ceil(profile.sat_threshold)
         self._low_min = ceil(profile.low_threshold)
+        # audit counts on in_F, out_F and sat_out being 0 at an untouched vertex
+        if min(self._sat_min, self._low_min) < 1 or min(profile.out_cap, profile.in_cap) < 0:
+            raise CallerError("oracle thresholds must be positive and caps at least 0")
         # vertices whose sat_out crossed a threshold and await (de)promotion
         self._low_pending = set()
         self._drop_pending = set()
@@ -131,7 +137,7 @@ class EdgeOracle:
         self._undo.append(("b-", e))
 
     def _sat_add(self, w):
-        self.sat[w] = True
+        self.sat[w] = 1
         sat_out, low, low_min = self.sat_out, self.low, self._low_min
         for u in self._in_tails[w]:
             sat_out[u] += 1
@@ -140,7 +146,7 @@ class EdgeOracle:
         self._undo.append(("s+", w))
 
     def _sat_remove(self, w):
-        self.sat[w] = False
+        self.sat[w] = 0
         sat_out, low, low_min = self.sat_out, self.low, self._low_min
         for u in self._in_tails[w]:
             sat_out[u] -= 1
@@ -183,7 +189,7 @@ class EdgeOracle:
             elif op == "s+":
                 self._sat_remove(arg)
             else:  # "l+"
-                self.low[arg] = False
+                self.low[arg] = 0
         log.clear()
         self._low_pending.clear()
         self._drop_pending.clear()
@@ -333,7 +339,7 @@ class EdgeOracle:
             # pending stays eligible: in an add sat_out only rises, only here sets Low
             x = min(pending)
             pending.remove(x)
-            self.low[x] = True
+            self.low[x] = 1
             self._undo.append(("l+", x))
             self.low_additions += 1
             while h.out_deg[x] + b.out_deg[x] < out_cap:
@@ -435,7 +441,7 @@ class EdgeOracle:
                 if state[e] == 2:
                     self.b.remove(e)
                     touched.add(self.host.heads[e])
-            self.low[x] = False
+            self.low[x] = 0
             for y in sorted(touched):
                 if self.sat[y] and h_in[y] + b_in[y] < self._sat_min:
                     self._sat_remove(y)
@@ -446,79 +452,94 @@ class EdgeOracle:
         """Recompute all state from the edge states and report every violation.
 
         `h_ids` is `h.members()`, which the caller (`RoutingEngine.verify`)
-        already holds, so `state` is scanned once per subset. Then O(|H| +
-        |B|) plus C-level passes over n: per-vertex rules are looped over
-        only at vertices that can break them (Sat, Low, holding B stock,
-        or over a cap). H and B cannot overlap: an edge has one state.
-        |H| needs no rule of its own: by pigeonhole, |H| > n * in_cap
+        already holds. Counter lists are compared whole with their recounts,
+        in C. While they agree, in_F and out_F are 0 off the ends of H and B
+        edges, so the per-vertex rules loop over those ends and the Sat and
+        Low ids, O(|H| + |B| + |Sat| + |Low|); else over every vertex. Sat
+        and Low are recomputed sparsely and compared by memcmp; a mismatch
+        loops over the ones of both arrays, since a Low flag can fall due
+        where no H or B edge ends. H and B cannot overlap: an edge has one
+        state. |H| needs no rule of its own: by pigeonhole, |H| > n * in_cap
         puts some in_F over in_cap, which the per-vertex rule reports.
         """
         findings = []
-        n = self.host.n
+        host, n = self.host, self.host.n
         prof = self.profile
-        b_ids = self.b.members()
-        for name, sub, ids in (("H", self.h, h_ids), ("B", self.b, b_ids)):
+        h, b, sat, low, sat_out = self.h, self.b, self.sat, self.low, self.sat_out
+        b_ids = b.members()
+        agree = True
+        for name, sub, ids in (("H", h, h_ids), ("B", b, b_ids)):
             out_deg, in_deg, size = sub.recount(ids)
-            if out_deg != sub.out_deg:
-                findings.append("%s out-degree counters disagree with recount" % name)
-            if in_deg != sub.in_deg:
-                findings.append("%s in-degree counters disagree with recount" % name)
+            for side, ok in (("out", out_deg == sub.out_deg), ("in", in_deg == sub.in_deg)):
+                if not ok:
+                    findings.append("%s %s-degree counters disagree with recount" % (name, side))
+                    agree = False
             if size != len(sub):
                 findings.append("%s size %d != recounted %d" % (name, len(sub), size))
-        in_f = list(map(add, self.h.in_deg, self.b.in_deg))
-        out_f = list(map(add, self.h.out_deg, self.b.out_deg))
-        sat_ids = list(compress(range(n), self.sat))
-        low_ids = list(compress(range(n), self.low))
-        sat_out_maintained = self._sat_out_from(sat_ids)
-        sat_expected = list(map(ge, in_f, repeat(self._sat_min)))
+        sat_ids, low_ids = positions(sat), positions(low)
+        vertices = range(n)
+        if agree:
+            ends = (map(end.__getitem__, ids) for end in (host.tails, host.heads) for ids in (h_ids, b_ids))
+            vertices = sorted(set(sat_ids).union(low_ids, *ends))
+        h_in, b_in, h_out, b_out = h.in_deg, b.in_deg, h.out_deg, b.out_deg
+        sat_min, low_min = self._sat_min, self._low_min
+        sat_expected = bytearray(n)
+        for v in vertices:
+            if h_in[v] + b_in[v] >= sat_min:
+                sat_expected[v] = 1
+        sat_out_maintained, low_expected = self._sat_out_from(sat_ids)
         sat_out_expected = sat_out_maintained
-        if sat_expected != self.sat:
-            for v in compress(range(n), map(ne, self.sat, sat_expected)):
-                findings.append(
-                    "Sat mismatch at %d: maintained=%s recomputed=%s (in_F=%d)"
-                    % (v, self.sat[v], sat_expected[v], in_f[v])
-                )
-            sat_out_expected = self._sat_out_from(compress(range(n), sat_expected))
-        low_expected = list(map(ge, sat_out_expected, repeat(self._low_min)))
-        if low_expected != self.low:
-            for v in compress(range(n), map(ne, self.low, low_expected)):
-                findings.append(
-                    "Low mismatch at %d: maintained=%s recomputed=%s (sat_out=%d)"
-                    % (v, self.low[v], low_expected[v], sat_out_expected[v])
-                )
+        if sat_expected != sat:
+            for v in sorted(set(sat_ids).union(positions(sat_expected))):
+                if sat[v] != sat_expected[v]:
+                    findings.append(
+                        "Sat mismatch at %d: maintained=%s recomputed=%s (in_F=%d)"
+                        % (v, bool(sat[v]), bool(sat_expected[v]), h_in[v] + b_in[v])
+                    )
+            sat_out_expected, low_expected = self._sat_out_from(positions(sat_expected))
+        if low_expected != low:
+            for v in sorted(set(low_ids).union(positions(low_expected))):
+                if low[v] != low_expected[v]:
+                    findings.append(
+                        "Low mismatch at %d: maintained=%s recomputed=%s (sat_out=%d)"
+                        % (v, bool(low[v]), bool(low_expected[v]), sat_out_expected[v])
+                    )
+        out_cap, in_cap = prof.out_cap, prof.in_cap
         for v in low_ids:
-            if out_f[v] != prof.out_cap:
+            if h_out[v] + b_out[v] != out_cap:
                 findings.append(
                     "buffered vertex %d has out_F=%d, expected the cap %d"
-                    % (v, out_f[v], prof.out_cap)
+                    % (v, h_out[v] + b_out[v], out_cap)
                 )
-        if sat_out_maintained != self.sat_out:
-            bad = next(compress(range(n), map(ne, sat_out_maintained, self.sat_out)))
+        if sat_out_maintained != sat_out:
+            bad = next(compress(range(n), map(ne, sat_out_maintained, sat_out)))
             findings.append(
                 "sat_out counter at %d: maintained=%d recomputed=%d"
-                % (bad, self.sat_out[bad], sat_out_maintained[bad])
+                % (bad, sat_out[bad], sat_out_maintained[bad])
             )
-        suspects = set(sat_ids).union(low_ids, compress(range(n), self.b.out_deg))
-        for f, cap in ((out_f, prof.out_cap), (in_f, prof.in_cap)):
-            if max(f, default=cap) > cap:
-                suspects.update(compress(range(n), map(gt, f, repeat(cap))))
-        for v in sorted(suspects):
-            if self.sat[v] and in_f[v] < self._sat_min:
-                findings.append("saturated vertex %d has in_F=%d below threshold" % (v, in_f[v]))
-            if self.low[v] and self.sat_out[v] < self._low_min:
-                findings.append("buffered vertex %d has sat_out=%d below threshold" % (v, self.sat_out[v]))
-            if not self.low[v] and self.b.out_deg[v] != 0:
+        for v in vertices:
+            in_f, out_f = h_in[v] + b_in[v], h_out[v] + b_out[v]
+            if sat[v] and in_f < sat_min:
+                findings.append("saturated vertex %d has in_F=%d below threshold" % (v, in_f))
+            if low[v] and sat_out[v] < low_min:
+                findings.append("buffered vertex %d has sat_out=%d below threshold" % (v, sat_out[v]))
+            if not low[v] and b_out[v] != 0:
                 findings.append("vertex %d holds buffer stock without being buffered" % v)
-            if out_f[v] > prof.out_cap:
-                findings.append("out_F(%d)=%d exceeds cap %d" % (v, out_f[v], prof.out_cap))
-            if in_f[v] > prof.in_cap:
-                findings.append("in_F(%d)=%d exceeds cap %d" % (v, in_f[v], prof.in_cap))
-        return Findings(findings, low_count=len(low_ids))
+            if out_f > out_cap:
+                findings.append("out_F(%d)=%d exceeds cap %d" % (v, out_f, out_cap))
+            if in_f > in_cap:
+                findings.append("in_F(%d)=%d exceeds cap %d" % (v, in_f, in_cap))
+        return Findings(findings, low_count=len(low_ids), vertices=vertices)
 
     def _sat_out_from(self, heads):
-        """sat_out recounted as if exactly `heads` were saturated."""
+        """sat_out recounted as if exactly `heads` were saturated, and the
+        Low flags (a bytearray) that count implies."""
         sat_out = [0] * self.host.n
+        low = bytearray(self.host.n)
+        low_min = self._low_min
         for w in heads:
-            for e in self.host.in_adj[w]:
-                sat_out[self.host.tails[e]] += 1
-        return sat_out
+            for u in self._in_tails[w]:
+                sat_out[u] += 1
+                if sat_out[u] >= low_min:
+                    low[u] = 1
+        return sat_out, low

@@ -3,8 +3,10 @@
 `reference_audit` and `reference_verify` are the straightforward
 implementations that scan every edge and every vertex in Python. The
 shipped `EdgeOracle.audit` and `RoutingEngine.verify` scan each member
-list once per subset and otherwise look only at live edges and suspect
-vertices; on every planted corruption, alone or combined, both must
+array once per subset and, while every counter equals its recount, look
+only at the live edges and the vertices they touch, plus the Sat and Low
+ids; once a counter is off they look at every vertex. On every planted
+corruption, alone or combined, and on drawn engine states, both must
 report the same findings in the same order.
 """
 
@@ -13,6 +15,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import oriented_host
 from expander_routing.errors import CallerError, ExpansionViolation
@@ -70,13 +74,13 @@ def reference_audit(orc, quiescent=True):
             if orc.sat[v] != sat_expected[v]:
                 findings.append(
                     "Sat mismatch at %d: maintained=%s recomputed=%s (in_F=%d)"
-                    % (v, orc.sat[v], sat_expected[v], in_f[v])
+                    % (v, bool(orc.sat[v]), sat_expected[v], in_f[v])
                 )
         for v in range(n):
             if orc.low[v] != low_expected[v]:
                 findings.append(
                     "Low mismatch at %d: maintained=%s recomputed=%s (sat_out=%d)"
-                    % (v, orc.low[v], low_expected[v], sat_out_expected[v])
+                    % (v, bool(orc.low[v]), low_expected[v], sat_out_expected[v])
                 )
         for v in range(n):
             if orc.low[v] and out_f[v] != prof.out_cap:
@@ -211,12 +215,12 @@ def loaded_oracle():
     return orc
 
 
-def loaded_engine():
-    # d=52 gives oracle hosts of degree d' = 10, the least a strict profile allows
-    n, d = 600, 52
-    prof = desk_profile(n, d)
-    eng = RoutingEngine(gen_random_regular_graph(n, d, seed=21), prof)
-    commands = gen_workload("churn", n, {"ops": 300, "live_target": prof.r // 2}, 5,
+def churned_engine(n, graph_seed, churn_seed, ops):
+    """A desk engine after a seeded churn of `ops` requests at r/2 live paths.
+    d=52 gives oracle hosts of degree d' = 10, the least a strict profile allows."""
+    prof = desk_profile(n, 52)
+    eng = RoutingEngine(gen_random_regular_graph(n, 52, seed=graph_seed), prof)
+    commands = gen_workload("churn", n, {"ops": ops, "live_target": prof.r // 2}, churn_seed,
                             prof.endpoint_cap, prof.r)
     for cmd in commands:
         try:
@@ -226,6 +230,11 @@ def loaded_engine():
                 eng.remove_path(resolve_ref(eng, cmd.ref))
         except (CallerError, ExpansionViolation):
             pass
+    return eng
+
+
+def loaded_engine():
+    eng = churned_engine(600, 21, 5, 300)
     assert eng.verify().ok and eng.ledger.paths
     return eng
 
@@ -310,6 +319,59 @@ def in_f_over_cap(orc):
         orc.h.add(free_edge(orc, orc.host.in_adj[w]))
 
 
+# The next three leave every counter equal to its recount, sat_out too, so
+# the audit looks only at the H and B endpoints plus the Sat and Low ids;
+# each plants or makes due a flag at a vertex no H or B edge touches.
+
+
+def touched(orc, v):
+    """Whether v is in Sat or Low or an H or B edge ends there."""
+    h, b = orc.h, orc.b
+    return bool(orc.sat[v] or orc.low[v] or h.out_deg[v] or h.in_deg[v] or b.out_deg[v] or b.in_deg[v])
+
+
+def untouched_vertex(orc):
+    """First vertex not `touched` whose sat_out is below the Low threshold."""
+    return next(
+        v for v in range(orc.host.n)
+        if not touched(orc, v) and orc.sat_out[v] < orc.profile.low_threshold
+    )
+
+
+def sat_at_untouched_vertex(orc):
+    w = untouched_vertex(orc)
+    orc.sat[w] = 1
+    for e in orc.host.in_adj[w]:
+        orc.sat_out[orc.host.tails[e]] += 1
+    return w
+
+
+def low_at_untouched_vertex(orc):
+    v = untouched_vertex(orc)
+    orc.low[v] = 1
+    return v
+
+
+def low_due_at_untouched_vertex(orc):
+    """Saturate heads of an untouched vertex u with H edges from other tails,
+    counters kept, until u's recomputed Low flag is due; u stays untouched."""
+    host, prof = orc.host, orc.profile
+    u = untouched_vertex(orc)
+
+    def in_f(w):
+        return orc.h.in_deg[w] + orc.b.in_deg[w]
+
+    for w in dict.fromkeys(host.heads[e] for e in host.out_adj[u]):
+        while w != u and in_f(w) < prof.sat_threshold:
+            orc.h.add(free_edge(orc, [e for e in host.in_adj[w] if host.tails[e] != u]))
+        if sum(in_f(host.heads[e]) >= prof.sat_threshold for e in host.out_adj[u]) >= prof.low_threshold:
+            return u
+    raise AssertionError("vertex %d never came due for Low" % u)
+
+
+UNTOUCHED_CORRUPTIONS = [sat_at_untouched_vertex, low_at_untouched_vertex, low_due_at_untouched_vertex]
+
+
 ORACLE_CORRUPTIONS = [
     bump_h_out_deg,
     drop_b_in_deg,
@@ -326,6 +388,7 @@ ORACLE_CORRUPTIONS = [
     stock_on_unbuffered_vertex,
     out_f_over_cap,
     in_f_over_cap,
+    *UNTOUCHED_CORRUPTIONS,
 ]
 
 ORACLE_COMBINATIONS = [
@@ -367,6 +430,17 @@ def test_audit_matches_reference_on_combined_corruptions(corruptions):
     assert_audit_matches_reference(orc)
 
 
+@pytest.mark.parametrize("corrupt", UNTOUCHED_CORRUPTIONS, ids=lambda f: f.__name__)
+def test_audit_sees_flags_where_no_edge_ends(corrupt):
+    orc = loaded_oracle()
+    v = corrupt(orc)
+    for sub in (orc.h, orc.b):
+        assert sub.recount(sub.members()) == (sub.out_deg, sub.in_deg, len(sub))
+    findings = assert_audit_matches_reference(orc)
+    assert not any("counter" in f for f in findings)
+    assert any(" at %d: " % v in f for f in findings)
+
+
 def test_h_edge_rewritten_to_b_fails_both_recounts():
     orc = loaded_oracle()
     h_size, b_size = len(orc.h), len(orc.b)
@@ -403,6 +477,13 @@ def pe_off_by_one(eng):
     eng.ledger.pe[3] += 1
 
 
+def ps_below_zero_at_untouched_vertex(eng):
+    # the audits' vertices hold no v like this one: only the ps check sends
+    # verify's H rules over every vertex
+    v = next(v for v in range(eng.n) if not (touched(eng.out_oracle, v) or touched(eng.in_oracle, v)))
+    eng.ledger.ps[v] -= 1
+
+
 def out_oracle_sat_planted(eng):
     plant_sat(eng.out_oracle)
 
@@ -433,6 +514,7 @@ ENGINE_CORRUPTIONS = [
     h1_in_degree_over_cap,
     ps_off_by_one,
     pe_off_by_one,
+    ps_below_zero_at_untouched_vertex,
     out_oracle_sat_planted,
     in_oracle_h_bit_without_counters,
     h3_edge_dropped,
@@ -473,3 +555,24 @@ def test_verify_matches_reference_on_corruptions(corruptions):
     if r_below_live_count in corruptions:
         count = len(eng.ledger.paths)
         assert "live path count %d exceeds the volume cap r=%d" % (count, count - 1) in findings
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([120, 300, 600]),
+    graph_seed=st.integers(0, 3),
+    churn_seed=st.integers(0, 99),
+    ops=st.integers(1, 300),
+    corruptions=st.lists(st.sampled_from(ENGINE_CORRUPTIONS), unique=True, max_size=4),
+)
+def test_verify_matches_reference_on_drawn_states(n, graph_seed, churn_seed, ops, corruptions):
+    # no corruption, or none of a counter, keeps verify and the audits on the
+    # live vertices; a counter corruption sends them over every vertex
+    eng = churned_engine(n, graph_seed, churn_seed, ops)
+    assume(eng.ledger.paths)
+    for corrupt in corruptions:
+        try:
+            corrupt(eng)
+        except StopIteration:  # no stored path has the segment it corrupts
+            assume(False)
+    assert eng.verify().findings == reference_verify(eng)

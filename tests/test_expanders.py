@@ -105,6 +105,15 @@ def test_expansion_vacuous_at_size_zero(k4):
             check_expansion_exhaustive(graph, Fraction(1, 2), Fraction(1, 10), size)
 
 
+@pytest.mark.parametrize("beta, gamma", [(-1, Fraction(1, 10)), (0, 0), (Fraction(1, 2), -1)])
+def test_expansion_refuses_nonpositive_beta_and_negative_gamma(beta, gamma):
+    # beta <= 0 leaves no small set to test, and with gamma < 0 vertex 0
+    # alone, with no edge inside, was reported as a witness
+    g = gen_random_regular_graph(12, 3, seed=0)
+    with pytest.raises(CallerError, match="got beta=%s, gamma=%s$" % (beta, gamma)):
+        check_expansion_exhaustive(g, beta, gamma, 3)
+
+
 def test_expansion_budget_guard():
     g = gen_random_regular_graph(40, 4, seed=4)
     with pytest.raises(CallerError):

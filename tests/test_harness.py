@@ -509,6 +509,16 @@ def test_cli_check_expansion_refuses_size_zero(tmp_path, capsys):
     assert capsys.readouterr().err == "error: max_subset_size must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize("beta, gamma", [("-1", "1/10"), ("0", "0"), ("1/2", "-1")])
+def test_cli_check_expansion_refuses_bad_beta_and_gamma(tmp_path, capsys, beta, gamma):
+    # a usage error (exit 2), not "holds" (exit 0) or a one-vertex witness (exit 1)
+    argv = _check_expansion_argv(tmp_path, beta=beta, gamma=gamma) + ["--max-subset-size", "3"]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need beta > 0 and gamma >= 0, got beta=%s, gamma=%s\n" % (beta, gamma)
+
+
 def test_cli_profile_out(tmp_path, capsys):
     out = tmp_path / "prof.txt"
     assert cli_main(["profile", "--n", "1024", "--d", "400", "--beta", "1/100",

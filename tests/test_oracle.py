@@ -74,6 +74,18 @@ def test_host_regularity_must_match_profile():
         EdgeOracle(host, small_profile(2))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("sat_threshold", Fraction(0)), ("low_threshold", Fraction(-1, 2)), ("out_cap", -1), ("in_cap", -1)],
+)
+def test_thresholds_below_one_edge_refused(field, value):
+    # audit counts on an untouched vertex breaking no rule: with a threshold
+    # at or below 0 it would be due for Sat or Low, and with a negative cap over it
+    host = oriented_host(30, 10, seed=1)
+    with pytest.raises(CallerError, match="oracle thresholds must be positive and caps at least 0"):
+        EdgeOracle(host, small_profile(10, **{field: value}))
+
+
 def test_first_add_returns_first_out_edge():
     # first in pick order: v's host row rotated by v mod out-degree
     host = oriented_host(30, 10, seed=2)
