@@ -16,8 +16,11 @@ from math import comb, sqrt
 from .errors import CallerError, GenerationError
 from .graph import Digraph, UndirectedGraph
 
+PAIRING_TRIES = 100          # pairing-model attempts before GenerationError
+SUBSET_BUDGET = 500_000      # most subsets check_expansion_exhaustive enumerates
 
-def gen_random_regular_graph(n, d, seed, max_tries=100):
+
+def gen_random_regular_graph(n, d, seed):
     """Simple d-regular graph by stub pairing, deterministic under seed.
 
     Conflicting stubs (loops, repeated pairs) are re-shuffled among
@@ -28,11 +31,11 @@ def gen_random_regular_graph(n, d, seed, max_tries=100):
     if not 0 <= d < n:
         raise CallerError("need 0 <= d < n")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(PAIRING_TRIES):
         edges = _pairing_attempt(n, d, rng)
         if edges is not None:
             return UndirectedGraph(n, sorted(edges))
-    raise GenerationError("pairing model failed %d times for n=%d d=%d" % (max_tries, n, d))
+    raise GenerationError("pairing model failed %d times for n=%d d=%d" % (PAIRING_TRIES, n, d))
 
 
 def _pairing_attempt(n, d, rng):
@@ -89,7 +92,7 @@ def _edge_pairs(g):
     return list(zip(g.us, g.vs)), reg
 
 
-def check_expansion_exhaustive(g, beta, gamma, max_subset_size, budget=500_000):
+def check_expansion_exhaustive(g, beta, gamma, max_subset_size):
     """Enumerate subsets and test the two edge-density bounds.
 
     Small sets (at most beta*n vertices) may span at most gamma*d*|S|
@@ -108,9 +111,9 @@ def check_expansion_exhaustive(g, beta, gamma, max_subset_size, budget=500_000):
     n = g.n
     limit = min(max_subset_size, n // 2)
     total = sum(comb(n, k) for k in range(1, limit + 1))
-    if total > budget:
+    if total > SUBSET_BUDGET:
         raise CallerError(
-            "subset enumeration needs %d subsets, budget is %d" % (total, budget)
+            "subset enumeration needs %d subsets, budget is %d" % (total, SUBSET_BUDGET)
         )
     for k in range(1, limit + 1):
         small = k <= beta * n

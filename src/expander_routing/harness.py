@@ -247,19 +247,14 @@ def gen_workload(kind, n, params, seed, endpoint_cap, r):
     rng = random.Random(seed)
     ledger = Ledger(n, endpoint_cap, r)
     out = []
-    line = 0
 
     def emit_find(a, b):
-        nonlocal line
-        line += 1
-        out.append(TraceCommand("find", a=a, b=b, line=line))
+        out.append(TraceCommand("find", a=a, b=b, line=len(out) + 1))
         ledger.add(a, b)
 
     def emit_remove(pid):
-        nonlocal line
-        line += 1
         ledger.remove(pid)
-        out.append(TraceCommand("remove", ref=pid, line=line))
+        out.append(TraceCommand("remove", ref=pid, line=len(out) + 1))
 
     if kind == "fill":
         count = int(params.get("count", 0))

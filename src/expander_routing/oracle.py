@@ -73,13 +73,11 @@ from .profiles import OracleProfile
 class Findings:
     """What an audit or a verify found; no findings means clean.
 
-    An oracle audit also reports |Low| as `low_count`, which
-    `RoutingEngine.verify` checks against beta*n/12 under strict profiles,
-    and the vertices its per-vertex rules looped over as `vertices`.
+    An oracle audit also reports the vertices its per-vertex rules looped
+    over as `vertices`.
     """
 
     findings: list
-    low_count: int | None = None
     vertices: range | list | None = None
 
     @property
@@ -529,7 +527,7 @@ class EdgeOracle:
                 findings.append("out_F(%d)=%d exceeds cap %d" % (v, out_f, out_cap))
             if in_f > in_cap:
                 findings.append("in_F(%d)=%d exceeds cap %d" % (v, in_f, in_cap))
-        return Findings(findings, low_count=len(low_ids), vertices=vertices)
+        return Findings(findings, vertices=vertices)
 
     def _sat_out_from(self, heads):
         """sat_out recounted as if exactly `heads` were saturated, and the

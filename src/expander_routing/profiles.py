@@ -105,16 +105,23 @@ class RouterProfile:
         """Max accepted total path length: two tree segments and the connector."""
         return 2 * ceil_log2(self.n) + self.g3_path_cap
 
+    def max_r(self) -> int:
+        """The largest r both capacity chains allow: r * ceil_log2(n) <= c*n*k/2
+        and 300/beta * r <= beta*n*k/50. At n=1, ceil_log2(n) = 0 and only
+        the second binds."""
+        bound = self.beta * self.beta * self.n * self.k / 15000
+        lg = ceil_log2(self.n)
+        if lg:
+            bound = min(bound, self.c * self.n * self.k / (2 * lg))
+        return math.floor(bound)
+
     def capacity_chains_hold(self) -> bool:
         """The two inequalities a strict profile must satisfy."""
-        lg = ceil_log2(self.n)
-        first = self.r * lg <= self.c * self.n * self.k / 2
-        second = Fraction(300, 1) / self.beta * self.r <= self.beta * self.n * self.k / 50
-        return bool(first and second)
+        return self.r <= self.max_r()
 
 
 def derive_profile(n, d, beta, gamma, relaxed=False):
-    """Compute every derived constant from (n, d, beta).
+    """Compute every derived constant from (n, d, beta); r is `max_r`.
 
     Strict mode (relaxed=False) enforces gamma < 1/1000 and d > 200;
     gamma is checked here and not stored, since no constant depends on it.
@@ -132,31 +139,24 @@ def derive_profile(n, d, beta, gamma, relaxed=False):
             raise CallerError("strict profiles need d > 200")
     if d < 20:
         raise CallerError("need d >= 20 so that d_prime >= 1 (got d=%d)" % d)
-    k = d // 2
-    d_prime = k // 10
-    c = beta / 1200
-    depth_cap = ceil_log2(n)
-    r = min(
-        math.floor(c * n * k / (2 * depth_cap)),
-        math.floor(beta * beta * n * k / 15000),
-    )
-    g3_path_cap = math.ceil(Fraction(300, 1) / beta) + 1
-    return RouterProfile(
+    d_prime = d // 2 // 10
+    profile = RouterProfile(
         n=n,
         d=d,
         beta=beta,
         relaxed=relaxed,
         d_prime=d_prime,
-        depth_cap=depth_cap,
+        depth_cap=ceil_log2(n),
         fanout=max(1, d_prime // 4),
         endpoint_cap=math.ceil(Fraction(d, 200)),
-        r=r,
-        g3_path_cap=g3_path_cap,
+        r=0,
+        g3_path_cap=math.ceil(Fraction(300, 1) / beta) + 1,
         oracle=canonical_oracle_profile(d_prime),
     )
+    return dataclasses.replace(profile, r=profile.max_r())
 
 
-def desk_profile(n, d, **overrides):
+def desk_profile(n, d):
     """Relaxed profile tuned for desk-scale runs on random regular graphs.
 
     The canonical constants collapse below d ~ 200: d_prime = floor(k/10)
@@ -168,7 +168,7 @@ def desk_profile(n, d, **overrides):
     free forward edges for their walks), absolute saturation and in caps
     of 2, and out_cap >= in_cap + endpoint_cap so a request's endpoints
     always have tree-growing headroom. Load caps were tuned on seeded
-    runs; any field can be overridden by keyword.
+    runs.
     """
     if d < 26:
         raise CallerError("desk routing profiles need d >= 26 (got %d)" % d)
@@ -183,7 +183,7 @@ def desk_profile(n, d, **overrides):
     endpoint_cap = max(1, min(3, out_cap - in_cap - 1))
     vertex_cap = max(6, -(-n // 50))  # sets beta: bfs_vertex_cap = ceil(beta*n/5) is this cap
     beta = Fraction(5 * vertex_cap, n)
-    profile = RouterProfile(
+    return RouterProfile(
         n=n,
         d=d,
         beta=beta,
@@ -204,7 +204,6 @@ def desk_profile(n, d, **overrides):
             low_threshold=Fraction(d_prime - out_cap),
         ),
     )
-    return dataclasses.replace(profile, **overrides)
 
 
 # --- profile files (key=value, one field per line) --------------------------

@@ -130,8 +130,7 @@ class RoutingEngine:
         self.profile = profile
         self.split = pre_process(g, profile)
         self.out_oracle = EdgeOracle(self.split.g1, profile.oracle)
-        self.g2_rev = reverse(self.split.g2)
-        self.in_oracle = EdgeOracle(self.g2_rev, profile.oracle)
+        self.in_oracle = EdgeOracle(reverse(self.split.g2), profile.oracle)
         self.h3 = EdgeSubset(self.split.g3)
         self.ledger = Ledger(g.n, profile.endpoint_cap, profile.r)
         # g3_out[v] (g3_in[v]): the heads (tails) of v's G3 out-edges (in-edges)
@@ -407,10 +406,10 @@ class RoutingEngine:
         if pe_expected != ledger.pe:
             findings.append("end counters disagree with the ledger")
 
-        for name, audit in zip(("out-oracle", "in-oracle"), audits):
+        for name, oracle, audit in zip(("out-oracle", "in-oracle"), (self.out_oracle, self.in_oracle), audits):
             findings.extend("%s: %s" % (name, f) for f in audit.findings)
             # the host edge density that bounds |Low| is promised by strict profiles only
-            low, bound = audit.low_count, prof.beta * self.n / 12
+            low, bound = oracle.low.count(1), prof.beta * self.n / 12
             if not prof.relaxed and low >= bound:
                 findings.append("%s: |Low|=%d is not below beta*n/12=%s" % (name, low, bound))
         return Findings(findings)

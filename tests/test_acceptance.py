@@ -107,7 +107,7 @@ def _oracle_churn(prof, ops, watch_walks, audit_each, live_cap):
         if audit_each:
             audit = oracle.audit(oracle.h.members())
             # |Low| < beta*n/12 with the suite's beta of 1
-            if not audit.ok or audit.low_count * 12 >= ORACLE_N:
+            if not audit.ok or oracle.low.count(1) * 12 >= ORACLE_N:
                 dirty_audits += 1
     elapsed = time.perf_counter() - start
     return {

@@ -117,7 +117,7 @@ def test_expansion_refuses_nonpositive_beta_and_negative_gamma(beta, gamma):
 def test_expansion_budget_guard():
     g = gen_random_regular_graph(40, 4, seed=4)
     with pytest.raises(CallerError):
-        check_expansion_exhaustive(g, Fraction(1, 2), Fraction(1, 10), 20, budget=1000)
+        check_expansion_exhaustive(g, Fraction(1, 2), Fraction(1, 10), 20)
 
 
 def test_expansion_witness_revalidates():

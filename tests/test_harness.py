@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -208,7 +209,7 @@ def rule_breaking_trace(rng, n, ops):
 @pytest.mark.parametrize("seed", range(5))
 def test_engine_and_validator_refuse_the_same_requests(seed):
     n = 150
-    eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=61), desk_profile(n, 30, r=6))
+    eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=61), dataclasses.replace(desk_profile(n, 30), r=6))
     cmds = rule_breaking_trace(random.Random(seed), n, 300)
     report = run_trace(eng, cmds)
     assert {cls for _, cls, _ in report.failures} == {"caller-error"}
@@ -222,7 +223,7 @@ def test_removes_after_a_failed_find_reach_the_paths_they_name():
     # a one-edge connector budget makes some rule-abiding finds fail with an
     # expansion violation; they still take their trace id
     n = 150
-    prof = desk_profile(n, 30, g3_path_cap=1)
+    prof = dataclasses.replace(desk_profile(n, 30), g3_path_cap=1)
     eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=21), prof)
     cmds = gen_workload("churn", n, {"ops": 200, "live_target": 4}, 3, prof.endpoint_cap, prof.r)
     lines = []
@@ -293,7 +294,7 @@ def test_hotspot_without_room_for_a_live_path_is_refused(tmp_path, capsys, r):
     graph_path = tmp_path / "g.txt"
     profile_path = tmp_path / "p.txt"
     save_graph(graph_path, gen_random_regular_graph(150, 30, seed=3))
-    save_profile(profile_path, desk_profile(150, 30, r=r))
+    save_profile(profile_path, dataclasses.replace(desk_profile(150, 30), r=r))
     code = cli_main(["gen-workload", "--graph", str(graph_path), "--profile",
                      str(profile_path), "--kind", "hotspot", "--seed", "1",
                      "--ops", "50", "--out", str(tmp_path / "t.txt")])
@@ -531,6 +532,16 @@ def test_cli_profile_out(tmp_path, capsys):
         "warning: strict profile cannot route (r = 0); every find "
         "will hit the volume cap r=0; use --desk for one that can"
     ]
+
+
+def test_cli_profile_at_one_vertex(tmp_path, capsys):
+    # ceil_log2(1) = 0: the first capacity chain bounds nothing, and a strict
+    # profile is written with the r the second allows, not a ZeroDivisionError
+    out = tmp_path / "n1.txt"
+    assert cli_main(["profile", "--n", "1", "--d", "400", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert "r=0" in lines and "depth_cap=0" in lines
+    assert "every find will hit the volume cap r=0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n,d", [(100, 20), (600, 30), (2400, 30), (9600, 31)])

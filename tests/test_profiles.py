@@ -398,12 +398,11 @@ def test_desk_vertex_cap_is_the_cap_it_stored():
             assert desk_profile(n, d).bfs_vertex_cap == max(6, math.ceil(n / 50))
 
 
-def test_desk_profile_overrides():
-    p = desk_profile(600, 30, r=5, g3_path_cap=99)
-    assert p.r == 5
+def test_path_len_cap_follows_a_replaced_g3_path_cap():
+    # derived, so it follows the replaced field
+    p = dataclasses.replace(desk_profile(600, 30), g3_path_cap=99)
     assert p.g3_path_cap == 99
-    # derived, so it follows the override
-    assert desk_profile(600, 30, g3_path_cap=99).path_len_cap == 2 * ceil_log2(600) + 99
+    assert p.path_len_cap == 2 * ceil_log2(600) + 99
 
 
 @pytest.mark.parametrize("n", [0, -5])
@@ -425,6 +424,35 @@ def test_strict_profile_file_needs_oracle_hosts_of_degree_10():
         parse_profile(text.replace("d_prime=20", "d_prime=9"))
     relaxed = derive_profile(600, 30, "1/10", "1/50", relaxed=True)
     assert relaxed.d_prime < 10 and parse_profile(format_profile(relaxed)) == relaxed
+
+
+def chains_hold(p, r):
+    """The two capacity chains as stated: r * ceil_log2(n) <= c*n*k/2 and
+    300/beta * r <= beta*n*k/50."""
+    first = r * ceil_log2(p.n) <= p.c * p.n * p.k / 2
+    second = Fraction(300) / p.beta * r <= p.beta * p.n * p.k / 50
+    return first and second
+
+
+def test_derive_profile_at_one_vertex():
+    # ceil_log2(1) = 0, so only the second chain bounds r there; deriving
+    # used to divide by ceil_log2(n) and raise ZeroDivisionError
+    p = derive_profile(1, 400, "1/100", "1/2000")
+    assert p.depth_cap == 0 and p.r == 0 and p.max_r() == 0
+    assert p.capacity_chains_hold()
+    assert parse_profile(format_profile(p)) == p
+
+
+@pytest.mark.parametrize("beta", ["1/100", "1/3"])
+@pytest.mark.parametrize("d", [201, 400])
+@pytest.mark.parametrize("n", [1, 2, 1024, 10**6])
+def test_max_r_is_the_largest_r_the_chains_allow(n, d, beta):
+    p = derive_profile(n, d, beta, "1/2000")
+    r = p.max_r()
+    assert p.r == r
+    assert chains_hold(p, r) and not chains_hold(p, r + 1)
+    assert p.capacity_chains_hold()
+    assert not dataclasses.replace(p, r=r + 1).capacity_chains_hold()
 
 
 def test_strict_profile_file_must_hold_the_capacity_chains():
@@ -462,7 +490,7 @@ def test_router_profile_is_complete():
 @pytest.mark.parametrize("field", ["fanout", "endpoint_cap"])
 def test_router_profile_rejects_zero(field):
     with pytest.raises(CallerError, match=field):
-        desk_profile(600, 30, **{field: 0})
+        dataclasses.replace(desk_profile(600, 30), **{field: 0})
     text = re.sub(r"(?m)^%s=.*$" % field, field + "=0", format_profile(desk_profile(600, 30)))
     with pytest.raises(FormatError, match=field):
         parse_profile(text)

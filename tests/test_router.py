@@ -87,7 +87,7 @@ def test_endpoint_cap_rejected_without_mutation():
 
 def test_volume_cap_rejected():
     g = gen_random_regular_graph(150, 30, seed=21)
-    eng = RoutingEngine(g, desk_profile(150, 30, r=1))
+    eng = RoutingEngine(g, replace(desk_profile(150, 30), r=1))
     eng.find_path(0, 50)
     before = state_snapshot(eng)
     with pytest.raises(CallerError):
@@ -417,7 +417,7 @@ def test_raised_volume_cap_verifies_clean_when_full():
     n, r = 150, 60
     default = desk_profile(n, 30)
     default_cap = default.r * default.depth_cap
-    eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=21), desk_profile(n, 30, r=r))
+    eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=21), replace(default, r=r))
     rng = random.Random(1)
     while len(eng.ledger.paths) < r and len(eng.out_oracle.h) <= default_cap:
         try:
@@ -432,7 +432,7 @@ def test_raised_volume_cap_verifies_clean_when_full():
 def test_failed_connector_unwinds_everything():
     # a zero-length connector budget fails unless the two trees already touch
     g = gen_random_regular_graph(150, 30, seed=21)
-    eng = RoutingEngine(g, desk_profile(150, 30, g3_path_cap=0))
+    eng = RoutingEngine(g, replace(desk_profile(150, 30), g3_path_cap=0))
     saw_failure = False
     for b in (50, 60, 70, 80):
         before = state_snapshot(eng)
@@ -474,7 +474,7 @@ class EngineMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         # r above the desk value loads the oracles enough to buffer (B, Low)
-        self.eng = RoutingEngine(MACHINE_GRAPH, desk_profile(MACHINE_N, 30, r=30))
+        self.eng = RoutingEngine(MACHINE_GRAPH, replace(desk_profile(MACHINE_N, 30), r=30))
 
     def _find(self, a, b):
         before = state_snapshot(self.eng)
