@@ -171,8 +171,6 @@ def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None
                     % (len(engine.ledger.paths), report.requests_served, len(report.failures))
                 )
             continue
-        if cmd.kind == "find" and not engine.ledger.violation(cmd.a, cmd.b):
-            served.append(None)  # the find takes the next trace id
         start = time.perf_counter()
         try:
             try:
@@ -183,7 +181,7 @@ def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None
             finally:
                 timings.append(time.perf_counter() - start)
             if cmd.kind == "find":
-                served[-1] = rec.id
+                served.append(rec.id)
                 verts = engine.path_vertices(rec)
                 if emit:
                     emit(
@@ -196,6 +194,8 @@ def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None
             report.requests_served += 1
         except (CallerError, ExpansionViolation) as exc:
             cls = "caller-error" if isinstance(exc, CallerError) else "expansion-violation"
+            if cls == "expansion-violation":
+                served.append(None)  # only a find that passed the rules raises it: it takes a trace id
             report.failures.append((cmd.line, cls, str(exc)))
             if emit:
                 emit("FAIL line %d [%s] %s" % (cmd.line, cls, exc))

@@ -215,8 +215,6 @@ def pre_process(g: UndirectedGraph, profile: RouterProfile) -> SplitResult:
         host = eulerian_orient(even_part)
     else:
         host = eulerian_orient(g)
-    if host.regularity() != k:
-        raise CallerError("internal: orientation produced a non-%d-regular digraph" % k)
     (g1, ids1), (g2, ids2), (g3, ids3) = split_regular(host, k, [profile.d_prime] * 2)
     return SplitResult(
         host=host,

@@ -52,9 +52,9 @@ class RouterProfile:
 
     `d` is the degree of the undirected input, `k` the degree of its
     orientation, `d_prime` the degree of the two oracle hosts, which both
-    run on `oracle`. `k`, `c`, `bfs_vertex_cap` and `path_len_cap` follow
-    from the fields, so they are properties. `profile_items` lists it as
-    its file does.
+    run on `oracle`. `k`, `c`, `depth_cap`, `bfs_vertex_cap` and
+    `path_len_cap` follow from the fields, so they are properties.
+    `profile_items` lists it as its file does.
     """
 
     n: int
@@ -62,7 +62,6 @@ class RouterProfile:
     beta: Fraction
     relaxed: bool
     d_prime: int
-    depth_cap: int            # BFS tree depth budget, ceil(log2 n) by default
     fanout: int               # oracle requests per dequeued vertex
     endpoint_cap: int         # a vertex may start (end) strictly fewer paths
     r: int                    # live-path volume cap; |H1|, |H2| <= r * depth_cap
@@ -96,6 +95,11 @@ class RouterProfile:
         return self.beta / 1200
 
     @property
+    def depth_cap(self) -> int:
+        """Tree depth budget: ceil(log2 n) hops per tree segment."""
+        return ceil_log2(self.n)
+
+    @property
     def bfs_vertex_cap(self) -> int:
         """Tree growth stops past this many vertices: ceil(beta*n/5), in integers."""
         return -(-self.beta.numerator * self.n // (5 * self.beta.denominator))
@@ -103,16 +107,15 @@ class RouterProfile:
     @property
     def path_len_cap(self) -> int:
         """Max accepted total path length: two tree segments and the connector."""
-        return 2 * ceil_log2(self.n) + self.g3_path_cap
+        return 2 * self.depth_cap + self.g3_path_cap
 
     def max_r(self) -> int:
-        """The largest r both capacity chains allow: r * ceil_log2(n) <= c*n*k/2
-        and 300/beta * r <= beta*n*k/50. At n=1, ceil_log2(n) = 0 and only
+        """The largest r both capacity chains allow: r * depth_cap <= c*n*k/2
+        and 300/beta * r <= beta*n*k/50. At n=1, depth_cap = 0 and only
         the second binds."""
         bound = self.beta * self.beta * self.n * self.k / 15000
-        lg = ceil_log2(self.n)
-        if lg:
-            bound = min(bound, self.c * self.n * self.k / (2 * lg))
+        if self.depth_cap:
+            bound = min(bound, self.c * self.n * self.k / (2 * self.depth_cap))
         return math.floor(bound)
 
     def capacity_chains_hold(self) -> bool:
@@ -146,7 +149,6 @@ def derive_profile(n, d, beta, gamma, relaxed=False):
         beta=beta,
         relaxed=relaxed,
         d_prime=d_prime,
-        depth_cap=ceil_log2(n),
         fanout=max(1, d_prime // 4),
         endpoint_cap=math.ceil(Fraction(d, 200)),
         r=0,
@@ -189,7 +191,6 @@ def desk_profile(n, d):
         beta=beta,
         relaxed=True,
         d_prime=d_prime,
-        depth_cap=ceil_log2(n),
         fanout=2,
         endpoint_cap=endpoint_cap,
         r=max(8, n // 25),

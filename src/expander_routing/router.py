@@ -207,7 +207,7 @@ class RoutingEngine:
         them back on an ExpansionViolation.
         """
         prof = self.profile
-        cap = prof.bfs_vertex_cap  # a derived property: read it once
+        cap, depth_cap = prof.bfs_vertex_cap, prof.depth_cap  # derived properties: read them once
         edges_a, par_a, edges_b, par_b = [], {a: None}, [], {b: None}
         grow_a = self.out_oracle.grow_tree(par_a, edges_a, par_b, cap, prof.fanout, self.g3_out, self.link_out)
         grow_b = self.in_oracle.grow_tree(par_b, edges_b, par_a, cap, prof.fanout, self.g3_in, self.link_in)
@@ -224,8 +224,8 @@ class RoutingEngine:
             if meet is None and len(parent) < cap:
                 raise ExpansionViolation("tree growth stalled at %d of %d vertices" % (len(parent), cap))
             depth = len(self._tree_path(parent, next(reversed(parent))))
-            if depth > prof.depth_cap:
-                raise ExpansionViolation("tree depth %d exceeds budget %d" % (depth, prof.depth_cap))
+            if depth > depth_cap:
+                raise ExpansionViolation("tree depth %d exceeds budget %d" % (depth, depth_cap))
         return edges_a, par_a, edges_b, par_b, meet
 
     def _meeting(self, par_a, par_b):
@@ -373,7 +373,7 @@ class RoutingEngine:
             findings.append("live path count %d exceeds the volume cap r=%d" % (count, prof.r))
         for name, oracle in (("H1", self.out_oracle), ("H2", self.in_oracle)):
             size = len(oracle.h)
-            if size > count * prof.depth_cap:
+            if size > count * depth_cap:
                 findings.append("%s size %d exceeds %d paths x depth budget" % (name, size, count))
         if len(self.h3) * prof.beta > 300 * count:
             findings.append("H3 size %d exceeds 300|P|/beta" % len(self.h3))

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import deque
 from itertools import islice
 
@@ -7,7 +8,7 @@ from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.graph import Digraph, UndirectedGraph
 from expander_routing.preprocess import eulerian_orient
-from expander_routing.profiles import format_profile
+from expander_routing.profiles import RouterProfile, format_profile
 from expander_routing.router import Ledger
 
 
@@ -56,6 +57,20 @@ def validate_trace(commands, n, endpoint_cap, r):
             except CallerError as exc:
                 problems.append("line %d: %s" % (cmd.line, exc))
     return problems
+
+
+@dataclasses.dataclass(frozen=True)
+class DepthCappedProfile(RouterProfile):
+    """A router profile whose tree depth budget is a field, not ceil(log2 n):
+    the lever that forces depth failures. `path_len_cap` follows it."""
+
+    depth_cap: int = 0
+
+
+def depth_capped(profile, cap):
+    """`profile` with a tree depth budget of `cap` hops."""
+    fields = {f.name: getattr(profile, f.name) for f in dataclasses.fields(RouterProfile)}
+    return DepthCappedProfile(**fields, depth_cap=cap)
 
 
 def save_profile(path, profile):

@@ -540,7 +540,9 @@ def test_cli_profile_at_one_vertex(tmp_path, capsys):
     out = tmp_path / "n1.txt"
     assert cli_main(["profile", "--n", "1", "--d", "400", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert "r=0" in lines and "depth_cap=0" in lines
+    assert "r=0" in lines
+    # the depth budget ceil_log2(n) is derived, not written
+    assert not [line for line in lines if line.startswith("depth_cap")]
     assert "every find will hit the volume cap r=0" in capsys.readouterr().err
 
 

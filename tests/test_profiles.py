@@ -101,12 +101,14 @@ def test_profile_file_round_trip():
 
 # sha256 of each profile's file as written while path_len_cap, then
 # bfs_edge_cap and h_size_cap, then gamma and oracle_capacity, then
-# bfs_vertex_cap were stored fields, with those lines taken out
+# bfs_vertex_cap, then depth_cap were stored fields, with those lines
+# taken out: depth_cap is ceil_log2(n) now, the value every constructor
+# wrote, so no other line changed
 PROFILE_FILE_GOLDEN = {
-    "desk-600-30": "b2cc7c185d2afc8b25a17b03133a1780fd30140e098d66cce93e7ebfb93eed54",
-    "desk-9600-31": "370ea43cece69037ff5aefc15db687c274120ceafc9cdfa07717551bfbd81dd0",
-    "strict-2048-400": "ad067b25529b685af993e1fca3e57f908bc3f433a5bb9fa9fccbd1513ddfec67",
-    "relaxed-600-30": "fade7414a3621122a1bd31032fd22fb3a3a7cd93ce3a7e6d7425aa76cbf027ed",
+    "desk-600-30": "58544dba253e9b1a0daf90f2fd5e1fdda2378172b9bb7e521684e7cdb9a45696",
+    "desk-9600-31": "208b64fc184d64587eade4822707f1e3541b1bb19065a4cb53bae1bb69dd6efc",
+    "strict-2048-400": "fa526b1da90739024ebfc3ee353ba07422af02743b807a73eab201f8ab38ae8e",
+    "relaxed-600-30": "2e074dc65656d514141ea469b1b0d9d3b51430750a8c5549840652fe5bc7df6a",
 }
 
 
@@ -119,18 +121,51 @@ def test_profile_file_text_is_unchanged(name):
         "relaxed-600-30": lambda: derive_profile(600, 30, "1/10", "1/50", relaxed=True),
     }[name]()
     text = format_profile(p)
-    assert len(text.splitlines()) == 14
+    assert len(text.splitlines()) == 13
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == PROFILE_FILE_GOLDEN[name]
 
 
 # desk_profile(150, 30) and the strict derive_profile(1024, 400, 1/100,
-# 1/2000) as format_profile wrote them while bfs_vertex_cap (now derived
-# from beta) was a stored field, in SEVENTEEN_KEY_FILES while gamma (a
+# 1/2000) as format_profile wrote them while depth_cap (now derived from
+# n) was a stored field, in FIFTEEN_KEY_FILES while bfs_vertex_cap (now
+# derived from beta) was too, in SEVENTEEN_KEY_FILES while gamma (a
 # checked input no constant depends on) and oracle_capacity (a cap on |H|
 # that in_cap already implies) were too, in NINETEEN_KEY_FILES while
 # bfs_edge_cap (a per-tree edge cap) and h_size_cap (a verified bound on
 # |H1|, |H2|) were as well, and, in OLDER_FILES, while k, c and
 # path_len_cap were as well
+FOURTEEN_KEY_FILES = {
+    "desk": """n=150
+d=30
+beta=1/5
+relaxed=true
+d_prime=6
+depth_cap=8
+fanout=2
+endpoint_cap=1
+r=8
+g3_path_cap=50
+oracle_out_cap=3
+oracle_in_cap=2
+oracle_sat_threshold=2/1
+oracle_low_threshold=3/1
+""",
+    "strict": """n=1024
+d=400
+beta=1/100
+relaxed=false
+d_prime=20
+depth_cap=10
+fanout=5
+endpoint_cap=2
+r=0
+g3_path_cap=30001
+oracle_out_cap=10
+oracle_in_cap=4
+oracle_sat_threshold=2/1
+oracle_low_threshold=5/1
+""",
+}
 FIFTEEN_KEY_FILES = {
     "desk": """n=150
 d=30
@@ -293,7 +328,7 @@ oracle_low_threshold=5/1
 oracle_capacity=1
 """,
 }
-RETIRED_KEYS = {"gamma", "bfs_vertex_cap", "bfs_edge_cap", "h_size_cap", "oracle_capacity"}
+RETIRED_KEYS = {"gamma", "depth_cap", "bfs_vertex_cap", "bfs_edge_cap", "h_size_cap", "oracle_capacity"}
 
 
 def _kept_lines_are_the_profile(kind, text):
@@ -305,11 +340,21 @@ def _kept_lines_are_the_profile(kind, text):
     assert format_profile(expected).splitlines() == kept
 
 
+@pytest.mark.parametrize("kind", sorted(FOURTEEN_KEY_FILES))
+def test_14_key_profile_file_fails_naming_depth_cap(kind):
+    # a stored depth budget is refused, not ignored: n sets it now, and a
+    # larger one would let finds serve paths longer than path_len_cap
+    text = FOURTEEN_KEY_FILES[kind]
+    with pytest.raises(FormatError, match=r"unknown fields: depth_cap at line 6$"):
+        parse_profile(text)
+    _kept_lines_are_the_profile(kind, text)
+
+
 @pytest.mark.parametrize("kind", sorted(FIFTEEN_KEY_FILES))
 def test_15_key_profile_file_fails_naming_bfs_vertex_cap(kind):
     # a stored cap is refused, not ignored: beta sets it now
     text = FIFTEEN_KEY_FILES[kind]
-    with pytest.raises(FormatError, match=r"unknown fields: bfs_vertex_cap at line 7$"):
+    with pytest.raises(FormatError, match=r"unknown fields: depth_cap at line 6, bfs_vertex_cap at line 7$"):
         parse_profile(text)
     _kept_lines_are_the_profile(kind, text)
 
@@ -319,7 +364,8 @@ def test_17_key_profile_file_fails_naming_gamma_and_oracle_capacity(kind):
     text = SEVENTEEN_KEY_FILES[kind]
     with pytest.raises(
         FormatError,
-        match=r"unknown fields: gamma at line 4, bfs_vertex_cap at line 8, oracle_capacity at line 17$",
+        match=r"unknown fields: gamma at line 4, depth_cap at line 7, bfs_vertex_cap at line 8, "
+        r"oracle_capacity at line 17$",
     ):
         parse_profile(text)
     _kept_lines_are_the_profile(kind, text)
@@ -332,8 +378,8 @@ def test_19_key_profile_file_fails_naming_the_retired_keys(kind):
     text = NINETEEN_KEY_FILES[kind]
     with pytest.raises(
         FormatError,
-        match=r"unknown fields: gamma at line 4, bfs_vertex_cap at line 8, bfs_edge_cap at line 9, "
-        r"h_size_cap at line 14, oracle_capacity at line 19$",
+        match=r"unknown fields: gamma at line 4, depth_cap at line 7, bfs_vertex_cap at line 8, "
+        r"bfs_edge_cap at line 9, h_size_cap at line 14, oracle_capacity at line 19$",
     ):
         parse_profile(text)
     _kept_lines_are_the_profile(kind, text)
@@ -343,7 +389,7 @@ def test_19_key_profile_file_fails_naming_the_retired_keys(kind):
 def test_older_profile_file_with_k_and_c_fails(kind):
     with pytest.raises(
         FormatError,
-        match=r"unknown fields: gamma at line 4, k at line 6, c at line 8, "
+        match=r"unknown fields: gamma at line 4, k at line 6, c at line 8, depth_cap at line 9, "
         r"bfs_vertex_cap at line 10, bfs_edge_cap at line 11, path_len_cap at line 16, h_size_cap at line 17, "
         r"oracle_capacity at line 22$",
     ):
@@ -405,6 +451,17 @@ def test_path_len_cap_follows_a_replaced_g3_path_cap():
     assert p.path_len_cap == 2 * ceil_log2(600) + 99
 
 
+@pytest.mark.parametrize("n", [1, 2, 150, 600, 9600])
+def test_depth_cap_is_ceil_log2_n(n):
+    # one home for the tree depth budget: the segment and |H| checks and
+    # the total length cap all read ceil_log2(n)
+    for p in (desk_profile(n, 30), derive_profile(n, 400, "1/100", "1/2000"),
+              derive_profile(n, 30, "1/10", "1/50", relaxed=True)):
+        assert p.depth_cap == ceil_log2(n)
+        assert p.path_len_cap == 2 * p.depth_cap + p.g3_path_cap
+        assert "depth_cap" not in {f.name for f in dataclasses.fields(p)}
+
+
 @pytest.mark.parametrize("n", [0, -5])
 def test_desk_profile_needs_a_vertex(n):
     # n = 0 used to raise a bare ZeroDivisionError from the beta it derives
@@ -459,9 +516,9 @@ def test_strict_profile_file_must_hold_the_capacity_chains():
     # derive_profile writes r=1 here; r=2 breaks the second chain,
     # 300/beta * r <= beta * n * k / 50, and is refused at load
     text = format_profile(derive_profile(10**6, 400, "1/100", "1/2000"))
-    lines = text.splitlines()
-    assert lines[8] == "r=1" and parse_profile(text).capacity_chains_hold()
-    with pytest.raises(FormatError, match=r"^profile line 9: field r: 2 breaks a strict capacity chain$"):
+    lineno = text.splitlines().index("r=1") + 1
+    assert parse_profile(text).capacity_chains_hold()
+    with pytest.raises(FormatError, match=r"^profile line %d: field r: 2 breaks a strict capacity chain$" % lineno):
         parse_profile(text.replace("\nr=1\n", "\nr=2\n"))
     # a relaxed file is not held to the strict regime
     relaxed = text.replace("relaxed=false", "relaxed=true").replace("\nr=1\n", "\nr=2\n")
@@ -481,8 +538,8 @@ def test_router_profile_is_complete():
     keys = list(DESK_FILE_VALUES)
     own = [f.name for f in dataclasses.fields(RouterProfile) if f.name != "oracle"]
     assert keys == own + ["oracle_" + f.name for f in dataclasses.fields(OracleProfile)]
-    assert len(keys) == 14 and len(dataclasses.fields(OracleProfile)) == 4
-    derived = {"k", "c", "bfs_vertex_cap", "path_len_cap"}
+    assert len(keys) == 13 and len(dataclasses.fields(OracleProfile)) == 4
+    derived = {"k", "c", "depth_cap", "bfs_vertex_cap", "path_len_cap"}
     assert not (derived | {"gamma", "oracle_capacity"}) & set(keys)
     assert all(isinstance(getattr(RouterProfile, name), property) for name in derived)
 

@@ -3,13 +3,14 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import dump, tree_by_single_adds
+from conftest import depth_capped, dump, tree_by_single_adds
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.harness import gen_workload, run_trace
@@ -189,11 +190,11 @@ def test_met_tree_skips_the_stall_check_but_not_the_depth_check(probe_trees):
         for _, parent in (probe["out"], probe["in"])
     )
     before = state_snapshot(eng)
-    eng.profile = replace(eng.profile, depth_cap=depth - 1)
+    eng.profile = depth_capped(eng.profile, depth - 1)
     with pytest.raises(ExpansionViolation, match="depth"):
         eng.find_path(a, b)
     assert state_snapshot(eng) == before
-    eng.profile = replace(eng.profile, depth_cap=depth)
+    eng.profile = depth_capped(eng.profile, depth)
     rec = eng.find_path(a, b)
     # met through a shared vertex (no connector) or one free G3 edge
     entry, _, seg_mid = probe["meet"]
@@ -347,7 +348,7 @@ def test_failed_find_unwinds_everything():
         cmds = gen_workload("fill", n, {"count": fill}, 3, prof.endpoint_cap, prof.r)
         assert run_trace(eng, cmds).failures == []
         assert len(eng.ledger.paths) == fill
-        eng.profile = replace(prof, depth_cap=0)
+        eng.profile = depth_capped(prof, 0)
         rolled_back = []
         for oracle in (eng.out_oracle, eng.in_oracle):
             oracle.rollback = _watch_rollback(oracle, rolled_back)
@@ -406,7 +407,7 @@ def test_oracle_counters_count_every_tree_edge(probe_trees):
         eng.remove_path(rec.id)
     # a depth budget of zero hops fails a find after both trees grew; it is
     # checked after growth, so the probe under the old budget sees the trees
-    assert find(*rng.sample(range(eng.n), 2), replace(eng.profile, depth_cap=0)) is None
+    assert find(*rng.sample(range(eng.n), 2), depth_capped(eng.profile, 0)) is None
 
 
 def test_raised_volume_cap_verifies_clean_when_full():
@@ -493,11 +494,11 @@ class EngineMachine(RuleBasedStateMachine):
         self.eng.remove_path(data.draw(st.sampled_from(list(self.eng.ledger.paths))))
 
     @rule(a=MACHINE_VERTICES, b=MACHINE_VERTICES, knob=st.sampled_from(
-        [{"depth_cap": 1}, {"g3_path_cap": 0}]
+        [partial(depth_capped, cap=1), partial(replace, g3_path_cap=0)]
     ))
     def forced_failure(self, a, b, knob):
         prof = self.eng.profile
-        self.eng.profile = replace(prof, **knob)
+        self.eng.profile = knob(prof)
         try:
             self._find(a, b)
         finally:
