@@ -61,8 +61,15 @@ class Digraph:
 
 
 def reverse(d: Digraph) -> Digraph:
-    """Reverse every edge, keeping edge ids; an involution."""
-    return Digraph(d.n, list(zip(d.heads, d.tails)))
+    """Reverse every edge, keeping edge ids; an involution.
+
+    The result shares d's lists, as no graph is mutated after
+    construction: its out-adjacency is d's in-adjacency in the same
+    (edge id) order, and tails and heads swap.
+    """
+    r = Digraph.__new__(Digraph)
+    r.n, r.tails, r.heads, r.out_adj, r.in_adj = d.n, d.heads, d.tails, d.in_adj, d.out_adj
+    return r
 
 
 class UndirectedGraph:

@@ -89,6 +89,7 @@ class RunReport:
     requests_served: int = 0
     failures: list = field(default_factory=list)   # (line, error class, message)
     path_length_histogram: dict = field(default_factory=dict)
+    connector_length_histogram: dict = field(default_factory=dict)  # len(seg_mid) -> count
     oracle_call_counts: dict = field(default_factory=dict)
     wall_clock: dict = field(default_factory=dict)  # percentiles over request seconds
     verify_findings: int = 0
@@ -105,11 +106,13 @@ class RunReport:
         ]
         for line, cls, msg in self.failures[:10]:
             lines.append("  line %d [%s] %s" % (line, cls, msg))
-        if self.path_length_histogram:
-            hist = " ".join(
-                "%d:%d" % (k, v) for k, v in sorted(self.path_length_histogram.items())
-            )
-            lines.append("path lengths: %s" % hist)
+        for label, histogram in (
+            ("path lengths", self.path_length_histogram),
+            ("connector lengths", self.connector_length_histogram),
+        ):
+            if histogram:
+                hist = " ".join("%d:%d" % (k, v) for k, v in sorted(histogram.items()))
+                lines.append("%s: %s" % (label, hist))
         if self.wall_clock:
             lines.append(
                 "per-request seconds: p50=%(p50).6f p90=%(p90).6f p99=%(p99).6f max=%(max).6f"
@@ -188,9 +191,11 @@ def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None
                         "PATH %d %d %d %d : %s"
                         % (len(served) - 1, rec.a, rec.b, rec.length, " ".join(map(str, verts)))
                     )
-                report.path_length_histogram[rec.length] = (
-                    report.path_length_histogram.get(rec.length, 0) + 1
-                )
+                for histogram, length in (
+                    (report.path_length_histogram, rec.length),
+                    (report.connector_length_histogram, len(rec.seg_mid)),
+                ):
+                    histogram[length] = histogram.get(length, 0) + 1
             report.requests_served += 1
         except (CallerError, ExpansionViolation) as exc:
             cls = "caller-error" if isinstance(exc, CallerError) else "expansion-violation"

@@ -220,13 +220,14 @@ class EdgeOracle:
         B-stock edge in pick order, any other its first free out-edge in
         pick order whose head is not in Sat. The tree ends when it discovers
         a vertex w that is a key of the dict `meet` (read live), or whose
-        row `near[w]` shares one and `link(w, meet)` confirms the hit with
-        a value that is not None (no `near`: no vertex does), its last key
-        then. Each discovery is one C-level test; only a row hit calls
-        `link`. Stopped there or dropped early, it is a prefix of the full
-        tree, with the same picks and log entries. It needs an open log
-        (checked at the first resume), which counts its edges and takes
-        them back on ExpansionViolation.
+        row `near[w]` shares one and `link(w, meet, parent)`, given the
+        tree's own dict too, confirms the hit with a value that is not None
+        (no `near`: no vertex does), its last key then. Each discovery is
+        one C-level test; only a row hit calls `link`. Stopped there or
+        dropped early, it is a prefix of the full tree, with the same picks
+        and log entries. It needs an open log (checked at the first
+        resume), which counts its edges and takes them back on
+        ExpansionViolation.
         """
         undo = self._undo
         if undo is None:
@@ -281,7 +282,7 @@ class EdgeOracle:
                 keep(e)
                 if w not in parent:
                     parent[w] = (u, e)
-                    if w in meet or (not disjoint(near[w]) and link(w, meet) is not None):
+                    if w in meet or (not disjoint(near[w]) and link(w, meet, parent) is not None):
                         return
                     enqueue(w)
             yield

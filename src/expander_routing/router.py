@@ -4,11 +4,12 @@ A request for a path from a to b grows two trees with oracle-supplied
 edges: one out of a inside the first split subgraph, one out of b inside
 the reversed second subgraph (so its arcs point towards b in the
 original orientation). They grow in lockstep, and both stop where one
-discovers a vertex of the other, or a vertex joined to the other by one
-free edge of the third subgraph (an edge no live path's middle segment
-holds). A tree tests each discovery against the vertex's fixed G3 row
+discovers a vertex of the other, or a vertex joined to the other by a
+free path of one or two edges of the third subgraph (edges no live
+path's middle segment holds, through a middle vertex in neither tree).
+A tree tests each discovery against the vertex's fixed two-hop G3 row
 and confirms a hit against H3, which holds few G3 edges, so no state
-follows H3 per vertex. The connector is then empty or that one edge.
+follows H3 per vertex. The connector is then empty or that path.
 Trees that meet nothing grow to full size, large enough that the third
 subgraph, minus the middle segments already spoken for, connects them
 by a short directed path. The path is assembled from the two tree branches plus
@@ -133,14 +134,16 @@ class RoutingEngine:
         self.in_oracle = EdgeOracle(reverse(self.split.g2), profile.oracle)
         self.h3 = EdgeSubset(self.split.g3)
         self.ledger = Ledger(g.n, profile.endpoint_cap, profile.r)
-        # g3_out[v] (g3_in[v]): the heads (tails) of v's G3 out-edges (in-edges)
-        # in adjacency order; fixed rows a tree tests in C, confirming a hit
-        # with link_out (link_in) against H3
+        # g3_out[v] (g3_in[v]): the ends within two G3 edges out of (into) v,
+        # one-edge ends first, in adjacency order; fixed rows a tree tests in
+        # C, confirming a hit with link_out (link_in) against H3
         g3 = self.split.g3
-        self.g3_out = [tuple(map(g3.heads.__getitem__, row)) for row in g3.out_adj]
-        self.g3_in = [tuple(map(g3.tails.__getitem__, row)) for row in g3.in_adj]
-        self.link_out = partial(self._free_g3_edge, self.g3_out, g3.out_adj, g3.heads)
-        self.link_in = partial(self._free_g3_edge, self.g3_in, g3.in_adj, g3.tails)
+        out1 = [tuple(map(g3.heads.__getitem__, row)) for row in g3.out_adj]
+        in1 = [tuple(map(g3.tails.__getitem__, row)) for row in g3.in_adj]
+        self.g3_out = [tuple(chain(row, *map(out1.__getitem__, row))) for row in out1]
+        self.g3_in = [tuple(chain(row, *map(in1.__getitem__, row))) for row in in1]
+        self.link_out = partial(self._free_g3_path, self.g3_out, g3.out_adj, g3.heads)
+        self.link_in = partial(self._free_g3_path, self.g3_in, g3.in_adj, g3.tails)
 
     @property
     def n(self):
@@ -196,9 +199,10 @@ class RoutingEngine:
         """Grow the out-tree from a and the in-tree into b in lockstep, one
         dequeued vertex each in turn, and check their vertex and depth budgets.
 
-        A tree that discovers a vertex of the other, or a vertex with a free
-        G3 edge to (out-tree) or from (in-tree) the other (its fixed G3 row
-        hits a key, and `link_out` or `link_in` confirms), ends there, and
+        A tree that discovers a vertex of the other, or a vertex joined by a
+        free G3 path of one or two edges to (out-tree) or from (in-tree) the
+        other (its fixed two-hop G3 row hits a key, and `link_out` or
+        `link_in` confirms, given both trees), ends there, and
         so does the other. A tree that ends unmet leaves the other to grow
         alone, and must reach `bfs_vertex_cap` vertices. BFS makes a tree's
         last key its deepest. A tree stopped at the meeting is dropped
@@ -232,34 +236,47 @@ class RoutingEngine:
         """Where the trees met, as (entry, exit, connector edges), or None.
 
         A tree that met ends at its last key. A shared vertex wins, with
-        no connector; else `link_out`'s free G3 edge out of the out-tree's
-        last key into the in-tree, then `link_in`'s out of the out-tree
-        into the in-tree's last key.
+        no connector; else `link_out`'s free G3 path out of the out-tree's
+        last key into the in-tree, `[e]` or `[e, f]`, then `link_in`'s out
+        of the out-tree into the in-tree's last key, put in path order.
         """
         last_a, last_b = next(reversed(par_a)), next(reversed(par_b))
         if last_a in par_b:
             return last_a, last_a, []
         if last_b in par_a:
             return last_b, last_b, []
-        e = self.link_out(last_a, par_b)
-        if e is not None:
-            return last_a, self.split.g3.heads[e], [e]
-        e = self.link_in(last_b, par_a)
-        if e is not None:
-            return self.split.g3.tails[e], last_b, [e]
+        g3 = self.split.g3
+        seg = self.link_out(last_a, par_b, par_a)
+        if seg is not None:
+            return last_a, g3.heads[seg[-1]], seg
+        seg = self.link_in(last_b, par_a, par_b)
+        if seg is not None:
+            seg.reverse()
+            return g3.tails[seg[0]], last_b, seg
         return None
 
-    def _free_g3_edge(self, rows, adj, ends, w, keys):
-        """The first G3 edge in adjacency order of `adj[w]` that H3 does not
-        hold and whose end in `ends` (listed in `rows[w]`, tested first in
-        C) is a key of the dict `keys`, or None. The one home of the rule
-        by which the trees meet through G3."""
+    def _free_g3_path(self, rows, adj, ends, w, keys, own):
+        """The first free G3 path (no edge in H3) from w, a key of the dict
+        `own`, to a key of the dict `keys`, as its edges walked from w along
+        `adj` to their `ends` (out-edges to heads, in-edges to tails), or
+        None. The one home of the rule by which the trees meet through G3:
+        one edge first, in adjacency order, then a pair e, f whose middle
+        vertex is a key of neither dict, so that served paths stay simple
+        (and f is not e, as w is in `own`). A row `rows[w]` that shares no
+        key, tested first in C, rules out both."""
         if keys.keys().isdisjoint(rows[w]):
             return None
         h3m = self.h3.member
         for e in adj[w]:
             if not h3m[e] and ends[e] in keys:
-                return e
+                return [e]
+        for e in adj[w]:
+            x = ends[e]
+            if h3m[e] or x in own or x in keys:
+                continue
+            for f in adj[x]:
+                if not h3m[f] and ends[f] in keys:
+                    return [e, f]
         return None
 
     @staticmethod

@@ -106,8 +106,8 @@ def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None, near
     """`EdgeOracle.grow_tree` spelled out with one one-vertex tree per edge,
     inside the caller's request log, over at most `steps` dequeued vertices
     (the resumes before it is dropped). A discovered vertex w meets when
-    it is in `meet`, or `near[w]` holds one of `meet` and `link(w, meet)`
-    is not None."""
+    it is in `meet`, or `near[w]` holds one of `meet` and `link(w, meet,
+    parent)` is not None."""
     parent = {root: None}
     edges = []
     q = deque([root])
@@ -126,7 +126,7 @@ def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None, near
                 if w in meet or (
                     near is not None
                     and any(x in meet for x in near[w])
-                    and link(w, meet) is not None
+                    and link(w, meet, parent) is not None
                 ):
                     return edges, parent
                 q.append(w)

@@ -47,12 +47,12 @@ GOLDEN_PREPROCESS = {
     (20, 2): "296558d1fdc3491c54ee078c45de6b9ee729d525194c3a0183117af96d01713e",
     (21, 3): "6ed5b5f4cf98a3a71f9334153b83ceb9882958799b5da265cc96bf2477379c7a",
 }
-GOLDEN_REPLAY = "43d6d401ecb7263e6dc976e6d8c2f1d167c8c1145a7cb5d5d9a1323cf97b4453"
-GOLDEN_REPLAY_STATE = "36d28193a7db1dc23f31f2c112390f6b74384f065b1430a88a1b1cc9fd3fce13"
+GOLDEN_REPLAY = "6ba9c52f0ee9fbe572e70a861b14a31f6e1682d3736001210573ba51e1b1557f"
+GOLDEN_REPLAY_STATE = "40bf53793dfe8c785eb5873dfb1a1c48116ccbac3ac18ce9182b0ed662c19793"
 # the oracle work that replay does: per-edge add and remove calls, walk
 # searches, and Low promotions per oracle (out, in)
 GOLDEN_REPLAY_CALLS = {
-    "out_add": 2379, "out_remove": 2351, "in_add": 2217, "in_remove": 2193, "walk_searches": 0,
+    "out_add": 1573, "out_remove": 1545, "in_add": 1336, "in_remove": 1318, "walk_searches": 0,
 }
 GOLDEN_REPLAY_LOW_ADDITIONS = (0, 0)
 

@@ -63,6 +63,18 @@ def test_reverse_swaps_degree_sequences():
     assert r.out_adj == d.in_adj
 
 
+def test_reverse_shares_the_input_lists():
+    # the reversal shares d's lists, equal to those a fresh build of the
+    # reversed edges makes; reversing twice restores every edge
+    d = oriented_host(20, 3, seed=4)
+    r = reverse(d)
+    assert r.out_adj is d.in_adj and r.in_adj is d.out_adj
+    assert r.tails is d.heads and r.heads is d.tails
+    fresh = Digraph(d.n, edge_pairs(r))
+    assert (fresh.out_adj, fresh.in_adj) == (r.out_adj, r.in_adj)
+    assert edge_pairs(reverse(r)) == edge_pairs(d)
+
+
 @given(edge_lists())
 def test_reverse_is_involution(args):
     n, edges = args

@@ -277,14 +277,16 @@ def test_cli_pipeline(tmp_path, capsys):
     assert payload["failures"] == []
     assert payload["requests_served"] == 60
     assert payload["path_length_histogram"] == {
-        "2": 3, "3": 5, "4": 11, "5": 7, "6": 6
+        "2": 3, "3": 8, "4": 11, "5": 6, "6": 4
     }
+    # the same 32 finds by connector length: 8 of one G3 edge, 24 of two
+    assert payload["connector_length_histogram"] == {"1": 8, "2": 24}
     assert payload["oracle_call_counts"] == {
-        "out_add": 153, "out_remove": 146, "in_add": 134, "in_remove": 126, "walk_searches": 0
+        "out_add": 89, "out_remove": 84, "in_add": 59, "in_remove": 54, "walk_searches": 0
     }
     assert sorted(payload["wall_clock"]) == ["max", "p50", "p90", "p99"]
     assert (payload["verifies_run"], payload["verify_findings"]) == (6, 0)
-    capsys.readouterr()
+    assert "connector lengths: 1:8 2:24\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("r", [0, 1])

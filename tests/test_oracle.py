@@ -573,7 +573,7 @@ class Forced(Exception):
 def _confirmer(confirmed):
     """A `grow_tree` link that confirms a row hit at the vertices of
     `confirmed` only, as a router confirms one against H3."""
-    return lambda w, keys: 0 if w in confirmed else None
+    return lambda w, keys, own: 0 if w in confirmed else None
 
 
 def _grown(orc, root, vertex_cap, fanout, meet=(), steps=None, near=None, link=None):
@@ -745,7 +745,7 @@ class OracleMachine(RuleBasedStateMachine):
             v for v in parent
             if v != root and (
                 v in meet
-                or (near is not None and not meet.isdisjoint(near[v]) and link(v, meet) is not None)
+                or (near is not None and not meet.isdisjoint(near[v]) and link(v, meet, parent) is not None)
             )
         ]
         assert met in ([], [next(reversed(parent))])

@@ -4,6 +4,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 import pytest
 from hypothesis import Phase, settings
@@ -196,10 +197,13 @@ def test_met_tree_skips_the_stall_check_but_not_the_depth_check(probe_trees):
     assert state_snapshot(eng) == before
     eng.profile = depth_capped(eng.profile, depth)
     rec = eng.find_path(a, b)
-    # met through a shared vertex (no connector) or one free G3 edge
+    # met through a shared vertex (no connector) or a free G3 path of one
+    # or two edges, and the served path is simple
     entry, _, seg_mid = probe["meet"]
-    assert len(rec.seg_mid) <= 1 and rec.seg_mid == tuple(seg_mid)
-    assert eng.path_vertices(rec)[len(rec.seg_a)] == entry
+    assert len(rec.seg_mid) <= 2 and rec.seg_mid == tuple(seg_mid)
+    verts = eng.path_vertices(rec)
+    assert verts[len(rec.seg_a)] == entry
+    assert len(set(verts)) == len(verts)
     assert eng.verify().ok
 
 
@@ -212,8 +216,9 @@ def _alone(oracle, root, caps, meet=(), steps=None, near=None, link=None):
 def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
     # on a filled engine, each lockstep tree is a prefix of the tree its
     # oracle grows alone. Trees share at most one vertex. Trees that meet
-    # share it and need no connector, or share none and are joined by one
-    # G3 edge, free before the find, from the out-tree to the in-tree. The
+    # share it and need no connector, or share none and are joined by a G3
+    # path of one or two edges, free before the find, from the out-tree to
+    # the in-tree, whose middle vertex lies in neither tree. The
     # tree that met is the lone tree stopped at its last key, and the
     # other has had the turns lockstep gives it, as many dequeued vertices
     # as the meeting tree when the out-tree met, one fewer when it was the
@@ -227,7 +232,10 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
     caps = prof.bfs_vertex_cap, prof.fanout
     rng = random.Random(2)
     kinds = Counter()
-    for _ in range(60):
+    outcomes = ("shared", "one edge", "two edges", "unmet")
+    for _ in range(600):
+        if min(kinds[k] for k in outcomes) >= 5:
+            break
         a, b = rng.sample(range(n), 2)
         if eng.ledger.violation(a, b):
             continue
@@ -255,10 +263,13 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
         if shared:
             assert shared == {entry} and entry == exit_ and seg_mid == []
         else:
-            [e] = seg_mid
-            assert not eng.h3.member[e]
-            assert (g3.tails[e], g3.heads[e]) == (entry, exit_)
+            assert 1 <= len(seg_mid) <= 2
+            assert not any(eng.h3.member[e] for e in seg_mid)
+            walk = [g3.tails[seg_mid[0]]] + [g3.heads[e] for e in seg_mid]
+            assert all(g3.tails[f] == g3.heads[e] for e, f in zip(seg_mid, seg_mid[1:]))
+            assert (walk[0], walk[-1]) == (entry, exit_)
             assert entry in par_a and exit_ in par_b
+            assert not any(x in par_a or x in par_b for x in walk[1:-1])
         schedules = []
         for (m_orc, m_root, m_tree, m_rows), (o_orc, o_root, o_tree, _), lag in (
             (sides[0], sides[1], 1),
@@ -274,47 +285,107 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
                 and _alone(o_orc, o_root, caps, steps=turns - lag) == o_tree
             )
         assert any(schedules)
-        kinds["shared" if shared else "one edge"] += 1
+        kinds[("shared", "one edge", "two edges")[len(seg_mid)]] += 1
         rec = eng.find_path(a, b)
         assert rec.seg_mid == tuple(seg_mid)
+        verts = eng.path_vertices(rec)
+        assert len(set(verts)) == len(verts)
         eng.remove_path(rec.id)
-    # all three outcomes occur at this size
-    assert min(kinds[k] for k in ("shared", "one edge", "unmet")) >= 5, kinds
+    # all four outcomes occur at this size
+    assert min(kinds[k] for k in outcomes) >= 5, kinds
     assert eng.verify().ok
 
 
 def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
-    # trees that met through G3 edge e grow past that point once H3 holds
-    # e, as a live path's middle segment would: e's ends stay in the fixed
-    # G3 rows, but neither confirmation nor `_meeting` takes e
+    # trees that met through a G3 path grow past that point once H3 holds
+    # either of its edges, as a live path's middle segment would: the
+    # edge's ends stay in the fixed G3 rows, but neither confirmation nor
+    # `_meeting` takes the edge
     eng = small_engine(n=600, d=30, seed=11)
     g3 = eng.split.g3
     rng = random.Random(4)
+    met = {}
     for _ in range(100):
         a, b = rng.sample(range(eng.n), 2)
         probe = probe_trees(eng, a, b)
         if probe["meet"] is not None and probe["meet"][2]:
+            met.setdefault(len(probe["meet"][2]), []).append((a, b, probe))
+        if len(met.get(2, ())) >= 3 and 1 in met:
             break
     else:
-        raise AssertionError("no pair met through a G3 edge in 100 samples")
+        raise AssertionError("too few pairs met through G3 in 100 samples: %s" % met)
+    a, b, probe = met[1][0]
     [e] = probe["meet"][2]
     t, w = g3.tails[e], g3.heads[e]
     parallel = [f for f in g3.out_adj[t] if g3.heads[f] == w and f != e]
-    assert e in (eng.link_out(t, {w: None}), eng.link_in(w, {t: None}))
+    assert [e] in (eng.link_out(t, {w: None}, {t: None}), eng.link_in(w, {t: None}, {w: None}))
     eng.h3.add(e)
     assert w in eng.g3_out[t] and t in eng.g3_in[w]
     for link, v, u in ((eng.link_out, t, w), (eng.link_in, w, t)):
-        found = link(v, {u: None})
-        assert found != e and (found is None) == (not parallel)
-    par_a, par_b = probe["out"][1], probe["in"][1]
-    assert eng._meeting(par_a, par_b) in (None, (t, w, parallel[:1]))
-    again = probe_trees(eng, a, b)
-    assert again["meet"] is None or e not in again["meet"][2]
-    if not parallel:
-        assert len(again["out"][1]) + len(again["in"][1]) > len(par_a) + len(par_b)
+        # a parallel edge, else only a two-edge path around e
+        found = link(v, {u: None}, {v: None})
+        assert found == parallel[:1] or not parallel and (found is None or len(found) == 2)
+        assert found is None or e not in found
     eng.h3.remove(e)
-    assert probe_trees(eng, a, b) == probe
+    grew = Counter()
+    for a, b, probe in met[1][:1] + met[2]:
+        par_a, par_b = probe["out"][1], probe["in"][1]
+        last_a, last_b = next(reversed(par_a)), next(reversed(par_b))
+        seg = probe["meet"][2]
+
+        def links():
+            return eng.link_out(last_a, par_b, par_a), eng.link_in(last_b, par_a, par_b)
+
+        # the meeting tree's link found the path, walked from its last key
+        assert seg in links() or seg[::-1] in links()
+        for i, held in enumerate(seg):
+            eng.h3.add(held)
+            assert all(found is None or held not in found for found in links())
+            meet = eng._meeting(par_a, par_b)
+            assert meet is None or held not in meet[2]
+            again = probe_trees(eng, a, b)
+            assert again["meet"] is None or held not in again["meet"][2]
+            if meet is None:
+                # no free path from either last key: the trees grow past it
+                assert len(again["out"][1]) + len(again["in"][1]) > len(par_a) + len(par_b)
+                grew[len(seg), i] += 1
+            eng.h3.remove(held)
+            assert probe_trees(eng, a, b) == probe
+    # holding the one edge, or either edge of a pair, moved some meeting on
+    assert set(grew) == {(1, 0), (2, 0), (2, 1)}, grew
     assert eng.verify().ok
+
+
+def test_a_two_edge_link_never_passes_through_the_own_tree():
+    # hold every G3 edge out of t but e, and every one out of e's head x
+    # but f: the one free link from t to f's head w is e, f, through x. A
+    # link from t takes it, walked from t (link_out) or from w (link_in),
+    # unless x is a vertex of the own tree or of the other
+    eng = small_engine()
+    g3 = eng.split.g3
+    t = 0
+    e, f = next(
+        (e, f)
+        for e in g3.out_adj[t]
+        for f in g3.out_adj[g3.heads[e]]
+        if len({t, g3.heads[e], g3.heads[f]}) == 3
+    )
+    x, w = g3.heads[e], g3.heads[f]
+    for held in chain(g3.out_adj[t], g3.out_adj[x]):
+        if held not in (e, f):
+            eng.h3.add(held)
+    assert w in eng.g3_out[t] and t in eng.g3_in[w]
+    assert eng.link_out(t, {w: None}, {t: None}) == [e, f]
+    assert eng.link_in(w, {t: None}, {w: None}) == [f, e]
+    # x in the own tree blocks the pair; x in the other makes a one-edge link
+    assert eng.link_out(t, {w: None}, {t: None, x: None}) is None
+    assert eng.link_in(w, {t: None}, {w: None, x: None}) is None
+    assert eng.link_out(t, {w: None, x: None}, {t: None}) == [e]
+    assert eng.link_in(w, {t: None, x: None}, {w: None}) == [f]
+    # the two-edge path is the one free link: without f, none is left
+    eng.h3.add(f)
+    assert eng.link_out(t, {w: None}, {t: None}) is None
+    assert eng.link_in(w, {t: None}, {w: None}) is None
 
 
 @pytest.mark.parametrize("seed", [1, 2, 7])
@@ -381,8 +452,8 @@ def _watch_rollback(oracle, ops):
 def test_oracle_counters_count_every_tree_edge(probe_trees):
     # the undo logs count each edge a find put in H once, kept or rolled
     # back, so a find's add_calls deltas are its trees' sizes: met at a
-    # shared vertex or through one G3 edge, unmet and failed alike; a probe
-    # grows the same trees the find then grows
+    # shared vertex or through a G3 path of one or two edges, unmet and
+    # failed alike; a probe grows the same trees the find then grows
     eng = small_engine(n=600, d=30, seed=11)
 
     def find(a, b, profile=None):
@@ -470,7 +541,8 @@ MACHINE_VERTICES = st.integers(0, MACHINE_N - 1)
 
 class EngineMachine(RuleBasedStateMachine):
     """Finds, removes and forced failures on one small engine: every step
-    leaves a clean verify, every failed find leaves the state as it was."""
+    leaves a clean verify, every served path is simple, and every failed
+    find leaves the state as it was."""
 
     def __init__(self):
         super().__init__()
@@ -480,9 +552,13 @@ class EngineMachine(RuleBasedStateMachine):
     def _find(self, a, b):
         before = state_snapshot(self.eng)
         try:
-            self.eng.find_path(a, b)
+            rec = self.eng.find_path(a, b)
         except (CallerError, ExpansionViolation):
             assert state_snapshot(self.eng) == before
+            return
+        # a served path is simple: it repeats no vertex
+        verts = self.eng.path_vertices(rec)
+        assert len(set(verts)) == len(verts), verts
 
     @rule(a=MACHINE_VERTICES, b=MACHINE_VERTICES)
     def find(self, a, b):
