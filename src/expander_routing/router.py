@@ -261,9 +261,9 @@ class RoutingEngine:
         `adj` to their `ends` (out-edges to heads, in-edges to tails), or
         None. The one home of the rule by which the trees meet through G3:
         one edge first, in adjacency order, then a pair e, f whose middle
-        vertex is a key of neither dict, so that served paths stay simple
-        (and f is not e, as w is in `own`). A row `rows[w]` that shares no
-        key, tested first in C, rules out both."""
+        vertex is in neither tree (not in `keys`, or e would have won), so
+        served paths stay simple and f is not e. A row `rows[w]` that
+        shares no key, tested first in C, rules out both."""
         if keys.keys().isdisjoint(rows[w]):
             return None
         h3m = self.h3.member
@@ -272,7 +272,7 @@ class RoutingEngine:
                 return [e]
         for e in adj[w]:
             x = ends[e]
-            if h3m[e] or x in own or x in keys:
+            if h3m[e] or x in own:
                 continue
             for f in adj[x]:
                 if not h3m[f] and ends[f] in keys:
