@@ -68,9 +68,22 @@ def _open_unit(text):
     return float(value)
 
 
+def _add_profile_options(parser):
+    """--profile FILE or --desk, the router profile `_graph_and_profile` reads;
+    both at once is a usage error (exit 2)."""
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--profile")
+    source.add_argument("--desk", action="store_true", help="use the tuned desk-scale profile")
+
+
 def _graph_and_profile(args):
     """The undirected graph at --graph and its router profile from --profile or
-    --desk; a directed graph or a profile for another (n, d) is a usage error."""
+    --desk; a directed graph, a profile for another (n, d) or more than one
+    input read from standard input is a usage error."""
+    stdin = [("" if key == "graph" and args.command == "preprocess" else "--") + key
+             for key in ("graph", "profile", "trace") if getattr(args, key, None) == "-"]
+    if len(stdin) > 1:
+        raise RoutingError("only one input may be - (standard input), got %s" % ", ".join(stdin))
     g = load_graph(args.graph)
     if not isinstance(g, UndirectedGraph):
         raise RoutingError("%s expects an undirected graph file" % args.command)
@@ -190,8 +203,7 @@ def build_parser():
     p = sub.add_parser("run", help="run a trace against a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--trace", required=True, help="trace file or - for stdin")
-    p.add_argument("--profile")
-    p.add_argument("--desk", action="store_true", help="use the tuned desk-scale profile")
+    _add_profile_options(p)
     p.add_argument("--verify-every", type=int, default=0, metavar="K")
     p.add_argument("--stop-on-failure", action="store_true")
     p.add_argument("--json", help="write the report as JSON here")
@@ -200,8 +212,7 @@ def build_parser():
 
     p = sub.add_parser("gen-workload", help="generate a rule-respecting trace")
     p.add_argument("--graph", required=True)
-    p.add_argument("--profile")
-    p.add_argument("--desk", action="store_true")
+    _add_profile_options(p)
     p.add_argument("--kind", required=True, choices=["churn", "fill", "hotspot"])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--ops", type=_at_least(0), help="churn and hotspot: commands to write")
@@ -213,8 +224,7 @@ def build_parser():
     p = sub.add_parser("preprocess", help="orient and split an undirected expander")
     p.add_argument("graph")
     p.add_argument("outprefix")
-    p.add_argument("--profile")
-    p.add_argument("--desk", action="store_true")
+    _add_profile_options(p)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("gen", help="generate a random regular graph")

@@ -54,6 +54,8 @@ class RouterProfile:
     orientation, `d_prime` the degree of the two oracle hosts, which both
     run on `oracle`. `k`, `c`, `depth_cap`, `bfs_vertex_cap` and
     `path_len_cap` follow from the fields, so they are properties.
+    `depth_cap` = ceil(log2 n) is the one hop budget of each of a path's
+    three segments: both tree segments and the G3 connector.
     `profile_items` lists it as its file does.
     """
 
@@ -64,8 +66,7 @@ class RouterProfile:
     d_prime: int
     fanout: int               # oracle requests per dequeued vertex
     endpoint_cap: int         # a vertex may start (end) strictly fewer paths
-    r: int                    # live-path volume cap; |H1|, |H2| <= r * depth_cap
-    g3_path_cap: int          # max accepted length of the middle segment
+    r: int                    # live-path volume cap; |H1|, |H2|, |H3| <= r * depth_cap
     oracle: OracleProfile     # thresholds of both oracles
 
     def __post_init__(self):
@@ -96,7 +97,7 @@ class RouterProfile:
 
     @property
     def depth_cap(self) -> int:
-        """Tree depth budget: ceil(log2 n) hops per tree segment."""
+        """Hop budget: ceil(log2 n) hops per segment, tree or connector."""
         return ceil_log2(self.n)
 
     @property
@@ -106,8 +107,8 @@ class RouterProfile:
 
     @property
     def path_len_cap(self) -> int:
-        """Max accepted total path length: two tree segments and the connector."""
-        return 2 * self.depth_cap + self.g3_path_cap
+        """Max accepted total path length: three segments of depth_cap hops."""
+        return 3 * self.depth_cap
 
     def max_r(self) -> int:
         """The largest r both capacity chains allow: r * depth_cap <= c*n*k/2
@@ -152,7 +153,6 @@ def derive_profile(n, d, beta, gamma, relaxed=False):
         fanout=max(1, d_prime // 4),
         endpoint_cap=math.ceil(Fraction(d, 200)),
         r=0,
-        g3_path_cap=math.ceil(Fraction(300, 1) / beta) + 1,
         oracle=canonical_oracle_profile(d_prime),
     )
     return dataclasses.replace(profile, r=profile.max_r())
@@ -194,7 +194,6 @@ def desk_profile(n, d):
         fanout=2,
         endpoint_cap=endpoint_cap,
         r=max(8, n // 25),
-        g3_path_cap=50,
         oracle=OracleProfile(
             out_cap=out_cap,
             in_cap=in_cap,

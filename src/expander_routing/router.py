@@ -161,7 +161,6 @@ class RoutingEngine:
     # --- requests ---------------------------------------------------------
 
     def find_path(self, a, b) -> PathRecord:
-        prof = self.profile
         broken = self.ledger.violation(a, b)
         if broken:
             raise CallerError(broken)
@@ -171,10 +170,9 @@ class RoutingEngine:
             if connector is None:
                 raise ExpansionViolation("no connector between the two trees in the third subgraph")
             ap, bp, seg_mid = connector
-            if len(seg_mid) > prof.g3_path_cap:
-                raise ExpansionViolation(
-                    "connector length %d exceeds cap %d" % (len(seg_mid), prof.g3_path_cap)
-                )
+            depth_cap = self.profile.depth_cap  # a derived property: read it once
+            if len(seg_mid) > depth_cap:
+                raise ExpansionViolation("connector length %d exceeds cap %d" % (len(seg_mid), depth_cap))
         seg_a = self._tree_path(par_a, ap)
         seg_b_tree = self._tree_path(par_b, bp)
         for oracle, edges, keep in (
@@ -371,29 +369,24 @@ class RoutingEngine:
         if len(host_ids) != len(set(host_ids)):
             findings.append("paths are not pairwise edge-disjoint over the host")
 
-        depth_cap, g3_cap, len_cap = prof.depth_cap, prof.g3_path_cap, prof.path_len_cap
+        # depth_cap hops is the budget of each segment, tree or connector
+        depth_cap, len_cap = prof.depth_cap, prof.path_len_cap
         for rec in recs:
             problems = []
             self._walk_vertices(rec, problems)
             findings.extend("path %d: %s" % (rec.id, p) for p in problems)
-            if len(rec.seg_a) > depth_cap:
-                findings.append("path %d: first segment length %d over cap" % (rec.id, len(rec.seg_a)))
-            if len(rec.seg_b) > depth_cap:
-                findings.append("path %d: last segment length %d over cap" % (rec.id, len(rec.seg_b)))
-            if len(rec.seg_mid) > g3_cap:
-                findings.append("path %d: middle segment length %d over cap" % (rec.id, len(rec.seg_mid)))
+            for label, seg in (("first", rec.seg_a), ("middle", rec.seg_mid), ("last", rec.seg_b)):
+                if len(seg) > depth_cap:
+                    findings.append("path %d: %s segment length %d over cap" % (rec.id, label, len(seg)))
             if rec.length > len_cap:
                 findings.append("path %d: length %d over cap %d" % (rec.id, rec.length, len_cap))
 
         count = len(recs)
         if count > prof.r:
             findings.append("live path count %d exceeds the volume cap r=%d" % (count, prof.r))
-        for name, oracle in (("H1", self.out_oracle), ("H2", self.in_oracle)):
-            size = len(oracle.h)
-            if size > count * depth_cap:
-                findings.append("%s size %d exceeds %d paths x depth budget" % (name, size, count))
-        if len(self.h3) * prof.beta > 300 * count:
-            findings.append("H3 size %d exceeds 300|P|/beta" % len(self.h3))
+        for name, sub in (("H1", self.out_oracle.h), ("H2", self.in_oracle.h), ("H3", self.h3)):
+            if len(sub) > count * depth_cap:
+                findings.append("%s size %d exceeds %d paths x depth budget" % (name, len(sub), count))
 
         ps_expected = [0] * self.n
         pe_expected = [0] * self.n

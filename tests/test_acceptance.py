@@ -198,7 +198,7 @@ def test_criterion_3_router_end_to_end(suite3):
     assert report.requests_served == ROUTER_OPS
     assert report.verifies_run == ROUTER_OPS
     assert report.verify_findings == 0
-    length_cap = 2 * ceil_log2(ROUTER_N) + profile.g3_path_cap
+    length_cap = 3 * ceil_log2(ROUTER_N)
     assert all(length <= length_cap for length in report.path_length_histogram)
     assert suite3["elapsed"] <= 600.0
     print(

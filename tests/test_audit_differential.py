@@ -144,21 +144,18 @@ def reference_verify(eng):
         findings.extend("path %d: %s" % (rec.id, p) for p in problems)
         if len(rec.seg_a) > prof.depth_cap:
             findings.append("path %d: first segment length %d over cap" % (rec.id, len(rec.seg_a)))
+        if len(rec.seg_mid) > prof.depth_cap:
+            findings.append("path %d: middle segment length %d over cap" % (rec.id, len(rec.seg_mid)))
         if len(rec.seg_b) > prof.depth_cap:
             findings.append("path %d: last segment length %d over cap" % (rec.id, len(rec.seg_b)))
-        if len(rec.seg_mid) > prof.g3_path_cap:
-            findings.append("path %d: middle segment length %d over cap" % (rec.id, len(rec.seg_mid)))
         if rec.length > prof.path_len_cap:
             findings.append("path %d: length %d over cap %d" % (rec.id, rec.length, prof.path_len_cap))
     count = len(recs)
     if count > prof.r:
         findings.append("live path count %d exceeds the volume cap r=%d" % (count, prof.r))
-    for name, oracle in (("H1", eng.out_oracle), ("H2", eng.in_oracle)):
-        size = len(oracle.h)
+    for name, size in (("H1", len(eng.out_oracle.h)), ("H2", len(eng.in_oracle.h)), ("H3", len(eng.h3))):
         if size > count * prof.depth_cap:
             findings.append("%s size %d exceeds %d paths x depth budget" % (name, size, count))
-    if len(eng.h3) * prof.beta > 300 * count:
-        findings.append("H3 size %d exceeds 300|P|/beta" % len(eng.h3))
     for v in range(eng.n):
         if eng.out_oracle.h.out_deg[v] > eng.out_oracle.h.in_deg[v] + eng.ledger.ps[v]:
             findings.append("H1 out/in imbalance at vertex %d" % v)
@@ -496,6 +493,15 @@ def h3_edge_dropped(eng):
     eng.h3.member[rec.seg_mid[0]] = 0
 
 
+def h3_over_hop_budget(eng):
+    # free G3 edges planted in H3 until |H3| passes |P| x depth_cap: still
+    # far below 300|P|/beta, the looser bound the hop budget replaced
+    budget = len(eng.ledger.paths) * eng.profile.depth_cap
+    free = (e for e in range(eng.split.g3.m) if not eng.h3.member[e])
+    while len(eng.h3) <= budget:
+        eng.h3.add(next(free))
+
+
 def r_below_live_count(eng):
     eng.profile = dataclasses.replace(eng.profile, r=len(eng.ledger.paths) - 1)
 
@@ -517,6 +523,7 @@ ENGINE_CORRUPTIONS = [
     out_oracle_sat_planted,
     in_oracle_h_bit_without_counters,
     h3_edge_dropped,
+    h3_over_hop_budget,
     r_below_live_count,
     low_claim_broken_under_strict_profile,
 ]
@@ -551,6 +558,10 @@ def test_verify_matches_reference_on_corruptions(corruptions):
     assert eng.verify().findings == findings
     if low_claim_broken_under_strict_profile in corruptions:
         assert "out-oracle: |Low|=5 is not below beta*n/12=5" in findings
+    if h3_over_hop_budget in corruptions:
+        count, size = len(eng.ledger.paths), len(eng.h3)
+        assert size * eng.profile.beta < 300 * count
+        assert "H3 size %d exceeds %d paths x depth budget" % (size, count) in findings
     if r_below_live_count in corruptions:
         count = len(eng.ledger.paths)
         assert "live path count %d exceeds the volume cap r=%d" % (count, count - 1) in findings

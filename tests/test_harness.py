@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import save_profile, validate_trace
+from conftest import depth_capped, save_profile, validate_trace
 from expander_routing.cli import main as cli_main
 from expander_routing.errors import CallerError, FormatError
 from expander_routing.expanders import gen_random_regular_graph
@@ -220,10 +220,10 @@ def test_engine_and_validator_refuse_the_same_requests(seed):
 
 
 def test_removes_after_a_failed_find_reach_the_paths_they_name():
-    # a one-edge connector budget makes some rule-abiding finds fail with an
-    # expansion violation; they still take their trace id
+    # a one-hop budget makes most rule-abiding finds fail with an expansion
+    # violation; they still take their trace id
     n = 150
-    prof = dataclasses.replace(desk_profile(n, 30), g3_path_cap=1)
+    prof = depth_capped(desk_profile(n, 30), 1)
     eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=21), prof)
     cmds = gen_workload("churn", n, {"ops": 200, "live_target": 4}, 3, prof.endpoint_cap, prof.r)
     lines = []
@@ -418,6 +418,51 @@ def test_cli_preprocess_needs_a_profile(tmp_path, capsys):
     save_graph(graph_path, gen_random_regular_graph(100, 20, seed=2))
     assert cli_main(["preprocess", str(graph_path), str(tmp_path / "out")]) == 2
     assert capsys.readouterr() == ("", "error: pass --profile FILE or --desk\n")
+    assert list(tmp_path.iterdir()) == [graph_path]
+
+
+@pytest.mark.parametrize("command", ["run", "gen-workload", "preprocess"])
+def test_cli_refuses_profile_and_desk_together(tmp_path, capsys, command):
+    # --desk was dropped without a word when --profile was given too: with
+    # a profile for this graph the command ran on the file and exited 0
+    graph_path, profile_path = tmp_path / "g.txt", tmp_path / "p.txt"
+    save_graph(graph_path, gen_random_regular_graph(150, 30, seed=3))
+    save_profile(profile_path, desk_profile(150, 30))
+    out = tmp_path / "out"
+    rest = {
+        "run": ["--graph", str(graph_path), "--trace", str(tmp_path / "none.txt")],
+        "gen-workload": ["--graph", str(graph_path), "--kind", "churn", "--seed", "1",
+                         "--ops", "20", "--out", str(out)],
+        "preprocess": [str(graph_path), str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, *rest, "--profile", str(profile_path), "--desk"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --desk: not allowed with argument --profile" in captured.err
+    assert sorted(tmp_path.iterdir()) == [graph_path, profile_path]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["run", "--graph", "-", "--desk", "--trace", "-"], "--graph, --trace"),
+    (["run", "--graph", "G", "--profile", "-", "--trace", "-"], "--profile, --trace"),
+    (["run", "--graph", "-", "--profile", "-", "--trace", "-"], "--graph, --profile, --trace"),
+    (["gen-workload", "--graph", "-", "--profile", "-", "--kind", "fill", "--seed", "1",
+      "--count", "2", "--out", "OUT"], "--graph, --profile"),
+    (["preprocess", "-", "OUT", "--profile", "-"], "graph, --profile"),
+], ids=["run-graph-trace", "run-profile-trace", "run-all", "gen-workload", "preprocess"])
+def test_cli_refuses_two_inputs_on_stdin(tmp_path, capsys, monkeypatch, argv, named):
+    # the first input read all of standard input and the next one read
+    # nothing: `run --graph - --trace - --desk` served an empty trace, exit 0
+    graph_path = tmp_path / "g.txt"
+    save_graph(graph_path, gen_random_regular_graph(150, 30, seed=3))
+    stdin = io.TextIOWrapper(io.BytesIO(graph_path.read_bytes()))
+    monkeypatch.setattr("sys.stdin", stdin)
+    paths = {"G": str(graph_path), "OUT": str(tmp_path / "out")}
+    assert cli_main([paths.get(arg, arg) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", "error: only one input may be - (standard input), got %s\n" % named)
+    assert stdin.buffer.tell() == 0
     assert list(tmp_path.iterdir()) == [graph_path]
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import depth_capped
 from expander_routing.errors import CallerError, FormatError
 from expander_routing.profiles import (
     OracleProfile,
@@ -44,8 +45,7 @@ def test_strict_profile_worked_example():
     assert p.bfs_vertex_cap == math.ceil(beta * n / 5)
     assert p.fanout == 5
     assert p.endpoint_cap == 2  # strictly fewer than 400/200 paths per endpoint
-    assert p.g3_path_cap == math.ceil(300 / beta) + 1
-    assert p.path_len_cap == 2 * lg + p.g3_path_cap
+    assert p.path_len_cap == 3 * lg
     assert p.oracle.out_cap == 10
     assert p.oracle.in_cap == 4
     assert p.oracle.sat_threshold == Fraction(2)
@@ -101,14 +101,15 @@ def test_profile_file_round_trip():
 
 # sha256 of each profile's file as written while path_len_cap, then
 # bfs_edge_cap and h_size_cap, then gamma and oracle_capacity, then
-# bfs_vertex_cap, then depth_cap were stored fields, with those lines
-# taken out: depth_cap is ceil_log2(n) now, the value every constructor
-# wrote, so no other line changed
+# bfs_vertex_cap, then depth_cap, then g3_path_cap were stored fields,
+# with those lines taken out: depth_cap is ceil_log2(n) now, the value
+# every constructor wrote, and the connector shares its budget, so no
+# other line changed
 PROFILE_FILE_GOLDEN = {
-    "desk-600-30": "58544dba253e9b1a0daf90f2fd5e1fdda2378172b9bb7e521684e7cdb9a45696",
-    "desk-9600-31": "208b64fc184d64587eade4822707f1e3541b1bb19065a4cb53bae1bb69dd6efc",
-    "strict-2048-400": "fa526b1da90739024ebfc3ee353ba07422af02743b807a73eab201f8ab38ae8e",
-    "relaxed-600-30": "2e074dc65656d514141ea469b1b0d9d3b51430750a8c5549840652fe5bc7df6a",
+    "desk-600-30": "d80b4a96a9316b6f9bd6246c72e3b4e5a753a63d85e7d1099e4f9ad01a39d645",
+    "desk-9600-31": "b2a4b5c9e24b8beca921d36253cc0e2f42d4a346f7687c1c0bd167d614bef280",
+    "strict-2048-400": "acaf1ebb5eeac3cc7eccedcdbccdbcab563c8a0e699ce9ec08f98389ece0fe43",
+    "relaxed-600-30": "4044cefde6dd562f11b8c05911f84780bf73a9ce21e9b1d28da9c4c7b81e7efb",
 }
 
 
@@ -121,19 +122,51 @@ def test_profile_file_text_is_unchanged(name):
         "relaxed-600-30": lambda: derive_profile(600, 30, "1/10", "1/50", relaxed=True),
     }[name]()
     text = format_profile(p)
-    assert len(text.splitlines()) == 13
+    assert len(text.splitlines()) == 12
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == PROFILE_FILE_GOLDEN[name]
 
 
 # desk_profile(150, 30) and the strict derive_profile(1024, 400, 1/100,
-# 1/2000) as format_profile wrote them while depth_cap (now derived from
-# n) was a stored field, in FIFTEEN_KEY_FILES while bfs_vertex_cap (now
+# 1/2000) as format_profile wrote them while g3_path_cap (a connector cap
+# that never bound; the connector now shares the trees' depth_cap) was a
+# stored field, in FOURTEEN_KEY_FILES while depth_cap (now derived from
+# n) was too, in FIFTEEN_KEY_FILES while bfs_vertex_cap (now
 # derived from beta) was too, in SEVENTEEN_KEY_FILES while gamma (a
 # checked input no constant depends on) and oracle_capacity (a cap on |H|
 # that in_cap already implies) were too, in NINETEEN_KEY_FILES while
 # bfs_edge_cap (a per-tree edge cap) and h_size_cap (a verified bound on
 # |H1|, |H2|) were as well, and, in OLDER_FILES, while k, c and
 # path_len_cap were as well
+THIRTEEN_KEY_FILES = {
+    "desk": """n=150
+d=30
+beta=1/5
+relaxed=true
+d_prime=6
+fanout=2
+endpoint_cap=1
+r=8
+g3_path_cap=50
+oracle_out_cap=3
+oracle_in_cap=2
+oracle_sat_threshold=2/1
+oracle_low_threshold=3/1
+""",
+    "strict": """n=1024
+d=400
+beta=1/100
+relaxed=false
+d_prime=20
+fanout=5
+endpoint_cap=2
+r=0
+g3_path_cap=30001
+oracle_out_cap=10
+oracle_in_cap=4
+oracle_sat_threshold=2/1
+oracle_low_threshold=5/1
+""",
+}
 FOURTEEN_KEY_FILES = {
     "desk": """n=150
 d=30
@@ -328,7 +361,7 @@ oracle_low_threshold=5/1
 oracle_capacity=1
 """,
 }
-RETIRED_KEYS = {"gamma", "depth_cap", "bfs_vertex_cap", "bfs_edge_cap", "h_size_cap", "oracle_capacity"}
+RETIRED_KEYS = {"gamma", "depth_cap", "g3_path_cap", "bfs_vertex_cap", "bfs_edge_cap", "h_size_cap", "oracle_capacity"}
 
 
 def _kept_lines_are_the_profile(kind, text):
@@ -340,12 +373,22 @@ def _kept_lines_are_the_profile(kind, text):
     assert format_profile(expected).splitlines() == kept
 
 
+@pytest.mark.parametrize("kind", sorted(THIRTEEN_KEY_FILES))
+def test_13_key_profile_file_fails_naming_g3_path_cap(kind):
+    # a stored connector cap is refused, not ignored: the connector shares
+    # the trees' budget of ceil_log2(n) hops now
+    text = THIRTEEN_KEY_FILES[kind]
+    with pytest.raises(FormatError, match=r"unknown fields: g3_path_cap at line 9$"):
+        parse_profile(text)
+    _kept_lines_are_the_profile(kind, text)
+
+
 @pytest.mark.parametrize("kind", sorted(FOURTEEN_KEY_FILES))
 def test_14_key_profile_file_fails_naming_depth_cap(kind):
     # a stored depth budget is refused, not ignored: n sets it now, and a
     # larger one would let finds serve paths longer than path_len_cap
     text = FOURTEEN_KEY_FILES[kind]
-    with pytest.raises(FormatError, match=r"unknown fields: depth_cap at line 6$"):
+    with pytest.raises(FormatError, match=r"unknown fields: depth_cap at line 6, g3_path_cap at line 10$"):
         parse_profile(text)
     _kept_lines_are_the_profile(kind, text)
 
@@ -354,7 +397,10 @@ def test_14_key_profile_file_fails_naming_depth_cap(kind):
 def test_15_key_profile_file_fails_naming_bfs_vertex_cap(kind):
     # a stored cap is refused, not ignored: beta sets it now
     text = FIFTEEN_KEY_FILES[kind]
-    with pytest.raises(FormatError, match=r"unknown fields: depth_cap at line 6, bfs_vertex_cap at line 7$"):
+    with pytest.raises(
+        FormatError,
+        match=r"unknown fields: depth_cap at line 6, bfs_vertex_cap at line 7, g3_path_cap at line 11$",
+    ):
         parse_profile(text)
     _kept_lines_are_the_profile(kind, text)
 
@@ -365,7 +411,7 @@ def test_17_key_profile_file_fails_naming_gamma_and_oracle_capacity(kind):
     with pytest.raises(
         FormatError,
         match=r"unknown fields: gamma at line 4, depth_cap at line 7, bfs_vertex_cap at line 8, "
-        r"oracle_capacity at line 17$",
+        r"g3_path_cap at line 12, oracle_capacity at line 17$",
     ):
         parse_profile(text)
     _kept_lines_are_the_profile(kind, text)
@@ -379,7 +425,7 @@ def test_19_key_profile_file_fails_naming_the_retired_keys(kind):
     with pytest.raises(
         FormatError,
         match=r"unknown fields: gamma at line 4, depth_cap at line 7, bfs_vertex_cap at line 8, "
-        r"bfs_edge_cap at line 9, h_size_cap at line 14, oracle_capacity at line 19$",
+        r"bfs_edge_cap at line 9, g3_path_cap at line 13, h_size_cap at line 14, oracle_capacity at line 19$",
     ):
         parse_profile(text)
     _kept_lines_are_the_profile(kind, text)
@@ -390,7 +436,8 @@ def test_older_profile_file_with_k_and_c_fails(kind):
     with pytest.raises(
         FormatError,
         match=r"unknown fields: gamma at line 4, k at line 6, c at line 8, depth_cap at line 9, "
-        r"bfs_vertex_cap at line 10, bfs_edge_cap at line 11, path_len_cap at line 16, h_size_cap at line 17, "
+        r"bfs_vertex_cap at line 10, bfs_edge_cap at line 11, g3_path_cap at line 15, path_len_cap at line 16, "
+        r"h_size_cap at line 17, "
         r"oracle_capacity at line 22$",
     ):
         parse_profile(OLDER_FILES[kind])
@@ -444,21 +491,21 @@ def test_desk_vertex_cap_is_the_cap_it_stored():
             assert desk_profile(n, d).bfs_vertex_cap == max(6, math.ceil(n / 50))
 
 
-def test_path_len_cap_follows_a_replaced_g3_path_cap():
-    # derived, so it follows the replaced field
-    p = dataclasses.replace(desk_profile(600, 30), g3_path_cap=99)
-    assert p.g3_path_cap == 99
-    assert p.path_len_cap == 2 * ceil_log2(600) + 99
+def test_path_len_cap_follows_a_lowered_depth_cap():
+    # derived, so it follows the one hop budget the tests lower
+    p = depth_capped(desk_profile(600, 30), 4)
+    assert p.depth_cap == 4
+    assert p.path_len_cap == 12
 
 
 @pytest.mark.parametrize("n", [1, 2, 150, 600, 9600])
 def test_depth_cap_is_ceil_log2_n(n):
-    # one home for the tree depth budget: the segment and |H| checks and
-    # the total length cap all read ceil_log2(n)
+    # one home for the hop budget: the three segment checks, the |H1|,
+    # |H2|, |H3| checks and the total length cap all read ceil_log2(n)
     for p in (desk_profile(n, 30), derive_profile(n, 400, "1/100", "1/2000"),
               derive_profile(n, 30, "1/10", "1/50", relaxed=True)):
         assert p.depth_cap == ceil_log2(n)
-        assert p.path_len_cap == 2 * p.depth_cap + p.g3_path_cap
+        assert p.path_len_cap == 3 * p.depth_cap
         assert "depth_cap" not in {f.name for f in dataclasses.fields(p)}
 
 
@@ -538,9 +585,9 @@ def test_router_profile_is_complete():
     keys = list(DESK_FILE_VALUES)
     own = [f.name for f in dataclasses.fields(RouterProfile) if f.name != "oracle"]
     assert keys == own + ["oracle_" + f.name for f in dataclasses.fields(OracleProfile)]
-    assert len(keys) == 13 and len(dataclasses.fields(OracleProfile)) == 4
+    assert len(keys) == 12 and len(dataclasses.fields(OracleProfile)) == 4
     derived = {"k", "c", "depth_cap", "bfs_vertex_cap", "path_len_cap"}
-    assert not (derived | {"gamma", "oracle_capacity"}) & set(keys)
+    assert not (derived | {"gamma", "oracle_capacity", "g3_path_cap"}) & set(keys)
     assert all(isinstance(getattr(RouterProfile, name), property) for name in derived)
 
 

@@ -3,7 +3,6 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 
 import pytest
@@ -15,7 +14,7 @@ from conftest import depth_capped, dump, tree_by_single_adds
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.harness import gen_workload, run_trace
-from expander_routing.profiles import desk_profile
+from expander_routing.profiles import ceil_log2, desk_profile
 from expander_routing.router import RoutingEngine
 
 
@@ -53,7 +52,7 @@ def test_first_path_structure():
     assert rec.length <= prof.path_len_cap
     assert len(rec.seg_a) <= prof.depth_cap
     assert len(rec.seg_b) <= prof.depth_cap
-    assert len(rec.seg_mid) <= prof.g3_path_cap
+    assert len(rec.seg_mid) <= prof.depth_cap
     verts = eng.path_vertices(rec)
     assert verts[0] == 3 and verts[-1] == 77
     assert len(verts) == rec.length + 1
@@ -195,11 +194,11 @@ def test_met_tree_skips_the_stall_check_but_not_the_depth_check(probe_trees):
     with pytest.raises(ExpansionViolation, match="depth"):
         eng.find_path(a, b)
     assert state_snapshot(eng) == before
-    eng.profile = depth_capped(eng.profile, depth)
-    rec = eng.find_path(a, b)
     # met through a shared vertex (no connector) or a free G3 path of one
-    # or two edges, and the served path is simple
+    # or two edges, which shares the budget, and the served path is simple
     entry, _, seg_mid = probe["meet"]
+    eng.profile = depth_capped(eng.profile, max(depth, len(seg_mid)))
+    rec = eng.find_path(a, b)
     assert len(rec.seg_mid) <= 2 and rec.seg_mid == tuple(seg_mid)
     verts = eng.path_vertices(rec)
     assert verts[len(rec.seg_a)] == entry
@@ -406,6 +405,20 @@ def test_overload_churn_serves_every_find(seed):
     assert report.verify_findings == 0 and eng.verify().ok
 
 
+@pytest.mark.parametrize("n,d", [(150, 30), (150, 31), (300, 30), (300, 31)])
+@pytest.mark.parametrize("kind", ["churn", "fill", "hotspot"])
+def test_served_connectors_fit_the_hop_budget(kind, n, d):
+    # the connector shares the trees' budget of ceil_log2(n) hops; on
+    # seeded desk traces every find is served within it
+    prof = desk_profile(n, d)
+    params = {"count": prof.r - 1} if kind == "fill" else {"ops": 600}
+    cmds = gen_workload(kind, n, params, 7, prof.endpoint_cap, prof.r)
+    eng = RoutingEngine(gen_random_regular_graph(n, d, seed=11), prof)
+    report = run_trace(eng, cmds, verify_every=50)
+    assert report.failures == [] and report.verify_findings == 0
+    assert max(report.connector_length_histogram) <= prof.depth_cap == ceil_log2(n)
+
+
 def test_failed_find_unwinds_everything():
     # a depth budget of zero hops makes nearly every request fail after
     # both trees grew (with one hop, depth-1 trees can meet through a G3
@@ -502,21 +515,24 @@ def test_raised_volume_cap_verifies_clean_when_full():
 
 
 def test_failed_connector_unwinds_everything():
-    # a zero-length connector budget fails unless the two trees already touch
+    # under a one-hop budget, trees of depth at most one that meet through
+    # a free two-edge G3 path pass the depth check and fail at the
+    # connector check; every failure leaves the state as it was
     g = gen_random_regular_graph(150, 30, seed=21)
-    eng = RoutingEngine(g, replace(desk_profile(150, 30), g3_path_cap=0))
-    saw_failure = False
-    for b in (50, 60, 70, 80):
+    eng = RoutingEngine(g, depth_capped(desk_profile(150, 30), 1))
+    for b in range(1, 60):
         before = state_snapshot(eng)
         try:
             eng.find_path(0, b)
-        except ExpansionViolation:
-            saw_failure = True
+        except ExpansionViolation as exc:
             assert state_snapshot(eng) == before
-            assert eng.verify().ok
-            break
+            if str(exc) == "connector length 2 exceeds cap 1":
+                break
+            continue
         eng.remove_path(eng.ledger.resolve(-1))
-    assert saw_failure, "every tree pair overlapped; widen the sample"
+    else:
+        pytest.fail("no find failed at the connector check; widen the sample")
+    assert eng.verify().ok
 
 
 def test_replay_determinism():
@@ -542,7 +558,8 @@ MACHINE_VERTICES = st.integers(0, MACHINE_N - 1)
 class EngineMachine(RuleBasedStateMachine):
     """Finds, removes and forced failures on one small engine: every step
     leaves a clean verify, every served path is simple, and every failed
-    find leaves the state as it was."""
+    find leaves the state as it was. A forced failure runs under a one-hop
+    budget, which fails most finds at the depth or the connector check."""
 
     def __init__(self):
         super().__init__()
@@ -569,12 +586,10 @@ class EngineMachine(RuleBasedStateMachine):
     def remove(self, data):
         self.eng.remove_path(data.draw(st.sampled_from(list(self.eng.ledger.paths))))
 
-    @rule(a=MACHINE_VERTICES, b=MACHINE_VERTICES, knob=st.sampled_from(
-        [partial(depth_capped, cap=1), partial(replace, g3_path_cap=0)]
-    ))
-    def forced_failure(self, a, b, knob):
+    @rule(a=MACHINE_VERTICES, b=MACHINE_VERTICES)
+    def forced_failure(self, a, b):
         prof = self.eng.profile
-        self.eng.profile = knob(prof)
+        self.eng.profile = depth_capped(prof, 1)
         try:
             self._find(a, b)
         finally:
