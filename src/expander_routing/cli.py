@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -103,9 +104,14 @@ def _graph_and_profile(args):
 def cmd_run(args):
     if args.verify_every < 0:
         raise RoutingError("--verify-every must be at least 0, got %d" % args.verify_every)
+    # build seconds: graph load and engine build, not the trace load between
+    start = time.perf_counter()
     g, profile = _graph_and_profile(args)
+    build_s = time.perf_counter() - start
     commands = load_trace(args.trace)
+    start = time.perf_counter()
     engine = RoutingEngine(g, profile)
+    build_s += time.perf_counter() - start
     emit = None if args.quiet else lambda line: print(line)
     report = run_trace(
         engine,
@@ -114,6 +120,7 @@ def cmd_run(args):
         stop_on_failure=args.stop_on_failure,
         emit=emit,
     )
+    report.build_s = build_s
     _write_json(args.json, report)
     print(report.format_text(), end="")
     return 0 if report.clean else 1

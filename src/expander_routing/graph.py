@@ -14,7 +14,34 @@ import sys
 from .errors import CallerError, FormatError
 
 
-class Digraph:
+class _EndLists:
+    """Construction shared by both graph kinds: from (a, b) pairs, or from
+    parallel end lists, which the graph keeps; ends are checked in C."""
+
+    __slots__ = ()
+
+    def __init__(self, n, edges):
+        edges = list(edges)
+        self._build(n, [a for a, _ in edges], [b for _, b in edges])
+
+    @classmethod
+    def from_ends(cls, n, a, b):
+        """The graph whose edge e has ends a[e] and b[e] (tail and head if directed)."""
+        g = cls.__new__(cls)
+        g._build(n, a, b)
+        return g
+
+    @staticmethod
+    def _check(n, a, b):
+        if n < 0:
+            raise CallerError("vertex count must be non-negative")
+        if a and (min(min(a), min(b)) < 0 or max(max(a), max(b)) >= n):
+            # an edge-by-edge scan only to name the first bad edge
+            x, y = next((x, y) for x, y in zip(a, b) if not (0 <= x < n and 0 <= y < n))
+            raise CallerError("edge (%d, %d) out of range for n=%d" % (x, y, n))
+
+
+class Digraph(_EndLists):
     """Directed multigraph with per-vertex in/out adjacency.
 
     Parallel edges are first class; each occurrence gets its own edge id.
@@ -22,25 +49,14 @@ class Digraph:
 
     __slots__ = ("n", "tails", "heads", "out_adj", "in_adj")
 
-    def __init__(self, n, edges):
-        if n < 0:
-            raise CallerError("vertex count must be non-negative")
-        tails = []
-        heads = []
+    def _build(self, n, tails, heads):
+        self._check(n, tails, heads)
         out_adj = [[] for _ in range(n)]
         in_adj = [[] for _ in range(n)]
-        for e, (t, h) in enumerate(edges):
-            if not (0 <= t < n and 0 <= h < n):
-                raise CallerError("edge (%d, %d) out of range for n=%d" % (t, h, n))
-            tails.append(t)
-            heads.append(h)
+        for e, t in enumerate(tails):  # one loop: both lists share each id's int
             out_adj[t].append(e)
-            in_adj[h].append(e)
-        self.n = n
-        self.tails = tails
-        self.heads = heads
-        self.out_adj = out_adj
-        self.in_adj = in_adj
+            in_adj[heads[e]].append(e)
+        self.n, self.tails, self.heads, self.out_adj, self.in_adj = n, tails, heads, out_adj, in_adj
 
     @property
     def m(self):
@@ -72,29 +88,19 @@ def reverse(d: Digraph) -> Digraph:
     return r
 
 
-class UndirectedGraph:
+class UndirectedGraph(_EndLists):
     """Undirected multigraph; incidence lists hold edge ids."""
 
     __slots__ = ("n", "us", "vs", "inc")
 
-    def __init__(self, n, edges):
-        if n < 0:
-            raise CallerError("vertex count must be non-negative")
-        us = []
-        vs = []
+    def _build(self, n, us, vs):
+        self._check(n, us, vs)
         inc = [[] for _ in range(n)]
-        for e, (a, b) in enumerate(edges):
-            if not (0 <= a < n and 0 <= b < n):
-                raise CallerError("edge (%d, %d) out of range for n=%d" % (a, b, n))
-            us.append(a)
-            vs.append(b)
+        for e, a in enumerate(us):
             inc[a].append(e)
-            if b != a:
-                inc[b].append(e)
-        self.n = n
-        self.us = us
-        self.vs = vs
-        self.inc = inc
+            if vs[e] != a:
+                inc[vs[e]].append(e)
+        self.n, self.us, self.vs, self.inc = n, us, vs, inc
 
     @property
     def m(self):
@@ -218,7 +224,7 @@ def parse_graph(text: str):
     for name, count in (("vertex", n), ("edge", m)):
         if count < 0:
             raise FormatError("line 1: %s count must be at least 0, got %d" % (name, count))
-    edges = []
+    a_ends, b_ends = [], []
     for i, line in enumerate(lines[1 : m + 1], start=2):
         parts = line.split()
         if len(parts) != 2:
@@ -229,18 +235,14 @@ def parse_graph(text: str):
             raise FormatError("line %d: bad endpoint" % i) from None
         if not (0 <= a < n and 0 <= b < n):
             raise FormatError("line %d: edge (%d, %d) out of range for n=%d" % (i, a, b, n))
-        edges.append((a, b))
-    if len(edges) != m:
-        raise FormatError("expected %d edge lines, found %d" % (m, len(edges)))
+        a_ends.append(a)
+        b_ends.append(b)
+    if len(a_ends) != m:
+        raise FormatError("expected %d edge lines, found %d" % (m, len(a_ends)))
     for i, line in enumerate(lines[m + 1 :], start=m + 2):
         if line.strip():
             raise FormatError("line %d: more than the %d edge lines the header declares" % (i, m))
-    try:
-        if head[2] == "directed":
-            return Digraph(n, edges)
-        return UndirectedGraph(n, edges)
-    except CallerError as exc:
-        raise FormatError(str(exc)) from None
+    return (Digraph if head[2] == "directed" else UndirectedGraph).from_ends(n, a_ends, b_ends)
 
 
 def read_ascii(path, kind):

@@ -92,6 +92,7 @@ class RunReport:
     connector_length_histogram: dict = field(default_factory=dict)  # len(seg_mid) -> count
     oracle_call_counts: dict = field(default_factory=dict)
     wall_clock: dict = field(default_factory=dict)  # percentiles over request seconds
+    build_s: float = 0.0  # graph load plus engine build, as `route run` times it
     verify_findings: int = 0
     verifies_run: int = 0
 
@@ -113,6 +114,8 @@ class RunReport:
             if histogram:
                 hist = " ".join("%d:%d" % (k, v) for k, v in sorted(histogram.items()))
                 lines.append("%s: %s" % (label, hist))
+        if self.build_s:
+            lines.append("build seconds: %.6f" % self.build_s)
         if self.wall_clock:
             lines.append(
                 "per-request seconds: p50=%(p50).6f p90=%(p90).6f p99=%(p99).6f max=%(max).6f"

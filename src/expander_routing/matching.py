@@ -1,13 +1,14 @@
 """Matching routines used by preprocessing.
 
 `maximum_matching` is Edmonds' augmenting search for general graphs, one
-BFS per free root, with blossoms contracted through `base` pointers. Each
-blossom base keeps the list of its members for the current root, so a
-contraction costs O(s log s) for the s vertices it relabels plus the
-length of the two tree paths it walks, not a scan of all n vertices; the
-per-root arrays are allocated once per call and only the entries a root
-touched are reset. It is deterministic because neighbours are scanned in
-adjacency order and contracted vertices are enqueued in ascending order.
+BFS per free root without a free neighbour, with blossoms contracted
+through `base` pointers. Each blossom base keeps the list of its members
+for the current root, so a contraction costs O(s log s) for the s
+vertices it relabels plus the length of the two tree paths it walks, not
+a scan of all n vertices; the per-root arrays are allocated once per call
+and only the entries a root touched are reset. It is deterministic
+because neighbours are scanned in adjacency order and contracted
+vertices are enqueued in ascending order.
 `one_factor` extracts a spanning 1-regular subdigraph from a regular
 digraph, treating tails and heads as the two sides of a bipartite graph
 (greedy pass, then BFS augmentation). The split calls it only where an
@@ -104,7 +105,15 @@ def maximum_matching(n, adj):
                     q.append(match[to])
 
     for v in range(n):
-        if match[v] == -1:
+        if match[v] != -1:
+            continue
+        # the search from v scans adj[v] before any other vertex and
+        # augments to the first free neighbour it meets: take it directly
+        for to in adj[v]:
+            if match[to] == -1:
+                match[v], match[to] = to, v
+                break
+        else:
             find_path(v)
             for i in q:
                 used[i] = False
@@ -124,13 +133,11 @@ def perfect_matching_edges(g):
     """
     n = g.n
     adj = [[] for _ in range(n)]
-    first_edge = {}
+    first_edge = {}  # a * n + b (a < b) -> the first edge joining a and b
     for e, (a, b) in enumerate(zip(g.us, g.vs)):
         if a == b:
             continue
-        key = (a, b) if a < b else (b, a)
-        if key not in first_edge:
-            first_edge[key] = e
+        if first_edge.setdefault(a * n + b if a < b else b * n + a, e) == e:
             adj[a].append(b)
             adj[b].append(a)
     match = maximum_matching(n, adj)
@@ -143,8 +150,7 @@ def perfect_matching_edges(g):
     edge_ids = set()
     for v in range(n):
         u = match[v]
-        key = (v, u) if v < u else (u, v)
-        edge_ids.add(first_edge[key])
+        edge_ids.add(first_edge[v * n + u if v < u else u * n + v])
     return sorted(edge_ids)
 
 

@@ -14,7 +14,7 @@ used only for short connecting segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .errors import CallerError
 from .graph import Digraph, UndirectedGraph
@@ -33,29 +33,27 @@ def _walk_circuits(inc, us, vs, starts):
     as often as it is entered.
     """
     used = bytearray(len(us))
-    ptr = [0] * len(inc)
+    rows = [iter(row) for row in inc]  # resumable, so each row is scanned once
     for start in starts:
         stack = [start]
         while stack:
-            v = stack[-1]
-            inc_v = inc[v]
-            i = ptr[v]
-            end = len(inc_v)
-            while i < end and used[inc_v[i]]:
-                i += 1
-            if i == end:
-                ptr[v] = i
-                stack.pop()
-                continue
-            ptr[v] = i + 1
-            e = inc_v[i]
-            w = us[e]
-            if w == v:
-                used[e] = 1
-                w = vs[e]
-            else:
-                used[e] = 2
-            stack.append(w)
+            # a trail from the top vertex until it is stuck; each vertex it
+            # leaves waits on the stack for its edges still unused
+            v = stack.pop()
+            while True:
+                for e in rows[v]:
+                    if not used[e]:
+                        break
+                else:
+                    break
+                stack.append(v)
+                w = us[e]
+                if w == v:
+                    used[e] = 1
+                    v = vs[e]
+                else:
+                    used[e] = 2
+                    v = w
     return used
 
 
@@ -75,7 +73,9 @@ def eulerian_orient(g: UndirectedGraph) -> Digraph:
     # one circuit took every edge and no vertex is isolated: the graph is connected
     if not all(walked) or (g.n > 1 and not all(g.inc)):
         raise CallerError("graph is disconnected; cannot orient along one circuit")
-    return Digraph(g.n, [(u, v) if w == 1 else (v, u) for u, v, w in zip(us, vs, walked)])
+    tails = [u if w == 1 else v for u, v, w in zip(us, vs, walked)]
+    heads = [v if w == 1 else u for u, v, w in zip(us, vs, walked)]
+    return Digraph.from_ends(g.n, tails, heads)
 
 
 def extract_perfect_matching(g: UndirectedGraph):
@@ -86,9 +86,10 @@ def extract_perfect_matching(g: UndirectedGraph):
     if g.n % 2 != 0:
         raise CallerError("odd vertex count admits no perfect matching")
     matched = perfect_matching_edges(g)
-    matched_set = set(matched)
-    rest = [(g.us[e], g.vs[e]) for e in range(g.m) if e not in matched_set]
-    return matched, UndirectedGraph(g.n, rest)
+    keep = bytearray(b"\x01") * g.m
+    for e in matched:
+        keep[e] = 0
+    return matched, UndirectedGraph.from_ends(g.n, list(compress(g.us, keep)), list(compress(g.vs, keep)))
 
 
 def split_regular(d: Digraph, k, parts):
@@ -168,7 +169,7 @@ def _halve(d, live_out):
 
 
 def _subdigraph(d: Digraph, ids):
-    sub = Digraph(d.n, [(d.tails[e], d.heads[e]) for e in ids])
+    sub = Digraph.from_ends(d.n, list(map(d.tails.__getitem__, ids)), list(map(d.heads.__getitem__, ids)))
     return sub, tuple(ids)
 
 

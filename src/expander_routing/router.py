@@ -29,7 +29,6 @@ change only after the last failure point.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -142,8 +141,9 @@ class RoutingEngine:
         in1 = [tuple(map(g3.tails.__getitem__, row)) for row in g3.in_adj]
         self.g3_out = [tuple(chain(row, *map(out1.__getitem__, row))) for row in out1]
         self.g3_in = [tuple(chain(row, *map(in1.__getitem__, row))) for row in in1]
-        self.link_out = partial(self._free_g3_path, self.g3_out, g3.out_adj, g3.heads)
-        self.link_in = partial(self._free_g3_path, self.g3_in, g3.in_adj, g3.tails)
+        # bound to H3's member array, not to self: an engine is no reference cycle
+        self.link_out = partial(self._free_g3_path, self.h3.member, self.g3_out, g3.out_adj, g3.heads)
+        self.link_in = partial(self._free_g3_path, self.h3.member, self.g3_in, g3.in_adj, g3.tails)
 
     @property
     def n(self):
@@ -166,11 +166,13 @@ class RoutingEngine:
             raise CallerError(broken)
         with self.out_oracle.request_log(), self.in_oracle.request_log():
             edges_a, par_a, edges_b, par_b, meet = self._grow_trees(a, b)
-            connector = meet if meet is not None else self._g3_connect(par_a, par_b)
-            if connector is None:
-                raise ExpansionViolation("no connector between the two trees in the third subgraph")
-            ap, bp, seg_mid = connector
             depth_cap = self.profile.depth_cap  # a derived property: read it once
+            connector = meet if meet is not None else self._g3_connect(par_a, par_b, depth_cap)
+            if connector is None:
+                raise ExpansionViolation(
+                    "no connector of at most %d hops between the two trees in the third subgraph" % depth_cap
+                )
+            ap, bp, seg_mid = connector
             if len(seg_mid) > depth_cap:
                 raise ExpansionViolation("connector length %d exceeds cap %d" % (len(seg_mid), depth_cap))
         seg_a = self._tree_path(par_a, ap)
@@ -253,18 +255,19 @@ class RoutingEngine:
             return g3.tails[seg[0]], last_b, seg
         return None
 
-    def _free_g3_path(self, rows, adj, ends, w, keys, own):
-        """The first free G3 path (no edge in H3) from w, a key of the dict
-        `own`, to a key of the dict `keys`, as its edges walked from w along
-        `adj` to their `ends` (out-edges to heads, in-edges to tails), or
-        None. The one home of the rule by which the trees meet through G3:
+    @staticmethod
+    def _free_g3_path(h3m, rows, adj, ends, w, keys, own):
+        """The first free G3 path (no edge set in `h3m`, H3's member array)
+        from w, a key of the dict `own`, to a key of the dict `keys`, as its
+        edges walked from w along `adj` to their `ends` (out-edges to heads,
+        in-edges to tails), or None. The one home of the rule by which the
+        trees meet through G3:
         one edge first, in adjacency order, then a pair e, f whose middle
         vertex is in neither tree (not in `keys`, or e would have won), so
         served paths stay simple and f is not e. A row `rows[w]` that
         shares no key, tested first in C, rules out both."""
         if keys.keys().isdisjoint(rows[w]):
             return None
-        h3m = self.h3.member
         for e in adj[w]:
             if not h3m[e] and ends[e] in keys:
                 return [e]
@@ -287,28 +290,30 @@ class RoutingEngine:
 
     # --- connector search -----------------------------------------------------
 
-    def _g3_connect(self, va, targets):
-        """Shortest directed path from va to targets (disjoint vertex
-        collections, e.g. tree parent dicts) in the third subgraph minus the
-        middle segments of live paths. Returns (entry, exit, edges)."""
+    def _g3_connect(self, va, targets, hops):
+        """Shortest directed path of at most `hops` edges from va to targets
+        (disjoint vertex collections, e.g. tree parent dicts) in the third
+        subgraph minus the middle segments of live paths, found by BFS one
+        layer per hop. Returns (entry, exit, edges), or None."""
         g3 = self.split.g3
         h3m = self.h3.member
-        sources = sorted(va)
-        parent = dict.fromkeys(sources)
-        q = deque(sources)
-        while q:
-            u = q.popleft()
-            for e in g3.out_adj[u]:
-                if h3m[e]:
-                    continue
-                w = g3.heads[e]
-                if w in parent:
-                    continue
-                parent[w] = (u, e)
-                if w in targets:
-                    edges = self._tree_path(parent, w)
-                    return g3.tails[edges[0]], w, edges
-                q.append(w)
+        layer = sorted(va)
+        parent = dict.fromkeys(layer)
+        for _ in range(hops):
+            next_layer = []
+            for u in layer:
+                for e in g3.out_adj[u]:
+                    if h3m[e]:
+                        continue
+                    w = g3.heads[e]
+                    if w in parent:
+                        continue
+                    parent[w] = (u, e)
+                    if w in targets:
+                        edges = self._tree_path(parent, w)
+                        return g3.tails[edges[0]], w, edges
+                    next_layer.append(w)
+            layer = next_layer
         return None
 
     # --- reconstruction and verification ----------------------------------------

@@ -50,6 +50,26 @@ def test_endpoint_out_of_range():
         UndirectedGraph(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("cls", [Digraph, UndirectedGraph])
+def test_constructors_refuse_negative_n(cls):
+    with pytest.raises(CallerError, match="^vertex count must be non-negative$"):
+        cls(-1, [])
+
+
+@pytest.mark.parametrize("cls", [Digraph, UndirectedGraph])
+@pytest.mark.parametrize(
+    "edges, bad",
+    [
+        ([(0, 1), (3, 0), (0, 5)], (3, 0)),
+        ([(0, 1), (1, -1), (4, 4)], (1, -1)),
+        ([(2, 2), (0, 1), (1, 2), (9, 0)], (9, 0)),
+    ],
+)
+def test_constructors_name_the_first_bad_edge(cls, edges, bad):
+    with pytest.raises(CallerError, match=r"^edge \(%d, %d\) out of range for n=3$" % bad):
+        cls(3, edges)
+
+
 def test_reverse_triangle(triangle):
     r = reverse(triangle)
     assert edge_pairs(r) == [(1, 0), (2, 1), (0, 2)]

@@ -285,8 +285,12 @@ def test_cli_pipeline(tmp_path, capsys):
         "out_add": 89, "out_remove": 84, "in_add": 59, "in_remove": 54, "walk_searches": 0
     }
     assert sorted(payload["wall_clock"]) == ["max", "p50", "p90", "p99"]
+    # graph load and engine build, timed apart from the requests
+    assert payload["build_s"] > 0
     assert (payload["verifies_run"], payload["verify_findings"]) == (6, 0)
-    assert "connector lengths: 1:8 2:24\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "connector lengths: 1:8 2:24\n" in out
+    assert "build seconds: %.6f\n" % payload["build_s"] in out
 
 
 @pytest.mark.parametrize("r", [0, 1])

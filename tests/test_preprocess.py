@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +241,25 @@ def test_preprocess_rejects_small_degree():
         relaxed_profile(20, 8)
     with pytest.raises(CallerError, match=r"^profile field d_prime must be at least 1, got 0$"):
         dataclasses.replace(relaxed_profile(100, 20), n=20, d=8, d_prime=0)
+
+
+# sha256 of the split route run serves on: pre_process on the desk profile
+# at n=600 (graph seed 11), as format_graph of host, g1, g2 and g3 plus the
+# three host-id tuples. k=15 and d_prime=6 give one peel, one halving into
+# 7 + 7 and one peel per half; d=31 adds the blossom matching. A change
+# means the matching, the orientation or the split changed behaviour.
+GOLDEN_DESK_SPLIT = {
+    30: "ba4f76d1a6f41b92459d031ff5fb2e7369e9aabc1ef9dce6f202a4606c9dea8c",
+    31: "ef99189df6f37763e1d0fd9cc8047a73651bb6678428eeead2c36d9a74113fb7",
+}
+
+
+@pytest.mark.parametrize("d", sorted(GOLDEN_DESK_SPLIT))
+def test_desk_split_is_pinned(d):
+    split = pre_process(gen_random_regular_graph(600, d, seed=11), desk_profile(600, d))
+    blob = "".join(format_graph(x) for x in (split.host, split.g1, split.g2, split.g3))
+    blob += "".join(" ".join(map(str, ids)) + "\n" for ids in (split.g1_host, split.g2_host, split.g3_host))
+    assert hashlib.sha256(blob.encode("ascii")).hexdigest() == GOLDEN_DESK_SPLIT[d]
 
 
 def test_preprocess_deterministic():

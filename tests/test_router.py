@@ -1,5 +1,7 @@
 import copy
+import gc
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -533,6 +535,42 @@ def test_failed_connector_unwinds_everything():
     else:
         pytest.fail("no find failed at the connector check; widen the sample")
     assert eng.verify().ok
+
+
+def test_connector_search_stops_at_the_hop_budget():
+    # under a two-hop budget, trees of depth at most two that met nothing
+    # get a G3 connector of at most two edges or none: the search expands
+    # two BFS layers and gives up, naming the budget, and the failure
+    # leaves the state as it was
+    g = gen_random_regular_graph(150, 30, seed=21)
+    eng = RoutingEngine(g, depth_capped(desk_profile(150, 30), 2))
+    for b in range(1, 150):
+        before = state_snapshot(eng)
+        try:
+            eng.find_path(0, b)
+        except ExpansionViolation as exc:
+            assert state_snapshot(eng) == before
+            if str(exc) == "no connector of at most 2 hops between the two trees in the third subgraph":
+                break
+            continue
+        eng.remove_path(eng.ledger.resolve(-1))
+    else:
+        pytest.fail("no find failed in the connector search; widen the sample")
+    assert eng.verify().ok
+
+
+def test_dropped_engine_is_freed_without_the_cycle_collector():
+    # nothing in an engine refers back to it, so dropping the last
+    # reference frees it and its split at once, not at a later collection
+    eng = small_engine()
+    eng.find_path(0, 5)
+    ref = weakref.ref(eng)
+    gc.disable()
+    try:
+        del eng
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_replay_determinism():
