@@ -99,11 +99,12 @@ class EdgeOracle:
         self.low = bytearray(host.n)
         # sat_out[v] = number of host out-edges of v whose head is saturated
         self.sat_out = [0] * host.n
-        # in_tails[w] = the tails of w's in-edges, the sat_out entries w moves
-        self._in_tails = [[host.tails[e] for e in in_adj] for in_adj in host.in_adj]
+        # in_tails[w] = the tails of w's in-edges, the sat_out entries w moves;
+        # fixed rows, as tuples, which the cyclic GC stops tracking
+        self._in_tails = [tuple(map(host.tails.__getitem__, in_adj)) for in_adj in host.in_adj]
         # pick_order[v] = v's out-edges in the order picks and walks scan them
         self._pick_order = [
-            row[v % len(row):] + row[:v % len(row)] if row else row
+            (*row[v % len(row):], *row[:v % len(row)]) if row else ()
             for v, row in enumerate(host.out_adj)
         ]
         # integer thresholds: an integer x reaches a Fraction t iff x >= ceil(t)
@@ -208,7 +209,8 @@ class EdgeOracle:
                 pass
         return edges[0]
 
-    def grow_tree(self, parent, edges, meet, vertex_cap, fanout, near=None, link=None):
+    def grow_tree(self, parent, edges, meet, vertex_cap, fanout, near=None, link=None,
+                  step=None, reach=None, other_reach=None):
         """Generator that grows a breadth-first tree of fresh edges out of
         the one key of `parent`, yielding after each dequeued vertex.
 
@@ -218,16 +220,20 @@ class EdgeOracle:
         `fanout` edges, stopping at its out-degree cap, so the tree holds
         at most `fanout` * `vertex_cap` edges. A Low vertex takes its first
         B-stock edge in pick order, any other its first free out-edge in
-        pick order whose head is not in Sat. The tree ends when it discovers
-        a vertex w that is a key of the dict `meet` (read live), or whose
-        row `near[w]` shares one and `link(w, meet, parent)`, given the
-        tree's own dict too, confirms the hit with a value that is not None
-        (no `near`: no vertex does), its last key then. Each discovery is
-        one C-level test; only a row hit calls `link`. Stopped there or
-        dropped early, it is a prefix of the full tree, with the same picks
-        and log entries. It needs an open log (checked at the first
-        resume), which counts its edges and takes them back on
-        ExpansionViolation.
+        pick order whose head is not in Sat.
+
+        Each discovered vertex w first adds its row `step[w]` to the set
+        `reach` (no `reach`: no `step` either), then is a candidate when
+        it lies in the set `other_reach` (default: the keys of the dict
+        `meet`) or its row `near[w]` shares one of its members; both are
+        C-level tests, and `reach` and `other_reach` are read live. The
+        tree ends at a candidate that is a key of `meet`, or for which
+        `link(w, meet, parent)`, given the tree's own dict too, confirms a
+        meeting with a value that is not None; w is its last key then (no
+        `near`: only keys of `meet` end it). Stopped there or dropped
+        early, it is a prefix of the full tree, with the same picks and
+        log entries. It needs an open log (checked at the first resume),
+        which counts its edges and takes them back on ExpansionViolation.
         """
         undo = self._undo
         if undo is None:
@@ -237,9 +243,13 @@ class EdgeOracle:
         out_deg, in_deg, b_in = h.out_deg, h.in_deg, self.b.in_deg
         sat, low, sat_min = self.sat, self.low, self._sat_min
         heads, pick_order = self.host.heads, self._pick_order
-        disjoint = meet.keys().isdisjoint
         if near is None:
             near = ((),) * self.host.n
+        if reach is None:
+            reach, step = set(), ((),) * self.host.n
+        if other_reach is None:
+            other_reach = meet.keys()
+        widen, apart = reach.update, other_reach.isdisjoint
         # the BFS queue: a for loop over a list visits what is appended to it
         order = list(parent)
         picks, log, enqueue, keep = range(fanout), undo.append, order.append, edges.append
@@ -282,7 +292,10 @@ class EdgeOracle:
                 keep(e)
                 if w not in parent:
                     parent[w] = (u, e)
-                    if w in meet or (not disjoint(near[w]) and link(w, meet, parent) is not None):
+                    widen(step[w])
+                    if (w in other_reach or not apart(near[w])) and (
+                        w in meet or link(w, meet, parent) is not None
+                    ):
                         return
                     enqueue(w)
             yield

@@ -5,10 +5,11 @@ edges: one out of a inside the first split subgraph, one out of b inside
 the reversed second subgraph (so its arcs point towards b in the
 original orientation). They grow in lockstep, and both stop where one
 discovers a vertex of the other, or a vertex joined to the other by a
-free path of one or two edges of the third subgraph (edges no live
-path's middle segment holds, through a middle vertex in neither tree).
-A tree tests each discovery against the vertex's fixed two-hop G3 row
-and confirms a hit against H3, which holds few G3 edges, so no state
+free path of one to three edges of the third subgraph (edges no live
+path's middle segment holds, through middle vertices in neither tree).
+A tree tests each discovery's fixed two-hop G3 row against the other
+tree's reach set, the vertices one G3 edge or less from it, and
+confirms a hit against H3, which holds few G3 edges, so no state
 follows H3 per vertex. The connector is then empty or that path.
 Trees that meet nothing grow to full size, large enough that the third
 subgraph, minus the middle segments already spoken for, connects them
@@ -133,17 +134,23 @@ class RoutingEngine:
         self.in_oracle = EdgeOracle(reverse(self.split.g2), profile.oracle)
         self.h3 = EdgeSubset(self.split.g3)
         self.ledger = Ledger(g.n, profile.endpoint_cap, profile.r)
-        # g3_out[v] (g3_in[v]): the ends within two G3 edges out of (into) v,
-        # one-edge ends first, in adjacency order; fixed rows a tree tests in
-        # C, confirming a hit with link_out (link_in) against H3
+        # fixed G3 rows, in adjacency order, H3 ignored: g3_out[v] (g3_in[v])
+        # holds the ends within two G3 edges out of (into) v, one-edge ends
+        # first, and step_out[v] (step_in[v]) holds v and its one-edge ends.
+        # A tree's reach set is the union of its vertices' step rows, so a
+        # vertex whose two-hop row meets the other tree's reach set, or that
+        # lies in it, is within three G3 edges of that tree; link_out
+        # (link_in) then confirms a free path against H3
         g3 = self.split.g3
         out1 = [tuple(map(g3.heads.__getitem__, row)) for row in g3.out_adj]
         in1 = [tuple(map(g3.tails.__getitem__, row)) for row in g3.in_adj]
         self.g3_out = [tuple(chain(row, *map(out1.__getitem__, row))) for row in out1]
         self.g3_in = [tuple(chain(row, *map(in1.__getitem__, row))) for row in in1]
+        self.step_out = [(v, *row) for v, row in enumerate(out1)]
+        self.step_in = [(v, *row) for v, row in enumerate(in1)]
         # bound to H3's member array, not to self: an engine is no reference cycle
-        self.link_out = partial(self._free_g3_path, self.h3.member, self.g3_out, g3.out_adj, g3.heads)
-        self.link_in = partial(self._free_g3_path, self.h3.member, self.g3_in, g3.in_adj, g3.tails)
+        self.link_out = partial(self._free_g3_path, self.h3.member, g3.out_adj, g3.heads)
+        self.link_in = partial(self._free_g3_path, self.h3.member, g3.in_adj, g3.tails)
 
     @property
     def n(self):
@@ -199,31 +206,41 @@ class RoutingEngine:
         """Grow the out-tree from a and the in-tree into b in lockstep, one
         dequeued vertex each in turn, and check their vertex and depth budgets.
 
-        A tree that discovers a vertex of the other, or a vertex joined by a
-        free G3 path of one or two edges to (out-tree) or from (in-tree) the
-        other (its fixed two-hop G3 row hits a key, and `link_out` or
-        `link_in` confirms, given both trees), ends there, and
-        so does the other. A tree that ends unmet leaves the other to grow
-        alone, and must reach `bfs_vertex_cap` vertices. BFS makes a tree's
-        last key its deepest. A tree stopped at the meeting is dropped
-        suspended. Returns (edges_a, par_a, edges_b, par_b, `_meeting`'s
-        connector or None); the open undo logs count the edges and take
-        them back on an ExpansionViolation.
+        Each tree keeps a reach set, the union of its vertices' step rows
+        (`step_out`, `step_in`), widened by each discovery before it is
+        tested. A discovery that lies in the other tree's reach set, or whose
+        two-hop row (`g3_out`, `g3_in`) meets it, is within three G3 edges
+        of (out-tree) or from (in-tree) the other tree, H3 ignored; there the
+        tree ends if the vertex is the other's, or `link_out` (`link_in`),
+        given both trees, confirms a free G3 path, and so does the other.
+        A tree that ends unmet leaves the other to grow alone, and must
+        reach `bfs_vertex_cap` vertices. BFS makes a tree's last key its
+        deepest. A tree stopped at the meeting is dropped suspended. Returns
+        (edges_a, par_a, edges_b, par_b, `_meeting`'s connector or None);
+        the open undo logs count the edges and take them back on an
+        ExpansionViolation.
         """
         prof = self.profile
         cap, depth_cap = prof.bfs_vertex_cap, prof.depth_cap  # derived properties: read them once
         edges_a, par_a, edges_b, par_b = [], {a: None}, [], {b: None}
-        grow_a = self.out_oracle.grow_tree(par_a, edges_a, par_b, cap, prof.fanout, self.g3_out, self.link_out)
-        grow_b = self.in_oracle.grow_tree(par_b, edges_b, par_a, cap, prof.fanout, self.g3_in, self.link_in)
+        reach_a, reach_b = set(self.step_out[a]), set(self.step_in[b])
+        grow_a = self.out_oracle.grow_tree(
+            par_a, edges_a, par_b, cap, prof.fanout, near=self.g3_out, link=self.link_out,
+            step=self.step_out, reach=reach_a, other_reach=reach_b,
+        )
+        grow_b = self.in_oracle.grow_tree(
+            par_b, edges_b, par_a, cap, prof.fanout, near=self.g3_in, link=self.link_in,
+            step=self.step_in, reach=reach_b, other_reach=reach_a,
+        )
         # zip stops when the first tree ends; a tree that met ended at its
         # last key, else the other goes on alone
         for _ in zip(grow_a, grow_b):
             pass
-        meet = self._meeting(par_a, par_b)
+        meet = self._meeting(par_a, par_b, reach_a, reach_b)
         if meet is None:
             for _ in chain(grow_a, grow_b):
                 pass
-            meet = self._meeting(par_a, par_b)
+            meet = self._meeting(par_a, par_b, reach_a, reach_b)
         for parent in (par_a, par_b):
             if meet is None and len(parent) < cap:
                 raise ExpansionViolation("tree growth stalled at %d of %d vertices" % (len(parent), cap))
@@ -232,13 +249,14 @@ class RoutingEngine:
                 raise ExpansionViolation("tree depth %d exceeds budget %d" % (depth, depth_cap))
         return edges_a, par_a, edges_b, par_b, meet
 
-    def _meeting(self, par_a, par_b):
+    def _meeting(self, par_a, par_b, reach_a, reach_b):
         """Where the trees met, as (entry, exit, connector edges), or None.
 
         A tree that met ends at its last key. A shared vertex wins, with
-        no connector; else `link_out`'s free G3 path out of the out-tree's
-        last key into the in-tree, `[e]` or `[e, f]`, then `link_in`'s out
+        no connector; else `link_out`'s free G3 path of up to three edges out
+        of the out-tree's last key into the in-tree, then `link_in`'s out
         of the out-tree into the in-tree's last key, put in path order.
+        Each link runs only where the reach test the trees use passes.
         """
         last_a, last_b = next(reversed(par_a)), next(reversed(par_b))
         if last_a in par_b:
@@ -246,28 +264,29 @@ class RoutingEngine:
         if last_b in par_a:
             return last_b, last_b, []
         g3 = self.split.g3
-        seg = self.link_out(last_a, par_b, par_a)
-        if seg is not None:
-            return last_a, g3.heads[seg[-1]], seg
-        seg = self.link_in(last_b, par_a, par_b)
-        if seg is not None:
-            seg.reverse()
-            return g3.tails[seg[0]], last_b, seg
+        if last_a in reach_b or not reach_b.isdisjoint(self.g3_out[last_a]):
+            seg = self.link_out(last_a, par_b, par_a)
+            if seg is not None:
+                return last_a, g3.heads[seg[-1]], seg
+        if last_b in reach_a or not reach_a.isdisjoint(self.g3_in[last_b]):
+            seg = self.link_in(last_b, par_a, par_b)
+            if seg is not None:
+                seg.reverse()
+                return g3.tails[seg[0]], last_b, seg
         return None
 
     @staticmethod
-    def _free_g3_path(h3m, rows, adj, ends, w, keys, own):
+    def _free_g3_path(h3m, adj, ends, w, keys, own):
         """The first free G3 path (no edge set in `h3m`, H3's member array)
-        from w, a key of the dict `own`, to a key of the dict `keys`, as its
-        edges walked from w along `adj` to their `ends` (out-edges to heads,
-        in-edges to tails), or None. The one home of the rule by which the
-        trees meet through G3:
-        one edge first, in adjacency order, then a pair e, f whose middle
-        vertex is in neither tree (not in `keys`, or e would have won), so
-        served paths stay simple and f is not e. A row `rows[w]` that
-        shares no key, tested first in C, rules out both."""
-        if keys.keys().isdisjoint(rows[w]):
-            return None
+        of at most three edges from w, a key of the dict `own`, to a key of
+        the dict `keys`, as its edges walked from w along `adj` to their
+        `ends` (out-edges to heads, in-edges to tails), or None. The one
+        home of the rule by which the trees meet through G3, shortest
+        first: one edge, in adjacency order, then a pair e, f, then a
+        triple e, f, g, whose middle vertices are in neither tree (not in
+        `own`, and not in `keys`, or a shorter path would have won), so
+        served paths stay simple. The two of a triple differ: a free edge
+        into `keys` from the first would have made a pair."""
         for e in adj[w]:
             if not h3m[e] and ends[e] in keys:
                 return [e]
@@ -278,6 +297,17 @@ class RoutingEngine:
             for f in adj[x]:
                 if not h3m[f] and ends[f] in keys:
                     return [e, f]
+        for e in adj[w]:
+            x = ends[e]
+            if h3m[e] or x in own:
+                continue
+            for f in adj[x]:
+                y = ends[f]
+                if h3m[f] or y in own:
+                    continue
+                for g in adj[y]:
+                    if not h3m[g] and ends[g] in keys:
+                        return [e, f, g]
         return None
 
     @staticmethod
@@ -424,7 +454,8 @@ class RoutingEngine:
         for name, oracle, audit in zip(("out-oracle", "in-oracle"), (self.out_oracle, self.in_oracle), audits):
             findings.extend("%s: %s" % (name, f) for f in audit.findings)
             # the host edge density that bounds |Low| is promised by strict profiles only
-            low, bound = oracle.low.count(1), prof.beta * self.n / 12
-            if not prof.relaxed and low >= bound:
-                findings.append("%s: |Low|=%d is not below beta*n/12=%s" % (name, low, bound))
+            if not prof.relaxed:
+                low, bound = oracle.low.count(1), prof.beta * self.n / 12
+                if low >= bound:
+                    findings.append("%s: |Low|=%d is not below beta*n/12=%s" % (name, low, bound))
         return Findings(findings)

@@ -102,12 +102,15 @@ def one_vertex_tree(orc, v):
     return edges
 
 
-def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None, near=None, link=None):
+def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None, near=None, link=None, other_reach=None):
     """`EdgeOracle.grow_tree` spelled out with one one-vertex tree per edge,
     inside the caller's request log, over at most `steps` dequeued vertices
-    (the resumes before it is dropped). A discovered vertex w meets when
-    it is in `meet`, or `near[w]` holds one of `meet` and `link(w, meet,
+    (the resumes before it is dropped). A discovered vertex w is a
+    candidate when it is in `other_reach` (default `meet`) or `near[w]`
+    holds one of it, and meets when it is also in `meet` or `link(w, meet,
     parent)` is not None."""
+    if other_reach is None:
+        other_reach = meet
     parent = {root: None}
     edges = []
     q = deque([root])
@@ -123,11 +126,8 @@ def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None, near
             w = orc.host.heads[e]
             if w not in parent:
                 parent[w] = (u, e)
-                if w in meet or (
-                    near is not None
-                    and any(x in meet for x in near[w])
-                    and link(w, meet, parent) is not None
-                ):
+                candidate = w in other_reach or near is not None and any(x in other_reach for x in near[w])
+                if candidate and (w in meet or link(w, meet, parent) is not None):
                     return edges, parent
                 q.append(w)
     return edges, parent

@@ -47,12 +47,12 @@ GOLDEN_PREPROCESS = {
     (20, 2): "296558d1fdc3491c54ee078c45de6b9ee729d525194c3a0183117af96d01713e",
     (21, 3): "6ed5b5f4cf98a3a71f9334153b83ceb9882958799b5da265cc96bf2477379c7a",
 }
-GOLDEN_REPLAY = "6ba9c52f0ee9fbe572e70a861b14a31f6e1682d3736001210573ba51e1b1557f"
-GOLDEN_REPLAY_STATE = "40bf53793dfe8c785eb5873dfb1a1c48116ccbac3ac18ce9182b0ed662c19793"
+GOLDEN_REPLAY = "738f2b6788385d938ed042e6b0df99cbce5c9adf726f5835ba0b5fac928ab30d"
+GOLDEN_REPLAY_STATE = "944fe2f68aa59f43824ae36416b393f6c1018cbc58261e15efc8761271307a4c"
 # the oracle work that replay does: per-edge add and remove calls, walk
 # searches, and Low promotions per oracle (out, in)
 GOLDEN_REPLAY_CALLS = {
-    "out_add": 1573, "out_remove": 1545, "in_add": 1336, "in_remove": 1318, "walk_searches": 0,
+    "out_add": 940, "out_remove": 920, "in_add": 692, "in_remove": 676, "walk_searches": 0,
 }
 GOLDEN_REPLAY_LOW_ADDITIONS = (0, 0)
 

@@ -564,6 +564,8 @@ def test_dump_is_stable():
 
 MACHINE_HOST = oriented_host(40, 6, seed=41)
 MACHINE_VERTICES = st.integers(0, 39)
+# one row of up to three vertices per host vertex, as the router's G3 rows
+MACHINE_ROWS = st.lists(st.lists(MACHINE_VERTICES, max_size=3).map(tuple), min_size=40, max_size=40)
 
 
 class Forced(Exception):
@@ -576,12 +578,17 @@ def _confirmer(confirmed):
     return lambda w, keys, own: 0 if w in confirmed else None
 
 
-def _grown(orc, root, vertex_cap, fanout, meet=(), steps=None, near=None, link=None):
+def _grown(orc, root, vertex_cap, fanout, meet=(), steps=None, near=None, link=None, other_reach=None,
+           step=None, reach=None):
     """(edges, parent, log) of a tree grown by `grow_tree` in a fresh log,
     resumed `steps` times (to its end when None) and then dropped."""
     edges, parent = [], {root: None}
     with orc.request_log():
-        drive(orc.grow_tree(parent, edges, dict.fromkeys(meet), vertex_cap, fanout, near, link), steps)
+        tree = orc.grow_tree(
+            parent, edges, dict.fromkeys(meet), vertex_cap, fanout, near=near, link=link,
+            step=step, reach=reach, other_reach=other_reach,
+        )
+        drive(tree, steps)
         return edges, parent, list(orc._undo)
 
 
@@ -715,25 +722,30 @@ class OracleMachine(RuleBasedStateMachine):
         vertex_cap=st.integers(1, 12),
         fanout=st.integers(1, 3),
         meet=st.sets(MACHINE_VERTICES, max_size=6),
-        near=st.none() | st.lists(
-            st.lists(MACHINE_VERTICES, max_size=3).map(tuple), min_size=40, max_size=40
-        ),
+        near=st.none() | MACHINE_ROWS,
         link=st.sets(MACHINE_VERTICES).map(_confirmer),
+        step=st.none() | MACHINE_ROWS,
+        extra_reach=st.none() | st.sets(MACHINE_VERTICES, max_size=6),
         steps=st.none() | st.integers(0, 8),
         data=st.data(),
     )
-    def grow_and_hand_back(self, root, vertex_cap, fanout, meet, near, link, steps, data):
+    def grow_and_hand_back(self, root, vertex_cap, fanout, meet, near, link, step, extra_reach, steps, data):
         # a find's tree: grown inside a log, resumed `steps` times (to its
         # end when None) and dropped, then all but a kept subset released
         # after the log closes; the same tree grown one one-vertex tree per
-        # edge on a copy must match it edge for edge, and a tree that
-        # discovered a vertex of `meet`, or one whose `near` row holds one
-        # and `link` confirms, ends there
+        # edge on a copy must match it edge for edge. A discovered vertex
+        # that lies in the other reach set (`meet` plus `extra_reach`, as
+        # the router's reach sets hold their trees), or whose `near` row
+        # holds one of it, and is in `meet` or `link` confirms, ends it.
+        # The own reach set gains the `step` row of every vertex the tree
+        # reached, the last one too
         ref = copy.deepcopy(self.orc)
         before = self._state()
-        args = root, vertex_cap, fanout, meet, steps, near, link
+        other = None if extra_reach is None else meet | extra_reach
+        reach = None if step is None else set(step[root])
+        args = root, vertex_cap, fanout, meet, steps, near, link, other
         try:
-            edges, parent, _ = _grown(self.orc, *args)
+            edges, parent, _ = _grown(self.orc, *args, step, reach)
         except ExpansionViolation:
             assert self._state() == before
             with pytest.raises(ExpansionViolation):
@@ -741,12 +753,14 @@ class OracleMachine(RuleBasedStateMachine):
                     tree_by_single_adds(ref, *args)
             assert _counters(ref) == _counters(self.orc)
             return
+        if step is not None:
+            assert reach == set().union(*map(step.__getitem__, parent))
+        other = meet if other is None else other
         met = [
             v for v in parent
-            if v != root and (
-                v in meet
-                or (near is not None and not meet.isdisjoint(near[v]) and link(v, meet, parent) is not None)
-            )
+            if v != root
+            and (v in other or near is not None and not other.isdisjoint(near[v]))
+            and (v in meet or link(v, meet, parent) is not None)
         ]
         assert met in ([], [next(reversed(parent))])
         assert len(edges) <= fanout * vertex_cap

@@ -196,8 +196,9 @@ def test_met_tree_skips_the_stall_check_but_not_the_depth_check(probe_trees):
     with pytest.raises(ExpansionViolation, match="depth"):
         eng.find_path(a, b)
     assert state_snapshot(eng) == before
-    # met through a shared vertex (no connector) or a free G3 path of one
-    # or two edges, which shares the budget, and the served path is simple
+    # met through a shared vertex (no connector) or a free G3 path (of at
+    # most two edges for this pair), which shares the budget, and the
+    # served path is simple
     entry, _, seg_mid = probe["meet"]
     eng.profile = depth_capped(eng.profile, max(depth, len(seg_mid)))
     rec = eng.find_path(a, b)
@@ -208,18 +209,23 @@ def test_met_tree_skips_the_stall_check_but_not_the_depth_check(probe_trees):
     assert eng.verify().ok
 
 
-def _alone(oracle, root, caps, meet=(), steps=None, near=None, link=None):
+def _alone(oracle, root, caps, meet=(), steps=None, near=None, link=None, other_reach=None):
     """The tree `oracle` grows alone by single adds, on a copy."""
     with copy.deepcopy(oracle).request_log() as orc:
-        return tree_by_single_adds(orc, root, *caps, meet, steps, near, link)
+        return tree_by_single_adds(orc, root, *caps, meet, steps, near, link, other_reach)
+
+
+def _reach(step, parent):
+    """A tree's reach set: the union of its vertices' step rows."""
+    return set().union(*map(step.__getitem__, parent))
 
 
 def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
     # on a filled engine, each lockstep tree is a prefix of the tree its
     # oracle grows alone. Trees share at most one vertex. Trees that meet
     # share it and need no connector, or share none and are joined by a G3
-    # path of one or two edges, free before the find, from the out-tree to
-    # the in-tree, whose middle vertex lies in neither tree. The
+    # path of one to three edges, free before the find, from the out-tree
+    # to the in-tree, whose middle vertices lie in neither tree. The
     # tree that met is the lone tree stopped at its last key, and the
     # other has had the turns lockstep gives it, as many dequeued vertices
     # as the meeting tree when the out-tree met, one fewer when it was the
@@ -230,10 +236,18 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
     g3 = eng.split.g3
     cmds = gen_workload("fill", n, {"count": prof.r - 4}, 5, prof.endpoint_cap, prof.r)
     assert run_trace(eng, cmds).failures == []
+    # H3 also holds about half the free G3 edges, as middle segments of
+    # live paths would: with only the fill's, trees within three G3 edges
+    # of each other nearly always find a free path, and no sampled find
+    # stays unmet
+    coin = random.Random(1)
+    held = [e for e in range(g3.m) if not eng.h3.member[e] and coin.random() < 0.5]
+    for e in held:
+        eng.h3.add(e)
     caps = prof.bfs_vertex_cap, prof.fanout
     rng = random.Random(2)
     kinds = Counter()
-    outcomes = ("shared", "one edge", "two edges", "unmet")
+    outcomes = ("shared", "one edge", "two edges", "three edges", "unmet")
     for _ in range(600):
         if min(kinds[k] for k in outcomes) >= 5:
             break
@@ -243,8 +257,8 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
         probe = probe_trees(eng, a, b)
         meet = probe["meet"]
         sides = (
-            (eng.out_oracle, a, probe["out"], (eng.g3_out, eng.link_out)),
-            (eng.in_oracle, b, probe["in"], (eng.g3_in, eng.link_in)),
+            (eng.out_oracle, a, probe["out"], (eng.g3_out, eng.link_out, eng.step_out)),
+            (eng.in_oracle, b, probe["in"], (eng.g3_in, eng.link_in, eng.step_in)),
         )
         for oracle, root, (edges, parent), _ in sides:
             full_edges, full_parent = _alone(oracle, root, caps)
@@ -264,7 +278,7 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
         if shared:
             assert shared == {entry} and entry == exit_ and seg_mid == []
         else:
-            assert 1 <= len(seg_mid) <= 2
+            assert 1 <= len(seg_mid) <= 3
             assert not any(eng.h3.member[e] for e in seg_mid)
             walk = [g3.tails[seg_mid[0]]] + [g3.heads[e] for e in seg_mid]
             assert all(g3.tails[f] == g3.heads[e] for e, f in zip(seg_mid, seg_mid[1:]))
@@ -272,7 +286,7 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
             assert entry in par_a and exit_ in par_b
             assert not any(x in par_a or x in par_b for x in walk[1:-1])
         schedules = []
-        for (m_orc, m_root, m_tree, m_rows), (o_orc, o_root, o_tree, _), lag in (
+        for (m_orc, m_root, m_tree, (near, link, _)), (o_orc, o_root, o_tree, (_, _, o_step)), lag in (
             (sides[0], sides[1], 1),
             (sides[1], sides[0], 0),
         ):
@@ -281,25 +295,28 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
             if m_parent[last] is None:
                 continue  # a root is never discovered
             turns = list(m_parent).index(m_parent[last][0]) + 1
+            other = o_tree[1]
             schedules.append(
-                _alone(m_orc, m_root, caps, dict.fromkeys(o_tree[1]), None, *m_rows) == m_tree
+                _alone(m_orc, m_root, caps, dict.fromkeys(other), None, near, link, _reach(o_step, other)) == m_tree
                 and _alone(o_orc, o_root, caps, steps=turns - lag) == o_tree
             )
         assert any(schedules)
-        kinds[("shared", "one edge", "two edges")[len(seg_mid)]] += 1
+        kinds[outcomes[len(seg_mid)]] += 1
         rec = eng.find_path(a, b)
         assert rec.seg_mid == tuple(seg_mid)
         verts = eng.path_vertices(rec)
         assert len(set(verts)) == len(verts)
         eng.remove_path(rec.id)
-    # all four outcomes occur at this size
+    # all five outcomes occur at this size
     assert min(kinds[k] for k in outcomes) >= 5, kinds
+    for e in held:
+        eng.h3.remove(e)
     assert eng.verify().ok
 
 
 def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
     # trees that met through a G3 path grow past that point once H3 holds
-    # either of its edges, as a live path's middle segment would: the
+    # any of its edges, as a live path's middle segment would: the
     # edge's ends stay in the fixed G3 rows, but neither confirmation nor
     # `_meeting` takes the edge
     eng = small_engine(n=600, d=30, seed=11)
@@ -311,7 +328,7 @@ def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
         probe = probe_trees(eng, a, b)
         if probe["meet"] is not None and probe["meet"][2]:
             met.setdefault(len(probe["meet"][2]), []).append((a, b, probe))
-        if len(met.get(2, ())) >= 3 and 1 in met:
+        if min(len(met.get(2, ())), len(met.get(3, ()))) >= 3 and 1 in met:
             break
     else:
         raise AssertionError("too few pairs met through G3 in 100 samples: %s" % met)
@@ -323,13 +340,13 @@ def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
     eng.h3.add(e)
     assert w in eng.g3_out[t] and t in eng.g3_in[w]
     for link, v, u in ((eng.link_out, t, w), (eng.link_in, w, t)):
-        # a parallel edge, else only a two-edge path around e
+        # a parallel edge, else only a path of two or three edges around e
         found = link(v, {u: None}, {v: None})
-        assert found == parallel[:1] or not parallel and (found is None or len(found) == 2)
+        assert found == parallel[:1] or not parallel and (found is None or len(found) in (2, 3))
         assert found is None or e not in found
     eng.h3.remove(e)
     grew = Counter()
-    for a, b, probe in met[1][:1] + met[2]:
+    for a, b, probe in met[1][:1] + met[2] + met[3]:
         par_a, par_b = probe["out"][1], probe["in"][1]
         last_a, last_b = next(reversed(par_a)), next(reversed(par_b))
         seg = probe["meet"][2]
@@ -342,7 +359,7 @@ def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
         for i, held in enumerate(seg):
             eng.h3.add(held)
             assert all(found is None or held not in found for found in links())
-            meet = eng._meeting(par_a, par_b)
+            meet = eng._meeting(par_a, par_b, _reach(eng.step_out, par_a), _reach(eng.step_in, par_b))
             assert meet is None or held not in meet[2]
             again = probe_trees(eng, a, b)
             assert again["meet"] is None or held not in again["meet"][2]
@@ -352,8 +369,9 @@ def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
                 grew[len(seg), i] += 1
             eng.h3.remove(held)
             assert probe_trees(eng, a, b) == probe
-    # holding the one edge, or either edge of a pair, moved some meeting on
-    assert set(grew) == {(1, 0), (2, 0), (2, 1)}, grew
+    # holding the one edge, or any edge of a pair or a triple, moved some
+    # meeting on
+    assert set(grew) == {(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}, grew
     assert eng.verify().ok
 
 
@@ -389,6 +407,126 @@ def test_a_two_edge_link_never_passes_through_the_own_tree():
     assert eng.link_in(w, {t: None}, {w: None}) is None
 
 
+def _g3_walks(adj, ends, v, hops):
+    """Every G3 walk of exactly `hops` edges from v along `adj`, as edge
+    lists, in adjacency order (lexicographic in each edge's row position)."""
+    if not hops:
+        yield []
+        return
+    for e in adj[v]:
+        for rest in _g3_walks(adj, ends, ends[e], hops - 1):
+            yield [e, *rest]
+
+
+def _reference_link(g3, held, out, w, keys, own):
+    """Brute force of a link: the shortest G3 path of at most three edges
+    from w out along its out-edges (`out`) or back along its in-edges, none
+    set in `held`, to a key of `keys`, whose middle vertices are distinct
+    and keys of neither `keys` nor `own`; ties go to adjacency order."""
+    adj, ends = (g3.out_adj, g3.heads) if out else (g3.in_adj, g3.tails)
+    for hops in (1, 2, 3):
+        for walk in _g3_walks(adj, ends, w, hops):
+            *mids, last = (ends[e] for e in walk)
+            if (
+                last in keys
+                and not any(held[e] for e in walk)
+                and len(set(mids)) == len(mids)
+                and not any(x in keys or x in own for x in mids)
+            ):
+                return walk
+    return None
+
+
+def _within_three(adj, ends, sources):
+    """Plain BFS: the vertices at most three G3 edges from `sources` along
+    `adj` to `ends`, H3 ignored."""
+    seen = set(sources)
+    layer = list(sources)
+    for _ in range(3):
+        layer = [ends[e] for u in layer for e in adj[u] if ends[e] not in seen]
+        seen.update(layer)
+    return seen
+
+
+@pytest.mark.parametrize("n,d", [(150, 30), (150, 31), (300, 30), (300, 31)])
+def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
+    # after a churn prefix, with H3 holding live middle segments, each
+    # find's lockstep trees are replayed discovery by discovery against
+    # the other tree as it stood then (the out-tree moves first): the
+    # reach test equals a plain BFS check that the G3 distance to the
+    # other tree is at most three, a candidate's link equals the brute
+    # force, only a tree's last discovery meets, and `_meeting` returns the
+    # brute-force connector. Links beside each H3-held edge match the
+    # brute force too, and some of them go around the held edge
+    prof = desk_profile(n, d)
+    eng = RoutingEngine(gen_random_regular_graph(n, d, seed=11), prof)
+    cmds = gen_workload("churn", n, {"ops": 200, "live_target": prof.r // 2}, 5, prof.endpoint_cap, prof.r)
+    assert run_trace(eng, cmds).failures == []
+    g3, h3m = eng.split.g3, eng.h3.member
+    assert len(eng.h3)
+    # per tree: its two-hop rows and link, the other tree's step rows, and
+    # the BFS direction from the other tree towards a discovery
+    sides = {
+        True: (eng.g3_out, eng.link_out, eng.step_in, g3.in_adj, g3.tails),
+        False: (eng.g3_in, eng.link_in, eng.step_out, g3.out_adj, g3.heads),
+    }
+    tested = Counter()
+    rng = random.Random(6)
+    for _ in range(100):
+        a, b = rng.sample(range(n), 2)
+        if eng.ledger.violation(a, b):
+            continue
+        probe = probe_trees(eng, a, b)
+        par_a, par_b = probe["out"][1], probe["in"][1]
+        for out, own, other, lag in ((True, par_a, par_b, 0), (False, par_b, par_a, 1)):
+            near, link, other_step, adj, ends = sides[out]
+            order = list(own)
+            at, other_at = {v: i for i, v in enumerate(own)}, {v: i for i, v in enumerate(other)}
+            for k, w in enumerate(order[1:], 1):
+                # w's parent was the tree's (i+1)-th dequeued vertex; by then
+                # the other tree had served i (in-tree: i + 1) vertices
+                served = at[own[w][0]] + lag
+                keys = {x: None for x, up in other.items() if up is None or other_at[up[0]] < served}
+                mine = dict.fromkeys(order[: k + 1])
+                reach = _reach(other_step, keys)
+                passed = w in reach or not reach.isdisjoint(near[w])
+                assert passed == (w in _within_three(adj, ends, keys))
+                ref = None if w in keys else _reference_link(g3, h3m, out, w, keys, mine)
+                if passed and w not in keys:
+                    assert link(w, keys, mine) == ref
+                assert passed or ref is None
+                assert w == order[-1] or not (w in keys or ref is not None)
+                tested[passed] += 1
+        last_a, last_b = next(reversed(par_a)), next(reversed(par_b))
+        if last_a in par_b:
+            expected = last_a, last_a, []
+        elif last_b in par_a:
+            expected = last_b, last_b, []
+        elif (seg := _reference_link(g3, h3m, True, last_a, par_b, par_a)) is not None:
+            expected = last_a, g3.heads[seg[-1]], seg
+        elif (seg := _reference_link(g3, h3m, False, last_b, par_a, par_b)) is not None:
+            expected = g3.tails[seg[-1]], last_b, seg[::-1]
+        else:
+            expected = None
+        assert probe["meet"] == expected
+    assert tested[True] and tested[False], tested
+    # beside each held edge e from w: targets one, two and three G3 edges
+    # on through e, with a few more vertices in w's own tree
+    free = bytearray(g3.m)
+    around = 0
+    for e in eng.h3.members():
+        for out, (_, link, _, _, _) in sides.items():
+            adj, ends = (g3.out_adj, g3.heads) if out else (g3.in_adj, g3.tails)
+            w, x = (g3.tails[e], g3.heads[e]) if out else (g3.heads[e], g3.tails[e])
+            ring = {x}
+            for _ in range(3):
+                keys = dict.fromkeys(ring - {w})
+                own = dict.fromkeys([w, *rng.sample([v for v in range(n) if v not in keys], 5)])
+                ref = _reference_link(g3, h3m, out, w, keys, own)
+                assert link(w, keys, own) == ref
+                around += ref != _reference_link(g3, free, out, w, keys, own)
+                ring = {ends[f] for v in ring for f in adj[v]}
+    assert around
 @pytest.mark.parametrize("seed", [1, 2, 7])
 def test_overload_churn_serves_every_find(seed):
     # churn at r - 6 on n=4800 collapses if every oracle row is scanned in
@@ -467,7 +605,7 @@ def _watch_rollback(oracle, ops):
 def test_oracle_counters_count_every_tree_edge(probe_trees):
     # the undo logs count each edge a find put in H once, kept or rolled
     # back, so a find's add_calls deltas are its trees' sizes: met at a
-    # shared vertex or through a G3 path of one or two edges, unmet and
+    # shared vertex or through a G3 path of one to three edges, unmet and
     # failed alike; a probe grows the same trees the find then grows
     eng = small_engine(n=600, d=30, seed=11)
 
@@ -501,7 +639,7 @@ def test_raised_volume_cap_verifies_clean_when_full():
     # edges than the default r * depth_cap; verify must still pass. The
     # fill stops once |H1| passes that bound (or at r): well before r the
     # random fill reaches the load frontier, past which finds fail
-    n, r = 150, 60
+    n, r = 150, 70
     default = desk_profile(n, 30)
     default_cap = default.r * default.depth_cap
     eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=21), replace(default, r=r))
@@ -541,9 +679,16 @@ def test_connector_search_stops_at_the_hop_budget():
     # under a two-hop budget, trees of depth at most two that met nothing
     # get a G3 connector of at most two edges or none: the search expands
     # two BFS layers and gives up, naming the budget, and the failure
-    # leaves the state as it was
+    # leaves the state as it was. H3 holds about half the G3 edges, as
+    # middle segments of live paths would: on a fresh engine nearly every
+    # pair of trees is within three free G3 edges, and no find reaches the
+    # search
     g = gen_random_regular_graph(150, 30, seed=21)
     eng = RoutingEngine(g, depth_capped(desk_profile(150, 30), 2))
+    coin = random.Random(1)
+    held = [e for e in range(eng.split.g3.m) if coin.random() < 0.5]
+    for e in held:
+        eng.h3.add(e)
     for b in range(1, 150):
         before = state_snapshot(eng)
         try:
@@ -556,6 +701,8 @@ def test_connector_search_stops_at_the_hop_budget():
         eng.remove_path(eng.ledger.resolve(-1))
     else:
         pytest.fail("no find failed in the connector search; widen the sample")
+    for e in held:
+        eng.h3.remove(e)
     assert eng.verify().ok
 
 
