@@ -26,7 +26,7 @@ final head pays one unit of in-degree.
 
 Edge picks and the forward steps of a walk search scan a vertex's
 out-edges in a fixed pick order: host adjacency order rotated by
-`v mod out-degree` at vertex v. Host rows are sorted by head id, so an
+`v mod out-degree` at vertex v. Host adjacency is sorted by head id, so an
 unrotated scan would send every vertex to the same low-id heads first,
 which saturates them together and feeds Low and B (the paper allows any
 free out-edge whose head is not saturated; the order is only a
@@ -47,9 +47,11 @@ counts once, when the log closes over it or a rollback undoes it.
 
 A router request grows two trees and keeps one branch of each, so the
 traffic comes in batches: `grow_tree` is a generator that makes a tree's
-picks one dequeued vertex per resume, so two trees can grow in turn, and
-`release` hands a list of edges back. The pick rule and the removal rule
-live only there; `add_edge` and `remove_edge` are their one-edge forms.
+picks one dequeued vertex per resume, so two trees can grow in turn,
+and ends a tree at the first discovery the caller's `meets` test
+accepts (what a meeting is, the oracle does not know); `release` hands
+a list of edges back. The pick rule and the removal rule live only
+there; `add_edge` and `remove_edge` are their one-edge forms.
 
 There is no test-only mode, audit switch or walk log. Tests and the
 bench watch the oracle from outside: they wrap `add_edge`, `remove_edge`
@@ -100,12 +102,12 @@ class EdgeOracle:
         # sat_out[v] = number of host out-edges of v whose head is saturated
         self.sat_out = [0] * host.n
         # in_tails[w] = the tails of w's in-edges, the sat_out entries w moves;
-        # fixed rows, as tuples, which the cyclic GC stops tracking
+        # fixed tuples, which the cyclic GC stops tracking
         self._in_tails = [tuple(map(host.tails.__getitem__, in_adj)) for in_adj in host.in_adj]
         # pick_order[v] = v's out-edges in the order picks and walks scan them
         self._pick_order = [
-            (*row[v % len(row):], *row[:v % len(row)]) if row else ()
-            for v, row in enumerate(host.out_adj)
+            (*adj[v % len(adj):], *adj[:v % len(adj)]) if adj else ()
+            for v, adj in enumerate(host.out_adj)
         ]
         # integer thresholds: an integer x reaches a Fraction t iff x >= ceil(t)
         self._sat_min = ceil(profile.sat_threshold)
@@ -205,35 +207,28 @@ class EdgeOracle:
             raise CallerError("add_edge(%d): out-degree cap %d reached" % (v, prof.out_cap))
         edges = []
         with self.request_log():
-            for _ in self.grow_tree({v: None}, edges, {}, 1, 1):
+            for _ in self.grow_tree({v: None}, edges, 1, 1, lambda w: False):
                 pass
         return edges[0]
 
-    def grow_tree(self, parent, edges, meet, vertex_cap, fanout, near=None, link=None,
-                  step=None, reach=None, other_reach=None):
+    def grow_tree(self, parent, edges, vertex_cap, fanout, meets):
         """Generator that grows a breadth-first tree of fresh edges out of
         the one key of `parent`, yielding after each dequeued vertex.
 
-        It adds parent links to `parent` (keys in discovery order) and
-        edges to the empty list `edges`. While at most `vertex_cap`
-        vertices were reached, the next dequeued vertex asks for up to
-        `fanout` edges, stopping at its out-degree cap, so the tree holds
-        at most `fanout` * `vertex_cap` edges. A Low vertex takes its first
-        B-stock edge in pick order, any other its first free out-edge in
-        pick order whose head is not in Sat.
+        It maps each discovery to its (parent, edge) in `parent` (keys in
+        discovery order) and adds edges to the empty list `edges`. While
+        at most `vertex_cap` vertices were reached, the next dequeued
+        vertex asks for up to `fanout` edges, stopping at its out-degree
+        cap, so the tree holds at most `fanout` * `vertex_cap` edges. A Low
+        vertex takes its first B-stock edge in pick order, any other its
+        first free out-edge in pick order whose head is not in Sat.
 
-        Each discovered vertex w first adds its row `step[w]` to the set
-        `reach` (no `reach`: no `step` either), then is a candidate when
-        it lies in the set `other_reach` (default: the keys of the dict
-        `meet`) or its row `near[w]` shares one of its members; both are
-        C-level tests, and `reach` and `other_reach` are read live. The
-        tree ends at a candidate that is a key of `meet`, or for which
-        `link(w, meet, parent)`, given the tree's own dict too, confirms a
-        meeting with a value that is not None; w is its last key then (no
-        `near`: only keys of `meet` end it). Stopped there or dropped
-        early, it is a prefix of the full tree, with the same picks and
-        log entries. It needs an open log (checked at the first resume),
-        which counts its edges and takes them back on ExpansionViolation.
+        Each discovered vertex w, once it is the last key of `parent`, is
+        passed to `meets`; the tree ends at the first w for which it is
+        true. Stopped there or dropped early, it is a prefix of the full
+        tree, with the same picks and log entries. It needs an open log
+        (checked at the first resume), which counts its edges and takes
+        them back on ExpansionViolation.
         """
         undo = self._undo
         if undo is None:
@@ -243,13 +238,6 @@ class EdgeOracle:
         out_deg, in_deg, b_in = h.out_deg, h.in_deg, self.b.in_deg
         sat, low, sat_min = self.sat, self.low, self._sat_min
         heads, pick_order = self.host.heads, self._pick_order
-        if near is None:
-            near = ((),) * self.host.n
-        if reach is None:
-            reach, step = set(), ((),) * self.host.n
-        if other_reach is None:
-            other_reach = meet.keys()
-        widen, apart = reach.update, other_reach.isdisjoint
         # the BFS queue: a for loop over a list visits what is appended to it
         order = list(parent)
         picks, log, enqueue, keep = range(fanout), undo.append, order.append, edges.append
@@ -265,7 +253,7 @@ class EdgeOracle:
                         if state[e] == 2:
                             break
                     else:
-                        raise ExpansionViolation("add_edge(%d): buffered vertex has no stock" % u)
+                        raise ExpansionViolation("pick at vertex %d: buffered vertex has no stock" % u)
                     self._b_remove(e)
                     h.add(e)
                     log(("h+", e))
@@ -278,7 +266,7 @@ class EdgeOracle:
                         if not sat[w]:
                             break
                     else:
-                        raise ExpansionViolation("add_edge(%d): all free out-edges saturated" % u)
+                        raise ExpansionViolation("pick at vertex %d: all free out-edges saturated" % u)
                     state[e] = 1
                     out_deg[u] += 1
                     in_deg[w] += 1
@@ -292,10 +280,7 @@ class EdgeOracle:
                 keep(e)
                 if w not in parent:
                     parent[w] = (u, e)
-                    widen(step[w])
-                    if (w in other_reach or not apart(near[w])) and (
-                        w in meet or link(w, meet, parent) is not None
-                    ):
+                    if meets(w):
                         return
                     enqueue(w)
             yield

@@ -7,17 +7,19 @@ original orientation). They grow in lockstep, and both stop where one
 discovers a vertex of the other, or a vertex joined to the other by a
 free path of one to three edges of the third subgraph (edges no live
 path's middle segment holds, through middle vertices in neither tree).
-A tree tests each discovery's fixed two-hop G3 row against the other
-tree's reach set, the vertices one G3 edge or less from it, and
-confirms a hit against H3, which holds few G3 edges, so no state
-follows H3 per vertex. The connector is then empty or that path.
-Trees that meet nothing grow to full size, large enough that the third
-subgraph, minus the middle segments already spoken for, connects them
-by a short directed path. The path is assembled from the two tree branches plus
-the connector, every unused tree edge is handed back to its oracle, and
-the path recorded in the `Ledger`, the one home of the game rules, which
-the workload generator and the trace validator replay too. Removal
-returns the path's edges the same way.
+The oracles only hand out edges; the rule lives here, in one test per
+tree that `grow_tree` runs on each discovery. It tests the discovery's
+fixed two-hop G3 row against the other tree's reach set, the vertices
+one G3 edge or less from it, confirms a hit against H3, which holds
+few G3 edges, so no state follows H3 per vertex, and keeps the
+connector it found: none, or that path. Trees that meet nothing grow
+to full size, large enough that the third subgraph, minus the middle
+segments already spoken for, connects them by a short directed path.
+The path is assembled from the two tree branches plus the connector,
+every unused tree edge is handed back to its oracle, and the path
+recorded in the `Ledger`, the one home of the game rules, which the
+workload generator and the trace validator replay too. Removal returns
+the path's edges the same way.
 
 Failures keep the two-class contract. A request that breaks the game
 rules raises CallerError before any mutation. A request whose tree
@@ -136,11 +138,9 @@ class RoutingEngine:
         self.ledger = Ledger(g.n, profile.endpoint_cap, profile.r)
         # fixed G3 rows, in adjacency order, H3 ignored: g3_out[v] (g3_in[v])
         # holds the ends within two G3 edges out of (into) v, one-edge ends
-        # first, and step_out[v] (step_in[v]) holds v and its one-edge ends.
-        # A tree's reach set is the union of its vertices' step rows, so a
-        # vertex whose two-hop row meets the other tree's reach set, or that
-        # lies in it, is within three G3 edges of that tree; link_out
-        # (link_in) then confirms a free path against H3
+        # first, and step_out[v] (step_in[v]) holds v and its one-edge ends;
+        # `_meets` tests discoveries with them and confirms against H3 with
+        # link_out (link_in)
         g3 = self.split.g3
         out1 = [tuple(map(g3.heads.__getitem__, row)) for row in g3.out_adj]
         in1 = [tuple(map(g3.tails.__getitem__, row)) for row in g3.in_adj]
@@ -206,16 +206,10 @@ class RoutingEngine:
         """Grow the out-tree from a and the in-tree into b in lockstep, one
         dequeued vertex each in turn, and check their vertex and depth budgets.
 
-        Each tree keeps a reach set, the union of its vertices' step rows
-        (`step_out`, `step_in`), widened by each discovery before it is
-        tested. A discovery that lies in the other tree's reach set, or whose
-        two-hop row (`g3_out`, `g3_in`) meets it, is within three G3 edges
-        of (out-tree) or from (in-tree) the other tree, H3 ignored; there the
-        tree ends if the vertex is the other's, or `link_out` (`link_in`),
-        given both trees, confirms a free G3 path, and so does the other.
-        A tree that ends unmet leaves the other to grow alone, and must
-        reach `bfs_vertex_cap` vertices. BFS makes a tree's last key its
-        deepest. A tree stopped at the meeting is dropped suspended. Returns
+        Each tree ends where its `_meets` test accepts a discovery. A tree
+        that ends unmet leaves the other to grow alone, and must reach
+        `bfs_vertex_cap` vertices. BFS makes a tree's last key its deepest.
+        A tree stopped at the meeting is dropped suspended. Returns
         (edges_a, par_a, edges_b, par_b, `_meeting`'s connector or None);
         the open undo logs count the edges and take them back on an
         ExpansionViolation.
@@ -223,24 +217,20 @@ class RoutingEngine:
         prof = self.profile
         cap, depth_cap = prof.bfs_vertex_cap, prof.depth_cap  # derived properties: read them once
         edges_a, par_a, edges_b, par_b = [], {a: None}, [], {b: None}
-        reach_a, reach_b = set(self.step_out[a]), set(self.step_in[b])
-        grow_a = self.out_oracle.grow_tree(
-            par_a, edges_a, par_b, cap, prof.fanout, near=self.g3_out, link=self.link_out,
-            step=self.step_out, reach=reach_a, other_reach=reach_b,
-        )
-        grow_b = self.in_oracle.grow_tree(
-            par_b, edges_b, par_a, cap, prof.fanout, near=self.g3_in, link=self.link_in,
-            step=self.step_in, reach=reach_b, other_reach=reach_a,
-        )
+        reach_a, reach_b, met = set(self.step_out[a]), set(self.step_in[b]), {}
+        meets_a = self._meets(True, par_a, par_b, reach_a, reach_b, met)
+        meets_b = self._meets(False, par_b, par_a, reach_b, reach_a, met)
+        grow_a = self.out_oracle.grow_tree(par_a, edges_a, cap, prof.fanout, meets_a)
+        grow_b = self.in_oracle.grow_tree(par_b, edges_b, cap, prof.fanout, meets_b)
         # zip stops when the first tree ends; a tree that met ended at its
         # last key, else the other goes on alone
         for _ in zip(grow_a, grow_b):
             pass
-        meet = self._meeting(par_a, par_b, reach_a, reach_b)
+        meet = self._meeting(met, par_a, par_b, meets_a, meets_b)
         if meet is None:
             for _ in chain(grow_a, grow_b):
                 pass
-            meet = self._meeting(par_a, par_b, reach_a, reach_b)
+            meet = self._meeting(met, par_a, par_b, meets_a, meets_b)
         for parent in (par_a, par_b):
             if meet is None and len(parent) < cap:
                 raise ExpansionViolation("tree growth stalled at %d of %d vertices" % (len(parent), cap))
@@ -249,31 +239,54 @@ class RoutingEngine:
                 raise ExpansionViolation("tree depth %d exceeds budget %d" % (depth, depth_cap))
         return edges_a, par_a, edges_b, par_b, meet
 
-    def _meeting(self, par_a, par_b, reach_a, reach_b):
+    def _meets(self, out, own, other, reach, other_reach, met):
+        """The `grow_tree` test by which the tree `own` (the out-tree if
+        `out`, else the in-tree) meets the tree `other`.
+
+        `reach` and `other_reach` are the trees' reach sets, the unions of
+        their vertices' step rows. A discovery w first widens `reach` by
+        its step row, then passes the reach test if it lies in
+        `other_reach` or its two-hop row meets it: it is then within three
+        G3 edges of (out-tree) or from (in-tree) the other tree, H3
+        ignored. It meets if it is a key of `other`, or if `link_out`
+        (`link_in`) finds a free G3 path to `other`; the test stores the
+        connector, (entry, exit, edges in path order), as `met[out]`.
+        Widening is idempotent, so a key can be tested again.
+        """
+        g3 = self.split.g3
+        step, near, link, ends = (
+            (self.step_out, self.g3_out, self.link_out, g3.heads) if out
+            else (self.step_in, self.g3_in, self.link_in, g3.tails)
+        )
+        widen, apart = reach.update, other_reach.isdisjoint
+
+        def meets(w):
+            widen(step[w])
+            if w in other_reach or not apart(near[w]):
+                if w in other:
+                    met[out] = w, w, []
+                elif (seg := link(w, other, own)) is not None:
+                    met[out] = (w, ends[seg[-1]], seg) if out else (ends[seg[-1]], w, seg[::-1])
+            return out in met
+
+        return meets
+
+    @staticmethod
+    def _meeting(met, par_a, par_b, meets_a, meets_b):
         """Where the trees met, as (entry, exit, connector edges), or None.
 
-        A tree that met ends at its last key. A shared vertex wins, with
-        no connector; else `link_out`'s free G3 path of up to three edges out
-        of the out-tree's last key into the in-tree, then `link_in`'s out
-        of the out-tree into the in-tree's last key, put in path order.
-        Each link runs only where the reach test the trees use passes.
+        `met` holds the connector of each tree whose `meets` test ended it.
+        The out-tree's wins, then a vertex the in-tree shared. Else the
+        in-tree met through a link or neither met, and the in-tree grew
+        since the out-tree's last key was tested: that key is tested again
+        first. When neither met, the in-tree's last key is tested again
+        too, as the out-tree grew since.
         """
-        last_a, last_b = next(reversed(par_a)), next(reversed(par_b))
-        if last_a in par_b:
-            return last_a, last_a, []
-        if last_b in par_a:
-            return last_b, last_b, []
-        g3 = self.split.g3
-        if last_a in reach_b or not reach_b.isdisjoint(self.g3_out[last_a]):
-            seg = self.link_out(last_a, par_b, par_a)
-            if seg is not None:
-                return last_a, g3.heads[seg[-1]], seg
-        if last_b in reach_a or not reach_a.isdisjoint(self.g3_in[last_b]):
-            seg = self.link_in(last_b, par_a, par_b)
-            if seg is not None:
-                seg.reverse()
-                return g3.tails[seg[0]], last_b, seg
-        return None
+        if True not in met and (False not in met or met[False][2]):
+            meets_a(next(reversed(par_a)))
+        if not met:
+            meets_b(next(reversed(par_b)))
+        return met.get(True, met.get(False))
 
     @staticmethod
     def _free_g3_path(h3m, adj, ends, w, keys, own):

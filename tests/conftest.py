@@ -94,26 +94,27 @@ def c8():
     return UndirectedGraph(8, [(i, (i + 1) % 8) for i in range(8)])
 
 
+def never(w):
+    """A `meets` test that no discovery passes."""
+    return False
+
+
 def one_vertex_tree(orc, v):
     """The edges of a one-vertex tree grown from v in the open log: the
     picks `add_edge(v)` makes as a request of its own."""
     edges = []
-    drive(orc.grow_tree({v: None}, edges, {}, 1, 1))
+    drive(orc.grow_tree({v: None}, edges, 1, 1, never))
     return edges
 
 
-def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None, near=None, link=None, other_reach=None):
+def tree_by_single_adds(orc, parent, vertex_cap, fanout, meets=never, steps=None):
     """`EdgeOracle.grow_tree` spelled out with one one-vertex tree per edge,
     inside the caller's request log, over at most `steps` dequeued vertices
-    (the resumes before it is dropped). A discovered vertex w is a
-    candidate when it is in `other_reach` (default `meet`) or `near[w]`
-    holds one of it, and meets when it is also in `meet` or `link(w, meet,
-    parent)` is not None."""
-    if other_reach is None:
-        other_reach = meet
-    parent = {root: None}
+    (the resumes before it is dropped). It grows into `parent`, a dict
+    holding the root alone, and ends at the first discovered vertex w,
+    then the last key of `parent`, for which `meets(w)` is true."""
     edges = []
-    q = deque([root])
+    q = deque(parent)
     served = 0
     while q and len(parent) <= vertex_cap and served != steps:
         u = q.popleft()
@@ -126,8 +127,7 @@ def tree_by_single_adds(orc, root, vertex_cap, fanout, meet=(), steps=None, near
             w = orc.host.heads[e]
             if w not in parent:
                 parent[w] = (u, e)
-                candidate = w in other_reach or near is not None and any(x in other_reach for x in near[w])
-                if candidate and (w in meet or link(w, meet, parent) is not None):
+                if meets(w):
                     return edges, parent
                 q.append(w)
     return edges, parent

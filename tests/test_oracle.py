@@ -8,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import drive, dump, one_vertex_tree, oriented_host, tree_by_single_adds
+from conftest import drive, dump, never, one_vertex_tree, oriented_host, tree_by_single_adds
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.graph import Digraph
 from expander_routing.oracle import EdgeOracle
@@ -131,7 +131,7 @@ def test_grow_tree_needs_an_open_log():
     host = oriented_host(30, 10, seed=6)
     orc = EdgeOracle(host, canonical_oracle_profile(10))
     # the check runs at the first resume of the generator
-    tree = orc.grow_tree({0: None}, [], {}, 4, 2)
+    tree = orc.grow_tree({0: None}, [], 4, 2, never)
     with pytest.raises(CallerError):
         next(tree)
     assert len(orc.h) == 0 and orc.add_calls == 0
@@ -564,31 +564,26 @@ def test_dump_is_stable():
 
 MACHINE_HOST = oriented_host(40, 6, seed=41)
 MACHINE_VERTICES = st.integers(0, 39)
-# one row of up to three vertices per host vertex, as the router's G3 rows
-MACHINE_ROWS = st.lists(st.lists(MACHINE_VERTICES, max_size=3).map(tuple), min_size=40, max_size=40)
 
 
 class Forced(Exception):
     """Raised inside a request log to make it roll back."""
 
 
-def _confirmer(confirmed):
-    """A `grow_tree` link that confirms a row hit at the vertices of
-    `confirmed` only, as a router confirms one against H3."""
-    return lambda w, keys, own: 0 if w in confirmed else None
-
-
-def _grown(orc, root, vertex_cap, fanout, meet=(), steps=None, near=None, link=None, other_reach=None,
-           step=None, reach=None):
+def _grown(orc, root, vertex_cap, fanout, meets=never, steps=None):
     """(edges, parent, log) of a tree grown by `grow_tree` in a fresh log,
-    resumed `steps` times (to its end when None) and then dropped."""
-    edges, parent = [], {root: None}
+    resumed `steps` times (to its end when None) and then dropped. It
+    checks that `meets` was asked about every discovery once, in
+    discovery order, each the last key of the tree by then."""
+    edges, parent, asked = [], {root: None}, []
+
+    def watched(w):
+        asked.append((w, next(reversed(parent))))
+        return meets(w)
+
     with orc.request_log():
-        tree = orc.grow_tree(
-            parent, edges, dict.fromkeys(meet), vertex_cap, fanout, near=near, link=link,
-            step=step, reach=reach, other_reach=other_reach,
-        )
-        drive(tree, steps)
+        drive(orc.grow_tree(parent, edges, vertex_cap, fanout, watched), steps)
+        assert asked == [(w, w) for w in list(parent)[1:]]
         return edges, parent, list(orc._undo)
 
 
@@ -618,7 +613,7 @@ def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
             cases.append((set(verts[k:]), None))
         for meet, steps in cases:
             stopped, single = copy.deepcopy(base), copy.deepcopy(base)
-            got_edges, got_parent, log = _grown(stopped, root, 40, 2, meet, steps)
+            got_edges, got_parent, log = _grown(stopped, root, 40, 2, meet.__contains__, steps)
             if meet:
                 kept = edges.index(parent[w][1]) + 1
                 assert (got_edges, got_parent) == (edges[:kept], dict(zip(verts[: k + 1], parent.values())))
@@ -629,7 +624,9 @@ def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
                 assert list(got_parent.items()) == list(parent.items())[: len(got_parent)]
             assert log == full_log[: len(log)]
             with single.request_log():
-                assert tree_by_single_adds(single, root, 40, 2, meet, steps) == (got_edges, got_parent)
+                assert tree_by_single_adds(single, {root: None}, 40, 2, meet.__contains__, steps) == (
+                    got_edges, got_parent
+                )
                 assert single._undo == log
             assert stopped.add_calls - base.add_calls == kept
             assert (dump(stopped), stopped.sat_out, _counters(stopped)) == (
@@ -722,50 +719,32 @@ class OracleMachine(RuleBasedStateMachine):
         vertex_cap=st.integers(1, 12),
         fanout=st.integers(1, 3),
         meet=st.sets(MACHINE_VERTICES, max_size=6),
-        near=st.none() | MACHINE_ROWS,
-        link=st.sets(MACHINE_VERTICES).map(_confirmer),
-        step=st.none() | MACHINE_ROWS,
-        extra_reach=st.none() | st.sets(MACHINE_VERTICES, max_size=6),
         steps=st.none() | st.integers(0, 8),
         data=st.data(),
     )
-    def grow_and_hand_back(self, root, vertex_cap, fanout, meet, near, link, step, extra_reach, steps, data):
+    def grow_and_hand_back(self, root, vertex_cap, fanout, meet, steps, data):
         # a find's tree: grown inside a log, resumed `steps` times (to its
         # end when None) and dropped, then all but a kept subset released
         # after the log closes; the same tree grown one one-vertex tree per
-        # edge on a copy must match it edge for edge. A discovered vertex
-        # that lies in the other reach set (`meet` plus `extra_reach`, as
-        # the router's reach sets hold their trees), or whose `near` row
-        # holds one of it, and is in `meet` or `link` confirms, ends it.
-        # The own reach set gains the `step` row of every vertex the tree
-        # reached, the last one too
+        # edge on a copy must match it edge for edge. The first discovered
+        # vertex in the meeting set `meet` ends it
         ref = copy.deepcopy(self.orc)
         before = self._state()
-        other = None if extra_reach is None else meet | extra_reach
-        reach = None if step is None else set(step[root])
-        args = root, vertex_cap, fanout, meet, steps, near, link, other
+        args = vertex_cap, fanout, meet.__contains__, steps
         try:
-            edges, parent, _ = _grown(self.orc, *args, step, reach)
+            edges, parent, _ = _grown(self.orc, root, *args)
         except ExpansionViolation:
             assert self._state() == before
             with pytest.raises(ExpansionViolation):
                 with ref.request_log():
-                    tree_by_single_adds(ref, *args)
+                    tree_by_single_adds(ref, {root: None}, *args)
             assert _counters(ref) == _counters(self.orc)
             return
-        if step is not None:
-            assert reach == set().union(*map(step.__getitem__, parent))
-        other = meet if other is None else other
-        met = [
-            v for v in parent
-            if v != root
-            and (v in other or near is not None and not other.isdisjoint(near[v]))
-            and (v in meet or link(v, meet, parent) is not None)
-        ]
+        met = [v for v in parent if v != root and v in meet]
         assert met in ([], [next(reversed(parent))])
         assert len(edges) <= fanout * vertex_cap
         with ref.request_log():
-            assert tree_by_single_adds(ref, *args) == (edges, parent)
+            assert tree_by_single_adds(ref, {root: None}, *args) == (edges, parent)
         assert (dump(ref), ref.sat_out, _counters(ref)) == (*self._state(), _counters(self.orc))
         kept = data.draw(st.sets(st.sampled_from(edges))) if edges else set()
         self.orc.release([e for e in edges if e not in kept])

@@ -12,7 +12,7 @@ from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import depth_capped, dump, tree_by_single_adds
+from conftest import depth_capped, dump, never, tree_by_single_adds
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.harness import gen_workload, run_trace
@@ -209,15 +209,30 @@ def test_met_tree_skips_the_stall_check_but_not_the_depth_check(probe_trees):
     assert eng.verify().ok
 
 
-def _alone(oracle, root, caps, meet=(), steps=None, near=None, link=None, other_reach=None):
-    """The tree `oracle` grows alone by single adds, on a copy."""
+def _alone(oracle, parent, caps, meets=never, steps=None):
+    """The tree `oracle` grows alone into `parent` by single adds, on a copy."""
     with copy.deepcopy(oracle).request_log() as orc:
-        return tree_by_single_adds(orc, root, *caps, meet, steps, near, link, other_reach)
+        return tree_by_single_adds(orc, parent, *caps, meets, steps)
 
 
 def _reach(step, parent):
     """A tree's reach set: the union of its vertices' step rows."""
     return set().union(*map(step.__getitem__, parent))
+
+
+def _meets(eng, out, own, other, met):
+    """The engine's meeting test of the tree `own` (the out-tree if `out`)
+    against the tree `other`, over reach sets built from both trees."""
+    steps = (eng.step_out, eng.step_in) if out else (eng.step_in, eng.step_out)
+    return eng._meets(out, own, other, _reach(steps[0], own), _reach(steps[1], other), met)
+
+
+def _retested(eng, par_a, par_b):
+    """`_meeting` of two grown trees when neither met: both last keys are
+    tested again."""
+    met = {}
+    meets_a, meets_b = _meets(eng, True, par_a, par_b, met), _meets(eng, False, par_b, par_a, met)
+    return eng._meeting(met, par_a, par_b, meets_a, meets_b)
 
 
 def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
@@ -256,12 +271,9 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
             continue
         probe = probe_trees(eng, a, b)
         meet = probe["meet"]
-        sides = (
-            (eng.out_oracle, a, probe["out"], (eng.g3_out, eng.link_out, eng.step_out)),
-            (eng.in_oracle, b, probe["in"], (eng.g3_in, eng.link_in, eng.step_in)),
-        )
+        sides = ((eng.out_oracle, a, probe["out"], True), (eng.in_oracle, b, probe["in"], False))
         for oracle, root, (edges, parent), _ in sides:
-            full_edges, full_parent = _alone(oracle, root, caps)
+            full_edges, full_parent = _alone(oracle, {root: None}, caps)
             assert edges == full_edges[: len(edges)]
             assert list(parent.items()) == list(full_parent.items())[: len(parent)]
             if meet is None:
@@ -286,7 +298,7 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
             assert entry in par_a and exit_ in par_b
             assert not any(x in par_a or x in par_b for x in walk[1:-1])
         schedules = []
-        for (m_orc, m_root, m_tree, (near, link, _)), (o_orc, o_root, o_tree, (_, _, o_step)), lag in (
+        for (m_orc, m_root, m_tree, out), (o_orc, o_root, o_tree, _), lag in (
             (sides[0], sides[1], 1),
             (sides[1], sides[0], 0),
         ):
@@ -295,10 +307,10 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
             if m_parent[last] is None:
                 continue  # a root is never discovered
             turns = list(m_parent).index(m_parent[last][0]) + 1
-            other = o_tree[1]
+            own = {m_root: None}
             schedules.append(
-                _alone(m_orc, m_root, caps, dict.fromkeys(other), None, near, link, _reach(o_step, other)) == m_tree
-                and _alone(o_orc, o_root, caps, steps=turns - lag) == o_tree
+                _alone(m_orc, own, caps, _meets(eng, out, own, o_tree[1], {})) == m_tree
+                and _alone(o_orc, {o_root: None}, caps, steps=turns - lag) == o_tree
             )
         assert any(schedules)
         kinds[outcomes[len(seg_mid)]] += 1
@@ -359,7 +371,7 @@ def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
         for i, held in enumerate(seg):
             eng.h3.add(held)
             assert all(found is None or held not in found for found in links())
-            meet = eng._meeting(par_a, par_b, _reach(eng.step_out, par_a), _reach(eng.step_in, par_b))
+            meet = _retested(eng, par_a, par_b)
             assert meet is None or held not in meet[2]
             again = probe_trees(eng, a, b)
             assert again["meet"] is None or held not in again["meet"][2]
@@ -457,13 +469,23 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
     # other tree is at most three, a candidate's link equals the brute
     # force, only a tree's last discovery meets, and `_meeting` returns the
     # brute-force connector. Links beside each H3-held edge match the
-    # brute force too, and some of them go around the held edge
+    # brute force too, and some of them go around the held edge. Each
+    # tree's reach set ends as the union of the step rows of all its
+    # vertices, its last key's too
     prof = desk_profile(n, d)
     eng = RoutingEngine(gen_random_regular_graph(n, d, seed=11), prof)
     cmds = gen_workload("churn", n, {"ops": 200, "live_target": prof.r // 2}, 5, prof.endpoint_cap, prof.r)
     assert run_trace(eng, cmds).failures == []
     g3, h3m = eng.split.g3, eng.h3.member
     assert len(eng.h3)
+    # the reach sets `_grow_trees` hands to each tree's meeting test
+    reaches, build = [], eng._meets
+
+    def watched_build(out, own, other, reach, other_reach, met):
+        reaches.append((out, own, reach))
+        return build(out, own, other, reach, other_reach, met)
+
+    eng._meets = watched_build
     # per tree: its two-hop rows and link, the other tree's step rows, and
     # the BFS direction from the other tree towards a discovery
     sides = {
@@ -478,6 +500,10 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
             continue
         probe = probe_trees(eng, a, b)
         par_a, par_b = probe["out"][1], probe["in"][1]
+        assert [(out, own) for out, own, _ in reaches] == [(True, par_a), (False, par_b)]
+        for out, own, reach in reaches:
+            assert reach == _reach(eng.step_out if out else eng.step_in, own)
+        reaches.clear()
         for out, own, other, lag in ((True, par_a, par_b, 0), (False, par_b, par_a, 1)):
             near, link, other_step, adj, ends = sides[out]
             order = list(own)
@@ -527,6 +553,63 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
                 around += ref != _reference_link(g3, free, out, w, keys, own)
                 ring = {ends[f] for v in ring for f in adj[v]}
     assert around
+
+
+def _count_calls(eng, name, calls, record=lambda *args: args):
+    """Wrap the engine method `name` on the instance: each call appends
+    (name, `record` of its arguments, taken at the call) to `calls`."""
+    method = getattr(eng, name)
+
+    def watched(*args):
+        calls.append((name, record(*args)))
+        return method(*args)
+
+    setattr(eng, name, watched)
+
+
+def test_no_link_search_repeats_within_a_find():
+    # the tree that met keeps the connector its link found, so `_meeting`
+    # does not search again: within one find, no link runs twice from the
+    # same vertex against trees of the same sizes
+    n = 600
+    prof = desk_profile(n, 30)
+    eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=11), prof)
+    cmds = gen_workload("churn", n, {"ops": 1000, "live_target": prof.r // 2}, 5, prof.endpoint_cap, prof.r)
+    calls = []
+    for name in ("link_out", "link_in"):
+        _count_calls(eng, name, calls, lambda w, keys, own: (w, len(keys), len(own)))
+    _count_calls(eng, "find_path", calls)
+    assert run_trace(eng, cmds).failures == []
+    searches, repeated = set(), []
+    for call in calls:
+        if call[0] == "find_path":
+            searches.clear()
+        elif call in searches:
+            repeated.append(call)
+        searches.add(call)
+    assert sum(name != "find_path" for name, _ in calls) > 100
+    assert repeated == []
+
+
+@pytest.mark.parametrize("n,ops", [(150, 400), (600, 1000)])
+def test_paper_mechanism_alone_serves_churn(n, ops):
+    # the paper's own mechanism, kept under test: with one-vertex step rows
+    # and empty two-hop rows, set on the instance, trees meet only at a
+    # shared vertex and no link runs; trees that meet nothing grow to full
+    # size and take the BFS connector `_g3_connect`, within the hop budget
+    prof = desk_profile(n, 30)
+    eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=11), prof)
+    eng.step_out = eng.step_in = [(v,) for v in range(n)]
+    eng.g3_out = eng.g3_in = [()] * n
+    calls = []
+    for name in ("link_out", "link_in", "_g3_connect"):
+        _count_calls(eng, name, calls)
+    cmds = gen_workload("churn", n, {"ops": ops, "live_target": prof.r // 2}, 5, prof.endpoint_cap, prof.r)
+    report = run_trace(eng, cmds, verify_every=1)
+    assert report.failures == [] and report.requests_served == ops
+    assert (report.verifies_run, report.verify_findings) == (ops, 0)
+    assert max(report.connector_length_histogram) <= prof.depth_cap
+    assert {name for name, _ in calls} == {"_g3_connect"}
 @pytest.mark.parametrize("seed", [1, 2, 7])
 def test_overload_churn_serves_every_find(seed):
     # churn at r - 6 on n=4800 collapses if every oracle row is scanned in
