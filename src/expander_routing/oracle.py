@@ -53,10 +53,11 @@ accepts (what a meeting is, the oracle does not know); `release` hands
 a list of edges back. The pick rule and the removal rule live only
 there; `add_edge` and `remove_edge` are their one-edge forms.
 
-There is no test-only mode, audit switch or walk log. Tests and the
-bench watch the oracle from outside: they wrap `add_edge`, `remove_edge`
-or `find_alternating_walk` on the instance (`_rebalance` calls the
-search through the instance) and run `audit` in between.
+There is no test-only mode, audit switch or walk log. Tests watch the
+oracle from outside: they wrap methods such as `find_alternating_walk`
+on the instance (`_rebalance` calls it through the instance) and run
+`audit` in between. Router traffic goes through `grow_tree` and
+`release` only, so wrappers of `add_edge` and `remove_edge` count 0.
 """
 
 from __future__ import annotations

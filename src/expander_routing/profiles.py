@@ -129,6 +129,9 @@ def derive_profile(n, d, beta, gamma, relaxed=False):
 
     Strict mode (relaxed=False) enforces gamma < 1/1000 and d > 200;
     gamma is checked here and not stored, since no constant depends on it.
+    Premise caveat: for d < 1/(2 gamma) (d=402 at gamma=1/2000) two adjacent
+    vertices exceed `check_expansion_exhaustive`'s small-set bound gamma*d*|S|,
+    so strict runs rest on these constants, not on a checked premise.
     """
     beta = Fraction(beta)
     gamma = Fraction(gamma)

@@ -10,11 +10,13 @@ path's middle segment holds, through middle vertices in neither tree).
 The oracles only hand out edges; the rule lives here, in one test per
 tree that `grow_tree` runs on each discovery. It tests the discovery's
 fixed two-hop G3 row against the other tree's reach set, the vertices
-one G3 edge or less from it, confirms a hit against H3, which holds
-few G3 edges, so no state follows H3 per vertex, and keeps the
-connector it found: none, or that path. Trees that meet nothing grow
-to full size, large enough that the third subgraph, minus the middle
-segments already spoken for, connects them by a short directed path.
+one G3 edge or less from it, confirms a hit against H3 (few G3 edges,
+so no state follows H3 per vertex) and keeps the connector it found:
+none, or that path. Trees that meet nothing grow to full size, large
+enough that G3, minus the middle segments already spoken for, connects
+them by a short directed path. One breadth-first search finds both
+connectors, `_free_g3_path`: three hops from a discovery, or
+`depth_cap` hops from the full out-tree.
 The path is assembled from the two tree branches plus the connector,
 every unused tree edge is handed back to its oracle, and the path
 recorded in the `Ledger`, the one home of the game rules, which the
@@ -128,6 +130,11 @@ class Ledger:
         return list(self.paths)[ref]
 
 
+# the G3 radius of a meeting: a discovery's two-hop row against the other
+# tree's one-edge step rows, so the meeting link searches this many hops
+MEETING_RADIUS = 3
+
+
 class RoutingEngine:
     def __init__(self, g: UndirectedGraph, profile: RouterProfile):
         self.profile = profile
@@ -140,7 +147,7 @@ class RoutingEngine:
         # holds the ends within two G3 edges out of (into) v, one-edge ends
         # first, and step_out[v] (step_in[v]) holds v and its one-edge ends;
         # `_meets` tests discoveries with them and confirms against H3 with
-        # link_out (link_in)
+        # link_out (link_in), the G3 path search `find_path` connects with too
         g3 = self.split.g3
         out1 = [tuple(map(g3.heads.__getitem__, row)) for row in g3.out_adj]
         in1 = [tuple(map(g3.tails.__getitem__, row)) for row in g3.in_adj]
@@ -174,12 +181,15 @@ class RoutingEngine:
         with self.out_oracle.request_log(), self.in_oracle.request_log():
             edges_a, par_a, edges_b, par_b, meet = self._grow_trees(a, b)
             depth_cap = self.profile.depth_cap  # a derived property: read it once
-            connector = meet if meet is not None else self._g3_connect(par_a, par_b, depth_cap)
-            if connector is None:
-                raise ExpansionViolation(
-                    "no connector of at most %d hops between the two trees in the third subgraph" % depth_cap
-                )
-            ap, bp, seg_mid = connector
+            if meet is None:  # the paper's connector: full trees joined by the one G3 search
+                seg = self.link_out(sorted(par_a), par_b, par_a, depth_cap)
+                if seg is None:
+                    raise ExpansionViolation(
+                        "no connector of at most %d hops between the two trees in the third subgraph" % depth_cap
+                    )
+                g3 = self.split.g3
+                meet = g3.tails[seg[0]], g3.heads[seg[-1]], seg
+            ap, bp, seg_mid = meet
             if len(seg_mid) > depth_cap:
                 raise ExpansionViolation("connector length %d exceeds cap %d" % (len(seg_mid), depth_cap))
         seg_a = self._tree_path(par_a, ap)
@@ -249,8 +259,9 @@ class RoutingEngine:
         `other_reach` or its two-hop row meets it: it is then within three
         G3 edges of (out-tree) or from (in-tree) the other tree, H3
         ignored. It meets if it is a key of `other`, or if `link_out`
-        (`link_in`) finds a free G3 path to `other`; the test stores the
-        connector, (entry, exit, edges in path order), as `met[out]`.
+        (`link_in`) finds a free G3 path of at most `MEETING_RADIUS` edges
+        from w to `other`, avoiding `own`; the test stores the connector,
+        (entry, exit, edges in path order), as `met[out]`.
         Widening is idempotent, so a key can be tested again.
         """
         g3 = self.split.g3
@@ -265,7 +276,7 @@ class RoutingEngine:
             if w in other_reach or not apart(near[w]):
                 if w in other:
                     met[out] = w, w, []
-                elif (seg := link(w, other, own)) is not None:
+                elif (seg := link((w,), other, own, MEETING_RADIUS)) is not None:
                     met[out] = (w, ends[seg[-1]], seg) if out else (ends[seg[-1]], w, seg[::-1])
             return out in met
 
@@ -289,38 +300,28 @@ class RoutingEngine:
         return met.get(True, met.get(False))
 
     @staticmethod
-    def _free_g3_path(h3m, adj, ends, w, keys, own):
-        """The first free G3 path (no edge set in `h3m`, H3's member array)
-        of at most three edges from w, a key of the dict `own`, to a key of
-        the dict `keys`, as its edges walked from w along `adj` to their
-        `ends` (out-edges to heads, in-edges to tails), or None. The one
-        home of the rule by which the trees meet through G3, shortest
-        first: one edge, in adjacency order, then a pair e, f, then a
-        triple e, f, g, whose middle vertices are in neither tree (not in
-        `own`, and not in `keys`, or a shorter path would have won), so
-        served paths stay simple. The two of a triple differ: a free edge
-        into `keys` from the first would have made a pair."""
-        for e in adj[w]:
-            if not h3m[e] and ends[e] in keys:
-                return [e]
-        for e in adj[w]:
-            x = ends[e]
-            if h3m[e] or x in own:
-                continue
-            for f in adj[x]:
-                if not h3m[f] and ends[f] in keys:
-                    return [e, f]
-        for e in adj[w]:
-            x = ends[e]
-            if h3m[e] or x in own:
-                continue
-            for f in adj[x]:
-                y = ends[f]
-                if h3m[f] or y in own:
-                    continue
-                for g in adj[y]:
-                    if not h3m[g] and ends[g] in keys:
-                        return [e, f, g]
+    def _free_g3_path(h3m, adj, ends, sources, keys, own, hops):
+        """The one G3 path search: the first shortest free G3 path (no edge
+        set in `h3m`, H3's member array) of at most `hops` edges from a
+        vertex of `sources` to a key of `keys`, as its edges walked along
+        `adj` to their `ends` (out-edges to heads, in-edges to tails), or
+        None. Breadth-first, one layer per hop, in `sources` order, then
+        adjacency order, never through a vertex of `own` or one seen."""
+        parent = dict.fromkeys(sources)
+        layer = sources
+        for left in reversed(range(hops)):  # hops left after this layer
+            next_layer = []
+            for u in layer:
+                for e in adj[u]:
+                    w = ends[e]
+                    if w in keys:
+                        if not h3m[e]:
+                            parent[w] = u, e
+                            return RoutingEngine._tree_path(parent, w)
+                    elif left and not (h3m[e] or w in parent or w in own):
+                        parent[w] = u, e
+                        next_layer.append(w)
+            layer = next_layer
         return None
 
     @staticmethod
@@ -330,34 +331,6 @@ class RoutingEngine:
             target, e = parent[target]
             edges.append(e)
         return edges[::-1]
-
-    # --- connector search -----------------------------------------------------
-
-    def _g3_connect(self, va, targets, hops):
-        """Shortest directed path of at most `hops` edges from va to targets
-        (disjoint vertex collections, e.g. tree parent dicts) in the third
-        subgraph minus the middle segments of live paths, found by BFS one
-        layer per hop. Returns (entry, exit, edges), or None."""
-        g3 = self.split.g3
-        h3m = self.h3.member
-        layer = sorted(va)
-        parent = dict.fromkeys(layer)
-        for _ in range(hops):
-            next_layer = []
-            for u in layer:
-                for e in g3.out_adj[u]:
-                    if h3m[e]:
-                        continue
-                    w = g3.heads[e]
-                    if w in parent:
-                        continue
-                    parent[w] = (u, e)
-                    if w in targets:
-                        edges = self._tree_path(parent, w)
-                        return g3.tails[edges[0]], w, edges
-                    next_layer.append(w)
-            layer = next_layer
-        return None
 
     # --- reconstruction and verification ----------------------------------------
 

@@ -16,8 +16,8 @@ from conftest import depth_capped, dump, never, tree_by_single_adds
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.harness import gen_workload, run_trace
-from expander_routing.profiles import ceil_log2, desk_profile
-from expander_routing.router import RoutingEngine
+from expander_routing.profiles import ceil_log2, derive_profile, desk_profile
+from expander_routing.router import MEETING_RADIUS, RoutingEngine
 
 
 def small_engine(n=150, d=30, seed=21):
@@ -348,12 +348,12 @@ def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
     [e] = probe["meet"][2]
     t, w = g3.tails[e], g3.heads[e]
     parallel = [f for f in g3.out_adj[t] if g3.heads[f] == w and f != e]
-    assert [e] in (eng.link_out(t, {w: None}, {t: None}), eng.link_in(w, {t: None}, {w: None}))
+    assert [e] in (eng.link_out((t,), {w: None}, {t: None}, 3), eng.link_in((w,), {t: None}, {w: None}, 3))
     eng.h3.add(e)
     assert w in eng.g3_out[t] and t in eng.g3_in[w]
     for link, v, u in ((eng.link_out, t, w), (eng.link_in, w, t)):
         # a parallel edge, else only a path of two or three edges around e
-        found = link(v, {u: None}, {v: None})
+        found = link((v,), {u: None}, {v: None}, 3)
         assert found == parallel[:1] or not parallel and (found is None or len(found) in (2, 3))
         assert found is None or e not in found
     eng.h3.remove(e)
@@ -364,7 +364,7 @@ def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
         seg = probe["meet"][2]
 
         def links():
-            return eng.link_out(last_a, par_b, par_a), eng.link_in(last_b, par_a, par_b)
+            return eng.link_out((last_a,), par_b, par_a, 3), eng.link_in((last_b,), par_a, par_b, 3)
 
         # the meeting tree's link found the path, walked from its last key
         assert seg in links() or seg[::-1] in links()
@@ -406,17 +406,20 @@ def test_a_two_edge_link_never_passes_through_the_own_tree():
         if held not in (e, f):
             eng.h3.add(held)
     assert w in eng.g3_out[t] and t in eng.g3_in[w]
-    assert eng.link_out(t, {w: None}, {t: None}) == [e, f]
-    assert eng.link_in(w, {t: None}, {w: None}) == [f, e]
+    assert eng.link_out((t,), {w: None}, {t: None}, 3) == [e, f]
+    assert eng.link_in((w,), {t: None}, {w: None}, 3) == [f, e]
+    # a one-hop search stops short of it
+    assert eng.link_out((t,), {w: None}, {t: None}, 1) is None
+    assert eng.link_in((w,), {t: None}, {w: None}, 1) is None
     # x in the own tree blocks the pair; x in the other makes a one-edge link
-    assert eng.link_out(t, {w: None}, {t: None, x: None}) is None
-    assert eng.link_in(w, {t: None}, {w: None, x: None}) is None
-    assert eng.link_out(t, {w: None, x: None}, {t: None}) == [e]
-    assert eng.link_in(w, {t: None, x: None}, {w: None}) == [f]
+    assert eng.link_out((t,), {w: None}, {t: None, x: None}, 3) is None
+    assert eng.link_in((w,), {t: None}, {w: None, x: None}, 3) is None
+    assert eng.link_out((t,), {w: None, x: None}, {t: None}, 3) == [e]
+    assert eng.link_in((w,), {t: None, x: None}, {w: None}, 3) == [f]
     # the two-edge path is the one free link: without f, none is left
     eng.h3.add(f)
-    assert eng.link_out(t, {w: None}, {t: None}) is None
-    assert eng.link_in(w, {t: None}, {w: None}) is None
+    assert eng.link_out((t,), {w: None}, {t: None}, 3) is None
+    assert eng.link_in((w,), {t: None}, {w: None}, 3) is None
 
 
 def _g3_walks(adj, ends, v, hops):
@@ -430,22 +433,24 @@ def _g3_walks(adj, ends, v, hops):
             yield [e, *rest]
 
 
-def _reference_link(g3, held, out, w, keys, own):
-    """Brute force of a link: the shortest G3 path of at most three edges
-    from w out along its out-edges (`out`) or back along its in-edges, none
-    set in `held`, to a key of `keys`, whose middle vertices are distinct
-    and keys of neither `keys` nor `own`; ties go to adjacency order."""
+def _reference_link(g3, held, out, sources, keys, own, hops):
+    """Brute force of the G3 path search: the shortest G3 path of at most
+    `hops` edges from a vertex of `sources` out along its out-edges (`out`)
+    or back along its in-edges, none set in `held`, to a key of `keys`,
+    whose middle vertices are distinct and keys of neither `keys` nor
+    `own`; ties go to the order of `sources`, then adjacency order."""
     adj, ends = (g3.out_adj, g3.heads) if out else (g3.in_adj, g3.tails)
-    for hops in (1, 2, 3):
-        for walk in _g3_walks(adj, ends, w, hops):
-            *mids, last = (ends[e] for e in walk)
-            if (
-                last in keys
-                and not any(held[e] for e in walk)
-                and len(set(mids)) == len(mids)
-                and not any(x in keys or x in own for x in mids)
-            ):
-                return walk
+    for length in range(1, hops + 1):
+        for w in sources:
+            for walk in _g3_walks(adj, ends, w, length):
+                *mids, last = (ends[e] for e in walk)
+                if (
+                    last in keys
+                    and not any(held[e] for e in walk)
+                    and len(set(mids)) == len(mids)
+                    and not any(x in keys or x in own for x in mids)
+                ):
+                    return walk
     return None
 
 
@@ -517,9 +522,9 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
                 reach = _reach(other_step, keys)
                 passed = w in reach or not reach.isdisjoint(near[w])
                 assert passed == (w in _within_three(adj, ends, keys))
-                ref = None if w in keys else _reference_link(g3, h3m, out, w, keys, mine)
+                ref = None if w in keys else _reference_link(g3, h3m, out, (w,), keys, mine, 3)
                 if passed and w not in keys:
-                    assert link(w, keys, mine) == ref
+                    assert link((w,), keys, mine, 3) == ref
                 assert passed or ref is None
                 assert w == order[-1] or not (w in keys or ref is not None)
                 tested[passed] += 1
@@ -528,9 +533,9 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
             expected = last_a, last_a, []
         elif last_b in par_a:
             expected = last_b, last_b, []
-        elif (seg := _reference_link(g3, h3m, True, last_a, par_b, par_a)) is not None:
+        elif (seg := _reference_link(g3, h3m, True, (last_a,), par_b, par_a, 3)) is not None:
             expected = last_a, g3.heads[seg[-1]], seg
-        elif (seg := _reference_link(g3, h3m, False, last_b, par_a, par_b)) is not None:
+        elif (seg := _reference_link(g3, h3m, False, (last_b,), par_a, par_b, 3)) is not None:
             expected = g3.tails[seg[-1]], last_b, seg[::-1]
         else:
             expected = None
@@ -548,9 +553,9 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
             for _ in range(3):
                 keys = dict.fromkeys(ring - {w})
                 own = dict.fromkeys([w, *rng.sample([v for v in range(n) if v not in keys], 5)])
-                ref = _reference_link(g3, h3m, out, w, keys, own)
-                assert link(w, keys, own) == ref
-                around += ref != _reference_link(g3, free, out, w, keys, own)
+                ref = _reference_link(g3, h3m, out, (w,), keys, own, 3)
+                assert link((w,), keys, own, 3) == ref
+                around += ref != _reference_link(g3, free, out, (w,), keys, own, 3)
                 ring = {ends[f] for v in ring for f in adj[v]}
     assert around
 
@@ -577,7 +582,7 @@ def test_no_link_search_repeats_within_a_find():
     cmds = gen_workload("churn", n, {"ops": 1000, "live_target": prof.r // 2}, 5, prof.endpoint_cap, prof.r)
     calls = []
     for name in ("link_out", "link_in"):
-        _count_calls(eng, name, calls, lambda w, keys, own: (w, len(keys), len(own)))
+        _count_calls(eng, name, calls, lambda sources, keys, own, hops: (tuple(sources), len(keys), len(own), hops))
     _count_calls(eng, "find_path", calls)
     assert run_trace(eng, cmds).failures == []
     searches, repeated = set(), []
@@ -591,25 +596,83 @@ def test_no_link_search_repeats_within_a_find():
     assert repeated == []
 
 
+def _paper_only(eng):
+    """`eng` running the paper's mechanism alone: one-vertex step rows and
+    empty two-hop rows, set on the instance, so trees meet only at a shared
+    vertex and trees that meet nothing take the breadth-first connector."""
+    eng.step_out = eng.step_in = [(v,) for v in range(eng.n)]
+    eng.g3_out = eng.g3_in = [()] * eng.n
+    return eng
+
+
 @pytest.mark.parametrize("n,ops", [(150, 400), (600, 1000)])
 def test_paper_mechanism_alone_serves_churn(n, ops):
     # the paper's own mechanism, kept under test: with one-vertex step rows
     # and empty two-hop rows, set on the instance, trees meet only at a
-    # shared vertex and no link runs; trees that meet nothing grow to full
-    # size and take the BFS connector `_g3_connect`, within the hop budget
+    # shared vertex and no radius-3 link runs; trees that meet nothing grow
+    # to full size and take the breadth-first connector, the same G3 search
+    # run from the whole out-tree with the hop budget, and fit within it
     prof = desk_profile(n, 30)
-    eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=11), prof)
-    eng.step_out = eng.step_in = [(v,) for v in range(n)]
-    eng.g3_out = eng.g3_in = [()] * n
+    eng = _paper_only(RoutingEngine(gen_random_regular_graph(n, 30, seed=11), prof))
     calls = []
-    for name in ("link_out", "link_in", "_g3_connect"):
-        _count_calls(eng, name, calls)
+    for name in ("link_out", "link_in"):
+        _count_calls(eng, name, calls, lambda sources, keys, own, hops: hops)
     cmds = gen_workload("churn", n, {"ops": ops, "live_target": prof.r // 2}, 5, prof.endpoint_cap, prof.r)
     report = run_trace(eng, cmds, verify_every=1)
     assert report.failures == [] and report.requests_served == ops
     assert (report.verifies_run, report.verify_findings) == (ops, 0)
     assert max(report.connector_length_histogram) <= prof.depth_cap
-    assert {name for name, _ in calls} == {"_g3_connect"}
+    assert MEETING_RADIUS < prof.depth_cap
+    assert set(calls) == {("link_out", prof.depth_cap)}
+
+
+@pytest.mark.parametrize("n,d", [(150, 30), (150, 31), (300, 30), (300, 31)])
+def test_paper_connector_matches_the_brute_force(n, d, probe_trees):
+    # on the paper's mechanism alone, each served find's connector is the
+    # brute-force shortest free G3 path of at most depth_cap edges from the
+    # out-tree to the in-tree, ties to the sorted out-tree vertex and then
+    # adjacency order, over the trees a probe grows and H3 as the find
+    # found it; trees that met at a shared vertex need none
+    prof = desk_profile(n, d)
+    eng = _paper_only(RoutingEngine(gen_random_regular_graph(n, d, seed=11), prof))
+    g3, h3m, find = eng.split.g3, eng.h3.member, eng.find_path
+    connected = []
+
+    def checked_find(a, b):
+        probe = probe_trees(eng, a, b)
+        par_a, par_b = probe["out"][1], probe["in"][1]
+        if probe["meet"] is not None:
+            assert probe["meet"][2] == []
+            expected = []
+        else:
+            expected = _reference_link(g3, h3m, True, sorted(par_a), par_b, par_a, prof.depth_cap)
+            connected.append(len(expected))
+        rec = find(a, b)
+        assert rec.seg_mid == tuple(expected)
+        return rec
+
+    eng.find_path = checked_find
+    cmds = gen_workload("churn", n, {"ops": 300, "live_target": prof.r // 2}, 5, prof.endpoint_cap, prof.r)
+    report = run_trace(eng, cmds, verify_every=25)
+    assert report.failures == [] and report.verify_findings == 0
+    assert len(connected) > 20 and max(connected) > 1, connected
+def test_strict_paper_constants_serve_churn():
+    # the paper's own constants, strict, end to end: the canonical profile
+    # at n=1024, d=402, beta=9/10, gamma=1/2000 serves churn at r - 1 with
+    # a clean verify after every request, the strict |Low| < beta*n/12
+    # rule included. The expansion premise is not checked: at this d and
+    # gamma any two adjacent vertices already break its small-set bound
+    n, d = 1024, 402
+    prof = derive_profile(n, d, Fraction(9, 10), Fraction(1, 2000))
+    assert not prof.relaxed and (prof.r, prof.fanout, prof.bfs_vertex_cap) == (7, 5, 185)
+    assert (prof.oracle.out_cap, prof.oracle.in_cap) == (10, 4)
+    eng = RoutingEngine(gen_random_regular_graph(n, d, seed=1), prof)
+    cmds = gen_workload("churn", n, {"ops": 200, "live_target": prof.r - 1}, 1, prof.endpoint_cap, prof.r)
+    report = run_trace(eng, cmds, verify_every=1)
+    assert report.failures == [] and report.requests_served == 200
+    assert (report.verifies_run, report.verify_findings) == (200, 0)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 7])
 def test_overload_churn_serves_every_find(seed):
     # churn at r - 6 on n=4800 collapses if every oracle row is scanned in
