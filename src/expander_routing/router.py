@@ -3,19 +3,20 @@
 A request for a path from a to b grows two trees with oracle-supplied
 edges: one out of a inside the first split subgraph, one out of b inside
 the reversed second subgraph (so its arcs point towards b in the
-original orientation). They grow in lockstep, and both stop where one
-discovers a vertex of the other, or a vertex joined to the other by a
-free path of one to three edges of the third subgraph (edges no live
-path's middle segment holds, through middle vertices in neither tree).
-The oracles only hand out edges; the rule lives here, in one test per
-tree that `grow_tree` runs on each discovery. It tests the discovery's
-fixed two-hop G3 row against the other tree's reach set, the vertices
-one G3 edge or less from it, confirms a hit against H3 (few G3 edges,
-so no state follows H3 per vertex) and keeps the connector it found:
-none, or that path. Trees that meet nothing grow to full size, large
-enough that G3, minus the middle segments already spoken for, connects
-them by a short directed path. One breadth-first search finds both
-connectors, `_free_g3_path`: three hops from a discovery, or
+original orientation). They grow in lockstep, and both stop at the first
+discovery, in lockstep order, of a vertex of the other tree as it then
+stands, or of a vertex joined to it by a free path of one to three edges
+of the third subgraph (edges no live path's middle segment holds,
+through middle vertices in neither tree). The oracles only hand out
+edges; the rule lives here, in one test per tree that `grow_tree` runs
+on each discovery, and nothing tests a pair again. It tests the
+discovery's fixed two-hop G3 row against the other tree's reach set, the
+vertices one G3 edge or less from it, confirms a hit against H3 (few G3
+edges, so no state follows H3 per vertex) and keeps the connector it
+found: none, or that path. Trees that meet nothing grow to full size,
+large enough that G3, minus the middle segments already spoken for,
+connects them by a short directed path. One breadth-first search finds
+both connectors, `_free_g3_path`: three hops from a discovery, or
 `depth_cap` hops from the full out-tree.
 The path is assembled from the two tree branches plus the connector,
 every unused tree edge is handed back to its oracle, and the path
@@ -144,15 +145,15 @@ class RoutingEngine:
         self.h3 = EdgeSubset(self.split.g3)
         self.ledger = Ledger(g.n, profile.endpoint_cap, profile.r)
         # fixed G3 rows, in adjacency order, H3 ignored: g3_out[v] (g3_in[v])
-        # holds the ends within two G3 edges out of (into) v, one-edge ends
-        # first, and step_out[v] (step_in[v]) holds v and its one-edge ends;
+        # holds each end within two G3 edges out of (into) v once, one-edge
+        # ends first, and step_out[v] (step_in[v]) holds v and its one-edge ends;
         # `_meets` tests discoveries with them and confirms against H3 with
         # link_out (link_in), the G3 path search `find_path` connects with too
         g3 = self.split.g3
         out1 = [tuple(map(g3.heads.__getitem__, row)) for row in g3.out_adj]
         in1 = [tuple(map(g3.tails.__getitem__, row)) for row in g3.in_adj]
-        self.g3_out = [tuple(chain(row, *map(out1.__getitem__, row))) for row in out1]
-        self.g3_in = [tuple(chain(row, *map(in1.__getitem__, row))) for row in in1]
+        self.g3_out = [tuple(dict.fromkeys(chain(row, *map(out1.__getitem__, row)))) for row in out1]
+        self.g3_in = [tuple(dict.fromkeys(chain(row, *map(in1.__getitem__, row)))) for row in in1]
         self.step_out = [(v, *row) for v, row in enumerate(out1)]
         self.step_in = [(v, *row) for v, row in enumerate(in1)]
         # bound to H3's member array, not to self: an engine is no reference cycle
@@ -216,31 +217,29 @@ class RoutingEngine:
         """Grow the out-tree from a and the in-tree into b in lockstep, one
         dequeued vertex each in turn, and check their vertex and depth budgets.
 
-        Each tree ends where its `_meets` test accepts a discovery. A tree
-        that ends unmet leaves the other to grow alone, and must reach
+        The first meeting in lockstep order ends both: a tree ends where its
+        `_meets` test accepts a discovery and leaves the other suspended. A
+        tree that ends unmet leaves the other to grow alone, and must reach
         `bfs_vertex_cap` vertices. BFS makes a tree's last key its deepest.
-        A tree stopped at the meeting is dropped suspended. Returns
-        (edges_a, par_a, edges_b, par_b, `_meeting`'s connector or None);
-        the open undo logs count the edges and take them back on an
-        ExpansionViolation.
+        Returns (edges_a, par_a, edges_b, par_b, the meeting's (entry, exit,
+        connector edges) or None); the open undo logs count the edges and
+        take them back on an ExpansionViolation.
         """
         prof = self.profile
         cap, depth_cap = prof.bfs_vertex_cap, prof.depth_cap  # derived properties: read them once
         edges_a, par_a, edges_b, par_b = [], {a: None}, [], {b: None}
-        reach_a, reach_b, met = set(self.step_out[a]), set(self.step_in[b]), {}
+        reach_a, reach_b, met = set(self.step_out[a]), set(self.step_in[b]), []
         meets_a = self._meets(True, par_a, par_b, reach_a, reach_b, met)
         meets_b = self._meets(False, par_b, par_a, reach_b, reach_a, met)
         grow_a = self.out_oracle.grow_tree(par_a, edges_a, cap, prof.fanout, meets_a)
         grow_b = self.in_oracle.grow_tree(par_b, edges_b, cap, prof.fanout, meets_b)
-        # zip stops when the first tree ends; a tree that met ended at its
-        # last key, else the other goes on alone
+        # zip stops when the first tree ends; unless it met, the other goes on alone
         for _ in zip(grow_a, grow_b):
             pass
-        meet = self._meeting(met, par_a, par_b, meets_a, meets_b)
-        if meet is None:
+        if not met:
             for _ in chain(grow_a, grow_b):
                 pass
-            meet = self._meeting(met, par_a, par_b, meets_a, meets_b)
+        meet = met[0] if met else None
         for parent in (par_a, par_b):
             if meet is None and len(parent) < cap:
                 raise ExpansionViolation("tree growth stalled at %d of %d vertices" % (len(parent), cap))
@@ -251,7 +250,7 @@ class RoutingEngine:
 
     def _meets(self, out, own, other, reach, other_reach, met):
         """The `grow_tree` test by which the tree `own` (the out-tree if
-        `out`, else the in-tree) meets the tree `other`.
+        `out`, else the in-tree) meets the tree `other` as it stands.
 
         `reach` and `other_reach` are the trees' reach sets, the unions of
         their vertices' step rows. A discovery w first widens `reach` by
@@ -260,9 +259,9 @@ class RoutingEngine:
         G3 edges of (out-tree) or from (in-tree) the other tree, H3
         ignored. It meets if it is a key of `other`, or if `link_out`
         (`link_in`) finds a free G3 path of at most `MEETING_RADIUS` edges
-        from w to `other`, avoiding `own`; the test stores the connector,
-        (entry, exit, edges in path order), as `met[out]`.
-        Widening is idempotent, so a key can be tested again.
+        from w to `other`, avoiding `own`; the test then appends the
+        connector, (entry, exit, edges in path order), to the list `met`
+        that both trees' tests share.
         """
         g3 = self.split.g3
         step, near, link, ends = (
@@ -275,29 +274,14 @@ class RoutingEngine:
             widen(step[w])
             if w in other_reach or not apart(near[w]):
                 if w in other:
-                    met[out] = w, w, []
-                elif (seg := link((w,), other, own, MEETING_RADIUS)) is not None:
-                    met[out] = (w, ends[seg[-1]], seg) if out else (ends[seg[-1]], w, seg[::-1])
-            return out in met
+                    met.append((w, w, []))
+                    return True
+                if (seg := link((w,), other, own, MEETING_RADIUS)) is not None:
+                    met.append((w, ends[seg[-1]], seg) if out else (ends[seg[-1]], w, seg[::-1]))
+                    return True
+            return False
 
         return meets
-
-    @staticmethod
-    def _meeting(met, par_a, par_b, meets_a, meets_b):
-        """Where the trees met, as (entry, exit, connector edges), or None.
-
-        `met` holds the connector of each tree whose `meets` test ended it.
-        The out-tree's wins, then a vertex the in-tree shared. Else the
-        in-tree met through a link or neither met, and the in-tree grew
-        since the out-tree's last key was tested: that key is tested again
-        first. When neither met, the in-tree's last key is tested again
-        too, as the out-tree grew since.
-        """
-        if True not in met and (False not in met or met[False][2]):
-            meets_a(next(reversed(par_a)))
-        if not met:
-            meets_b(next(reversed(par_b)))
-        return met.get(True, met.get(False))
 
     @staticmethod
     def _free_g3_path(h3m, adj, ends, sources, keys, own, hops):

@@ -142,7 +142,7 @@ def drive(tree, steps=None):
 def _probe_trees(engine, a, b):
     """Grow the two trees of find(a, b) as the find does, inside undo logs
     that then take them back. Returns {"out": (edges, parent), "in":
-    (edges, parent), "meet": `_meeting`'s (entry, exit, connector edges)
+    (edges, parent), "meet": the meeting's (entry, exit, connector edges)
     or None}."""
     out, inn = engine.out_oracle, engine.in_oracle
     with out.request_log(), inn.request_log():

@@ -47,7 +47,7 @@ GOLDEN_PREPROCESS = {
     (20, 2): "296558d1fdc3491c54ee078c45de6b9ee729d525194c3a0183117af96d01713e",
     (21, 3): "6ed5b5f4cf98a3a71f9334153b83ceb9882958799b5da265cc96bf2477379c7a",
 }
-GOLDEN_REPLAY = "738f2b6788385d938ed042e6b0df99cbce5c9adf726f5835ba0b5fac928ab30d"
+GOLDEN_REPLAY = "0a2a3d544502cd55500b404208c612bf69b54bead399802c1b0498c591129a45"
 GOLDEN_REPLAY_STATE = "944fe2f68aa59f43824ae36416b393f6c1018cbc58261e15efc8761271307a4c"
 # the oracle work that replay does: per-edge add and remove calls, walk
 # searches, and Low promotions per oracle (out, in)

@@ -277,20 +277,20 @@ def test_cli_pipeline(tmp_path, capsys):
     assert payload["failures"] == []
     assert payload["requests_served"] == 60
     assert payload["path_length_histogram"] == {
-        "2": 3, "3": 5, "4": 15, "5": 8, "6": 1
+        "2": 3, "3": 7, "4": 15, "5": 6, "6": 1
     }
-    # the same 32 finds by connector length: 5 of one G3 edge, 8 of two,
-    # 19 of three
-    assert payload["connector_length_histogram"] == {"1": 5, "2": 8, "3": 19}
+    # the same 32 finds by connector length: 5 of one G3 edge, 11 of two,
+    # 16 of three
+    assert payload["connector_length_histogram"] == {"1": 5, "2": 11, "3": 16}
     assert payload["oracle_call_counts"] == {
-        "out_add": 66, "out_remove": 62, "in_add": 26, "in_remove": 22, "walk_searches": 0
+        "out_add": 67, "out_remove": 63, "in_add": 27, "in_remove": 23, "walk_searches": 0
     }
     assert sorted(payload["wall_clock"]) == ["max", "p50", "p90", "p99"]
     # graph load and engine build, timed apart from the requests
     assert payload["build_s"] > 0
     assert (payload["verifies_run"], payload["verify_findings"]) == (6, 0)
     out = capsys.readouterr().out
-    assert "connector lengths: 1:5 2:8 3:19\n" in out
+    assert "connector lengths: 1:5 2:11 3:16\n" in out
     assert "build seconds: %.6f\n" % payload["build_s"] in out
 
 

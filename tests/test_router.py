@@ -227,14 +227,6 @@ def _meets(eng, out, own, other, met):
     return eng._meets(out, own, other, _reach(steps[0], own), _reach(steps[1], other), met)
 
 
-def _retested(eng, par_a, par_b):
-    """`_meeting` of two grown trees when neither met: both last keys are
-    tested again."""
-    met = {}
-    meets_a, meets_b = _meets(eng, True, par_a, par_b, met), _meets(eng, False, par_b, par_a, met)
-    return eng._meeting(met, par_a, par_b, meets_a, meets_b)
-
-
 def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
     # on a filled engine, each lockstep tree is a prefix of the tree its
     # oracle grows alone. Trees share at most one vertex. Trees that meet
@@ -309,7 +301,7 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
             turns = list(m_parent).index(m_parent[last][0]) + 1
             own = {m_root: None}
             schedules.append(
-                _alone(m_orc, own, caps, _meets(eng, out, own, o_tree[1], {})) == m_tree
+                _alone(m_orc, own, caps, _meets(eng, out, own, o_tree[1], [])) == m_tree
                 and _alone(o_orc, {o_root: None}, caps, steps=turns - lag) == o_tree
             )
         assert any(schedules)
@@ -329,8 +321,8 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
 def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
     # trees that met through a G3 path grow past that point once H3 holds
     # any of its edges, as a live path's middle segment would: the
-    # edge's ends stay in the fixed G3 rows, but neither confirmation nor
-    # `_meeting` takes the edge
+    # edge's ends stay in the fixed G3 rows, but no link from either
+    # tree's last key takes the edge, nor does the find grown again
     eng = small_engine(n=600, d=30, seed=11)
     g3 = eng.split.g3
     rng = random.Random(4)
@@ -370,12 +362,11 @@ def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
         assert seg in links() or seg[::-1] in links()
         for i, held in enumerate(seg):
             eng.h3.add(held)
-            assert all(found is None or held not in found for found in links())
-            meet = _retested(eng, par_a, par_b)
-            assert meet is None or held not in meet[2]
+            found = links()
+            assert all(path is None or held not in path for path in found)
             again = probe_trees(eng, a, b)
             assert again["meet"] is None or held not in again["meet"][2]
-            if meet is None:
+            if found == (None, None):
                 # no free path from either last key: the trees grow past it
                 assert len(again["out"][1]) + len(again["in"][1]) > len(par_a) + len(par_b)
                 grew[len(seg), i] += 1
@@ -472,8 +463,9 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
     # the other tree as it stood then (the out-tree moves first): the
     # reach test equals a plain BFS check that the G3 distance to the
     # other tree is at most three, a candidate's link equals the brute
-    # force, only a tree's last discovery meets, and `_meeting` returns the
-    # brute-force connector. Links beside each H3-held edge match the
+    # force, only a tree's last discovery meets, and the find's meeting is
+    # the brute-force one of the tree whose last discovery met, against the
+    # other tree as it stood then. Links beside each H3-held edge match the
     # brute force too, and some of them go around the held edge. Each
     # tree's reach set ends as the union of the step rows of all its
     # vertices, its last key's too
@@ -509,6 +501,7 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
         for out, own, reach in reaches:
             assert reach == _reach(eng.step_out if out else eng.step_in, own)
         reaches.clear()
+        met = []
         for out, own, other, lag in ((True, par_a, par_b, 0), (False, par_b, par_a, 1)):
             near, link, other_step, adj, ends = sides[out]
             order = list(own)
@@ -527,19 +520,15 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
                     assert link((w,), keys, mine, 3) == ref
                 assert passed or ref is None
                 assert w == order[-1] or not (w in keys or ref is not None)
+                if w in keys:
+                    met.append((w, w, []))
+                elif ref is not None:
+                    end = (g3.heads if out else g3.tails)[ref[-1]]
+                    met.append((w, end, ref) if out else (end, w, ref[::-1]))
                 tested[passed] += 1
-        last_a, last_b = next(reversed(par_a)), next(reversed(par_b))
-        if last_a in par_b:
-            expected = last_a, last_a, []
-        elif last_b in par_a:
-            expected = last_b, last_b, []
-        elif (seg := _reference_link(g3, h3m, True, (last_a,), par_b, par_a, 3)) is not None:
-            expected = last_a, g3.heads[seg[-1]], seg
-        elif (seg := _reference_link(g3, h3m, False, (last_b,), par_a, par_b, 3)) is not None:
-            expected = g3.tails[seg[-1]], last_b, seg[::-1]
-        else:
-            expected = None
-        assert probe["meet"] == expected
+        # a tree that met ended the find: the other never met
+        assert len(met) <= 1
+        assert probe["meet"] == (met[0] if met else None)
     assert tested[True] and tested[False], tested
     # beside each held edge e from w: targets one, two and three G3 edges
     # on through e, with a few more vertices in w's own tree
@@ -560,31 +549,51 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
     assert around
 
 
-def _count_calls(eng, name, calls, record=lambda *args: args):
+def _count_calls(eng, name, calls, record=lambda *args: args, results=None):
     """Wrap the engine method `name` on the instance: each call appends
-    (name, `record` of its arguments, taken at the call) to `calls`."""
+    (name, `record` of its arguments, taken at the call) to `calls`, and
+    (name, its return value) to the list `results` if one is given."""
     method = getattr(eng, name)
 
     def watched(*args):
         calls.append((name, record(*args)))
-        return method(*args)
+        result = method(*args)
+        if results is not None:
+            results.append((name, result))
+        return result
 
     setattr(eng, name, watched)
 
 
 def test_no_link_search_repeats_within_a_find():
-    # the tree that met keeps the connector its link found, so `_meeting`
-    # does not search again: within one find, no link runs twice from the
-    # same vertex against trees of the same sizes
+    # the tree that met keeps the connector its link found, and the first
+    # meeting in lockstep order ends the find, so no pair is tested again:
+    # within one find, no link runs twice from the same vertex against
+    # trees of the same sizes, and in a find that met through a link no
+    # link runs after the one whose path the find serves
     n = 600
     prof = desk_profile(n, 30)
     eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=11), prof)
     cmds = gen_workload("churn", n, {"ops": 1000, "live_target": prof.r // 2}, 5, prof.endpoint_cap, prof.r)
-    calls = []
+    calls, results = [], []
     for name in ("link_out", "link_in"):
-        _count_calls(eng, name, calls, lambda sources, keys, own, hops: (tuple(sources), len(keys), len(own), hops))
-    _count_calls(eng, "find_path", calls)
+        _count_calls(
+            eng, name, calls, lambda sources, keys, own, hops: (tuple(sources), len(keys), len(own), hops), results
+        )
+    _count_calls(eng, "find_path", calls, results=results)
     assert run_trace(eng, cmds).failures == []
+    # a find's record follows its link results; link_in walks a path backwards
+    linked, last = Counter(), None
+    for name, result in results:
+        if name != "find_path":
+            last = name, (result if name == "link_out" or result is None else result[::-1])
+            continue
+        if result.seg_mid:
+            assert last is not None and last[1] is not None and tuple(last[1]) == result.seg_mid
+            linked[last[0]] += 1
+        last = None
+    # both trees meet through links on this trace
+    assert min(linked["link_out"], linked["link_in"]) > 20, linked
     searches, repeated = set(), []
     for call in calls:
         if call[0] == "find_path":
@@ -667,6 +676,8 @@ def test_strict_paper_constants_serve_churn():
     assert not prof.relaxed and (prof.r, prof.fanout, prof.bfs_vertex_cap) == (7, 5, 185)
     assert (prof.oracle.out_cap, prof.oracle.in_cap) == (10, 4)
     eng = RoutingEngine(gen_random_regular_graph(n, d, seed=1), prof)
+    # the two-hop G3 rows hold each end once, not deg + deg^2 entries
+    assert all(len(row) <= n for row in chain(eng.g3_out, eng.g3_in))
     cmds = gen_workload("churn", n, {"ops": 200, "live_target": prof.r - 1}, 1, prof.endpoint_cap, prof.r)
     report = run_trace(eng, cmds, verify_every=1)
     assert report.failures == [] and report.requests_served == 200
