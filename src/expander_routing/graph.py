@@ -10,6 +10,7 @@ overlays keyed by edge id.
 from __future__ import annotations
 
 import sys
+from operator import itemgetter
 
 from .errors import CallerError, FormatError
 
@@ -181,13 +182,22 @@ class EdgeSubset:
         """Member edge ids in ascending order: `positions` of the tag."""
         return positions(self.member, self.tag)
 
+    def holds_exactly(self, ids):
+        """Whether the members are exactly `ids`, a list that repeats no id:
+        as many ids as tags, all in range and tagged, checked in C."""
+        member, tag = self.member, self.tag
+        if len(ids) < 2:  # itemgetter of fewer than two ids returns no tuple
+            return self.members() == sorted(ids)
+        return (member.count(tag) == len(ids) and 0 <= min(ids) and max(ids) < len(member)
+                and itemgetter(*ids)(member).count(tag) == len(ids))
+
     def recount(self, ids):
-        """Recompute (out_deg, in_deg, size) from the member ids (`members()`)."""
-        out_deg = [0] * self.owner.n
-        in_deg = [0] * self.owner.n
+        """Recompute (out_deg, in_deg, size) from the member ids, in any order."""
+        tails, heads, n = self.owner.tails, self.owner.heads, self.owner.n
+        out_deg, in_deg = [0] * n, [0] * n
         for e in ids:
-            out_deg[self.owner.tails[e]] += 1
-            in_deg[self.owner.heads[e]] += 1
+            out_deg[tails[e]] += 1
+            in_deg[heads[e]] += 1
         return out_deg, in_deg, len(ids)
 
 

@@ -95,6 +95,7 @@ class RunReport:
     build_s: float = 0.0  # graph load plus engine build, as `route run` times it
     verify_findings: int = 0
     verifies_run: int = 0
+    verify_s: float = 0.0  # seconds inside engine.verify(), summed over the run's verifies
 
     @property
     def clean(self):
@@ -123,6 +124,7 @@ class RunReport:
             )
         lines.append("oracle calls: %s" % self.oracle_call_counts)
         lines.append("verifies: %d run, %d findings" % (self.verifies_run, self.verify_findings))
+        lines.append("verify seconds: %.6f" % self.verify_s)
         return "\n".join(lines) + "\n"
 
 
@@ -154,22 +156,13 @@ def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None
     `emit` receives one line per served find (`PATH <id> <a> <b> <len> :
     v0 v1 ...`, with the trace's path id), per verify and per stats
     command. `wall_clock` times each find_path/remove_path call alone,
-    without path reconstruction or emit.
+    without path reconstruction or emit; `verify_s` sums the verify calls.
     """
     report = RunReport()
     timings = []
     since_verify = 0
     served = []
     for cmd in commands:
-        if cmd.kind == "verify":
-            rep = engine.verify()
-            report.verifies_run += 1
-            report.verify_findings += len(rep.findings)
-            if emit:
-                emit("VERIFY %s" % ("clean" if rep.ok else "%d findings" % len(rep.findings)))
-            if not rep.ok and stop_on_failure:
-                break
-            continue
         if cmd.kind == "stats":
             if emit:
                 emit(
@@ -177,49 +170,53 @@ def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None
                     % (len(engine.ledger.paths), report.requests_served, len(report.failures))
                 )
             continue
-        start = time.perf_counter()
-        try:
+        if cmd.kind != "verify":
+            start = time.perf_counter()
             try:
+                try:
+                    if cmd.kind == "find":
+                        rec = engine.find_path(cmd.a, cmd.b)
+                    else:
+                        engine.remove_path(_engine_id(engine, served, cmd.ref))
+                finally:
+                    timings.append(time.perf_counter() - start)
                 if cmd.kind == "find":
-                    rec = engine.find_path(cmd.a, cmd.b)
-                else:
-                    engine.remove_path(_engine_id(engine, served, cmd.ref))
-            finally:
-                timings.append(time.perf_counter() - start)
-            if cmd.kind == "find":
-                served.append(rec.id)
-                verts = engine.path_vertices(rec)
+                    served.append(rec.id)
+                    verts = engine.path_vertices(rec)
+                    if emit:
+                        emit(
+                            "PATH %d %d %d %d : %s"
+                            % (len(served) - 1, rec.a, rec.b, rec.length, " ".join(map(str, verts)))
+                        )
+                    for histogram, length in (
+                        (report.path_length_histogram, rec.length),
+                        (report.connector_length_histogram, len(rec.seg_mid)),
+                    ):
+                        histogram[length] = histogram.get(length, 0) + 1
+                report.requests_served += 1
+            except (CallerError, ExpansionViolation) as exc:
+                cls = "caller-error" if isinstance(exc, CallerError) else "expansion-violation"
+                if cls == "expansion-violation":
+                    served.append(None)  # only a find that passed the rules raises it: it takes a trace id
+                report.failures.append((cmd.line, cls, str(exc)))
                 if emit:
-                    emit(
-                        "PATH %d %d %d %d : %s"
-                        % (len(served) - 1, rec.a, rec.b, rec.length, " ".join(map(str, verts)))
-                    )
-                for histogram, length in (
-                    (report.path_length_histogram, rec.length),
-                    (report.connector_length_histogram, len(rec.seg_mid)),
-                ):
-                    histogram[length] = histogram.get(length, 0) + 1
-            report.requests_served += 1
-        except (CallerError, ExpansionViolation) as exc:
-            cls = "caller-error" if isinstance(exc, CallerError) else "expansion-violation"
-            if cls == "expansion-violation":
-                served.append(None)  # only a find that passed the rules raises it: it takes a trace id
-            report.failures.append((cmd.line, cls, str(exc)))
-            if emit:
-                emit("FAIL line %d [%s] %s" % (cmd.line, cls, exc))
-            if stop_on_failure:
-                break
-        since_verify += 1
-        if verify_every and since_verify >= verify_every:
-            since_verify = 0
-            rep = engine.verify()
-            report.verifies_run += 1
-            report.verify_findings += len(rep.findings)
-            if not rep.ok:
-                if emit:
-                    emit("VERIFY %d findings" % len(rep.findings))
+                    emit("FAIL line %d [%s] %s" % (cmd.line, cls, exc))
                 if stop_on_failure:
                     break
+            since_verify += 1
+            if not verify_every or since_verify < verify_every:
+                continue
+            since_verify = 0
+        # a verify command, or the one every verify_every requests
+        start = time.perf_counter()
+        rep = engine.verify()
+        report.verify_s += time.perf_counter() - start
+        report.verifies_run += 1
+        report.verify_findings += len(rep.findings)
+        if emit and (cmd.kind == "verify" or not rep.ok):  # a periodic clean verify is not emitted
+            emit("VERIFY %s" % ("clean" if rep.ok else "%d findings" % len(rep.findings)))
+        if not rep.ok and stop_on_failure:
+            break
     timings.sort()
     if timings:
         report.wall_clock = {

@@ -449,8 +449,9 @@ class EdgeOracle:
     def audit(self, h_ids):
         """Recompute all state from the edge states and report every violation.
 
-        `h_ids` is `h.members()`, which the caller (`RoutingEngine.verify`)
-        already holds. Counter lists are compared whole with their recounts,
+        `h_ids` are H's members in any order, as the caller holds them
+        (`RoutingEngine.verify`: the union of the stored tree segments once
+        it equals H). Counter lists are compared whole with their recounts,
         in C. While they agree, in_F and out_F are 0 off the ends of H and B
         edges, so the per-vertex rules loop over those ends and the Sat and
         Low ids, O(|H| + |B| + |Sat| + |Low|); else over every vertex. Sat

@@ -149,7 +149,7 @@ class RoutingEngine:
         # ends first, and step_out[v] (step_in[v]) holds v and its one-edge ends;
         # `_meets` tests discoveries with them and confirms against H3 with
         # link_out (link_in), the G3 path search `find_path` connects with too
-        g3 = self.split.g3
+        g1, g2, g3 = self.split.g1, self.split.g2, self.split.g3
         out1 = [tuple(map(g3.heads.__getitem__, row)) for row in g3.out_adj]
         in1 = [tuple(map(g3.tails.__getitem__, row)) for row in g3.in_adj]
         self.g3_out = [tuple(dict.fromkeys(chain(row, *map(out1.__getitem__, row)))) for row in out1]
@@ -159,6 +159,9 @@ class RoutingEngine:
         # bound to H3's member array, not to self: an engine is no reference cycle
         self.link_out = partial(self._free_g3_path, self.h3.member, g3.out_adj, g3.heads)
         self.link_in = partial(self._free_g3_path, self.h3.member, g3.in_adj, g3.tails)
+        # what `_walk` reads of the subgraphs a path's three segments run in
+        self._walk_rows = [(g.tails, g.heads, g.m, label)
+                           for g, label in ((g1, "first"), (g3, "middle"), (g2, "last"))]
 
     @property
     def n(self):
@@ -320,40 +323,36 @@ class RoutingEngine:
 
     def path_vertices(self, rec: PathRecord):
         """Vertex sequence a .. b of a stored path; raises on corruption."""
-        problems = []
-        verts = self._walk_vertices(rec, problems)
-        if problems:
-            raise CallerError("path %d is not a consistent walk: %s" % (rec.id, problems[0]))
+        verts, problem = self._walk(rec)
+        if problem:
+            raise CallerError("path %d is not a consistent walk: %s" % (rec.id, problem))
         return verts
 
-    def _walk_vertices(self, rec, problems):
-        split = self.split
-        verts = [rec.a]
-        for seg, g, label in (
-            (rec.seg_a, split.g1, "first"),
-            (rec.seg_mid, split.g3, "middle"),
-            (rec.seg_b, split.g2, "last"),
-        ):
+    def _walk(self, rec):
+        """The one path walker, of `path_vertices` and `verify`: rec's vertices
+        from a along its G1, G3 and G2 segments, and None or what stopped it:
+        an id outside its subgraph (negatives too), a break, a missed b."""
+        verts = [v := rec.a]
+        for seg, (tails, heads, m, label) in zip((rec.seg_a, rec.seg_mid, rec.seg_b), self._walk_rows):
             for e in seg:
-                if g.tails[e] != verts[-1]:
-                    problems.append("%s segment breaks at edge %d" % (label, e))
-                    return verts
-                verts.append(g.heads[e])
-        if verts[-1] != rec.b:
-            problems.append("walk ends at %d, not at b=%d" % (verts[-1], rec.b))
-        return verts
+                if not 0 <= e < m:
+                    return verts, "%s segment holds edge %d outside its subgraph" % (label, e)
+                if tails[e] != v:
+                    return verts, "%s segment breaks at edge %d" % (label, e)
+                verts.append(v := heads[e])
+        return verts, None if v == rec.b else "walk ends at %d, not at b=%d" % (v, rec.b)
 
     def verify(self) -> Findings:
         """From-scratch recount of everything the ledger implies.
 
         O(stored path length) plus the two oracle audits, whose Python work
-        follows the live state, not n. The H1/H2 balance and in-cap rules
-        loop over the vertices the audits looped over, which hold every H
-        edge's ends, while `ps`/`pe` equal the ledger's; else over all.
+        follows the live state, not n. H1, H2 and H3 are checked against the
+        union of their stored segments in C (`EdgeSubset.holds_exactly`), and
+        one pass walks each stored path. The H1/H2 balance and in-cap rules
+        loop over the audits' vertices while `ps`/`pe` are right, else over all.
         """
         findings = []
-        prof = self.profile
-        ledger = self.ledger
+        prof, ledger = self.profile, self.ledger
         recs = list(ledger.paths.values())
 
         member_ids = []
@@ -363,23 +362,31 @@ class RoutingEngine:
             ("H2", "seg_b", self.in_oracle.h, "segments", self.split.g2_host),
             ("H3", "seg_mid", self.h3, "middle segments", self.split.g3_host),
         ):
-            ids = sub.members()
-            member_ids.append(ids)
             union = list(chain.from_iterable(map(attrgetter(seg), recs)))
-            if len(union) != len(set(union)):
+            repeats = len(union) != len(set(union))
+            exact = not repeats and sub.holds_exactly(union)
+            if repeats:
                 findings.append("%s: an edge appears in two stored paths" % name)
-            elif sorted(union) != ids:
+            elif not exact:
                 findings.append("%s differs from the union of stored %s" % (name, what))
-            host_ids.extend(map(to_host.__getitem__, union))
+            member_ids.append(union if exact else sub.members())
+            # an id outside its subgraph has no host edge; the walk reports it
+            in_range = union if exact else filter(range(len(to_host)).__contains__, union)
+            host_ids.extend(map(to_host.__getitem__, in_range))
         if len(host_ids) != len(set(host_ids)):
             findings.append("paths are not pairwise edge-disjoint over the host")
 
         # depth_cap hops is the budget of each segment, tree or connector
         depth_cap, len_cap = prof.depth_cap, prof.path_len_cap
+        ps_expected, pe_expected = [0] * self.n, [0] * self.n
         for rec in recs:
-            problems = []
-            self._walk_vertices(rec, problems)
-            findings.extend("path %d: %s" % (rec.id, p) for p in problems)
+            ps_expected[rec.a] += 1
+            pe_expected[rec.b] += 1
+            verts, problem = self._walk(rec)
+            if problem:
+                findings.append("path %d: %s" % (rec.id, problem))
+            elif len(verts) <= depth_cap + 1:
+                continue  # a whole walk of at most depth_cap hops breaks neither cap
             for label, seg in (("first", rec.seg_a), ("middle", rec.seg_mid), ("last", rec.seg_b)):
                 if len(seg) > depth_cap:
                     findings.append("path %d: %s segment length %d over cap" % (rec.id, label, len(seg)))
@@ -393,32 +400,27 @@ class RoutingEngine:
             if len(sub) > count * depth_cap:
                 findings.append("%s size %d exceeds %d paths x depth budget" % (name, len(sub), count))
 
-        ps_expected = [0] * self.n
-        pe_expected = [0] * self.n
-        for rec in recs:
-            ps_expected[rec.a] += 1
-            pe_expected[rec.b] += 1
         # positional: perfbench/tracing.py wraps audit as audit(*args)
         audits = [oracle.audit(h_ids) for oracle, h_ids in zip((self.out_oracle, self.in_oracle), member_ids)]
-        h1, h2 = self.out_oracle.h, self.in_oracle.h
+        (h1_out, h1_in), (h2_out, h2_in) = [(o.h.out_deg, o.h.in_deg) for o in (self.out_oracle, self.in_oracle)]
         vertices = range(self.n)
         if (ps_expected, pe_expected) == (ledger.ps, ledger.pe):
             # an audit's vertices hold its H edges' ends, or all once a counter
             # is off; with ps and pe right, no rule below can break elsewhere
             vertices = sorted(set(audits[0].vertices).union(audits[1].vertices))
-        in_cap = prof.oracle.in_cap
+        ps, pe, in_cap = ledger.ps, ledger.pe, prof.oracle.in_cap
         for v in vertices:
-            if h1.out_deg[v] > h1.in_deg[v] + ledger.ps[v]:
+            if h1_out[v] > h1_in[v] + ps[v]:
                 findings.append("H1 out/in imbalance at vertex %d" % v)
-            if h2.out_deg[v] > h2.in_deg[v] + ledger.pe[v]:
+            if h2_out[v] > h2_in[v] + pe[v]:
                 findings.append("H2 out/in imbalance at vertex %d" % v)
-            if h1.in_deg[v] > in_cap:
-                findings.append("H1 in-degree %d over cap at vertex %d" % (h1.in_deg[v], v))
-            if h2.in_deg[v] > in_cap:
-                findings.append("H2 in-degree %d over cap at vertex %d" % (h2.in_deg[v], v))
-        if ps_expected != ledger.ps:
+            if h1_in[v] > in_cap:
+                findings.append("H1 in-degree %d over cap at vertex %d" % (h1_in[v], v))
+            if h2_in[v] > in_cap:
+                findings.append("H2 in-degree %d over cap at vertex %d" % (h2_in[v], v))
+        if ps_expected != ps:
             findings.append("start counters disagree with the ledger")
-        if pe_expected != ledger.pe:
+        if pe_expected != pe:
             findings.append("end counters disagree with the ledger")
 
         for name, oracle, audit in zip(("out-oracle", "in-oracle"), (self.out_oracle, self.in_oracle), audits):

@@ -2,10 +2,11 @@
 
 `reference_audit` and `reference_verify` are the straightforward
 implementations that scan every edge and every vertex in Python. The
-shipped `EdgeOracle.audit` and `RoutingEngine.verify` scan each member
-array once per subset and, while every counter equals its recount, look
-only at the live edges and the vertices they touch, plus the Sat and Low
-ids; once a counter is off they look at every vertex. On every planted
+shipped `RoutingEngine.verify` checks H1, H2 and H3 against the stored
+segments by count, range and membership in C, and `EdgeOracle.audit`
+scans B's member array; while every counter equals its recount, both
+look only at the live edges and the vertices they touch, plus the Sat
+and Low ids; once a counter is off they look at every vertex. On every planted
 corruption, alone or combined, and on drawn engine states, both must
 report the same findings in the same order.
 """
@@ -112,6 +113,22 @@ def reference_audit(orc, quiescent=True):
     return findings, sum(orc.low)
 
 
+def reference_walk(eng, rec):
+    """The problem that stops rec's walk from a, or None: an id outside its
+    subgraph (negative ones too), a segment that breaks, a walk that misses b."""
+    v = rec.a
+    split = eng.split
+    for seg, g, label in ((rec.seg_a, split.g1, "first"), (rec.seg_mid, split.g3, "middle"),
+                          (rec.seg_b, split.g2, "last")):
+        for e in seg:
+            if e not in range(g.m):
+                return "%s segment holds edge %d outside its subgraph" % (label, e)
+            if g.tails[e] != v:
+                return "%s segment breaks at edge %d" % (label, e)
+            v = g.heads[e]
+    return None if v == rec.b else "walk ends at %d, not at b=%d" % (v, rec.b)
+
+
 def reference_verify(eng):
     findings = []
     prof = eng.profile
@@ -133,15 +150,16 @@ def reference_verify(eng):
         findings.append("H3 differs from the union of stored middle segments")
     host_ids = []
     for rec in recs:
-        host_ids.extend(eng.split.g1_host[e] for e in rec.seg_a)
-        host_ids.extend(eng.split.g3_host[e] for e in rec.seg_mid)
-        host_ids.extend(eng.split.g2_host[e] for e in rec.seg_b)
+        # an id outside its subgraph has no host edge; the walk reports it
+        for seg, to_host in ((rec.seg_a, eng.split.g1_host), (rec.seg_mid, eng.split.g3_host),
+                             (rec.seg_b, eng.split.g2_host)):
+            host_ids.extend(to_host[e] for e in seg if e in range(len(to_host)))
     if len(host_ids) != len(set(host_ids)):
         findings.append("paths are not pairwise edge-disjoint over the host")
     for rec in recs:
-        problems = []
-        eng._walk_vertices(rec, problems)
-        findings.extend("path %d: %s" % (rec.id, p) for p in problems)
+        problem = reference_walk(eng, rec)
+        if problem:
+            findings.append("path %d: %s" % (rec.id, problem))
         if len(rec.seg_a) > prof.depth_cap:
             findings.append("path %d: first segment length %d over cap" % (rec.id, len(rec.seg_a)))
         if len(rec.seg_mid) > prof.depth_cap:
@@ -366,6 +384,13 @@ def low_due_at_untouched_vertex(orc):
     raise AssertionError("vertex %d never came due for Low" % u)
 
 
+def in_deg_plus_minus_at_untouched_vertices(orc):
+    # +1 and -1 where no H or B edge ends: the in-degrees still sum to |H|
+    v, w = [v for v in range(orc.host.n) if not touched(orc, v)][:2]
+    orc.h.in_deg[v] += 1
+    orc.h.in_deg[w] -= 1
+
+
 UNTOUCHED_CORRUPTIONS = [sat_at_untouched_vertex, low_at_untouched_vertex, low_due_at_untouched_vertex]
 
 
@@ -385,6 +410,7 @@ ORACLE_CORRUPTIONS = [
     stock_on_unbuffered_vertex,
     out_f_over_cap,
     in_f_over_cap,
+    in_deg_plus_minus_at_untouched_vertices,
     *UNTOUCHED_CORRUPTIONS,
 ]
 
@@ -513,6 +539,59 @@ def low_claim_broken_under_strict_profile(eng):
         plant_low(eng.out_oracle)
 
 
+# Each of the next five defeats a cheaper check than verify's: H1, H2 and H3
+# match their stored segments in count but not in range (an id past the end,
+# or a negative one that aliases a member), in membership (a free edge), or
+# only as a union (swapped segments); ps keeps its sum but not its values.
+
+
+def stored_again(eng, rec, **segs):
+    """Replace rec in the ledger with a copy whose named segments are `segs`."""
+    eng.ledger.paths[rec.id] = dataclasses.replace(rec, **segs)
+
+
+def first_with(eng, seg):
+    """The first live path whose segment `seg` is not empty."""
+    return next(r for r in eng.ledger.paths.values() if getattr(r, seg))
+
+
+def seg_a_id_out_of_range(eng):
+    # no G1 edge has this id: its host id and its walk step cannot be read
+    rec = first_with(eng, "seg_a")
+    stored_again(eng, rec, seg_a=(*rec.seg_a, 10**6))
+
+
+def seg_b_id_aliased_by_negative_index(eng):
+    # e - m indexes edge e: H2's count and member tag agree, only the range does not
+    rec = first_with(eng, "seg_b")
+    stored_again(eng, rec, seg_b=(rec.seg_b[0] - eng.split.g2.m, *rec.seg_b[1:]))
+
+
+def seg_mid_lists_a_free_edge(eng):
+    # as many ids as H3 members, but one is free and the member it replaced
+    # is listed by no path
+    rec = first_with(eng, "seg_mid")
+    free = next(e for e in range(eng.split.g3.m) if not eng.h3.member[e])
+    stored_again(eng, rec, seg_mid=(free, *rec.seg_mid[1:]))
+
+
+def tree_segments_swapped(eng):
+    # the union of first segments is still H1, but neither walk leaves its a
+    rec = first_with(eng, "seg_a")
+    other = next(r for r in eng.ledger.paths.values() if r.seg_a and r.a != rec.a)
+    stored_again(eng, rec, seg_a=other.seg_a)
+    stored_again(eng, other, seg_a=rec.seg_a)
+
+
+def ps_plus_minus_at_untouched_vertices(eng):
+    # +1 and -1 where no path starts and no H edge ends: ps still sums to |P|
+    ps = eng.ledger.ps
+    v, w = [v for v in range(eng.n)
+            if not (ps[v] or touched(eng.out_oracle, v) or touched(eng.in_oracle, v))][:2]
+    ps[v] += 1
+    ps[w] -= 1
+
+
 ENGINE_CORRUPTIONS = [
     h1_imbalance,
     h2_imbalance,
@@ -526,6 +605,11 @@ ENGINE_CORRUPTIONS = [
     h3_over_hop_budget,
     r_below_live_count,
     low_claim_broken_under_strict_profile,
+    seg_a_id_out_of_range,
+    seg_b_id_aliased_by_negative_index,
+    seg_mid_lists_a_free_edge,
+    tree_segments_swapped,
+    ps_plus_minus_at_untouched_vertices,
 ]
 
 ENGINE_COMBINATIONS = [
@@ -565,6 +649,17 @@ def test_verify_matches_reference_on_corruptions(corruptions):
     if r_below_live_count in corruptions:
         count = len(eng.ledger.paths)
         assert "live path count %d exceeds the volume cap r=%d" % (count, count - 1) in findings
+
+
+def test_an_id_outside_its_subgraph_is_a_finding_not_a_crash():
+    eng = RoutingEngine(gen_random_regular_graph(150, 30, seed=3), desk_profile(150, 30))
+    rec = eng.find_path(1, 2)
+    stored_again(eng, rec, seg_a=(*rec.seg_a, 10**6))
+    findings = reference_verify(eng)
+    assert eng.verify().findings == findings
+    assert "path %d: first segment holds edge %d outside its subgraph" % (rec.id, 10**6) in findings
+    with pytest.raises(CallerError, match="outside its subgraph"):
+        eng.path_vertices(eng.ledger.paths[rec.id])
 
 
 @settings(max_examples=40, deadline=None)

@@ -130,6 +130,18 @@ def test_verify_every_runs_checks():
     assert report.clean
 
 
+def test_verify_seconds_time_the_verify_calls_only():
+    eng = make_engine()
+    nap, verify = 0.05, eng.verify
+    eng.verify = lambda: time.sleep(nap) or verify()
+    report = run_trace(eng, parse_trace("find 0 10\nverify\nfind 1 11\nfind 2 12\nverify"),
+                       verify_every=2, emit=lambda line: time.sleep(nap))
+    # two verify commands and the one after the second request; the naps
+    # in emit, which follows each request and each verify command, add nothing
+    assert report.verifies_run == 3 and report.clean
+    assert 3 * nap <= report.verify_s < 4 * nap
+
+
 @pytest.mark.parametrize("kind", ["churn", "fill", "hotspot"])
 @pytest.mark.parametrize("seed", [0, 7, 23])
 def test_generated_workloads_respect_rules(kind, seed):
@@ -292,6 +304,7 @@ def test_cli_pipeline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "connector lengths: 1:5 2:11 3:16\n" in out
     assert "build seconds: %.6f\n" % payload["build_s"] in out
+    assert "verify seconds: %.6f\n" % payload["verify_s"] in out and payload["verify_s"] > 0
 
 
 @pytest.mark.parametrize("r", [0, 1])
