@@ -67,11 +67,8 @@ class Digraph(_EndLists):
         """Return k if the graph is k-regular in both directions, else None."""
         if self.n == 0:
             return 0
-        k = len(self.out_adj[0])
-        for v in range(self.n):
-            if len(self.out_adj[v]) != k or len(self.in_adj[v]) != k:
-                return None
-        return k
+        degrees = {*map(len, self.out_adj), *map(len, self.in_adj)}
+        return degrees.pop() if len(degrees) == 1 else None
 
     def __repr__(self):
         return "Digraph(n=%d, m=%d)" % (self.n, self.m)
@@ -117,11 +114,8 @@ class UndirectedGraph(_EndLists):
     def regularity(self):
         if self.n == 0:
             return 0
-        k = len(self.inc[0])
-        for v in range(self.n):
-            if len(self.inc[v]) != k:
-                return None
-        return k
+        degrees = {*map(len, self.inc)}
+        return degrees.pop() if len(degrees) == 1 else None
 
     def __repr__(self):
         return "UndirectedGraph(n=%d, m=%d)" % (self.n, self.m)

@@ -74,14 +74,9 @@ from .profiles import OracleProfile
 
 @dataclass
 class Findings:
-    """What an audit or a verify found; no findings means clean.
-
-    An oracle audit also reports the vertices its per-vertex rules looped
-    over as `vertices`.
-    """
+    """What an audit or a verify found; no findings means clean."""
 
     findings: list
-    vertices: range | list | None = None
 
     @property
     def ok(self):
@@ -452,32 +447,31 @@ class EdgeOracle:
         `h_ids` are H's members in any order, as the caller holds them
         (`RoutingEngine.verify`: the union of the stored tree segments once
         it equals H). Counter lists are compared whole with their recounts,
-        in C. While they agree, in_F and out_F are 0 off the ends of H and B
-        edges, so the per-vertex rules loop over those ends and the Sat and
-        Low ids, O(|H| + |B| + |Sat| + |Low|); else over every vertex. Sat
-        and Low are recomputed sparsely and compared by memcmp; a mismatch
-        loops over the ones of both arrays, since a Low flag can fall due
-        where no H or B edge ends. H and B cannot overlap: an edge has one
-        state. |H| needs no rule of its own: by pigeonhole, |H| > n * in_cap
-        puts some in_F over in_cap, which the per-vertex rule reports.
+        in C. While nothing is found the counters agree, so in_F and out_F
+        are 0 off the ends of H and B edges, and the per-vertex rules loop
+        over those ends and the Sat and Low ids, O(|H| + |B| + |Sat| +
+        |Low|); else over every vertex. Sat and Low are recomputed sparsely and compared by
+        memcmp; a mismatch loops over the ones of both arrays, since a Low
+        flag can fall due where no H or B edge ends. H and B cannot overlap:
+        an edge has one state. |H| needs no rule of its own: by pigeonhole,
+        |H| > n * in_cap puts some in_F over in_cap, which the per-vertex
+        rule reports.
         """
         findings = []
         host, n = self.host, self.host.n
         prof = self.profile
         h, b, sat, low, sat_out = self.h, self.b, self.sat, self.low, self.sat_out
         b_ids = b.members()
-        agree = True
         for name, sub, ids in (("H", h, h_ids), ("B", b, b_ids)):
             out_deg, in_deg, size = sub.recount(ids)
             for side, ok in (("out", out_deg == sub.out_deg), ("in", in_deg == sub.in_deg)):
                 if not ok:
                     findings.append("%s %s-degree counters disagree with recount" % (name, side))
-                    agree = False
             if size != len(sub):
                 findings.append("%s size %d != recounted %d" % (name, len(sub), size))
         sat_ids, low_ids = positions(sat), positions(low)
         vertices = range(n)
-        if agree:
+        if not findings:
             ends = (map(end.__getitem__, ids) for end in (host.tails, host.heads) for ids in (h_ids, b_ids))
             vertices = sorted(set(sat_ids).union(low_ids, *ends))
         h_in, b_in, h_out, b_out = h.in_deg, b.in_deg, h.out_deg, b.out_deg
@@ -528,7 +522,7 @@ class EdgeOracle:
                 findings.append("out_F(%d)=%d exceeds cap %d" % (v, out_f, out_cap))
             if in_f > in_cap:
                 findings.append("in_F(%d)=%d exceeds cap %d" % (v, in_f, in_cap))
-        return Findings(findings, vertices=vertices)
+        return Findings(findings)
 
     def _sat_out_from(self, heads):
         """sat_out recounted as if exactly `heads` were saturated, and the

@@ -349,7 +349,12 @@ class RoutingEngine:
         follows the live state, not n. H1, H2 and H3 are checked against the
         union of their stored segments in C (`EdgeSubset.holds_exactly`), and
         one pass walks each stored path. The H1/H2 balance and in-cap rules
-        loop over the audits' vertices while `ps`/`pe` are right, else over all.
+        loop over every vertex, and only once another check has found
+        something, since on a clean state they cannot fire: every seg_a
+        (seg_b) is an intact walk from a (into b), H1 (H2) is their union
+        without repeats, and a clean audit's counters equal their recount
+        from it, so out - in <= ps (pe) at every vertex, with ps and pe
+        right; and a clean audit bounds each H in-degree by in_F <= in_cap.
         """
         findings = []
         prof, ledger = self.profile, self.ledger
@@ -402,22 +407,19 @@ class RoutingEngine:
 
         # positional: perfbench/tracing.py wraps audit as audit(*args)
         audits = [oracle.audit(h_ids) for oracle, h_ids in zip((self.out_oracle, self.in_oracle), member_ids)]
-        (h1_out, h1_in), (h2_out, h2_in) = [(o.h.out_deg, o.h.in_deg) for o in (self.out_oracle, self.in_oracle)]
-        vertices = range(self.n)
-        if (ps_expected, pe_expected) == (ledger.ps, ledger.pe):
-            # an audit's vertices hold its H edges' ends, or all once a counter
-            # is off; with ps and pe right, no rule below can break elsewhere
-            vertices = sorted(set(audits[0].vertices).union(audits[1].vertices))
         ps, pe, in_cap = ledger.ps, ledger.pe, prof.oracle.in_cap
-        for v in vertices:
-            if h1_out[v] > h1_in[v] + ps[v]:
-                findings.append("H1 out/in imbalance at vertex %d" % v)
-            if h2_out[v] > h2_in[v] + pe[v]:
-                findings.append("H2 out/in imbalance at vertex %d" % v)
-            if h1_in[v] > in_cap:
-                findings.append("H1 in-degree %d over cap at vertex %d" % (h1_in[v], v))
-            if h2_in[v] > in_cap:
-                findings.append("H2 in-degree %d over cap at vertex %d" % (h2_in[v], v))
+        # on a clean state the four rules cannot fire (see the docstring)
+        if findings or (ps_expected, pe_expected) != (ps, pe) or not all(a.ok for a in audits):
+            (h1_out, h1_in), (h2_out, h2_in) = [(o.h.out_deg, o.h.in_deg) for o in (self.out_oracle, self.in_oracle)]
+            for v in range(self.n):
+                if h1_out[v] > h1_in[v] + ps[v]:
+                    findings.append("H1 out/in imbalance at vertex %d" % v)
+                if h2_out[v] > h2_in[v] + pe[v]:
+                    findings.append("H2 out/in imbalance at vertex %d" % v)
+                if h1_in[v] > in_cap:
+                    findings.append("H1 in-degree %d over cap at vertex %d" % (h1_in[v], v))
+                if h2_in[v] > in_cap:
+                    findings.append("H2 in-degree %d over cap at vertex %d" % (h2_in[v], v))
         if ps_expected != ps:
             findings.append("start counters disagree with the ledger")
         if pe_expected != pe:

@@ -4,11 +4,12 @@
 implementations that scan every edge and every vertex in Python. The
 shipped `RoutingEngine.verify` checks H1, H2 and H3 against the stored
 segments by count, range and membership in C, and `EdgeOracle.audit`
-scans B's member array; while every counter equals its recount, both
-look only at the live edges and the vertices they touch, plus the Sat
-and Low ids; once a counter is off they look at every vertex. On every planted
-corruption, alone or combined, and on drawn engine states, both must
-report the same findings in the same order.
+scans B's member array. While nothing is found, the audit looks only at
+the live edges and the vertices they touch, plus the Sat and Low ids,
+and verify skips its four vertex rules, which never fire alone on the
+reference; once something is found, both look at every vertex. On every
+planted corruption, alone or combined, and on drawn engine states, both
+must report the same findings in the same order.
 """
 
 import dataclasses
@@ -681,3 +682,43 @@ def test_verify_matches_reference_on_drawn_states(n, graph_seed, churn_seed, ops
         except StopIteration:  # no stored path has the segment it corrupts
             assume(False)
     assert eng.verify().findings == reference_verify(eng)
+
+
+def vertex_rules_fire_alone(findings):
+    """Whether the findings hold verify's vertex-rule findings and nothing else."""
+    vertex = ["imbalance at vertex" in f or "over cap at vertex" in f for f in findings]
+    return any(vertex) and all(vertex)
+
+
+@pytest.mark.parametrize(
+    "corruptions",
+    [(c,) for c in ENGINE_CORRUPTIONS] + ENGINE_COMBINATIONS,
+    ids=lambda fs: "+".join(f.__name__ for f in fs),
+)
+def test_vertex_rules_never_fire_alone(corruptions):
+    # verify runs its H1/H2 balance and in-cap rules only once another check
+    # has found something; the reference always runs them, and on no planted
+    # corruption are they the only rules that fire
+    eng = loaded_engine()
+    for corrupt in corruptions:
+        corrupt(eng)
+    assert not vertex_rules_fire_alone(reference_verify(eng))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([120, 300, 600]),
+    graph_seed=st.integers(0, 3),
+    churn_seed=st.integers(0, 99),
+    ops=st.integers(1, 300),
+    corruptions=st.lists(st.sampled_from(ENGINE_CORRUPTIONS), unique=True, max_size=4),
+)
+def test_vertex_rules_never_fire_alone_on_drawn_states(n, graph_seed, churn_seed, ops, corruptions):
+    eng = churned_engine(n, graph_seed, churn_seed, ops)
+    assume(eng.ledger.paths)
+    for corrupt in corruptions:
+        try:
+            corrupt(eng)
+        except StopIteration:  # no stored path has the segment it corrupts
+            assume(False)
+    assert not vertex_rules_fire_alone(reference_verify(eng))

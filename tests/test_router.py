@@ -670,18 +670,24 @@ def test_strict_paper_constants_serve_churn():
     # at n=1024, d=402, beta=9/10, gamma=1/2000 serves churn at r - 1 with
     # a clean verify after every request, the strict |Low| < beta*n/12
     # rule included. The expansion premise is not checked: at this d and
-    # gamma any two adjacent vertices already break its small-set bound
+    # gamma any two adjacent vertices already break its small-set bound.
+    # Every out-tree meets b within three G3 edges, so the in-oracle is
+    # used only by the same trace on the paper's mechanism alone
     n, d = 1024, 402
     prof = derive_profile(n, d, Fraction(9, 10), Fraction(1, 2000))
     assert not prof.relaxed and (prof.r, prof.fanout, prof.bfs_vertex_cap) == (7, 5, 185)
     assert (prof.oracle.out_cap, prof.oracle.in_cap) == (10, 4)
-    eng = RoutingEngine(gen_random_regular_graph(n, d, seed=1), prof)
+    g = gen_random_regular_graph(n, d, seed=1)
+    eng = RoutingEngine(g, prof)
     # the two-hop G3 rows hold each end once, not deg + deg^2 entries
     assert all(len(row) <= n for row in chain(eng.g3_out, eng.g3_in))
     cmds = gen_workload("churn", n, {"ops": 200, "live_target": prof.r - 1}, 1, prof.endpoint_cap, prof.r)
-    report = run_trace(eng, cmds, verify_every=1)
-    assert report.failures == [] and report.requests_served == 200
-    assert (report.verifies_run, report.verify_findings) == (200, 0)
+    paper = _paper_only(RoutingEngine(g, prof))
+    for engine in (eng, paper):
+        report = run_trace(engine, cmds, verify_every=1)
+        assert report.failures == [] and report.requests_served == 200
+        assert (report.verifies_run, report.verify_findings) == (200, 0)
+    assert paper.in_oracle.add_calls > 0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 7])
