@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""The paper's own mechanism against the router as built, on seeded churn.
+
+    python3 scripts/ablate.py [--case scale|small ...]
+
+Run it from the root of a source checkout; the router is imported from
+`src/`. Each case serves one seeded churn trace twice, each time on a fresh
+engine over the same graph and desk profile:
+
+- `head`: the router as built, whose trees also meet through a free G3
+  path of up to MEETING_RADIUS edges;
+- `paper`: the paper's mechanism alone. The engine gets one-vertex step
+  rows and empty two-hop rows, set on the instance as
+  tests/test_router.py's `_paper_only` does, so trees meet only at a
+  shared vertex and trees that meet nothing take the breadth-first
+  connector.
+
+For each it prints oracle adds per served find, the mean and the longest
+served path over log2 n, the connector searches (G3 searches with the
+depth_cap hop budget), the meeting link searches (MEETING_RADIUS hops)
+and the oracles' alternating-walk searches. All of these are counts: they
+do not depend on the machine.
+"""
+
+import argparse
+import math
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from expander_routing.expanders import gen_random_regular_graph  # noqa: E402
+from expander_routing.harness import gen_workload, run_trace  # noqa: E402
+from expander_routing.profiles import desk_profile  # noqa: E402
+from expander_routing.router import MEETING_RADIUS, RoutingEngine  # noqa: E402
+
+# name: (n, d, churn ops, graph seed, trace seed); live target r/2 as in perfbench
+CASES = {
+    "scale": (9600, 31, 1500, 4, 4000),  # perfbench's `scale` workload, seed 4, first round
+    "small": (600, 30, 1000, 11, 5),
+}
+
+
+def paper_only(engine):
+    """`engine` with one-vertex step rows and empty two-hop rows."""
+    engine.step_out = engine.step_in = [(v,) for v in range(engine.n)]
+    engine.g3_out = engine.g3_in = [()] * engine.n
+    return engine
+
+
+def serve(graph, profile, commands, mechanism):
+    engine = RoutingEngine(graph, profile)
+    if mechanism == "paper":
+        paper_only(engine)
+    hops = []
+    for name in ("link_out", "link_in"):
+        search = getattr(engine, name)
+        setattr(engine, name, lambda *args, search=search: hops.append(args[-1]) or search(*args))
+    report = run_trace(engine, commands)
+    counts = engine.oracle_call_counts()
+    lengths = report.path_length_histogram
+    served = sum(lengths.values())
+    log_n = math.log2(profile.n)
+    return {
+        "served": served,
+        "failures": len(report.failures),
+        "adds_per_find": (counts["out_add"] + counts["in_add"]) / served,
+        "mean_len_over_log2n": sum(k * c for k, c in lengths.items()) / served / log_n,
+        "max_len_over_log2n": max(lengths) / log_n,
+        "connector_searches": hops.count(profile.depth_cap),
+        "link_searches": hops.count(MEETING_RADIUS),
+        "walk_searches": counts["walk_searches"],
+    }
+
+
+def run_case(name):
+    """The case's profile, and its figures for each mechanism."""
+    n, d, ops, graph_seed, trace_seed = CASES[name]
+    profile = desk_profile(n, d)
+    graph = gen_random_regular_graph(n, d, seed=graph_seed)
+    commands = gen_workload("churn", n, {"ops": ops, "live_target": profile.r // 2},
+                            trace_seed, profile.endpoint_cap, profile.r)
+    return profile, {mechanism: serve(graph, profile, commands, mechanism) for mechanism in ("paper", "head")}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--case", action="append", choices=sorted(CASES), help="default: every case")
+    args = ap.parse_args(argv)
+    for name in args.case or CASES:
+        profile, rows = run_case(name)
+        print("case %s: n=%d d=%d, %d churn ops, graph seed %d, trace seed %d, depth_cap %d"
+              % ((name, profile.n, profile.d) + CASES[name][2:] + (profile.depth_cap,)))
+        print("  %-20s %12s %12s" % ("", "paper", "head"))
+        for key, value in rows["paper"].items():
+            text = "%12d %12d" if isinstance(value, int) else "%12.2f %12.2f"
+            print("  %-20s " % key + text % (value, rows["head"][key]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

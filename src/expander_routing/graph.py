@@ -5,14 +5,27 @@ the lifetime of a graph; adjacency lists keep that order, which is the
 deterministic tie-break source for everything built on top. Graphs are
 never mutated after construction: all dynamic state lives in EdgeSubset
 overlays keyed by edge id.
+
+Edge ids, and the vertex ids `parse_graph` reads, are one table's shared ints (`_ids`), so
+every graph a build derives holds the same objects; the table keeps max(n, m) ints over all
+graphs made and never shrinks (~5 MB at n=9600, d=31).
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 from operator import itemgetter
 
 from .errors import CallerError, FormatError
+
+_IDS, _GROWING = [], threading.Lock()  # _IDS[i] is i: the one shared int object for id i
+
+
+def _ids(count):  # the table, grown to hold at least the ids 0..count-1
+    with _GROWING:  # two threads growing it at once would append an id twice
+        _IDS.extend(range(len(_IDS), count))
+    return _IDS
 
 
 class _EndLists:
@@ -54,7 +67,7 @@ class Digraph(_EndLists):
         self._check(n, tails, heads)
         out_adj = [[] for _ in range(n)]
         in_adj = [[] for _ in range(n)]
-        for e, t in enumerate(tails):  # one loop: both lists share each id's int
+        for e, t in zip(_ids(len(tails)), tails):
             out_adj[t].append(e)
             in_adj[heads[e]].append(e)
         self.n, self.tails, self.heads, self.out_adj, self.in_adj = n, tails, heads, out_adj, in_adj
@@ -94,7 +107,7 @@ class UndirectedGraph(_EndLists):
     def _build(self, n, us, vs):
         self._check(n, us, vs)
         inc = [[] for _ in range(n)]
-        for e, a in enumerate(us):
+        for e, a in zip(_ids(len(us)), us):
             inc[a].append(e)
             if vs[e] != a:
                 inc[vs[e]].append(e)
@@ -222,12 +235,15 @@ def parse_graph(text: str):
     if len(head) != 3 or head[2] not in ("directed", "undirected"):
         raise FormatError("line 1: expected '<n> <m> directed|undirected'")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = int(plain(head[0])), int(plain(head[1]))
     except ValueError:
         raise FormatError("line 1: bad vertex/edge count") from None
     for name, count in (("vertex", n), ("edge", m)):
         if count < 0:
             raise FormatError("line 1: %s count must be at least 0, got %d" % (name, count))
+    if "_" in text or "+" in text:  # the edge lines, tested in C
+        i = next(i for i, line in enumerate(lines, 1) if "_" in line or "+" in line)
+        raise FormatError("line %d: bad endpoint" % i)
     a_ends, b_ends = [], []
     for i, line in enumerate(lines[1 : m + 1], start=2):
         parts = line.split()
@@ -246,7 +262,16 @@ def parse_graph(text: str):
     for i, line in enumerate(lines[m + 1 :], start=m + 2):
         if line.strip():
             raise FormatError("line %d: more than the %d edge lines the header declares" % (i, m))
+    ids = _ids(n)  # grown only for a text that loads
+    a_ends, b_ends = list(map(ids.__getitem__, a_ends)), list(map(ids.__getitem__, b_ends))
     return (Digraph if head[2] == "directed" else UndirectedGraph).from_ends(n, a_ends, b_ends)
+
+
+def plain(token):
+    """`token`; ValueError if it holds '_' or '+', which int() reads and no writer emits."""
+    if "_" in token or "+" in token:
+        raise ValueError("bad number %r" % token)
+    return token
 
 
 def read_ascii(path, kind):

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import CallerError, ExpansionViolation, FormatError
-from .graph import read_ascii
+from .graph import plain, read_ascii
 from .router import Ledger, RoutingEngine
 
 
@@ -54,12 +54,12 @@ def parse_trace(text):
                 if len(parts) != 3:
                     raise ValueError("find takes two vertex arguments")
                 commands.append(
-                    TraceCommand("find", a=int(parts[1]), b=int(parts[2]), line=lineno)
+                    TraceCommand("find", a=int(plain(parts[1])), b=int(plain(parts[2])), line=lineno)
                 )
             elif word == "remove":
                 if len(parts) != 2:
                     raise ValueError("remove takes one reference argument")
-                commands.append(TraceCommand("remove", ref=int(parts[1]), line=lineno))
+                commands.append(TraceCommand("remove", ref=int(plain(parts[1])), line=lineno))
             elif word in ("verify", "stats"):
                 if len(parts) != 1:
                     raise ValueError("%s takes no arguments" % word)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CallerError, FormatError
-from .graph import read_ascii
+from .graph import plain, read_ascii
 
 
 def ceil_log2(n: int) -> int:
@@ -270,9 +270,9 @@ def parse_profile(text: str) -> RouterProfile:
                     raise ValueError(raw)
                 kwargs[key] = raw == "true"
             elif kind == "Fraction":
-                kwargs[key] = Fraction(raw)
+                kwargs[key] = Fraction(plain(raw))
             else:
-                kwargs[key] = int(raw)
+                kwargs[key] = int(plain(raw))
         except (ValueError, ZeroDivisionError):
             raise FormatError("profile line %d: field %s: bad value %r" % (lineno, key, raw)) from None
     oracle = {fields[key].name: kwargs.pop(key) for key in fields if key.startswith("oracle_")}

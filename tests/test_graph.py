@@ -188,6 +188,11 @@ def test_text_parse_errors(text):
         ("3 2 undirected\n0 1\n0 5\n", r"line 3: edge \(0, 5\) out of range for n=3"),
         ("-1 0 undirected\n", "^line 1: vertex count must be at least 0, got -1$"),
         ("3 -1 undirected\n", "^line 1: edge count must be at least 0, got -1$"),
+        # int() alone reads '_' and '+': these would load the edges (0, 11) and (2, 3)
+        ("12 2 undirected\n0 1_1\n+2 3\n", "^line 2: bad endpoint$"),
+        ("12 2 directed\n0 1\n+2 3\n", "^line 3: bad endpoint$"),
+        ("1_2 2 undirected\n0 1\n2 3\n", "^line 1: bad vertex/edge count$"),
+        ("12 +2 undirected\n0 1\n2 3\n", "^line 1: bad vertex/edge count$"),
     ],
 )
 def test_text_parse_errors_name_the_line(text, message):
@@ -197,3 +202,26 @@ def test_text_parse_errors_name_the_line(text, message):
 
 def test_text_parse_allows_trailing_blank_lines():
     assert parse_graph("3 2 directed\n0 1\n1 2\n\n  \n").m == 2
+
+
+def _text_with_ids_above_256(kind, n=600):
+    edges = [(v, (v * k + 301) % n) for k in (1, 5, 7) for v in range(n)]
+    return "%d %d %s\n" % (n, len(edges), kind) + "".join("%d %d\n" % e for e in edges)
+
+
+@pytest.mark.parametrize("kind", ["directed", "undirected"])
+def test_parsed_graph_holds_one_int_object_per_vertex(kind):
+    # each end is interned: at most n distinct int objects across the end
+    # lists, where int() alone makes one per end above 256
+    g = parse_graph(_text_with_ids_above_256(kind))
+    ends = g.tails + g.heads if kind == "directed" else g.us + g.vs
+    assert len(set(map(id, ends))) <= g.n == 600
+
+
+def test_graphs_share_each_edge_id_object():
+    # every graph takes its edge ids from one table, so equal ids are one object
+    d = parse_graph(_text_with_ids_above_256("directed"))
+    u = parse_graph(_text_with_ids_above_256("undirected", n=700))
+    seen = {}
+    ids = [e for rows in (d.out_adj, d.in_adj, u.inc) for row in rows for e in row]
+    assert all(seen.setdefault(e, e) is e for e in ids) and len(seen) == 2100

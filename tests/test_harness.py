@@ -3,11 +3,12 @@ import hashlib
 import io
 import json
 import random
+import re
 import time
 
 import pytest
 
-from conftest import depth_capped, save_profile, validate_trace
+from conftest import depth_capped, dump, save_profile, validate_trace
 from expander_routing.cli import main as cli_main
 from expander_routing.errors import CallerError, FormatError
 from expander_routing.expanders import gen_random_regular_graph
@@ -43,6 +44,21 @@ def test_parse_error_carries_line_number():
         parse_trace("find 0")
     with pytest.raises(FormatError, match="line 3"):
         parse_trace("find 0 1\nverify\nwiggle")
+
+
+@pytest.mark.parametrize(
+    "text, line, token",
+    [("find 1_0 +2", 1, "1_0"), ("verify\nfind 1 +2", 2, "+2"), ("remove +1", 1, "+1"), ("remove -1_0", 1, "-1_0")],
+)
+def test_parse_refuses_digit_groups_and_plus_signs(text, line, token):
+    # int() alone reads "find 1_0 +2" as find(10, 2)
+    with pytest.raises(FormatError, match=r"^trace line %d: bad number '%s'$" % (line, re.escape(token))):
+        parse_trace(text)
+
+
+def test_parse_allows_both_signs_in_comments_and_negative_refs():
+    cmds = parse_trace("find 1 2  # 1_0 +2\nremove -1 #+")
+    assert [(c.kind, c.a, c.b, c.ref) for c in cmds] == [("find", 1, 2, 0), ("remove", -1, -1, -1)]
 
 
 def test_format_round_trip():
@@ -716,3 +732,20 @@ def test_ascii_trace_on_stdin_runs(tmp_path, capsys, monkeypatch):
     code = cli_main(["run", "--graph", str(graph_path), "--desk", "--trace", "-", "--quiet"])
     assert code == 0
     assert "requests served: 2" in capsys.readouterr().out
+
+
+def test_file_round_trip_never_changes_routing(tmp_path):
+    # a graph read back from its file routes a trace exactly as the graph it
+    # was written from: the same PATH/FAIL lines and the same oracle states
+    n, d = 600, 31
+    prof = desk_profile(n, d)
+    g = gen_random_regular_graph(n, d, seed=11)
+    save_graph(tmp_path / "g.txt", g)
+    cmds = gen_workload("churn", n, {"ops": 300, "live_target": prof.r // 2}, 7, prof.endpoint_cap, prof.r)
+    runs = []
+    for graph in (g, load_graph(tmp_path / "g.txt")):
+        engine, lines = RoutingEngine(graph, prof), []
+        run_trace(engine, cmds, emit=lines.append)
+        served = "\n".join(line for line in lines if line.startswith(("PATH ", "FAIL "))).encode()
+        runs.append((served, dump(engine.out_oracle), dump(engine.in_oracle)))
+    assert runs[0] == runs[1] and runs[0][0].count(b"PATH ") > 100

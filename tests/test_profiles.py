@@ -464,6 +464,17 @@ def test_profile_file_bad_value_names_the_line():
         parse_profile(text)
 
 
+@pytest.mark.parametrize(
+    "key, raw", [("r", "2_4"), ("r", "+24"), ("oracle_sat_threshold", "+2/1"), ("oracle_low_threshold", "3_0/10")]
+)
+def test_profile_file_refuses_digit_groups_and_plus_signs(key, raw):
+    # int() and Fraction() alone read r=2_4 as r=24
+    text = re.sub(r"(?m)^%s=.*$" % key, "%s=%s" % (key, raw), format_profile(desk_profile(600, 30)))
+    lineno = text.splitlines().index("%s=%s" % (key, raw)) + 1
+    with pytest.raises(FormatError, match=r"^profile line %d: field %s: bad value '%s'$" % (lineno, key, re.escape(raw))):
+        parse_profile(text)
+
+
 def test_profile_file_rejects_a_repeated_field():
     text = format_profile(desk_profile(600, 30))
     first = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith("r="))

@@ -1,6 +1,9 @@
 import copy
 import gc
+import math
+import os
 import random
+import runpy
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -15,6 +18,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from conftest import depth_capped, dump, never, tree_by_single_adds
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
+from expander_routing.graph import load_graph, save_graph
 from expander_routing.harness import gen_workload, run_trace
 from expander_routing.profiles import ceil_log2, derive_profile, desk_profile
 from expander_routing.router import MEETING_RADIUS, RoutingEngine
@@ -605,6 +609,21 @@ def test_no_link_search_repeats_within_a_find():
     assert repeated == []
 
 
+def test_engine_from_a_file_holds_one_object_per_id(tmp_path):
+    # parse_graph interns the vertex ids and every graph takes its edge ids
+    # from one table, so each graph and row a build derives copies the same
+    # int object for equal ids
+    save_graph(tmp_path / "g.txt", gen_random_regular_graph(600, 31, seed=11))
+    eng = RoutingEngine(load_graph(tmp_path / "g.txt"), desk_profile(600, 31))
+    graphs = [eng.split.host, eng.split.g1, eng.split.g2, eng.split.g3]
+    rows = [eng.out_oracle._in_tails, eng.in_oracle._in_tails, eng.g3_out, eng.g3_in]
+    vertices = chain(*(chain(g.tails, g.heads) for g in graphs), *(chain.from_iterable(r) for r in rows))
+    edges = chain.from_iterable(chain.from_iterable(chain(g.out_adj, g.in_adj)) for g in graphs)
+    for ids, count in ((vertices, 600), (edges, eng.split.host.m)):
+        first = {}
+        assert all(first.setdefault(x, x) is x for x in ids) and len(first) == count
+
+
 def _paper_only(eng):
     """`eng` running the paper's mechanism alone: one-vertex step rows and
     empty two-hop rows, set on the instance, so trees meet only at a shared
@@ -633,6 +652,20 @@ def test_paper_mechanism_alone_serves_churn(n, ops):
     assert max(report.connector_length_histogram) <= prof.depth_cap
     assert MEETING_RADIUS < prof.depth_cap
     assert set(calls) == {("link_out", prof.depth_cap)}
+
+
+def test_ablate_script_reports_the_paper_mechanism_against_head():
+    # scripts/ablate.py's small case: both mechanisms serve the same trace,
+    # only the paper's runs connector searches and only the router as built
+    # meets through G3 links, with fewer oracle adds per find
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "ablate.py")
+    prof, rows = runpy.run_path(script, run_name="ablate")["run_case"]("small")
+    paper, head = rows["paper"], rows["head"]
+    assert paper["served"] == head["served"] > 0 and paper["failures"] == head["failures"] == 0
+    assert paper["connector_searches"] > 0 == head["connector_searches"]
+    assert head["link_searches"] > 0 == paper["link_searches"]
+    assert paper["adds_per_find"] > head["adds_per_find"]
+    assert max(paper["max_len_over_log2n"], head["max_len_over_log2n"]) * math.log2(prof.n) <= prof.depth_cap
 
 
 @pytest.mark.parametrize("n,d", [(150, 30), (150, 31), (300, 30), (300, 31)])
