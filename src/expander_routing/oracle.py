@@ -15,7 +15,7 @@ Each host edge is in exactly one of three states, kept in one bytearray,
 `state`: 0 free, 1 in H, 2 in B. `h` and `b` are EdgeSubsets that share
 it as their member array with tags 1 and 2, so H and B are disjoint by
 construction and every membership test is one read of `state[e]`. Sat
-and Low are bytearrays too, so `audit` pays for the live state, not n.
+and Low are bytearrays too, so `audit`'s Python work follows the live state.
 
 When a vertex joins Low its buffer is topped up to the out-degree cap by
 alternating walks: chains that alternate free host edges (traversed
@@ -63,9 +63,9 @@ on the instance (`_rebalance` calls it through the instance) and run
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import ceil
-from operator import ne
+from operator import add, le, ne
 
 from .errors import CallerError, ExpansionViolation
 from .graph import Digraph, EdgeSubset, positions
@@ -447,15 +447,22 @@ class EdgeOracle:
         `h_ids` are H's members in any order, as the caller holds them
         (`RoutingEngine.verify`: the union of the stored tree segments once
         it equals H). Counter lists are compared whole with their recounts,
-        in C. While nothing is found the counters agree, so in_F and out_F
-        are 0 off the ends of H and B edges, and the per-vertex rules loop
-        over those ends and the Sat and Low ids, O(|H| + |B| + |Sat| +
-        |Low|); else over every vertex. Sat and Low are recomputed sparsely and compared by
-        memcmp; a mismatch loops over the ones of both arrays, since a Low
-        flag can fall due where no H or B edge ends. H and B cannot overlap:
-        an edge has one state. |H| needs no rule of its own: by pigeonhole,
-        |H| > n * in_cap puts some in_F over in_cap, which the per-vertex
-        rule reports.
+        in C, or, for a subset with no ids, checked to be all 0. While they
+        agree, in_F and out_F are 0 off the heads and tails of H and B
+        edges, so Sat is recomputed in C from in_F at those heads (else at
+        every vertex); sat_out and Low follow from the Sat ids, and Low is
+        compared by memcmp, since a Low flag can fall due where no edge ends.
+
+        The per-vertex rules loop over those ends and the Sat and Low ids
+        (every vertex once a counter disagrees), and only once something is
+        found or a C-level test over the ends fires: out_F over out_cap at a
+        tail, in_F over in_cap at a head, B stock at a tail not in Low. The
+        other two rules cannot fire alone: Sat equal to its recount puts
+        in_F at or over the threshold at each Sat vertex, and Low equal to
+        its recount from sat_out, which equals the maintained one, does the
+        same for sat_out at each Low vertex. H and B cannot overlap: an edge
+        has one state. |H| needs no rule of its own: by pigeonhole, |H| >
+        n * in_cap puts some in_F over in_cap, which the per-vertex rule reports.
         """
         findings = []
         host, n = self.host, self.host.n
@@ -463,33 +470,34 @@ class EdgeOracle:
         h, b, sat, low, sat_out = self.h, self.b, self.sat, self.low, self.sat_out
         b_ids = b.members()
         for name, sub, ids in (("H", h, h_ids), ("B", b, b_ids)):
-            out_deg, in_deg, size = sub.recount(ids)
-            for side, ok in (("out", out_deg == sub.out_deg), ("in", in_deg == sub.in_deg)):
+            if ids:
+                out_deg, in_deg, size = sub.recount(ids)
+                agree = out_deg == sub.out_deg, in_deg == sub.in_deg
+            else:
+                agree, size = (sub.out_deg.count(0) == n, sub.in_deg.count(0) == n), 0
+            for side, ok in zip(("out", "in"), agree):
                 if not ok:
                     findings.append("%s %s-degree counters disagree with recount" % (name, side))
             if size != len(sub):
                 findings.append("%s size %d != recounted %d" % (name, len(sub), size))
-        sat_ids, low_ids = positions(sat), positions(low)
-        vertices = range(n)
-        if not findings:
-            ends = (map(end.__getitem__, ids) for end in (host.tails, host.heads) for ids in (h_ids, b_ids))
-            vertices = sorted(set(sat_ids).union(low_ids, *ends))
+        counted = not findings  # the counters equal their recount from the ids
         h_in, b_in, h_out, b_out = h.in_deg, b.in_deg, h.out_deg, b.out_deg
         sat_min, low_min = self._sat_min, self._low_min
-        sat_expected = bytearray(n)
-        for v in vertices:
-            if h_in[v] + b_in[v] >= sat_min:
-                sat_expected[v] = 1
+        heads = list(map(host.heads.__getitem__, chain(h_ids, b_ids))) if counted else range(n)
+        heads_in_f = list(map(add, map(h_in.__getitem__, heads), map(b_in.__getitem__, heads)))
+        sat_ids, low_ids = positions(sat), positions(low)
+        sat_expected = sorted(set(compress(heads, map(le, repeat(sat_min), heads_in_f))))
         sat_out_maintained, low_expected = self._sat_out_from(sat_ids)
         sat_out_expected = sat_out_maintained
-        if sat_expected != sat:
-            for v in sorted(set(sat_ids).union(positions(sat_expected))):
-                if sat[v] != sat_expected[v]:
+        if sat_expected != sat_ids:
+            expected = set(sat_expected)
+            for v in sorted(expected.union(sat_ids)):
+                if sat[v] != (v in expected):
                     findings.append(
                         "Sat mismatch at %d: maintained=%s recomputed=%s (in_F=%d)"
-                        % (v, bool(sat[v]), bool(sat_expected[v]), h_in[v] + b_in[v])
+                        % (v, bool(sat[v]), v in expected, h_in[v] + b_in[v])
                     )
-            sat_out_expected, low_expected = self._sat_out_from(positions(sat_expected))
+            sat_out_expected, low_expected = self._sat_out_from(sat_expected)
         if low_expected != low:
             for v in sorted(set(low_ids).union(positions(low_expected))):
                 if low[v] != low_expected[v]:
@@ -510,6 +518,12 @@ class EdgeOracle:
                 "sat_out counter at %d: maintained=%d recomputed=%d"
                 % (bad, sat_out[bad], sat_out_maintained[bad])
             )
+        tails = list(map(host.tails.__getitem__, chain(h_ids, b_ids))) if counted else range(n)
+        top_out_f = max(map(add, map(h_out.__getitem__, tails), map(b_out.__getitem__, tails)), default=0)
+        stock_off_low = not all(map(low.__getitem__, map(host.tails.__getitem__, b_ids)))
+        if not (findings or max(heads_in_f, default=0) > in_cap or top_out_f > out_cap or stock_off_low):
+            return Findings(findings)  # no per-vertex rule can fire (see above)
+        vertices = sorted(set(sat_ids).union(low_ids, heads, tails)) if counted else range(n)
         for v in vertices:
             in_f, out_f = h_in[v] + b_in[v], h_out[v] + b_out[v]
             if sat[v] and in_f < sat_min:

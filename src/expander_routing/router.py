@@ -41,7 +41,7 @@ from itertools import chain
 from operator import attrgetter
 
 from .errors import CallerError, ExpansionViolation
-from .graph import EdgeSubset, UndirectedGraph, reverse
+from .graph import EdgeSubset, UndirectedGraph, _ids, reverse
 from .oracle import EdgeOracle, Findings
 from .preprocess import pre_process
 from .profiles import RouterProfile
@@ -154,8 +154,8 @@ class RoutingEngine:
         in1 = [tuple(map(g3.tails.__getitem__, row)) for row in g3.in_adj]
         self.g3_out = [tuple(dict.fromkeys(chain(row, *map(out1.__getitem__, row)))) for row in out1]
         self.g3_in = [tuple(dict.fromkeys(chain(row, *map(in1.__getitem__, row)))) for row in in1]
-        self.step_out = [(v, *row) for v, row in enumerate(out1)]
-        self.step_in = [(v, *row) for v, row in enumerate(in1)]
+        self.step_out = [(v, *row) for v, row in zip(_ids(g3.n), out1)]  # v: the shared id object
+        self.step_in = [(v, *row) for v, row in zip(_ids(g3.n), in1)]
         # bound to H3's member array, not to self: an engine is no reference cycle
         self.link_out = partial(self._free_g3_path, self.h3.member, g3.out_adj, g3.heads)
         self.link_in = partial(self._free_g3_path, self.h3.member, g3.in_adj, g3.tails)

@@ -4,17 +4,23 @@
 implementations that scan every edge and every vertex in Python. The
 shipped `RoutingEngine.verify` checks H1, H2 and H3 against the stored
 segments by count, range and membership in C, and `EdgeOracle.audit`
-scans B's member array. While nothing is found, the audit looks only at
-the live edges and the vertices they touch, plus the Sat and Low ids,
-and verify skips its four vertex rules, which never fire alone on the
-reference; once something is found, both look at every vertex. On every
-planted corruption, alone or combined, and on drawn engine states, both
-must report the same findings in the same order.
+scans B's member array. While nothing is found, the audit recomputes
+Sat at the heads of the live edges only and runs its per-vertex rules
+only when a C-level test over the edge ends (out_F or in_F over its cap,
+B stock off Low) fires, and verify skips its four vertex rules, which
+never fire alone on the reference; once something is found, both look
+at every vertex. On every planted corruption, alone or combined, and on
+drawn engine states, both must report the same findings in the same
+order. Two corruptions break one cap each and nothing else, so that
+each of the audit's tests is the only way to its finding.
 """
 
 import dataclasses
+import inspect
 import random
+import sys
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +29,7 @@ from hypothesis import strategies as st
 from conftest import oriented_host
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
+from expander_routing.graph import positions
 from expander_routing.harness import gen_workload, resolve_ref
 from expander_routing.oracle import EdgeOracle
 from expander_routing.profiles import OracleProfile, desk_profile
@@ -206,8 +213,9 @@ def reference_verify(eng):
 # --- loaded structures ----------------------------------------------------------
 
 
-def loaded_oracle():
-    """An oracle after 100 seeded requests: H 89, B 17, Sat 17 and Low 5 members."""
+def loaded_oracle(after=lambda orc: None):
+    """An oracle after 100 seeded requests: H 89, B 17, Sat 17 and Low 5
+    members; `after(oracle)` is called after each request."""
     host = oriented_host(100, 20, seed=19)
     prof = OracleProfile(
         out_cap=5, in_cap=4, sat_threshold=Fraction(2), low_threshold=Fraction(6)
@@ -226,13 +234,15 @@ def loaded_oracle():
             i = rng.randrange(len(active))
             active[i], active[-1] = active[-1], active[i]
             orc.remove_edge(active.pop())
+        after(orc)
     assert orc.audit(orc.h.members()).ok
     assert orc.b.members() and any(orc.low) and any(orc.sat)
     return orc
 
 
-def churned_engine(n, graph_seed, churn_seed, ops):
-    """A desk engine after a seeded churn of `ops` requests at r/2 live paths.
+def churned_engine(n, graph_seed, churn_seed, ops, after=lambda eng: None):
+    """A desk engine after a seeded churn of `ops` requests at r/2 live paths,
+    calling `after(engine)` after each request.
     d=52 gives oracle hosts of degree d' = 10, the least a strict profile allows."""
     prof = desk_profile(n, 52)
     eng = RoutingEngine(gen_random_regular_graph(n, 52, seed=graph_seed), prof)
@@ -246,12 +256,15 @@ def churned_engine(n, graph_seed, churn_seed, ops):
                 eng.remove_path(resolve_ref(eng, cmd.ref))
         except (CallerError, ExpansionViolation):
             pass
+        after(eng)
     return eng
 
 
 def loaded_engine():
     eng = churned_engine(600, 21, 5, 300)
     assert eng.verify().ok and eng.ledger.paths
+    # no B stock, as in every desk engine: the audits check B's counters as all 0
+    assert not (eng.out_oracle.b.members() or eng.in_oracle.b.members())
     return eng
 
 
@@ -267,6 +280,14 @@ def free_edge(orc, edges=None):
 
 def first(flags, want=True):
     return next(v for v, x in enumerate(flags) if x == want)
+
+
+def in_f(orc, w):
+    return orc.h.in_deg[w] + orc.b.in_deg[w]
+
+
+def out_f(orc, v):
+    return orc.h.out_deg[v] + orc.b.out_deg[v]
 
 
 def bump_h_out_deg(orc):
@@ -335,6 +356,55 @@ def in_f_over_cap(orc):
         orc.h.add(free_edge(orc, orc.host.in_adj[w]))
 
 
+# The next two break one cap alone: counters, Sat, sat_out and Low stay
+# consistent, so only the audit's C-level cap test over the edge ends sends
+# it into its per-vertex rules.
+
+
+def out_f_alone_over_cap(orc):
+    """H edges out of a vertex not in Low, each to a head that can take it
+    with its Sat flag right (in_F stays below the threshold, or the head is
+    in Sat and stays within in_cap), until its out_F passes out_cap."""
+    host, prof = orc.host, orc.profile
+    room = [(prof.in_cap if orc.sat[w] else ceil(prof.sat_threshold) - 1) - in_f(orc, w) for w in range(host.n)]
+    for v in range(host.n):
+        need = prof.out_cap + 1 - out_f(orc, v)
+        left = room[:]
+        picks = []
+        for e in host.out_adj[v]:
+            if orc.state[e] == 0 and left[host.heads[e]] > 0:
+                left[host.heads[e]] -= 1
+                picks.append(e)
+        if not orc.low[v] and len(picks) >= need:
+            for e in picks[:need]:
+                orc.h.add(e)
+            return v
+    raise AssertionError("no vertex can pass out_cap alone")
+
+
+def in_f_alone_over_cap(orc):
+    """H edges into a Sat vertex (it stays in Sat), each from a tail not in
+    Low that stays within out_cap, until its in_F passes in_cap."""
+    host, prof = orc.host, orc.profile
+    room = [0 if orc.low[u] else prof.out_cap - out_f(orc, u) for u in range(host.n)]
+    for w in positions(orc.sat):
+        need = prof.in_cap + 1 - in_f(orc, w)
+        left = room[:]
+        picks = []
+        for e in host.in_adj[w]:
+            if orc.state[e] == 0 and left[host.tails[e]] > 0:
+                left[host.tails[e]] -= 1
+                picks.append(e)
+        if len(picks) >= need:
+            for e in picks[:need]:
+                orc.h.add(e)
+            return w
+    raise AssertionError("no Sat vertex can pass in_cap alone")
+
+
+CAP_ALONE_CORRUPTIONS = [out_f_alone_over_cap, in_f_alone_over_cap]
+
+
 # The next three leave every counter equal to its recount, sat_out too, so
 # the audit looks only at the H and B endpoints plus the Sat and Low ids;
 # each plants or makes due a flag at a vertex no H or B edge touches.
@@ -373,14 +443,10 @@ def low_due_at_untouched_vertex(orc):
     counters kept, until u's recomputed Low flag is due; u stays untouched."""
     host, prof = orc.host, orc.profile
     u = untouched_vertex(orc)
-
-    def in_f(w):
-        return orc.h.in_deg[w] + orc.b.in_deg[w]
-
     for w in dict.fromkeys(host.heads[e] for e in host.out_adj[u]):
-        while w != u and in_f(w) < prof.sat_threshold:
+        while w != u and in_f(orc, w) < prof.sat_threshold:
             orc.h.add(free_edge(orc, [e for e in host.in_adj[w] if host.tails[e] != u]))
-        if sum(in_f(host.heads[e]) >= prof.sat_threshold for e in host.out_adj[u]) >= prof.low_threshold:
+        if sum(in_f(orc, host.heads[e]) >= prof.sat_threshold for e in host.out_adj[u]) >= prof.low_threshold:
             return u
     raise AssertionError("vertex %d never came due for Low" % u)
 
@@ -413,6 +479,7 @@ ORACLE_CORRUPTIONS = [
     in_f_over_cap,
     in_deg_plus_minus_at_untouched_vertices,
     *UNTOUCHED_CORRUPTIONS,
+    *CAP_ALONE_CORRUPTIONS,
 ]
 
 ORACLE_COMBINATIONS = [
@@ -462,6 +529,58 @@ def test_audit_sees_flags_where_no_edge_ends(corrupt):
     findings = assert_audit_matches_reference(orc)
     assert not any("counter" in f for f in findings)
     assert any(" at %d: " % v in f for f in findings)
+
+
+@pytest.mark.parametrize("corrupt", CAP_ALONE_CORRUPTIONS, ids=lambda f: f.__name__)
+def test_audit_sees_a_cap_broken_alone(corrupt):
+    orc = loaded_oracle()
+    v = corrupt(orc)
+    findings = assert_audit_matches_reference(orc)
+    side = "out" if corrupt is out_f_alone_over_cap else "in"
+    assert len(findings) == 1 and findings[0].startswith("%s_F(%d)=" % (side, v))
+
+
+def audit_counting_rule_loop(orc):
+    """`orc.audit` of H's members, and the line events, counted with
+    `sys.settrace`, of the header of its per-vertex rule loop: 0 unless the
+    audit entered that loop."""
+    lines, start = inspect.getsourcelines(EdgeOracle.audit)
+    loop = start + next(i for i, line in enumerate(lines) if line.strip() == "for v in vertices:")
+    entries = []
+
+    def in_audit(frame, event, arg):
+        if event == "line" and frame.f_lineno == loop:
+            entries.append(loop)
+        return in_audit
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_audit if frame.f_code is EdgeOracle.audit.__code__ else None)
+    try:
+        rep = orc.audit(orc.h.members())
+    finally:
+        sys.settrace(previous)
+    return rep, len(entries)
+
+
+def test_clean_audits_never_enter_the_vertex_rules():
+    # after every request of a churn both clean audits answer from their
+    # C-level tests alone; a cap or stock rule broken alone sends the audit
+    # into its per-vertex rule loop, which names the vertex
+    audits, stocked = [], []
+
+    def audit(orc):
+        audits.append(audit_counting_rule_loop(orc))
+        stocked.append(len(orc.b))
+
+    churned_engine(300, 1, 7, 200, lambda eng: (audit(eng.out_oracle), audit(eng.in_oracle)))
+    loaded_oracle(audit)  # desk engines hold no B stock; this churn does
+    assert len(audits) == 500 and max(stocked) > 0
+    assert all(rep.ok and entries == 0 for rep, entries in audits)
+    for corrupt in (*CAP_ALONE_CORRUPTIONS, stock_on_unbuffered_vertex):
+        orc = loaded_oracle()
+        corrupt(orc)
+        rep, entries = audit_counting_rule_loop(orc)
+        assert not rep.ok and entries > 0
 
 
 def test_h_edge_rewritten_to_b_fails_both_recounts():
@@ -593,6 +712,16 @@ def ps_plus_minus_at_untouched_vertices(eng):
     ps[w] -= 1
 
 
+def b_out_counter_set_while_b_empty(eng):
+    # with no B ids the audit checks B's counters as all 0, without a
+    # recount, and a counter set off 0 must still disagree
+    eng.out_oracle.b.out_deg[next(iter(eng.ledger.paths.values())).a] += 1
+
+
+def b_in_counter_set_while_b_empty(eng):
+    eng.in_oracle.b.in_deg[3] -= 1
+
+
 ENGINE_CORRUPTIONS = [
     h1_imbalance,
     h2_imbalance,
@@ -611,6 +740,8 @@ ENGINE_CORRUPTIONS = [
     seg_mid_lists_a_free_edge,
     tree_segments_swapped,
     ps_plus_minus_at_untouched_vertices,
+    b_out_counter_set_while_b_empty,
+    b_in_counter_set_while_b_empty,
 ]
 
 ENGINE_COMBINATIONS = [
@@ -647,6 +778,9 @@ def test_verify_matches_reference_on_corruptions(corruptions):
         count, size = len(eng.ledger.paths), len(eng.h3)
         assert size * eng.profile.beta < 300 * count
         assert "H3 size %d exceeds %d paths x depth budget" % (size, count) in findings
+    for corrupt, side in ((b_out_counter_set_while_b_empty, "out"), (b_in_counter_set_while_b_empty, "in")):
+        if corrupt in corruptions:  # the out-oracle's out-degree, the in-oracle's in-degree
+            assert "%s-oracle: B %s-degree counters disagree with recount" % (side, side) in findings
     if r_below_live_count in corruptions:
         count = len(eng.ledger.paths)
         assert "live path count %d exceeds the volume cap r=%d" % (count, count - 1) in findings

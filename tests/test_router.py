@@ -612,11 +612,11 @@ def test_no_link_search_repeats_within_a_find():
 def test_engine_from_a_file_holds_one_object_per_id(tmp_path):
     # parse_graph interns the vertex ids and every graph takes its edge ids
     # from one table, so each graph and row a build derives copies the same
-    # int object for equal ids
+    # int object for equal ids, the vertex at the head of each step row too
     save_graph(tmp_path / "g.txt", gen_random_regular_graph(600, 31, seed=11))
     eng = RoutingEngine(load_graph(tmp_path / "g.txt"), desk_profile(600, 31))
     graphs = [eng.split.host, eng.split.g1, eng.split.g2, eng.split.g3]
-    rows = [eng.out_oracle._in_tails, eng.in_oracle._in_tails, eng.g3_out, eng.g3_in]
+    rows = [eng.out_oracle._in_tails, eng.in_oracle._in_tails, eng.g3_out, eng.g3_in, eng.step_out, eng.step_in]
     vertices = chain(*(chain(g.tails, g.heads) for g in graphs), *(chain.from_iterable(r) for r in rows))
     edges = chain.from_iterable(chain.from_iterable(chain(g.out_adj, g.in_adj)) for g in graphs)
     for ids, count in ((vertices, 600), (edges, eng.split.host.m)):
