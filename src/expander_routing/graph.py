@@ -143,11 +143,16 @@ def positions(flags, value=1):
     return found
 
 
+def gather(seq, ids):
+    """`seq[i]` for each i of the sequence `ids`, as a tuple made in C."""
+    return itemgetter(*ids)(seq) if len(ids) > 1 else tuple(map(seq.__getitem__, ids))
+
+
 class EdgeSubset:
     """Dynamic subset of a fixed digraph's edges.
 
-    O(1) membership plus per-vertex in/out counters that stay consistent
-    with the member set; `recount` rebuilds them from scratch for audits.
+    O(1) membership plus per-vertex in/out byte counters (no owner degree may
+    pass 255) that stay consistent with the member set; `recount` rebuilds them.
     `member` is a bytearray: `member[e]` is the subset's `tag` when e is
     in it and 0 when e is in no subset. Subsets that share one `member`
     array with distinct tags are disjoint by construction: `add` refuses
@@ -162,8 +167,11 @@ class EdgeSubset:
         self.owner = owner
         self.member = bytearray(owner.m) if member is None else member
         self.tag = tag
-        self.out_deg = [0] * owner.n
-        self.in_deg = [0] * owner.n
+        for side, adj in (("out", owner.out_adj), ("in", owner.in_adj)):
+            if (top := max(deg := [*map(len, adj)], default=0)) > 255:
+                raise CallerError("vertex %d has %s-degree %d, over a byte's 255" % (deg.index(top), side, top))
+        self.out_deg = bytearray(owner.n)
+        self.in_deg = bytearray(owner.n)
         self._size = 0
 
     def add(self, e):
@@ -193,15 +201,13 @@ class EdgeSubset:
         """Whether the members are exactly `ids`, a list that repeats no id:
         as many ids as tags, all in range and tagged, checked in C."""
         member, tag = self.member, self.tag
-        if len(ids) < 2:  # itemgetter of fewer than two ids returns no tuple
-            return self.members() == sorted(ids)
-        return (member.count(tag) == len(ids) and 0 <= min(ids) and max(ids) < len(member)
-                and itemgetter(*ids)(member).count(tag) == len(ids))
+        return (member.count(tag) == len(ids) and (not ids or 0 <= min(ids) and max(ids) < len(member))
+                and gather(member, ids).count(tag) == len(ids))
 
     def recount(self, ids):
         """Recompute (out_deg, in_deg, size) from the member ids, in any order."""
         tails, heads, n = self.owner.tails, self.owner.heads, self.owner.n
-        out_deg, in_deg = [0] * n, [0] * n
+        out_deg, in_deg = bytearray(n), bytearray(n)
         for e in ids:
             out_deg[tails[e]] += 1
             in_deg[heads[e]] += 1

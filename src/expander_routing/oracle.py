@@ -14,8 +14,8 @@ removals. It maintains:
 Each host edge is in exactly one of three states, kept in one bytearray,
 `state`: 0 free, 1 in H, 2 in B. `h` and `b` are EdgeSubsets that share
 it as their member array with tags 1 and 2, so H and B are disjoint by
-construction and every membership test is one read of `state[e]`. Sat
-and Low are bytearrays too, so `audit`'s Python work follows the live state.
+construction and every membership test is one read of `state[e]`. Sat, Low
+and every counter are bytearrays too, so `audit`'s work follows the live state.
 
 When a vertex joins Low its buffer is topped up to the out-degree cap by
 alternating walks: chains that alternate free host edges (traversed
@@ -63,12 +63,12 @@ on the instance (`_rebalance` calls it through the instance) and run
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from math import ceil
 from operator import add, le, ne
 
 from .errors import CallerError, ExpansionViolation
-from .graph import Digraph, EdgeSubset, positions
+from .graph import Digraph, EdgeSubset, gather, positions
 from .profiles import OracleProfile
 
 
@@ -96,7 +96,7 @@ class EdgeOracle:
         self.sat = bytearray(host.n)
         self.low = bytearray(host.n)
         # sat_out[v] = number of host out-edges of v whose head is saturated
-        self.sat_out = [0] * host.n
+        self.sat_out = bytearray(host.n)
         # in_tails[w] = the tails of w's in-edges, the sat_out entries w moves;
         # fixed tuples, which the cyclic GC stops tracking
         self._in_tails = [tuple(map(host.tails.__getitem__, in_adj)) for in_adj in host.in_adj]
@@ -446,12 +446,12 @@ class EdgeOracle:
 
         `h_ids` are H's members in any order, as the caller holds them
         (`RoutingEngine.verify`: the union of the stored tree segments once
-        it equals H). Counter lists are compared whole with their recounts,
-        in C, or, for a subset with no ids, checked to be all 0. While they
-        agree, in_F and out_F are 0 off the heads and tails of H and B
-        edges, so Sat is recomputed in C from in_F at those heads (else at
-        every vertex); sat_out and Low follow from the Sat ids, and Low is
-        compared by memcmp, since a Low flag can fall due where no edge ends.
+        it equals H). Counters are bytearrays, compared whole with their
+        recounts by memcmp. While they agree, in_F and out_F are 0 off the
+        heads and tails of H and B edges, so Sat is recomputed in C from
+        in_F at those heads (else at every vertex); sat_out and Low follow
+        from the Sat ids, and Low is compared by memcmp too, since a Low
+        flag can fall due where no edge ends.
 
         The per-vertex rules loop over those ends and the Sat and Low ids
         (every vertex once a counter disagrees), and only once something is
@@ -470,12 +470,8 @@ class EdgeOracle:
         h, b, sat, low, sat_out = self.h, self.b, self.sat, self.low, self.sat_out
         b_ids = b.members()
         for name, sub, ids in (("H", h, h_ids), ("B", b, b_ids)):
-            if ids:
-                out_deg, in_deg, size = sub.recount(ids)
-                agree = out_deg == sub.out_deg, in_deg == sub.in_deg
-            else:
-                agree, size = (sub.out_deg.count(0) == n, sub.in_deg.count(0) == n), 0
-            for side, ok in zip(("out", "in"), agree):
+            out_deg, in_deg, size = sub.recount(ids)
+            for side, ok in zip(("out", "in"), (out_deg == sub.out_deg, in_deg == sub.in_deg)):
                 if not ok:
                     findings.append("%s %s-degree counters disagree with recount" % (name, side))
             if size != len(sub):
@@ -483,8 +479,9 @@ class EdgeOracle:
         counted = not findings  # the counters equal their recount from the ids
         h_in, b_in, h_out, b_out = h.in_deg, b.in_deg, h.out_deg, b.out_deg
         sat_min, low_min = self._sat_min, self._low_min
-        heads = list(map(host.heads.__getitem__, chain(h_ids, b_ids))) if counted else range(n)
-        heads_in_f = list(map(add, map(h_in.__getitem__, heads), map(b_in.__getitem__, heads)))
+        ends = [*h_ids, *b_ids]  # the H and B edge ids, whose heads and tails are gathered in C
+        heads, tails = (gather(host.heads, ends), gather(host.tails, ends)) if counted else (range(n), range(n))
+        heads_in_f = list(map(add, gather(h_in, heads), gather(b_in, heads)))
         sat_ids, low_ids = positions(sat), positions(low)
         sat_expected = sorted(set(compress(heads, map(le, repeat(sat_min), heads_in_f))))
         sat_out_maintained, low_expected = self._sat_out_from(sat_ids)
@@ -518,8 +515,7 @@ class EdgeOracle:
                 "sat_out counter at %d: maintained=%d recomputed=%d"
                 % (bad, sat_out[bad], sat_out_maintained[bad])
             )
-        tails = list(map(host.tails.__getitem__, chain(h_ids, b_ids))) if counted else range(n)
-        top_out_f = max(map(add, map(h_out.__getitem__, tails), map(b_out.__getitem__, tails)), default=0)
+        top_out_f = max(map(add, gather(h_out, tails), gather(b_out, tails)), default=0)
         stock_off_low = not all(map(low.__getitem__, map(host.tails.__getitem__, b_ids)))
         if not (findings or max(heads_in_f, default=0) > in_cap or top_out_f > out_cap or stock_off_low):
             return Findings(findings)  # no per-vertex rule can fire (see above)
@@ -540,8 +536,8 @@ class EdgeOracle:
 
     def _sat_out_from(self, heads):
         """sat_out recounted as if exactly `heads` were saturated, and the
-        Low flags (a bytearray) that count implies."""
-        sat_out = [0] * self.host.n
+        Low flags that count implies, both bytearrays."""
+        sat_out = bytearray(self.host.n)
         low = bytearray(self.host.n)
         low_min = self._low_min
         for w in heads:

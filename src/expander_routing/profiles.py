@@ -65,7 +65,7 @@ class RouterProfile:
     relaxed: bool
     d_prime: int
     fanout: int               # oracle requests per dequeued vertex
-    endpoint_cap: int         # a vertex may start (end) strictly fewer paths
+    endpoint_cap: int         # a vertex may start (end) strictly fewer paths; at most 255
     r: int                    # live-path volume cap; |H1|, |H2|, |H3| <= r * depth_cap
     oracle: OracleProfile     # thresholds of both oracles
 
@@ -80,6 +80,8 @@ class RouterProfile:
             least = 1 if key in ("n", "d_prime", "fanout", "endpoint_cap") else 0
             if isinstance(value, int) and value < least:
                 raise CallerError("profile field %s must be at least %d, got %d" % (key, least, value))
+            if key == "endpoint_cap" and value > 255:  # the ledger counts path ends in bytes
+                raise CallerError("profile field endpoint_cap must be at most 255, got %d" % value)
             if isinstance(value, Fraction) and value <= 0:
                 raise CallerError("profile field %s must be positive, got %s" % (key, value))
         if self.k - 2 * self.d_prime < 1:

@@ -73,9 +73,9 @@ class PathRecord:
 class Ledger:
     """The game's rules and the live paths they are checked against.
 
-    `paths` maps id -> PathRecord in creation order; `ps[v]` (`pe[v]`)
-    counts the live paths that start (end) at v. Ids count the finds
-    added here, so they number served finds only.
+    `paths` maps id -> PathRecord in creation order; bytearray `ps` (`pe`)
+    counts the live paths that start (end) at each vertex. Ids count served
+    finds only; ids and endpoints are integers (what `operator.index` takes).
     """
 
     def __init__(self, n, endpoint_cap, r):
@@ -83,14 +83,16 @@ class Ledger:
         self.endpoint_cap = endpoint_cap
         self.r = r
         self.paths = {}
-        self.ps = [0] * n
-        self.pe = [0] * n
+        self.ps = bytearray(n)
+        self.pe = bytearray(n)
         self.next_id = 0
 
     def violation(self, a, b):
         """The rule find(a, b) breaks now, or None: endpoints in range and
         distinct, each in fewer than endpoint_cap live paths starting (ps)
         or ending (pe) there, fewer than r live paths before this one."""
+        if not (hasattr(type(a), "__index__") and hasattr(type(b), "__index__")):
+            return "endpoints must be integers, got %r and %r" % (a, b)
         if not (0 <= a < self.n and 0 <= b < self.n):
             return "endpoint out of range"
         if a == b:
@@ -114,9 +116,9 @@ class Ledger:
 
     def remove(self, path_id):
         """Drop a live path; returns its record. CallerError if it is not live."""
-        rec = self.paths.pop(path_id, None)
+        rec = self.paths.pop(path_id, None) if hasattr(type(path_id), "__index__") else None
         if rec is None:
-            raise CallerError("unknown path id %s" % path_id)
+            raise CallerError("unknown path id %r" % (path_id,))
         self.ps[rec.a] -= 1
         self.pe[rec.b] -= 1
         return rec
@@ -383,10 +385,16 @@ class RoutingEngine:
 
         # depth_cap hops is the budget of each segment, tree or connector
         depth_cap, len_cap = prof.depth_cap, prof.path_len_cap
-        ps_expected, pe_expected = [0] * self.n, [0] * self.n
+        ps_expected, pe_expected = bytearray(self.n), bytearray(self.n)
         for rec in recs:
-            ps_expected[rec.a] += 1
-            pe_expected[rec.b] += 1
+            try:
+                ps_expected[rec.a] += 1
+            except ValueError:  # past 255 paths at one end a list counts on, equal to no ledger bytearray
+                ps_expected = list(ps_expected)
+            try:
+                pe_expected[rec.b] += 1
+            except ValueError:
+                pe_expected = list(pe_expected)
             verts, problem = self._walk(rec)
             if problem:
                 findings.append("path %d: %s" % (rec.id, problem))

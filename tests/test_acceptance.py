@@ -358,7 +358,7 @@ def test_criterion_8_determinism(suite3):
         assert report.failures == [] and report.verify_findings == 0
         state = [engine.h3.members()]
         for oracle in (engine.out_oracle, engine.in_oracle):
-            state += [dump(oracle), oracle.sat_out]
+            state += [dump(oracle), list(oracle.sat_out)]
         work = (
             engine.oracle_call_counts(),
             (engine.out_oracle.low_additions, engine.in_oracle.low_additions),

@@ -33,7 +33,7 @@ from expander_routing.graph import positions
 from expander_routing.harness import gen_workload, resolve_ref
 from expander_routing.oracle import EdgeOracle
 from expander_routing.profiles import OracleProfile, desk_profile
-from expander_routing.router import RoutingEngine
+from expander_routing.router import PathRecord, RoutingEngine
 
 # --- references: one Python pass over all m edges / all n vertices per rule ---
 
@@ -64,9 +64,9 @@ def reference_audit(orc, quiescent=True):
     prof = orc.profile
     for name, sub in (("H", orc.h), ("B", orc.b)):
         out_deg, in_deg, size = reference_recount(sub)
-        if out_deg != sub.out_deg:
+        if out_deg != list(sub.out_deg):
             findings.append("%s out-degree counters disagree with recount" % name)
-        if in_deg != sub.in_deg:
+        if in_deg != list(sub.in_deg):
             findings.append("%s in-degree counters disagree with recount" % name)
         if size != len(sub):
             findings.append("%s size %d != recounted %d" % (name, len(sub), size))
@@ -101,7 +101,7 @@ def reference_audit(orc, quiescent=True):
     for e in range(host.m):
         if orc.sat[host.heads[e]]:
             sat_out_maintained[host.tails[e]] += 1
-    if sat_out_maintained != orc.sat_out:
+    if sat_out_maintained != list(orc.sat_out):
         bad = next(v for v in range(n) if sat_out_maintained[v] != orc.sat_out[v])
         findings.append(
             "sat_out counter at %d: maintained=%d recomputed=%d"
@@ -196,9 +196,9 @@ def reference_verify(eng):
     for rec in recs:
         ps_expected[rec.a] += 1
         pe_expected[rec.b] += 1
-    if ps_expected != eng.ledger.ps:
+    if ps_expected != list(eng.ledger.ps):
         findings.append("start counters disagree with the ledger")
-    if pe_expected != eng.ledger.pe:
+    if pe_expected != list(eng.ledger.pe):
         findings.append("end counters disagree with the ledger")
     for name, oracle in (("out-oracle", eng.out_oracle), ("in-oracle", eng.in_oracle)):
         oracle_findings, low_count = reference_audit(oracle)
@@ -452,10 +452,11 @@ def low_due_at_untouched_vertex(orc):
 
 
 def in_deg_plus_minus_at_untouched_vertices(orc):
-    # +1 and -1 where no H or B edge ends: the in-degrees still sum to |H|
-    v, w = [v for v in range(orc.host.n) if not touched(orc, v)][:2]
+    # +1 where no H or B edge ends, -1 at the head of an H edge (a byte
+    # counter cannot go below 0): the in-degrees still sum to |H|
+    v = next(v for v in range(orc.host.n) if not touched(orc, v))
     orc.h.in_deg[v] += 1
-    orc.h.in_deg[w] -= 1
+    orc.h.in_deg[orc.host.heads[orc.h.members()[0]]] -= 1
 
 
 UNTOUCHED_CORRUPTIONS = [sat_at_untouched_vertex, low_at_untouched_vertex, low_due_at_untouched_vertex]
@@ -603,8 +604,13 @@ def h1_imbalance(eng):
 
 
 def h2_imbalance(eng):
+    # out - in rises by 3 at the vertex: in-degree lowered as far as a byte
+    # counter goes (to 0 at most), out-degree raised by the rest
     rec = next(r for r in reversed(list(eng.ledger.paths.values())) if r.seg_b)
-    eng.in_oracle.h.in_deg[eng.in_oracle.host.heads[rec.seg_b[0]]] -= 3
+    h, v = eng.in_oracle.h, eng.in_oracle.host.heads[rec.seg_b[0]]
+    lowered = min(3, h.in_deg[v])
+    h.in_deg[v] -= lowered
+    h.out_deg[v] += 3 - lowered
 
 
 def h1_in_degree_over_cap(eng):
@@ -619,11 +625,11 @@ def pe_off_by_one(eng):
     eng.ledger.pe[3] += 1
 
 
-def ps_below_zero_at_untouched_vertex(eng):
+def ps_raised_at_untouched_vertex(eng):
     # the audits' vertices hold no v like this one: only the ps check sends
     # verify's H rules over every vertex
     v = next(v for v in range(eng.n) if not (touched(eng.out_oracle, v) or touched(eng.in_oracle, v)))
-    eng.ledger.ps[v] -= 1
+    eng.ledger.ps[v] += 1
 
 
 def out_oracle_sat_planted(eng):
@@ -704,22 +710,24 @@ def tree_segments_swapped(eng):
 
 
 def ps_plus_minus_at_untouched_vertices(eng):
-    # +1 and -1 where no path starts and no H edge ends: ps still sums to |P|
-    ps = eng.ledger.ps
-    v, w = [v for v in range(eng.n)
-            if not (ps[v] or touched(eng.out_oracle, v) or touched(eng.in_oracle, v))][:2]
+    # +1 where no path starts and no H edge ends, -1 where a path starts (a
+    # byte counter cannot go below 0): ps still sums to |P|. The -1 skips the
+    # first path's start, which ps_off_by_one lowers
+    ps, first_a = eng.ledger.ps, next(iter(eng.ledger.paths.values())).a
+    v = next(v for v in range(eng.n)
+             if not (ps[v] or touched(eng.out_oracle, v) or touched(eng.in_oracle, v)))
     ps[v] += 1
-    ps[w] -= 1
+    ps[next(w for w in range(eng.n) if ps[w] and w not in (v, first_a))] -= 1
 
 
 def b_out_counter_set_while_b_empty(eng):
-    # with no B ids the audit checks B's counters as all 0, without a
-    # recount, and a counter set off 0 must still disagree
+    # with no B ids the audit's recount is all 0, and a counter set off 0
+    # must disagree with it
     eng.out_oracle.b.out_deg[next(iter(eng.ledger.paths.values())).a] += 1
 
 
 def b_in_counter_set_while_b_empty(eng):
-    eng.in_oracle.b.in_deg[3] -= 1
+    eng.in_oracle.b.in_deg[3] += 1
 
 
 ENGINE_CORRUPTIONS = [
@@ -728,7 +736,7 @@ ENGINE_CORRUPTIONS = [
     h1_in_degree_over_cap,
     ps_off_by_one,
     pe_off_by_one,
-    ps_below_zero_at_untouched_vertex,
+    ps_raised_at_untouched_vertex,
     out_oracle_sat_planted,
     in_oracle_h_bit_without_counters,
     h3_edge_dropped,
@@ -786,6 +794,22 @@ def test_verify_matches_reference_on_corruptions(corruptions):
         assert "live path count %d exceeds the volume cap r=%d" % (count, count - 1) in findings
 
 
+def test_more_live_paths_at_one_end_than_a_byte_counts_is_a_finding():
+    # 300 stored paths out of vertex 0, to distinct ends with pe kept right:
+    # ps[0] cannot hold 300, so verify's byte recount passes 255 and must
+    # report the start counters, not raise ValueError
+    eng = RoutingEngine(gen_random_regular_graph(600, 30, seed=3), desk_profile(600, 30))
+    ledger = eng.ledger
+    for b in range(1, 301):
+        ledger.paths[b] = PathRecord(b, 0, b, (), (), ())
+        ledger.pe[b] += 1
+    ledger.ps[0] = 255
+    findings = eng.verify().findings
+    assert findings == reference_verify(eng)
+    assert "start counters disagree with the ledger" in findings
+    assert "end counters disagree with the ledger" not in findings
+
+
 def test_an_id_outside_its_subgraph_is_a_finding_not_a_crash():
     eng = RoutingEngine(gen_random_regular_graph(150, 30, seed=3), desk_profile(150, 30))
     rec = eng.find_path(1, 2)
@@ -813,7 +837,7 @@ def test_verify_matches_reference_on_drawn_states(n, graph_seed, churn_seed, ops
     for corrupt in corruptions:
         try:
             corrupt(eng)
-        except StopIteration:  # no stored path has the segment it corrupts
+        except StopIteration:  # no stored path or vertex has what it corrupts
             assume(False)
     assert eng.verify().findings == reference_verify(eng)
 
@@ -853,6 +877,6 @@ def test_vertex_rules_never_fire_alone_on_drawn_states(n, graph_seed, churn_seed
     for corrupt in corruptions:
         try:
             corrupt(eng)
-        except StopIteration:  # no stored path has the segment it corrupts
+        except StopIteration:  # no stored path or vertex has what it corrupts
             assume(False)
     assert not vertex_rules_fire_alone(reference_verify(eng))

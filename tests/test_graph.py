@@ -9,6 +9,7 @@ from expander_routing.graph import (
     EdgeSubset,
     UndirectedGraph,
     format_graph,
+    gather,
     parse_graph,
     reverse,
 )
@@ -131,6 +132,28 @@ def test_subset_double_add_raises(triangle):
         sub.add(0)
     with pytest.raises(CallerError):
         sub.remove(1)
+
+
+@pytest.mark.parametrize("ids", [[], [3], [3, 0], [4, 4, 1], range(5)])
+def test_gather_reads_each_id_as_a_tuple(ids):
+    # itemgetter returns no tuple for fewer than two ids; gather always does
+    for seq in ([10, 11, 12, 13, 14], bytearray(b"\x0a\x0b\x0c\x0d\x0e")):
+        assert gather(seq, ids) == tuple(10 + i for i in ids)
+
+
+def test_subset_refuses_a_degree_its_byte_counters_cannot_hold():
+    # 256 parallel edges 0 -> 1 give vertex 0 out-degree 256; 256 edges into
+    # vertex 0 from distinct tails give it in-degree 256 and no out-degree over 1
+    with pytest.raises(CallerError, match=r"^vertex 0 has out-degree 256, over a byte.s 255$"):
+        EdgeSubset(Digraph(2, [(0, 1)] * 256))
+    with pytest.raises(CallerError, match=r"^vertex 0 has in-degree 256, over a byte.s 255$"):
+        EdgeSubset(Digraph(257, [(v, 0) for v in range(1, 257)]))
+    # 255 of them fit: every edge added, both counters read 255 and match the recount
+    sub = EdgeSubset(Digraph(2, [(0, 1)] * 255))
+    for e in range(255):
+        sub.add(e)
+    assert (sub.out_deg[0], sub.in_deg[1]) == (255, 255)
+    assert sub.recount(sub.members()) == (sub.out_deg, sub.in_deg, 255)
 
 
 @settings(max_examples=60)

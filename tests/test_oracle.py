@@ -745,7 +745,7 @@ class OracleMachine(RuleBasedStateMachine):
         assert len(edges) <= fanout * vertex_cap
         with ref.request_log():
             assert tree_by_single_adds(ref, {root: None}, *args) == (edges, parent)
-        assert (dump(ref), ref.sat_out, _counters(ref)) == (*self._state(), _counters(self.orc))
+        assert (dump(ref), list(ref.sat_out), _counters(ref)) == (*self._state(), _counters(self.orc))
         kept = data.draw(st.sets(st.sampled_from(edges))) if edges else set()
         self.orc.release([e for e in edges if e not in kept])
         report = self.orc.audit(self.orc.h.members())

@@ -611,6 +611,15 @@ def test_router_profile_rejects_zero(field):
         parse_profile(text)
 
 
+def test_router_profile_rejects_an_endpoint_cap_a_byte_cannot_count():
+    # the ledger counts live path ends per vertex in bytes: 255 is the largest cap
+    assert dataclasses.replace(desk_profile(600, 30), endpoint_cap=255).endpoint_cap == 255
+    with pytest.raises(CallerError, match=r"^profile field endpoint_cap must be at most 255, got 256$"):
+        dataclasses.replace(desk_profile(600, 30), endpoint_cap=256)
+    with pytest.raises(FormatError, match=r"\bendpoint_cap\b.*at most 255"):
+        parse_profile(_desk_file_with("endpoint_cap", 256))
+
+
 @pytest.mark.parametrize(
     "text",
     [

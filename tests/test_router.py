@@ -110,6 +110,29 @@ def test_remove_unknown_id():
     assert state_snapshot(eng) == before
 
 
+@pytest.mark.parametrize("call, args", [("find_path", (1.5, 2)), ("find_path", ("1", 2)),
+                                        ("find_path", (1, 2.0)), ("remove_path", (0.0,))])
+def test_non_integer_endpoint_or_id_refused_without_mutation(call, args):
+    # 0.0 hashes as path id 0 and 1.5 would fail as a list index: the ledger
+    # refuses both, as a CallerError before any change
+    eng = small_engine()
+    eng.find_path(1, 2)
+    before = state_snapshot(eng)
+    with pytest.raises(CallerError, match="integer|unknown path id"):
+        getattr(eng, call)(*args)
+    assert state_snapshot(eng) == before
+
+
+def test_index_like_endpoints_and_ids_still_served():
+    # what operator.index takes, bools and numpy ints, stays an endpoint or id
+    np = pytest.importorskip("numpy")
+    eng = small_engine()
+    rec = eng.find_path(np.int64(5), True)
+    assert (rec.a, rec.b, eng.ledger.ps[5], eng.ledger.pe[1]) == (5, 1, 1, 1)
+    eng.remove_path(np.int64(rec.id))
+    assert not eng.ledger.paths and eng.verify().ok
+
+
 def test_find_remove_round_trip():
     eng = small_engine()
     rec = eng.find_path(2, 60)
@@ -118,7 +141,7 @@ def test_find_remove_round_trip():
     assert len(eng.out_oracle.h) == 0
     assert len(eng.in_oracle.h) == 0
     assert len(eng.h3) == 0
-    assert eng.ledger.ps == [0] * eng.n and eng.ledger.pe == [0] * eng.n
+    assert list(eng.ledger.ps) == [0] * eng.n and list(eng.ledger.pe) == [0] * eng.n
     assert eng.verify().ok
 
 
