@@ -134,14 +134,15 @@ def _percentile(sorted_values, p):
 
 
 def resolve_ref(engine: RoutingEngine, ref):
-    """Path id, or negative index from the most recent live path."""
+    """Path id, or negative index from the most recent live path: only
+    `engine.ledger.resolve(ref)`, kept because perfbench/run.py imports it."""
     return engine.ledger.resolve(ref)
 
 
 def _engine_id(engine, served, ref):
     """Engine id of a remove ref; served[i] is trace id i's engine id, None if its find failed."""
     if ref < 0:
-        return resolve_ref(engine, ref)
+        return engine.ledger.resolve(ref)
     path_id = served[ref] if ref < len(served) else -1
     if path_id is None:
         raise CallerError("path id %d was never served: its find failed" % ref)

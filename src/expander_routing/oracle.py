@@ -34,16 +34,17 @@ tie-break). Every other choice (vertex scans, backward walk steps)
 follows host adjacency order or ascending vertex ids, so runs are
 deterministic.
 
-Every mutation an add makes goes to an undo log of membership deltas,
-one log per request (`request_log`). An exception inside replays the
-whole log backwards, which leaves the structure exactly as it was when
-the log opened. `add_edge` is a request of its own: it opens its own
-log, so it is refused while one is open, and a failed add leaves no
-trace and raises ExpansionViolation. The log holds additions only:
-`release` (and so `remove_edge`) raises CallerError while a log is
-open, so a request hands its unused edges back after its log closes.
-The log is also where `add_calls` counts: each edge that entered H
-counts once, when the log closes over it or a rollback undoes it.
+Every mutation an add makes goes to an undo log, one log per request
+(`request_log`), as an entry `(undo, *args)` whose call undoes it. An
+exception inside replays the whole log backwards, which leaves the
+structure exactly as it was when the log opened. `add_edge` is a
+request of its own: it opens its own log, so it is refused while one is
+open, and a failed add leaves no trace and raises ExpansionViolation.
+The log holds additions only: `release` (and so `remove_edge`) raises
+CallerError while a log is open, so a request hands its unused edges
+back after its log closes. The log is also where `add_calls` counts:
+each edge that entered H counts once, when the log closes over it or a
+rollback undoes it.
 
 A router request grows two trees and keeps one branch of each, so the
 traffic comes in batches: `grow_tree` is a generator that makes a tree's
@@ -123,15 +124,15 @@ class EdgeOracle:
 
     # --- logged mutation primitives -----------------------------------------
     # Adds always run inside a log and removals never do, so the add-side
-    # primitives always log and `_sat_remove` never does.
+    # primitives always log their undo and `_sat_remove` never logs.
 
     def _b_add(self, e):
         self.b.add(e)
-        self._undo.append(("b+", e))
+        self._undo.append((self.b.remove, e))
 
     def _b_remove(self, e):
         self.b.remove(e)
-        self._undo.append(("b-", e))
+        self._undo.append((self.b.add, e))
 
     def _sat_add(self, w):
         self.sat[w] = 1
@@ -140,7 +141,7 @@ class EdgeOracle:
             sat_out[u] += 1
             if sat_out[u] >= low_min and not low[u]:
                 self._low_pending.add(u)
-        self._undo.append(("s+", w))
+        self._undo.append((self._sat_remove, w))
 
     def _sat_remove(self, w):
         self.sat[w] = 0
@@ -154,9 +155,9 @@ class EdgeOracle:
         """Open an undo log for one request, for use as `with
         oracle.request_log():`; an exception in the block rolls back every
         mutation made inside it. `add_calls` counts an edge that entered H
-        when it leaves the log: at close if kept (|H| grows only while a
-        log is open), in `rollback` if undone. A second open while one is
-        open is refused: it would empty the open log."""
+        when it leaves the log: at close if kept, in `rollback` if undone
+        (|H| grows only while a log is open, and only by picks). A second
+        open while one is open is refused: it would empty the open log."""
         if self._undo is not None:
             raise CallerError("request_log: a log is already open")
         self._undo = []
@@ -173,20 +174,12 @@ class EdgeOracle:
         self._undo = None
 
     def rollback(self):
-        """Undo every mutation in the open log."""
+        """Undo every mutation in the open log, last first, counting the
+        edges it takes out of H in `add_calls`."""
         log = self._undo
-        for op, arg in reversed(log):
-            if op == "h+":
-                self.h.remove(arg)
-                self.add_calls += 1
-            elif op == "b+":
-                self.b.remove(arg)
-            elif op == "b-":
-                self.b.add(arg)
-            elif op == "s+":
-                self._sat_remove(arg)
-            else:  # "l+"
-                self.low[arg] = 0
+        self.add_calls += self.h._size - self._h_opened
+        for undo, *args in reversed(log):
+            undo(*args)
         log.clear()
         self._low_pending.clear()
         self._drop_pending.clear()
@@ -230,7 +223,7 @@ class EdgeOracle:
         if undo is None:
             raise CallerError("grow_tree: no open log")
         out_cap = self.profile.out_cap
-        h, state = self.h, self.state
+        h, state, h_remove = self.h, self.state, self.h.remove
         out_deg, in_deg, b_in = h.out_deg, h.in_deg, self.b.in_deg
         sat, low, sat_min = self.sat, self.low, self._sat_min
         heads, pick_order = self.host.heads, self._pick_order
@@ -251,8 +244,6 @@ class EdgeOracle:
                     else:
                         raise ExpansionViolation("pick at vertex %d: buffered vertex has no stock" % u)
                     self._b_remove(e)
-                    h.add(e)
-                    log(("h+", e))
                     w = heads[e]
                 else:
                     for e in pick_order[u]:
@@ -263,16 +254,17 @@ class EdgeOracle:
                             break
                     else:
                         raise ExpansionViolation("pick at vertex %d: all free out-edges saturated" % u)
-                    state[e] = 1
-                    out_deg[u] += 1
-                    in_deg[w] += 1
-                    h._size += 1
-                    log(("h+", e))
-                    # w was not in Sat; only a Sat addition can promote anyone to Low
-                    if in_deg[w] + b_in[w] >= sat_min:
-                        self._sat_add(w)
-                        if self._low_pending:
-                            self._rebalance()
+                state[e] = 1
+                out_deg[u] += 1
+                in_deg[w] += 1
+                h._size += 1
+                log((h_remove, e))
+                # a stock pick moves in_F from B to H, so only a free pick can pass
+                # this; only a Sat addition can promote anyone to Low
+                if in_deg[w] + b_in[w] >= sat_min and not sat[w]:
+                    self._sat_add(w)
+                    if self._low_pending:
+                        self._rebalance()
                 keep(e)
                 if w not in parent:
                     parent[w] = (u, e)
@@ -333,7 +325,7 @@ class EdgeOracle:
             x = min(pending)
             pending.remove(x)
             self.low[x] = 1
-            self._undo.append(("l+", x))
+            self._undo.append((self.low.__setitem__, x, 0))
             self.low_additions += 1
             while h.out_deg[x] + b.out_deg[x] < out_cap:
                 found = self.find_alternating_walk(x)

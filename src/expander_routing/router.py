@@ -79,6 +79,8 @@ class Ledger:
     """
 
     def __init__(self, n, endpoint_cap, r):
+        if endpoint_cap > 255:  # ps and pe count path ends in bytes
+            raise CallerError("endpoint_cap must be at most 255, got %d" % endpoint_cap)
         self.n = n
         self.endpoint_cap = endpoint_cap
         self.r = r
@@ -126,6 +128,8 @@ class Ledger:
     def resolve(self, ref):
         """Path id of a remove ref: the id itself, or a negative index
         counting back through the live paths (-1 = most recent)."""
+        if not hasattr(type(ref), "__index__"):
+            raise CallerError("unknown path id %r" % (ref,))
         if ref >= 0:
             return ref
         if len(self.paths) + ref < 0:

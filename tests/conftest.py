@@ -39,6 +39,25 @@ def dump(oracle):
     return "\n".join(lines) + "\n"
 
 
+def undo_entries(oracle):
+    """An oracle's open undo log as (tag, *args) rows, each tagged by the
+    change its undo reverses: "h+" (undone by h.remove), "b+" (b.remove),
+    "b-" (b.add), "s+" (_sat_remove) or "l+" (low.__setitem__). Rows from
+    two deep copies compare equal, as their bound-method undos never do."""
+    tags = (
+        (oracle.h, "remove", "h+"),
+        (oracle.b, "remove", "b+"),
+        (oracle.b, "add", "b-"),
+        (oracle, "_sat_remove", "s+"),
+        (oracle.low, "__setitem__", "l+"),
+    )
+    rows = []
+    for undo, *args in oracle._undo:
+        (tag,) = [t for owner, name, t in tags if undo.__self__ is owner and undo.__name__ == name]
+        rows.append((tag, *args))
+    return rows
+
+
 def validate_trace(commands, n, endpoint_cap, r):
     """Check every prefix of a trace against the game rules, replayed on a
     `router.Ledger` as the engine keeps it; returns the violations."""

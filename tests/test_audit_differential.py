@@ -30,7 +30,7 @@ from conftest import oriented_host
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.graph import positions
-from expander_routing.harness import gen_workload, resolve_ref
+from expander_routing.harness import gen_workload
 from expander_routing.oracle import EdgeOracle
 from expander_routing.profiles import OracleProfile, desk_profile
 from expander_routing.router import PathRecord, RoutingEngine
@@ -253,7 +253,7 @@ def churned_engine(n, graph_seed, churn_seed, ops, after=lambda eng: None):
             if cmd.kind == "find":
                 eng.find_path(cmd.a, cmd.b)
             else:
-                eng.remove_path(resolve_ref(eng, cmd.ref))
+                eng.remove_path(eng.ledger.resolve(cmd.ref))
         except (CallerError, ExpansionViolation):
             pass
         after(eng)

@@ -8,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import drive, dump, never, one_vertex_tree, oriented_host, tree_by_single_adds
+from conftest import drive, dump, never, one_vertex_tree, oriented_host, tree_by_single_adds, undo_entries
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.graph import Digraph
 from expander_routing.oracle import EdgeOracle
@@ -584,7 +584,7 @@ def _grown(orc, root, vertex_cap, fanout, meets=never, steps=None):
     with orc.request_log():
         drive(orc.grow_tree(parent, edges, vertex_cap, fanout, watched), steps)
         assert asked == [(w, w) for w in list(parent)[1:]]
-        return edges, parent, list(orc._undo)
+        return edges, parent, undo_entries(orc)
 
 
 def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
@@ -601,7 +601,7 @@ def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
             pass
     root = next(v for v in range(60) if base.h.out_deg[v] == 0)
     edges, parent, full_log = _grown(copy.deepcopy(base), root, 40, 2)
-    assert {op for op, _ in full_log} == {"h+", "b+", "b-", "s+", "l+"}
+    assert {op for op, *_ in full_log} == {"h+", "b+", "b-", "s+", "l+"}
     verts = list(parent)
     assert len(verts) > 20
     for k, w in enumerate(verts):
@@ -627,7 +627,7 @@ def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
                 assert tree_by_single_adds(single, {root: None}, 40, 2, meet.__contains__, steps) == (
                     got_edges, got_parent
                 )
-                assert single._undo == log
+                assert undo_entries(single) == log
             assert stopped.add_calls - base.add_calls == kept
             assert (dump(stopped), stopped.sat_out, _counters(stopped)) == (
                 dump(single), single.sat_out, _counters(single)
@@ -656,7 +656,7 @@ class UndoTally(EdgeOracle):
     undone = 0
 
     def rollback(self):
-        self.undone += sum(op == "h+" for op, _ in self._undo)
+        self.undone += sum(undo == self.h.remove for undo, *_ in self._undo)
         super().rollback()
 
 

@@ -15,13 +15,13 @@ from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import depth_capped, dump, never, tree_by_single_adds
+from conftest import depth_capped, dump, never, tree_by_single_adds, undo_entries
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.graph import load_graph, save_graph
 from expander_routing.harness import gen_workload, run_trace
 from expander_routing.profiles import ceil_log2, derive_profile, desk_profile
-from expander_routing.router import MEETING_RADIUS, RoutingEngine
+from expander_routing.router import MEETING_RADIUS, Ledger, RoutingEngine
 
 
 def small_engine(n=150, d=30, seed=21):
@@ -121,6 +121,28 @@ def test_non_integer_endpoint_or_id_refused_without_mutation(call, args):
     with pytest.raises(CallerError, match="integer|unknown path id"):
         getattr(eng, call)(*args)
     assert state_snapshot(eng) == before
+
+
+@pytest.mark.parametrize("ref", ["1", 1.5, None])
+def test_ledger_refuses_a_non_integer_ref(ref):
+    # as remove refuses such an id: "1" failed the >= 0 test with a
+    # TypeError, and 1.5 came back as a path id
+    ledger = Ledger(10, 2, 5)
+    ledger.add(1, 2)
+    ledger.add(3, 4)
+    with pytest.raises(CallerError, match=r"^unknown path id "):
+        ledger.resolve(ref)
+    assert (ledger.resolve(1), ledger.resolve(-2)) == (1, 0)
+
+
+def test_ledger_refuses_an_endpoint_cap_over_a_byte():
+    # ps and pe are bytearrays: a library caller's cap over 255 is refused
+    # before any trace is generated, not partway through with a ValueError
+    assert Ledger(10, 255, 5).endpoint_cap == 255
+    with pytest.raises(CallerError, match=r"^endpoint_cap must be at most 255, got 256$"):
+        Ledger(10, 256, 5)
+    with pytest.raises(CallerError, match=r"^endpoint_cap must be at most 255, got 300$"):
+        gen_workload("hotspot", 600, {"ops": 700, "live_target": 290}, 1, 300, 400)
 
 
 def test_index_like_endpoints_and_ids_still_served():
@@ -811,11 +833,11 @@ def test_failed_find_unwinds_everything():
 
 
 def _watch_rollback(oracle, ops):
-    """Wrap oracle.rollback to collect the ops of each log it undoes."""
+    """Wrap oracle.rollback to collect the tags of each log it undoes."""
     rollback = oracle.rollback
 
     def watched():
-        ops.extend(op for op, _ in oracle._undo)
+        ops.extend(op for op, *_ in undo_entries(oracle))
         return rollback()
 
     return watched
