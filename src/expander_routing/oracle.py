@@ -28,11 +28,12 @@ Edge picks and the forward steps of a walk search scan a vertex's
 out-edges in a fixed pick order: host adjacency order rotated by
 `v mod out-degree` at vertex v. Host adjacency is sorted by head id, so an
 unrotated scan would send every vertex to the same low-id heads first,
-which saturates them together and feeds Low and B (the paper allows any
-free out-edge whose head is not saturated; the order is only a
-tie-break). Every other choice (vertex scans, backward walk steps)
-follows host adjacency order or ascending vertex ids, so runs are
-deterministic.
+which saturates them together and feeds Low and B. The paper allows any
+free out-edge whose head is not saturated; a pick takes the first one in
+pick order whose head lies in the caller's `prefer` set (the router's
+other tree), else the first one. Every other choice (vertex scans,
+backward walk steps) follows host adjacency order or ascending vertex
+ids, so runs are deterministic.
 
 Every mutation an add makes goes to an undo log, one log per request
 (`request_log`), as an entry `(undo, *args)` whose call undoes it. An
@@ -101,11 +102,13 @@ class EdgeOracle:
         # in_tails[w] = the tails of w's in-edges, the sat_out entries w moves;
         # fixed tuples, which the cyclic GC stops tracking
         self._in_tails = [tuple(map(host.tails.__getitem__, in_adj)) for in_adj in host.in_adj]
-        # pick_order[v] = v's out-edges in the order picks and walks scan them
+        # pick_order[v] = v's out-edges in the order picks and walks scan them,
+        # pick_heads[v] their heads, which a pick tests against `prefer` at once
         self._pick_order = [
             (*adj[v % len(adj):], *adj[:v % len(adj)]) if adj else ()
             for v, adj in enumerate(host.out_adj)
         ]
+        self._pick_heads = [gather(host.heads, row) for row in self._pick_order]
         # integer thresholds: an integer x reaches a Fraction t iff x >= ceil(t)
         self._sat_min = ceil(profile.sat_threshold)
         self._low_min = ceil(profile.low_threshold)
@@ -196,11 +199,11 @@ class EdgeOracle:
             raise CallerError("add_edge(%d): out-degree cap %d reached" % (v, prof.out_cap))
         edges = []
         with self.request_log():
-            for _ in self.grow_tree({v: None}, edges, 1, 1, lambda w: False):
+            for _ in self.grow_tree({v: None}, edges, 1, 1, lambda w: False, frozenset()):
                 pass
         return edges[0]
 
-    def grow_tree(self, parent, edges, vertex_cap, fanout, meets):
+    def grow_tree(self, parent, edges, vertex_cap, fanout, meets, prefer):
         """Generator that grows a breadth-first tree of fresh edges out of
         the one key of `parent`, yielding after each dequeued vertex.
 
@@ -209,13 +212,17 @@ class EdgeOracle:
         at most `vertex_cap` vertices were reached, the next dequeued
         vertex asks for up to `fanout` edges, stopping at its out-degree
         cap, so the tree holds at most `fanout` * `vertex_cap` edges. A Low
-        vertex takes its first B-stock edge in pick order, any other its
-        first free out-edge in pick order whose head is not in Sat.
+        vertex takes its first B-stock edge in pick order. Any other takes
+        the first free out-edge in pick order whose head is not in Sat and
+        lies in the set `prefer`, or, when no allowed head lies in it, the
+        first allowed edge. `prefer` is read at each pick, so the caller
+        may widen it between resumes; `add_edge` passes an empty one.
 
         Each discovered vertex w, once it is the last key of `parent`, is
         passed to `meets`; the tree ends at the first w for which it is
         true. Stopped there or dropped early, it is a prefix of the full
-        tree, with the same picks and log entries. It needs an open log
+        tree grown with the same `prefer` sets, with the same picks and
+        log entries. It needs an open log
         (checked at the first resume), which counts its edges and takes
         them back on ExpansionViolation.
         """
@@ -226,7 +233,7 @@ class EdgeOracle:
         h, state, h_remove = self.h, self.state, self.h.remove
         out_deg, in_deg, b_in = h.out_deg, h.in_deg, self.b.in_deg
         sat, low, sat_min = self.sat, self.low, self._sat_min
-        heads, pick_order = self.host.heads, self._pick_order
+        heads, pick_order, pick_heads = self.host.heads, self._pick_order, self._pick_heads
         # the BFS queue: a for loop over a list visits what is appended to it
         order = list(parent)
         picks, log, enqueue, keep = range(fanout), undo.append, order.append, edges.append
@@ -246,14 +253,24 @@ class EdgeOracle:
                     self._b_remove(e)
                     w = heads[e]
                 else:
+                    # the first allowed edge with a preferred head, else the first
+                    # allowed edge: one C-level test lets a row with no preferred
+                    # head stop at its first allowed edge
+                    apart, first = prefer.isdisjoint(pick_heads[u]), None
                     for e in pick_order[u]:
                         if state[e]:
                             continue
                         w = heads[e]
-                        if not sat[w]:
+                        if sat[w]:
+                            continue
+                        if apart or w in prefer:
                             break
+                        if first is None:
+                            first = e
                     else:
-                        raise ExpansionViolation("pick at vertex %d: all free out-edges saturated" % u)
+                        if first is None:
+                            raise ExpansionViolation("pick at vertex %d: all free out-edges saturated" % u)
+                        e, w = first, heads[first]
                 state[e] = 1
                 out_deg[u] += 1
                 in_deg[w] += 1

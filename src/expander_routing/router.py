@@ -13,9 +13,13 @@ on each discovery, and nothing tests a pair again. It tests the
 discovery's fixed two-hop G3 row against the other tree's reach set, the
 vertices one G3 edge or less from it, confirms a hit against H3 (few G3
 edges, so no state follows H3 per vertex) and keeps the connector it
-found: none, or that path. Trees that meet nothing grow to full size,
-large enough that G3, minus the middle segments already spoken for,
-connects them by a short directed path. One breadth-first search finds
+found: none, or that path. The out-tree's test runs on a, against the
+in-root b, before either tree grows: roots that close are joined by that
+path alone. Each tree hands its oracle the other's reach set as the
+pick preference, so picks lean towards heads that meet at once. Trees
+that meet nothing grow to full size, large enough that G3, minus the
+middle segments already spoken for, connects them by a short directed
+path. One breadth-first search finds
 both connectors, `_free_g3_path`: three hops from a discovery, or
 `depth_cap` hops from the full out-tree.
 The path is assembled from the two tree branches plus the connector,
@@ -226,7 +230,10 @@ class RoutingEngine:
         """Grow the out-tree from a and the in-tree into b in lockstep, one
         dequeued vertex each in turn, and check their vertex and depth budgets.
 
-        The first meeting in lockstep order ends both: a tree ends where its
+        The out-tree's `_meets` test runs on a first, against the in-root
+        b, and a meeting there grows no tree. Each tree's picks prefer heads
+        in the other tree's reach set as it stands. The first meeting in
+        lockstep order ends both: a tree ends where its
         `_meets` test accepts a discovery and leaves the other suspended. A
         tree that ends unmet leaves the other to grow alone, and must reach
         `bfs_vertex_cap` vertices. BFS makes a tree's last key its deepest.
@@ -240,8 +247,10 @@ class RoutingEngine:
         reach_a, reach_b, met = set(self.step_out[a]), set(self.step_in[b]), []
         meets_a = self._meets(True, par_a, par_b, reach_a, reach_b, met)
         meets_b = self._meets(False, par_b, par_a, reach_b, reach_a, met)
-        grow_a = self.out_oracle.grow_tree(par_a, edges_a, cap, prof.fanout, meets_a)
-        grow_b = self.in_oracle.grow_tree(par_b, edges_b, cap, prof.fanout, meets_b)
+        if meets_a(a):  # the roots are joined by a free G3 path: no tree grows
+            return edges_a, par_a, edges_b, par_b, met[0]
+        grow_a = self.out_oracle.grow_tree(par_a, edges_a, cap, prof.fanout, meets_a, reach_b)
+        grow_b = self.in_oracle.grow_tree(par_b, edges_b, cap, prof.fanout, meets_b, reach_a)
         # zip stops when the first tree ends; unless it met, the other goes on alone
         for _ in zip(grow_a, grow_b):
             pass

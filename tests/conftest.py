@@ -118,30 +118,56 @@ def never(w):
     return False
 
 
-def one_vertex_tree(orc, v):
+def one_vertex_tree(orc, v, prefer=frozenset()):
     """The edges of a one-vertex tree grown from v in the open log: the
-    picks `add_edge(v)` makes as a request of its own."""
+    picks `add_edge(v)` makes as a request of its own, with `prefer` as
+    the pick preference."""
     edges = []
-    drive(orc.grow_tree({v: None}, edges, 1, 1, never))
+    drive(orc.grow_tree({v: None}, edges, 1, 1, never, prefer))
     return edges
 
 
-def tree_by_single_adds(orc, parent, vertex_cap, fanout, meets=never, steps=None):
+def first_pick(orc, u, prefer):
+    """The pick rule spelled out over u's host row rotated by u mod its
+    length: (edge, kind) for a Low vertex's first B edge ("stock"), else
+    for the first free out-edge with an unsaturated head whose head is in
+    `prefer` ("passed over" when an earlier such edge with its head
+    outside `prefer` was passed over, else "preferred"), else for the
+    first such edge at all ("first"); edge None when u has none."""
+    adj = orc.host.out_adj[u]
+    row = adj[u % len(adj):] + adj[:u % len(adj)]
+    if orc.low[u]:
+        return next((e for e in row if orc.state[e] == 2), None), "stock"
+    allowed = [e for e in row if orc.state[e] == 0 and not orc.sat[orc.host.heads[e]]]
+    preferred = [e for e in allowed if orc.host.heads[e] in prefer]
+    if preferred:
+        return preferred[0], "preferred" if preferred[0] == allowed[0] else "passed over"
+    return (allowed or [None])[0], "first"
+
+
+def no_preference(served):
+    """A `tree_by_single_adds` preference that holds no head at any step."""
+    return frozenset()
+
+
+def tree_by_single_adds(orc, parent, vertex_cap, fanout, meets=never, steps=None, prefer=no_preference):
     """`EdgeOracle.grow_tree` spelled out with one one-vertex tree per edge,
     inside the caller's request log, over at most `steps` dequeued vertices
     (the resumes before it is dropped). It grows into `parent`, a dict
     holding the root alone, and ends at the first discovered vertex w,
-    then the last key of `parent`, for which `meets(w)` is true."""
+    then the last key of `parent`, for which `meets(w)` is true. The
+    picks of the k-th dequeued vertex (from 0) prefer `prefer(k)`."""
     edges = []
     q = deque(parent)
     served = 0
     while q and len(parent) <= vertex_cap and served != steps:
         u = q.popleft()
+        near = prefer(served)
         served += 1
         for _ in range(fanout):
             if orc.h.out_deg[u] >= orc.profile.out_cap:
                 break
-            [e] = one_vertex_tree(orc, u)
+            [e] = one_vertex_tree(orc, u, near)
             edges.append(e)
             w = orc.host.heads[e]
             if w not in parent:

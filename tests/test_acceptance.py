@@ -47,12 +47,12 @@ GOLDEN_PREPROCESS = {
     (20, 2): "296558d1fdc3491c54ee078c45de6b9ee729d525194c3a0183117af96d01713e",
     (21, 3): "6ed5b5f4cf98a3a71f9334153b83ceb9882958799b5da265cc96bf2477379c7a",
 }
-GOLDEN_REPLAY = "0a2a3d544502cd55500b404208c612bf69b54bead399802c1b0498c591129a45"
-GOLDEN_REPLAY_STATE = "944fe2f68aa59f43824ae36416b393f6c1018cbc58261e15efc8761271307a4c"
+GOLDEN_REPLAY = "a072a68dcc78bcf4a81a448dfee3ef2caadc86deeb1fa9a5b4c32f2cb1d27016"
+GOLDEN_REPLAY_STATE = "7b73f09fef4ae3f6c6f00134e04925e25ac7592844c66d81fbcc5e72f7a27826"
 # the oracle work that replay does: per-edge add and remove calls, walk
 # searches, and Low promotions per oracle (out, in)
 GOLDEN_REPLAY_CALLS = {
-    "out_add": 940, "out_remove": 920, "in_add": 692, "in_remove": 676, "walk_searches": 0,
+    "out_add": 834, "out_remove": 813, "in_add": 597, "in_remove": 584, "walk_searches": 0,
 }
 GOLDEN_REPLAY_LOW_ADDITIONS = (0, 0)
 

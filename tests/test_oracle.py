@@ -8,7 +8,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import drive, dump, never, one_vertex_tree, oriented_host, tree_by_single_adds, undo_entries
+from conftest import (
+    drive, dump, first_pick, never, one_vertex_tree, oriented_host, tree_by_single_adds, undo_entries,
+)
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.graph import Digraph
 from expander_routing.oracle import EdgeOracle
@@ -131,7 +133,7 @@ def test_grow_tree_needs_an_open_log():
     host = oriented_host(30, 10, seed=6)
     orc = EdgeOracle(host, canonical_oracle_profile(10))
     # the check runs at the first resume of the generator
-    tree = orc.grow_tree({0: None}, [], 4, 2, never)
+    tree = orc.grow_tree({0: None}, [], 4, 2, never, frozenset())
     with pytest.raises(CallerError):
         next(tree)
     assert len(orc.h) == 0 and orc.add_calls == 0
@@ -570,11 +572,12 @@ class Forced(Exception):
     """Raised inside a request log to make it roll back."""
 
 
-def _grown(orc, root, vertex_cap, fanout, meets=never, steps=None):
+def _grown(orc, root, vertex_cap, fanout, meets=never, steps=None, prefer=frozenset()):
     """(edges, parent, log) of a tree grown by `grow_tree` in a fresh log,
-    resumed `steps` times (to its end when None) and then dropped. It
-    checks that `meets` was asked about every discovery once, in
-    discovery order, each the last key of the tree by then."""
+    with pick preference `prefer`, resumed `steps` times (to its end when
+    None) and then dropped. It checks that `meets` was asked about every
+    discovery once, in discovery order, each the last key of the tree by
+    then."""
     edges, parent, asked = [], {root: None}, []
 
     def watched(w):
@@ -582,14 +585,14 @@ def _grown(orc, root, vertex_cap, fanout, meets=never, steps=None):
         return meets(w)
 
     with orc.request_log():
-        drive(orc.grow_tree(parent, edges, vertex_cap, fanout, watched), steps)
+        drive(orc.grow_tree(parent, edges, vertex_cap, fanout, watched, prefer), steps)
         assert asked == [(w, w) for w in list(parent)[1:]]
         return edges, parent, undo_entries(orc)
 
 
-def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
-    # after 40 seeded adds the tree meets Low vertices (B-stock picks),
-    # saturates heads and rebalances, so every kind of log entry occurs
+def _after_seeded_adds():
+    """A 60-vertex oracle after 40 seeded adds: it holds Low vertices
+    (B-stock picks) and saturated heads, and has rebalanced."""
     host = oriented_host(60, 8, seed=12)
     caps = dict(out_cap=3, in_cap=3, sat_threshold=Fraction(2), low_threshold=Fraction(3))
     base = EdgeOracle(host, small_profile(8, **caps))
@@ -599,6 +602,36 @@ def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
             base.add_edge(rng.randrange(60))
         except (CallerError, ExpansionViolation):
             pass
+    return base
+
+
+def test_each_pick_follows_the_rule_spelled_out():
+    # on an oracle with Sat and Low vertices, a one-vertex tree at every
+    # vertex, under random preference sets, takes the edge `first_pick`
+    # names, or fails when it names none; picks of every kind occur
+    base, rng = _after_seeded_adds(), random.Random(5)
+    kinds = set()
+    for u in range(60):
+        if base.h.out_deg[u] >= base.profile.out_cap:
+            continue
+        for prefer in (frozenset(), frozenset(rng.sample(range(60), 6)), frozenset(rng.sample(range(60), 20))):
+            orc = copy.deepcopy(base)
+            want, kind = first_pick(orc, u, prefer)
+            with orc.request_log():
+                if want is None:
+                    with pytest.raises(ExpansionViolation):
+                        one_vertex_tree(orc, u, prefer)
+                    continue
+                assert one_vertex_tree(orc, u, prefer) == [want]
+            kinds.add(kind)
+    assert kinds == {"stock", "first", "preferred", "passed over"}
+
+
+def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
+    # after 40 seeded adds the tree meets Low vertices (B-stock picks),
+    # saturates heads and rebalances, so every kind of log entry occurs
+    base = _after_seeded_adds()
+    host = base.host
     root = next(v for v in range(60) if base.h.out_deg[v] == 0)
     edges, parent, full_log = _grown(copy.deepcopy(base), root, 40, 2)
     assert {op for op, *_ in full_log} == {"h+", "b+", "b-", "s+", "l+"}
@@ -720,31 +753,33 @@ class OracleMachine(RuleBasedStateMachine):
         fanout=st.integers(1, 3),
         meet=st.sets(MACHINE_VERTICES, max_size=6),
         steps=st.none() | st.integers(0, 8),
+        prefer=st.frozensets(MACHINE_VERTICES, max_size=12),
         data=st.data(),
     )
-    def grow_and_hand_back(self, root, vertex_cap, fanout, meet, steps, data):
-        # a find's tree: grown inside a log, resumed `steps` times (to its
-        # end when None) and dropped, then all but a kept subset released
-        # after the log closes; the same tree grown one one-vertex tree per
-        # edge on a copy must match it edge for edge. The first discovered
-        # vertex in the meeting set `meet` ends it
+    def grow_and_hand_back(self, root, vertex_cap, fanout, meet, steps, prefer, data):
+        # a find's tree: grown inside a log with pick preference `prefer`,
+        # resumed `steps` times (to its end when None) and dropped, then
+        # all but a kept subset released after the log closes; the same
+        # tree grown one one-vertex tree per edge on a copy must match it
+        # edge for edge. The first discovered vertex in the meeting set
+        # `meet` ends it
         ref = copy.deepcopy(self.orc)
         before = self._state()
         args = vertex_cap, fanout, meet.__contains__, steps
         try:
-            edges, parent, _ = _grown(self.orc, root, *args)
+            edges, parent, _ = _grown(self.orc, root, *args, prefer)
         except ExpansionViolation:
             assert self._state() == before
             with pytest.raises(ExpansionViolation):
                 with ref.request_log():
-                    tree_by_single_adds(ref, {root: None}, *args)
+                    tree_by_single_adds(ref, {root: None}, *args, lambda k: prefer)
             assert _counters(ref) == _counters(self.orc)
             return
         met = [v for v in parent if v != root and v in meet]
         assert met in ([], [next(reversed(parent))])
         assert len(edges) <= fanout * vertex_cap
         with ref.request_log():
-            assert tree_by_single_adds(ref, {root: None}, *args) == (edges, parent)
+            assert tree_by_single_adds(ref, {root: None}, *args, lambda k: prefer) == (edges, parent)
         assert (dump(ref), list(ref.sat_out), _counters(ref)) == (*self._state(), _counters(self.orc))
         kept = data.draw(st.sets(st.sampled_from(edges))) if edges else set()
         self.orc.release([e for e in edges if e not in kept])
