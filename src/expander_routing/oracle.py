@@ -48,8 +48,8 @@ each edge that entered H counts once, when the log closes over it or a
 rollback undoes it.
 
 A router request grows two trees and keeps one branch of each, so the
-traffic comes in batches: `grow_tree` is a generator that makes a tree's
-picks one dequeued vertex per resume, so two trees can grow in turn,
+traffic comes in batches: `grow_tree` is a generator that makes one of
+a tree's picks per resume, so two trees can grow in turn, pick by pick,
 and ends a tree at the first discovery the caller's `meets` test
 accepts (what a meeting is, the oracle does not know); `release` hands
 a list of edges back. The pick rule and the removal rule live only
@@ -191,7 +191,8 @@ class EdgeOracle:
 
     def add_edge(self, v):
         """Return a fresh out-edge of v with a lightly loaded head; add it to H.
-        A request of its own: it opens a log, so none may be open."""
+        A request of its own: it opens a log, so none may be open. It is
+        one pick, the first resume of a one-vertex tree at v."""
         prof = self.profile
         if not (0 <= v < self.host.n):
             raise CallerError("vertex %d out of range" % v)
@@ -199,24 +200,23 @@ class EdgeOracle:
             raise CallerError("add_edge(%d): out-degree cap %d reached" % (v, prof.out_cap))
         edges = []
         with self.request_log():
-            for _ in self.grow_tree({v: None}, edges, 1, 1, lambda w: False, frozenset()):
-                pass
+            next(self.grow_tree({v: None}, edges, 1, lambda w: False, frozenset()))
         return edges[0]
 
-    def grow_tree(self, parent, edges, vertex_cap, fanout, meets, prefer):
+    def grow_tree(self, parent, edges, vertex_cap, meets, prefer):
         """Generator that grows a breadth-first tree of fresh edges out of
-        the one key of `parent`, yielding after each dequeued vertex.
+        the one key of `parent`, yielding after each pick.
 
         It maps each discovery to its (parent, edge) in `parent` (keys in
         discovery order) and adds edges to the empty list `edges`. While
         at most `vertex_cap` vertices were reached, the next dequeued
-        vertex asks for up to `fanout` edges, stopping at its out-degree
-        cap, so the tree holds at most `fanout` * `vertex_cap` edges. A Low
-        vertex takes its first B-stock edge in pick order. Any other takes
-        the first free out-edge in pick order whose head is not in Sat and
-        lies in the set `prefer`, or, when no allowed head lies in it, the
-        first allowed edge. `prefer` is read at each pick, so the caller
-        may widen it between resumes; `add_edge` passes an empty one.
+        vertex picks until it reaches its out-degree cap, so the tree
+        holds at most out_cap * `vertex_cap` edges. A Low vertex takes its
+        first B-stock edge in pick order. Any other takes the first free
+        out-edge in pick order whose head is not in Sat and lies in the
+        set `prefer`, or, when no allowed head lies in it, the first
+        allowed edge. `prefer` is read at each pick, so the caller may
+        widen it between resumes; `add_edge` passes an empty one.
 
         Each discovered vertex w, once it is the last key of `parent`, is
         passed to `meets`; the tree ends at the first w for which it is
@@ -236,13 +236,11 @@ class EdgeOracle:
         heads, pick_order, pick_heads = self.host.heads, self._pick_order, self._pick_heads
         # the BFS queue: a for loop over a list visits what is appended to it
         order = list(parent)
-        picks, log, enqueue, keep = range(fanout), undo.append, order.append, edges.append
+        log, enqueue, keep = undo.append, order.append, edges.append
         for u in order:
             if len(parent) > vertex_cap:
                 break
-            for _ in picks:
-                if out_deg[u] >= out_cap:
-                    break
+            while out_deg[u] < out_cap:
                 if low[u]:
                     # serve from the buffered stock
                     for e in pick_order[u]:
@@ -288,7 +286,7 @@ class EdgeOracle:
                     if meets(w):
                         return
                     enqueue(w)
-            yield
+                yield
 
     def remove_edge(self, e):
         """Remove an active edge; buffered tails keep it as stock."""

@@ -64,7 +64,6 @@ class RouterProfile:
     beta: Fraction
     relaxed: bool
     d_prime: int
-    fanout: int               # oracle requests per dequeued vertex
     endpoint_cap: int         # a vertex may start (end) strictly fewer paths; at most 255
     r: int                    # live-path volume cap; |H1|, |H2|, |H3| <= r * depth_cap
     oracle: OracleProfile     # thresholds of both oracles
@@ -72,12 +71,12 @@ class RouterProfile:
     def __post_init__(self):
         # every ratio is positive; zero is legal for most counts (strict
         # profiles have r=0), but there is no graph with n=0, the split needs
-        # d_prime >= 1, with fanout 0 no tree grows and with endpoint_cap 0
-        # no vertex may start a path: every request would fail
+        # d_prime >= 1, and with endpoint_cap 0 no vertex may start a path:
+        # every request would fail
         for key, value in profile_items(self):
             if isinstance(value, bool):
                 continue
-            least = 1 if key in ("n", "d_prime", "fanout", "endpoint_cap") else 0
+            least = 1 if key in ("n", "d_prime", "endpoint_cap") else 0
             if isinstance(value, int) and value < least:
                 raise CallerError("profile field %s must be at least %d, got %d" % (key, least, value))
             if key == "endpoint_cap" and value > 255:  # the ledger counts path ends in bytes
@@ -155,7 +154,6 @@ def derive_profile(n, d, beta, gamma, relaxed=False):
         beta=beta,
         relaxed=relaxed,
         d_prime=d_prime,
-        fanout=max(1, d_prime // 4),
         endpoint_cap=math.ceil(Fraction(d, 200)),
         r=0,
         oracle=canonical_oracle_profile(d_prime),
@@ -196,7 +194,6 @@ def desk_profile(n, d):
         beta=beta,
         relaxed=True,
         d_prime=d_prime,
-        fanout=2,
         endpoint_cap=endpoint_cap,
         r=max(8, n // 25),
         oracle=OracleProfile(

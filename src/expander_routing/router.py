@@ -3,7 +3,8 @@
 A request for a path from a to b grows two trees with oracle-supplied
 edges: one out of a inside the first split subgraph, one out of b inside
 the reversed second subgraph (so its arcs point towards b in the
-original orientation). They grow in lockstep, and both stop at the first
+original orientation). They grow in lockstep, one pick each in turn (a
+tree vertex picks up to its oracle out-cap), and both stop at the first
 discovery, in lockstep order, of a vertex of the other tree as it then
 stands, or of a vertex joined to it by a free path of one to three edges
 of the third subgraph (edges no live path's middle segment holds,
@@ -228,7 +229,7 @@ class RoutingEngine:
 
     def _grow_trees(self, a, b):
         """Grow the out-tree from a and the in-tree into b in lockstep, one
-        dequeued vertex each in turn, and check their vertex and depth budgets.
+        pick each in turn, and check their vertex and depth budgets.
 
         The out-tree's `_meets` test runs on a first, against the in-root
         b, and a meeting there grows no tree. Each tree's picks prefer heads
@@ -249,8 +250,8 @@ class RoutingEngine:
         meets_b = self._meets(False, par_b, par_a, reach_b, reach_a, met)
         if meets_a(a):  # the roots are joined by a free G3 path: no tree grows
             return edges_a, par_a, edges_b, par_b, met[0]
-        grow_a = self.out_oracle.grow_tree(par_a, edges_a, cap, prof.fanout, meets_a, reach_b)
-        grow_b = self.in_oracle.grow_tree(par_b, edges_b, cap, prof.fanout, meets_b, reach_a)
+        grow_a = self.out_oracle.grow_tree(par_a, edges_a, cap, meets_a, reach_b)
+        grow_b = self.in_oracle.grow_tree(par_b, edges_b, cap, meets_b, reach_a)
         # zip stops when the first tree ends; unless it met, the other goes on alone
         for _ in zip(grow_a, grow_b):
             pass

@@ -119,11 +119,11 @@ def never(w):
 
 
 def one_vertex_tree(orc, v, prefer=frozenset()):
-    """The edges of a one-vertex tree grown from v in the open log: the
-    picks `add_edge(v)` makes as a request of its own, with `prefer` as
-    the pick preference."""
+    """The edges of a one-vertex tree at v after one resume in the open
+    log: the one pick `add_edge(v)` makes as a request of its own, with
+    `prefer` as the pick preference (none once v is at its out-cap)."""
     edges = []
-    drive(orc.grow_tree({v: None}, edges, 1, 1, never, prefer))
+    drive(orc.grow_tree({v: None}, edges, 1, never, prefer), 1)
     return edges
 
 
@@ -150,24 +150,21 @@ def no_preference(served):
     return frozenset()
 
 
-def tree_by_single_adds(orc, parent, vertex_cap, fanout, meets=never, steps=None, prefer=no_preference):
-    """`EdgeOracle.grow_tree` spelled out with one one-vertex tree per edge,
-    inside the caller's request log, over at most `steps` dequeued vertices
-    (the resumes before it is dropped). It grows into `parent`, a dict
+def tree_by_single_adds(orc, parent, vertex_cap, meets=never, steps=None, prefer=no_preference):
+    """`EdgeOracle.grow_tree` spelled out with one one-vertex tree per pick,
+    inside the caller's request log, over at most `steps` picks (the
+    resumes before it is dropped). It grows into `parent`, a dict
     holding the root alone, and ends at the first discovered vertex w,
     then the last key of `parent`, for which `meets(w)` is true. The
-    picks of the k-th dequeued vertex (from 0) prefer `prefer(k)`."""
+    k-th pick (from 0) prefers `prefer(k)`."""
     edges = []
     q = deque(parent)
-    served = 0
-    while q and len(parent) <= vertex_cap and served != steps:
+    while q and len(parent) <= vertex_cap:
         u = q.popleft()
-        near = prefer(served)
-        served += 1
-        for _ in range(fanout):
-            if orc.h.out_deg[u] >= orc.profile.out_cap:
-                break
-            [e] = one_vertex_tree(orc, u, near)
+        while orc.h.out_deg[u] < orc.profile.out_cap:
+            if len(edges) == steps:
+                return edges, parent
+            [e] = one_vertex_tree(orc, u, prefer(len(edges)))
             edges.append(e)
             w = orc.host.heads[e]
             if w not in parent:
@@ -179,7 +176,8 @@ def tree_by_single_adds(orc, parent, vertex_cap, fanout, meets=never, steps=None
 
 
 def drive(tree, steps=None):
-    """Resume a `grow_tree` generator `steps` times, or to its end when None."""
+    """Resume a `grow_tree` generator `steps` times (one pick each), or to
+    its end when None."""
     for _ in islice(tree, steps):
         pass
 

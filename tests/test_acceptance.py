@@ -47,12 +47,12 @@ GOLDEN_PREPROCESS = {
     (20, 2): "296558d1fdc3491c54ee078c45de6b9ee729d525194c3a0183117af96d01713e",
     (21, 3): "6ed5b5f4cf98a3a71f9334153b83ceb9882958799b5da265cc96bf2477379c7a",
 }
-GOLDEN_REPLAY = "a072a68dcc78bcf4a81a448dfee3ef2caadc86deeb1fa9a5b4c32f2cb1d27016"
-GOLDEN_REPLAY_STATE = "7b73f09fef4ae3f6c6f00134e04925e25ac7592844c66d81fbcc5e72f7a27826"
+GOLDEN_REPLAY = "374525df3d9c829e40f9a4b530d2a3457a97d961edccc831b6cdaf33d85a1390"
+GOLDEN_REPLAY_STATE = "dc21ad2f25f5ba90cc6b22ce816639cb554d391160f09e67e7173f4ba5ab820a"
 # the oracle work that replay does: per-edge add and remove calls, walk
 # searches, and Low promotions per oracle (out, in)
 GOLDEN_REPLAY_CALLS = {
-    "out_add": 834, "out_remove": 813, "in_add": 597, "in_remove": 584, "walk_searches": 0,
+    "out_add": 721, "out_remove": 705, "in_add": 620, "in_remove": 609, "walk_searches": 0,
 }
 GOLDEN_REPLAY_LOW_ADDITIONS = (0, 0)
 

@@ -98,6 +98,12 @@ def test_first_add_returns_first_out_edge():
     for v in (7, 13, 29):
         orc = EdgeOracle(host, canonical_oracle_profile(10))
         assert orc.add_edge(v) == host.out_adj[v][v % 10]
+    # a row that starts with a self-loop: the loop discovers no vertex, and
+    # the add is still one pick, though v has out-cap to spare
+    loops = Digraph(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
+    orc = EdgeOracle(loops, small_profile(2, out_cap=2, sat_threshold=Fraction(3), low_threshold=Fraction(3)))
+    assert orc.add_edge(0) == 0
+    assert len(orc.h) == orc.add_calls == 1 and orc.audit(orc.h.members()).ok
 
 
 def test_out_cap_precondition():
@@ -133,7 +139,7 @@ def test_grow_tree_needs_an_open_log():
     host = oriented_host(30, 10, seed=6)
     orc = EdgeOracle(host, canonical_oracle_profile(10))
     # the check runs at the first resume of the generator
-    tree = orc.grow_tree({0: None}, [], 4, 2, never, frozenset())
+    tree = orc.grow_tree({0: None}, [], 4, never, frozenset())
     with pytest.raises(CallerError):
         next(tree)
     assert len(orc.h) == 0 and orc.add_calls == 0
@@ -572,7 +578,7 @@ class Forced(Exception):
     """Raised inside a request log to make it roll back."""
 
 
-def _grown(orc, root, vertex_cap, fanout, meets=never, steps=None, prefer=frozenset()):
+def _grown(orc, root, vertex_cap, meets=never, steps=None, prefer=frozenset()):
     """(edges, parent, log) of a tree grown by `grow_tree` in a fresh log,
     with pick preference `prefer`, resumed `steps` times (to its end when
     None) and then dropped. It checks that `meets` was asked about every
@@ -585,7 +591,7 @@ def _grown(orc, root, vertex_cap, fanout, meets=never, steps=None, prefer=frozen
         return meets(w)
 
     with orc.request_log():
-        drive(orc.grow_tree(parent, edges, vertex_cap, fanout, watched, prefer), steps)
+        drive(orc.grow_tree(parent, edges, vertex_cap, watched, prefer), steps)
         assert asked == [(w, w) for w in list(parent)[1:]]
         return edges, parent, undo_entries(orc)
 
@@ -631,33 +637,31 @@ def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
     # after 40 seeded adds the tree meets Low vertices (B-stock picks),
     # saturates heads and rebalances, so every kind of log entry occurs
     base = _after_seeded_adds()
-    host = base.host
     root = next(v for v in range(60) if base.h.out_deg[v] == 0)
-    edges, parent, full_log = _grown(copy.deepcopy(base), root, 40, 2)
+    edges, parent, full_log = _grown(copy.deepcopy(base), root, 40)
     assert {op for op, *_ in full_log} == {"h+", "b+", "b-", "s+", "l+"}
     verts = list(parent)
     assert len(verts) > 20
     for k, w in enumerate(verts):
         # a tree that meets w and everything discovered after it must end
         # at w, its first vertex in discovery order (the root is never
-        # discovered); a tree dropped after k resumes has served verts[:k]
+        # discovered); a tree dropped after k resumes has made k picks
         cases = [((), k)]
         if k:
             cases.append((set(verts[k:]), None))
         for meet, steps in cases:
             stopped, single = copy.deepcopy(base), copy.deepcopy(base)
-            got_edges, got_parent, log = _grown(stopped, root, 40, 2, meet.__contains__, steps)
+            got_edges, got_parent, log = _grown(stopped, root, 40, meet.__contains__, steps)
             if meet:
                 kept = edges.index(parent[w][1]) + 1
                 assert (got_edges, got_parent) == (edges[:kept], dict(zip(verts[: k + 1], parent.values())))
             else:
-                served = set(verts[:k])
                 kept = len(got_edges)
-                assert got_edges == [e for e in edges if host.tails[e] in served]
+                assert got_edges == edges[:k]
                 assert list(got_parent.items()) == list(parent.items())[: len(got_parent)]
             assert log == full_log[: len(log)]
             with single.request_log():
-                assert tree_by_single_adds(single, {root: None}, 40, 2, meet.__contains__, steps) == (
+                assert tree_by_single_adds(single, {root: None}, 40, meet.__contains__, steps) == (
                     got_edges, got_parent
                 )
                 assert undo_entries(single) == log
@@ -667,19 +671,19 @@ def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
             )
 
 
-def test_grown_tree_holds_at_most_fanout_times_vertex_cap_edges():
-    # at most vertex_cap dequeued vertices ask, each for at most fanout
-    # edges, so trees need no edge cap of their own
+def test_grown_tree_holds_at_most_out_cap_times_vertex_cap_edges():
+    # at most vertex_cap dequeued vertices pick, each up to its out-cap,
+    # so trees need no edge cap of their own
     host = oriented_host(60, 20, seed=12)
-    prof = small_profile(20, in_cap=4, sat_threshold=Fraction(4), low_threshold=Fraction(21))
-    for root in range(0, 60, 7):
-        for vertex_cap in (1, 2, 5, 12, 40):
-            for fanout in (1, 2, 4):
-                edges, _, _ = _grown(EdgeOracle(host, prof), root, vertex_cap, fanout)
-                assert len(edges) <= fanout * vertex_cap
+    for out_cap in (1, 2, 4, 10):
+        prof = small_profile(20, out_cap=out_cap, in_cap=4, sat_threshold=Fraction(4), low_threshold=Fraction(21))
+        for root in range(0, 60, 7):
+            for vertex_cap in (1, 2, 5, 12, 40):
+                edges, _, _ = _grown(EdgeOracle(host, prof), root, vertex_cap)
+                assert len(edges) <= out_cap * vertex_cap
                 if vertex_cap == 1:
-                    # the root alone asks, fanout times: the bound is met
-                    assert len(edges) == fanout
+                    # the root alone picks, out_cap times: the bound is met
+                    assert len(edges) == out_cap
 
 
 class UndoTally(EdgeOracle):
@@ -750,13 +754,12 @@ class OracleMachine(RuleBasedStateMachine):
     @rule(
         root=MACHINE_VERTICES,
         vertex_cap=st.integers(1, 12),
-        fanout=st.integers(1, 3),
         meet=st.sets(MACHINE_VERTICES, max_size=6),
-        steps=st.none() | st.integers(0, 8),
+        steps=st.none() | st.integers(0, 24),
         prefer=st.frozensets(MACHINE_VERTICES, max_size=12),
         data=st.data(),
     )
-    def grow_and_hand_back(self, root, vertex_cap, fanout, meet, steps, prefer, data):
+    def grow_and_hand_back(self, root, vertex_cap, meet, steps, prefer, data):
         # a find's tree: grown inside a log with pick preference `prefer`,
         # resumed `steps` times (to its end when None) and dropped, then
         # all but a kept subset released after the log closes; the same
@@ -765,7 +768,7 @@ class OracleMachine(RuleBasedStateMachine):
         # `meet` ends it
         ref = copy.deepcopy(self.orc)
         before = self._state()
-        args = vertex_cap, fanout, meet.__contains__, steps
+        args = vertex_cap, meet.__contains__, steps
         try:
             edges, parent, _ = _grown(self.orc, root, *args, prefer)
         except ExpansionViolation:
@@ -777,7 +780,7 @@ class OracleMachine(RuleBasedStateMachine):
             return
         met = [v for v in parent if v != root and v in meet]
         assert met in ([], [next(reversed(parent))])
-        assert len(edges) <= fanout * vertex_cap
+        assert len(edges) <= self.CAPS["out_cap"] * vertex_cap
         with ref.request_log():
             assert tree_by_single_adds(ref, {root: None}, *args, lambda k: prefer) == (edges, parent)
         assert (dump(ref), list(ref.sat_out), _counters(ref)) == (*self._state(), _counters(self.orc))

@@ -43,7 +43,6 @@ def test_strict_profile_worked_example():
     second = math.floor(beta * beta * n * k / 15000)
     assert p.r == min(first, second)
     assert p.bfs_vertex_cap == math.ceil(beta * n / 5)
-    assert p.fanout == 5
     assert p.endpoint_cap == 2  # strictly fewer than 400/200 paths per endpoint
     assert p.path_len_cap == 3 * lg
     assert p.oracle.out_cap == 10
@@ -101,15 +100,16 @@ def test_profile_file_round_trip():
 
 # sha256 of each profile's file as written while path_len_cap, then
 # bfs_edge_cap and h_size_cap, then gamma and oracle_capacity, then
-# bfs_vertex_cap, then depth_cap, then g3_path_cap were stored fields,
-# with those lines taken out: depth_cap is ceil_log2(n) now, the value
-# every constructor wrote, and the connector shares its budget, so no
-# other line changed
+# bfs_vertex_cap, then depth_cap, then g3_path_cap, then fanout were
+# stored fields, with those lines taken out: depth_cap is ceil_log2(n)
+# now, the value every constructor wrote, the connector shares its
+# budget and a tree vertex picks up to its out-cap, so no other line
+# changed
 PROFILE_FILE_GOLDEN = {
-    "desk-600-30": "d80b4a96a9316b6f9bd6246c72e3b4e5a753a63d85e7d1099e4f9ad01a39d645",
-    "desk-9600-31": "b2a4b5c9e24b8beca921d36253cc0e2f42d4a346f7687c1c0bd167d614bef280",
-    "strict-2048-400": "acaf1ebb5eeac3cc7eccedcdbccdbcab563c8a0e699ce9ec08f98389ece0fe43",
-    "relaxed-600-30": "4044cefde6dd562f11b8c05911f84780bf73a9ce21e9b1d28da9c4c7b81e7efb",
+    "desk-600-30": "a3da87d882b8ddb8d7cd05355bc6bac40bf2942651dd0d32a9d2910deb381996",
+    "desk-9600-31": "bc1e3f15c9af1103d852379a1c605fb78706cde5130a48061d8c796c8ff9bc82",
+    "strict-2048-400": "b9398ae2e91c3013650d9919a9daf6b4b144dfa3dc9c18a7865936e6356d2ae1",
+    "relaxed-600-30": "9b58bc16819d9e6747e1b858954cce04ade166dd7da4c8db0213168ed1135696",
 }
 
 
@@ -122,12 +122,14 @@ def test_profile_file_text_is_unchanged(name):
         "relaxed-600-30": lambda: derive_profile(600, 30, "1/10", "1/50", relaxed=True),
     }[name]()
     text = format_profile(p)
-    assert len(text.splitlines()) == 12
+    assert len(text.splitlines()) == 11
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == PROFILE_FILE_GOLDEN[name]
 
 
 # desk_profile(150, 30) and the strict derive_profile(1024, 400, 1/100,
-# 1/2000) as format_profile wrote them while g3_path_cap (a connector cap
+# 1/2000) as format_profile wrote them, in TWELVE_KEY_FILES, while fanout
+# (a per-vertex pick count; a tree vertex now picks up to its out-cap)
+# was a stored field, in THIRTEEN_KEY_FILES while g3_path_cap (a connector cap
 # that never bound; the connector now shares the trees' depth_cap) was a
 # stored field, in FOURTEEN_KEY_FILES while depth_cap (now derived from
 # n) was too, in FIFTEEN_KEY_FILES while bfs_vertex_cap (now
@@ -137,6 +139,34 @@ def test_profile_file_text_is_unchanged(name):
 # bfs_edge_cap (a per-tree edge cap) and h_size_cap (a verified bound on
 # |H1|, |H2|) were as well, and, in OLDER_FILES, while k, c and
 # path_len_cap were as well
+TWELVE_KEY_FILES = {
+    "desk": """n=150
+d=30
+beta=1/5
+relaxed=true
+d_prime=6
+fanout=2
+endpoint_cap=1
+r=8
+oracle_out_cap=3
+oracle_in_cap=2
+oracle_sat_threshold=2/1
+oracle_low_threshold=3/1
+""",
+    "strict": """n=1024
+d=400
+beta=1/100
+relaxed=false
+d_prime=20
+fanout=5
+endpoint_cap=2
+r=0
+oracle_out_cap=10
+oracle_in_cap=4
+oracle_sat_threshold=2/1
+oracle_low_threshold=5/1
+""",
+}
 THIRTEEN_KEY_FILES = {
     "desk": """n=150
 d=30
@@ -361,7 +391,9 @@ oracle_low_threshold=5/1
 oracle_capacity=1
 """,
 }
-RETIRED_KEYS = {"gamma", "depth_cap", "g3_path_cap", "bfs_vertex_cap", "bfs_edge_cap", "h_size_cap", "oracle_capacity"}
+RETIRED_KEYS = {
+    "gamma", "depth_cap", "g3_path_cap", "bfs_vertex_cap", "bfs_edge_cap", "fanout", "h_size_cap", "oracle_capacity"
+}
 
 
 def _kept_lines_are_the_profile(kind, text):
@@ -373,12 +405,23 @@ def _kept_lines_are_the_profile(kind, text):
     assert format_profile(expected).splitlines() == kept
 
 
+@pytest.mark.parametrize("kind", sorted(TWELVE_KEY_FILES))
+def test_12_key_profile_file_fails_naming_fanout(kind):
+    # a stored pick count is refused, not ignored: a tree vertex picks up
+    # to its oracle out-cap now, and a file written for fewer picks per
+    # vertex would grow other trees without a word
+    text = TWELVE_KEY_FILES[kind]
+    with pytest.raises(FormatError, match=r"^profile has unknown fields: fanout at line 6$"):
+        parse_profile(text)
+    _kept_lines_are_the_profile(kind, text)
+
+
 @pytest.mark.parametrize("kind", sorted(THIRTEEN_KEY_FILES))
 def test_13_key_profile_file_fails_naming_g3_path_cap(kind):
     # a stored connector cap is refused, not ignored: the connector shares
     # the trees' budget of ceil_log2(n) hops now
     text = THIRTEEN_KEY_FILES[kind]
-    with pytest.raises(FormatError, match=r"unknown fields: g3_path_cap at line 9$"):
+    with pytest.raises(FormatError, match=r"unknown fields: fanout at line 6, g3_path_cap at line 9$"):
         parse_profile(text)
     _kept_lines_are_the_profile(kind, text)
 
@@ -388,7 +431,9 @@ def test_14_key_profile_file_fails_naming_depth_cap(kind):
     # a stored depth budget is refused, not ignored: n sets it now, and a
     # larger one would let finds serve paths longer than path_len_cap
     text = FOURTEEN_KEY_FILES[kind]
-    with pytest.raises(FormatError, match=r"unknown fields: depth_cap at line 6, g3_path_cap at line 10$"):
+    with pytest.raises(
+        FormatError, match=r"unknown fields: depth_cap at line 6, fanout at line 7, g3_path_cap at line 10$"
+    ):
         parse_profile(text)
     _kept_lines_are_the_profile(kind, text)
 
@@ -399,7 +444,7 @@ def test_15_key_profile_file_fails_naming_bfs_vertex_cap(kind):
     text = FIFTEEN_KEY_FILES[kind]
     with pytest.raises(
         FormatError,
-        match=r"unknown fields: depth_cap at line 6, bfs_vertex_cap at line 7, g3_path_cap at line 11$",
+        match=r"unknown fields: depth_cap at line 6, bfs_vertex_cap at line 7, fanout at line 8, g3_path_cap at line 11$",
     ):
         parse_profile(text)
     _kept_lines_are_the_profile(kind, text)
@@ -411,7 +456,7 @@ def test_17_key_profile_file_fails_naming_gamma_and_oracle_capacity(kind):
     with pytest.raises(
         FormatError,
         match=r"unknown fields: gamma at line 4, depth_cap at line 7, bfs_vertex_cap at line 8, "
-        r"g3_path_cap at line 12, oracle_capacity at line 17$",
+        r"fanout at line 9, g3_path_cap at line 12, oracle_capacity at line 17$",
     ):
         parse_profile(text)
     _kept_lines_are_the_profile(kind, text)
@@ -425,7 +470,8 @@ def test_19_key_profile_file_fails_naming_the_retired_keys(kind):
     with pytest.raises(
         FormatError,
         match=r"unknown fields: gamma at line 4, depth_cap at line 7, bfs_vertex_cap at line 8, "
-        r"bfs_edge_cap at line 9, g3_path_cap at line 13, h_size_cap at line 14, oracle_capacity at line 19$",
+        r"bfs_edge_cap at line 9, fanout at line 10, g3_path_cap at line 13, h_size_cap at line 14, "
+        r"oracle_capacity at line 19$",
     ):
         parse_profile(text)
     _kept_lines_are_the_profile(kind, text)
@@ -436,7 +482,8 @@ def test_older_profile_file_with_k_and_c_fails(kind):
     with pytest.raises(
         FormatError,
         match=r"unknown fields: gamma at line 4, k at line 6, c at line 8, depth_cap at line 9, "
-        r"bfs_vertex_cap at line 10, bfs_edge_cap at line 11, g3_path_cap at line 15, path_len_cap at line 16, "
+        r"bfs_vertex_cap at line 10, bfs_edge_cap at line 11, fanout at line 12, g3_path_cap at line 15, "
+        r"path_len_cap at line 16, "
         r"h_size_cap at line 17, "
         r"oracle_capacity at line 22$",
     ):
@@ -458,9 +505,9 @@ def test_profile_file_rejects_missing_field():
 
 
 def test_profile_file_bad_value_names_the_line():
-    text = re.sub(r"(?m)^fanout=.*$", "fanout=x", format_profile(desk_profile(600, 30)))
-    lineno = text.splitlines().index("fanout=x") + 1
-    with pytest.raises(FormatError, match=r"line %d: field fanout: bad value 'x'" % lineno):
+    text = re.sub(r"(?m)^d_prime=.*$", "d_prime=x", format_profile(desk_profile(600, 30)))
+    lineno = text.splitlines().index("d_prime=x") + 1
+    with pytest.raises(FormatError, match=r"line %d: field d_prime: bad value 'x'" % lineno):
         parse_profile(text)
 
 
@@ -488,7 +535,6 @@ def test_desk_profile_structure():
     assert p.relaxed
     assert p.d_prime >= 6
     assert p.k - 2 * p.d_prime >= 2
-    assert p.fanout >= 2
     # endpoints must always be able to start growing a tree
     assert p.oracle.out_cap >= p.oracle.in_cap + p.endpoint_cap
     assert p.bfs_vertex_cap == math.ceil(p.beta * p.n / 5)
@@ -596,13 +642,13 @@ def test_router_profile_is_complete():
     keys = list(DESK_FILE_VALUES)
     own = [f.name for f in dataclasses.fields(RouterProfile) if f.name != "oracle"]
     assert keys == own + ["oracle_" + f.name for f in dataclasses.fields(OracleProfile)]
-    assert len(keys) == 12 and len(dataclasses.fields(OracleProfile)) == 4
+    assert len(keys) == 11 and len(dataclasses.fields(OracleProfile)) == 4
     derived = {"k", "c", "depth_cap", "bfs_vertex_cap", "path_len_cap"}
-    assert not (derived | {"gamma", "oracle_capacity", "g3_path_cap"}) & set(keys)
+    assert not (derived | {"gamma", "oracle_capacity", "g3_path_cap", "fanout"}) & set(keys)
     assert all(isinstance(getattr(RouterProfile, name), property) for name in derived)
 
 
-@pytest.mark.parametrize("field", ["fanout", "endpoint_cap"])
+@pytest.mark.parametrize("field", ["endpoint_cap"])
 def test_router_profile_rejects_zero(field):
     with pytest.raises(CallerError, match=field):
         dataclasses.replace(desk_profile(600, 30), **{field: 0})

@@ -258,36 +258,37 @@ def test_met_tree_skips_the_stall_check_but_not_the_depth_check(probe_trees):
     assert eng.verify().ok
 
 
-def _replayed(oracle, parent, caps, prefer, picks, meets=never, steps=None):
-    """The tree `oracle` grows into `parent` by single adds on a copy, the
-    picks of its k-th dequeued vertex preferring `prefer(k)`. Each pick is
-    checked against `first_pick` as the copy stands just before it, and
-    `picks` counts them by kind."""
+def _replayed(oracle, parent, vertex_cap, prefer, picks, meets=never, steps=None):
+    """The tree `oracle` grows into `parent` by single adds on a copy, its
+    k-th pick preferring `prefer(k)`. Each pick is checked against
+    `first_pick` as the copy stands just before it, and `picks` counts
+    them by kind."""
     with copy.deepcopy(oracle).request_log() as orc:
         grow = orc.grow_tree
 
-        def checked(root, edges, vertex_cap, fanout, meets, near):
+        def checked(root, edges, vertex_cap, meets, near):
             (u,) = root
             want, kind = first_pick(orc, u, near)
             if kind != "stock":
                 assert orc.state[want] == 0 and not orc.sat[orc.host.heads[want]]
-            yield from grow(root, edges, vertex_cap, fanout, meets, near)
+            next(grow(root, edges, vertex_cap, meets, near))
             assert edges == [want]
             picks[kind] += 1
+            yield
 
         orc.grow_tree = checked
-        return tree_by_single_adds(orc, parent, *caps, meets, steps, prefer)
+        return tree_by_single_adds(orc, parent, vertex_cap, meets, steps, prefer)
 
 
 def _lockstep_reach(eng, out, other):
-    """prefer(k) of the tree facing the lockstep tree `other` (the
-    out-tree if `out`): `other`'s reach set when the tree dequeues its
-    k-th vertex, the step rows of its root and of what its first k
-    dequeued vertices discovered (k + 1 for the in-tree: the out-tree
-    moves first)."""
+    """prefer(k) of the tree facing the lockstep tree `other`, (edges,
+    parent), the out-tree if `out`: `other`'s reach set at the tree's
+    k-th pick, the step rows of its root and of what its first k picks
+    discovered (k + 1 for the in-tree: the out-tree moves first)."""
     step, lag = (eng.step_in, 0) if out else (eng.step_out, 1)
-    at = {v: i for i, v in enumerate(other)}
-    return lambda k: _reach(step, [x for x, up in other.items() if up is None or at[up[0]] < k + lag])
+    edges, parent = other
+    at = {e: i for i, e in enumerate(edges)}
+    return lambda k: _reach(step, [x for x, up in parent.items() if up is None or at[up[1]] < k + lag])
 
 
 def _reach(step, parent):
@@ -317,8 +318,8 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
     # from the out-tree to the in-tree, whose middle vertices lie in
     # neither tree. The tree that met is the replayed tree stopped at its
     # last key, and the other has had the turns lockstep gives it, as many
-    # dequeued vertices as the meeting tree when the out-tree met, one
-    # fewer when it was the in-tree (the out-tree moves first)
+    # picks as the meeting tree when the in-tree met, one fewer when it was
+    # the out-tree (the out-tree moves first)
     n = 600
     eng = small_engine(n=n, d=30, seed=11)
     prof = eng.profile
@@ -333,7 +334,7 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
     held = [e for e in range(g3.m) if not eng.h3.member[e] and coin.random() < 0.5]
     for e in held:
         eng.h3.add(e)
-    caps = prof.bfs_vertex_cap, prof.fanout
+    cap = prof.bfs_vertex_cap
     rng = random.Random(2)
     kinds, picks = Counter(), Counter()
     outcomes = ("shared", "one edge", "two edges", "three edges", "unmet", "roots")
@@ -346,9 +347,9 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
         probe = probe_trees(eng, a, b)
         meet = probe["meet"]
         sides = ((eng.out_oracle, a, probe["out"], True), (eng.in_oracle, b, probe["in"], False))
-        near = {out: _lockstep_reach(eng, out, probe["in" if out else "out"][1]) for out in (True, False)}
+        near = {out: _lockstep_reach(eng, out, probe["in" if out else "out"]) for out in (True, False)}
         for oracle, root, (edges, parent), out in sides:
-            full_edges, full_parent = _replayed(oracle, {root: None}, caps, near[out], picks)
+            full_edges, full_parent = _replayed(oracle, {root: None}, cap, near[out], picks)
             assert edges == full_edges[: len(edges)]
             assert list(parent.items()) == list(full_parent.items())[: len(parent)]
             if meet is None:
@@ -382,15 +383,13 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
             (sides[0], sides[1], 1),
             (sides[1], sides[0], 0),
         ):
-            m_parent = m_tree[1]
-            last = next(reversed(m_parent))
-            if m_parent[last] is None:
+            m_edges, m_parent = m_tree
+            if m_parent[next(reversed(m_parent))] is None:
                 continue  # a root is never discovered
-            turns = list(m_parent).index(m_parent[last][0]) + 1
             own = {m_root: None}
             schedules.append(
-                _replayed(m_orc, own, caps, near[out], picks, _meets(eng, out, own, o_tree[1], [])) == m_tree
-                and _replayed(o_orc, {o_root: None}, caps, near[o_out], picks, steps=turns - lag) == o_tree
+                _replayed(m_orc, own, cap, near[out], picks, _meets(eng, out, own, o_tree[1], [])) == m_tree
+                and _replayed(o_orc, {o_root: None}, cap, near[o_out], picks, steps=len(m_edges) - lag) == o_tree
             )
         assert any(schedules) or roots
         kinds[outcomes[len(seg_mid)]] += 1
@@ -549,7 +548,8 @@ def _within_three(adj, ends, sources):
 def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
     # after a churn prefix, with H3 holding live middle segments, each
     # find's lockstep trees are replayed discovery by discovery against
-    # the other tree as it stood then (the out-tree moves first, and its
+    # the other tree as it stood then (lockstep turns are picks, the
+    # out-tree moves first, and its
     # root is tested against the in-root before either tree grows): the
     # reach test equals a plain BFS check that the G3 distance to the
     # other tree is at most three, a candidate's link equals the brute
@@ -592,16 +592,19 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
             assert reach == _reach(eng.step_out if out else eng.step_in, own)
         reaches.clear()
         met = []
-        for out, own, other, lag in ((True, par_a, par_b, 0), (False, par_b, par_a, 1)):
+        for out, (edges, own), (other_edges, other), lag in (
+            (True, probe["out"], probe["in"], 0),
+            (False, probe["in"], probe["out"], 1),
+        ):
             near, link, other_step, adj, ends = sides[out]
             order = list(own)
-            at, other_at = {v: i for i, v in enumerate(own)}, {v: i for i, v in enumerate(other)}
+            at, other_at = {e: i for i, e in enumerate(edges)}, {e: i for i, e in enumerate(other_edges)}
             start = 0 if out else 1
             for k, w in enumerate(order[start:], start):
-                # w's parent was the tree's (i+1)-th dequeued vertex; by then
-                # the other tree had served i (in-tree: i + 1) vertices
-                served = at[own[w][0]] + lag if k else 0
-                keys = {x: None for x, up in other.items() if up is None or other_at[up[0]] < served}
+                # w was discovered by the tree's (i+1)-th pick; by then the
+                # other tree had made i (in-tree: i + 1) picks
+                made = at[own[w][1]] + lag if k else 0
+                keys = {x: None for x, up in other.items() if up is None or other_at[up[1]] < made}
                 mine = dict.fromkeys(order[: k + 1])
                 reach = _reach(other_step, keys)
                 passed = w in reach or not reach.isdisjoint(near[w])
@@ -828,7 +831,7 @@ def test_strict_paper_constants_serve_churn():
     # on the paper's mechanism alone
     n, d = 1024, 402
     prof = derive_profile(n, d, Fraction(9, 10), Fraction(1, 2000))
-    assert not prof.relaxed and (prof.r, prof.fanout, prof.bfs_vertex_cap) == (7, 5, 185)
+    assert not prof.relaxed and (prof.r, prof.bfs_vertex_cap) == (7, 185)
     assert (prof.oracle.out_cap, prof.oracle.in_cap) == (10, 4)
     g = gen_random_regular_graph(n, d, seed=1)
     eng = RoutingEngine(g, prof)
@@ -953,10 +956,10 @@ def test_oracle_counters_count_every_tree_edge(probe_trees):
 def test_raised_volume_cap_verifies_clean_when_full():
     # with r raised past the default 8, the live paths hold more tree
     # edges than the default r * depth_cap; verify must still pass. The
-    # fill stops once |H1| passes that bound (or at r), here at 89 live
+    # fill stops once |H1| passes that bound (or at r), here at 96 live
     # paths; pushed much further, the random fill reaches the load
     # frontier, past which finds fail
-    n, r = 150, 90
+    n, r = 150, 100
     default = desk_profile(n, 30)
     default_cap = default.r * default.depth_cap
     eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=21), replace(default, r=r))
@@ -969,6 +972,23 @@ def test_raised_volume_cap_verifies_clean_when_full():
     assert len(eng.out_oracle.h) > default_cap
     report = eng.verify()
     assert report.ok, report.findings
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_true_hover_at_340_live_paths_serves_every_find(seed):
+    # a true hover: with r = T + 1 the churn generator finds only below its
+    # live target T = 340, so the live count holds at T. At n=1200, d=30,
+    # trees whose vertices picked two edges each failed 516, 606 and 530
+    # of these finds; trees whose vertices pick up to their out-cap serve
+    # every one, with a clean verify every 100 ops
+    n, d, target = 1200, 30, 340
+    prof = replace(desk_profile(n, d), r=target + 1)
+    eng = RoutingEngine(gen_random_regular_graph(n, d, seed=seed), prof)
+    cmds = gen_workload("churn", n, {"ops": 3000, "live_target": target}, seed, prof.endpoint_cap, prof.r)
+    report = run_trace(eng, cmds, verify_every=100)
+    assert report.failures == [] and report.requests_served == 3000
+    assert (report.verifies_run, report.verify_findings) == (30, 0)
+    assert len(eng.ledger.paths) == target
 
 
 def test_failed_connector_unwinds_everything():
