@@ -10,9 +10,10 @@ engine over the same graph and desk profile:
 - `head`: the router as built, whose trees also meet through a free G3
   path of up to MEETING_RADIUS edges;
 - `paper`: the paper's mechanism alone. The engine gets one-vertex step
-  rows and empty two-hop rows, set on the instance as
-  tests/test_router.py's `_paper_only` does, so trees meet only at a
-  shared vertex and trees that meet nothing take the breadth-first
+  rows and empty two-hop rows, set on the instance, and oracles rebuilt
+  with one-vertex reach rows, as tests/test_router.py's `_paper_only`
+  does, so trees meet only at a shared vertex, picks prefer only heads
+  in the other tree, and trees that meet nothing take the breadth-first
   connector.
 
 For each it prints oracle adds per served find, the mean and the longest
@@ -32,6 +33,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from expander_routing.expanders import gen_random_regular_graph  # noqa: E402
 from expander_routing.harness import gen_workload, run_trace  # noqa: E402
+from expander_routing.oracle import EdgeOracle  # noqa: E402
 from expander_routing.profiles import desk_profile  # noqa: E402
 from expander_routing.router import MEETING_RADIUS, RoutingEngine  # noqa: E402
 
@@ -43,9 +45,12 @@ CASES = {
 
 
 def paper_only(engine):
-    """`engine` with one-vertex step rows and empty two-hop rows."""
+    """The fresh `engine` with one-vertex step rows, empty two-hop rows and
+    oracles with one-vertex reach rows."""
     engine.step_out = engine.step_in = [(v,) for v in range(engine.n)]
     engine.g3_out = engine.g3_in = [()] * engine.n
+    engine.out_oracle = EdgeOracle(engine.out_oracle.host, engine.profile.oracle)
+    engine.in_oracle = EdgeOracle(engine.in_oracle.host, engine.profile.oracle)
     return engine
 
 

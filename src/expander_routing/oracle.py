@@ -30,10 +30,13 @@ out-edges in a fixed pick order: host adjacency order rotated by
 unrotated scan would send every vertex to the same low-id heads first,
 which saturates them together and feeds Low and B. The paper allows any
 free out-edge whose head is not saturated; a pick takes the first one in
-pick order whose head lies in the caller's `prefer` set (the router's
-other tree), else the first one. Every other choice (vertex scans,
-backward walk steps) follows host adjacency order or ascending vertex
-ids, so runs are deterministic.
+pick order whose head's reach row meets the caller's `prefer` set, else
+the first one. Reach rows are fixed per-vertex tuples given at
+construction: the router's step rows, so that a pick prefers a head
+whose own discovery would pass its meeting test; by default the head
+alone, so the rule reads "head in `prefer`". Every other choice (vertex
+scans, backward walk steps) follows host adjacency order or ascending
+vertex ids, so runs are deterministic.
 
 Every mutation an add makes goes to an undo log, one log per request
 (`request_log`), as an entry `(undo, *args)` whose call undoes it. An
@@ -65,7 +68,7 @@ on the instance (`_rebalance` calls it through the instance) and run
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import ceil
 from operator import add, le, ne
 
@@ -86,7 +89,7 @@ class Findings:
 
 
 class EdgeOracle:
-    def __init__(self, host: Digraph, profile: OracleProfile):
+    def __init__(self, host: Digraph, profile: OracleProfile, reach=None):
         if host.regularity() is None:
             raise CallerError("host is not regular")
         self.host = host
@@ -99,16 +102,18 @@ class EdgeOracle:
         self.low = bytearray(host.n)
         # sat_out[v] = number of host out-edges of v whose head is saturated
         self.sat_out = bytearray(host.n)
-        # in_tails[w] = the tails of w's in-edges, the sat_out entries w moves;
-        # fixed tuples, which the cyclic GC stops tracking
-        self._in_tails = [tuple(map(host.tails.__getitem__, in_adj)) for in_adj in host.in_adj]
-        # pick_order[v] = v's out-edges in the order picks and walks scan them,
-        # pick_heads[v] their heads, which a pick tests against `prefer` at once
+        # pick_order[v] = v's out-edges in the order picks and walks scan them;
+        # reach[w] = the row a pick tests against `prefer` for head w (w alone
+        # by default), pick_reach[v] the rows of v's pick heads chained, which
+        # a pick tests at once; fixed tuples, which the cyclic GC stops tracking
         self._pick_order = [
             (*adj[v % len(adj):], *adj[:v % len(adj)]) if adj else ()
             for v, adj in enumerate(host.out_adj)
         ]
-        self._pick_heads = [gather(host.heads, row) for row in self._pick_order]
+        self._reach = [(v,) for v in range(host.n)] if reach is None else reach
+        self._pick_reach = [
+            tuple(chain.from_iterable(gather(self._reach, gather(host.heads, row)))) for row in self._pick_order
+        ]
         # integer thresholds: an integer x reaches a Fraction t iff x >= ceil(t)
         self._sat_min = ceil(profile.sat_threshold)
         self._low_min = ceil(profile.low_threshold)
@@ -140,7 +145,7 @@ class EdgeOracle:
     def _sat_add(self, w):
         self.sat[w] = 1
         sat_out, low, low_min = self.sat_out, self.low, self._low_min
-        for u in self._in_tails[w]:
+        for u in gather(self.host.tails, self.host.in_adj[w]):
             sat_out[u] += 1
             if sat_out[u] >= low_min and not low[u]:
                 self._low_pending.add(u)
@@ -149,7 +154,7 @@ class EdgeOracle:
     def _sat_remove(self, w):
         self.sat[w] = 0
         sat_out, low, low_min = self.sat_out, self.low, self._low_min
-        for u in self._in_tails[w]:
+        for u in gather(self.host.tails, self.host.in_adj[w]):
             sat_out[u] -= 1
             if low[u] and sat_out[u] < low_min:
                 self._drop_pending.add(u)
@@ -213,10 +218,13 @@ class EdgeOracle:
         vertex picks until it reaches its out-degree cap, so the tree
         holds at most out_cap * `vertex_cap` edges. A Low vertex takes its
         first B-stock edge in pick order. Any other takes the first free
-        out-edge in pick order whose head is not in Sat and lies in the
-        set `prefer`, or, when no allowed head lies in it, the first
-        allowed edge. `prefer` is read at each pick, so the caller may
-        widen it between resumes; `add_edge` passes an empty one.
+        out-edge in pick order whose head is not in Sat and whose reach
+        row meets the set `prefer`, or, when no allowed head's row meets
+        it, the first allowed edge. `prefer` is read at each pick, so the
+        caller may widen it between resumes; `add_edge` passes an empty
+        one. A pick costs one C-level `isdisjoint` of `prefer` with the
+        chained rows of u's pick heads (`_pick_reach[u]`), and one per
+        allowed edge passed over when that test finds a meeting head.
 
         Each discovered vertex w, once it is the last key of `parent`, is
         passed to `meets`; the tree ends at the first w for which it is
@@ -233,7 +241,7 @@ class EdgeOracle:
         h, state, h_remove = self.h, self.state, self.h.remove
         out_deg, in_deg, b_in = h.out_deg, h.in_deg, self.b.in_deg
         sat, low, sat_min = self.sat, self.low, self._sat_min
-        heads, pick_order, pick_heads = self.host.heads, self._pick_order, self._pick_heads
+        heads, pick_order, reach, pick_reach = self.host.heads, self._pick_order, self._reach, self._pick_reach
         # the BFS queue: a for loop over a list visits what is appended to it
         order = list(parent)
         log, enqueue, keep = undo.append, order.append, edges.append
@@ -251,17 +259,17 @@ class EdgeOracle:
                     self._b_remove(e)
                     w = heads[e]
                 else:
-                    # the first allowed edge with a preferred head, else the first
-                    # allowed edge: one C-level test lets a row with no preferred
-                    # head stop at its first allowed edge
-                    apart, first = prefer.isdisjoint(pick_heads[u]), None
+                    # the first allowed edge whose head's reach row meets `prefer`,
+                    # else the first allowed edge: one C-level test lets a row with
+                    # no such head stop at its first allowed edge
+                    apart, first = prefer.isdisjoint(pick_reach[u]), None
                     for e in pick_order[u]:
                         if state[e]:
                             continue
                         w = heads[e]
                         if sat[w]:
                             continue
-                        if apart or w in prefer:
+                        if apart or not prefer.isdisjoint(reach[w]):
                             break
                         if first is None:
                             first = e
@@ -546,9 +554,9 @@ class EdgeOracle:
         Low flags that count implies, both bytearrays."""
         sat_out = bytearray(self.host.n)
         low = bytearray(self.host.n)
-        low_min = self._low_min
+        low_min, tails, in_adj = self._low_min, self.host.tails, self.host.in_adj
         for w in heads:
-            for u in self._in_tails[w]:
+            for u in gather(tails, in_adj[w]):
                 sat_out[u] += 1
                 if sat_out[u] >= low_min:
                     low[u] = 1

@@ -10,17 +10,20 @@ stands, or of a vertex joined to it by a free path of one to three edges
 of the third subgraph (edges no live path's middle segment holds,
 through middle vertices in neither tree). The oracles only hand out
 edges; the rule lives here, in one test per tree that `grow_tree` runs
-on each discovery, and nothing tests a pair again. It tests the
-discovery's fixed two-hop G3 row against the other tree's reach set, the
-vertices one G3 edge or less from it, confirms a hit against H3 (few G3
-edges, so no state follows H3 per vertex) and keeps the connector it
-found: none, or that path. The out-tree's test runs on a, against the
-in-root b, before either tree grows: roots that close are joined by that
-path alone. Each tree hands its oracle the other's reach set as the
-pick preference, so picks lean towards heads that meet at once. Trees
-that meet nothing grow to full size, large enough that G3, minus the
-middle segments already spoken for, connects them by a short directed
-path. One breadth-first search finds
+on each discovery, and nothing tests a pair again. Each tree keeps a
+zone: its vertices and every vertex within two G3 edges of them (out of
+the out-tree, into the in-tree). The test widens the own zone by the
+discovery and its fixed two-hop G3 row, tests the discovery's step row
+(itself and its one-edge G3 ends) against the other tree's zone,
+confirms a hit against H3 (few G3 edges, so no state follows H3 per
+vertex) and keeps the connector it found: none, or that path. The
+out-tree's test runs on a, against the in-root b, before either tree
+grows: roots that close are joined by that path alone. Each oracle
+holds the step rows as its reach rows, and each tree hands its oracle
+the other's zone as the pick preference, so a pick prefers a head that
+would pass the test at once. Trees that meet nothing grow to full size,
+large enough that G3, minus the middle segments already spoken for,
+connects them by a short directed path. One breadth-first search finds
 both connectors, `_free_g3_path`: three hops from a discovery, or
 `depth_cap` hops from the full out-tree.
 The path is assembled from the two tree branches plus the connector,
@@ -151,15 +154,15 @@ class RoutingEngine:
     def __init__(self, g: UndirectedGraph, profile: RouterProfile):
         self.profile = profile
         self.split = pre_process(g, profile)
-        self.out_oracle = EdgeOracle(self.split.g1, profile.oracle)
-        self.in_oracle = EdgeOracle(reverse(self.split.g2), profile.oracle)
         self.h3 = EdgeSubset(self.split.g3)
         self.ledger = Ledger(g.n, profile.endpoint_cap, profile.r)
         # fixed G3 rows, in adjacency order, H3 ignored: g3_out[v] (g3_in[v])
         # holds each end within two G3 edges out of (into) v once, one-edge
         # ends first, and step_out[v] (step_in[v]) holds v and its one-edge ends;
-        # `_meets` tests discoveries with them and confirms against H3 with
-        # link_out (link_in), the G3 path search `find_path` connects with too
+        # `_meets` widens a tree's zone with the first and tests discoveries
+        # with the second, which each oracle's picks test too, and confirms
+        # against H3 with link_out (link_in), the G3 path search `find_path`
+        # connects with too
         g1, g2, g3 = self.split.g1, self.split.g2, self.split.g3
         out1 = [tuple(map(g3.heads.__getitem__, row)) for row in g3.out_adj]
         in1 = [tuple(map(g3.tails.__getitem__, row)) for row in g3.in_adj]
@@ -167,6 +170,9 @@ class RoutingEngine:
         self.g3_in = [tuple(dict.fromkeys(chain(row, *map(in1.__getitem__, row)))) for row in in1]
         self.step_out = [(v, *row) for v, row in zip(_ids(g3.n), out1)]  # v: the shared id object
         self.step_in = [(v, *row) for v, row in zip(_ids(g3.n), in1)]
+        del out1, in1  # freed before the oracles' tables, which outlive them
+        self.out_oracle = EdgeOracle(g1, profile.oracle, self.step_out)
+        self.in_oracle = EdgeOracle(reverse(g2), profile.oracle, self.step_in)
         # bound to H3's member array, not to self: an engine is no reference cycle
         self.link_out = partial(self._free_g3_path, self.h3.member, g3.out_adj, g3.heads)
         self.link_in = partial(self._free_g3_path, self.h3.member, g3.in_adj, g3.tails)
@@ -233,8 +239,8 @@ class RoutingEngine:
 
         The out-tree's `_meets` test runs on a first, against the in-root
         b, and a meeting there grows no tree. Each tree's picks prefer heads
-        in the other tree's reach set as it stands. The first meeting in
-        lockstep order ends both: a tree ends where its
+        whose step rows meet the other tree's zone as it stands. The first
+        meeting in lockstep order ends both: a tree ends where its
         `_meets` test accepts a discovery and leaves the other suspended. A
         tree that ends unmet leaves the other to grow alone, and must reach
         `bfs_vertex_cap` vertices. BFS makes a tree's last key its deepest.
@@ -245,13 +251,13 @@ class RoutingEngine:
         prof = self.profile
         cap, depth_cap = prof.bfs_vertex_cap, prof.depth_cap  # derived properties: read them once
         edges_a, par_a, edges_b, par_b = [], {a: None}, [], {b: None}
-        reach_a, reach_b, met = set(self.step_out[a]), set(self.step_in[b]), []
-        meets_a = self._meets(True, par_a, par_b, reach_a, reach_b, met)
-        meets_b = self._meets(False, par_b, par_a, reach_b, reach_a, met)
+        zone_a, zone_b, met = set(), {b, *self.g3_in[b]}, []
+        meets_a = self._meets(True, par_a, par_b, zone_a, zone_b, met)
+        meets_b = self._meets(False, par_b, par_a, zone_b, zone_a, met)
         if meets_a(a):  # the roots are joined by a free G3 path: no tree grows
             return edges_a, par_a, edges_b, par_b, met[0]
-        grow_a = self.out_oracle.grow_tree(par_a, edges_a, cap, meets_a, reach_b)
-        grow_b = self.in_oracle.grow_tree(par_b, edges_b, cap, meets_b, reach_a)
+        grow_a = self.out_oracle.grow_tree(par_a, edges_a, cap, meets_a, zone_b)
+        grow_b = self.in_oracle.grow_tree(par_b, edges_b, cap, meets_b, zone_a)
         # zip stops when the first tree ends; unless it met, the other goes on alone
         for _ in zip(grow_a, grow_b):
             pass
@@ -267,17 +273,19 @@ class RoutingEngine:
                 raise ExpansionViolation("tree depth %d exceeds budget %d" % (depth, depth_cap))
         return edges_a, par_a, edges_b, par_b, meet
 
-    def _meets(self, out, own, other, reach, other_reach, met):
+    def _meets(self, out, own, other, zone, other_zone, met):
         """The `grow_tree` test by which the tree `own` (the out-tree if
         `out`, else the in-tree) meets the tree `other` as it stands.
 
-        `reach` and `other_reach` are the trees' reach sets, the unions of
-        their vertices' step rows. A discovery w first widens `reach` by
-        its step row, then passes the reach test if it lies in
-        `other_reach` or its two-hop row meets it: it is then within three
-        G3 edges of (out-tree) or from (in-tree) the other tree, H3
-        ignored. It meets if it is a key of `other`, or if `link_out`
-        (`link_in`) finds a free G3 path of at most `MEETING_RADIUS` edges
+        `zone` and `other_zone` are the trees' zones: their vertices and
+        every vertex within two G3 edges out of them (out-tree) or into
+        them (in-tree), H3 ignored. A discovery w first widens `zone` by w
+        and its two-hop row, then passes the reach test if its step row
+        meets `other_zone`: it is then within three G3 edges of
+        (out-tree) or from (in-tree) the other tree, H3 ignored. That is
+        one set insert, one C-level update of about 12 entries and one
+        `isdisjoint` of 4. It meets if it is a key of `other`, or if
+        `link_out` (`link_in`) finds a free G3 path of at most `MEETING_RADIUS` edges
         from w to `other`, avoiding `own`; the test then appends the
         connector, (entry, exit, edges in path order), to the list `met`
         that both trees' tests share.
@@ -287,11 +295,12 @@ class RoutingEngine:
             (self.step_out, self.g3_out, self.link_out, g3.heads) if out
             else (self.step_in, self.g3_in, self.link_in, g3.tails)
         )
-        widen, apart = reach.update, other_reach.isdisjoint
+        join, widen, apart = zone.add, zone.update, other_zone.isdisjoint
 
         def meets(w):
-            widen(step[w])
-            if w in other_reach or not apart(near[w]):
+            join(w)
+            widen(near[w])
+            if not apart(step[w]):
                 if w in other:
                     met.append((w, w, []))
                     return True

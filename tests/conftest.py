@@ -7,6 +7,7 @@ import pytest
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.graph import Digraph, UndirectedGraph
+from expander_routing.oracle import EdgeOracle
 from expander_routing.preprocess import eulerian_orient
 from expander_routing.profiles import RouterProfile, format_profile
 from expander_routing.router import Ledger
@@ -127,22 +128,35 @@ def one_vertex_tree(orc, v, prefer=frozenset()):
     return edges
 
 
-def first_pick(orc, u, prefer):
+def first_pick(orc, u, prefer, rows):
     """The pick rule spelled out over u's host row rotated by u mod its
-    length: (edge, kind) for a Low vertex's first B edge ("stock"), else
-    for the first free out-edge with an unsaturated head whose head is in
-    `prefer` ("passed over" when an earlier such edge with its head
-    outside `prefer` was passed over, else "preferred"), else for the
-    first such edge at all ("first"); edge None when u has none."""
+    length, with `rows[w]` the reach row of head w: (edge, kind) for a Low
+    vertex's first B edge ("stock"), else for the first free out-edge with
+    an unsaturated head whose row meets `prefer` ("passed over" when an
+    earlier such edge whose head's row misses `prefer` was passed over,
+    else "preferred"), else for the first such edge at all ("first");
+    edge None when u has none."""
     adj = orc.host.out_adj[u]
     row = adj[u % len(adj):] + adj[:u % len(adj)]
     if orc.low[u]:
         return next((e for e in row if orc.state[e] == 2), None), "stock"
     allowed = [e for e in row if orc.state[e] == 0 and not orc.sat[orc.host.heads[e]]]
-    preferred = [e for e in allowed if orc.host.heads[e] in prefer]
+    preferred = [e for e in allowed if any(x in prefer for x in rows[orc.host.heads[e]])]
     if preferred:
         return preferred[0], "preferred" if preferred[0] == allowed[0] else "passed over"
     return (allowed or [None])[0], "first"
+
+
+def one_vertex_rows(n):
+    """The default reach rows of an n-vertex oracle: each head alone."""
+    return [(v,) for v in range(n)]
+
+
+def set_reach(orc, rows):
+    """Give `orc` the reach rows `rows` (one-vertex rows if None) in place,
+    as if it had been built with them; its state stays as it is."""
+    built = EdgeOracle(orc.host, orc.profile, rows)
+    orc._reach, orc._pick_reach = built._reach, built._pick_reach
 
 
 def no_preference(served):

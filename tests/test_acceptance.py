@@ -47,12 +47,12 @@ GOLDEN_PREPROCESS = {
     (20, 2): "296558d1fdc3491c54ee078c45de6b9ee729d525194c3a0183117af96d01713e",
     (21, 3): "6ed5b5f4cf98a3a71f9334153b83ceb9882958799b5da265cc96bf2477379c7a",
 }
-GOLDEN_REPLAY = "374525df3d9c829e40f9a4b530d2a3457a97d961edccc831b6cdaf33d85a1390"
-GOLDEN_REPLAY_STATE = "dc21ad2f25f5ba90cc6b22ce816639cb554d391160f09e67e7173f4ba5ab820a"
+GOLDEN_REPLAY = "1f147de33f5ce68ae74ec55cadfc1358070df2d0124841b774a5509a76c5d8d0"
+GOLDEN_REPLAY_STATE = "78e1d35e8036fbb766a78352d73150346de5f76f8e99d2ac4c1073338d589dbb"
 # the oracle work that replay does: per-edge add and remove calls, walk
 # searches, and Low promotions per oracle (out, in)
 GOLDEN_REPLAY_CALLS = {
-    "out_add": 721, "out_remove": 705, "in_add": 620, "in_remove": 609, "walk_searches": 0,
+    "out_add": 406, "out_remove": 393, "in_add": 289, "in_remove": 278, "walk_searches": 0,
 }
 GOLDEN_REPLAY_LOW_ADDITIONS = (0, 0)
 

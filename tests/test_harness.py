@@ -305,20 +305,20 @@ def test_cli_pipeline(tmp_path, capsys):
     assert payload["failures"] == []
     assert payload["requests_served"] == 60
     assert payload["path_length_histogram"] == {
-        "1": 1, "2": 5, "3": 14, "4": 5, "5": 6, "6": 1
+        "1": 1, "2": 3, "3": 14, "4": 12, "5": 2
     }
-    # the same 32 finds by connector length: 1 at a shared vertex, 8 of
-    # one G3 edge, 6 of two, 17 of three
-    assert payload["connector_length_histogram"] == {"0": 1, "1": 8, "2": 6, "3": 17}
+    # the same 32 finds by connector length: 4 of one G3 edge, 7 of two,
+    # 21 of three
+    assert payload["connector_length_histogram"] == {"1": 4, "2": 7, "3": 21}
     assert payload["oracle_call_counts"] == {
-        "out_add": 33, "out_remove": 31, "in_add": 26, "in_remove": 24, "walk_searches": 0
+        "out_add": 24, "out_remove": 22, "in_add": 6, "in_remove": 6, "walk_searches": 0
     }
     assert sorted(payload["wall_clock"]) == ["max", "p50", "p90", "p99"]
     # graph load and engine build, timed apart from the requests
     assert payload["build_s"] > 0
     assert (payload["verifies_run"], payload["verify_findings"]) == (6, 0)
     out = capsys.readouterr().out
-    assert "connector lengths: 0:1 1:8 2:6 3:17\n" in out
+    assert "connector lengths: 1:4 2:7 3:21\n" in out
     assert "build seconds: %.6f\n" % payload["build_s"] in out
     assert "verify seconds: %.6f\n" % payload["verify_s"] in out and payload["verify_s"] > 0
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from conftest import (
-    drive, dump, first_pick, never, one_vertex_tree, oriented_host, tree_by_single_adds, undo_entries,
+    drive, dump, first_pick, never, one_vertex_rows, one_vertex_tree, oriented_host, set_reach, tree_by_single_adds,
+    undo_entries,
 )
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.graph import Digraph
@@ -596,12 +597,13 @@ def _grown(orc, root, vertex_cap, meets=never, steps=None, prefer=frozenset()):
         return edges, parent, undo_entries(orc)
 
 
-def _after_seeded_adds():
-    """A 60-vertex oracle after 40 seeded adds: it holds Low vertices
-    (B-stock picks) and saturated heads, and has rebalanced."""
+def _after_seeded_adds(rows=None):
+    """A 60-vertex oracle with reach rows `rows` after 40 seeded adds: it
+    holds Low vertices (B-stock picks) and saturated heads, and has
+    rebalanced. An add prefers nothing, so its state is the same for any rows."""
     host = oriented_host(60, 8, seed=12)
     caps = dict(out_cap=3, in_cap=3, sat_threshold=Fraction(2), low_threshold=Fraction(3))
-    base = EdgeOracle(host, small_profile(8, **caps))
+    base = EdgeOracle(host, small_profile(8, **caps), rows)
     rng = random.Random(4)
     for _ in range(40):
         try:
@@ -614,23 +616,29 @@ def _after_seeded_adds():
 def test_each_pick_follows_the_rule_spelled_out():
     # on an oracle with Sat and Low vertices, a one-vertex tree at every
     # vertex, under random preference sets, takes the edge `first_pick`
-    # names, or fails when it names none; picks of every kind occur
-    base, rng = _after_seeded_adds(), random.Random(5)
-    kinds = set()
-    for u in range(60):
-        if base.h.out_deg[u] >= base.profile.out_cap:
-            continue
-        for prefer in (frozenset(), frozenset(rng.sample(range(60), 6)), frozenset(rng.sample(range(60), 20))):
-            orc = copy.deepcopy(base)
-            want, kind = first_pick(orc, u, prefer)
-            with orc.request_log():
-                if want is None:
-                    with pytest.raises(ExpansionViolation):
-                        one_vertex_tree(orc, u, prefer)
-                    continue
-                assert one_vertex_tree(orc, u, prefer) == [want]
-            kinds.add(kind)
-    assert kinds == {"stock", "first", "preferred", "passed over"}
+    # names, or fails when it names none; picks of every kind occur, with
+    # the default one-vertex reach rows and with rows that hold each head
+    # and three random vertices, as the router's step rows hold a vertex
+    # and its three G3 ends
+    rng = random.Random(5)
+    step_like = [(v, *rng.sample(range(60), 3)) for v in range(60)]
+    for rows in (None, step_like):
+        base = _after_seeded_adds(rows)
+        kinds = set()
+        for u in range(60):
+            if base.h.out_deg[u] >= base.profile.out_cap:
+                continue
+            for prefer in (frozenset(), frozenset(rng.sample(range(60), 6)), frozenset(rng.sample(range(60), 20))):
+                orc = copy.deepcopy(base)
+                want, kind = first_pick(orc, u, prefer, rows or one_vertex_rows(60))
+                with orc.request_log():
+                    if want is None:
+                        with pytest.raises(ExpansionViolation):
+                            one_vertex_tree(orc, u, prefer)
+                        continue
+                    assert one_vertex_tree(orc, u, prefer) == [want]
+                kinds.add(kind)
+        assert kinds == {"stock", "first", "preferred", "passed over"}, (rows is None, kinds)
 
 
 def test_stopped_tree_is_a_prefix_of_the_unstopped_tree():
@@ -757,15 +765,17 @@ class OracleMachine(RuleBasedStateMachine):
         meet=st.sets(MACHINE_VERTICES, max_size=6),
         steps=st.none() | st.integers(0, 24),
         prefer=st.frozensets(MACHINE_VERTICES, max_size=12),
+        rows=st.none() | st.lists(st.lists(MACHINE_VERTICES, max_size=4).map(tuple), min_size=40, max_size=40),
         data=st.data(),
     )
-    def grow_and_hand_back(self, root, vertex_cap, meet, steps, prefer, data):
-        # a find's tree: grown inside a log with pick preference `prefer`,
-        # resumed `steps` times (to its end when None) and dropped, then
-        # all but a kept subset released after the log closes; the same
-        # tree grown one one-vertex tree per edge on a copy must match it
-        # edge for edge. The first discovered vertex in the meeting set
-        # `meet` ends it
+    def grow_and_hand_back(self, root, vertex_cap, meet, steps, prefer, rows, data):
+        # a find's tree: grown inside a log with pick preference `prefer`
+        # and reach rows `rows` (one-vertex rows if None), resumed `steps`
+        # times (to its end when None) and dropped, then all but a kept
+        # subset released after the log closes; the same tree grown one
+        # one-vertex tree per edge on a copy must match it edge for edge.
+        # The first discovered vertex in the meeting set `meet` ends it
+        set_reach(self.orc, rows)
         ref = copy.deepcopy(self.orc)
         before = self._state()
         args = vertex_cap, meet.__contains__, steps

@@ -15,11 +15,12 @@ from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import depth_capped, dump, first_pick, never, tree_by_single_adds, undo_entries
+from conftest import depth_capped, dump, first_pick, never, one_vertex_rows, tree_by_single_adds, undo_entries
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.graph import load_graph, save_graph
 from expander_routing.harness import gen_workload, run_trace
+from expander_routing.oracle import EdgeOracle
 from expander_routing.profiles import ceil_log2, derive_profile, desk_profile
 from expander_routing.router import MEETING_RADIUS, Ledger, RoutingEngine
 
@@ -258,17 +259,17 @@ def test_met_tree_skips_the_stall_check_but_not_the_depth_check(probe_trees):
     assert eng.verify().ok
 
 
-def _replayed(oracle, parent, vertex_cap, prefer, picks, meets=never, steps=None):
+def _replayed(oracle, rows, parent, vertex_cap, prefer, picks, meets=never, steps=None):
     """The tree `oracle` grows into `parent` by single adds on a copy, its
     k-th pick preferring `prefer(k)`. Each pick is checked against
-    `first_pick` as the copy stands just before it, and `picks` counts
-    them by kind."""
+    `first_pick` over the reach rows `rows` as the copy stands just
+    before it, and `picks` counts them by kind."""
     with copy.deepcopy(oracle).request_log() as orc:
         grow = orc.grow_tree
 
         def checked(root, edges, vertex_cap, meets, near):
             (u,) = root
-            want, kind = first_pick(orc, u, near)
+            want, kind = first_pick(orc, u, near, rows)
             if kind != "stock":
                 assert orc.state[want] == 0 and not orc.sat[orc.host.heads[want]]
             next(grow(root, edges, vertex_cap, meets, near))
@@ -280,36 +281,38 @@ def _replayed(oracle, parent, vertex_cap, prefer, picks, meets=never, steps=None
         return tree_by_single_adds(orc, parent, vertex_cap, meets, steps, prefer)
 
 
-def _lockstep_reach(eng, out, other):
+def _lockstep_zone(eng, out, other):
     """prefer(k) of the tree facing the lockstep tree `other`, (edges,
-    parent), the out-tree if `out`: `other`'s reach set at the tree's
-    k-th pick, the step rows of its root and of what its first k picks
-    discovered (k + 1 for the in-tree: the out-tree moves first)."""
-    step, lag = (eng.step_in, 0) if out else (eng.step_out, 1)
+    parent), the out-tree if `out`: `other`'s zone at the tree's k-th
+    pick, over its root and what its first k picks discovered (k + 1 for
+    the in-tree: the out-tree moves first)."""
+    lag = 0 if out else 1
     edges, parent = other
     at = {e: i for i, e in enumerate(edges)}
-    return lambda k: _reach(step, [x for x, up in parent.items() if up is None or at[up[1]] < k + lag])
+    return lambda k: _zone(eng, not out, [x for x, up in parent.items() if up is None or at[up[1]] < k + lag])
 
 
-def _reach(step, parent):
-    """A tree's reach set: the union of its vertices' step rows."""
-    return set().union(*map(step.__getitem__, parent))
+def _zone(eng, out, tree):
+    """Plain BFS: the zone of `tree`, the out-tree if `out`, every vertex
+    at most two G3 edges out of it (into it for the in-tree), H3 ignored."""
+    g3 = eng.split.g3
+    return _within(g3.out_adj, g3.heads, tree, 2) if out else _within(g3.in_adj, g3.tails, tree, 2)
 
 
 def _meets(eng, out, own, other, met):
     """The engine's meeting test of the tree `own` (the out-tree if `out`)
-    against the tree `other`, over reach sets built from both trees."""
-    steps = (eng.step_out, eng.step_in) if out else (eng.step_in, eng.step_out)
-    return eng._meets(out, own, other, _reach(steps[0], own), _reach(steps[1], other), met)
+    against the tree `other`, over zones built from both trees."""
+    return eng._meets(out, own, other, _zone(eng, out, own), _zone(eng, not out, other), met)
 
 
 def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
     # on a filled engine, each lockstep tree is a prefix of the tree its
     # oracle grows by single adds, each pick preferring the other tree's
-    # reach set as lockstep growth then leaves it, and every pick follows
-    # the rule spelled out: a Low vertex's first stock edge, else the
-    # first free, unsaturated out-edge whose head is in that reach set,
-    # else the first free, unsaturated one; both of the latter occur, and
+    # zone (a plain BFS of two G3 edges from it) as lockstep growth then
+    # leaves it, and every pick follows the rule spelled out: a Low
+    # vertex's first stock edge, else the first free, unsaturated out-edge
+    # whose head's step row meets that zone, else the first free,
+    # unsaturated one; both of the latter occur, and
     # some picks pass over an allowed edge for a preferred one (no vertex
     # is Low at this load, so no stock pick occurs). Roots joined by a
     # free G3 path grow no tree. Trees share at most one vertex. Trees
@@ -347,9 +350,10 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
         probe = probe_trees(eng, a, b)
         meet = probe["meet"]
         sides = ((eng.out_oracle, a, probe["out"], True), (eng.in_oracle, b, probe["in"], False))
-        near = {out: _lockstep_reach(eng, out, probe["in" if out else "out"]) for out in (True, False)}
+        near = {out: _lockstep_zone(eng, out, probe["in" if out else "out"]) for out in (True, False)}
+        rows = {True: eng.step_out, False: eng.step_in}
         for oracle, root, (edges, parent), out in sides:
-            full_edges, full_parent = _replayed(oracle, {root: None}, cap, near[out], picks)
+            full_edges, full_parent = _replayed(oracle, rows[out], {root: None}, cap, near[out], picks)
             assert edges == full_edges[: len(edges)]
             assert list(parent.items()) == list(full_parent.items())[: len(parent)]
             if meet is None:
@@ -388,8 +392,9 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
                 continue  # a root is never discovered
             own = {m_root: None}
             schedules.append(
-                _replayed(m_orc, own, cap, near[out], picks, _meets(eng, out, own, o_tree[1], [])) == m_tree
-                and _replayed(o_orc, {o_root: None}, cap, near[o_out], picks, steps=len(m_edges) - lag) == o_tree
+                _replayed(m_orc, rows[out], own, cap, near[out], picks, _meets(eng, out, own, o_tree[1], [])) == m_tree
+                and _replayed(o_orc, rows[o_out], {o_root: None}, cap, near[o_out], picks, steps=len(m_edges) - lag)
+                == o_tree
             )
         assert any(schedules) or roots
         kinds[outcomes[len(seg_mid)]] += 1
@@ -533,12 +538,12 @@ def _reference_link(g3, held, out, sources, keys, own, hops):
     return None
 
 
-def _within_three(adj, ends, sources):
-    """Plain BFS: the vertices at most three G3 edges from `sources` along
-    `adj` to `ends`, H3 ignored."""
+def _within(adj, ends, sources, hops):
+    """Plain BFS: the vertices at most `hops` G3 edges from `sources`
+    along `adj` to `ends`, H3 ignored."""
     seen = set(sources)
     layer = list(sources)
-    for _ in range(3):
+    for _ in range(hops):
         layer = [ends[e] for u in layer for e in adj[u] if ends[e] not in seen]
         seen.update(layer)
     return seen
@@ -551,33 +556,35 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
     # the other tree as it stood then (lockstep turns are picks, the
     # out-tree moves first, and its
     # root is tested against the in-root before either tree grows): the
-    # reach test equals a plain BFS check that the G3 distance to the
-    # other tree is at most three, a candidate's link equals the brute
-    # force, only a tree's last discovery meets, and the find's meeting is
-    # the brute-force one of the tree whose last discovery met, against the
-    # other tree as it stood then. Links beside each H3-held edge match the
-    # brute force too, and some of them go around the held edge. Each
-    # tree's reach set ends as the union of the step rows of all its
-    # vertices, its last key's too
+    # reach test, the discovery's step row against the other tree's zone
+    # (a plain BFS of two G3 edges), equals a plain BFS check that the G3
+    # distance to the other tree is at most three, a candidate's link
+    # equals the brute force, only a tree's last discovery meets, and the
+    # find's meeting is the brute-force one of the tree whose last
+    # discovery met, against the other tree as it stood then. Links
+    # beside each H3-held edge match the brute force too, and some of
+    # them go around the held edge. Each tree's zone ends as a plain BFS
+    # of every vertex within two G3 edges of all its vertices (out of the
+    # out-tree, into the in-tree), its last key's too
     prof = desk_profile(n, d)
     eng = RoutingEngine(gen_random_regular_graph(n, d, seed=11), prof)
     cmds = gen_workload("churn", n, {"ops": 200, "live_target": prof.r // 2}, 5, prof.endpoint_cap, prof.r)
     assert run_trace(eng, cmds).failures == []
     g3, h3m = eng.split.g3, eng.h3.member
     assert len(eng.h3)
-    # the reach sets `_grow_trees` hands to each tree's meeting test
-    reaches, build = [], eng._meets
+    # the zones `_grow_trees` hands to each tree's meeting test
+    zones, build = [], eng._meets
 
-    def watched_build(out, own, other, reach, other_reach, met):
-        reaches.append((out, own, reach))
-        return build(out, own, other, reach, other_reach, met)
+    def watched_build(out, own, other, zone, other_zone, met):
+        zones.append((out, own, zone))
+        return build(out, own, other, zone, other_zone, met)
 
     eng._meets = watched_build
-    # per tree: its two-hop rows and link, the other tree's step rows, and
-    # the BFS direction from the other tree towards a discovery
+    # per tree: its step rows and link, and the BFS direction from the
+    # other tree towards a discovery
     sides = {
-        True: (eng.g3_out, eng.link_out, eng.step_in, g3.in_adj, g3.tails),
-        False: (eng.g3_in, eng.link_in, eng.step_out, g3.out_adj, g3.heads),
+        True: (eng.step_out, eng.link_out, g3.in_adj, g3.tails),
+        False: (eng.step_in, eng.link_in, g3.out_adj, g3.heads),
     }
     tested = Counter()
     rng = random.Random(6)
@@ -587,16 +594,16 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
             continue
         probe = probe_trees(eng, a, b)
         par_a, par_b = probe["out"][1], probe["in"][1]
-        assert [(out, own) for out, own, _ in reaches] == [(True, par_a), (False, par_b)]
-        for out, own, reach in reaches:
-            assert reach == _reach(eng.step_out if out else eng.step_in, own)
-        reaches.clear()
+        assert [(out, own) for out, own, _ in zones] == [(True, par_a), (False, par_b)]
+        for out, own, zone in zones:
+            assert zone == _zone(eng, out, own)
+        zones.clear()
         met = []
         for out, (edges, own), (other_edges, other), lag in (
             (True, probe["out"], probe["in"], 0),
             (False, probe["in"], probe["out"], 1),
         ):
-            near, link, other_step, adj, ends = sides[out]
+            step, link, adj, ends = sides[out]
             order = list(own)
             at, other_at = {e: i for i, e in enumerate(edges)}, {e: i for i, e in enumerate(other_edges)}
             start = 0 if out else 1
@@ -606,9 +613,8 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
                 made = at[own[w][1]] + lag if k else 0
                 keys = {x: None for x, up in other.items() if up is None or other_at[up[1]] < made}
                 mine = dict.fromkeys(order[: k + 1])
-                reach = _reach(other_step, keys)
-                passed = w in reach or not reach.isdisjoint(near[w])
-                assert passed == (w in _within_three(adj, ends, keys))
+                passed = not _within(adj, ends, keys, 2).isdisjoint(step[w])
+                assert passed == (w in _within(adj, ends, keys, 3))
                 ref = None if w in keys else _reference_link(g3, h3m, out, (w,), keys, mine, 3)
                 if passed and w not in keys:
                     assert link((w,), keys, mine, 3) == ref
@@ -629,7 +635,7 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
     free = bytearray(g3.m)
     around = 0
     for e in eng.h3.members():
-        for out, (_, link, _, _, _) in sides.items():
+        for out, (_, link, _, _) in sides.items():
             adj, ends = (g3.out_adj, g3.heads) if out else (g3.in_adj, g3.tails)
             w, x = (g3.tails[e], g3.heads[e]) if out else (g3.heads[e], g3.tails[e])
             ring = {x}
@@ -738,7 +744,7 @@ def test_engine_from_a_file_holds_one_object_per_id(tmp_path):
     save_graph(tmp_path / "g.txt", gen_random_regular_graph(600, 31, seed=11))
     eng = RoutingEngine(load_graph(tmp_path / "g.txt"), desk_profile(600, 31))
     graphs = [eng.split.host, eng.split.g1, eng.split.g2, eng.split.g3]
-    rows = [eng.out_oracle._in_tails, eng.in_oracle._in_tails, eng.g3_out, eng.g3_in, eng.step_out, eng.step_in]
+    rows = [eng.out_oracle._pick_reach, eng.in_oracle._pick_reach, eng.g3_out, eng.g3_in, eng.step_out, eng.step_in]
     vertices = chain(*(chain(g.tails, g.heads) for g in graphs), *(chain.from_iterable(r) for r in rows))
     edges = chain.from_iterable(chain.from_iterable(chain(g.out_adj, g.in_adj)) for g in graphs)
     for ids, count in ((vertices, 600), (edges, eng.split.host.m)):
@@ -747,12 +753,41 @@ def test_engine_from_a_file_holds_one_object_per_id(tmp_path):
 
 
 def _paper_only(eng):
-    """`eng` running the paper's mechanism alone: one-vertex step rows and
-    empty two-hop rows, set on the instance, so trees meet only at a shared
-    vertex and trees that meet nothing take the breadth-first connector."""
+    """The fresh engine `eng` running the paper's mechanism alone:
+    one-vertex step rows and empty two-hop rows, set on the instance, and
+    oracles rebuilt with one-vertex reach rows, so trees meet only at a
+    shared vertex, picks prefer only heads in the other tree, and trees
+    that meet nothing take the breadth-first connector."""
     eng.step_out = eng.step_in = [(v,) for v in range(eng.n)]
     eng.g3_out = eng.g3_in = [()] * eng.n
+    eng.out_oracle = EdgeOracle(eng.out_oracle.host, eng.profile.oracle)
+    eng.in_oracle = EdgeOracle(eng.in_oracle.host, eng.profile.oracle)
     return eng
+
+
+def _check_picks(orc, rows, picks):
+    """Wrap `orc.grow_tree` on the instance so that each pick is checked
+    against `first_pick` over the reach rows `rows`, with the tree's
+    `prefer` set as it stands at the pick, and counted in `picks`. A tree
+    vertex picks until its out-cap and out-degrees only rise inside a
+    log, so the picking vertex is the first key below its out-cap."""
+    grow, out_deg, cap, ended = orc.grow_tree, orc.h.out_deg, orc.profile.out_cap, object()
+
+    def checked(parent, edges, vertex_cap, meets, prefer):
+        tree = grow(parent, edges, vertex_cap, meets, prefer)
+        while True:
+            u = next((v for v in parent if out_deg[v] < cap), None)
+            want = None if u is None else first_pick(orc, u, prefer, rows)[0]
+            made = len(edges)
+            step = next(tree, ended)
+            if len(edges) > made:
+                assert edges[made:] == [want]
+                picks.append(want)
+            if step is ended:
+                return
+            yield
+
+    orc.grow_tree = checked
 
 
 @pytest.mark.parametrize("n,ops", [(150, 400), (600, 1000)])
@@ -761,12 +796,16 @@ def test_paper_mechanism_alone_serves_churn(n, ops):
     # and empty two-hop rows, set on the instance, trees meet only at a
     # shared vertex and no radius-3 link runs; trees that meet nothing grow
     # to full size and take the breadth-first connector, the same G3 search
-    # run from the whole out-tree with the hop budget, and fit within it
+    # run from the whole out-tree with the hop budget, and fit within it.
+    # Every pick of both oracles follows the rule spelled out over
+    # one-vertex reach rows, and every edge either oracle adds is such a pick
     prof = desk_profile(n, 30)
     eng = _paper_only(RoutingEngine(gen_random_regular_graph(n, 30, seed=11), prof))
-    calls = []
+    calls, picks = [], []
     for name in ("link_out", "link_in"):
         _count_calls(eng, name, calls, lambda sources, keys, own, hops: hops)
+    for orc in (eng.out_oracle, eng.in_oracle):
+        _check_picks(orc, one_vertex_rows(n), picks)
     cmds = gen_workload("churn", n, {"ops": ops, "live_target": prof.r // 2}, 5, prof.endpoint_cap, prof.r)
     report = run_trace(eng, cmds, verify_every=1)
     assert report.failures == [] and report.requests_served == ops
@@ -774,6 +813,7 @@ def test_paper_mechanism_alone_serves_churn(n, ops):
     assert max(report.connector_length_histogram) <= prof.depth_cap
     assert MEETING_RADIUS < prof.depth_cap
     assert set(calls) == {("link_out", prof.depth_cap)}
+    assert len(picks) == eng.out_oracle.add_calls + eng.in_oracle.add_calls > 0
 
 
 def test_ablate_script_reports_the_paper_mechanism_against_head():
@@ -788,6 +828,18 @@ def test_ablate_script_reports_the_paper_mechanism_against_head():
     assert head["link_searches"] > 0 == paper["link_searches"]
     assert paper["adds_per_find"] > head["adds_per_find"]
     assert max(paper["max_len_over_log2n"], head["max_len_over_log2n"]) * math.log2(prof.n) <= prof.depth_cap
+
+
+def test_frontier_script_fills_to_the_first_failure():
+    # scripts/frontier.py's fill at n=150, d=30, seed 1, r = n: every
+    # live path fits the hop budget, and the fill ends at an expansion
+    # failure, far past the desk volume cap r = 6 and short of n
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "frontier.py")
+    row = runpy.run_path(script, run_name="frontier")["fill"](150, 30, 1)
+    prof = desk_profile(150, 30)
+    assert prof.r < row["live"] < 150
+    assert row["max_len"] <= prof.path_len_cap and row["adds_per_find"] > 0
+    assert row["first_failure"].startswith("rebalance(")
 
 
 @pytest.mark.parametrize("n,d", [(150, 30), (150, 31), (300, 30), (300, 31)])
@@ -955,11 +1007,11 @@ def test_oracle_counters_count_every_tree_edge(probe_trees):
 
 def test_raised_volume_cap_verifies_clean_when_full():
     # with r raised past the default 8, the live paths hold more tree
-    # edges than the default r * depth_cap; verify must still pass. The
-    # fill stops once |H1| passes that bound (or at r), here at 96 live
-    # paths; pushed much further, the random fill reaches the load
-    # frontier, past which finds fail
-    n, r = 150, 100
+    # edges than the default r * depth_cap; verify must still pass. With
+    # r = n the fill stops once |H1| passes that bound, not at r: here at
+    # 105 live paths (|H1| = 66); pushed much further, the random fill
+    # reaches the load frontier, past which finds fail
+    n = r = 150
     default = desk_profile(n, 30)
     default_cap = default.r * default.depth_cap
     eng = RoutingEngine(gen_random_regular_graph(n, 30, seed=21), replace(default, r=r))
