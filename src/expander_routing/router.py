@@ -177,8 +177,7 @@ class RoutingEngine:
         self.link_out = partial(self._free_g3_path, self.h3.member, g3.out_adj, g3.heads)
         self.link_in = partial(self._free_g3_path, self.h3.member, g3.in_adj, g3.tails)
         # what `_walk` reads of the subgraphs a path's three segments run in
-        self._walk_rows = [(g.tails, g.heads, g.m, label)
-                           for g, label in ((g1, "first"), (g3, "middle"), (g2, "last"))]
+        self._walk_rows = [(g.tails, g.heads, g.m, label) for g, label in ((g1, "first"), (g3, "middle"), (g2, "last"))]
 
     @property
     def n(self):
@@ -348,24 +347,25 @@ class RoutingEngine:
 
     def path_vertices(self, rec: PathRecord):
         """Vertex sequence a .. b of a stored path; raises on corruption."""
-        verts, problem = self._walk(rec)
+        problem = self._walk(rec)
         if problem:
             raise CallerError("path %d is not a consistent walk: %s" % (rec.id, problem))
-        return verts
+        segs = zip((rec.seg_a, rec.seg_mid, rec.seg_b), self._walk_rows)
+        return [rec.a, *chain.from_iterable(map(heads.__getitem__, seg) for seg, (_, heads, _, _) in segs)]
 
     def _walk(self, rec):
-        """The one path walker, of `path_vertices` and `verify`: rec's vertices
-        from a along its G1, G3 and G2 segments, and None or what stopped it:
+        """The one walker, of `path_vertices` and `verify`; it keeps no vertex
+        list. None, or what stops rec's walk from a along its three segments:
         an id outside its subgraph (negatives too), a break, a missed b."""
-        verts = [v := rec.a]
+        v = rec.a
         for seg, (tails, heads, m, label) in zip((rec.seg_a, rec.seg_mid, rec.seg_b), self._walk_rows):
             for e in seg:
                 if not 0 <= e < m:
-                    return verts, "%s segment holds edge %d outside its subgraph" % (label, e)
+                    return "%s segment holds edge %d outside its subgraph" % (label, e)
                 if tails[e] != v:
-                    return verts, "%s segment breaks at edge %d" % (label, e)
-                verts.append(v := heads[e])
-        return verts, None if v == rec.b else "walk ends at %d, not at b=%d" % (v, rec.b)
+                    return "%s segment breaks at edge %d" % (label, e)
+                v = heads[e]
+        return None if v == rec.b else "walk ends at %d, not at b=%d" % (v, rec.b)
 
     def verify(self) -> Findings:
         """From-scratch recount of everything the ledger implies.
@@ -373,20 +373,20 @@ class RoutingEngine:
         O(stored path length) plus the two oracle audits, whose Python work
         follows the live state, not n. H1, H2 and H3 are checked against the
         union of their stored segments in C (`EdgeSubset.holds_exactly`), and
-        one pass walks each stored path. The H1/H2 balance and in-cap rules
-        loop over every vertex, and only once another check has found
-        something, since on a clean state they cannot fire: every seg_a
-        (seg_b) is an intact walk from a (into b), H1 (H2) is their union
-        without repeats, and a clean audit's counters equal their recount
-        from it, so out - in <= ps (pe) at every vertex, with ps and pe
+        one pass walks each stored path. Host ids, and the H1/H2 balance and
+        in-cap rules at every vertex, are read only once another check has
+        found something, since on a clean state they cannot fire: `g1_host`,
+        `g2_host` and `g3_host` partition range(host.m), so exact unions repeat
+        no host id; every seg_a (seg_b) is an intact walk from a (into b), H1
+        (H2) is their union without repeats, and a clean audit's counters equal
+        their recount, so out - in <= ps (pe) at every vertex, with ps and pe
         right; and a clean audit bounds each H in-degree by in_F <= in_cap.
         """
         findings = []
         prof, ledger = self.profile, self.ledger
         recs = list(ledger.paths.values())
 
-        member_ids = []
-        host_ids = []
+        member_ids, host_maps = [], []
         for name, seg, sub, what, to_host in (
             ("H1", "seg_a", self.out_oracle.h, "segments", self.split.g1_host),
             ("H2", "seg_b", self.in_oracle.h, "segments", self.split.g2_host),
@@ -401,8 +401,8 @@ class RoutingEngine:
                 findings.append("%s differs from the union of stored %s" % (name, what))
             member_ids.append(union if exact else sub.members())
             # an id outside its subgraph has no host edge; the walk reports it
-            in_range = union if exact else filter(range(len(to_host)).__contains__, union)
-            host_ids.extend(map(to_host.__getitem__, in_range))
+            host_maps.append(map(to_host.__getitem__, filter(range(len(to_host)).__contains__, union)))
+        host_ids = [*chain.from_iterable(host_maps)] if findings else ()  # exact unions repeat none
         if len(host_ids) != len(set(host_ids)):
             findings.append("paths are not pairwise edge-disjoint over the host")
 
@@ -418,10 +418,10 @@ class RoutingEngine:
                 pe_expected[rec.b] += 1
             except ValueError:
                 pe_expected = list(pe_expected)
-            verts, problem = self._walk(rec)
+            problem = self._walk(rec)
             if problem:
                 findings.append("path %d: %s" % (rec.id, problem))
-            elif len(verts) <= depth_cap + 1:
+            elif rec.length <= depth_cap:
                 continue  # a whole walk of at most depth_cap hops breaks neither cap
             for label, seg in (("first", rec.seg_a), ("middle", rec.seg_mid), ("last", rec.seg_b)):
                 if len(seg) > depth_cap:

@@ -147,6 +147,27 @@ def first_pick(orc, u, prefer, rows):
     return (allowed or [None])[0], "first"
 
 
+def checked_picks(orc, tree, parent, edges, prefer, rows, picks):
+    """Resume the `grow_tree` generator `tree` of `orc`, which grows into
+    `parent` and `edges` with pick preference `prefer`, one pick at a time,
+    checking each pick against `first_pick` over the reach rows `rows` and
+    appending it to `picks`. A tree vertex picks until its out-cap and H
+    out-degrees only rise inside a log, so the picking vertex is the first
+    key below its out-cap."""
+    out_deg, cap, ended = orc.h.out_deg, orc.profile.out_cap, object()
+    while True:
+        u = next((v for v in parent if out_deg[v] < cap), None)
+        want = None if u is None else first_pick(orc, u, prefer, rows)[0]
+        made = len(edges)
+        step = next(tree, ended)
+        if len(edges) > made:
+            assert edges[made:] == [want]
+            picks.append(want)
+        if step is ended:
+            return
+        yield
+
+
 def one_vertex_rows(n):
     """The default reach rows of an n-vertex oracle: each head alone."""
     return [(v,) for v in range(n)]

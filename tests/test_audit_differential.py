@@ -709,6 +709,27 @@ def tree_segments_swapped(eng):
     stored_again(eng, other, seg_a=rec.seg_a)
 
 
+# The next two copy one stored edge into a second live path's segment: the
+# union repeats an id, and so does the host-id map, which verify reads only
+# once a union check has found something.
+
+
+def edge_in_two_paths(eng, seg):
+    """Append the first stored id of segment `seg` to that segment of
+    another live path."""
+    rec = first_with(eng, seg)
+    other = next(r for r in eng.ledger.paths.values() if r.id != rec.id)
+    stored_again(eng, other, **{seg: (*getattr(other, seg), getattr(rec, seg)[0])})
+
+
+def seg_a_edge_in_two_paths(eng):
+    edge_in_two_paths(eng, "seg_a")
+
+
+def seg_mid_edge_in_two_paths(eng):
+    edge_in_two_paths(eng, "seg_mid")
+
+
 def ps_plus_minus_at_untouched_vertices(eng):
     # +1 where no path starts and no H edge ends, -1 where a path starts (a
     # byte counter cannot go below 0): ps still sums to |P|. The -1 skips the
@@ -747,6 +768,8 @@ ENGINE_CORRUPTIONS = [
     seg_b_id_aliased_by_negative_index,
     seg_mid_lists_a_free_edge,
     tree_segments_swapped,
+    seg_a_edge_in_two_paths,
+    seg_mid_edge_in_two_paths,
     ps_plus_minus_at_untouched_vertices,
     b_out_counter_set_while_b_empty,
     b_in_counter_set_while_b_empty,
@@ -792,6 +815,10 @@ def test_verify_matches_reference_on_corruptions(corruptions):
     if r_below_live_count in corruptions:
         count = len(eng.ledger.paths)
         assert "live path count %d exceeds the volume cap r=%d" % (count, count - 1) in findings
+    for corrupt, name in ((seg_a_edge_in_two_paths, "H1"), (seg_mid_edge_in_two_paths, "H3")):
+        if corrupt in corruptions:
+            assert "%s: an edge appears in two stored paths" % name in findings
+            assert "paths are not pairwise edge-disjoint over the host" in findings
 
 
 def test_more_live_paths_at_one_end_than_a_byte_counts_is_a_finding():
@@ -810,15 +837,68 @@ def test_more_live_paths_at_one_end_than_a_byte_counts_is_a_finding():
     assert "end counters disagree with the ledger" not in findings
 
 
-def test_an_id_outside_its_subgraph_is_a_finding_not_a_crash():
-    eng = RoutingEngine(gen_random_regular_graph(150, 30, seed=3), desk_profile(150, 30))
-    rec = eng.find_path(1, 2)
-    stored_again(eng, rec, seg_a=(*rec.seg_a, 10**6))
+def heads_walk(eng, rec):
+    """rec's vertices spelled out: a, then the head of each edge of its G1,
+    G3 and G2 segments in turn."""
+    split = eng.split
+    segs = ((rec.seg_a, split.g1), (rec.seg_mid, split.g3), (rec.seg_b, split.g2))
+    return [rec.a] + [g.heads[e] for seg, g in segs for e in seg]
+
+
+def test_path_vertices_is_the_heads_walk_on_a_clean_engine(engine_state):
+    recs = list(engine_state.ledger.paths.values())
+    assert recs and not any(reference_walk(engine_state, rec) for rec in recs)
+    for rec in recs:
+        verts = heads_walk(engine_state, rec)
+        assert engine_state.path_vertices(rec) == verts and verts[-1] == rec.b
+
+
+@pytest.mark.parametrize(
+    "corrupt", [seg_a_id_out_of_range, seg_b_id_aliased_by_negative_index, tree_segments_swapped],
+    ids=["past-end", "negative", "swapped"],
+)
+def test_an_id_outside_its_subgraph_is_a_finding_not_a_crash(corrupt):
+    # verify reports each broken walk, and path_vertices raises on it with
+    # the same text, where an id past the end (or a negative one) would
+    # otherwise index a head; an unbroken path is still its heads walk
+    eng = loaded_engine()
+    corrupt(eng)
     findings = reference_verify(eng)
     assert eng.verify().findings == findings
-    assert "path %d: first segment holds edge %d outside its subgraph" % (rec.id, 10**6) in findings
-    with pytest.raises(CallerError, match="outside its subgraph"):
-        eng.path_vertices(eng.ledger.paths[rec.id])
+    broken = []
+    for rec in eng.ledger.paths.values():
+        problem = reference_walk(eng, rec)
+        if problem is None:
+            assert eng.path_vertices(rec) == heads_walk(eng, rec)
+            continue
+        broken.append(problem)
+        assert "path %d: %s" % (rec.id, problem) in findings
+        with pytest.raises(CallerError) as raised:
+            eng.path_vertices(rec)
+        assert str(raised.value) == "path %d is not a consistent walk: %s" % (rec.id, problem)
+    assert len(broken) == (2 if corrupt is tree_segments_swapped else 1)
+    if corrupt is not tree_segments_swapped:
+        assert "segment holds edge" in broken[0] and "outside its subgraph" in broken[0]
+
+
+def test_host_ids_are_read_only_once_a_union_check_has_found_something():
+    # g1_host, g2_host and g3_host partition the host's edge ids, so exact
+    # unions repeat no host id: a clean verify reads none of them, and one
+    # whose H1 union repeats an id reads one per stored edge
+    eng = loaded_engine()
+    reads = []
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return tuple.__getitem__(self, i)
+
+    names = ("g1_host", "g2_host", "g3_host")
+    eng.split = dataclasses.replace(eng.split, **{name: Counted(getattr(eng.split, name)) for name in names})
+    assert eng.verify().ok and reads == []
+    seg_a_edge_in_two_paths(eng)
+    assert "paths are not pairwise edge-disjoint over the host" in eng.verify().findings
+    assert len(reads) == sum(rec.length for rec in eng.ledger.paths.values())
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from conftest import (
-    drive, dump, first_pick, never, one_vertex_rows, one_vertex_tree, oriented_host, set_reach, tree_by_single_adds,
-    undo_entries,
+    checked_picks, drive, dump, first_pick, never, one_vertex_rows, one_vertex_tree, oriented_host, set_reach,
+    tree_by_single_adds, undo_entries,
 )
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.graph import Digraph
@@ -694,11 +694,22 @@ def test_grown_tree_holds_at_most_out_cap_times_vertex_cap_edges():
                     assert len(edges) == out_cap
 
 
-class UndoTally(EdgeOracle):
-    """An oracle that tallies the H additions its rollbacks undo; a
-    subclass, so a deep copy keeps rolling back itself."""
+class MachineOracle(EdgeOracle):
+    """An oracle that checks each pick against `first_pick` over the reach
+    rows `rows` (one-vertex rows if None), lists it in `picks`, and tallies
+    the H additions its rollbacks undo; a subclass, so a deep copy keeps
+    checking its own picks and rolling back itself."""
 
     undone = 0
+    rows = None
+
+    def __init__(self, host, profile):
+        super().__init__(host, profile)
+        self.picks = []
+
+    def grow_tree(self, parent, edges, vertex_cap, meets, prefer):
+        tree = super().grow_tree(parent, edges, vertex_cap, meets, prefer)
+        return checked_picks(self, tree, parent, edges, prefer, self.rows or one_vertex_rows(self.host.n), self.picks)
 
     def rollback(self):
         self.undone += sum(undo == self.h.remove for undo, *_ in self._undo)
@@ -715,7 +726,7 @@ class OracleMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.orc = UndoTally(MACHINE_HOST, small_profile(6, **self.CAPS))
+        self.orc = MachineOracle(MACHINE_HOST, small_profile(6, **self.CAPS))
 
     def _state(self):
         return dump(self.orc), list(self.orc.sat_out)
@@ -773,14 +784,17 @@ class OracleMachine(RuleBasedStateMachine):
         # and reach rows `rows` (one-vertex rows if None), resumed `steps`
         # times (to its end when None) and dropped, then all but a kept
         # subset released after the log closes; the same tree grown one
-        # one-vertex tree per edge on a copy must match it edge for edge.
-        # The first discovered vertex in the meeting set `meet` ends it
+        # one-vertex tree per edge on a copy must match it edge for edge,
+        # and each pick of both must be the one `first_pick` names over
+        # `rows`. The first discovered vertex in the meeting set `meet` ends it
         set_reach(self.orc, rows)
+        self.orc.rows = rows
         ref = copy.deepcopy(self.orc)
-        before = self._state()
+        before, checked = self._state(), len(self.orc.picks)
         args = vertex_cap, meet.__contains__, steps
         try:
             edges, parent, _ = _grown(self.orc, root, *args, prefer)
+            assert self.orc.picks[checked:] == edges
         except ExpansionViolation:
             assert self._state() == before
             with pytest.raises(ExpansionViolation):

@@ -227,9 +227,16 @@ def test_preprocess_odd_degree():
     assert split.g3.regularity() == 8
 
 
-def test_preprocess_edge_conservation():
-    g = gen_random_regular_graph(60, 20, seed=5)
-    split = pre_process(g, relaxed_profile(60, 20))
+@pytest.mark.parametrize(
+    "n,d,seed,profile",
+    [(60, 20, 5, relaxed_profile), (600, 30, 11, desk_profile), (600, 31, 11, desk_profile)],
+    ids=["relaxed-60", "desk-600-30", "desk-600-31"],
+)
+def test_preprocess_edge_conservation(n, d, seed, profile):
+    # the three host-id tuples partition the host's edge ids, on a relaxed
+    # split and on the desk engine's; `RoutingEngine.verify` relies on it to
+    # skip the host ids while its three unions are exact
+    split = pre_process(gen_random_regular_graph(n, d, seed=seed), profile(n, d))
     ids = sorted(split.g1_host + split.g2_host + split.g3_host)
     assert ids == list(range(split.host.m))
 

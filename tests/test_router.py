@@ -15,7 +15,9 @@ from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import depth_capped, dump, first_pick, never, one_vertex_rows, tree_by_single_adds, undo_entries
+from conftest import (
+    checked_picks, depth_capped, dump, first_pick, never, one_vertex_rows, tree_by_single_adds, undo_entries,
+)
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.graph import load_graph, save_graph
@@ -768,24 +770,11 @@ def _paper_only(eng):
 def _check_picks(orc, rows, picks):
     """Wrap `orc.grow_tree` on the instance so that each pick is checked
     against `first_pick` over the reach rows `rows`, with the tree's
-    `prefer` set as it stands at the pick, and counted in `picks`. A tree
-    vertex picks until its out-cap and out-degrees only rise inside a
-    log, so the picking vertex is the first key below its out-cap."""
-    grow, out_deg, cap, ended = orc.grow_tree, orc.h.out_deg, orc.profile.out_cap, object()
+    `prefer` set as it stands at the pick, and counted in `picks`."""
+    grow = orc.grow_tree
 
     def checked(parent, edges, vertex_cap, meets, prefer):
-        tree = grow(parent, edges, vertex_cap, meets, prefer)
-        while True:
-            u = next((v for v in parent if out_deg[v] < cap), None)
-            want = None if u is None else first_pick(orc, u, prefer, rows)[0]
-            made = len(edges)
-            step = next(tree, ended)
-            if len(edges) > made:
-                assert edges[made:] == [want]
-                picks.append(want)
-            if step is ended:
-                return
-            yield
+        return checked_picks(orc, grow(parent, edges, vertex_cap, meets, prefer), parent, edges, prefer, rows, picks)
 
     orc.grow_tree = checked
 
