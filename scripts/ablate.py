@@ -11,20 +11,19 @@ engine over the same graph and desk profile:
   path of up to MEETING_RADIUS edges;
 - `paper`: the paper's mechanism alone. The engine gets one-vertex step
   rows and empty two-hop rows, set on the instance, and oracles rebuilt
-  with one-vertex reach rows, as tests/test_router.py's `_paper_only`
-  does, so trees meet only at a shared vertex, picks prefer only heads
-  in the other tree, and trees that meet nothing take the breadth-first
-  connector.
+  with one-vertex reach rows (`paper_only`, which tests/test_router.py
+  loads from here), so trees meet only at a shared vertex, picks prefer
+  only heads in the other tree, and trees that meet nothing take the
+  breadth-first connector.
 
 For each it prints oracle adds per served find, the mean and the longest
-served path over log2 n, the connector searches (G3 searches with the
+served path over log2 n (the run report's own figures), the connector searches (G3 searches with the
 depth_cap hop budget), the meeting link searches (MEETING_RADIUS hops)
 and the oracles' alternating-walk searches. All of these are counts: they
 do not depend on the machine.
 """
 
 import argparse
-import math
 import os
 import sys
 
@@ -63,19 +62,14 @@ def serve(graph, profile, commands, mechanism):
         search = getattr(engine, name)
         setattr(engine, name, lambda *args, search=search: hops.append(args[-1]) or search(*args))
     report = run_trace(engine, commands)
-    counts = engine.oracle_call_counts()
-    lengths = report.path_length_histogram
-    served = sum(lengths.values())
-    log_n = math.log2(profile.n)
+    figures = report.figures()
     return {
-        "served": served,
+        "served": figures["served_finds"],
         "failures": len(report.failures),
-        "adds_per_find": (counts["out_add"] + counts["in_add"]) / served,
-        "mean_len_over_log2n": sum(k * c for k, c in lengths.items()) / served / log_n,
-        "max_len_over_log2n": max(lengths) / log_n,
+        **{key: figures[key] for key in ("adds_per_find", "mean_len_over_log2n", "max_len_over_log2n")},
         "connector_searches": hops.count(profile.depth_cap),
         "link_searches": hops.count(MEETING_RADIUS),
-        "walk_searches": counts["walk_searches"],
+        "walk_searches": report.oracle_call_counts["walk_searches"],
     }
 
 

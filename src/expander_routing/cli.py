@@ -102,8 +102,6 @@ def _graph_and_profile(args):
 
 
 def cmd_run(args):
-    if args.verify_every < 0:
-        raise RoutingError("--verify-every must be at least 0, got %d" % args.verify_every)
     # build seconds: graph load and engine build, not the trace load between
     start = time.perf_counter()
     g, profile = _graph_and_profile(args)
@@ -211,7 +209,7 @@ def build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--trace", required=True, help="trace file or - for stdin")
     _add_profile_options(p)
-    p.add_argument("--verify-every", type=int, default=0, metavar="K")
+    p.add_argument("--verify-every", type=_at_least(0), default=0, metavar="K")
     p.add_argument("--stop-on-failure", action="store_true")
     p.add_argument("--json", help="write the report as JSON here")
     p.add_argument("--quiet", action="store_true", help="suppress per-path output")

@@ -16,12 +16,14 @@ requests the engine would accept.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
 
 from .errors import CallerError, ExpansionViolation, FormatError
 from .graph import plain, read_ascii
+from .profiles import ceil_log2
 from .router import Ledger, RoutingEngine
 
 
@@ -86,6 +88,7 @@ def save_trace(path, commands):
 
 @dataclass
 class RunReport:
+    n: int = 0  # the engine's vertex count, which `figures` reads
     requests_served: int = 0
     failures: list = field(default_factory=list)   # (line, error class, message)
     path_length_histogram: dict = field(default_factory=dict)
@@ -101,30 +104,41 @@ class RunReport:
     def clean(self):
         return not self.failures and self.verify_findings == 0
 
+    def figures(self):
+        """{} before a find is served, else served finds, mean and max path length in hops and
+        over log2 n (the paper's O(log n) bound), ceil_log2(n) and oracle adds per served find."""
+        lengths, calls = self.path_length_histogram, self.oracle_call_counts
+        served = sum(lengths.values())
+        if not served:
+            return {}
+        mean, top, log_n = sum(k * c for k, c in lengths.items()) / served, max(lengths), math.log2(self.n)
+        return dict(served_finds=served, mean_len=mean, mean_len_over_log2n=mean / log_n, max_len=top,
+                    max_len_over_log2n=top / log_n, ceil_log2n=ceil_log2(self.n),
+                    adds_per_find=(calls["out_add"] + calls["in_add"]) / served)
+
     def format_text(self):
-        lines = [
-            "requests served: %d" % self.requests_served,
-            "failures: %d" % len(self.failures),
-        ]
-        for line, cls, msg in self.failures[:10]:
-            lines.append("  line %d [%s] %s" % (line, cls, msg))
-        for label, histogram in (
-            ("path lengths", self.path_length_histogram),
-            ("connector lengths", self.connector_length_histogram),
-        ):
+        lines = ["requests served: %d" % self.requests_served, "failures: %d" % len(self.failures)]
+        lines += ["  line %d [%s] %s" % failure for failure in self.failures[:10]]
+        for label, histogram in (("path lengths", self.path_length_histogram),
+                                 ("connector lengths", self.connector_length_histogram)):
             if histogram:
-                hist = " ".join("%d:%d" % (k, v) for k, v in sorted(histogram.items()))
-                lines.append("%s: %s" % (label, hist))
+                lines.append("%s: %s" % (label, " ".join("%d:%d" % pair for pair in sorted(histogram.items()))))
+        fig = self.figures()
+        lines += [line % fig for line in (
+            "served finds: %(served_finds)d",
+            "mean path length: %(mean_len).3f hops, %(mean_len_over_log2n).3f log2(n)",
+            "max path length: %(max_len)d hops, %(max_len_over_log2n).3f log2(n), ceil_log2(n) = %(ceil_log2n)d",
+            "oracle adds per served find: %(adds_per_find).2f",
+        ) if fig]
         if self.build_s:
             lines.append("build seconds: %.6f" % self.build_s)
         if self.wall_clock:
-            lines.append(
-                "per-request seconds: p50=%(p50).6f p90=%(p90).6f p99=%(p99).6f max=%(max).6f"
-                % self.wall_clock
-            )
+            lines.append("per-request seconds: p50=%(p50).6f p90=%(p90).6f p99=%(p99).6f max=%(max).6f" % self.wall_clock)
         lines.append("oracle calls: %s" % self.oracle_call_counts)
         lines.append("verifies: %d run, %d findings" % (self.verifies_run, self.verify_findings))
         lines.append("verify seconds: %.6f" % self.verify_s)
+        if self.verifies_run:
+            lines.append("ms per verify: %.3f" % (1e3 * self.verify_s / self.verifies_run))
         return "\n".join(lines) + "\n"
 
 
@@ -159,7 +173,7 @@ def run_trace(engine, commands, verify_every=0, stop_on_failure=False, emit=None
     command. `wall_clock` times each find_path/remove_path call alone,
     without path reconstruction or emit; `verify_s` sums the verify calls.
     """
-    report = RunReport()
+    report = RunReport(n=engine.n)
     timings = []
     since_verify = 0
     served = []
@@ -262,6 +276,13 @@ def gen_workload(kind, n, params, seed, endpoint_cap, r):
         ledger.remove(pid)
         out.append(TraceCommand("remove", ref=pid, line=len(out) + 1))
 
+    if kind in ("churn", "hotspot"):
+        ops = int(params.get("ops", 0))
+        live_target = int(params.get("live_target", max(1, r // 2)))
+        if kind == "hotspot" and (live_target < 1 or r < 2):
+            raise CallerError("hotspot needs a live target of at least 1 below r=%d" % r)
+        if live_target >= r:
+            raise CallerError("%s live_target must stay below r=%d" % (kind, r))
     if kind == "fill":
         count = int(params.get("count", 0))
         if count >= r:
@@ -272,10 +293,6 @@ def gen_workload(kind, n, params, seed, endpoint_cap, r):
                 raise CallerError("fill target unreachable under the endpoint caps")
             emit_find(*pair)
     elif kind == "churn":
-        ops = int(params.get("ops", 0))
-        live_target = int(params.get("live_target", max(1, r // 2)))
-        if live_target >= r:
-            raise CallerError("%s live_target must stay below r=%d" % (kind, r))
         attempts = 0
         while len(out) < ops:
             attempts += 1
@@ -294,12 +311,6 @@ def gen_workload(kind, n, params, seed, endpoint_cap, r):
                     continue
                 emit_remove(list(ledger.paths)[rng.randrange(len(ledger.paths))])
     elif kind == "hotspot":
-        ops = int(params.get("ops", 0))
-        live_cap = int(params.get("live_target", max(1, r // 2)))
-        if live_cap < 1 or r < 2:
-            raise CallerError("hotspot needs a live target of at least 1 below r=%d" % r)
-        if live_cap >= r:
-            raise CallerError("%s live_target must stay below r=%d" % (kind, r))
         burst = max(1, endpoint_cap - 1)
         hot = 0
         used = 0
@@ -308,7 +319,7 @@ def gen_workload(kind, n, params, seed, endpoint_cap, r):
             attempts += 1
             if attempts > 20 * ops + 10 * n + 100:
                 raise CallerError("hotspot parameters starve the generator")
-            if len(ledger.paths) >= live_cap:
+            if len(ledger.paths) >= live_target:
                 emit_remove(next(iter(ledger.paths)))
                 continue
             if used >= burst or ledger.ps[hot] >= endpoint_cap:

@@ -356,14 +356,17 @@ class RoutingEngine:
     def _walk(self, rec):
         """The one walker, of `path_vertices` and `verify`; it keeps no vertex
         list. None, or what stops rec's walk from a along its three segments:
-        an id outside its subgraph (negatives too), a break, a missed b."""
+        an id outside its subgraph (negatives too), a break (at the first edge
+        a start outside the graph, named as such), a missed b (which a b
+        outside the graph always is)."""
         v = rec.a
         for seg, (tails, heads, m, label) in zip((rec.seg_a, rec.seg_mid, rec.seg_b), self._walk_rows):
             for e in seg:
                 if not 0 <= e < m:
                     return "%s segment holds edge %d outside its subgraph" % (label, e)
-                if tails[e] != v:
-                    return "%s segment breaks at edge %d" % (label, e)
+                if tails[e] != v:  # only the start can be no vertex: n is read off the clean path
+                    return "%s segment breaks at edge %d" % (label, e) if 0 <= v < self.n else \
+                        "start %d is not a vertex" % v
                 v = heads[e]
         return None if v == rec.b else "walk ends at %d, not at b=%d" % (v, rec.b)
 
@@ -407,17 +410,19 @@ class RoutingEngine:
             findings.append("paths are not pairwise edge-disjoint over the host")
 
         # depth_cap hops is the budget of each segment, tree or connector
-        depth_cap, len_cap = prof.depth_cap, prof.path_len_cap
-        ps_expected, pe_expected = bytearray(self.n), bytearray(self.n)
+        depth_cap, len_cap, n = prof.depth_cap, prof.path_len_cap, self.n
+        # starts and ends recounted: one outside range(n) (a negative one at n,
+        # not wrapped) or a 256th at one vertex leaves its counters unmatched
+        starts, ends, starts_ok, ends_ok = bytearray(n), bytearray(n), True, True
         for rec in recs:
             try:
-                ps_expected[rec.a] += 1
-            except ValueError:  # past 255 paths at one end a list counts on, equal to no ledger bytearray
-                ps_expected = list(ps_expected)
+                starts[rec.a if rec.a >= 0 else n] += 1
+            except (IndexError, ValueError):
+                starts_ok = False
             try:
-                pe_expected[rec.b] += 1
-            except ValueError:
-                pe_expected = list(pe_expected)
+                ends[rec.b if rec.b >= 0 else n] += 1
+            except (IndexError, ValueError):
+                ends_ok = False
             problem = self._walk(rec)
             if problem:
                 findings.append("path %d: %s" % (rec.id, problem))
@@ -439,8 +444,9 @@ class RoutingEngine:
         # positional: perfbench/tracing.py wraps audit as audit(*args)
         audits = [oracle.audit(h_ids) for oracle, h_ids in zip((self.out_oracle, self.in_oracle), member_ids)]
         ps, pe, in_cap = ledger.ps, ledger.pe, prof.oracle.in_cap
+        starts_ok, ends_ok = starts_ok and starts == ps, ends_ok and ends == pe
         # on a clean state the four rules cannot fire (see the docstring)
-        if findings or (ps_expected, pe_expected) != (ps, pe) or not all(a.ok for a in audits):
+        if findings or not (starts_ok and ends_ok and all(a.ok for a in audits)):
             (h1_out, h1_in), (h2_out, h2_in) = [(o.h.out_deg, o.h.in_deg) for o in (self.out_oracle, self.in_oracle)]
             for v in range(self.n):
                 if h1_out[v] > h1_in[v] + ps[v]:
@@ -451,9 +457,9 @@ class RoutingEngine:
                     findings.append("H1 in-degree %d over cap at vertex %d" % (h1_in[v], v))
                 if h2_in[v] > in_cap:
                     findings.append("H2 in-degree %d over cap at vertex %d" % (h2_in[v], v))
-        if ps_expected != ps:
+        if not starts_ok:
             findings.append("start counters disagree with the ledger")
-        if pe_expected != pe:
+        if not ends_ok:
             findings.append("end counters disagree with the ledger")
 
         for name, oracle, audit in zip(("out-oracle", "in-oracle"), (self.out_oracle, self.in_oracle), audits):

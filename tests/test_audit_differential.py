@@ -122,9 +122,12 @@ def reference_audit(orc, quiescent=True):
 
 
 def reference_walk(eng, rec):
-    """The problem that stops rec's walk from a, or None: an id outside its
-    subgraph (negative ones too), a segment that breaks, a walk that misses b."""
+    """The problem that stops rec's walk from a, or None: a start outside the
+    graph, an id outside its subgraph (negative ones too), a segment that
+    breaks, a walk that misses b."""
     v = rec.a
+    if v not in range(eng.n):
+        return "start %d is not a vertex" % v
     split = eng.split
     for seg, g, label in ((rec.seg_a, split.g1, "first"), (rec.seg_mid, split.g3, "middle"),
                           (rec.seg_b, split.g2, "last")):
@@ -191,15 +194,11 @@ def reference_verify(eng):
             findings.append("H1 in-degree %d over cap at vertex %d" % (eng.out_oracle.h.in_deg[v], v))
         if eng.in_oracle.h.in_deg[v] > prof.oracle.in_cap:
             findings.append("H2 in-degree %d over cap at vertex %d" % (eng.in_oracle.h.in_deg[v], v))
-    ps_expected = [0] * eng.n
-    pe_expected = [0] * eng.n
-    for rec in recs:
-        ps_expected[rec.a] += 1
-        pe_expected[rec.b] += 1
-    if ps_expected != list(eng.ledger.ps):
-        findings.append("start counters disagree with the ledger")
-    if pe_expected != list(eng.ledger.pe):
-        findings.append("end counters disagree with the ledger")
+    # the ends the stored paths list, against the ends each counter spells out
+    for name, end, counter in (("start", "a", eng.ledger.ps), ("end", "b", eng.ledger.pe)):
+        spelled = [v for v in range(eng.n) for _ in range(counter[v])]
+        if sorted(getattr(rec, end) for rec in recs) != spelled:
+            findings.append("%s counters disagree with the ledger" % name)
     for name, oracle in (("out-oracle", eng.out_oracle), ("in-oracle", eng.in_oracle)):
         oracle_findings, low_count = reference_audit(oracle)
         findings.extend("%s: %s" % (name, f) for f in oracle_findings)
@@ -671,9 +670,9 @@ def low_claim_broken_under_strict_profile(eng):
 # only as a union (swapped segments); ps keeps its sum but not its values.
 
 
-def stored_again(eng, rec, **segs):
-    """Replace rec in the ledger with a copy whose named segments are `segs`."""
-    eng.ledger.paths[rec.id] = dataclasses.replace(rec, **segs)
+def stored_again(eng, rec, **fields):
+    """Replace rec in the ledger with a copy whose named fields are `fields`."""
+    eng.ledger.paths[rec.id] = dataclasses.replace(rec, **fields)
 
 
 def first_with(eng, seg):
@@ -707,6 +706,34 @@ def tree_segments_swapped(eng):
     other = next(r for r in eng.ledger.paths.values() if r.seg_a and r.a != rec.a)
     stored_again(eng, rec, seg_a=other.seg_a)
     stored_again(eng, other, seg_a=rec.seg_a)
+
+
+# The next three store an endpoint outside the graph. They stay out of
+# ENGINE_CORRUPTIONS, whose counter corruptions index ps or H at the first
+# path's start.
+
+
+def start_past_the_last_vertex(eng):
+    # no vertex n: ps has no byte to count this start in
+    stored_again(eng, first_with(eng, "seg_a"), a=eng.n)
+
+
+def at_a_negative_vertex(eng, end, counter):
+    """Store -1 as the first path's `end`, and move its count in `counter`
+    to vertex n - 1, where an index of -1 would count it."""
+    rec = first_with(eng, "seg_a")
+    counter[getattr(rec, end)] -= 1
+    counter[-1] += 1
+    stored_again(eng, rec, **{end: -1})
+
+
+def start_at_a_negative_vertex(eng):
+    at_a_negative_vertex(eng, "a", eng.ledger.ps)
+
+
+def end_at_a_negative_vertex(eng):
+    # the walk ends at the old b, which is not -1
+    at_a_negative_vertex(eng, "b", eng.ledger.pe)
 
 
 # The next two copy one stored edge into a second live path's segment: the
@@ -879,6 +906,30 @@ def test_an_id_outside_its_subgraph_is_a_finding_not_a_crash(corrupt):
     assert len(broken) == (2 if corrupt is tree_segments_swapped else 1)
     if corrupt is not tree_segments_swapped:
         assert "segment holds edge" in broken[0] and "outside its subgraph" in broken[0]
+
+
+@pytest.mark.parametrize("corrupt,end,problem", [
+    (start_past_the_last_vertex, "start", "start 600 is not a vertex"),
+    (start_at_a_negative_vertex, "start", "start -1 is not a vertex"),
+    (end_at_a_negative_vertex, "end", "not at b=-1"),
+], ids=["start-past-end", "start-negative", "end-negative"])
+def test_an_endpoint_outside_the_graph_is_a_finding_not_a_crash(corrupt, end, problem):
+    # a start of n indexed past verify's byte recount (IndexError), and an
+    # end of -1 was counted at vertex n - 1, where the ledger counts it here:
+    # the walk names the path, as path_vertices does, and only that end's
+    # counters disagree
+    eng = loaded_engine()
+    corrupt(eng)
+    rec = first_with(eng, "seg_a")
+    walk = reference_walk(eng, rec)
+    findings = reference_verify(eng)
+    assert eng.verify().findings == findings
+    assert walk.endswith(problem) and "path %d: %s" % (rec.id, walk) in findings
+    with pytest.raises(CallerError, match="path %d is not a consistent walk: " % rec.id):
+        eng.path_vertices(rec)
+    other = "start" if end == "end" else "end"
+    assert "%s counters disagree with the ledger" % end in findings
+    assert "%s counters disagree with the ledger" % other not in findings
 
 
 def test_host_ids_are_read_only_once_a_union_check_has_found_something():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import random
 import re
 import time
@@ -321,6 +322,16 @@ def test_cli_pipeline(tmp_path, capsys):
     assert "connector lengths: 1:4 2:7 3:21\n" in out
     assert "build seconds: %.6f\n" % payload["build_s"] in out
     assert "verify seconds: %.6f\n" % payload["verify_s"] in out and payload["verify_s"] > 0
+    # the run's measured constants, each against the same run's histogram and counts
+    lengths, calls = payload["path_length_histogram"], payload["oracle_call_counts"]
+    served = sum(lengths.values())
+    mean = sum(int(k) * c for k, c in lengths.items()) / served
+    assert (payload["n"], served, mean, max(map(int, lengths))) == (150, 32, 107 / 32, 5)
+    assert "served finds: 32\n" in out
+    assert "mean path length: %.3f hops, %.3f log2(n)\n" % (mean, mean / math.log2(150)) in out
+    assert "max path length: 5 hops, %.3f log2(n), ceil_log2(n) = 8\n" % (5 / math.log2(150)) in out
+    assert "oracle adds per served find: %.2f\n" % ((calls["out_add"] + calls["in_add"]) / served) in out
+    assert "ms per verify: %.3f\n" % (1e3 * payload["verify_s"] / 6) in out
 
 
 @pytest.mark.parametrize("r", [0, 1])
@@ -667,8 +678,12 @@ def test_cli_negative_verify_every_is_a_usage_error(tmp_path, capsys):
     trace_path.write_text("".join("find %d %d\n" % (v, v + 1) for v in range(0, 10, 2)))
     argv = ["run", "--graph", str(graph_path), "--desk", "--trace", str(trace_path), "--quiet"]
     # refused before any work: no request runs, no report is printed
-    assert cli_main(argv + ["--verify-every", "-3"]) == 2
-    assert capsys.readouterr() == ("", "error: --verify-every must be at least 0, got -3\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + ["--verify-every", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --verify-every: must be at least 0, got -3" in captured.err
     json_path = tmp_path / "report.json"
     assert cli_main(argv + ["--verify-every", "0", "--json", str(json_path)]) == 0
     assert json.loads(json_path.read_text())["verifies_run"] == 0

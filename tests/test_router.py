@@ -22,7 +22,6 @@ from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.graph import load_graph, save_graph
 from expander_routing.harness import gen_workload, run_trace
-from expander_routing.oracle import EdgeOracle
 from expander_routing.profiles import ceil_log2, derive_profile, desk_profile
 from expander_routing.router import MEETING_RADIUS, Ledger, RoutingEngine
 
@@ -754,17 +753,13 @@ def test_engine_from_a_file_holds_one_object_per_id(tmp_path):
         assert all(first.setdefault(x, x) is x for x in ids) and len(first) == count
 
 
-def _paper_only(eng):
-    """The fresh engine `eng` running the paper's mechanism alone:
-    one-vertex step rows and empty two-hop rows, set on the instance, and
-    oracles rebuilt with one-vertex reach rows, so trees meet only at a
-    shared vertex, picks prefer only heads in the other tree, and trees
-    that meet nothing take the breadth-first connector."""
-    eng.step_out = eng.step_in = [(v,) for v in range(eng.n)]
-    eng.g3_out = eng.g3_in = [()] * eng.n
-    eng.out_oracle = EdgeOracle(eng.out_oracle.host, eng.profile.oracle)
-    eng.in_oracle = EdgeOracle(eng.in_oracle.host, eng.profile.oracle)
-    return eng
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+# The fresh engine it is given, running the paper's mechanism alone: trees
+# meet only at a shared vertex, picks prefer only heads in the other tree,
+# and trees that meet nothing take the breadth-first connector.
+ABLATE = runpy.run_path(os.path.join(SCRIPTS, "ablate.py"), run_name="ablate")
+_paper_only = ABLATE["paper_only"]
 
 
 def _check_picks(orc, rows, picks):
@@ -809,8 +804,7 @@ def test_ablate_script_reports_the_paper_mechanism_against_head():
     # scripts/ablate.py's small case: both mechanisms serve the same trace,
     # only the paper's runs connector searches and only the router as built
     # meets through G3 links, with fewer oracle adds per find
-    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "ablate.py")
-    prof, rows = runpy.run_path(script, run_name="ablate")["run_case"]("small")
+    prof, rows = ABLATE["run_case"]("small")
     paper, head = rows["paper"], rows["head"]
     assert paper["served"] == head["served"] > 0 and paper["failures"] == head["failures"] == 0
     assert paper["connector_searches"] > 0 == head["connector_searches"]
@@ -823,8 +817,7 @@ def test_frontier_script_fills_to_the_first_failure():
     # scripts/frontier.py's fill at n=150, d=30, seed 1, r = n: every
     # live path fits the hop budget, and the fill ends at an expansion
     # failure, far past the desk volume cap r = 6 and short of n
-    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "frontier.py")
-    row = runpy.run_path(script, run_name="frontier")["fill"](150, 30, 1)
+    row = runpy.run_path(os.path.join(SCRIPTS, "frontier.py"), run_name="frontier")["fill"](150, 30, 1)
     prof = desk_profile(150, 30)
     assert prof.r < row["live"] < 150
     assert row["max_len"] <= prof.path_len_cap and row["adds_per_find"] > 0
