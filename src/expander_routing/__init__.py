@@ -35,7 +35,6 @@ from .oracle import EdgeOracle, Findings
 from .preprocess import (
     SplitResult,
     eulerian_orient,
-    extract_perfect_matching,
     pre_process,
     split_regular,
 )

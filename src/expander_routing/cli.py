@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -119,6 +120,7 @@ def cmd_run(args):
         emit=emit,
     )
     report.build_s = build_s
+    report.peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     _write_json(args.json, report)
     print(report.format_text(), end="")
     return 0 if report.clean else 1

@@ -99,6 +99,7 @@ class RunReport:
     verify_findings: int = 0
     verifies_run: int = 0
     verify_s: float = 0.0  # seconds inside engine.verify(), summed over the run's verifies
+    peak_rss_mib: float = 0.0  # the process's high-water mark, as `route run` reads it at the end
 
     @property
     def clean(self):
@@ -139,6 +140,8 @@ class RunReport:
         lines.append("verify seconds: %.6f" % self.verify_s)
         if self.verifies_run:
             lines.append("ms per verify: %.3f" % (1e3 * self.verify_s / self.verifies_run))
+        if self.peak_rss_mib:
+            lines.append("peak RSS: %.1f MiB" % self.peak_rss_mib)
         return "\n".join(lines) + "\n"
 
 

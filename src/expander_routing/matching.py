@@ -129,17 +129,18 @@ def perfect_matching_edges(g):
     """Perfect matching of an UndirectedGraph as a sorted list of edge ids.
 
     Raises CallerError when none exists, which for a regular input means
-    the graph violated the connectivity promise it came with.
+    the graph violated the connectivity promise it came with. A vertex's
+    neighbours are the other ends of its edges in edge-id order, each once
+    (no self-loop), and a matched pair maps to the first edge joining it.
     """
-    n = g.n
+    n, us, vs, inc = g.n, g.us, g.vs, g.inc
     adj = [[] for _ in range(n)]
-    first_edge = {}  # a * n + b (a < b) -> the first edge joining a and b
-    for e, (a, b) in enumerate(zip(g.us, g.vs)):
-        if a == b:
-            continue
-        if first_edge.setdefault(a * n + b if a < b else b * n + a, e) == e:
+    for a, b in zip(us, vs):
+        if a != b:
             adj[a].append(b)
             adj[b].append(a)
+    for row in adj:
+        row[:] = dict.fromkeys(row)
     match = maximum_matching(n, adj)
     unmatched = [v for v in range(n) if match[v] == -1]
     if unmatched:
@@ -147,11 +148,7 @@ def perfect_matching_edges(g):
             "no perfect matching (vertex %d unmatched); input is not the promised expander"
             % unmatched[0]
         )
-    edge_ids = set()
-    for v in range(n):
-        u = match[v]
-        edge_ids.add(first_edge[v * n + u if v < u else u * n + v])
-    return sorted(edge_ids)
+    return sorted(next(e for e in inc[v] if u == us[e] or u == vs[e]) for v, u in enumerate(match) if v < u)
 
 
 def one_factor(host, live_out):

@@ -1,14 +1,15 @@
 """Turn an undirected regular expander into the oriented, split form the router runs on.
 
-Pipeline: strip a perfect matching when the degree is odd, orient the
-remaining (even) graph along an Eulerian circuit so in- and out-degrees
-balance, then cut out two d_prime-regular spanning subdigraphs. The cut
-halves the live subgraph along Euler circuits of its tail/head cover
-while its degree is even and the wanted degrees fit in a half, and
-peels one factor otherwise (Gabow 1976; Alon 2003): for k=15, d_prime=6
-that is a peel, a halving into 7 + 7, and one peel per half, so 3
-one-factor extractions. The leftover edges form the third subgraph,
-used only for short connecting segments.
+Pipeline: set a perfect matching aside when the degree is odd, orient
+the other edges along an Eulerian circuit so in- and out-degrees balance
+(the walk skips the matched edges and the host numbers the others by
+rank, so no edge-key dict or remainder graph is built), then cut out two
+d_prime-regular spanning subdigraphs. The cut halves the live subgraph
+along Euler circuits of its tail/head cover while its degree is even and
+the wanted degrees fit in a half, and peels one factor otherwise (Gabow
+1976; Alon 2003): for k=15, d_prime=6 that is a peel, a halving into
+7 + 7, and one peel per half, so 3 one-factor extractions. The leftover
+edges form the third subgraph, used only for short connecting segments.
 """
 
 from __future__ import annotations
@@ -22,17 +23,17 @@ from .matching import one_factor, perfect_matching_edges
 from .profiles import RouterProfile
 
 
-def _walk_circuits(inc, us, vs, starts):
+def _walk_circuits(inc, us, vs, starts, used):
     """Walk closed trails from each vertex of `starts` in turn.
 
     Vertex v has incident edges inc[v]; edge e joins us[e] and vs[e]. The
     walk always leaves along the first unused incident edge, so it is
-    deterministic. Returns a bytearray over edge ids: 1 for an edge walked
-    from us[e] to vs[e], 2 for one walked back, 0 for one never reached.
-    When every degree is even each trail closes, so every vertex is left
-    as often as it is entered.
+    deterministic. It marks the bytearray `used` over edge ids, and
+    returns it: 1 for an edge walked from us[e] to vs[e], 2 for one walked
+    back; an edge set before the walk is skipped and keeps its value, and
+    one never reached stays 0. When every degree is even each trail
+    closes, so every vertex is left as often as it is entered.
     """
-    used = bytearray(len(us))
     rows = [iter(row) for row in inc]  # resumable, so each row is scanned once
     for start in starts:
         stack = [start]
@@ -57,39 +58,38 @@ def _walk_circuits(inc, us, vs, starts):
     return used
 
 
-def eulerian_orient(g: UndirectedGraph) -> Digraph:
-    """Orient every edge along an Eulerian circuit.
+def eulerian_orient(g: UndirectedGraph, matched=()) -> Digraph:
+    """Orient every edge of g not in `matched` along an Eulerian circuit.
 
-    Requires a connected graph with all degrees even; the result has
-    in-degree = out-degree = deg(v)/2 everywhere and reuses the
-    undirected edge ids. Deterministic: the circuit always extends along
-    the first unused incident edge.
+    The unmatched edges must form a connected graph with all degrees
+    even; the result has in-degree = out-degree = half the unmatched
+    degree everywhere, and its edge i is the i-th unmatched edge (with no
+    matching, edge ids are kept). Deterministic: the circuit always
+    extends along the first unused incident edge, and the walk skips the
+    matched edges, pre-marked in its `used` array.
     """
-    for v in range(g.n):
-        if g.degree(v) % 2 != 0:
-            raise CallerError("vertex %d has odd degree %d" % (v, g.degree(v)))
     us, vs = g.us, g.vs
-    walked = _walk_circuits(g.inc, us, vs, us[:1])  # one start: the first edge's end
-    # one circuit took every edge and no vertex is isolated: the graph is connected
-    if not all(walked) or (g.n > 1 and not all(g.inc)):
-        raise CallerError("graph is disconnected; cannot orient along one circuit")
-    tails = [u if w == 1 else v for u, v, w in zip(us, vs, walked)]
-    heads = [v if w == 1 else u for u, v, w in zip(us, vs, walked)]
-    return Digraph.from_ends(g.n, tails, heads)
-
-
-def extract_perfect_matching(g: UndirectedGraph):
-    """Remove one perfect matching; returns (matching edge ids, remainder)."""
-    d = g.regularity()
-    if d is None:
-        raise CallerError("extract_perfect_matching needs a regular graph")
-    if g.n % 2 != 0:
-        raise CallerError("odd vertex count admits no perfect matching")
-    matched = perfect_matching_edges(g)
-    keep = bytearray(b"\x01") * g.m
+    used = bytearray(g.m)
+    degree = list(map(len, g.inc))
     for e in matched:
-        keep[e] = 0
-    return matched, UndirectedGraph.from_ends(g.n, list(compress(g.us, keep)), list(compress(g.vs, keep)))
+        if not used[e]:
+            used[e] = 3
+            degree[us[e]] -= 1
+            if vs[e] != us[e]:  # a loop is in its vertex's row once
+                degree[vs[e]] -= 1
+    for v, k in enumerate(degree):
+        if k % 2 != 0:
+            raise CallerError("vertex %d has odd degree %d" % (v, k))
+    first = used.find(0)  # one start: the first unmatched edge's end
+    _walk_circuits(g.inc, us, vs, us[first : first + 1] if first >= 0 else (), used)
+    # one circuit took every edge and no vertex is isolated: the graph is connected
+    if not all(used) or (g.n > 1 and not all(degree)):
+        raise CallerError("graph is disconnected; cannot orient along one circuit")
+    # host edge i is the i-th unmatched edge (keep is 0 on matched ones), from the end it was walked from
+    keep = used.translate(bytes.maketrans(b"\x03", b"\x00"))
+    tails, heads = ([a if w == 1 else b for a, b, w in zip(compress(x, keep), compress(y, keep), compress(used, keep))]
+                    for x, y in ((us, vs), (vs, us)))
+    return Digraph.from_ends(g.n, tails, heads)
 
 
 def split_regular(d: Digraph, k, parts):
@@ -161,7 +161,7 @@ def _halve(d, live_out):
     # one int per cover head, shared by every edge into it
     shifted = list(range(n, 2 * n))
     cover_heads = [shifted[h] for h in heads]
-    walked = _walk_circuits(live_out + live_in, d.tails, cover_heads, range(n))
+    walked = _walk_circuits(live_out + live_in, d.tails, cover_heads, range(n), bytearray(d.m))
     return (
         [[e for e in out if walked[e] == 1] for out in live_out],
         [[e for e in out if walked[e] == 2] for out in live_out],
@@ -211,11 +211,8 @@ def pre_process(g: UndirectedGraph, profile: RouterProfile) -> SplitResult:
     they leave g3 an edge per vertex)."""
     d = check_profile(g, profile)
     k = profile.k
-    if d % 2 == 1:
-        _, even_part = extract_perfect_matching(g)
-        host = eulerian_orient(even_part)
-    else:
-        host = eulerian_orient(g)
+    # odd d: orient around a perfect matching, which no subgraph keeps
+    host = eulerian_orient(g, perfect_matching_edges(g) if d % 2 else ())
     (g1, ids1), (g2, ids2), (g3, ids3) = split_regular(host, k, [profile.d_prime] * 2)
     return SplitResult(
         host=host,

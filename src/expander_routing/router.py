@@ -173,9 +173,9 @@ class RoutingEngine:
         del out1, in1  # freed before the oracles' tables, which outlive them
         self.out_oracle = EdgeOracle(g1, profile.oracle, self.step_out)
         self.in_oracle = EdgeOracle(reverse(g2), profile.oracle, self.step_in)
-        # bound to H3's member array, not to self: an engine is no reference cycle
-        self.link_out = partial(self._free_g3_path, self.h3.member, g3.out_adj, g3.heads)
-        self.link_in = partial(self._free_g3_path, self.h3.member, g3.in_adj, g3.tails)
+        # bound to H3's member array and the fixed rows, not to self: an engine is no reference cycle
+        self.link_out = partial(self._free_g3_path, self.h3.member, g3.out_adj, g3.heads, self.step_out, self.g3_out)
+        self.link_in = partial(self._free_g3_path, self.h3.member, g3.in_adj, g3.tails, self.step_in, self.g3_in)
         # what `_walk` reads of the subgraphs a path's three segments run in
         self._walk_rows = [(g.tails, g.heads, g.m, label) for g, label in ((g1, "first"), (g3, "middle"), (g2, "last"))]
 
@@ -311,16 +311,20 @@ class RoutingEngine:
         return meets
 
     @staticmethod
-    def _free_g3_path(h3m, adj, ends, sources, keys, own, hops):
+    def _free_g3_path(h3m, adj, ends, step, near, sources, keys, own, hops):
         """The one G3 path search: the first shortest free G3 path (no edge
         set in `h3m`, H3's member array) of at most `hops` edges from a
         vertex of `sources` to a key of `keys`, as its edges walked along
         `adj` to their `ends` (out-edges to heads, in-edges to tails), or
         None. Breadth-first, one layer per hop, in `sources` order, then
-        adjacency order, never through a vertex of `own` or one seen."""
+        adjacency order, never through a vertex of `own` or one seen. A
+        vertex with one (two) hops left joins a layer only if its fixed G3
+        row `step` (`near`) holds a key: no other reaches one in time, even
+        through H3 or `own`, so dropping it changes no path found."""
         parent = dict.fromkeys(sources)
-        layer = sources
+        layer, apart, rows = sources, keys.keys().isdisjoint, (None, step, near)
         for left in reversed(range(hops)):  # hops left after this layer
+            row = rows[left] if left < 3 else None
             next_layer = []
             for u in layer:
                 for e in adj[u]:
@@ -329,7 +333,7 @@ class RoutingEngine:
                         if not h3m[e]:
                             parent[w] = u, e
                             return RoutingEngine._tree_path(parent, w)
-                    elif left and not (h3m[e] or w in parent or w in own):
+                    elif left and not (h3m[e] or w in parent or w in own or row and apart(row[w])):
                         parent[w] = u, e
                         next_layer.append(w)
             layer = next_layer

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import resource
 import time
 
 import pytest
@@ -332,6 +333,20 @@ def test_cli_pipeline(tmp_path, capsys):
     assert "max path length: 5 hops, %.3f log2(n), ceil_log2(n) = 8\n" % (5 / math.log2(150)) in out
     assert "oracle adds per served find: %.2f\n" % ((calls["out_add"] + calls["in_add"]) / served) in out
     assert "ms per verify: %.3f\n" % (1e3 * payload["verify_s"] / 6) in out
+
+
+def test_route_run_reports_its_peak_rss(tmp_path, capsys):
+    # the process's memory high-water mark at the end of the run, in MiB:
+    # the text report's last line, and a field of --json
+    graph_path, profile_path, trace_path = tmp_path / "g.txt", tmp_path / "p.txt", tmp_path / "t.txt"
+    save_graph(graph_path, gen_random_regular_graph(150, 31, seed=3))
+    save_profile(profile_path, desk_profile(150, 31))
+    trace_path.write_text("find 0 1\nverify\n")
+    assert cli_main(["run", "--graph", str(graph_path), "--profile", str(profile_path),
+                     "--trace", str(trace_path), "--json", str(tmp_path / "r.json"), "--quiet"]) == 0
+    peak = json.loads((tmp_path / "r.json").read_text())["peak_rss_mib"]
+    assert 0 < peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert capsys.readouterr().out.endswith("peak RSS: %.1f MiB\n" % peak)
 
 
 @pytest.mark.parametrize("r", [0, 1])

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from expander_routing.graph import Digraph, UndirectedGraph, format_graph
 from expander_routing.matching import maximum_matching, perfect_matching_edges
 from expander_routing.preprocess import (
     eulerian_orient,
-    extract_perfect_matching,
     pre_process,
     split_regular,
 )
@@ -70,18 +70,31 @@ def test_orient_preserves_edge_ids():
 # --- matchings --------------------------------------------------------------
 
 
+def _check_oriented_around(g, matched, host):
+    """`matched` covers every vertex of g once, and `host` orients the
+    other edges in id order, (d - 1)/2 out and in at every vertex."""
+    covered = sorted(v for e in matched for v in (g.us[e], g.vs[e]))
+    assert covered == list(range(g.n))
+    rest = sorted(set(range(g.m)) - set(matched))
+    assert [{t, h} for t, h in edge_pairs(host)] == [{g.us[e], g.vs[e]} for e in rest]
+    assert host.regularity() == (g.regularity() - 1) // 2
+
+
 def test_matching_single_edge():
+    # 1-regular: the matching takes every edge and leaves none to orient
     g = UndirectedGraph(2, [(0, 1)])
-    matched, rest = extract_perfect_matching(g)
+    matched = perfect_matching_edges(g)
     assert matched == [0]
-    assert rest.m == 0
+    with pytest.raises(CallerError, match="disconnected"):
+        eulerian_orient(g, matched)
 
 
 def test_matching_k4(k4):
-    matched, rest = extract_perfect_matching(k4)
+    matched = perfect_matching_edges(k4)
     assert len(matched) == 2
-    assert rest.regularity() == 2
-    assert rest.m == 4
+    host = eulerian_orient(k4, matched)
+    assert host.m == 4
+    _check_oriented_around(k4, matched, host)
 
 
 def test_matching_odd_cycle_is_not_perfect():
@@ -103,11 +116,93 @@ def test_matching_blossom_structure():
 
 def test_matching_random_regular():
     g = gen_random_regular_graph(50, 5, seed=7)
-    matched, rest = extract_perfect_matching(g)
+    matched = perfect_matching_edges(g)
     assert len(matched) == 25
-    covered = sorted(v for e in matched for v in (g.us[e], g.vs[e]))
-    assert covered == list(range(50))
-    assert rest.regularity() == 4
+    _check_oriented_around(g, matched, eulerian_orient(g, matched))
+
+
+def test_orient_around_a_matching_refuses_odd_degree_and_disconnection(k4):
+    # the refusals read the unmatched edges: K4 less one edge has two
+    # vertices of degree 3, and a prism less its three rungs is two triangles
+    with pytest.raises(CallerError, match="^vertex 2 has odd degree 3$"):
+        eulerian_orient(k4, [0])
+    prism = UndirectedGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
+    with pytest.raises(CallerError, match="disconnected"):
+        eulerian_orient(prism, [6, 7, 8])
+
+
+# --- set-up against the construction with a remainder graph -------------------
+
+
+def _reference_matching(g):
+    """The matching as set-up found it with a pair-key dict: each pair's
+    first edge, keyed a * n + b (a < b), with loops skipped."""
+    n = g.n
+    adj = [[] for _ in range(n)]
+    first_edge = {}
+    for e, (a, b) in enumerate(zip(g.us, g.vs)):
+        if a != b and first_edge.setdefault(a * n + b if a < b else b * n + a, e) == e:
+            adj[a].append(b)
+            adj[b].append(a)
+    match = maximum_matching(n, adj)
+    assert -1 not in match
+    return sorted({first_edge[v * n + u if v < u else u * n + v] for v, u in enumerate(match)})
+
+
+def _reference_split(g, profile):
+    """Set-up as it was built: on odd d, a remainder graph of the unmatched
+    edges, renumbered 0.., oriented whole along one circuit, then split."""
+    if g.regularity() % 2:
+        keep = bytearray(b"\x01") * g.m
+        for e in _reference_matching(g):
+            keep[e] = 0
+        g = UndirectedGraph.from_ends(g.n, list(compress(g.us, keep)), list(compress(g.vs, keep)))
+    walked = preprocess._walk_circuits(g.inc, g.us, g.vs, g.us[:1], bytearray(g.m))
+    assert all(walked)
+    tails = [u if w == 1 else v for u, v, w in zip(g.us, g.vs, walked)]
+    heads = [v if w == 1 else u for u, v, w in zip(g.us, g.vs, walked)]
+    host = Digraph.from_ends(g.n, tails, heads)
+    return host, split_regular(host, profile.k, [profile.d_prime] * 2)
+
+
+def _multigraph_with_parallel_edges(n, seed):
+    """A 31-regular multigraph: the pairs (2i, 2i + 1) first, then a random
+    30-regular graph, which joins most of those pairs again."""
+    base = gen_random_regular_graph(n, 30, seed=seed)
+    us = [*range(0, n, 2), *base.us]
+    vs = [*range(1, n, 2), *base.vs]
+    return UndirectedGraph.from_ends(n, us, vs)
+
+
+def _check_against_reference(g):
+    # the host oriented around the matching, G1/G2/G3 and their host-id
+    # maps equal, edge for edge, those built from a remainder graph
+    profile = desk_profile(g.n, 31)
+    assert perfect_matching_edges(g) == _reference_matching(g)
+    split = pre_process(g, profile)
+    host, ((g1, ids1), (g2, ids2), (g3, ids3)) = _reference_split(g, profile)
+    for mine, ref in ((split.host, host), (split.g1, g1), (split.g2, g2), (split.g3, g3)):
+        assert (mine.tails, mine.heads) == (ref.tails, ref.heads)
+    assert (split.g1_host, split.g2_host, split.g3_host) == (ids1, ids2, ids3)
+
+
+@pytest.mark.parametrize("n", [150, 600, 2400])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_set_up_equals_the_remainder_graph_construction(n, seed):
+    _check_against_reference(gen_random_regular_graph(n, 31, seed=seed))
+
+
+def test_set_up_of_a_multigraph_equals_the_remainder_graph_construction():
+    g = _multigraph_with_parallel_edges(40, 3)
+    assert len({(min(a, b), max(a, b)) for a, b in zip(g.us, g.vs)}) < g.m
+    _check_against_reference(g)
+
+
+def test_matching_dedupes_neighbours_and_skips_loops():
+    # a loop, a parallel pair (0, 1) and (1, 2) written both ways: the
+    # matched pair maps to the first edge joining it, as the pair-key dict did
+    g = UndirectedGraph(4, [(0, 0), (2, 3), (0, 1), (2, 1), (1, 0), (1, 2), (3, 0), (3, 3)])
+    assert perfect_matching_edges(g) == _reference_matching(g) == [1, 2]
 
 
 # --- regular splitting -------------------------------------------------------

@@ -650,6 +650,62 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
     assert around
 
 
+def _unpruned_link(h3m, adj, ends, sources, keys, own, hops):
+    """The G3 path search without its key-row test: every free vertex
+    neither seen nor in `own` joins the next layer while hops are left."""
+    parent = dict.fromkeys(sources)
+    layer = sources
+    for left in reversed(range(hops)):
+        next_layer = []
+        for u in layer:
+            for e in adj[u]:
+                w = ends[e]
+                if w in keys:
+                    if not h3m[e]:
+                        parent[w] = u, e
+                        return RoutingEngine._tree_path(parent, w)
+                elif left and not (h3m[e] or w in parent or w in own):
+                    parent[w] = u, e
+                    next_layer.append(w)
+        layer = next_layer
+    return None
+
+
+@pytest.mark.parametrize("paper", [False, True], ids=["desk", "paper-only"])
+def test_pruned_link_returns_what_the_unpruned_search_returns(paper):
+    # after a churn, with H3 holding live middle segments: from one source
+    # and from several (some at a held edge), with own-tree vertices, each
+    # link returns what the search without the key-row test returns, for
+    # every hop budget up to depth_cap; on a paper-only engine too, whose
+    # instance rows are emptied but whose links keep the fixed G3 rows
+    n = 300
+    prof = desk_profile(n, 31)
+    eng = RoutingEngine(gen_random_regular_graph(n, 31, seed=11), prof)
+    if paper:
+        _paper_only(eng)
+    cmds = gen_workload("churn", n, {"ops": 300, "live_target": prof.r // 2}, 5, prof.endpoint_cap, prof.r)
+    assert run_trace(eng, cmds).failures == []
+    g3, h3m = eng.split.g3, eng.h3.member
+    held = eng.h3.members()
+    assert held
+    sides = ((eng.link_out, g3.out_adj, g3.heads, g3.tails), (eng.link_in, g3.in_adj, g3.tails, g3.heads))
+    rng = random.Random(8)
+    lengths = Counter()
+    for trial in range(40):
+        keys = dict.fromkeys(rng.sample(range(n), rng.choice((1, 2, 6))))
+        for link, adj, ends, starts in sides:
+            at_held = starts[rng.choice(held)]
+            mine = [v for v in [at_held, *rng.sample(range(n), 30)] if v not in keys]
+            for count in (1, 8):
+                sources = mine[:count]
+                own = dict.fromkeys(mine[: count + rng.choice((0, 5, 20))])
+                for hops in range(1, prof.depth_cap + 1):
+                    seg = link(sources, keys, own, hops)
+                    assert seg == _unpruned_link(h3m, adj, ends, sources, keys, own, hops)
+                    lengths[None if seg is None else len(seg)] += 1
+    assert lengths[None] and len(lengths) > 4, lengths
+
+
 def test_roots_joined_by_a_free_g3_path_are_served_by_it_alone():
     # a churn trace at n=150 (d=30, graph seed 3, churn seed 11, 400 ops)
     # on which, before roots were tested, 52 of 202 finds had a free G3
