@@ -8,7 +8,9 @@ Run it from the root of a source checkout; the router is imported from
 engine over the same graph and desk profile:
 
 - `head`: the router as built, whose trees also meet through a free G3
-  path of up to MEETING_RADIUS edges;
+  path of up to MEETING_RADIUS (four) edges, tested by a discovery's
+  two-hop G3 row against the other tree's zone, which reaches two hops
+  too;
 - `paper`: the paper's mechanism alone. The engine gets one-vertex step
   rows and empty two-hop rows, set on the instance, and oracles rebuilt
   with one-vertex reach rows (`paper_only`, which tests/test_router.py

@@ -6,26 +6,25 @@ the reversed second subgraph (so its arcs point towards b in the
 original orientation). They grow in lockstep, one pick each in turn (a
 tree vertex picks up to its oracle out-cap), and both stop at the first
 discovery, in lockstep order, of a vertex of the other tree as it then
-stands, or of a vertex joined to it by a free path of one to three edges
+stands, or of a vertex joined to it by a free path of one to four edges
 of the third subgraph (edges no live path's middle segment holds,
 through middle vertices in neither tree). The oracles only hand out
 edges; the rule lives here, in one test per tree that `grow_tree` runs
 on each discovery, and nothing tests a pair again. Each tree keeps a
 zone: its vertices and every vertex within two G3 edges of them (out of
 the out-tree, into the in-tree). The test widens the own zone by the
-discovery and its fixed two-hop G3 row, tests the discovery's step row
-(itself and its one-edge G3 ends) against the other tree's zone,
-confirms a hit against H3 (few G3 edges, so no state follows H3 per
-vertex) and keeps the connector it found: none, or that path. The
-out-tree's test runs on a, against the in-root b, before either tree
-grows: roots that close are joined by that path alone. Each oracle
-holds the step rows as its reach rows, and each tree hands its oracle
-the other's zone as the pick preference, so a pick prefers a head that
-would pass the test at once. Trees that meet nothing grow to full size,
-large enough that G3, minus the middle segments already spoken for,
-connects them by a short directed path. One breadth-first search finds
-both connectors, `_free_g3_path`: three hops from a discovery, or
-`depth_cap` hops from the full out-tree.
+discovery and its fixed two-hop G3 row, tests the discovery and that row
+against the other tree's zone, confirms a hit against H3 (few G3 edges,
+so no state follows H3 per vertex) and keeps the connector it found:
+none, or that path. The out-tree's test runs on a, against the in-root
+b, before either tree grows: roots that close are joined by that path
+alone. Each oracle holds the step rows as its reach rows, and each tree
+hands its oracle the other's zone as the pick preference, so a pick
+prefers a head that would pass the test at once. Trees that meet
+nothing grow to full size, large enough that G3, minus the middle
+segments already spoken for, connects them by a short directed path.
+One breadth-first search finds both connectors, `_free_g3_path`: four
+hops from a discovery, or `depth_cap` hops from the full out-tree.
 The path is assembled from the two tree branches plus the connector,
 every unused tree edge is handed back to its oracle, and the path
 recorded in the `Ledger`, the one home of the game rules, which the
@@ -146,8 +145,9 @@ class Ledger:
 
 
 # the G3 radius of a meeting: a discovery's two-hop row against the other
-# tree's one-edge step rows, so the meeting link searches this many hops
-MEETING_RADIUS = 3
+# tree's zone, which reaches two hops too, so the meeting link searches
+# this many hops
+MEETING_RADIUS = 4
 
 
 class RoutingEngine:
@@ -159,10 +159,10 @@ class RoutingEngine:
         # fixed G3 rows, in adjacency order, H3 ignored: g3_out[v] (g3_in[v])
         # holds each end within two G3 edges out of (into) v once, one-edge
         # ends first, and step_out[v] (step_in[v]) holds v and its one-edge ends;
-        # `_meets` widens a tree's zone with the first and tests discoveries
-        # with the second, which each oracle's picks test too, and confirms
-        # against H3 with link_out (link_in), the G3 path search `find_path`
-        # connects with too
+        # `_meets` widens a tree's zone with the first, tests discoveries with
+        # it and confirms against H3 with link_out (link_in), the G3 path
+        # search `find_path` connects with too; each oracle's picks test the
+        # second
         g1, g2, g3 = self.split.g1, self.split.g2, self.split.g3
         out1 = [tuple(map(g3.heads.__getitem__, row)) for row in g3.out_adj]
         in1 = [tuple(map(g3.tails.__getitem__, row)) for row in g3.in_adj]
@@ -279,27 +279,26 @@ class RoutingEngine:
         `zone` and `other_zone` are the trees' zones: their vertices and
         every vertex within two G3 edges out of them (out-tree) or into
         them (in-tree), H3 ignored. A discovery w first widens `zone` by w
-        and its two-hop row, then passes the reach test if its step row
-        meets `other_zone`: it is then within three G3 edges of
-        (out-tree) or from (in-tree) the other tree, H3 ignored. That is
-        one set insert, one C-level update of about 12 entries and one
-        `isdisjoint` of 4. It meets if it is a key of `other`, or if
-        `link_out` (`link_in`) finds a free G3 path of at most `MEETING_RADIUS` edges
-        from w to `other`, avoiding `own`; the test then appends the
-        connector, (entry, exit, edges in path order), to the list `met`
-        that both trees' tests share.
+        and its two-hop row, then passes the reach test if w or that row
+        meets `other_zone`: it is then within four G3 edges of (out-tree)
+        or from (in-tree) the other tree, H3 ignored. That is one set
+        insert, one C-level update of about 12 entries, one membership
+        test and one `isdisjoint` of the same 12. It meets if it is a key
+        of `other`, or if `link_out` (`link_in`) finds a free G3 path of
+        at most `MEETING_RADIUS` edges from w to `other`, avoiding `own`;
+        the test then appends the connector, (entry, exit, edges in path
+        order), to the list `met` that both trees' tests share.
         """
         g3 = self.split.g3
-        step, near, link, ends = (
-            (self.step_out, self.g3_out, self.link_out, g3.heads) if out
-            else (self.step_in, self.g3_in, self.link_in, g3.tails)
+        near, link, ends = (
+            (self.g3_out, self.link_out, g3.heads) if out else (self.g3_in, self.link_in, g3.tails)
         )
         join, widen, apart = zone.add, zone.update, other_zone.isdisjoint
 
         def meets(w):
             join(w)
-            widen(near[w])
-            if not apart(step[w]):
+            widen(row := near[w])
+            if w in other_zone or not apart(row):
                 if w in other:
                     met.append((w, w, []))
                     return True

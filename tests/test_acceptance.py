@@ -47,12 +47,12 @@ GOLDEN_PREPROCESS = {
     (20, 2): "296558d1fdc3491c54ee078c45de6b9ee729d525194c3a0183117af96d01713e",
     (21, 3): "6ed5b5f4cf98a3a71f9334153b83ceb9882958799b5da265cc96bf2477379c7a",
 }
-GOLDEN_REPLAY = "1f147de33f5ce68ae74ec55cadfc1358070df2d0124841b774a5509a76c5d8d0"
-GOLDEN_REPLAY_STATE = "78e1d35e8036fbb766a78352d73150346de5f76f8e99d2ac4c1073338d589dbb"
+GOLDEN_REPLAY = "626c4ed2be9b1bb30174928ccb622821ed2cbd0736d59ecbe28f5e10859b5a77"
+GOLDEN_REPLAY_STATE = "39a0c269ac9b26026a7aee058e62564d3d45d4ef1f8af19e2a1cdd6eb4480e3f"
 # the oracle work that replay does: per-edge add and remove calls, walk
 # searches, and Low promotions per oracle (out, in)
 GOLDEN_REPLAY_CALLS = {
-    "out_add": 406, "out_remove": 393, "in_add": 289, "in_remove": 278, "walk_searches": 0,
+    "out_add": 293, "out_remove": 283, "in_add": 182, "in_remove": 173, "walk_searches": 0,
 }
 GOLDEN_REPLAY_LOW_ADDITIONS = (0, 0)
 

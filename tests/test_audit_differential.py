@@ -261,6 +261,15 @@ def churned_engine(n, graph_seed, churn_seed, ops, after=lambda eng: None):
 
 def loaded_engine():
     eng = churned_engine(600, 21, 5, 300)
+    # at d=52 nearly every find meets within four G3 edges of its roots, so
+    # a churn keeps almost no in-tree edge: seeded pairs are served, each
+    # path without a last segment handed back, until one holds one, so the
+    # corruptions of seg_b and H2 apply
+    rng = random.Random(1)
+    while not any(rec.seg_b for rec in eng.ledger.paths.values()):
+        a, b = rng.sample(range(eng.n), 2)
+        if not eng.ledger.violation(a, b) and not (rec := eng.find_path(a, b)).seg_b:
+            eng.remove_path(rec.id)
     assert eng.verify().ok and eng.ledger.paths
     # no B stock, as in every desk engine: the audits check B's counters as all 0
     assert not (eng.out_oracle.b.members() or eng.in_oracle.b.members())

@@ -307,27 +307,27 @@ def test_cli_pipeline(tmp_path, capsys):
     assert payload["failures"] == []
     assert payload["requests_served"] == 60
     assert payload["path_length_histogram"] == {
-        "1": 1, "2": 3, "3": 14, "4": 12, "5": 2
+        "1": 1, "2": 2, "3": 12, "4": 14, "5": 3
     }
-    # the same 32 finds by connector length: 4 of one G3 edge, 7 of two,
-    # 21 of three
-    assert payload["connector_length_histogram"] == {"1": 4, "2": 7, "3": 21}
+    # the same 32 finds by connector length: 3 of one G3 edge, 4 of two,
+    # 16 of three, 9 of four
+    assert payload["connector_length_histogram"] == {"1": 3, "2": 4, "3": 16, "4": 9}
     assert payload["oracle_call_counts"] == {
-        "out_add": 24, "out_remove": 22, "in_add": 6, "in_remove": 6, "walk_searches": 0
+        "out_add": 17, "out_remove": 15, "in_add": 2, "in_remove": 2, "walk_searches": 0
     }
     assert sorted(payload["wall_clock"]) == ["max", "p50", "p90", "p99"]
     # graph load and engine build, timed apart from the requests
     assert payload["build_s"] > 0
     assert (payload["verifies_run"], payload["verify_findings"]) == (6, 0)
     out = capsys.readouterr().out
-    assert "connector lengths: 1:4 2:7 3:21\n" in out
+    assert "connector lengths: 1:3 2:4 3:16 4:9\n" in out
     assert "build seconds: %.6f\n" % payload["build_s"] in out
     assert "verify seconds: %.6f\n" % payload["verify_s"] in out and payload["verify_s"] > 0
     # the run's measured constants, each against the same run's histogram and counts
     lengths, calls = payload["path_length_histogram"], payload["oracle_call_counts"]
     served = sum(lengths.values())
     mean = sum(int(k) * c for k, c in lengths.items()) / served
-    assert (payload["n"], served, mean, max(map(int, lengths))) == (150, 32, 107 / 32, 5)
+    assert (payload["n"], served, mean, max(map(int, lengths))) == (150, 32, 112 / 32, 5)
     assert "served finds: 32\n" in out
     assert "mean path length: %.3f hops, %.3f log2(n)\n" % (mean, mean / math.log2(150)) in out
     assert "max path length: 5 hops, %.3f log2(n), ceil_log2(n) = 8\n" % (5 / math.log2(150)) in out

@@ -1,4 +1,3 @@
-import copy
 import gc
 import math
 import os
@@ -261,11 +260,11 @@ def test_met_tree_skips_the_stall_check_but_not_the_depth_check(probe_trees):
 
 
 def _replayed(oracle, rows, parent, vertex_cap, prefer, picks, meets=never, steps=None):
-    """The tree `oracle` grows into `parent` by single adds on a copy, its
-    k-th pick preferring `prefer(k)`. Each pick is checked against
-    `first_pick` over the reach rows `rows` as the copy stands just
-    before it, and `picks` counts them by kind."""
-    with copy.deepcopy(oracle).request_log() as orc:
+    """The tree `oracle` grows into `parent` by single adds in a log it then
+    rolls back, its k-th pick preferring `prefer(k)`. Each pick is checked
+    against `first_pick` over the reach rows `rows` as the oracle stands
+    just before it, and `picks` counts them by kind."""
+    with oracle.request_log() as orc:
         grow = orc.grow_tree
 
         def checked(root, edges, vertex_cap, meets, near):
@@ -279,7 +278,11 @@ def _replayed(oracle, rows, parent, vertex_cap, prefer, picks, meets=never, step
             yield
 
         orc.grow_tree = checked
-        return tree_by_single_adds(orc, parent, vertex_cap, meets, steps, prefer)
+        try:
+            return tree_by_single_adds(orc, parent, vertex_cap, meets, steps, prefer)
+        finally:
+            del orc.grow_tree
+            orc.rollback()
 
 
 def _lockstep_zone(eng, out, other):
@@ -318,7 +321,7 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
     # is Low at this load, so no stock pick occurs). Roots joined by a
     # free G3 path grow no tree. Trees share at most one vertex. Trees
     # that meet share it and need no connector, or share none and are
-    # joined by a G3 path of one to three edges, free before the find,
+    # joined by a G3 path of one to four edges, free before the find,
     # from the out-tree to the in-tree, whose middle vertices lie in
     # neither tree. The tree that met is the replayed tree stopped at its
     # last key, and the other has had the turns lockstep gives it, as many
@@ -331,9 +334,10 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
     cmds = gen_workload("fill", n, {"count": prof.r - 4}, 5, prof.endpoint_cap, prof.r)
     assert run_trace(eng, cmds).failures == []
     # H3 also holds about half the free G3 edges, as middle segments of
-    # live paths would: with only the fill's, trees within three G3 edges
+    # live paths would: with only the fill's, trees within four G3 edges
     # of each other nearly always find a free path, and no sampled find
-    # stays unmet
+    # stays unmet. Even with half held, about one find in 200 stays unmet,
+    # so sampling goes on until each outcome has been seen five times
     coin = random.Random(1)
     held = [e for e in range(g3.m) if not eng.h3.member[e] and coin.random() < 0.5]
     for e in held:
@@ -341,8 +345,8 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
     cap = prof.bfs_vertex_cap
     rng = random.Random(2)
     kinds, picks = Counter(), Counter()
-    outcomes = ("shared", "one edge", "two edges", "three edges", "unmet", "roots")
-    for _ in range(600):
+    outcomes = ("shared", "one edge", "two edges", "three edges", "four edges", "unmet", "roots")
+    for _ in range(2000):
         if min(kinds[k] for k in outcomes) >= 5:
             break
         a, b = rng.sample(range(n), 2)
@@ -371,7 +375,7 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
         if shared:
             assert shared == {entry} and entry == exit_ and seg_mid == []
         else:
-            assert 1 <= len(seg_mid) <= 3
+            assert 1 <= len(seg_mid) <= MEETING_RADIUS
             assert not any(eng.h3.member[e] for e in seg_mid)
             walk = [g3.tails[seg_mid[0]]] + [g3.heads[e] for e in seg_mid]
             assert all(g3.tails[f] == g3.heads[e] for e, f in zip(seg_mid, seg_mid[1:]))
@@ -404,7 +408,7 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
         verts = eng.path_vertices(rec)
         assert len(set(verts)) == len(verts)
         eng.remove_path(rec.id)
-    # all six outcomes and all three kinds of unbuffered pick occur
+    # all seven outcomes and all three kinds of unbuffered pick occur
     assert min(kinds[k] for k in outcomes) >= 5, kinds
     assert min(picks[k] for k in ("first", "preferred", "passed over")) > 0, picks
     for e in held:
@@ -426,7 +430,7 @@ def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
         probe = probe_trees(eng, a, b)
         if probe["meet"] is not None and probe["meet"][2]:
             met.setdefault(len(probe["meet"][2]), []).append((a, b, probe))
-        if min(len(met.get(2, ())), len(met.get(3, ()))) >= 3 and 1 in met:
+        if min(len(met.get(k, ())) for k in range(2, MEETING_RADIUS + 1)) >= 3 and 1 in met:
             break
     else:
         raise AssertionError("too few pairs met through G3 in 100 samples: %s" % met)
@@ -434,23 +438,25 @@ def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
     [e] = probe["meet"][2]
     t, w = g3.tails[e], g3.heads[e]
     parallel = [f for f in g3.out_adj[t] if g3.heads[f] == w and f != e]
-    assert [e] in (eng.link_out((t,), {w: None}, {t: None}, 3), eng.link_in((w,), {t: None}, {w: None}, 3))
+    assert [e] in (eng.link_out((t,), {w: None}, {t: None}, MEETING_RADIUS),
+                   eng.link_in((w,), {t: None}, {w: None}, MEETING_RADIUS))
     eng.h3.add(e)
     assert w in eng.g3_out[t] and t in eng.g3_in[w]
     for link, v, u in ((eng.link_out, t, w), (eng.link_in, w, t)):
-        # a parallel edge, else only a path of two or three edges around e
-        found = link((v,), {u: None}, {v: None}, 3)
-        assert found == parallel[:1] or not parallel and (found is None or len(found) in (2, 3))
+        # a parallel edge, else only a path of two to MEETING_RADIUS edges around e
+        found = link((v,), {u: None}, {v: None}, MEETING_RADIUS)
+        assert found == parallel[:1] or not parallel and (found is None or 2 <= len(found) <= MEETING_RADIUS)
         assert found is None or e not in found
     eng.h3.remove(e)
     grew = Counter()
-    for a, b, probe in met[1][:1] + met[2] + met[3]:
+    for a, b, probe in met[1][:1] + [*chain.from_iterable(met[k] for k in range(2, MEETING_RADIUS + 1))]:
         par_a, par_b = probe["out"][1], probe["in"][1]
         last_a, last_b = next(reversed(par_a)), next(reversed(par_b))
         seg = probe["meet"][2]
 
         def links():
-            return eng.link_out((last_a,), par_b, par_a, 3), eng.link_in((last_b,), par_a, par_b, 3)
+            return (eng.link_out((last_a,), par_b, par_a, MEETING_RADIUS),
+                    eng.link_in((last_b,), par_a, par_b, MEETING_RADIUS))
 
         # the meeting tree's link found the path, walked from its last key
         assert seg in links() or seg[::-1] in links()
@@ -466,9 +472,9 @@ def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
                 grew[len(seg), i] += 1
             eng.h3.remove(held)
             assert probe_trees(eng, a, b) == probe
-    # holding the one edge, or any edge of a pair or a triple, moved some
-    # meeting on
-    assert set(grew) == {(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}, grew
+    # holding the one edge, or any edge of a path of two to MEETING_RADIUS
+    # edges, moved some meeting on
+    assert set(grew) == {(k, i) for k in range(1, MEETING_RADIUS + 1) for i in range(k)}, grew
     assert eng.verify().ok
 
 
@@ -557,9 +563,10 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
     # the other tree as it stood then (lockstep turns are picks, the
     # out-tree moves first, and its
     # root is tested against the in-root before either tree grows): the
-    # reach test, the discovery's step row against the other tree's zone
-    # (a plain BFS of two G3 edges), equals a plain BFS check that the G3
-    # distance to the other tree is at most three, a candidate's link
+    # reach test, the discovery's two-hop row (a plain BFS of two G3 edges
+    # from it) against the other tree's zone (a plain BFS of two G3 edges
+    # from that tree), equals a plain BFS check that the G3 distance to
+    # the other tree is at most MEETING_RADIUS, a candidate's link
     # equals the brute force, only a tree's last discovery meets, and the
     # find's meeting is the brute-force one of the tree whose last
     # discovery met, against the other tree as it stood then. Links
@@ -581,11 +588,11 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
         return build(out, own, other, zone, other_zone, met)
 
     eng._meets = watched_build
-    # per tree: its step rows and link, and the BFS direction from the
-    # other tree towards a discovery
+    # per tree: its link, the BFS direction from the other tree towards a
+    # discovery, and the direction of the discovery's own row
     sides = {
-        True: (eng.step_out, eng.link_out, g3.in_adj, g3.tails),
-        False: (eng.step_in, eng.link_in, g3.out_adj, g3.heads),
+        True: (eng.link_out, g3.in_adj, g3.tails, g3.out_adj, g3.heads),
+        False: (eng.link_in, g3.out_adj, g3.heads, g3.in_adj, g3.tails),
     }
     tested = Counter()
     rng = random.Random(6)
@@ -604,7 +611,7 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
             (True, probe["out"], probe["in"], 0),
             (False, probe["in"], probe["out"], 1),
         ):
-            step, link, adj, ends = sides[out]
+            link, adj, ends, row_adj, row_ends = sides[out]
             order = list(own)
             at, other_at = {e: i for i, e in enumerate(edges)}, {e: i for i, e in enumerate(other_edges)}
             start = 0 if out else 1
@@ -614,11 +621,11 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
                 made = at[own[w][1]] + lag if k else 0
                 keys = {x: None for x, up in other.items() if up is None or other_at[up[1]] < made}
                 mine = dict.fromkeys(order[: k + 1])
-                passed = not _within(adj, ends, keys, 2).isdisjoint(step[w])
-                assert passed == (w in _within(adj, ends, keys, 3))
-                ref = None if w in keys else _reference_link(g3, h3m, out, (w,), keys, mine, 3)
+                passed = not _within(adj, ends, keys, 2).isdisjoint(_within(row_adj, row_ends, (w,), 2))
+                assert passed == (w in _within(adj, ends, keys, MEETING_RADIUS))
+                ref = None if w in keys else _reference_link(g3, h3m, out, (w,), keys, mine, MEETING_RADIUS)
                 if passed and w not in keys:
-                    assert link((w,), keys, mine, 3) == ref
+                    assert link((w,), keys, mine, MEETING_RADIUS) == ref
                 assert passed or ref is None
                 assert w == order[-1] or not (w in keys or ref is not None)
                 if w in keys:
@@ -631,21 +638,20 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
         assert len(met) <= 1
         assert probe["meet"] == (met[0] if met else None)
     assert tested[True] and tested[False], tested
-    # beside each held edge e from w: targets one, two and three G3 edges
-    # on through e, with a few more vertices in w's own tree
+    # beside each held edge e from w: targets one to MEETING_RADIUS G3
+    # edges on through e, with a few more vertices in w's own tree
     free = bytearray(g3.m)
     around = 0
     for e in eng.h3.members():
-        for out, (_, link, _, _) in sides.items():
-            adj, ends = (g3.out_adj, g3.heads) if out else (g3.in_adj, g3.tails)
+        for out, (link, _, _, adj, ends) in sides.items():
             w, x = (g3.tails[e], g3.heads[e]) if out else (g3.heads[e], g3.tails[e])
             ring = {x}
-            for _ in range(3):
+            for _ in range(MEETING_RADIUS):
                 keys = dict.fromkeys(ring - {w})
                 own = dict.fromkeys([w, *rng.sample([v for v in range(n) if v not in keys], 5)])
-                ref = _reference_link(g3, h3m, out, (w,), keys, own, 3)
-                assert link((w,), keys, own, 3) == ref
-                around += ref != _reference_link(g3, free, out, (w,), keys, own, 3)
+                ref = _reference_link(g3, h3m, out, (w,), keys, own, MEETING_RADIUS)
+                assert link((w,), keys, own, MEETING_RADIUS) == ref
+                around += ref != _reference_link(g3, free, out, (w,), keys, own, MEETING_RADIUS)
                 ring = {ends[f] for v in ring for f in adj[v]}
     assert around
 
@@ -834,7 +840,7 @@ def _check_picks(orc, rows, picks):
 def test_paper_mechanism_alone_serves_churn(n, ops):
     # the paper's own mechanism, kept under test: with one-vertex step rows
     # and empty two-hop rows, set on the instance, trees meet only at a
-    # shared vertex and no radius-3 link runs; trees that meet nothing grow
+    # shared vertex and no meeting link runs; trees that meet nothing grow
     # to full size and take the breadth-first connector, the same G3 search
     # run from the whole out-tree with the hop budget, and fit within it.
     # Every pick of both oracles follows the rule spelled out over
@@ -1014,7 +1020,7 @@ def _watch_rollback(oracle, ops):
 def test_oracle_counters_count_every_tree_edge(probe_trees):
     # the undo logs count each edge a find put in H once, kept or rolled
     # back, so a find's add_calls deltas are its trees' sizes: met at a
-    # shared vertex or through a G3 path of one to three edges, unmet and
+    # shared vertex or through a G3 path of one to four edges, unmet and
     # failed alike; a probe grows the same trees the find then grows
     eng = small_engine(n=600, d=30, seed=11)
 
@@ -1081,6 +1087,40 @@ def test_true_hover_at_340_live_paths_serves_every_find(seed):
     assert len(eng.ledger.paths) == target
 
 
+def test_true_hover_past_the_frontier_rolls_every_failure_back():
+    # a true hover past the frontier at n=600, d=30 (graph and trace seed
+    # 1): r = T + 1 with T = 320 over 2,000 churn ops, with the desk oracle
+    # thresholds written out (saturation at 2 in-edges, buffering at
+    # lt = d' - out_cap saturated out-heads), so a retune of the desk
+    # profile cannot take this run off the buffering path. Finds fail with
+    # no lever forcing them: 226 ExpansionViolations here (none at T = 280,
+    # 99 at T = 300), once the oracles have buffered. Each failed find
+    # leaves the state snapshot as it found it, and a verify after every
+    # request is clean
+    n, d, target = 600, 30, 320
+    desk = desk_profile(n, d)
+    thresholds = {"sat_threshold": Fraction(2), "low_threshold": Fraction(desk.d_prime - desk.oracle.out_cap)}
+    prof = replace(desk, r=target + 1, oracle=replace(desk.oracle, **thresholds))
+    eng = RoutingEngine(gen_random_regular_graph(n, d, seed=1), prof)
+    cmds = gen_workload("churn", n, {"ops": 2000, "live_target": target}, 1, prof.endpoint_cap, prof.r)
+    find, unchanged = eng.find_path, []
+
+    def watched(a, b):
+        before = state_snapshot(eng)
+        try:
+            return find(a, b)
+        except ExpansionViolation:
+            unchanged.append(state_snapshot(eng) == before)
+            raise
+
+    eng.find_path = watched
+    report = run_trace(eng, cmds, verify_every=1)
+    assert (report.verifies_run, report.verify_findings) == (2000, 0)
+    violations = sum(kind == "expansion-violation" for _, kind, _ in report.failures)
+    assert violations == len(unchanged) >= 100 and all(unchanged), violations
+    assert min(eng.out_oracle.low_additions, eng.in_oracle.low_additions) > 0
+
+
 def test_failed_connector_unwinds_everything():
     # under a one-hop budget, trees of depth at most one that meet through
     # a free two-edge G3 path pass the depth check and fail at the
@@ -1108,7 +1148,7 @@ def test_connector_search_stops_at_the_hop_budget():
     # two BFS layers and gives up, naming the budget, and the failure
     # leaves the state as it was. H3 holds about half the G3 edges, as
     # middle segments of live paths would: on a fresh engine nearly every
-    # pair of trees is within three free G3 edges, and no find reaches the
+    # pair of trees is within four free G3 edges, and no find reaches the
     # search
     g = gen_random_regular_graph(150, 30, seed=21)
     eng = RoutingEngine(g, depth_capped(desk_profile(150, 30), 2))
