@@ -1,10 +1,13 @@
 """Immutable multigraph storage and dynamic edge subsets.
 
 Edge identifiers are assigned in construction order and are stable for
-the lifetime of a graph; adjacency lists keep that order, which is the
+the lifetime of a graph; adjacency rows keep that order, which is the
 deterministic tie-break source for everything built on top. Graphs are
 never mutated after construction: all dynamic state lives in EdgeSubset
-overlays keyed by edge id.
+overlays keyed by edge id. A graph holds its end lists; its adjacency
+rows are tuples, each side built on first use, so a graph whose rows
+nothing reads (the oriented host the split is cut from) never builds
+them, and rows of ints leave the cyclic GC nothing to track.
 
 Edge ids, and the vertex ids `parse_graph` reads, are one table's shared ints (`_ids`), so
 every graph a build derives holds the same objects; the table keeps max(n, m) ints over all
@@ -13,8 +16,11 @@ graphs made and never shrinks (~5 MB at n=9600, d=31).
 
 from __future__ import annotations
 
+import re
 import sys
 import threading
+from collections import Counter
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import CallerError, FormatError
@@ -28,9 +34,26 @@ def _ids(count):  # the table, grown to hold at least the ids 0..count-1
     return _IDS
 
 
+def rows_by_end(n, ends):
+    """One list per vertex v of the edge ids e with ends[e] == v, in id order."""
+    rows = [[] for _ in range(n)]
+    for e, v in zip(_ids(len(ends)), ends):
+        rows[v].append(e)
+    return rows
+
+
+def _frozen(rows):
+    """`rows` with each row made a tuple in place, so no second copy of them all is held."""
+    for v, row in enumerate(rows):
+        rows[v] = tuple(row)
+    return rows
+
+
 class _EndLists:
     """Construction shared by both graph kinds: from (a, b) pairs, or from
-    parallel end lists, which the graph keeps; ends are checked in C."""
+    parallel end lists, which the graph keeps; ends are checked in C. The
+    rows are cached properties: the first read builds them into the
+    instance dict, where later reads find them without a call."""
 
     __slots__ = ()
 
@@ -61,27 +84,32 @@ class Digraph(_EndLists):
     Parallel edges are first class; each occurrence gets its own edge id.
     """
 
-    __slots__ = ("n", "tails", "heads", "out_adj", "in_adj")
+    __slots__ = ("n", "tails", "heads", "_twin", "__dict__")  # the dict holds the rows once read
 
     def _build(self, n, tails, heads):
         self._check(n, tails, heads)
-        out_adj = [[] for _ in range(n)]
-        in_adj = [[] for _ in range(n)]
-        for e, t in zip(_ids(len(tails)), tails):
-            out_adj[t].append(e)
-            in_adj[heads[e]].append(e)
-        self.n, self.tails, self.heads, self.out_adj, self.in_adj = n, tails, heads, out_adj, in_adj
+        self.n, self.tails, self.heads, self._twin = n, tails, heads, None
+
+    @cached_property
+    def out_adj(self):  # a reversal's rows are its input's, swapped
+        return _frozen(rows_by_end(self.n, self.tails)) if self._twin is None else self._twin.in_adj
+
+    @cached_property
+    def in_adj(self):
+        return _frozen(rows_by_end(self.n, self.heads)) if self._twin is None else self._twin.out_adj
 
     @property
     def m(self):
         return len(self.tails)
 
     def regularity(self):
-        """Return k if the graph is k-regular in both directions, else None."""
+        """Return k if the graph is k-regular in both directions, else None.
+        Counted from the end lists, so it builds no rows."""
         if self.n == 0:
             return 0
-        degrees = {*map(len, self.out_adj), *map(len, self.in_adj)}
-        return degrees.pop() if len(degrees) == 1 else None
+        k, rest = divmod(self.m, self.n)
+        # each list holds kn ends; if no vertex is at other than k of them, every vertex is at k
+        return k if not rest and {*Counter(self.tails).values(), *Counter(self.heads).values()} <= {k} else None
 
     def __repr__(self):
         return "Digraph(n=%d, m=%d)" % (self.n, self.m)
@@ -90,28 +118,33 @@ class Digraph(_EndLists):
 def reverse(d: Digraph) -> Digraph:
     """Reverse every edge, keeping edge ids; an involution.
 
-    The result shares d's lists, as no graph is mutated after
-    construction: its out-adjacency is d's in-adjacency in the same
-    (edge id) order, and tails and heads swap.
+    The result shares d's end lists and rows, as no graph is mutated
+    after construction: tails and heads swap, and its out-adjacency is
+    d's in-adjacency in the same (edge id) order, read from d on first use.
     """
     r = Digraph.__new__(Digraph)
-    r.n, r.tails, r.heads, r.out_adj, r.in_adj = d.n, d.heads, d.tails, d.in_adj, d.out_adj
+    r.n, r.tails, r.heads, r._twin = d.n, d.heads, d.tails, d
     return r
 
 
 class UndirectedGraph(_EndLists):
     """Undirected multigraph; incidence lists hold edge ids."""
 
-    __slots__ = ("n", "us", "vs", "inc")
+    __slots__ = ("n", "us", "vs", "__dict__")  # the dict holds the rows once read
 
     def _build(self, n, us, vs):
         self._check(n, us, vs)
-        inc = [[] for _ in range(n)]
+        self.n, self.us, self.vs = n, us, vs
+
+    @cached_property
+    def inc(self):
+        us, vs = self.us, self.vs
+        inc = [[] for _ in range(self.n)]
         for e, a in zip(_ids(len(us)), us):
             inc[a].append(e)
             if vs[e] != a:
                 inc[vs[e]].append(e)
-        self.n, self.us, self.vs, self.inc = n, us, vs, inc
+        return _frozen(inc)
 
     @property
     def m(self):
@@ -233,7 +266,49 @@ def format_graph(g) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a text exactly as `format_graph` writes it: the header, then "<a> <b>\n" for
+# each edge, in plain decimal: no leading zero, at most 18 digits (which int() always takes)
+_NUMBER = r"(?!0[0-9])[0-9]{1,18}"
+_HEADER = re.compile(r"(%s) (%s) (directed|undirected)\n" % (_NUMBER, _NUMBER))
+_EDGE_LINES = re.compile(r"(?:%s %s\n)*" % (_NUMBER, _NUMBER))
+_CHUNK = 1 << 13  # characters of edge lines read at once: their token lists are the load's transient
+
+
 def parse_graph(text: str):
+    """The graph in `text`. A text exactly as `format_graph` writes it is
+    read in C, a chunk of edge lines at a time; any other goes to the line
+    reader, which loads what it can and words every FormatError."""
+    header = _HEADER.match(text)
+    if header:
+        n = int(header[1])
+        ends = _canonical_ends(text, header.end(), n, int(header[2]))
+        if ends:
+            return (Digraph if header[3] == "directed" else UndirectedGraph).from_ends(n, *ends)
+    return _parse_lines(text)
+
+
+def _canonical_ends(text, start, n, m):
+    """The end lists of the edge lines text[start:], or None unless there
+    are m of them, each as `format_graph` writes it with both ends below n."""
+    if text.count("\n", start) != m:
+        return None
+    a_ends, b_ends = [], []
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK) + 1 or len(text)  # a chunk of whole lines
+        if not _EDGE_LINES.fullmatch(text, start, stop):
+            return None
+        ends = list(map(int, text[start:stop].split()))
+        top = max(ends)
+        if top >= n:
+            return None
+        ends = gather(_ids(top + 1), ends)  # the shared id objects
+        a_ends += ends[::2]
+        b_ends += ends[1::2]
+        start = stop
+    return a_ends, b_ends
+
+
+def _parse_lines(text):
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty graph text")
@@ -268,7 +343,7 @@ def parse_graph(text: str):
     for i, line in enumerate(lines[m + 1 :], start=m + 2):
         if line.strip():
             raise FormatError("line %d: more than the %d edge lines the header declares" % (i, m))
-    ids = _ids(n)  # grown only for a text that loads
+    ids = _ids(max(max(a_ends, default=-1), max(b_ends, default=-1)) + 1)  # to the ids the text names, not to n
     a_ends, b_ends = list(map(ids.__getitem__, a_ends)), list(map(ids.__getitem__, b_ends))
     return (Digraph if head[2] == "directed" else UndirectedGraph).from_ends(n, a_ends, b_ends)
 

@@ -118,7 +118,11 @@ class RunReport:
                     adds_per_find=(calls["out_add"] + calls["in_add"]) / served)
 
     def format_text(self):
-        lines = ["requests served: %d" % self.requests_served, "failures: %d" % len(self.failures)]
+        classes = [cls for _, cls, _ in self.failures]
+        split = ", ".join("%d %s" % (classes.count(cls), cls) for cls in ("expansion-violation", "caller-error")
+                          if cls in classes)
+        lines = ["requests served: %d" % self.requests_served,
+                 "failures: %d" % len(classes) + (" (%s)" % split if split else "")]
         lines += ["  line %d [%s] %s" % failure for failure in self.failures[:10]]
         for label, histogram in (("path lengths", self.path_length_histogram),
                                  ("connector lengths", self.connector_length_histogram)):

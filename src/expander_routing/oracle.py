@@ -378,7 +378,7 @@ class EdgeOracle:
         Returns (edges as (id, forward) in walk order, endpoint) or None
         when no such walk exists.
         """
-        host = self.host
+        host, in_adj = self.host, self.host.in_adj  # rows are a cached property: read once
         pick_order = self._pick_order
         state, h_in, b_in = self.state, self.h.in_deg, self.b.in_deg
         in_cap = self.profile.in_cap
@@ -409,7 +409,7 @@ class EdgeOracle:
                 return self._build_walk(x, fallback, head_parent, tail_parent)
             tails = []
             for hd in new_heads:
-                for e in host.in_adj[hd]:
+                for e in in_adj[hd]:
                     if state[e] != 2:
                         continue
                     u = host.tails[e]
@@ -440,12 +440,13 @@ class EdgeOracle:
     def _cascade(self):
         """Demote buffered vertices whose saturated out-neighbourhood shrank."""
         state, h_in, b_in, pending = self.state, self.h.in_deg, self.b.in_deg, self._drop_pending
+        out_adj = self.host.out_adj
         while pending:
             # pending stays eligible: in a removal sat_out only falls, only here clears Low
             x = min(pending)
             pending.remove(x)
             touched = set()
-            for e in self.host.out_adj[x]:
+            for e in out_adj[x]:
                 if state[e] == 2:
                     self.b.remove(e)
                     touched.add(self.host.heads[e])

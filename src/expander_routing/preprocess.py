@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 
 from .errors import CallerError
-from .graph import Digraph, UndirectedGraph
+from .graph import Digraph, UndirectedGraph, rows_by_end
 from .matching import one_factor, perfect_matching_edges
 from .profiles import RouterProfile
 
@@ -100,7 +100,8 @@ def split_regular(d: Digraph, k, parts):
     remain. Each result is (subdigraph, host edge ids): the subdigraph's
     edge i corresponds to host edge ids[i]. The cuts are Euler halvings
     where they fit and one-factor peels elsewhere (see `_carve`); for
-    k=15 and parts [6, 6] that is 3 one-factors.
+    k=15 and parts [6, 6] that is 3 one-factors. The regularity check
+    and the live rows are read from d's end lists, so d builds no rows.
     """
     if d.regularity() != k:
         raise CallerError("digraph is not %d-regular" % k)
@@ -109,7 +110,7 @@ def split_regular(d: Digraph, k, parts):
         raise CallerError("parts must be positive")
     if total > k:
         raise CallerError("parts sum to %d > regularity %d" % (total, k))
-    pieces, rest = _carve(d, [list(out) for out in d.out_adj], k, parts)
+    pieces, rest = _carve(d, rows_by_end(d.n, d.tails), k, parts)
     out = [_subdigraph(d, sorted(ids)) for ids in pieces]
     if total < k:
         out.append(_subdigraph(d, sorted(rest)))

@@ -1,8 +1,11 @@
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import edge_pairs, oriented_host
+from expander_routing import graph as graph_module
 from expander_routing.errors import CallerError, FormatError
 from expander_routing.graph import (
     Digraph,
@@ -11,6 +14,7 @@ from expander_routing.graph import (
     format_graph,
     gather,
     parse_graph,
+    plain,
     reverse,
 )
 
@@ -30,7 +34,7 @@ def edge_lists(max_n=12, max_m=40):
 def test_single_edge():
     d = Digraph(2, [(0, 1)])
     assert d.m == 1
-    assert d.out_adj[0] == [0] and d.in_adj[1] == [0]
+    assert d.out_adj[0] == (0,) and d.in_adj[1] == (0,)
     assert (d.tails[0], d.heads[0]) == (0, 1)
 
 
@@ -41,7 +45,7 @@ def test_triangle_is_one_regular(triangle):
 def test_parallel_edges_get_distinct_ids():
     d = Digraph(4, [(0, 1), (0, 1)])
     assert d.m == 2
-    assert d.out_adj[0] == [0, 1]
+    assert d.out_adj[0] == (0, 1)
 
 
 def test_endpoint_out_of_range():
@@ -225,6 +229,136 @@ def test_text_parse_errors_name_the_line(text, message):
 
 def test_text_parse_allows_trailing_blank_lines():
     assert parse_graph("3 2 directed\n0 1\n1 2\n\n  \n").m == 2
+
+
+def _reference_parse(text):
+    """The line reader every graph text went through before canonical texts
+    were read in C, copied as it stood: the graph, or FormatError."""
+    lines = text.splitlines()
+    if not lines:
+        raise FormatError("empty graph text")
+    head = lines[0].split()
+    if len(head) != 3 or head[2] not in ("directed", "undirected"):
+        raise FormatError("line 1: expected '<n> <m> directed|undirected'")
+    try:
+        n, m = int(plain(head[0])), int(plain(head[1]))
+    except ValueError:
+        raise FormatError("line 1: bad vertex/edge count") from None
+    for name, count in (("vertex", n), ("edge", m)):
+        if count < 0:
+            raise FormatError("line 1: %s count must be at least 0, got %d" % (name, count))
+    if "_" in text or "+" in text:  # the edge lines, tested in C
+        i = next(i for i, line in enumerate(lines, 1) if "_" in line or "+" in line)
+        raise FormatError("line %d: bad endpoint" % i)
+    a_ends, b_ends = [], []
+    for i, line in enumerate(lines[1 : m + 1], start=2):
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError("line %d: expected '<tail> <head>'" % i)
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise FormatError("line %d: bad endpoint" % i) from None
+        if not (0 <= a < n and 0 <= b < n):
+            raise FormatError("line %d: edge (%d, %d) out of range for n=%d" % (i, a, b, n))
+        a_ends.append(a)
+        b_ends.append(b)
+    if len(a_ends) != m:
+        raise FormatError("expected %d edge lines, found %d" % (m, len(a_ends)))
+    for i, line in enumerate(lines[m + 1 :], start=m + 2):
+        if line.strip():
+            raise FormatError("line %d: more than the %d edge lines the header declares" % (i, m))
+    return (Digraph if head[2] == "directed" else UndirectedGraph).from_ends(n, a_ends, b_ends)
+
+
+def _outcome(parse, text):
+    """What `parse` makes of `text`: the graph's kind, n and end lists, or the FormatError's message."""
+    try:
+        g = parse(text)
+    except FormatError as exc:
+        return "error", str(exc)
+    return type(g).__name__, g.n, *((g.tails, g.heads) if isinstance(g, Digraph) else (g.us, g.vs))
+
+
+def _edit_token(text, i, edit):
+    """`text` with edit(token) in place of its i-th token (counted mod their number), spacing kept."""
+    spans = [m.span() for m in re.finditer(r"\S+", text)]
+    a, b = spans[i % len(spans)]
+    return text[:a] + edit(text[a:b]) + text[b:]
+
+
+def _edit_line(text, i, edit):
+    """`text` with edit(line), a list of lines, in place of its i-th edge line (counted mod their number)."""
+    lines = text.split("\n")
+    j = min(1 + i % max(1, len(lines) - 2), len(lines) - 1)  # an edge line, else the last
+    lines[j:j + 1] = edit(lines[j])
+    return "\n".join(lines)
+
+
+# each edit takes (text, n, i) for a random i; together they cover what the line reader accepts and refuses
+PERTURBATIONS = {
+    "tab": lambda t, n, i: _edit_line(t, i, lambda line: [line.replace(" ", "\t", 1)]),
+    "crlf": lambda t, n, i: t.replace("\n", "\r\n"),
+    "one crlf": lambda t, n, i: _edit_line(t, i, lambda line: [line + "\r"]),
+    "double space": lambda t, n, i: _edit_line(t, i, lambda line: [line.replace(" ", "  ", 1)]),
+    "leading zero": lambda t, n, i: _edit_token(t, i, lambda s: "0" + s),
+    "trailing blank lines": lambda t, n, i: t + ("\n", "  \n", "\n\n")[i % 3],
+    "missing line": lambda t, n, i: _edit_line(t, i, lambda line: []),
+    "three tokens": lambda t, n, i: _edit_line(t, i, lambda line: [line + " 1"]),
+    "out of range": lambda t, n, i: _edit_token(t, i + 3, lambda s: str(n + i % 3)),
+    "plus": lambda t, n, i: _edit_token(t, i, lambda s: "+" + s),
+    "underscore": lambda t, n, i: _edit_token(t, i, lambda s: s[:1] + "_" + s[1:]),
+    "non-ascii digit": lambda t, n, i: _edit_token(t, i, lambda s: s + "\u0663"),  # int() reads it as 3
+    "non-ascii letter": lambda t, n, i: _edit_line(t, i, lambda line: [line + "\u00e9"]),
+    "no final newline": lambda t, n, i: t[:-1],
+    "leading space": lambda t, n, i: _edit_line(t, i, lambda line: [" " + line]),
+    "long number": lambda t, n, i: _edit_token(t, i, lambda s: "1" * 30),
+}
+
+
+def _graphs(max_n=12, max_m=30):
+    """Digraphs and undirected graphs, m=0 among them, with ids above 9 so tokens differ in length."""
+    return st.builds(
+        lambda kind, n, picks: kind(n, [(a % n, b % n) for a, b in picks] if n else []),
+        st.sampled_from([Digraph, UndirectedGraph]),
+        st.integers(min_value=0, max_value=max_n),
+        st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=max_m),
+    )
+
+
+@given(_graphs())
+@example(Digraph(3, []))  # m=0
+@example(UndirectedGraph(0, []))
+def test_parse_reads_what_format_graph_writes(g):
+    text = format_graph(g)
+    assert _outcome(parse_graph, text) == _outcome(_reference_parse, text) == _outcome(lambda t: g, text)
+
+
+@given(_graphs(), st.lists(st.tuples(st.sampled_from(sorted(PERTURBATIONS)), st.integers(0, 999)), min_size=1,
+                           max_size=3))
+def test_parse_agrees_with_the_line_reader_on_perturbed_texts(g, edits):
+    text = format_graph(g)
+    for name, i in edits:
+        text = PERTURBATIONS[name](text, g.n, i)
+    assert _outcome(parse_graph, text) == _outcome(_reference_parse, text)
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBATIONS))
+@pytest.mark.parametrize("kind", [Digraph, UndirectedGraph])
+@pytest.mark.parametrize("n", [40, 1500])  # one chunk of edge lines, and several
+def test_parse_agrees_with_the_line_reader_on_each_perturbation(name, kind, n):
+    g = kind(n, [(v, (v * 7 + 3) % n) for v in range(n)] + [(v, v) for v in range(0, n, 9)])
+    for i in range(5, 4000, 331):
+        text = PERTURBATIONS[name](format_graph(g), g.n, i)
+        assert _outcome(parse_graph, text) == _outcome(_reference_parse, text)
+
+
+@pytest.mark.parametrize("kind", ["directed", "undirected"])
+def test_a_canonical_text_does_not_reach_the_line_reader(monkeypatch, kind):
+    text = _text_with_ids_above_256(kind)  # two chunks of edge lines
+    expected = _outcome(_reference_parse, text)
+    monkeypatch.setattr(graph_module, "_parse_lines", None)
+    assert _outcome(parse_graph, text) == expected
 
 
 def _text_with_ids_above_256(kind, n=600):

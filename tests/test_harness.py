@@ -269,6 +269,9 @@ def test_removes_after_a_failed_find_reach_the_paths_they_name():
         for c in cmds if c.kind == "remove" and c.ref in failed_ids
     ]
     assert all(by_line[line].kind == "remove" for line, _ in refused)
+    # the report's failures line keeps the total and splits it by class
+    assert "failures: %d (%d expansion-violation, %d caller-error)\n" % (
+        len(report.failures), len(failed), len(refused)) in report.format_text()
     # PATH lines carry the trace id, and the paths left live are the ones
     # the trace left live, minus the failed finds
     served = {int(line.split()[1]) for line in lines if line.startswith("PATH")}

@@ -815,6 +815,22 @@ def test_engine_from_a_file_holds_one_object_per_id(tmp_path):
         assert all(first.setdefault(x, x) is x for x in ids) and len(first) == count
 
 
+def test_a_build_leaves_no_tracked_rows_and_no_host_rows():
+    # rows are tuples of ints, which the cyclic GC stops tracking, and the
+    # split reads the oriented host's end lists only, so its rows are never built
+    g = gen_random_regular_graph(2400, 31, seed=11)
+    gc.collect()
+    tracked = len(gc.get_objects())
+    eng = RoutingEngine(g, desk_profile(2400, 31))
+    gc.collect()
+    assert len(gc.get_objects()) - tracked < 1000
+    host = eng.split.host
+    assert "out_adj" not in vars(host) and "in_adj" not in vars(host)  # a read would build them there
+    rows = chain(g.inc, *(chain(sub.out_adj, sub.in_adj) for sub in (eng.split.g1, eng.split.g2, eng.split.g3)))
+    assert not any(map(gc.is_tracked, rows))
+    assert len(host.out_adj) == len(host.in_adj) == 2400 and host.regularity() == 15
+
+
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 # The fresh engine it is given, running the paper's mechanism alone: trees
