@@ -9,15 +9,16 @@ engine over the same graph and desk profile:
 
 - `head`: the router as built, whose trees also meet through a free G3
   path of up to MEETING_RADIUS (four) edges, tested by a discovery's
-  two-hop G3 row against the other tree's zone, which reaches two hops
-  too;
-- `paper`: the paper's mechanism alone. The engine gets empty two-hop
-  rows, set on the instance, and oracles rebuilt with one-vertex reach
-  rows (`paper_only`, which tests/test_router.py loads from here), so
-  trees meet only at a shared vertex, picks prefer only heads in the
-  other tree, and trees that meet nothing take the breadth-first
-  connector. The G3 path search keeps the fixed rows it was bound to at
-  construction, which only prune its layers.
+  G3 ball of radius two against the other tree's zone, which reaches
+  two hops too;
+- `paper`: the paper's mechanism alone. The engine's outermost balls
+  are replaced on the instance by one-vertex balls, and its oracles
+  rebuilt with one-vertex reach rows (`paper_only`, which
+  tests/test_router.py loads from here), so trees meet only at a shared
+  vertex, picks prefer only heads in the other tree, and trees that
+  meet nothing take the breadth-first connector. The G3 path search
+  keeps the balls it was bound to at construction, which only prune
+  its layers.
 
 For each it prints oracle adds per served find, the mean and the longest
 served path over log2 n (the run report's own figures), the connector searches (G3 searches with the
@@ -47,8 +48,8 @@ CASES = {
 
 
 def paper_only(engine):
-    """The fresh `engine` with empty two-hop rows and oracles with one-vertex reach rows."""
-    engine.g3_out = engine.g3_in = [()] * engine.n
+    """The fresh `engine` with one-vertex outermost balls and oracles with one-vertex reach rows."""
+    engine.out_balls = engine.in_balls = {MEETING_RADIUS // 2: [(v,) for v in range(engine.n)]}
     engine.out_oracle = EdgeOracle(engine.out_oracle.host, engine.profile.oracle)
     engine.in_oracle = EdgeOracle(engine.in_oracle.host, engine.profile.oracle)
     return engine

@@ -84,19 +84,19 @@ class Digraph(_EndLists):
     Parallel edges are first class; each occurrence gets its own edge id.
     """
 
-    __slots__ = ("n", "tails", "heads", "_twin", "__dict__")  # the dict holds the rows once read
+    __slots__ = ("n", "tails", "heads", "__dict__")  # the dict holds the rows once read
 
     def _build(self, n, tails, heads):
         self._check(n, tails, heads)
-        self.n, self.tails, self.heads, self._twin = n, tails, heads, None
+        self.n, self.tails, self.heads = n, tails, heads
 
     @cached_property
-    def out_adj(self):  # a reversal's rows are its input's, swapped
-        return _frozen(rows_by_end(self.n, self.tails)) if self._twin is None else self._twin.in_adj
+    def out_adj(self):
+        return _frozen(rows_by_end(self.n, self.tails))
 
     @cached_property
     def in_adj(self):
-        return _frozen(rows_by_end(self.n, self.heads)) if self._twin is None else self._twin.out_adj
+        return _frozen(rows_by_end(self.n, self.heads))
 
     @property
     def m(self):
@@ -116,15 +116,10 @@ class Digraph(_EndLists):
 
 
 def reverse(d: Digraph) -> Digraph:
-    """Reverse every edge, keeping edge ids; an involution.
-
-    The result shares d's end lists and rows, as no graph is mutated
-    after construction: tails and heads swap, and its out-adjacency is
-    d's in-adjacency in the same (edge id) order, read from d on first use.
-    """
-    r = Digraph.__new__(Digraph)
-    r.n, r.tails, r.heads, r._twin = d.n, d.heads, d.tails, d
-    return r
+    """Reverse every edge, keeping edge ids; an involution. The result
+    shares d's end lists, swapped, as no graph is mutated after
+    construction, and builds its own rows on first use."""
+    return Digraph.from_ends(d.n, d.heads, d.tails)
 
 
 class UndirectedGraph(_EndLists):
@@ -153,9 +148,6 @@ class UndirectedGraph(_EndLists):
     def other_end(self, e, v):
         u = self.us[e]
         return self.vs[e] if u == v else u
-
-    def degree(self, v):
-        return len(self.inc[v])
 
     def regularity(self):
         if self.n == 0:

@@ -11,16 +11,16 @@ of the third subgraph (edges no live path's middle segment holds,
 through middle vertices in neither tree). The oracles only hand out
 edges; the rule lives here, in one test per tree that `grow_tree` runs
 on each discovery, and nothing tests a pair again. Each tree keeps a
-zone: its vertices and every vertex within two G3 edges of them (out of
-the out-tree, into the in-tree). The test widens the own zone by the
-discovery and its fixed two-hop G3 row, tests the discovery and that row
-against the other tree's zone, confirms a hit against H3 (few G3 edges,
-so no state follows H3 per vertex) and keeps the connector it found:
-none, or that path. The out-tree's test runs on a, against the in-root
-b, before either tree grows: roots that close are joined by that path
-alone. Each oracle holds the step rows as its reach rows, and each tree
-hands its oracle the other's zone as the pick preference, so a pick
-prefers a head that would pass the test at once. Trees that meet
+zone: every vertex within two G3 edges of its vertices (out of the
+out-tree, into the in-tree). The test widens the own zone by the
+discovery's fixed G3 ball of that radius, tests the ball against the
+other tree's zone, confirms a hit against H3 (few G3 edges, so no state
+follows H3 per vertex) and keeps the connector it found: none, or that
+path. The out-tree's test runs on a, against the in-root b, before
+either tree grows: roots that close are joined by that path alone. Each
+oracle holds the radius-1 balls as its reach rows, and each tree hands
+its oracle the other's zone as the pick preference, so a pick prefers a
+head that would pass the test at once. Trees that meet
 nothing grow to full size, large enough that G3, minus the middle
 segments already spoken for, connects them by a short directed path.
 One breadth-first search finds both connectors, `_free_g3_path`: four
@@ -144,44 +144,43 @@ class Ledger:
         return list(self.paths)[ref]
 
 
-# the G3 radius of a meeting: a discovery's two-hop row against the other
-# tree's zone, which reaches two hops too, so the meeting link searches
+# the G3 radius of a meeting: a discovery's ball against the other tree's
+# zone, each of radius MEETING_RADIUS // 2, so the meeting link searches
 # this many hops
 MEETING_RADIUS = 4
 
 
+def g3_balls(adj, ends):
+    """{r: balls} for r in 1..MEETING_RADIUS // 2: balls[v] holds each vertex
+    within r G3 edges of v along `adj` to `ends` once, v first, nearer
+    first, H3 ignored; fixed tuples of the shared `_ids` ints."""
+    ball = [tuple(dict.fromkeys((v, *map(ends.__getitem__, row)))) for v, row in zip(_ids(len(adj)), adj)]
+    balls = {1: ball}
+    for r in range(2, MEETING_RADIUS // 2 + 1):
+        balls[r] = [tuple(dict.fromkeys(chain(*map(ball.__getitem__, inner)))) for inner in balls[r - 1]]
+    return balls
+
+
 class RoutingEngine:
     def __init__(self, g: UndirectedGraph, profile: RouterProfile):
-        self.profile = profile
-        self.split = pre_process(g, profile)
-        self.h3 = EdgeSubset(self.split.g3)
+        self.profile, self.n = profile, g.n
+        split = pre_process(g, profile)
+        g1, g2, g3 = self.g1, self.g2, self.g3 = split.g1, split.g2, split.g3
+        self.g1_host, self.g2_host, self.g3_host = split.g1_host, split.g2_host, split.g3_host
+        del split  # the oriented host goes with it, before the tables below are built
+        self.h3 = EdgeSubset(g3)
         self.ledger = Ledger(g.n, profile.endpoint_cap, profile.r)
-        # fixed G3 rows, in adjacency order, H3 ignored: g3_out[v] (g3_in[v])
-        # holds each end within two G3 edges out of (into) v once, one-edge
-        # ends first, and step_out[v] (step_in[v]) holds v and its one-edge ends;
-        # `_meets` widens a tree's zone with the first, tests discoveries with
-        # it and confirms against H3 with link_out (link_in), the G3 path
-        # search `find_path` connects with too; each oracle's picks test the
-        # second
-        g1, g2, g3 = self.split.g1, self.split.g2, self.split.g3
-        out1 = [tuple(map(g3.heads.__getitem__, row)) for row in g3.out_adj]
-        in1 = [tuple(map(g3.tails.__getitem__, row)) for row in g3.in_adj]
-        self.g3_out = [tuple(dict.fromkeys(chain(row, *map(out1.__getitem__, row)))) for row in out1]
-        self.g3_in = [tuple(dict.fromkeys(chain(row, *map(in1.__getitem__, row)))) for row in in1]
-        self.step_out = [(v, *row) for v, row in zip(_ids(g3.n), out1)]  # v: the shared id object
-        self.step_in = [(v, *row) for v, row in zip(_ids(g3.n), in1)]
-        del out1, in1  # freed before the oracles' tables, which outlive them
-        self.out_oracle = EdgeOracle(g1, profile.oracle, self.step_out)
-        self.in_oracle = EdgeOracle(reverse(g2), profile.oracle, self.step_in)
-        # bound to H3's member array and the fixed rows, not to self: an engine is no reference cycle
-        self.link_out = partial(self._free_g3_path, self.h3.member, g3.out_adj, g3.heads, self.step_out, self.g3_out)
-        self.link_in = partial(self._free_g3_path, self.h3.member, g3.in_adj, g3.tails, self.step_in, self.g3_in)
+        # G3 balls out of (into) each vertex: `_meets` widens a tree's zone
+        # with the outermost and tests discoveries with it, each oracle's
+        # picks test the radius-1 ball, and link_out (link_in) prunes with them
+        self.out_balls, self.in_balls = g3_balls(g3.out_adj, g3.heads), g3_balls(g3.in_adj, g3.tails)
+        self.out_oracle = EdgeOracle(g1, profile.oracle, self.out_balls[1])
+        self.in_oracle = EdgeOracle(reverse(g2), profile.oracle, self.in_balls[1])
+        # bound to H3's member array and the balls, not to self: an engine is no reference cycle
+        self.link_out = partial(self._free_g3_path, self.h3.member, g3.out_adj, g3.heads, self.out_balls)
+        self.link_in = partial(self._free_g3_path, self.h3.member, g3.in_adj, g3.tails, self.in_balls)
         # what `_walk` reads of the subgraphs a path's three segments run in
         self._walk_rows = [(g.tails, g.heads, g.m, label) for g, label in ((g1, "first"), (g3, "middle"), (g2, "last"))]
-
-    @property
-    def n(self):
-        return self.split.host.n
 
     def oracle_call_counts(self):
         return {
@@ -207,8 +206,7 @@ class RoutingEngine:
                     raise ExpansionViolation(
                         "no connector of at most %d hops between the two trees in the third subgraph" % depth_cap
                     )
-                g3 = self.split.g3
-                meet = g3.tails[seg[0]], g3.heads[seg[-1]], seg
+                meet = self.g3.tails[seg[0]], self.g3.heads[seg[-1]], seg
             ap, bp, seg_mid = meet
             if len(seg_mid) > depth_cap:
                 raise ExpansionViolation("connector length %d exceeds cap %d" % (len(seg_mid), depth_cap))
@@ -238,7 +236,7 @@ class RoutingEngine:
 
         The out-tree's `_meets` test runs on a first, against the in-root
         b, and a meeting there grows no tree. Each tree's picks prefer heads
-        whose step rows meet the other tree's zone as it stands. The first
+        whose radius-1 balls meet the other tree's zone as it stands. The first
         meeting in lockstep order ends both: a tree ends where its
         `_meets` test accepts a discovery and leaves the other suspended. A
         tree that ends unmet leaves the other to grow alone, and must reach
@@ -250,7 +248,7 @@ class RoutingEngine:
         prof = self.profile
         cap, depth_cap = prof.bfs_vertex_cap, prof.depth_cap  # derived properties: read them once
         edges_a, par_a, edges_b, par_b = [], {a: None}, [], {b: None}
-        zone_a, zone_b, met = set(), {b, *self.g3_in[b]}, []
+        zone_a, zone_b, met = set(), set(self.in_balls[MEETING_RADIUS // 2][b]), []
         meets_a = self._meets(True, par_a, par_b, zone_a, zone_b, met)
         meets_b = self._meets(False, par_b, par_a, zone_b, zone_a, met)
         if meets_a(a):  # the roots are joined by a free G3 path: no tree grows
@@ -276,29 +274,26 @@ class RoutingEngine:
         """The `grow_tree` test by which the tree `own` (the out-tree if
         `out`, else the in-tree) meets the tree `other` as it stands.
 
-        `zone` and `other_zone` are the trees' zones: their vertices and
-        every vertex within two G3 edges out of them (out-tree) or into
-        them (in-tree), H3 ignored. A discovery w first widens `zone` by w
-        and its two-hop row, then passes the reach test if w or that row
-        meets `other_zone`: it is then within four G3 edges of (out-tree)
-        or from (in-tree) the other tree, H3 ignored. That is one set
-        insert, one C-level update of about 12 entries, one membership
-        test and one `isdisjoint` of the same 12. It meets if it is a key
-        of `other`, or if `link_out` (`link_in`) finds a free G3 path of
-        at most `MEETING_RADIUS` edges from w to `other`, avoiding `own`;
+        `zone` and `other_zone` are the trees' zones: every vertex within
+        MEETING_RADIUS // 2 G3 edges out of (out-tree) or into (in-tree)
+        their vertices, H3 ignored. A discovery w widens `zone` by its
+        outermost ball, which holds w, and passes the reach test if that
+        ball meets `other_zone` (one C-level `update` and one `isdisjoint`
+        of about 13 entries): w is then within MEETING_RADIUS G3 edges of
+        (out-tree) or from (in-tree) the other tree. It meets if it is a
+        key of `other`, or if `link_out` (`link_in`) finds a free G3 path
+        of at most MEETING_RADIUS edges from w to `other`, avoiding `own`;
         the test then appends the connector, (entry, exit, edges in path
         order), to the list `met` that both trees' tests share.
         """
-        g3 = self.split.g3
-        near, link, ends = (
-            (self.g3_out, self.link_out, g3.heads) if out else (self.g3_in, self.link_in, g3.tails)
+        balls, link, ends = (
+            (self.out_balls, self.link_out, self.g3.heads) if out else (self.in_balls, self.link_in, self.g3.tails)
         )
-        join, widen, apart = zone.add, zone.update, other_zone.isdisjoint
+        outer, widen, apart = balls[MEETING_RADIUS // 2], zone.update, other_zone.isdisjoint
 
         def meets(w):
-            join(w)
-            widen(row := near[w])
-            if w in other_zone or not apart(row):
+            widen(ball := outer[w])
+            if not apart(ball):
                 if w in other:
                     met.append((w, w, []))
                     return True
@@ -310,20 +305,21 @@ class RoutingEngine:
         return meets
 
     @staticmethod
-    def _free_g3_path(h3m, adj, ends, step, near, sources, keys, own, hops):
+    def _free_g3_path(h3m, adj, ends, balls, sources, keys, own, hops):
         """The one G3 path search: the first shortest free G3 path (no edge
         set in `h3m`, H3's member array) of at most `hops` edges from a
         vertex of `sources` to a key of `keys`, as its edges walked along
         `adj` to their `ends` (out-edges to heads, in-edges to tails), or
         None. Breadth-first, one layer per hop, in `sources` order, then
         adjacency order, never through a vertex of `own` or one seen. A
-        vertex with one (two) hops left joins a layer only if its fixed G3
-        row `step` (`near`) holds a key: no other reaches one in time, even
-        through H3 or `own`, so dropping it changes no path found."""
+        vertex with `left` hops left joins a layer only if its G3 ball
+        `balls[left]`, where there is one, holds a key: no other reaches
+        one in time, even through H3 or `own`, so dropping it changes no
+        path found."""
         parent = dict.fromkeys(sources)
-        layer, apart, rows = sources, keys.keys().isdisjoint, (None, step, near)
+        layer, apart = sources, keys.keys().isdisjoint
         for left in reversed(range(hops)):  # hops left after this layer
-            row = rows[left] if left < 3 else None
+            ball = balls.get(left)
             next_layer = []
             for u in layer:
                 for e in adj[u]:
@@ -332,7 +328,7 @@ class RoutingEngine:
                         if not h3m[e]:
                             parent[w] = u, e
                             return RoutingEngine._tree_path(parent, w)
-                    elif left and not (h3m[e] or w in parent or w in own or row and apart(row[w])):
+                    elif left and not (h3m[e] or w in parent or w in own or ball and apart(ball[w])):
                         parent[w] = u, e
                         next_layer.append(w)
             layer = next_layer
@@ -394,9 +390,9 @@ class RoutingEngine:
 
         member_ids, host_maps = [], []
         for name, seg, sub, what, to_host in (
-            ("H1", "seg_a", self.out_oracle.h, "segments", self.split.g1_host),
-            ("H2", "seg_b", self.in_oracle.h, "segments", self.split.g2_host),
-            ("H3", "seg_mid", self.h3, "middle segments", self.split.g3_host),
+            ("H1", "seg_a", self.out_oracle.h, "segments", self.g1_host),
+            ("H2", "seg_b", self.in_oracle.h, "segments", self.g2_host),
+            ("H3", "seg_mid", self.h3, "middle segments", self.g3_host),
         ):
             union = list(chain.from_iterable(map(attrgetter(seg), recs)))
             repeats = len(union) != len(set(union))

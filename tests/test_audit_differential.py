@@ -128,9 +128,8 @@ def reference_walk(eng, rec):
     v = rec.a
     if v not in range(eng.n):
         return "start %d is not a vertex" % v
-    split = eng.split
-    for seg, g, label in ((rec.seg_a, split.g1, "first"), (rec.seg_mid, split.g3, "middle"),
-                          (rec.seg_b, split.g2, "last")):
+    for seg, g, label in ((rec.seg_a, eng.g1, "first"), (rec.seg_mid, eng.g3, "middle"),
+                          (rec.seg_b, eng.g2, "last")):
         for e in seg:
             if e not in range(g.m):
                 return "%s segment holds edge %d outside its subgraph" % (label, e)
@@ -162,8 +161,8 @@ def reference_verify(eng):
     host_ids = []
     for rec in recs:
         # an id outside its subgraph has no host edge; the walk reports it
-        for seg, to_host in ((rec.seg_a, eng.split.g1_host), (rec.seg_mid, eng.split.g3_host),
-                             (rec.seg_b, eng.split.g2_host)):
+        for seg, to_host in ((rec.seg_a, eng.g1_host), (rec.seg_mid, eng.g3_host),
+                             (rec.seg_b, eng.g2_host)):
             host_ids.extend(to_host[e] for e in seg if e in range(len(to_host)))
     if len(host_ids) != len(set(host_ids)):
         findings.append("paths are not pairwise edge-disjoint over the host")
@@ -657,7 +656,7 @@ def h3_over_hop_budget(eng):
     # free G3 edges planted in H3 until |H3| passes |P| x depth_cap: still
     # far below 300|P|/beta, the looser bound the hop budget replaced
     budget = len(eng.ledger.paths) * eng.profile.depth_cap
-    free = (e for e in range(eng.split.g3.m) if not eng.h3.member[e])
+    free = (e for e in range(eng.g3.m) if not eng.h3.member[e])
     while len(eng.h3) <= budget:
         eng.h3.add(next(free))
 
@@ -698,14 +697,14 @@ def seg_a_id_out_of_range(eng):
 def seg_b_id_aliased_by_negative_index(eng):
     # e - m indexes edge e: H2's count and member tag agree, only the range does not
     rec = first_with(eng, "seg_b")
-    stored_again(eng, rec, seg_b=(rec.seg_b[0] - eng.split.g2.m, *rec.seg_b[1:]))
+    stored_again(eng, rec, seg_b=(rec.seg_b[0] - eng.g2.m, *rec.seg_b[1:]))
 
 
 def seg_mid_lists_a_free_edge(eng):
     # as many ids as H3 members, but one is free and the member it replaced
     # is listed by no path
     rec = first_with(eng, "seg_mid")
-    free = next(e for e in range(eng.split.g3.m) if not eng.h3.member[e])
+    free = next(e for e in range(eng.g3.m) if not eng.h3.member[e])
     stored_again(eng, rec, seg_mid=(free, *rec.seg_mid[1:]))
 
 
@@ -876,8 +875,7 @@ def test_more_live_paths_at_one_end_than_a_byte_counts_is_a_finding():
 def heads_walk(eng, rec):
     """rec's vertices spelled out: a, then the head of each edge of its G1,
     G3 and G2 segments in turn."""
-    split = eng.split
-    segs = ((rec.seg_a, split.g1), (rec.seg_mid, split.g3), (rec.seg_b, split.g2))
+    segs = ((rec.seg_a, eng.g1), (rec.seg_mid, eng.g3), (rec.seg_b, eng.g2))
     return [rec.a] + [g.heads[e] for seg, g in segs for e in seg]
 
 
@@ -953,8 +951,8 @@ def test_host_ids_are_read_only_once_a_union_check_has_found_something():
             reads.append(i)
             return tuple.__getitem__(self, i)
 
-    names = ("g1_host", "g2_host", "g3_host")
-    eng.split = dataclasses.replace(eng.split, **{name: Counted(getattr(eng.split, name)) for name in names})
+    for name in ("g1_host", "g2_host", "g3_host"):
+        setattr(eng, name, Counted(getattr(eng, name)))
     assert eng.verify().ok and reads == []
     seg_a_edge_in_two_paths(eng)
     assert "paths are not pairwise edge-disjoint over the host" in eng.verify().findings

@@ -24,7 +24,7 @@ from expander_routing.harness import (
     parse_trace,
     run_trace,
 )
-from expander_routing.preprocess import eulerian_orient
+from expander_routing.preprocess import eulerian_orient, pre_process
 from expander_routing.profiles import derive_profile, desk_profile, format_profile, load_profile
 from expander_routing.router import RoutingEngine
 
@@ -469,9 +469,10 @@ def test_cli_preprocess_writes_the_split_the_router_runs_on(tmp_path, capsys, d)
     save_graph(graph_path, g)
     prefix = str(tmp_path / "out")
     assert cli_main(["preprocess", str(graph_path), prefix, "--desk"]) == 0
-    split = RoutingEngine(g, desk_profile(120, d)).split
-    for part in ("host", "g1", "g2", "g3"):
-        assert (tmp_path / ("out." + part)).read_text() == format_graph(getattr(split, part))
+    prof = desk_profile(120, d)
+    eng = RoutingEngine(g, prof)  # it keeps the three subgraphs, not the host
+    for part, graph in zip(("host", "g1", "g2", "g3"), (pre_process(g, prof).host, eng.g1, eng.g2, eng.g3)):
+        assert (tmp_path / ("out." + part)).read_text() == format_graph(graph)
     assert (tmp_path / "out.header").read_text() == "n=120\nd=%d\nk=15\nd_prime=6\n" % d
     capsys.readouterr()
 

@@ -618,11 +618,11 @@ def test_each_pick_follows_the_rule_spelled_out():
     # vertex, under random preference sets, takes the edge `first_pick`
     # names, or fails when it names none; picks of every kind occur, with
     # the default one-vertex reach rows and with rows that hold each head
-    # and three random vertices, as the router's step rows hold a vertex
-    # and its three G3 ends
+    # and three random vertices, as the router's radius-1 G3 balls hold a
+    # vertex and its three G3 ends
     rng = random.Random(5)
-    step_like = [(v, *rng.sample(range(60), 3)) for v in range(60)]
-    for rows in (None, step_like):
+    ball_like = [(v, *rng.sample(range(60), 3)) for v in range(60)]
+    for rows in (None, ball_like):
         base = _after_seeded_adds(rows)
         kinds = set()
         for u in range(60):

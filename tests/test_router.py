@@ -3,6 +3,7 @@ import math
 import os
 import random
 import runpy
+import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -17,6 +18,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from conftest import (
     checked_picks, depth_capped, dump, first_pick, never, one_vertex_rows, tree_by_single_adds, undo_entries,
 )
+from expander_routing import preprocess
 from expander_routing.errors import CallerError, ExpansionViolation
 from expander_routing.expanders import gen_random_regular_graph
 from expander_routing.graph import load_graph, save_graph
@@ -48,8 +50,8 @@ def test_fresh_engine_is_clean():
     eng = small_engine()
     assert len(eng.ledger.paths) == 0
     assert eng.verify().ok
-    assert eng.split.g1.regularity() == eng.profile.d_prime
-    assert eng.split.g2.regularity() == eng.profile.d_prime
+    assert eng.g1.regularity() == eng.profile.d_prime
+    assert eng.g2.regularity() == eng.profile.d_prime
 
 
 def test_first_path_structure():
@@ -65,9 +67,9 @@ def test_first_path_structure():
     assert len(verts) == rec.length + 1
     # segments live in their own subgraphs and map to disjoint host edges
     host_ids = (
-        [eng.split.g1_host[e] for e in rec.seg_a]
-        + [eng.split.g3_host[e] for e in rec.seg_mid]
-        + [eng.split.g2_host[e] for e in rec.seg_b]
+        [eng.g1_host[e] for e in rec.seg_a]
+        + [eng.g3_host[e] for e in rec.seg_mid]
+        + [eng.g2_host[e] for e in rec.seg_b]
     )
     assert len(host_ids) == len(set(host_ids))
     assert eng.verify().ok
@@ -181,9 +183,9 @@ def test_churn_keeps_invariants():
     # independent disjointness recount over the host digraph
     used = []
     for rec in eng.ledger.paths.values():
-        used += [eng.split.g1_host[e] for e in rec.seg_a]
-        used += [eng.split.g3_host[e] for e in rec.seg_mid]
-        used += [eng.split.g2_host[e] for e in rec.seg_b]
+        used += [eng.g1_host[e] for e in rec.seg_a]
+        used += [eng.g3_host[e] for e in rec.seg_mid]
+        used += [eng.g2_host[e] for e in rec.seg_b]
     assert len(used) == len(set(used))
     # every stored path is a directed walk with the right endpoints
     for rec in eng.ledger.paths.values():
@@ -299,7 +301,7 @@ def _lockstep_zone(eng, out, other):
 def _zone(eng, out, tree):
     """Plain BFS: the zone of `tree`, the out-tree if `out`, every vertex
     at most two G3 edges out of it (into it for the in-tree), H3 ignored."""
-    g3 = eng.split.g3
+    g3 = eng.g3
     return _within(g3.out_adj, g3.heads, tree, 2) if out else _within(g3.in_adj, g3.tails, tree, 2)
 
 
@@ -315,7 +317,7 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
     # zone (a plain BFS of two G3 edges from it) as lockstep growth then
     # leaves it, and every pick follows the rule spelled out: a Low
     # vertex's first stock edge, else the first free, unsaturated out-edge
-    # whose head's step row meets that zone, else the first free,
+    # whose head's radius-1 G3 ball meets that zone, else the first free,
     # unsaturated one; both of the latter occur, and
     # some picks pass over an allowed edge for a preferred one (no vertex
     # is Low at this load, so no stock pick occurs). Roots joined by a
@@ -330,7 +332,7 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
     n = 600
     eng = small_engine(n=n, d=30, seed=11)
     prof = eng.profile
-    g3 = eng.split.g3
+    g3 = eng.g3
     cmds = gen_workload("fill", n, {"count": prof.r - 4}, 5, prof.endpoint_cap, prof.r)
     assert run_trace(eng, cmds).failures == []
     # H3 also holds about half the free G3 edges, as middle segments of
@@ -356,7 +358,7 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
         meet = probe["meet"]
         sides = ((eng.out_oracle, a, probe["out"], True), (eng.in_oracle, b, probe["in"], False))
         near = {out: _lockstep_zone(eng, out, probe["in" if out else "out"]) for out in (True, False)}
-        rows = {True: eng.step_out, False: eng.step_in}
+        rows = {True: eng.out_balls[1], False: eng.in_balls[1]}
         for oracle, root, (edges, parent), out in sides:
             full_edges, full_parent = _replayed(oracle, rows[out], {root: None}, cap, near[out], picks)
             assert edges == full_edges[: len(edges)]
@@ -419,10 +421,10 @@ def test_meeting_trees_share_one_vertex_and_need_no_connector(probe_trees):
 def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
     # trees that met through a G3 path grow past that point once H3 holds
     # any of its edges, as a live path's middle segment would: the
-    # edge's ends stay in the fixed G3 rows, but no link from either
+    # edge's ends stay in the fixed G3 balls, but no link from either
     # tree's last key takes the edge, nor does the find grown again
     eng = small_engine(n=600, d=30, seed=11)
-    g3 = eng.split.g3
+    g3 = eng.g3
     rng = random.Random(4)
     met = {}
     for _ in range(100):
@@ -441,7 +443,7 @@ def test_an_h3_held_g3_edge_is_never_a_meeting(probe_trees):
     assert [e] in (eng.link_out((t,), {w: None}, {t: None}, MEETING_RADIUS),
                    eng.link_in((w,), {t: None}, {w: None}, MEETING_RADIUS))
     eng.h3.add(e)
-    assert w in eng.g3_out[t] and t in eng.g3_in[w]
+    assert w in eng.out_balls[2][t] and t in eng.in_balls[2][w]
     for link, v, u in ((eng.link_out, t, w), (eng.link_in, w, t)):
         # a parallel edge, else only a path of two to MEETING_RADIUS edges around e
         found = link((v,), {u: None}, {v: None}, MEETING_RADIUS)
@@ -484,7 +486,7 @@ def test_a_two_edge_link_never_passes_through_the_own_tree():
     # link from t takes it, walked from t (link_out) or from w (link_in),
     # unless x is a vertex of the own tree or of the other
     eng = small_engine()
-    g3 = eng.split.g3
+    g3 = eng.g3
     t = 0
     e, f = next(
         (e, f)
@@ -496,7 +498,7 @@ def test_a_two_edge_link_never_passes_through_the_own_tree():
     for held in chain(g3.out_adj[t], g3.out_adj[x]):
         if held not in (e, f):
             eng.h3.add(held)
-    assert w in eng.g3_out[t] and t in eng.g3_in[w]
+    assert w in eng.out_balls[2][t] and t in eng.in_balls[2][w]
     assert eng.link_out((t,), {w: None}, {t: None}, 3) == [e, f]
     assert eng.link_in((w,), {t: None}, {w: None}, 3) == [f, e]
     # a one-hop search stops short of it
@@ -573,12 +575,21 @@ def test_reach_test_and_link_match_plain_searches(n, d, probe_trees):
     # beside each H3-held edge match the brute force too, and some of
     # them go around the held edge. Each tree's zone ends as a plain BFS
     # of every vertex within two G3 edges of all its vertices (out of the
-    # out-tree, into the in-tree), its last key's too
+    # out-tree, into the in-tree), its last key's too. Each G3 ball, out of
+    # and into each vertex, is a plain BFS ball of its radius, each vertex
+    # once, nearer vertices first
     prof = desk_profile(n, d)
     eng = RoutingEngine(gen_random_regular_graph(n, d, seed=11), prof)
     cmds = gen_workload("churn", n, {"ops": 200, "live_target": prof.r // 2}, 5, prof.endpoint_cap, prof.r)
     assert run_trace(eng, cmds).failures == []
-    g3, h3m = eng.split.g3, eng.h3.member
+    g3, h3m = eng.g3, eng.h3.member
+    for balls, adj, ends in ((eng.out_balls, g3.out_adj, g3.heads), (eng.in_balls, g3.in_adj, g3.tails)):
+        assert list(balls) == list(range(1, MEETING_RADIUS // 2 + 1))
+        for r, ball in balls.items():
+            for v in range(n):
+                inner = _within(adj, ends, (v,), r - 1)
+                assert len(set(ball[v])) == len(ball[v]) and set(ball[v]) == _within(adj, ends, (v,), r)
+                assert set(ball[v][: len(inner)]) == inner
     assert len(eng.h3)
     # the zones `_grow_trees` hands to each tree's meeting test
     zones, build = [], eng._meets
@@ -683,7 +694,8 @@ def test_pruned_link_returns_what_the_unpruned_search_returns(paper):
     # and from several (some at a held edge), with own-tree vertices, each
     # link returns what the search without the key-row test returns, for
     # every hop budget up to depth_cap; on a paper-only engine too, whose
-    # instance rows are emptied but whose links keep the fixed G3 rows
+    # outermost balls are replaced on the instance but whose links keep
+    # the balls they were bound to
     n = 300
     prof = desk_profile(n, 31)
     eng = RoutingEngine(gen_random_regular_graph(n, 31, seed=11), prof)
@@ -691,7 +703,7 @@ def test_pruned_link_returns_what_the_unpruned_search_returns(paper):
         _paper_only(eng)
     cmds = gen_workload("churn", n, {"ops": 300, "live_target": prof.r // 2}, 5, prof.endpoint_cap, prof.r)
     assert run_trace(eng, cmds).failures == []
-    g3, h3m = eng.split.g3, eng.h3.member
+    g3, h3m = eng.g3, eng.h3.member
     held = eng.h3.members()
     assert held
     sides = ((eng.link_out, g3.out_adj, g3.heads, g3.tails), (eng.link_in, g3.in_adj, g3.tails, g3.heads))
@@ -724,7 +736,7 @@ def test_roots_joined_by_a_free_g3_path_are_served_by_it_alone():
     prof = desk_profile(n, d)
     eng = RoutingEngine(gen_random_regular_graph(n, d, seed=3), prof)
     cmds = gen_workload("churn", n, {"ops": 400, "live_target": prof.r // 2}, 11, prof.endpoint_cap, prof.r)
-    g3, find, joined = eng.split.g3, eng.find_path, []
+    g3, find, joined = eng.g3, eng.find_path, []
 
     def watched(a, b):
         ref = _reference_link(g3, eng.h3.member, True, (a,), {b: None}, {a: None}, MEETING_RADIUS)
@@ -803,30 +815,37 @@ def test_no_link_search_repeats_within_a_find():
 def test_engine_from_a_file_holds_one_object_per_id(tmp_path):
     # parse_graph interns the vertex ids and every graph takes its edge ids
     # from one table, so each graph and row a build derives copies the same
-    # int object for equal ids, the vertex at the head of each step row too
+    # int object for equal ids, the vertex at the head of each G3 ball too
     save_graph(tmp_path / "g.txt", gen_random_regular_graph(600, 31, seed=11))
     eng = RoutingEngine(load_graph(tmp_path / "g.txt"), desk_profile(600, 31))
-    graphs = [eng.split.host, eng.split.g1, eng.split.g2, eng.split.g3]
-    rows = [eng.out_oracle._pick_reach, eng.in_oracle._pick_reach, eng.g3_out, eng.g3_in, eng.step_out, eng.step_in]
+    graphs = [eng.g1, eng.g2, eng.g3]
+    rows = [eng.out_oracle._pick_reach, eng.in_oracle._pick_reach, *eng.out_balls.values(), *eng.in_balls.values()]
     vertices = chain(*(chain(g.tails, g.heads) for g in graphs), *(chain.from_iterable(r) for r in rows))
     edges = chain.from_iterable(chain.from_iterable(chain(g.out_adj, g.in_adj)) for g in graphs)
-    for ids, count in ((vertices, 600), (edges, eng.split.host.m)):
+    for ids, count in ((vertices, 600), (edges, max(g.m for g in graphs))):
         first = {}
         assert all(first.setdefault(x, x) is x for x in ids) and len(first) == count
 
 
-def test_a_build_leaves_no_tracked_rows_and_no_host_rows():
-    # rows are tuples of ints, which the cyclic GC stops tracking, and the
-    # split reads the oriented host's end lists only, so its rows are never built
+def test_a_build_leaves_no_tracked_rows_and_no_host_rows(monkeypatch):
+    # rows are tuples of ints, which the cyclic GC stops tracking; the
+    # split reads the oriented host's end lists only, so its rows are never
+    # built, nor are G2's, whose reversal the in-oracle runs on builds its
+    # own; once built, the engine refers to the host no more
     g = gen_random_regular_graph(2400, 31, seed=11)
+    hosts, orient = [], preprocess.eulerian_orient
+    monkeypatch.setattr(preprocess, "eulerian_orient", lambda *args: hosts.append(orient(*args)) or hosts[-1])
     gc.collect()
     tracked = len(gc.get_objects())
     eng = RoutingEngine(g, desk_profile(2400, 31))
     gc.collect()
     assert len(gc.get_objects()) - tracked < 1000
-    host = eng.split.host
-    assert "out_adj" not in vars(host) and "in_adj" not in vars(host)  # a read would build them there
-    rows = chain(g.inc, *(chain(sub.out_adj, sub.in_adj) for sub in (eng.split.g1, eng.split.g2, eng.split.g3)))
+    [host] = hosts
+    hosts.clear()
+    assert sys.getrefcount(host) == 2  # `host` and the call's argument; a Digraph takes no weakref
+    for unread in (host, eng.g2):  # a read would build the rows there
+        assert "out_adj" not in vars(unread) and "in_adj" not in vars(unread)
+    rows = chain(g.inc, *(chain(sub.out_adj, sub.in_adj) for sub in (eng.g1, eng.in_oracle.host, eng.g3)))
     assert not any(map(gc.is_tracked, rows))
     assert len(host.out_adj) == len(host.in_adj) == 2400 and host.regularity() == 15
 
@@ -854,8 +873,8 @@ def _check_picks(orc, rows, picks):
 
 @pytest.mark.parametrize("n,ops", [(150, 400), (600, 1000)])
 def test_paper_mechanism_alone_serves_churn(n, ops):
-    # the paper's own mechanism, kept under test: with one-vertex step rows
-    # and empty two-hop rows, set on the instance, trees meet only at a
+    # the paper's own mechanism, kept under test: with one-vertex reach rows
+    # and outermost balls, set on the instance, trees meet only at a
     # shared vertex and no meeting link runs; trees that meet nothing grow
     # to full size and take the breadth-first connector, the same G3 search
     # run from the whole out-tree with the hop budget, and fit within it.
@@ -911,7 +930,7 @@ def test_paper_connector_matches_the_brute_force(n, d, probe_trees):
     # found it; trees that met at a shared vertex need none
     prof = desk_profile(n, d)
     eng = _paper_only(RoutingEngine(gen_random_regular_graph(n, d, seed=11), prof))
-    g3, h3m, find = eng.split.g3, eng.h3.member, eng.find_path
+    g3, h3m, find = eng.g3, eng.h3.member, eng.find_path
     connected = []
 
     def checked_find(a, b):
@@ -947,8 +966,8 @@ def test_strict_paper_constants_serve_churn():
     assert (prof.oracle.out_cap, prof.oracle.in_cap) == (10, 4)
     g = gen_random_regular_graph(n, d, seed=1)
     eng = RoutingEngine(g, prof)
-    # the two-hop G3 rows hold each end once, not deg + deg^2 entries
-    assert all(len(row) <= n for row in chain(eng.g3_out, eng.g3_in))
+    # the G3 balls of radius two hold each vertex once, not 1 + deg + deg^2 entries
+    assert all(len(ball) <= n for ball in chain(eng.out_balls[2], eng.in_balls[2]))
     cmds = gen_workload("churn", n, {"ops": 200, "live_target": prof.r - 1}, 1, prof.endpoint_cap, prof.r)
     paper = _paper_only(RoutingEngine(g, prof))
     for engine in (eng, paper):
@@ -1169,7 +1188,7 @@ def test_connector_search_stops_at_the_hop_budget():
     g = gen_random_regular_graph(150, 30, seed=21)
     eng = RoutingEngine(g, depth_capped(desk_profile(150, 30), 2))
     coin = random.Random(1)
-    held = [e for e in range(eng.split.g3.m) if coin.random() < 0.5]
+    held = [e for e in range(eng.g3.m) if coin.random() < 0.5]
     for e in held:
         eng.h3.add(e)
     for b in range(1, 150):
